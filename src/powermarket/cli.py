@@ -1,9 +1,10 @@
 """Command-line surface: validate, solve, sweep, verify, emit-lp.
 
 Exit codes: 0 success (optimal and all checks pass), 1 input/parse error,
-2 verification failure, 3 infeasible or unbounded model.  The default
-output directory can be set with the POWERMARKET_OUT_DIR environment
-variable.
+2 verification failure, 3 infeasible or unbounded model, 4 solver failure
+(iteration limit or numerical trouble: the model may still be feasible).
+The default output directory can be set with the POWERMARKET_OUT_DIR
+environment variable.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_VERIFY = 2
 EXIT_INFEASIBLE = 3
+EXIT_SOLVER = 4
 
 
 def _out_dir(args) -> str:
@@ -47,6 +49,16 @@ def _load(path):
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_INPUT)
+
+
+def _not_optimal(sol) -> int:
+    """Report a solve that ended without an optimum; returns the exit code."""
+    if sol.status in ("infeasible", "unbounded"):
+        print(f"model is {sol.status}: {sol.message}", file=sys.stderr)
+        return EXIT_INFEASIBLE
+    print(f"solver failed ({sol.status}), the model may still be feasible: "
+          f"{sol.message}", file=sys.stderr)
+    return EXIT_SOLVER
 
 
 def cmd_validate(args) -> int:
@@ -81,8 +93,7 @@ def cmd_solve(args) -> int:
     else:
         sol = solve(lp)
     if sol.status != "optimal":
-        print(f"model is {sol.status}: {sol.message}", file=sys.stderr)
-        return EXIT_INFEASIBLE
+        return _not_optimal(sol)
 
     write_solution_file(sol, os.path.join(out, f"{name}.sol"))
     report = build_report(system, lp, sol, policy, suppress_negative=suppress)
@@ -142,13 +153,12 @@ def cmd_verify(args) -> int:
     lp = build_lp(system, policy, enforce_kvl=options.get("kvl", False))
     sol = solve(lp)
     if sol.status != "optimal":
-        print(f"model is {sol.status}: {sol.message}", file=sys.stderr)
-        return EXIT_INFEASIBLE
+        return _not_optimal(sol)
     checks = verify_solution(system, lp, sol, policy)
     if isinstance(policy.co2, Co2Cap):
-        checks.append(check_cap_tax_equivalence(system, policy))
+        checks.append(check_cap_tax_equivalence(system, lp, sol, policy))
     if isinstance(policy.support, SupportDispatched):
-        checks.append(check_subsidy_tax_lift(system, policy))
+        checks.append(check_subsidy_tax_lift(system, lp, sol, policy))
     with open(os.path.join(out, f"{options['name']}.verification.json"), "w",
               encoding="utf-8") as fh:
         fh.write(verify_report_json(checks))

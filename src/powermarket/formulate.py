@@ -1,18 +1,30 @@
-"""Translate a power system plus policy into a sparse, fully tagged LP.
+"""Translate a power system plus policy into a sparse LP of named blocks.
 
-Every row and column name encodes an entity tag ``family.entity.t<idx>`` so
-that duals can be mapped back to nodal prices, capacity-factor shadow prices,
-policy shadow prices, storage consistency duals and cycle duals.  The module
-also writes/parses a free-form MPS interchange file and implements the
-Lagrangian-relaxation substitution that turns a binding cap into an
-equivalent objective shift.
+Each (family, entity) pair, such as ``("g", "wind@N")``, ``("balance", "N")``
+or ``("co2-cap", None)``, owns one block of columns or rows, registered once
+by :func:`build_lp`.  A block is an ``int`` position for a scalar and a
+``slice`` with one position per snapshot otherwise; the slice is strided
+where the blocks of one storage unit or line interleave snapshot by
+snapshot.  Objective, bounds, senses, right-hand sides and the COO triplets
+of A are numpy arrays, and solve, metrics, verify and sweep read values by
+slicing through the block index.
+
+Names of the form ``family.entity.t<idx>`` exist only at the interchange
+edges: the free-form MPS file written and parsed here, the solution file
+in :mod:`powermarket.solve`, and error messages.  The module also
+implements the Lagrangian-relaxation substitution that turns a binding cap
+into an equivalent objective shift.
 """
 
 from __future__ import annotations
 
+import copy
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Optional
+
+import numpy as np
+from scipy import sparse
 
 from .model import (
     SHEDDING_NAME,
@@ -28,8 +40,6 @@ from .model import (
 
 __all__ = [
     "EntityTag",
-    "Column",
-    "Row",
     "LinearProgram",
     "FormulationError",
     "build_lp",
@@ -40,12 +50,6 @@ __all__ = [
 ]
 
 INF = float("inf")
-
-ROW_FAMILIES = (
-    "balance", "gen-upper", "gen-lower", "store-soc", "store-upper",
-    "line-upper", "line-lower", "kvl-cycle", "vre-dispatched",
-    "vre-available", "co2-cap", "potential",
-)
 
 
 class FormulationError(ValueError):
@@ -88,153 +92,184 @@ class EntityTag:
         return cls(family, entity, snapshot)
 
 
-def tag_id(family: str, entity: Optional[str] = None, snapshot: Optional[int] = None) -> str:
-    return EntityTag(family, entity, snapshot).to_id()
-
-
-@dataclass
-class Column:
-    id: str
-    lower: float = 0.0
-    upper: float = INF
-    objective: float = 0.0
-
-
-@dataclass
-class Row:
-    id: str
-    sense: str  # one of "=", "<=", ">="
-    rhs: float = 0.0
-
-
-@dataclass
-class LinearProgram:
-    """Sparse minimization LP with entity-tagged rows and columns."""
-
-    columns: list = field(default_factory=list)
-    rows: list = field(default_factory=list)
-    entries: list = field(default_factory=list)  # (row_idx, col_idx, value)
-    name: str = "powermarket"
-
-    def __post_init__(self):
-        self._col_index = {c.id: i for i, c in enumerate(self.columns)}
-        self._row_index = {r.id: i for i, r in enumerate(self.rows)}
-
-    # -- construction helpers -------------------------------------------------
-
-    def add_column(self, col_id: str, lower: float = 0.0, upper: float = INF,
-                   objective: float = 0.0) -> int:
-        if col_id in self._col_index:
-            raise FormulationError(f"duplicate column '{col_id}'")
-        self.columns.append(Column(col_id, lower, upper, objective))
-        self._col_index[col_id] = len(self.columns) - 1
-        return len(self.columns) - 1
-
-    def add_row(self, row_id: str, sense: str, rhs: float = 0.0) -> int:
-        if row_id in self._row_index:
-            raise FormulationError(f"duplicate row '{row_id}'")
-        if sense not in ("=", "<=", ">="):
-            raise FormulationError(f"bad sense '{sense}'")
-        self.rows.append(Row(row_id, sense, rhs))
-        self._row_index[row_id] = len(self.rows) - 1
-        return len(self.rows) - 1
-
-    def add_entry(self, row_id: str, col_id: str, value: float) -> None:
-        if value == 0.0:
-            return
-        self.entries.append((self._row_index[row_id], self._col_index[col_id], value))
-
-    # -- queries ---------------------------------------------------------------
-
-    def col_index(self, col_id: str) -> int:
-        return self._col_index[col_id]
-
-    def row_index(self, row_id: str) -> int:
-        return self._row_index[row_id]
-
-    def has_row(self, row_id: str) -> bool:
-        return row_id in self._row_index
-
-    def column(self, col_id: str) -> Column:
-        return self.columns[self._col_index[col_id]]
-
-    def row_ids(self, family: Optional[str] = None) -> list:
-        if family is None:
-            return [r.id for r in self.rows]
-        prefix = family + "."
-        return [r.id for r in self.rows if r.id == family or r.id.startswith(prefix)]
-
-    def col_ids(self, family: Optional[str] = None) -> list:
-        if family is None:
-            return [c.id for c in self.columns]
-        prefix = family + "."
-        return [c.id for c in self.columns if c.id == family or c.id.startswith(prefix)]
-
-    def row_coefficients(self, row_id: str) -> dict:
-        ri = self._row_index[row_id]
-        out: dict = {}
-        for r, c, v in self.entries:
-            if r == ri:
-                out[self.columns[c].id] = out.get(self.columns[c].id, 0.0) + v
-        return out
-
-    def copy(self) -> "LinearProgram":
-        return LinearProgram(
-            columns=[replace(c) for c in self.columns],
-            rows=[replace(r) for r in self.rows],
-            entries=list(self.entries),
-            name=self.name,
-        )
-
-    def drop_row(self, row_id: str) -> None:
-        ri = self._row_index.pop(row_id)
-        del self.rows[ri]
-        self.entries = [
-            (r - (1 if r > ri else 0), c, v) for r, c, v in self.entries if r != ri
-        ]
-        for r in self.rows[ri:]:
-            self._row_index[r.id] -= 1
-
-    def validate_structure(self) -> None:
-        for r, c, _ in self.entries:
-            if not (0 <= r < len(self.rows) and 0 <= c < len(self.columns)):
-                raise FormulationError("entry references missing row or column")
-        for col in self.columns:
-            if col.lower > col.upper:
-                raise FormulationError(f"column '{col.id}' has lower > upper")
-        if len(self._col_index) != len(self.columns) or len(self._row_index) != len(self.rows):
-            raise FormulationError("duplicate row or column ids")
-
-
-# -- entity key helpers --------------------------------------------------------
-
-
 def tech_key(tech_name: str, node: str) -> str:
+    """Entity id of a technology or storage unit placed at a node."""
     return f"{tech_name}@{node}"
 
 
-def gen_col(tech_name: str, node: str) -> str:
-    return tag_id("G", tech_key(tech_name, node))
+def _positions(index) -> np.ndarray:
+    """The positions a block index (int or slice) covers, as an array."""
+    if isinstance(index, slice):
+        return np.arange(index.start, index.stop, index.step)
+    return np.asarray(index)
 
 
-def disp_col(tech_name: str, node: str, t: int) -> str:
-    return tag_id("g", tech_key(tech_name, node), t)
+def _key(key) -> tuple:
+    return key if isinstance(key, tuple) else (key, None)
 
 
-def store_cap_col(kind: str, name: str, node: str) -> str:
-    return tag_id("G" + kind, tech_key(name, node))
+def _block_names(key: tuple, index) -> list:
+    base = EntityTag(*key).to_id()
+    if isinstance(index, slice):
+        return [f"{base}.t{t}" for t in range(len(_positions(index)))]
+    return base
 
 
-def store_disp_col(kind: str, name: str, node: str, t: int) -> str:
-    return tag_id("g" + kind, tech_key(name, node), t)
+class Table:
+    """Equal-length numpy fields, one per keyword of the constructor (whose
+    value is the field's default and fixes its dtype).  Appends are kept as
+    chunks and joined into one array per field when the field is read."""
+
+    def __init__(self, **defaults):
+        self.defaults = defaults
+        self._chunks = {k: [np.empty(0, np.asarray(v).dtype)] for k, v in defaults.items()}
+        self._len = 0
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getattr__(self, name):
+        chunks = self.__dict__.get("_chunks", {}).get(name)
+        if chunks is None:
+            raise AttributeError(name)
+        if len(chunks) > 1:
+            chunks[:] = [np.concatenate(chunks)]
+        return chunks[0]
+
+    def append(self, n: int, **values) -> None:
+        for name, default in self.defaults.items():
+            chunk = np.asarray(values.get(name, default), self._chunks[name][0].dtype)
+            self._chunks[name].append(np.broadcast_to(chunk, (n,)).copy())
+        self._len += n
+
+    def take(self, index) -> "Table":
+        out = Table(**self.defaults)
+        picked = {name: getattr(self, name)[index] for name in self.defaults}
+        out.append(len(next(iter(picked.values()))), **picked)
+        return out
 
 
-def flow_col(line_idx: int, t: int) -> str:
-    return tag_id("f", f"L{line_idx}", t)
+class LinearProgram:
+    """Sparse minimization LP whose columns and rows form named blocks.
+
+    ``columns`` (lower, upper, objective), ``rows`` (sense, rhs) and
+    ``entries`` (row, col, value: the COO triplets of A, duplicates summed
+    by consumers) are :class:`Table` s in LP order; ``col_index`` and
+    ``row_index`` map each (family, entity) key to its int or slice.
+    """
+
+    def __init__(self, name: str = "powermarket"):
+        self.name = name
+        self.columns = Table(lower=0.0, upper=INF, objective=0.0)
+        self.rows = Table(sense="<=", rhs=0.0)
+        self.entries = Table(row=0, col=0, value=0.0)
+        self.col_index: dict = {}
+        self.row_index: dict = {}
+
+    # -- construction ----------------------------------------------------------
+
+    @staticmethod
+    def _register(table: Table, index: dict, keys, count, fields: dict):
+        """Append one block per key; the blocks of several keys interleave
+        snapshot by snapshot.  A field value is broadcast over the new
+        positions, or given per key as a tuple when there are several keys."""
+        keys = [_key(k) for k in keys]
+        k, start, n = len(keys), len(table), 1 if count is None else count
+        for i, key in enumerate(keys):
+            if key in index:
+                raise FormulationError(f"duplicate block '{EntityTag(*key).to_id()}'")
+            index[key] = start + i if count is None else \
+                slice(start + i, start + i + k * n, k)
+        values = {}
+        for name, value in fields.items():
+            per_key = value if k > 1 and isinstance(value, tuple) else (value,) * k
+            grid = np.empty((n, k), np.asarray(table.defaults[name]).dtype)
+            for i, v in enumerate(per_key):
+                grid[:, i] = v
+            values[name] = grid.ravel()
+        table.append(n * k, **values)
+        return index[keys[0]] if k == 1 else tuple(index[key] for key in keys)
+
+    def add_columns(self, *keys, count: Optional[int] = None, **fields):
+        """Register column blocks; a key is ``(family, entity)`` or a bare
+        family.  Without ``count`` each block is one scalar column.  Returns
+        the block's index, or a tuple of them for several keys."""
+        return self._register(self.columns, self.col_index, keys, count, fields)
+
+    def add_rows(self, *keys, count: Optional[int] = None, sense, rhs=0.0):
+        for s in (sense if isinstance(sense, tuple) else (sense,)):
+            if s not in ("=", "<=", ">="):
+                raise FormulationError(f"bad sense '{s}'")
+        return self._register(self.rows, self.row_index, keys, count,
+                              {"sense": sense, "rhs": rhs})
+
+    def add_entries(self, rows, cols, values) -> None:
+        """A[rows, cols] = values, broadcasting block indices, position
+        arrays and values against each other; zero values are skipped."""
+        r, c, v = np.broadcast_arrays(_positions(rows), _positions(cols),
+                                      np.asarray(values, dtype=float))
+        keep = v != 0.0
+        self.entries.append(int(keep.sum()), row=r[keep], col=c[keep], value=v[keep])
+
+    # -- queries ---------------------------------------------------------------
+
+    def col(self, family: str, entity: Optional[str] = None):
+        return self.col_index[family, entity]
+
+    def row(self, family: str, entity: Optional[str] = None):
+        return self.row_index[family, entity]
+
+    def has_row(self, family: str, entity: Optional[str] = None) -> bool:
+        return (family, entity) in self.row_index
+
+    def col_names(self) -> list:
+        return _names(self.col_index, len(self.columns))
+
+    def row_names(self) -> list:
+        return _names(self.row_index, len(self.rows))
+
+    def matrix(self) -> sparse.csr_matrix:
+        """A as CSR, duplicate entries summed."""
+        e = self.entries
+        return sparse.csr_matrix((e.value, (e.row, e.col)),
+                                 shape=(len(self.rows), len(self.columns)))
+
+    def copy(self) -> "LinearProgram":
+        return copy.deepcopy(self)
+
+    def drop_row(self, family: str, entity: Optional[str] = None) -> None:
+        keep = np.ones(len(self.rows), dtype=bool)
+        keep[self.row_index.pop((family, entity))] = False
+        new_pos = np.cumsum(keep) - 1
+        self.rows = self.rows.take(keep)
+        self.entries = self.entries.take(keep[self.entries.row])
+        self.entries.row[:] = new_pos[self.entries.row]
+        self.row_index = {k: _moved(v, new_pos) for k, v in self.row_index.items()}
+
+    def validate_structure(self) -> None:
+        e = self.entries
+        if len(e) and not (0 <= e.row.min() and e.row.max() < len(self.rows)
+                           and 0 <= e.col.min() and e.col.max() < len(self.columns)):
+            raise FormulationError("entry references missing row or column")
+        bad = np.flatnonzero(self.columns.lower > self.columns.upper)
+        if bad.size:
+            raise FormulationError(f"column '{self.col_names()[bad[0]]}' has lower > upper")
 
 
-def line_cap_col(line_idx: int) -> str:
-    return tag_id("F", f"L{line_idx}")
+def _names(index: dict, n: int) -> list:
+    names = [None] * n
+    for key, idx in index.items():
+        names[idx] = _block_names(key, idx)
+    return names
+
+
+def _moved(index, new_pos: np.ndarray):
+    """A block index after the positions were renumbered by ``new_pos``."""
+    if not isinstance(index, slice):
+        return int(new_pos[index])
+    p = new_pos[index]
+    step = int(p[1] - p[0]) if len(p) > 1 else 1
+    return slice(int(p[0]), int(p[-1]) + 1, step)
 
 
 # -- cycle basis ----------------------------------------------------------------
@@ -325,102 +360,85 @@ def build_lp(system: PowerSystem, policy: PolicyConfig, *,
     fip = support if isinstance(support, FixedFip) else None
 
     # balance rows first: one equality per (node, snapshot)
-    for n in system.nodes:
-        for t in range(T):
-            lp.add_row(tag_id("balance", n, t), "=", system.demand_at(n, t))
+    balance = {n: lp.add_rows(("balance", n), count=T, sense="=", rhs=system.demand[n])
+               for n in system.nodes}
 
     # generators
     for node, spec in system.technologies:
         key = tech_key(spec.name, node)
-        c_s = spec.annual_cost(r)
         o_eff = spec.marginal_cost + spec.emission_factor * tax_rate
         if fip is not None and spec.name in fip.technologies:
             o_eff -= fip.premium
-        lp.add_column(gen_col(spec.name, node), 0.0, INF, c_s)
-        for t in range(T):
-            g = disp_col(spec.name, node, t)
-            lp.add_column(g, 0.0, INF, o_eff)
-            lp.add_entry(tag_id("balance", node, t), g, 1.0)
-            lp.add_row(tag_id("gen-upper", key, t), "<=", 0.0)
-            lp.add_entry(tag_id("gen-upper", key, t), g, 1.0)
-            lp.add_entry(tag_id("gen-upper", key, t), gen_col(spec.name, node),
-                         -spec.availability_at(t))
+        G = lp.add_columns(("G", key), objective=spec.annual_cost(r))
+        g = lp.add_columns(("g", key), count=T, objective=o_eff)
+        lp.add_entries(balance[node], g, 1.0)
+        upper = lp.add_rows(("gen-upper", key), count=T, sense="<=")
+        lp.add_entries(upper, g, 1.0)
+        lp.add_entries(upper, G, -np.asarray(spec.availability or 1.0))
         if spec.max_potential is not None:
-            lp.add_row(tag_id("potential", key), "<=", spec.max_potential)
-            lp.add_entry(tag_id("potential", key), gen_col(spec.name, node), 1.0)
+            lp.add_entries(lp.add_rows(("potential", key), sense="<=",
+                                       rhs=spec.max_potential), G, 1.0)
 
     # load shedding at VOLL: a dispatch-only pseudo-technology per node
     if system.voll is not None:
         for n in system.nodes:
-            for t in range(T):
-                col = disp_col(SHEDDING_NAME, n, t)
-                lp.add_column(col, 0.0, INF, system.voll)
-                lp.add_entry(tag_id("balance", n, t), col, 1.0)
+            shed = lp.add_columns(("g", tech_key(SHEDDING_NAME, n)), count=T,
+                                  objective=system.voll)
+            lp.add_entries(balance[n], shed, 1.0)
 
-    # storage
+    # storage: dispatch columns and soc/upper rows interleave per snapshot
     for node, sto in system.storages:
         key = tech_key(sto.name, node)
         costs = sto.annual_costs(r)
         ratio = sto.fixed_energy_power_ratio
         c_dis = costs["dis"] + (ratio * costs["ene"] if ratio is not None else 0.0)
-        lp.add_column(store_cap_col("dis", sto.name, node), 0.0, INF, c_dis)
-        lp.add_column(store_cap_col("sto", sto.name, node), 0.0, INF, costs["sto"])
+        Gdis = lp.add_columns(("Gdis", key), objective=c_dis)
+        Gsto = lp.add_columns(("Gsto", key), objective=costs["sto"])
         if ratio is None:
-            lp.add_column(store_cap_col("ene", sto.name, node), 0.0, INF, costs["ene"])
-        for t in range(T):
-            for kind in ("dis", "sto", "ene"):
-                lp.add_column(store_disp_col(kind, sto.name, node, t))
-            lp.add_entry(tag_id("balance", node, t),
-                         store_disp_col("dis", sto.name, node, t), 1.0)
-            lp.add_entry(tag_id("balance", node, t),
-                         store_disp_col("sto", sto.name, node, t), -1.0)
-        for t in range(T):
-            # state-of-charge recursion with optional cyclic wrap
-            soc = tag_id("store-soc", key, t)
-            lp.add_row(soc, "=", 0.0)
-            lp.add_entry(soc, store_disp_col("ene", sto.name, node, t), 1.0)
-            prev = t - 1 if t > 0 else (T - 1 if cyclic_soc else None)
-            if prev is not None:
-                lp.add_entry(soc, store_disp_col("ene", sto.name, node, prev),
-                             -sto.eta_standing)
-            lp.add_entry(soc, store_disp_col("sto", sto.name, node, t), -sto.eta_charge)
-            lp.add_entry(soc, store_disp_col("dis", sto.name, node, t),
-                         1.0 / sto.eta_discharge)
-            for kind in ("dis", "sto", "ene"):
-                up = tag_id("store-upper", f"{key}+{kind}", t)
-                lp.add_row(up, "<=", 0.0)
-                lp.add_entry(up, store_disp_col(kind, sto.name, node, t), 1.0)
-                if kind == "ene" and ratio is not None:
-                    lp.add_entry(up, store_cap_col("dis", sto.name, node), -ratio)
-                else:
-                    lp.add_entry(up, store_cap_col(kind, sto.name, node), -1.0)
+            ene_cap = (lp.add_columns(("Gene", key), objective=costs["ene"]), -1.0)
+        else:
+            ene_cap = (Gdis, -ratio)
+        gdis, gsto, gene = lp.add_columns(("gdis", key), ("gsto", key), ("gene", key),
+                                          count=T)
+        lp.add_entries(balance[node], gdis, 1.0)
+        lp.add_entries(balance[node], gsto, -1.0)
+        soc, up_dis, up_sto, up_ene = lp.add_rows(
+            ("store-soc", key), ("store-upper", f"{key}+dis"),
+            ("store-upper", f"{key}+sto"), ("store-upper", f"{key}+ene"),
+            count=T, sense=("=", "<=", "<=", "<="))
+        # state-of-charge recursion with optional cyclic wrap
+        lp.add_entries(soc, gene, 1.0)
+        soc_rows, ene_cols = _positions(soc), _positions(gene)
+        if cyclic_soc:
+            lp.add_entries(soc_rows, np.roll(ene_cols, 1), -sto.eta_standing)
+        else:
+            lp.add_entries(soc_rows[1:], ene_cols[:-1], -sto.eta_standing)
+        lp.add_entries(soc, gsto, -sto.eta_charge)
+        lp.add_entries(soc, gdis, 1.0 / sto.eta_discharge)
+        for up, col, (cap, coef) in ((up_dis, gdis, (Gdis, -1.0)),
+                                     (up_sto, gsto, (Gsto, -1.0)), (up_ene, gene, ene_cap)):
+            lp.add_entries(up, col, 1.0)
+            lp.add_entries(up, cap, coef)
 
-    # network
+    # network: the upper and lower flow rows of a line interleave per snapshot
     for li, line in enumerate(system.lines):
-        ent = f"L{li}"
-        for t in range(T):
-            f = flow_col(li, t)
-            lp.add_column(f, -INF, INF, 0.0)
-            lp.add_entry(tag_id("balance", line.from_node, t), f, -1.0)
-            lp.add_entry(tag_id("balance", line.to_node, t), f, 1.0)
+        key = f"L{li}"
+        f = lp.add_columns(("f", key), count=T, lower=-INF)
+        lp.add_entries(balance[line.from_node], f, -1.0)
+        lp.add_entries(balance[line.to_node], f, 1.0)
         if line.expandable:
-            lp.add_column(line_cap_col(li), line.existing_capacity, INF,
-                          line.annual_cost(r))
-        for t in range(T):
-            up = tag_id("line-upper", ent, t)
-            lo = tag_id("line-lower", ent, t)
-            if line.expandable:
-                lp.add_row(up, "<=", 0.0)
-                lp.add_entry(up, flow_col(li, t), 1.0)
-                lp.add_entry(up, line_cap_col(li), -1.0)
-                lp.add_row(lo, "<=", 0.0)
-                lp.add_entry(lo, flow_col(li, t), -1.0)
-                lp.add_entry(lo, line_cap_col(li), -1.0)
-            else:
-                lp.add_row(up, "<=", line.existing_capacity)
-                lp.add_entry(up, flow_col(li, t), 1.0)
-                lp.add_row(lo, "<=", line.reverse_capacity())
-                lp.add_entry(lo, flow_col(li, t), -1.0)
+            F = lp.add_columns(("F", key), lower=line.existing_capacity,
+                               objective=line.annual_cost(r))
+            rhs = (0.0, 0.0)
+        else:
+            rhs = (line.existing_capacity, line.reverse_capacity())
+        up, lo = lp.add_rows(("line-upper", key), ("line-lower", key), count=T,
+                             sense="<=", rhs=rhs)
+        lp.add_entries(up, f, 1.0)
+        lp.add_entries(lo, f, -1.0)
+        if line.expandable:
+            lp.add_entries(up, F, -1.0)
+            lp.add_entries(lo, F, -1.0)
 
     if enforce_kvl and system.lines:
         for line in system.lines:
@@ -428,57 +446,55 @@ def build_lp(system: PowerSystem, policy: PolicyConfig, *,
                 raise FormulationError(
                     f"KVL requested but line {line.name} has no reactance")
         for ci, cyc in enumerate(cycle_basis(system.lines)):
-            for t in range(T):
-                rid = tag_id("kvl-cycle", f"c{ci}", t)
-                lp.add_row(rid, "=", 0.0)
-                for li, sign in sorted(cyc.items()):
-                    lp.add_entry(rid, flow_col(li, t),
-                                 sign * system.lines[li].reactance)
+            row = lp.add_rows(("kvl-cycle", f"c{ci}"), count=T, sense="=")
+            for li, sign in sorted(cyc.items()):
+                lp.add_entries(row, lp.col("f", f"L{li}"),
+                               sign * system.lines[li].reactance)
 
     # policy rows
     if isinstance(support, SupportDispatched):
-        gamma = support.energy_target(system)
-        lp.add_row("vre-dispatched", ">=", gamma)
+        row = lp.add_rows("vre-dispatched", sense=">=", rhs=support.energy_target(system))
         for node, spec in system.technologies:
             if spec.name in support_set:
-                for t in range(T):
-                    lp.add_entry("vre-dispatched", disp_col(spec.name, node, t), 1.0)
+                lp.add_entries(row, lp.col("g", tech_key(spec.name, node)), 1.0)
     elif isinstance(support, SupportAvailable):
-        theta = support.energy_target(system)
-        lp.add_row("vre-available", ">=", theta)
+        row = lp.add_rows("vre-available", sense=">=", rhs=support.energy_target(system))
         for node, spec in system.technologies:
             if spec.name in support_set:
-                avail_sum = sum(spec.availability_at(t) for t in range(T))
-                lp.add_entry("vre-available", gen_col(spec.name, node), avail_sum)
+                lp.add_entries(row, lp.col("G", tech_key(spec.name, node)),
+                               spec.availability_sum(T))
 
     if isinstance(co2, Co2Cap):
-        lp.add_row("co2-cap", "<=", co2.cap)
+        row = lp.add_rows("co2-cap", sense="<=", rhs=co2.cap)
         for node, spec in system.technologies:
             if spec.emission_factor > 0.0:
-                for t in range(T):
-                    lp.add_entry("co2-cap", disp_col(spec.name, node, t),
-                                 spec.emission_factor)
+                lp.add_entries(row, lp.col("g", tech_key(spec.name, node)),
+                               spec.emission_factor)
 
     lp.validate_structure()
     return lp
 
 
-def apply_equivalence_substitution(lp: LinearProgram, row_id: str, mu: float) -> LinearProgram:
-    """Lagrangian relaxation of one policy row at a fixed multiplier.
+def apply_equivalence_substitution(lp: LinearProgram, family: str,
+                                   mu: float) -> LinearProgram:
+    """Lagrangian relaxation of one scalar policy row at a fixed multiplier.
 
     Returns a copy with the row removed and the objective coefficients of the
     row's columns shifted by ``mu`` times the coefficient (sign chosen so a
     binding cap becomes a tax and a binding quota becomes a premium).  ``mu``
     is the non-negative policy shadow price.
     """
-    if not lp.has_row(row_id):
-        raise FormulationError(f"policy row '{row_id}' absent")
+    if not lp.has_row(family):
+        raise FormulationError(f"policy row '{family}' absent")
     out = lp.copy()
-    row = out.rows[out.row_index(row_id)]
-    sign = 1.0 if row.sense == "<=" else -1.0
-    for col_id, a in out.row_coefficients(row_id).items():
-        out.column(col_id).objective += sign * mu * a
-    out.drop_row(row_id)
+    ri = out.row(family)
+    sign = 1.0 if out.rows.sense[ri] == "<=" else -1.0
+    in_row = out.entries.row == ri
+    cols = out.entries.col[in_row]
+    coef = np.bincount(cols, weights=out.entries.value[in_row], minlength=len(out.columns))
+    cols = np.unique(cols)
+    out.columns.objective[cols] += sign * mu * coef[cols]
+    out.drop_row(family)
     return out
 
 
@@ -489,54 +505,83 @@ _SENSE_TO_MPS = {"=": "E", "<=": "L", ">=": "G"}
 _MPS_TO_SENSE = {"E": "=", "L": "<=", "G": ">="}
 
 
-def _fmt(v: float) -> str:
-    return repr(float(v))
-
-
 def write_mps(lp: LinearProgram, path) -> None:
     """Emit the LP in free-form MPS (ROWS, COLUMNS, RHS, RANGES, BOUNDS)."""
+    col_names, row_names = lp.col_names(), lp.row_names()
     lines = [f"NAME {lp.name}", "ROWS", f" N {_OBJ_ROW}"]
-    for row in lp.rows:
-        lines.append(f" {_SENSE_TO_MPS[row.sense]} {row.id}")
+    lines += [f" {_SENSE_TO_MPS[s]} {name}"
+              for s, name in zip(lp.rows.sense.tolist(), row_names)]
     lines.append("COLUMNS")
-    by_col: dict = {i: [] for i in range(len(lp.columns))}
-    for r, c, v in lp.entries:
-        by_col[c].append((r, v))
-    for ci, col in enumerate(lp.columns):
-        if col.objective != 0.0:
-            lines.append(f" {col.id} {_OBJ_ROW} {_fmt(col.objective)}")
-        acc: dict = {}
-        for r, v in by_col[ci]:
-            acc[r] = acc.get(r, 0.0) + v
-        for r in sorted(acc):
-            lines.append(f" {col.id} {lp.rows[r].id} {_fmt(acc[r])}")
+    A = lp.matrix().tocsc()
+    A.sort_indices()
+    indptr, indices, data = A.indptr.tolist(), A.indices.tolist(), A.data.tolist()
+    for j, (name, obj) in enumerate(zip(col_names, lp.columns.objective.tolist())):
+        if obj != 0.0:
+            lines.append(f" {name} {_OBJ_ROW} {obj!r}")
+        lines += [f" {name} {row_names[indices[k]]} {data[k]!r}"
+                  for k in range(indptr[j], indptr[j + 1])]
     lines.append("RHS")
-    for row in lp.rows:
-        if row.rhs != 0.0:
-            lines.append(f" RHS {row.id} {_fmt(row.rhs)}")
+    lines += [f" RHS {name} {rhs!r}"
+              for name, rhs in zip(row_names, lp.rows.rhs.tolist()) if rhs != 0.0]
     lines.append("RANGES")
     lines.append("BOUNDS")
-    for col in lp.columns:
-        if col.lower == 0.0 and col.upper == INF:
+    for name, lower, upper in zip(col_names, lp.columns.lower.tolist(),
+                                  lp.columns.upper.tolist()):
+        if lower == 0.0 and upper == INF:
             continue
-        if col.lower == -INF and col.upper == INF:
-            lines.append(f" FR BND {col.id}")
+        if lower == -INF and upper == INF:
+            lines.append(f" FR BND {name}")
             continue
-        if col.lower != 0.0:
-            if col.lower == -INF:
-                lines.append(f" MI BND {col.id}")
+        if lower != 0.0:
+            if lower == -INF:
+                lines.append(f" MI BND {name}")
             else:
-                lines.append(f" LO BND {col.id} {_fmt(col.lower)}")
-        if col.upper != INF:
-            lines.append(f" UP BND {col.id} {_fmt(col.upper)}")
+                lines.append(f" LO BND {name} {lower!r}")
+        if upper != INF:
+            lines.append(f" UP BND {name} {upper!r}")
     lines.append("ENDATA")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
+def _index_from_names(names: list, what: str) -> dict:
+    """Rebuild a block index from names in LP order: ``family.entity`` is a
+    scalar block, ``family.entity.t0``, ``.t1``, ... at equally spaced
+    positions form a snapshot block."""
+    index: dict = {}
+    timed: dict = {}
+    for pos, name in enumerate(names):
+        tag = EntityTag.parse(name)
+        key = (tag.family, tag.entity)
+        if key in index:
+            raise FormulationError(f"duplicate {what} '{name}'")
+        if tag.snapshot is None:
+            if key in timed:
+                raise FormulationError(f"duplicate {what} '{name}'")
+            index[key] = pos
+        elif tag.snapshot != len(timed.setdefault(key, [])):
+            raise FormulationError(f"{what} '{name}' out of snapshot order")
+        else:
+            timed[key].append(pos)
+    for key, pos in timed.items():
+        step = pos[1] - pos[0] if len(pos) > 1 else 1
+        if pos != list(range(pos[0], pos[-1] + 1, step)):
+            raise FormulationError(f"{what} block '{EntityTag(*key).to_id()}' is "
+                                   "not equally spaced")
+        index[key] = slice(pos[0], pos[-1] + 1, step)
+    return index
+
+
 def parse_mps(path) -> LinearProgram:
     """Parse a free-form MPS file written by :func:`write_mps`."""
     lp = LinearProgram(name="powermarket")
+    row_pos: dict = {}
+    col_pos: dict = {}
+    senses: list = []
+    rhs: dict = {}
+    objective: dict = {}
+    bounds: dict = {}
+    entries = ([], [], [])
     section = None
     with open(path, encoding="utf-8") as fh:
         for raw in fh:
@@ -560,38 +605,55 @@ def parse_mps(path) -> LinearProgram:
                 kind, rid = tokens[0].upper(), tokens[1]
                 if kind == "N":
                     continue
-                lp.add_row(rid, _MPS_TO_SENSE[kind], 0.0)
+                if rid in row_pos:
+                    raise FormulationError(f"duplicate row '{rid}'")
+                row_pos[rid] = len(senses)
+                senses.append(_MPS_TO_SENSE[kind])
             elif section == "COLUMNS":
                 cid = tokens[0]
-                if cid not in lp._col_index:
-                    lp.add_column(cid)
+                j = col_pos.setdefault(cid, len(col_pos))
                 for rid, val in zip(tokens[1::2], tokens[2::2]):
                     if rid == _OBJ_ROW:
-                        lp.column(cid).objective = float(val)
+                        objective[j] = float(val)
                     else:
-                        lp.add_entry(rid, cid, float(val))
+                        entries[0].append(row_pos[rid])
+                        entries[1].append(j)
+                        entries[2].append(float(val))
             elif section == "RHS":
                 for rid, val in zip(tokens[1::2], tokens[2::2]):
-                    lp.rows[lp.row_index(rid)].rhs = float(val)
+                    rhs[row_pos[rid]] = float(val)
             elif section == "RANGES":
                 raise FormulationError("RANGES section is not supported")
             elif section == "BOUNDS":
                 btype = tokens[0].upper()
-                cid = tokens[2]
-                col = lp.column(cid)
+                j = col_pos[tokens[2]]
+                lo, up = bounds.get(j, (0.0, INF))
                 if btype == "LO":
-                    col.lower = float(tokens[3])
+                    lo = float(tokens[3])
                 elif btype == "UP":
-                    col.upper = float(tokens[3])
+                    up = float(tokens[3])
                 elif btype == "MI":
-                    col.lower = -INF
+                    lo = -INF
                 elif btype == "PL":
-                    col.upper = INF
+                    up = INF
                 elif btype == "FR":
-                    col.lower, col.upper = -INF, INF
+                    lo, up = -INF, INF
                 elif btype == "FX":
-                    col.lower = col.upper = float(tokens[3])
+                    lo = up = float(tokens[3])
                 else:
                     raise FormulationError(f"unsupported bound type '{btype}'")
+                bounds[j] = (lo, up)
+    n, m = len(col_pos), len(senses)
+    lower, upper, obj = np.zeros(n), np.full(n, INF), np.zeros(n)
+    for j, (lo, up) in bounds.items():
+        lower[j], upper[j] = lo, up
+    for j, c in objective.items():
+        obj[j] = c
+    lp.columns.append(n, lower=lower, upper=upper, objective=obj)
+    lp.rows.append(m, sense=senses, rhs=[rhs.get(i, 0.0) for i in range(m)])
+    lp.add_entries(np.array(entries[0], dtype=int), np.array(entries[1], dtype=int),
+                   entries[2])
+    lp.col_index = _index_from_names(list(col_pos), "column")
+    lp.row_index = _index_from_names(list(row_pos), "row")
     lp.validate_structure()
     return lp

@@ -15,8 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .formulate import LinearProgram, disp_col, flow_col, gen_col, line_cap_col, \
-    store_cap_col, store_disp_col, tech_key
+from .formulate import LinearProgram, tech_key
 from .model import (
     SHEDDING_NAME,
     Co2Tax,
@@ -50,9 +49,7 @@ __all__ = [
 
 def nodal_prices(system: PowerSystem, sol: Solution) -> dict:
     """node -> array of balance duals over snapshots."""
-    T = system.snapshots
-    return {n: np.array([sol.dual[f"balance.{n}.t{t}"] for t in range(T)])
-            for n in system.nodes}
+    return {n: sol.dual("balance", n) for n in system.nodes}
 
 
 def _tech_nodes(system: PowerSystem, name: str) -> list:
@@ -63,8 +60,7 @@ def _tech_nodes(system: PowerSystem, name: str) -> list:
 
 def tech_dispatch(system: PowerSystem, sol: Solution, name: str) -> dict:
     """node -> dispatch array for one technology name."""
-    T = system.snapshots
-    return {node: np.array([sol.primal[disp_col(name, node, t)] for t in range(T)])
+    return {node: sol.primal("g", tech_key(name, node))
             for node, _ in _tech_nodes(system, name)}
 
 
@@ -85,8 +81,9 @@ def tech_cost(system: PowerSystem, sol: Solution, name: str) -> float:
         return system.voll * tech_energy(system, sol, name)
     total = 0.0
     for node, spec in _tech_nodes(system, name):
-        G = sol.primal[gen_col(name, node)]
-        energy = sum(sol.primal[disp_col(name, node, t)] for t in range(system.snapshots))
+        key = tech_key(name, node)
+        G = sol.primal("G", key)
+        energy = sum(sol.primal("g", key).tolist())
         total += spec.annual_cost(system.discount_rate) * G + spec.marginal_cost * energy
     return float(total)
 
@@ -94,7 +91,7 @@ def tech_cost(system: PowerSystem, sol: Solution, name: str) -> float:
 def tech_capacity(system: PowerSystem, sol: Solution, name: str) -> float:
     if name == SHEDDING_NAME:
         return 0.0
-    return float(sum(sol.primal[gen_col(name, node)]
+    return float(sum(sol.primal("G", tech_key(name, node))
                      for node, _ in _tech_nodes(system, name)))
 
 
@@ -103,8 +100,8 @@ def tech_available_energy(system: PowerSystem, sol: Solution, name: str) -> floa
     for node, spec in _tech_nodes(system, name):
         if spec is None:
             continue
-        G = sol.primal[gen_col(name, node)]
-        total += G * sum(spec.availability_at(t) for t in range(system.snapshots))
+        G = sol.primal("G", tech_key(name, node))
+        total += G * spec.availability_sum(system.snapshots)
     return float(total)
 
 
@@ -114,11 +111,9 @@ def storage_arbitrage(system: PowerSystem, sol: Solution,
     prices = prices if prices is not None else nodal_prices(system, sol)
     out = {}
     for node, sto in system.storages:
-        dis = np.array([sol.primal[store_disp_col("dis", sto.name, node, t)]
-                        for t in range(system.snapshots)])
-        cha = np.array([sol.primal[store_disp_col("sto", sto.name, node, t)]
-                        for t in range(system.snapshots)])
-        out[tech_key(sto.name, node)] = float((prices[node] * (dis - cha)).sum())
+        key = tech_key(sto.name, node)
+        dis, cha = sol.primal("gdis", key), sol.primal("gsto", key)
+        out[key] = float((prices[node] * (dis - cha)).sum())
     return out
 
 
@@ -127,14 +122,14 @@ def storage_cost(system: PowerSystem, sol: Solution) -> dict:
     for node, sto in system.storages:
         costs = sto.annual_costs(system.discount_rate)
         ratio = sto.fixed_energy_power_ratio
-        gdis = sol.primal[store_cap_col("dis", sto.name, node)]
-        gsto = sol.primal[store_cap_col("sto", sto.name, node)]
+        key = tech_key(sto.name, node)
+        gdis, gsto = sol.primal("Gdis", key), sol.primal("Gsto", key)
         total = costs["dis"] * gdis + costs["sto"] * gsto
         if ratio is None:
-            total += costs["ene"] * sol.primal[store_cap_col("ene", sto.name, node)]
+            total += costs["ene"] * sol.primal("Gene", key)
         else:
             total += costs["ene"] * ratio * gdis
-        out[tech_key(sto.name, node)] = float(total)
+        out[key] = float(total)
     return out
 
 
@@ -144,7 +139,7 @@ def congestion_revenue(system: PowerSystem, sol: Solution,
     prices = prices if prices is not None else nodal_prices(system, sol)
     out = {}
     for li, line in enumerate(system.lines):
-        f = np.array([sol.primal[flow_col(li, t)] for t in range(system.snapshots)])
+        f = sol.primal("f", f"L{li}")
         out[f"L{li}"] = float(((prices[line.to_node] - prices[line.from_node]) * f).sum())
     return out
 
@@ -153,7 +148,7 @@ def line_cost(system: PowerSystem, sol: Solution) -> dict:
     out = {}
     for li, line in enumerate(system.lines):
         if line.expandable:
-            F = sol.primal[line_cap_col(li)]
+            F = sol.primal("F", f"L{li}")
             out[f"L{li}"] = float(line.annual_cost(system.discount_rate) * F)
         else:
             out[f"L{li}"] = 0.0
@@ -225,13 +220,7 @@ def penetration_of(system: PowerSystem, sol: Solution, techs) -> float:
 
 
 def _total_system_cost(system: PowerSystem, sol: Solution) -> float:
-    names = []
-    seen = set()
-    for _, spec in system.technologies:
-        if spec.name not in seen:
-            names.append(spec.name)
-            seen.add(spec.name)
-    total = sum(tech_cost(system, sol, name) for name in names)
+    total = sum(tech_cost(system, sol, name) for name in system.tech_names())
     if system.voll is not None:
         total += tech_cost(system, sol, SHEDDING_NAME)
     total += sum(storage_cost(system, sol).values())
@@ -245,9 +234,9 @@ def policy_prices(system: PowerSystem, sol: Solution, lp: LinearProgram,
     out = {"mu_gamma": None, "mu_theta": None, "mu_theta_equivalent": {},
            "mu_co2": None}
     if lp.has_row("vre-dispatched"):
-        out["mu_gamma"] = float(sol.dual["vre-dispatched"])
+        out["mu_gamma"] = sol.dual("vre-dispatched")
     if lp.has_row("vre-available"):
-        mu = float(sol.dual["vre-available"])
+        mu = sol.dual("vre-available")
         out["mu_theta"] = mu
         if isinstance(policy.support, SupportAvailable):
             for name in policy.support.technologies:
@@ -256,7 +245,7 @@ def policy_prices(system: PowerSystem, sol: Solution, lp: LinearProgram,
                     avail = tech_available_energy(system, sol, name)
                     out["mu_theta_equivalent"][name] = mu * avail / energy
     if lp.has_row("co2-cap"):
-        out["mu_co2"] = float(-sol.dual["co2-cap"])
+        out["mu_co2"] = -sol.dual("co2-cap")
     elif isinstance(policy.co2, Co2Tax):
         out["mu_co2"] = float(policy.co2.rate)
     return out
@@ -311,13 +300,7 @@ def duration_curves(system: PowerSystem, sol: Solution) -> dict:
     prices = nodal_prices(system, sol)
     price_duration = {n: np.sort(p)[::-1] for n, p in prices.items()}
     revenue_duration = {}
-    names = []
-    seen = set()
-    for _, spec in system.technologies:
-        if spec.name not in seen:
-            names.append(spec.name)
-            seen.add(spec.name)
-    for name in names:
+    for name in system.tech_names():
         G = tech_capacity(system, sol, name)
         if G <= 0.0:
             continue
@@ -374,12 +357,7 @@ def build_report(system: PowerSystem, lp: LinearProgram, sol: Solution,
     pol = policy_prices(system, sol, lp, policy)
     support_set = set(policy.support_set())
 
-    names = []
-    seen = set()
-    for _, spec in system.technologies:
-        if spec.name not in seen:
-            names.append(spec.name)
-            seen.add(spec.name)
+    names = system.tech_names()
     if system.voll is not None and tech_energy(system, sol, SHEDDING_NAME) > 0.0:
         names.append(SHEDDING_NAME)
 

@@ -9,6 +9,7 @@ share across concurrent scenario evaluations.
 from __future__ import annotations
 
 import math
+import sys
 import re
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
@@ -59,11 +60,13 @@ def annuitize(capex: float, lifetime: float, discount_rate: float,
     if discount_rate < 0:
         raise ValueError("annuitize: discount rate must be >= 0")
     r = discount_rate
-    denominator = -math.expm1(-lifetime * math.log1p(r)) if r > 0.0 else 0.0
-    if denominator == 0.0:
-        # zero (or underflowing) rate: straight-line depreciation
-        return capex / lifetime + fixed_om
-    return capex * r / denominator + fixed_om
+    straight = capex / lifetime
+    if lifetime * r <= sys.float_info.epsilon:
+        # the rate's first-order effect, r (lifetime+1)/2, is below one ulp of
+        # the straight line (this also covers subnormal rates, whose ratio to
+        # the rounded denominator is meaningless): straight-line depreciation
+        return straight + fixed_om
+    return max(capex * r / -math.expm1(-lifetime * math.log1p(r)), straight) + fixed_om
 
 
 @dataclass(frozen=True)
@@ -104,6 +107,10 @@ class TechnologySpec:
 
     def availability_at(self, t: int) -> float:
         return 1.0 if self.availability is None else self.availability[t]
+
+    def availability_sum(self, snapshots: int) -> float:
+        """Full-load hours available over the horizon (summed in order)."""
+        return float(snapshots) if self.availability is None else sum(self.availability)
 
 
 @dataclass(frozen=True)
@@ -198,11 +205,9 @@ class PowerSystem:
     def total_demand(self) -> float:
         return float(sum(sum(d) for d in self.demand.values()))
 
-    def demand_at(self, node: str, t: int) -> float:
-        return self.demand[node][t]
-
     def tech_names(self) -> list:
-        return [spec.name for _, spec in self.technologies]
+        """Distinct technology names in order of first placement."""
+        return list(dict.fromkeys(spec.name for _, spec in self.technologies))
 
 
 @dataclass(frozen=True)

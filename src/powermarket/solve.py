@@ -1,26 +1,29 @@
-"""Solve tagged LPs to optimality with exact row duals and reduced costs.
+"""Solve block-indexed LPs to optimality with exact row duals.
 
 The in-process backend is the HiGHS dual simplex (via scipy), which returns
 vertex-exact duals; the module also reads and writes a canonical solution
 file so external solvers can be bridged through the MPS interchange format.
+The solution file names columns and rows; in memory a solution is two
+arrays in LP order, read through the LP's block index.
 
 Sign convention: ``dual[row]`` is the sensitivity of the optimal objective to
 the row's right-hand side (dObj/dRHS).  Balance rows therefore carry
 non-negative electricity prices whenever the price-setting marginal cost is
 non-negative; shadow prices of ``<=`` rows are <= 0 and of ``>=`` rows >= 0.
+Reduced costs are not carried: they follow from the LP and the duals
+(:func:`powermarket.verify.reduced_costs`).
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import sparse
 from scipy.optimize import linprog
 
-from .formulate import INF, LinearProgram
+from .formulate import LinearProgram
 
 __all__ = ["Solution", "SolveError", "solve", "solve_external", "write_solution_file"]
 
@@ -31,65 +34,56 @@ class SolveError(RuntimeError):
 
 @dataclass
 class Solution:
-    """Primal/dual solution of a tagged LP."""
+    """Primal/dual solution of a block-indexed LP."""
 
-    status: str                      # optimal | infeasible | unbounded
+    lp: LinearProgram
+    status: str                      # optimal | infeasible | unbounded | ...
     objective: float = float("nan")
-    primal: dict = field(default_factory=dict)        # column id -> value
-    dual: dict = field(default_factory=dict)          # row id -> dObj/dRHS
-    reduced_cost: dict = field(default_factory=dict)  # column id -> value
+    x: Optional[np.ndarray] = None   # column values in LP order
+    y: Optional[np.ndarray] = None   # row duals dObj/dRHS in LP order
     iterations: int = 0
     wall_time: float = 0.0
     message: str = ""
 
+    def primal(self, family: str, entity: Optional[str] = None):
+        """Value of a scalar column block, or the array of a snapshot block."""
+        return _read(self.x, self.lp.col(family, entity))
+
+    def dual(self, family: str, entity: Optional[str] = None):
+        return _read(self.y, self.lp.row(family, entity))
+
     def price(self, node: str, t: int) -> float:
-        return self.dual[f"balance.{node}.t{t}"]
+        return float(self.dual("balance", node)[t])
+
+
+def _read(values: np.ndarray, index):
+    return values[index] if isinstance(index, slice) else float(values[index])
 
 
 _STATUS = {0: "optimal", 1: "iteration-limit", 2: "infeasible", 3: "unbounded",
            4: "numerical"}
 
 
-def _to_arrays(lp: LinearProgram):
-    n = len(lp.columns)
-    c = np.array([col.objective for col in lp.columns])
-    bounds = [(None if col.lower == -INF else col.lower,
-               None if col.upper == INF else col.upper) for col in lp.columns]
-    eq_rows, ub_rows = [], []      # (original row index, sign for dual recovery)
-    for i, row in enumerate(lp.rows):
-        if row.sense == "=":
-            eq_rows.append(i)
-        else:
-            ub_rows.append((i, 1.0 if row.sense == "<=" else -1.0))
-    eq_pos = {ri: k for k, ri in enumerate(eq_rows)}
-    ub_pos = {ri: k for k, (ri, _) in enumerate(ub_rows)}
-    ub_sign = {ri: s for ri, s in ub_rows}
-
-    eq_data, eq_r, eq_c = [], [], []
-    ub_data, ub_r, ub_c = [], [], []
-    for r, cix, v in lp.entries:
-        if r in eq_pos:
-            eq_r.append(eq_pos[r]); eq_c.append(cix); eq_data.append(v)
-        else:
-            ub_r.append(ub_pos[r]); ub_c.append(cix); ub_data.append(ub_sign[r] * v)
-    A_eq = sparse.csr_matrix((eq_data, (eq_r, eq_c)), shape=(len(eq_rows), n)) \
-        if eq_rows else None
-    b_eq = np.array([lp.rows[ri].rhs for ri in eq_rows]) if eq_rows else None
-    A_ub = sparse.csr_matrix((ub_data, (ub_r, ub_c)), shape=(len(ub_rows), n)) \
-        if ub_rows else None
-    b_ub = np.array([ub_sign[ri] * lp.rows[ri].rhs for ri, _ in ub_rows]) \
-        if ub_rows else None
-    return c, bounds, A_eq, b_eq, A_ub, b_ub, eq_rows, [ri for ri, _ in ub_rows], ub_sign
-
-
 def solve(lp: LinearProgram, feas_tol: float = 1e-9, opt_tol: float = 1e-9) -> Solution:
     """Minimize the LP; infeasibility/unboundedness are reported as status,
     not raised."""
     lp.validate_structure()
-    c, bounds, A_eq, b_eq, A_ub, b_ub, eq_rows, ub_rows, ub_sign = _to_arrays(lp)
+    A = lp.matrix()
+    sense, rhs = lp.rows.sense, lp.rows.rhs
+    eq = sense == "="
+    ub = ~eq
+    # ">=" rows are negated into "<=" form on the way in
+    sign = np.where(sense[ub] == ">=", -1.0, 1.0)
+    A_ub = A[ub]
+    A_ub.data *= np.repeat(sign, np.diff(A_ub.indptr))
     t0 = time.perf_counter()
     res = linprog(
-        c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=bounds,
+        lp.columns.objective,
+        A_ub=A_ub if ub.any() else None,
+        b_ub=sign * rhs[ub] if ub.any() else None,
+        A_eq=A[eq] if eq.any() else None,
+        b_eq=rhs[eq] if eq.any() else None,
+        bounds=np.column_stack((lp.columns.lower, lp.columns.upper)),
         method="highs-ds",
         options={
             "primal_feasibility_tolerance": max(feas_tol, 1e-10),
@@ -99,44 +93,42 @@ def solve(lp: LinearProgram, feas_tol: float = 1e-9, opt_tol: float = 1e-9) -> S
     wall = time.perf_counter() - t0
     status = _STATUS.get(res.status, "numerical")
     if status != "optimal":
-        return Solution(status=status, iterations=int(getattr(res, "nit", 0) or 0),
+        return Solution(lp, status=status, iterations=int(getattr(res, "nit", 0) or 0),
                         wall_time=wall, message=str(res.message))
-
-    sol = Solution(status="optimal", objective=float(res.fun),
-                   iterations=int(res.nit), wall_time=wall, message=str(res.message))
-    for col, x in zip(lp.columns, res.x):
-        sol.primal[col.id] = float(x)
-    red = np.asarray(res.lower.marginals) + np.asarray(res.upper.marginals)
-    for col, z in zip(lp.columns, red):
-        sol.reduced_cost[col.id] = float(z)
-    if eq_rows:
-        for ri, y in zip(eq_rows, res.eqlin.marginals):
-            sol.dual[lp.rows[ri].id] = float(y)
-    if ub_rows:
-        for ri, y in zip(ub_rows, res.ineqlin.marginals):
-            # a ">=" row was negated on the way in; negate the dual back
-            sol.dual[lp.rows[ri].id] = float(ub_sign[ri] * y)
-    return sol
+    y = np.empty(len(lp.rows))
+    if eq.any():
+        y[eq] = res.eqlin.marginals
+    if ub.any():
+        y[ub] = sign * res.ineqlin.marginals
+    return Solution(lp, status="optimal", objective=float(res.fun), x=np.asarray(res.x),
+                    y=y, iterations=int(res.nit), wall_time=wall, message=str(res.message))
 
 
 def write_solution_file(sol: Solution, path) -> None:
-    """Canonical solution file: one `col`/`row` line per primal/dual value."""
+    """Canonical solution file: one `col`/`row` line per primal/dual value,
+    each section sorted by name."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"status {sol.status}\n")
         fh.write(f"objective {sol.objective!r}\n")
-        for cid in sorted(sol.primal):
-            fh.write(f"col {cid} {sol.primal[cid]!r}\n")
-        for rid in sorted(sol.dual):
-            fh.write(f"row {rid} {sol.dual[rid]!r}\n")
+        for kind, names, values in (("col", sol.lp.col_names(), sol.x),
+                                    ("row", sol.lp.row_names(), sol.y)):
+            values = values.tolist()
+            fh.writelines(f"{kind} {names[i]} {values[i]!r}\n"
+                          for i in sorted(range(len(names)), key=names.__getitem__))
 
 
 def solve_external(lp: LinearProgram, solution_file) -> Solution:
-    """Parse an externally produced solution file against the LP's tags.
+    """Parse an externally produced solution file against the LP's names.
 
-    The file must cover every column; a missing dual section makes the
-    solution unusable for theorem checks and is reported as an error.
+    The file must cover every column and every row; a missing dual section
+    makes the solution unusable for theorem checks and is reported as an
+    error.
     """
-    sol = Solution(status="optimal")
+    sol = Solution(lp, status="optimal")
+    x = np.full(len(lp.columns), np.nan)
+    y = np.full(len(lp.rows), np.nan)
+    positions = {kind: {name: i for i, name in enumerate(names)}
+                 for kind, names in (("col", lp.col_names()), ("row", lp.row_names()))}
     with open(solution_file, encoding="utf-8") as fh:
         for line in fh:
             tokens = line.split()
@@ -147,26 +139,26 @@ def solve_external(lp: LinearProgram, solution_file) -> Solution:
                 sol.status = tokens[1]
             elif kind == "objective":
                 sol.objective = float(tokens[1])
-            elif kind == "col":
-                try:
-                    lp.col_index(tokens[1])
-                except KeyError:
-                    raise SolveError(f"unmatched tag: unknown column '{tokens[1]}'") from None
-                sol.primal[tokens[1]] = float(tokens[2])
-            elif kind == "row":
-                if not lp.has_row(tokens[1]):
-                    raise SolveError(f"unmatched tag: unknown row '{tokens[1]}'")
-                sol.dual[tokens[1]] = float(tokens[2])
+            elif kind in ("col", "row"):
+                i = positions[kind].get(tokens[1])
+                if i is None:
+                    what = "column" if kind == "col" else "row"
+                    raise SolveError(f"unmatched tag: unknown {what} '{tokens[1]}'")
+                (x if kind == "col" else y)[i] = float(tokens[2])
             else:
                 raise SolveError(f"unknown record '{kind}' in solution file")
     if sol.status == "optimal":
-        missing = [c.id for c in lp.columns if c.id not in sol.primal]
-        if missing:
-            raise SolveError(f"solution file misses columns, e.g. '{missing[0]}'")
-        if not sol.dual and lp.rows:
+        missing = np.flatnonzero(np.isnan(x))
+        if missing.size:
+            raise SolveError("solution file misses columns, "
+                             f"e.g. '{lp.col_names()[missing[0]]}'")
+        missing = np.flatnonzero(np.isnan(y))
+        if missing.size == len(y) and len(y):
             raise SolveError("solution file has no dual section; "
                              "unusable for theorem checks")
+        if missing.size:
+            raise SolveError(f"solution file misses rows, e.g. '{lp.row_names()[missing[0]]}'")
+        sol.x, sol.y = x, y
         if np.isnan(sol.objective):
-            c = {col.id: col.objective for col in lp.columns}
-            sol.objective = float(sum(c[k] * v for k, v in sol.primal.items()))
+            sol.objective = float(lp.columns.objective @ x)
     return sol

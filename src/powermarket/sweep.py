@@ -30,7 +30,7 @@ from .solve import solve
 from .verify import verify_solution
 
 __all__ = ["SweepPlan", "SweepPoint", "SweepResult", "run_sweep",
-           "penetration_of", "write_sweep_csv", "sweep_manifest"]
+           "write_sweep_csv", "sweep_manifest"]
 
 AXES = ("support_share", "available_target", "co2_cap", "co2_intensity", "co2_tax")
 
@@ -164,12 +164,7 @@ def _fmt(v) -> str:
 def sweep_csv_text(plan: SweepPlan, result: SweepResult) -> str:
     """Render the sweep table; float cells use repr so re-runs are
     byte-identical."""
-    names = []
-    seen = set()
-    for _, spec in plan.system.technologies:
-        if spec.name not in seen:
-            names.append(spec.name)
-            seen.add(spec.name)
+    names = plan.system.tech_names()
     fields = [plan.axis, "status", "verdict", "penetration", "mu_gamma",
               "mu_theta", "mu_co2", "load_weighted_price", "average_price",
               "system_cost", "objective"]

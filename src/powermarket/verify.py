@@ -21,11 +21,6 @@ from .formulate import (
     apply_equivalence_substitution,
     build_lp,
     cycle_basis,
-    disp_col,
-    flow_col,
-    gen_col,
-    line_cap_col,
-    tag_id,
     tech_key,
 )
 from .metrics import (
@@ -35,11 +30,6 @@ from .metrics import (
     nodal_prices,
     storage_arbitrage,
     storage_cost,
-    tech_available_energy,
-    tech_capacity,
-    tech_cost,
-    tech_energy,
-    tech_revenue,
 )
 from .model import (
     SHEDDING_NAME,
@@ -56,6 +46,7 @@ from .solve import Solution, solve
 __all__ = [
     "CheckResult",
     "KktReport",
+    "reduced_costs",
     "check_kkt",
     "check_zero_profit",
     "check_cap_tax_equivalence",
@@ -101,53 +92,41 @@ class KktReport:
                 for kind in ("stationarity", "primal", "dual", "complementarity")]
 
 
+def reduced_costs(lp: LinearProgram, sol: Solution) -> np.ndarray:
+    """z = c - A^T y, from the LP and the solution's duals."""
+    return lp.columns.objective - lp.matrix().T @ sol.y
+
+
+def _pos(v: np.ndarray) -> np.ndarray:
+    """Positive part (never -0.0)."""
+    return np.where(v > 0.0, v, 0.0)
+
+
 def check_kkt(lp: LinearProgram, sol: Solution, tol: float = 1e-6) -> KktReport:
     """Maximum scale-normalized residuals of stationarity, primal/dual
     feasibility and complementary slackness."""
-    x = np.array([sol.primal[c.id] for c in lp.columns])
-    y = np.array([sol.dual.get(r.id, 0.0) for r in lp.rows])
-    c = np.array([col.objective for col in lp.columns])
+    x, y = sol.x, sol.y
+    cols, rows = lp.columns, lp.rows
+    row_norm = np.ones(len(rows))
+    np.maximum.at(row_norm, lp.entries.row, np.abs(lp.entries.value))
 
-    activity = np.zeros(len(lp.rows))
-    # z = c - A^T y computed alongside the activities
-    z = c.copy()
-    row_norm = np.ones(len(lp.rows))
-    for r, cix, v in lp.entries:
-        activity[r] += v * x[cix]
-        z[cix] -= v * y[r]
-        row_norm[r] = max(row_norm[r], abs(v))
+    scale = np.maximum(row_norm, np.abs(rows.rhs))
+    slack = rows.rhs - lp.matrix() @ x
+    le, ge = rows.sense == "<=", rows.sense == ">="
+    violation = np.where(le, _pos(-slack), np.where(ge, _pos(slack), np.abs(slack)))
+    primal = float((violation / scale).max(initial=0.0))
+    dual = float(max(_pos(y[le]).max(initial=0.0), _pos(-y[ge]).max(initial=0.0)))
+    comp = float((np.abs(y * slack) / scale)[le | ge].max(initial=0.0))
 
-    primal = dual = comp = 0.0
-    for i, row in enumerate(lp.rows):
-        scale = max(row_norm[i], abs(row.rhs))
-        slack = row.rhs - activity[i]
-        if row.sense == "=":
-            primal = max(primal, abs(slack) / scale)
-        elif row.sense == "<=":
-            primal = max(primal, max(0.0, -slack) / scale)
-            dual = max(dual, max(0.0, y[i]))
-            comp = max(comp, abs(y[i] * slack) / scale)
-        else:
-            primal = max(primal, max(0.0, slack) / scale)
-            dual = max(dual, max(0.0, -y[i]))
-            comp = max(comp, abs(y[i] * slack) / scale)
-
-    stat = 0.0
-    for j, col in enumerate(lp.columns):
-        scale = max(1.0, abs(c[j]))
-        primal = max(primal,
-                     max(0.0, col.lower - x[j]) if col.lower > -np.inf else 0.0,
-                     max(0.0, x[j] - col.upper) if col.upper < np.inf else 0.0)
-        at_lower = col.lower > -np.inf and x[j] - col.lower <= tol * max(1.0, abs(col.lower))
-        at_upper = col.upper < np.inf and col.upper - x[j] <= tol * max(1.0, abs(col.upper))
-        if at_lower and at_upper:
-            continue
-        if at_lower:
-            stat = max(stat, max(0.0, -z[j]) / scale)
-        elif at_upper:
-            stat = max(stat, max(0.0, z[j]) / scale)
-        else:
-            stat = max(stat, abs(z[j]) / scale)
+    lower, upper = cols.lower, cols.upper
+    primal = max(primal, float(_pos(lower - x).max(initial=0.0)),
+                 float(_pos(x - upper).max(initial=0.0)))
+    z = reduced_costs(lp, sol)
+    at_lower = (lower > -np.inf) & (x - lower <= tol * np.maximum(1.0, np.abs(lower)))
+    at_upper = (upper < np.inf) & (upper - x <= tol * np.maximum(1.0, np.abs(upper)))
+    wrong_sign = np.where(at_lower, _pos(-z), np.where(at_upper, _pos(z), np.abs(z)))
+    wrong_sign[at_lower & at_upper] = 0.0
+    stat = float((wrong_sign / np.maximum(1.0, np.abs(cols.objective))).max(initial=0.0))
     return KktReport(stationarity=stat, primal=primal, dual=dual,
                      complementarity=comp, tol=tol)
 
@@ -157,7 +136,7 @@ def check_kkt(lp: LinearProgram, sol: Solution, tol: float = 1e-6) -> KktReport:
 
 def _co2_price(lp: LinearProgram, sol: Solution, policy: PolicyConfig) -> float:
     if lp.has_row("co2-cap"):
-        return -sol.dual["co2-cap"]
+        return -sol.dual("co2-cap")
     if isinstance(policy.co2, Co2Tax):
         return policy.co2.rate
     return 0.0
@@ -175,15 +154,14 @@ def check_zero_profit(system: PowerSystem, lp: LinearProgram, sol: Solution,
     mu_co2 = _co2_price(lp, sol, policy)
     support = policy.support
     support_set = set(policy.support_set())
-    mu_gamma = sol.dual["vre-dispatched"] if lp.has_row("vre-dispatched") else 0.0
-    mu_theta = sol.dual["vre-available"] if lp.has_row("vre-available") else 0.0
+    mu_gamma = sol.dual("vre-dispatched") if lp.has_row("vre-dispatched") else 0.0
+    mu_theta = sol.dual("vre-available") if lp.has_row("vre-available") else 0.0
 
     if "generators" in scope:
         for node, spec in system.technologies:
             key = tech_key(spec.name, node)
-            T = system.snapshots
-            g = np.array([sol.primal[disp_col(spec.name, node, t)] for t in range(T)])
-            G = sol.primal[gen_col(spec.name, node)]
+            g = sol.primal("g", key)
+            G = sol.primal("G", key)
             energy = float(g.sum())
             revenue = float((prices[node] * g).sum())
             cost = spec.annual_cost(system.discount_rate) * G \
@@ -193,14 +171,12 @@ def check_zero_profit(system: PowerSystem, lp: LinearProgram, sol: Solution,
                 if isinstance(support, SupportDispatched):
                     adjust += mu_gamma * energy
                 elif isinstance(support, SupportAvailable):
-                    avail = sum(spec.availability_at(t) for t in range(T))
-                    adjust += mu_theta * G * avail
+                    adjust += mu_theta * G * spec.availability_sum(system.snapshots)
                 elif isinstance(support, FixedFip):
                     adjust += support.premium * energy
             scarcity = 0.0
-            pot_row = tag_id("potential", key)
-            if lp.has_row(pot_row):
-                scarcity = -sol.dual[pot_row] * G   # mu_s^max >= 0
+            if lp.has_row("potential", key):
+                scarcity = -sol.dual("potential", key) * G   # mu_s^max >= 0
             residual = revenue - cost + adjust - scarcity
             scale = max(1.0, cost)
             results.append(CheckResult(
@@ -224,12 +200,13 @@ def check_zero_profit(system: PowerSystem, lp: LinearProgram, sol: Solution,
         cong = congestion_revenue(system, sol, prices)
         costs = line_cost(system, sol)
         kvl_terms = _kvl_profit_terms(system, lp, sol)
+        z = reduced_costs(lp, sol)
         for li, line in enumerate(system.lines):
             if not line.expandable:
                 continue
             key = f"L{li}"
-            F = sol.primal[line_cap_col(li)]
-            rent = sol.reduced_cost.get(line_cap_col(li), 0.0) * F
+            F = sol.primal("F", key)
+            rent = float(z[lp.col("F", key)]) * F
             residual = cong[key] - costs[key] + kvl_terms.get(key, 0.0) + rent
             scale = max(1.0, costs[key])
             results.append(CheckResult(
@@ -241,23 +218,20 @@ def check_zero_profit(system: PowerSystem, lp: LinearProgram, sol: Solution,
     return results
 
 
+def _kvl_cycles(lp: LinearProgram, system: PowerSystem) -> list:
+    """The cycle basis when ``lp`` carries voltage-law rows, else []."""
+    return cycle_basis(system.lines) if lp.has_row("kvl-cycle", "c0") else []
+
+
 def _kvl_profit_terms(system: PowerSystem, lp: LinearProgram, sol: Solution) -> dict:
     """Cycle-dual distortion term per line: sum_t,c y_c C_lc x_l f_lt."""
     out: dict = {}
-    cyc_rows = lp.row_ids("kvl-cycle")
-    if not cyc_rows:
-        return out
-    cycles = cycle_basis(system.lines)
-    T = system.snapshots
-    for ci, cyc in enumerate(cycles):
-        for t in range(T):
-            y = sol.dual[tag_id("kvl-cycle", f"c{ci}", t)]
-            if y == 0.0:
-                continue
-            for li, sign in cyc.items():
-                x_l = system.lines[li].reactance
-                f = sol.primal[flow_col(li, t)]
-                out[f"L{li}"] = out.get(f"L{li}", 0.0) + y * sign * x_l * f
+    for ci, cyc in enumerate(_kvl_cycles(lp, system)):
+        y = sol.dual("kvl-cycle", f"c{ci}")
+        for li, sign in cyc.items():
+            f = sol.primal("f", f"L{li}")
+            term = float((y * (sign * system.lines[li].reactance) * f).sum())
+            out[f"L{li}"] = out.get(f"L{li}", 0.0) + term
     return out
 
 
@@ -273,8 +247,8 @@ def _perturbed_prices(lp: LinearProgram, system: PowerSystem,
     """Prices after a tiny distinct objective perturbation; None if the
     perturbed LP fails to solve (used only for degeneracy detection)."""
     plp = lp.copy()
-    for j, col in enumerate(plp.columns):
-        col.objective += scale * (j + 1) * max(1.0, abs(col.objective))
+    c = plp.columns.objective
+    c += scale * np.arange(1, len(c) + 1) * np.maximum(1.0, np.abs(c))
     psol = solve(plp)
     if psol.status != "optimal":
         return None
@@ -291,27 +265,32 @@ def _degenerate(lp: LinearProgram, system: PowerSystem, lam: np.ndarray,
     return False
 
 
-def check_cap_tax_equivalence(system: PowerSystem, policy: PolicyConfig,
-                              tol: float = DEFAULT_TOL, *,
-                              enforce_kvl: bool = False) -> CheckResult:
-    """Solve under the emissions cap, lift the cap into the objective at its
-    shadow price, re-solve, and compare the full price vectors."""
+def _unsolved(check: str, sol: Solution, what: str) -> Optional[CheckResult]:
+    if sol.status == "optimal":
+        return None
+    return CheckResult(check, "system", float("nan"), "inconclusive",
+                       {"reason": f"{what} solve {sol.status}"})
+
+
+def check_cap_tax_equivalence(system: PowerSystem, lp: LinearProgram, sol: Solution,
+                              policy: PolicyConfig,
+                              tol: float = DEFAULT_TOL) -> CheckResult:
+    """Lift the emissions cap of the solved LP ``lp`` into the objective at
+    its shadow price, re-solve, and compare the full price vectors."""
     if not isinstance(policy.co2, Co2Cap):
         raise ValueError("check_cap_tax_equivalence requires a Co2Cap policy")
-    lp = build_lp(system, policy, enforce_kvl=enforce_kvl)
-    sol = solve(lp)
-    if sol.status != "optimal":
-        return CheckResult("cap-tax-equivalence", "system", float("nan"),
-                           "inconclusive", {"reason": f"cap solve {sol.status}"})
-    mu = -sol.dual["co2-cap"]
-    emissions = sum(
-        spec.emission_factor * sol.primal[disp_col(spec.name, node, t)]
-        for node, spec in system.technologies for t in range(system.snapshots))
+    unsolved = _unsolved("cap-tax-equivalence", sol, "cap")
+    if unsolved:
+        return unsolved
+    mu = -sol.dual("co2-cap")
+    emissions = sum(e for node, spec in system.technologies
+                    for e in (spec.emission_factor
+                              * sol.primal("g", tech_key(spec.name, node))).tolist())
     tax_lp = apply_equivalence_substitution(lp, "co2-cap", mu)
     tax_sol = solve(tax_lp)
-    if tax_sol.status != "optimal":
-        return CheckResult("cap-tax-equivalence", "system", float("nan"),
-                           "inconclusive", {"reason": f"tax solve {tax_sol.status}"})
+    unsolved = _unsolved("cap-tax-equivalence", tax_sol, "tax")
+    if unsolved:
+        return unsolved
     lam = _balance_dual_vector(system, sol)
     lam_tax = _balance_dual_vector(system, tax_sol)
     scale = max(1.0, float(np.abs(lam).max()))
@@ -330,39 +309,36 @@ def check_cap_tax_equivalence(system: PowerSystem, policy: PolicyConfig,
                         "objective_deviation": obj_dev, "emissions": emissions})
 
 
-def check_subsidy_tax_lift(system: PowerSystem, policy: PolicyConfig,
+def check_subsidy_tax_lift(system: PowerSystem, lp: LinearProgram, sol: Solution,
+                           policy: PolicyConfig,
                            tol: float = DEFAULT_TOL) -> CheckResult:
-    """Replace 'force in the supported set' by 'cap everything else' and
-    check that all prices and market values lift by exactly the premium."""
+    """Replace 'force in the supported set' by 'cap everything else' in the
+    solved LP ``lp`` and check that all prices and market values lift by
+    exactly the premium."""
     support = policy.support
     if not isinstance(support, SupportDispatched):
         raise ValueError("check_subsidy_tax_lift requires SupportDispatched")
-    lp = build_lp(system, policy)
-    sol = solve(lp)
-    if sol.status != "optimal":
-        return CheckResult("subsidy-tax-lift", "system", float("nan"),
-                           "inconclusive", {"reason": f"support solve {sol.status}"})
-    mu_gamma = sol.dual["vre-dispatched"]
+    unsolved = _unsolved("subsidy-tax-lift", sol, "support")
+    if unsolved:
+        return unsolved
+    mu_gamma = sol.dual("vre-dispatched")
     gamma_energy = support.energy_target(system)
 
-    mirror = build_lp(system, PolicyConfig(support=None, co2=policy.co2))
-    mirror.add_row("vre-dispatched.mirror", "<=",
-                   system.total_demand() - gamma_energy)
+    mirror = build_lp(system, PolicyConfig(support=None, co2=policy.co2),
+                      enforce_kvl=bool(_kvl_cycles(lp, system)))
+    row = mirror.add_rows(("vre-dispatched", "mirror"), sense="<=",
+                          rhs=system.total_demand() - gamma_energy)
     support_set = set(support.technologies)
     for node, spec in system.technologies:
         if spec.name not in support_set:
-            for t in range(system.snapshots):
-                mirror.add_entry("vre-dispatched.mirror",
-                                 disp_col(spec.name, node, t), 1.0)
+            mirror.add_entries(row, mirror.col("g", tech_key(spec.name, node)), 1.0)
     if system.voll is not None:
         for n in system.nodes:
-            for t in range(system.snapshots):
-                mirror.add_entry("vre-dispatched.mirror",
-                                 disp_col(SHEDDING_NAME, n, t), 1.0)
+            mirror.add_entries(row, mirror.col("g", tech_key(SHEDDING_NAME, n)), 1.0)
     mirror_sol = solve(mirror)
-    if mirror_sol.status != "optimal":
-        return CheckResult("subsidy-tax-lift", "system", float("nan"),
-                           "inconclusive", {"reason": f"mirror solve {mirror_sol.status}"})
+    unsolved = _unsolved("subsidy-tax-lift", mirror_sol, "mirror")
+    if unsolved:
+        return unsolved
 
     lam = _balance_dual_vector(system, sol)
     lam_m = _balance_dual_vector(system, mirror_sol)

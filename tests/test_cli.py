@@ -4,8 +4,11 @@ import os
 
 import pytest
 
+import powermarket.cli
+import powermarket.verify
 from powermarket.cli import main
 from powermarket.formulate import parse_mps
+from powermarket.solve import Solution
 
 from conftest import scenario_path
 
@@ -36,7 +39,7 @@ class TestSolve:
                    "--out-dir", str(tmp_path), "--emit-lp"])
         assert rc == 0
         lp = parse_mps(tmp_path / "fig1_no_policy.mps")
-        assert lp.has_row("balance.DE.t0")
+        assert lp.has_row("balance", "DE")
 
     def test_malformed_json_exit_one(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -57,6 +60,15 @@ class TestSolve:
         scen = tmp_path / "dark.json"
         scen.write_text(json.dumps(doc))
         assert main(["solve", str(scen), "--out-dir", str(tmp_path)]) == 3
+
+    def test_solver_failure_is_not_called_infeasible(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(powermarket.cli, "solve", lambda lp: Solution(
+            lp, status="numerical", message="numerical trouble"))
+        scen = scenario_path("fig1_no_policy.json")
+        assert main(["solve", scen, "--out-dir", str(tmp_path)]) == 4
+        assert main(["verify", scen, "--out-dir", str(tmp_path)]) == 4
+        err = capsys.readouterr().err
+        assert "numerical" in err and "infeasible" not in err
 
     def test_external_solution_round_trip(self, tmp_path):
         scen = scenario_path("fig1_no_policy.json")
@@ -90,7 +102,52 @@ class TestSweep:
         assert all(p["verdict"] == "pass" for p in manifest["points"])
 
 
+def meshed_cap_scenario(tmp_path) -> str:
+    """Three nodes in a KVL triangle, one thermal unit each and a binding
+    CO2 cap."""
+    T = 12
+    demand = {n: [round(base + 5.0 * ((t * k) % 4), 6) for t in range(T)]
+              for n, base, k in (("A", 10.0, 1), ("B", 60.0, 3), ("C", 50.0, 2))}
+    techs = [
+        {"node": "A", "name": "coal", "capex": 300.0, "lifetime": 1.0,
+         "variable_cost": 20.0000001, "emission_factor": 0.9},
+        {"node": "B", "name": "gas", "capex": 250.0, "lifetime": 1.0,
+         "variable_cost": 60.0000002, "emission_factor": 0.4},
+        {"node": "C", "name": "wind", "capex": 900.0, "lifetime": 1.0,
+         "variable_cost": 0.0000003,
+         "availability": [round(0.2 + 0.6 * ((t * 5) % 7) / 6, 6) for t in range(T)]},
+    ]
+    lines = [{"from_node": a, "to_node": b, "expandable": True, "capex": c,
+              "reactance": x}
+             for a, b, c, x in (("A", "B", 80.0, 1.0), ("B", "C", 60.0, 1.5),
+                                ("A", "C", 70.0, 2.0))]
+    doc = {"name": "mesh", "snapshots": T, "nodes": ["A", "B", "C"],
+           "demand": demand, "technologies": techs, "lines": lines,
+           "policy": {"co2": {"type": "cap", "cap": 600.0}},
+           "options": {"voll": 1000.0, "discount_rate": 0.0, "kvl": True}}
+    path = tmp_path / "mesh.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
 class TestVerify:
+    def test_equivalence_checks_reuse_the_kvl_solve(self, tmp_path, monkeypatch):
+        solved = []
+        for module in (powermarket.cli, powermarket.verify):
+            def recording(lp, *args, _solve=module.solve, **kwargs):
+                solved.append(lp)
+                return _solve(lp, *args, **kwargs)
+            monkeypatch.setattr(module, "solve", recording)
+        rc = main(["verify", meshed_cap_scenario(tmp_path), "--out-dir", str(tmp_path)])
+        assert rc == 0
+        doc = json.load(open(tmp_path / "mesh.verification.json"))
+        cap_tax = next(d for d in doc if d["check"] == "cap-tax-equivalence")
+        assert cap_tax["verdict"] == "pass" and cap_tax["detail"]["mu_co2"] > 0.0
+        # one solve of the capped LP; the tax LP keeps the voltage-law rows
+        assert len([lp for lp in solved if lp.has_row("co2-cap")]) == 1
+        assert all(lp.has_row("kvl-cycle", "c0") for lp in solved)
+        assert len(solved) >= 2
+
     def test_verify_subcommand_runs_equivalence_checks(self, tmp_path, capsys):
         rc = main(["verify", scenario_path("fig1_co2_cap.json"),
                    "--out-dir", str(tmp_path)])

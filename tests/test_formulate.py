@@ -9,10 +9,7 @@ from powermarket.formulate import (
     apply_equivalence_substitution,
     build_lp,
     cycle_basis,
-    disp_col,
-    gen_col,
     parse_mps,
-    tag_id,
     write_mps,
 )
 from powermarket.model import (
@@ -34,6 +31,17 @@ def simple_system(snapshots=4):
     return PowerSystem(nodes=("N",), snapshots=snapshots,
                        demand={"N": tuple([50.0] * snapshots)},
                        technologies=(("N", gas),), discount_rate=0.0)
+
+
+def entries(lp):
+    """The (row, col, value) triplets of A."""
+    return zip(lp.entries.row.tolist(), lp.entries.col.tolist(), lp.entries.value.tolist())
+
+
+def columns(lp):
+    """(lower, upper, objective) per column."""
+    return zip(lp.columns.lower.tolist(), lp.columns.upper.tolist(),
+               lp.columns.objective.tolist())
 
 
 class TestEntityTag:
@@ -68,17 +76,16 @@ class TestBuildLp:
         lp = build_lp(system, policy)
         assert lp.has_row("vre-dispatched")
         assert lp.has_row("co2-cap")
-        assert lp.rows[lp.row_index("vre-dispatched")].sense == ">="
-        assert lp.rows[lp.row_index("co2-cap")].sense == "<="
+        assert lp.rows.sense[lp.row("vre-dispatched")] == ">="
+        assert lp.rows.sense[lp.row("co2-cap")] == "<="
 
     def test_tax_shifts_objective_not_rows(self):
         system = simple_system()
         lp_none = build_lp(system, PolicyConfig.none())
         lp_tax = build_lp(system, PolicyConfig(co2=Co2Tax(50.0)))
         assert not lp_tax.has_row("co2-cap")
-        g = disp_col("gas", "N", 0)
-        o_none = lp_none.column(g).objective
-        o_tax = lp_tax.column(g).objective
+        o_none = lp_none.columns.objective[lp_none.col("g", "gas@N")][0]
+        o_tax = lp_tax.columns.objective[lp_tax.col("g", "gas@N")][0]
         assert o_tax - o_none == pytest.approx(0.4 * 50.0)
 
     def test_invalid_system_raises_with_diagnostics(self):
@@ -148,10 +155,10 @@ class TestEquivalenceSubstitution:
         lp = build_lp(system, PolicyConfig(co2=Co2Cap(5.0)))
         sub = apply_equivalence_substitution(lp, "co2-cap", 50.0)
         assert not sub.has_row("co2-cap")
-        assert sub.column(disp_col("gas", "N", 0)).objective == pytest.approx(110.0)
+        assert sub.columns.objective[sub.col("g", "gas@N")][0] == pytest.approx(110.0)
         # original LP untouched
         assert lp.has_row("co2-cap")
-        assert lp.column(disp_col("gas", "N", 0)).objective == pytest.approx(90.0)
+        assert lp.columns.objective[lp.col("g", "gas@N")][0] == pytest.approx(90.0)
 
 
 class TestMpsRoundTrip:
@@ -162,12 +169,12 @@ class TestMpsRoundTrip:
         path = tmp_path / "model.mps"
         write_mps(lp, path)
         back = parse_mps(path)
-        assert [c.id for c in back.columns] == [c.id for c in lp.columns]
-        assert [(r.id, r.sense, r.rhs) for r in back.rows] == \
-            [(r.id, r.sense, r.rhs) for r in lp.rows]
-        assert sorted(back.entries) == sorted(lp.entries)
-        for a, b in zip(lp.columns, back.columns):
-            assert (a.lower, a.upper, a.objective) == (b.lower, b.upper, b.objective)
+        assert back.col_names() == lp.col_names()
+        assert list(zip(back.row_names(), back.rows.sense, back.rows.rhs)) == \
+            list(zip(lp.row_names(), lp.rows.sense, lp.rows.rhs))
+        assert sorted(entries(back)) == sorted(entries(lp))
+        for a, b in zip(columns(lp), columns(back)):
+            assert a == b
 
     def test_free_and_bounded_columns_survive(self, tmp_path):
         gas = TechnologySpec(name="gas", capex=10.0, lifetime=1.0)
@@ -179,5 +186,5 @@ class TestMpsRoundTrip:
         path = tmp_path / "net.mps"
         write_mps(lp, path)
         back = parse_mps(path)
-        fcol = back.column("f.L0.t0")
-        assert fcol.lower == float("-inf") and fcol.upper == float("inf")
+        f0 = back.col("f", "L0").start
+        assert back.columns.lower[f0] == float("-inf") and back.columns.upper[f0] == float("inf")

@@ -59,14 +59,14 @@ class TestHeadlineMetrics:
         system = two_tech_system()
         policy = PolicyConfig(support=SupportDispatched(("wind",), share=0.85))
         lp, sol = solved(system, policy)
-        mu = sol.dual["vre-dispatched"]
+        mu = sol.dual("vre-dispatched")
         assert mu > 1e-6
         assert market_value(system, sol, "wind") == pytest.approx(
             lcoe(system, sol, "wind") - mu, rel=1e-6)
 
     def test_co2_cap_wedge_per_emission_factor(self, desk_system):
         lp, sol = solved(desk_system, PolicyConfig(co2=Co2Cap(900.0)))
-        mu = -sol.dual["co2-cap"]
+        mu = -sol.dual("co2-cap")
         assert mu > 0.0
         for _, spec in desk_system.technologies:
             if tech_energy(desk_system, sol, spec.name) <= 0.0:

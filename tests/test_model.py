@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from powermarket.model import (
@@ -37,6 +37,8 @@ class TestAnnuitize:
 
     @given(capex=st.floats(1.0, 1e7), lifetime=st.floats(1.0, 60.0),
            r1=st.floats(0.0, 0.2), r2=st.floats(0.0, 0.2))
+    # a subnormal rate once divided by a rounded subnormal denominator
+    @example(capex=1.0, lifetime=1.5, r1=0.0, r2=5e-324)
     def test_monotone_in_rate(self, capex, lifetime, r1, r2):
         lo, hi = sorted((r1, r2))
         assert annuitize(capex, lifetime, lo) <= annuitize(capex, lifetime, hi) + 1e-9

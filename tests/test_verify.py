@@ -37,15 +37,14 @@ class TestKkt:
     def test_tampered_primal_fails(self, desk_system):
         lp = build_lp(desk_system, PolicyConfig.none())
         sol = solve(lp)
-        key = next(iter(sol.primal))
-        sol.primal[key] += 5.0
+        sol.x[0] += 5.0
         assert not check_kkt(lp, sol).passed
 
     def test_rounded_duals_fail(self, desk_system):
         # a solution file with duals rounded to integers must be caught
         lp = build_lp(desk_system, PolicyConfig.none())
         sol = solve(lp)
-        sol.dual = {k: float(round(v)) for k, v in sol.dual.items()}
+        sol.y = np.round(sol.y)
         assert not check_kkt(lp, sol).passed
 
 
@@ -94,23 +93,27 @@ class TestZeroProfit:
 
 class TestEquivalence:
     def test_cap_tax_on_desk_system(self, desk_system):
-        result = check_cap_tax_equivalence(
-            desk_system, PolicyConfig(co2=Co2Cap(900.0)))
+        policy = PolicyConfig(co2=Co2Cap(900.0))
+        lp = build_lp(desk_system, policy)
+        result = check_cap_tax_equivalence(desk_system, lp, solve(lp), policy)
         assert result.verdict == "pass"
         assert result.detail["mu_co2"] > 0.0
 
     def test_subsidy_tax_lift_on_two_tech(self):
         system = two_tech_system()
         policy = PolicyConfig(support=SupportDispatched(("wind",), share=0.85))
-        result = check_subsidy_tax_lift(system, policy)
+        lp = build_lp(system, policy)
+        result = check_subsidy_tax_lift(system, lp, solve(lp), policy)
         assert result.verdict == "pass"
         assert result.detail["mu_gamma"] > 0.0
 
     def test_requires_matching_policy_kind(self, desk_system):
+        lp = build_lp(desk_system, PolicyConfig.none())
+        sol = solve(lp)
         with pytest.raises(ValueError):
-            check_cap_tax_equivalence(desk_system, PolicyConfig.none())
+            check_cap_tax_equivalence(desk_system, lp, sol, PolicyConfig.none())
         with pytest.raises(ValueError):
-            check_subsidy_tax_lift(desk_system, PolicyConfig.none())
+            check_subsidy_tax_lift(desk_system, lp, sol, PolicyConfig.none())
 
 
 class TestOracle:
