@@ -2,8 +2,8 @@
 """Recompute the tuned policy constants for the two-day scenarios.
 
 Given the no-policy scenario, finds the CO2 cap whose equilibrium solar
-share matches the support scenario's quota (bisection on the cap).  The
-resulting cap value is the one hard-coded in fig1_co2_cap.json.
+share matches the quota share of fig1_support.json (bisection on the cap).
+The resulting cap value is the one hard-coded in fig1_co2_cap.json.
 """
 
 import argparse
@@ -18,6 +18,8 @@ from powermarket.model import Co2Cap, PolicyConfig
 from powermarket.scenario import load_scenario
 from powermarket.solve import solve
 
+SCENARIOS = os.path.join(os.path.dirname(__file__), "..", "scenarios")
+
 
 def solar_share(system, cap):
     sol = solve(build_lp(system, PolicyConfig(co2=Co2Cap(cap))))
@@ -29,13 +31,13 @@ def solar_share(system, cap):
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--scenario",
-                        default=os.path.join(os.path.dirname(__file__), "..",
-                                             "scenarios", "fig1_no_policy.json"))
-    parser.add_argument("--target-share", type=float, default=0.40)
+                        default=os.path.join(SCENARIOS, "fig1_no_policy.json"))
     parser.add_argument("--iterations", type=int, default=45)
     args = parser.parse_args()
 
     system, _, _ = load_scenario(args.scenario)
+    _, quota, _ = load_scenario(os.path.join(SCENARIOS, "fig1_support.json"))
+    target = quota.support.share
     sol0 = solve(build_lp(system, PolicyConfig.none()))
     emissions0 = sum(spec.emission_factor * tech_energy(system, sol0, spec.name)
                      for _, spec in system.technologies)
@@ -45,11 +47,11 @@ def main() -> int:
     for _ in range(args.iterations):
         mid = 0.5 * (lo + hi)
         share = solar_share(system, mid)
-        if share is None or share > args.target_share:
+        if share is None or share > target:
             lo = mid
         else:
             hi = mid
-    print(f"cap for solar share {args.target_share}: {hi:.4f} tCO2 "
+    print(f"cap for solar share {target}: {hi:.4f} tCO2 "
           f"(achieved share {solar_share(system, hi):.6f})")
     return 0
 

@@ -40,12 +40,18 @@ def _out_dir(args) -> str:
     return out
 
 
+def _unreadable(exc: OSError, path) -> int:
+    """Report a file that cannot be opened or read; returns the exit code."""
+    print(f"error: cannot read '{exc.filename or path}': {exc.strerror or exc}",
+          file=sys.stderr)
+    return EXIT_INPUT
+
+
 def _load(path):
     try:
         return load_scenario(path)
-    except FileNotFoundError:
-        print(f"error: scenario file '{path}' not found", file=sys.stderr)
-        raise SystemExit(EXIT_INPUT)
+    except OSError as exc:
+        raise SystemExit(_unreadable(exc, path))
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_INPUT)
@@ -87,7 +93,9 @@ def cmd_solve(args) -> int:
     if args.external_solution:
         try:
             sol = solve_external(lp, args.external_solution)
-        except (SolveError, FileNotFoundError) as exc:
+        except OSError as exc:
+            return _unreadable(exc, args.external_solution)
+        except SolveError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_INPUT
     else:
@@ -127,9 +135,8 @@ def cmd_emit_lp(args) -> int:
 def cmd_sweep(args) -> int:
     try:
         plan, jobs = load_plan(args.plan)
-    except FileNotFoundError:
-        print(f"error: plan file '{args.plan}' not found", file=sys.stderr)
-        return EXIT_INPUT
+    except OSError as exc:
+        return _unreadable(exc, args.plan)
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import sparse
 
 from .model import (
     SHEDDING_NAME,
@@ -227,12 +226,6 @@ class LinearProgram:
 
     def row_names(self) -> list:
         return _names(self.row_index, len(self.rows))
-
-    def matrix(self) -> sparse.csr_matrix:
-        """A as CSR, duplicate entries summed."""
-        e = self.entries
-        return sparse.csr_matrix((e.value, (e.row, e.col)),
-                                 shape=(len(self.rows), len(self.columns)))
 
     def copy(self) -> "LinearProgram":
         return copy.deepcopy(self)
@@ -512,9 +505,18 @@ def write_mps(lp: LinearProgram, path) -> None:
     lines += [f" {_SENSE_TO_MPS[s]} {name}"
               for s, name in zip(lp.rows.sense.tolist(), row_names)]
     lines.append("COLUMNS")
-    A = lp.matrix().tocsc()
-    A.sort_indices()
-    indptr, indices, data = A.indptr.tolist(), A.indices.tolist(), A.data.tolist()
+    # entries column by column, rows ascending within a column; a repeated
+    # (row, col) pair is summed into one entry, written even when it sums
+    # to 0.0 (the cyclic state-of-charge entry of a one-snapshot storage)
+    e = lp.entries
+    order = np.lexsort((e.row, e.col))
+    rows, cols = e.row[order], e.col[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+    starts = np.flatnonzero(first)
+    data = np.add.reduceat(e.value[order], starts).tolist() if len(starts) else []
+    indices = rows[starts].tolist()
+    indptr = np.searchsorted(cols[starts], np.arange(len(lp.columns) + 1)).tolist()
     for j, (name, obj) in enumerate(zip(col_names, lp.columns.objective.tolist())):
         if obj != 0.0:
             lines.append(f" {name} {_OBJ_ROW} {obj!r}")

@@ -17,6 +17,7 @@ hard coal 0.46, lignite 0.43, nuclear 0.33, with fuel CO2 contents of 0.2
 from __future__ import annotations
 
 import csv
+import io
 import json
 import os
 from typing import Optional
@@ -88,21 +89,26 @@ def _read_timeseries_csv(path, errors: list) -> dict:
         return {}
     out: dict = {}
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        cols = [c for c in (reader.fieldnames or []) if c != "timestamp"]
-        if not cols:
-            errors.append(f"timeseries: '{path}' has no data columns")
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            errors.append(f"timeseries: '{path}' is not UTF-8 text ({exc.reason})")
             return {}
+    reader = csv.DictReader(io.StringIO(text, newline=""))
+    cols = [c for c in (reader.fieldnames or []) if c != "timestamp"]
+    if not cols:
+        errors.append(f"timeseries: '{path}' has no data columns")
+        return {}
+    for c in cols:
+        out[c] = []
+    for i, row in enumerate(reader):
         for c in cols:
-            out[c] = []
-        for i, row in enumerate(reader):
-            for c in cols:
-                try:
-                    out[c].append(float(row[c]))
-                except (TypeError, ValueError):
-                    errors.append(f"timeseries: '{path}' row {i + 2} column "
-                                  f"'{c}' is not a number")
-                    return out
+            try:
+                out[c].append(float(row[c]))
+            except (TypeError, ValueError):
+                errors.append(f"timeseries: '{path}' row {i + 2} column "
+                              f"'{c}' is not a number")
+                return out
     return out
 
 
@@ -345,15 +351,22 @@ def loads_scenario(doc: dict, base_dir: str = "."):
     return system, policy, options
 
 
-def load_scenario(path):
-    """Parse a scenario JSON file; JSON syntax errors keep their location."""
+def _read_json(path):
+    """The document in a JSON file; syntax errors keep their location."""
     with open(path, encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
             raise ScenarioError(
                 f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: "
                 f"{exc.msg}") from None
+        except UnicodeDecodeError as exc:
+            raise ScenarioError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
+def load_scenario(path):
+    """Parse a scenario JSON file; JSON syntax errors keep their location."""
+    doc = _read_json(path)
     return loads_scenario(doc, base_dir=os.path.dirname(os.path.abspath(path)))
 
 
@@ -430,13 +443,7 @@ def load_plan(path):
     jobs} keys.  Returns (SweepPlan, jobs)."""
     from .sweep import SweepPlan
 
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ScenarioError(
-                f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: "
-                f"{exc.msg}") from None
+    doc = _read_json(path)
     errors = [k for k in ("axis", "values") if k not in doc]
     if errors:
         raise ScenarioError("; ".join(f"missing plan key '{k}'" for k in errors))

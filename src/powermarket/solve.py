@@ -3,6 +3,8 @@
 The in-process backend is the HiGHS dual simplex (via scipy), which returns
 vertex-exact duals; the module also reads and writes a canonical solution
 file so external solvers can be bridged through the MPS interchange format.
+scipy is imported on the first solve (:func:`load_highs`), not with the
+package: commands that never solve do not pay for it.
 The solution file names columns and rows; in memory a solution is two
 arrays in LP order, read through the LP's block index.
 
@@ -21,11 +23,11 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .formulate import LinearProgram
 
-__all__ = ["Solution", "SolveError", "solve", "solve_external", "write_solution_file"]
+__all__ = ["Solution", "SolveError", "load_highs", "solve", "solve_external",
+           "write_solution_file"]
 
 
 class SolveError(RuntimeError):
@@ -64,11 +66,24 @@ _STATUS = {0: "optimal", 1: "iteration-limit", 2: "infeasible", 3: "unbounded",
            4: "numerical"}
 
 
+def load_highs():
+    """Import scipy's HiGHS front end and return ``linprog``.
+
+    Importing ``scipy.optimize`` costs more than importing the rest of the
+    package, so it happens on the first call rather than at import."""
+    from scipy.optimize import linprog
+    return linprog
+
+
 def solve(lp: LinearProgram, feas_tol: float = 1e-9, opt_tol: float = 1e-9) -> Solution:
     """Minimize the LP; infeasibility/unboundedness are reported as status,
     not raised."""
+    linprog = load_highs()
+    from scipy.sparse import csr_matrix
+
     lp.validate_structure()
-    A = lp.matrix()
+    e = lp.entries  # duplicate (row, col) entries are summed
+    A = csr_matrix((e.value, (e.row, e.col)), shape=(len(lp.rows), len(lp.columns)))
     sense, rhs = lp.rows.sense, lp.rows.rhs
     eq = sense == "="
     ub = ~eq
@@ -129,35 +144,49 @@ def solve_external(lp: LinearProgram, solution_file) -> Solution:
     y = np.full(len(lp.rows), np.nan)
     positions = {kind: {name: i for i, name in enumerate(names)}
                  for kind, names in (("col", lp.col_names()), ("row", lp.row_names()))}
+
+    def error(message):
+        return SolveError(f"{solution_file}, line {lineno}: {message}")
+
     with open(solution_file, encoding="utf-8") as fh:
-        for line in fh:
-            tokens = line.split()
-            if not tokens or tokens[0].startswith("#"):
-                continue
-            kind = tokens[0]
-            if kind == "status":
-                sol.status = tokens[1]
-            elif kind == "objective":
-                sol.objective = float(tokens[1])
-            elif kind in ("col", "row"):
-                i = positions[kind].get(tokens[1])
-                if i is None:
-                    what = "column" if kind == "col" else "row"
-                    raise SolveError(f"unmatched tag: unknown {what} '{tokens[1]}'")
-                (x if kind == "col" else y)[i] = float(tokens[2])
-            else:
-                raise SolveError(f"unknown record '{kind}' in solution file")
+        try:
+            for lineno, line in enumerate(fh, 1):
+                tokens = line.split()
+                if not tokens or tokens[0].startswith("#"):
+                    continue
+                kind = tokens[0]
+                try:
+                    if kind == "col" or kind == "row":
+                        i = positions[kind].get(tokens[1])
+                        if i is None:
+                            what = "column" if kind == "col" else "row"
+                            raise error(f"unmatched tag: unknown {what} '{tokens[1]}'")
+                        (x if kind == "col" else y)[i] = float(tokens[2])
+                    elif kind == "objective":
+                        sol.objective = float(tokens[1])
+                    elif kind == "status":
+                        sol.status = tokens[1]
+                    else:
+                        raise error(f"unknown record '{kind}' in solution file")
+                except IndexError:
+                    raise error(f"'{kind}' record misses a field") from None
+                except ValueError:
+                    value = tokens[1 if kind == "objective" else 2]
+                    raise error(f"'{value}' is not a number") from None
+        except UnicodeDecodeError as exc:
+            raise SolveError(f"{solution_file}: not UTF-8 text ({exc.reason})") from None
     if sol.status == "optimal":
         missing = np.flatnonzero(np.isnan(x))
         if missing.size:
-            raise SolveError("solution file misses columns, "
+            raise SolveError(f"{solution_file}: solution file misses columns, "
                              f"e.g. '{lp.col_names()[missing[0]]}'")
         missing = np.flatnonzero(np.isnan(y))
         if missing.size == len(y) and len(y):
-            raise SolveError("solution file has no dual section; "
+            raise SolveError(f"{solution_file}: solution file has no dual section; "
                              "unusable for theorem checks")
         if missing.size:
-            raise SolveError(f"solution file misses rows, e.g. '{lp.row_names()[missing[0]]}'")
+            raise SolveError(f"{solution_file}: solution file misses rows, "
+                             f"e.g. '{lp.row_names()[missing[0]]}'")
         sol.x, sol.y = x, y
         if np.isnan(sol.objective):
             sol.objective = float(lp.columns.objective @ x)

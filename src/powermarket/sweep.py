@@ -26,7 +26,7 @@ from .model import (
     SupportAvailable,
     SupportDispatched,
 )
-from .solve import solve
+from .solve import load_highs, solve
 from .verify import verify_solution
 
 __all__ = ["SweepPlan", "SweepPoint", "SweepResult", "run_sweep",
@@ -146,6 +146,10 @@ def run_sweep(plan: SweepPlan, parallelism: int = 1) -> SweepResult:
     if parallelism <= 1 or len(plan.values) == 1:
         points = [_solve_point(plan, v) for v in plan.values]
     else:
+        # The pool forks its workers from this process: load the solver
+        # here, once, so that they inherit it instead of each importing it
+        # on its own.
+        load_highs()
         with ProcessPoolExecutor(max_workers=parallelism) as pool:
             points = list(pool.map(_solve_point, [plan] * len(plan.values),
                                    plan.values))

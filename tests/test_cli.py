@@ -1,16 +1,32 @@
 import csv
 import json
 import os
+import subprocess
+import sys
+import tempfile
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import powermarket
 import powermarket.cli
 import powermarket.verify
 from powermarket.cli import main
-from powermarket.formulate import parse_mps
-from powermarket.solve import Solution
+from powermarket.formulate import build_lp, parse_mps, tech_key
+from powermarket.model import PolicyConfig
+from powermarket.scenario import load_scenario
+from powermarket.solve import Solution, solve
 
 from conftest import scenario_path
+
+
+def exit_code(argv) -> int:
+    """Exit code of a CLI call, whether it returns or raises SystemExit."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
 
 
 class TestValidate:
@@ -82,6 +98,95 @@ class TestSolve:
         monkeypatch.setenv("POWERMARKET_OUT_DIR", str(tmp_path / "envout"))
         assert main(["solve", scenario_path("fig1_no_policy.json")]) == 0
         assert (tmp_path / "envout" / "fig1_no_policy.sol").exists()
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("command, content, expected", [
+        ("solve", "status optimal\ncol G.solar@DE\n", "line 2"),
+        ("solve", "status\n", "line 1"),
+        ("solve", "status optimal\ncol G.solar@DE abc\n", "line 2: 'abc' is not a number"),
+        ("solve", b"status optimal\n\xff\n", "not UTF-8"),
+        ("validate", b"\xff\xfe{}", "not UTF-8"),
+        ("solve", None, ""),
+        ("validate", None, ""),
+        ("sweep", None, ""),
+    ], ids=["record-without-value", "bare-status", "value-not-a-number",
+            "solution-not-utf8", "scenario-not-utf8",
+            "solution-path-is-a-directory", "scenario-path-is-a-directory",
+            "plan-path-is-a-directory"])
+    def test_exit_one_with_an_error_line(self, tmp_path, capsys, command, content,
+                                         expected):
+        bad = tmp_path / "bad"
+        if content is None:
+            bad.mkdir()
+        elif isinstance(content, bytes):
+            bad.write_bytes(content)
+        else:
+            bad.write_text(content)
+        out = str(tmp_path / "out")
+        argv = {"solve": ["solve", scenario_path("fig1_no_policy.json"), "--out-dir", out,
+                          "--external-solution", str(bad)],
+                "validate": ["validate", str(bad)],
+                "sweep": ["sweep", str(bad), "--out-dir", out]}[command]
+        assert exit_code(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"{bad}" in err and expected in err
+
+
+# Runs in a fresh interpreter; prints which scipy modules each step loaded.
+STARTUP_PROBE = """
+import json, sys
+from powermarket.cli import main
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+scenario, solution, out = sys.argv[1:]
+for argv in (["validate", scenario], ["emit-lp", scenario, "--out-dir", out],
+             ["solve", scenario, "--out-dir", out, "--external-solution", solution]):
+    assert main(argv) == 0, argv
+before_solve = scipy_modules()
+assert main(["solve", scenario, "--out-dir", out]) == 0
+print(json.dumps({"before_solve": before_solve,
+                  "after_solve": "scipy.optimize" in sys.modules}))
+"""
+
+SWEEP_PROBE = """
+import json, sys
+import powermarket.cli
+from powermarket.scenario import load_plan
+from powermarket.sweep import run_sweep
+
+plan, _ = load_plan(sys.argv[1])
+before = "scipy.optimize" in sys.modules
+result = run_sweep(plan, parallelism=2)
+assert result.all_verified
+print(json.dumps({"before": before, "after": "scipy.optimize" in sys.modules}))
+"""
+
+
+def run_fresh(code: str, *args) -> dict:
+    """Run ``code`` in a new interpreter that imports this powermarket."""
+    src = os.path.dirname(os.path.dirname(powermarket.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+class TestStartup:
+    def test_only_solving_commands_load_the_solver(self, tmp_path):
+        scen = scenario_path("fig1_co2_cap.json")
+        assert main(["solve", scen, "--out-dir", str(tmp_path)]) == 0
+        probe = run_fresh(STARTUP_PROBE, scen, str(tmp_path / "fig1_co2_cap.sol"),
+                          str(tmp_path / "fresh"))
+        assert probe == {"before_solve": [], "after_solve": True}
+
+    def test_sweep_loads_the_solver_before_forking(self):
+        probe = run_fresh(SWEEP_PROBE, scenario_path("support_sweep.json"))
+        assert probe == {"before": False, "after": True}
 
 
 class TestSweep:
@@ -156,3 +261,66 @@ class TestVerify:
         checks = {d["check"] for d in doc}
         assert "cap-tax-equivalence" in checks
         assert all(d["verdict"] != "fail" for d in doc)
+
+
+@st.composite
+def meshed_systems(draw) -> dict:
+    """Scenario document of 3-4 nodes on a ring, maybe with one chord, with
+    expandable lines that have reactances, voltage-law rows on and no
+    policy.  Every marginal cost carries its own 1e-7 offset."""
+    n = draw(st.integers(3, 4))
+    T = draw(st.integers(4, 24))
+    nodes = [f"N{i}" for i in range(n)]
+    pairs = [(nodes[i], nodes[(i + 1) % n]) for i in range(n)]
+    if n == 4 and draw(st.booleans()):
+        pairs.append((nodes[0], nodes[2]))
+    techs = []
+    for node in nodes:
+        for name in draw(st.lists(st.sampled_from(["coal", "gas", "wind"]),
+                                  min_size=1, max_size=2, unique=True)):
+            offset = 1e-7 * (len(techs) + 1)
+            if name == "wind":
+                techs.append({"node": node, "name": name, "lifetime": 1.0,
+                              "capex": float(draw(st.integers(300, 1200))),
+                              "variable_cost": offset,
+                              "availability": [v / 10 for v in draw(st.lists(
+                                  st.integers(0, 10), min_size=T, max_size=T))]})
+            else:
+                techs.append({"node": node, "name": name, "lifetime": 1.0,
+                              "capex": float(draw(st.integers(100, 500))),
+                              "variable_cost": draw(st.integers(10, 80)) + offset,
+                              "emission_factor": draw(st.integers(2, 10)) / 10})
+    lines = [{"from_node": a, "to_node": b, "expandable": True,
+              "capex": float(draw(st.integers(10, 200))),
+              "reactance": draw(st.integers(1, 4)) / 2} for a, b in pairs]
+    demand = {node: [float(v) for v in draw(st.lists(st.integers(5, 100),
+                                                     min_size=T, max_size=T))]
+              for node in nodes}
+    return {"name": "ring", "snapshots": T, "nodes": nodes, "demand": demand,
+            "technologies": techs, "lines": lines,
+            "options": {"voll": 1000.0, "discount_rate": 0.0, "kvl": True}}
+
+
+@settings(max_examples=25, deadline=None)
+@given(doc=meshed_systems(), tightness=st.floats(0.2, 0.9))
+def test_meshed_kvl_systems_with_a_binding_cap_verify(doc, tightness):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "ring.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        system, _, _ = load_scenario(path)
+        sol = solve(build_lp(system, PolicyConfig.none(), enforce_kvl=True))
+        assert sol.status == "optimal"
+        emissions = sum(spec.emission_factor * sol.primal("g", tech_key(spec.name, node)).sum()
+                        for node, spec in system.technologies)
+        assume(emissions > 1e-6)
+
+        # a cap below the unconstrained emissions binds
+        doc["policy"] = {"co2": {"type": "cap", "cap": tightness * float(emissions)}}
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        assert main(["verify", path, "--out-dir", tmp]) == 0
+        checks = json.load(open(os.path.join(tmp, "ring.verification.json")))
+        assert not [c for c in checks if c["verdict"] == "fail"]
+        cap_tax = next(c for c in checks if c["check"] == "cap-tax-equivalence")
+        assert cap_tax["detail"]["mu_co2"] > 0.0

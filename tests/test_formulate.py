@@ -18,11 +18,12 @@ from powermarket.model import (
     LineSpec,
     PolicyConfig,
     PowerSystem,
+    StorageSpec,
     SupportDispatched,
     TechnologySpec,
 )
 
-from conftest import random_desk_system
+from conftest import flexible_system, random_desk_system
 
 
 def simple_system(snapshots=4):
@@ -31,6 +32,14 @@ def simple_system(snapshots=4):
     return PowerSystem(nodes=("N",), snapshots=snapshots,
                        demand={"N": tuple([50.0] * snapshots)},
                        technologies=(("N", gas),), discount_rate=0.0)
+
+
+def one_snapshot_storage(eta_standing: float) -> PowerSystem:
+    gas = TechnologySpec(name="gas", capex=5.0, lifetime=1.0, variable_cost=2.0)
+    battery = StorageSpec(name="bat", capex_discharge=1.0, capex_energy=1.0, lifetime=1.0,
+                          eta_charge=0.9, eta_standing=eta_standing)
+    return PowerSystem(nodes=("N",), snapshots=1, demand={"N": (3.0,)},
+                       technologies=(("N", gas),), storages=(("N", battery),))
 
 
 def entries(lp):
@@ -175,6 +184,33 @@ class TestMpsRoundTrip:
         assert sorted(entries(back)) == sorted(entries(lp))
         for a, b in zip(columns(lp), columns(back)):
             assert a == b
+
+    @pytest.mark.parametrize("system", [
+        one_snapshot_storage(1.0), one_snapshot_storage(0.99), flexible_system(6)],
+        ids=["one-snapshot-lossless", "one-snapshot-lossy", "flexible-6h"])
+    def test_columns_section_matches_a_csc_reference(self, tmp_path, system):
+        """Entries in CSC order, duplicates summed.  The state-of-charge row of
+        a one-snapshot cyclic storage holds its energy column twice; the sum
+        is written even when it is 0.0, as CSC keeps it."""
+        from scipy import sparse
+
+        lp = build_lp(system, PolicyConfig.none())
+        write_mps(lp, tmp_path / "model.mps")
+        text = (tmp_path / "model.mps").read_text()
+        written = text[text.index("COLUMNS\n") + 8:text.index("RHS\n")].splitlines()
+        e = lp.entries
+        A = sparse.csr_matrix((e.value, (e.row, e.col)),
+                              shape=(len(lp.rows), len(lp.columns))).tocsc()
+        A.sort_indices()
+        rows = lp.row_names()
+        expected = []
+        for j, (name, obj) in enumerate(zip(lp.col_names(), lp.columns.objective.tolist())):
+            if obj != 0.0:
+                expected.append(f" {name} COST {obj!r}")
+            span = slice(A.indptr[j], A.indptr[j + 1])
+            expected += [f" {name} {rows[i]} {v!r}"
+                         for i, v in zip(A.indices[span].tolist(), A.data[span].tolist())]
+        assert written == expected
 
     def test_free_and_bounded_columns_survive(self, tmp_path):
         gas = TechnologySpec(name="gas", capex=10.0, lifetime=1.0)

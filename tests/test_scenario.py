@@ -99,6 +99,13 @@ class TestErrors:
         with pytest.raises(ScenarioError, match="line 1"):
             load_scenario(bad)
 
+    def test_timeseries_that_is_not_utf8_is_reported(self, tmp_path):
+        (tmp_path / "series.csv").write_bytes(b"timestamp,N_load\n0,\xff1\n")
+        doc = minimal_doc()
+        doc["timeseries"] = "series.csv"
+        with pytest.raises(ScenarioError, match="not UTF-8"):
+            loads_scenario(doc, base_dir=str(tmp_path))
+
 
 class TestRoundTrip:
     def test_load_serialize_load_identity(self):

@@ -3,9 +3,11 @@ import json
 import numpy as np
 import pytest
 
+import powermarket.verify
 from powermarket.formulate import build_lp
 from powermarket.model import (
     Co2Cap,
+    LineSpec,
     PolicyConfig,
     PowerSystem,
     SupportDispatched,
@@ -19,6 +21,7 @@ from powermarket.verify import (
     check_kkt,
     check_subsidy_tax_lift,
     check_zero_profit,
+    reduced_costs,
     report_to_json,
     verify_solution,
 )
@@ -33,6 +36,21 @@ class TestKkt:
         report = check_kkt(lp, sol)
         assert report.passed
         assert report.primal <= 1e-9
+
+    def test_reduced_costs_match_a_sparse_reference(self, desk_system):
+        from scipy import sparse
+
+        lp = build_lp(desk_system, PolicyConfig(co2=Co2Cap(900.0)))
+        sol = solve(lp)
+        e = lp.entries
+        A = sparse.csc_matrix((e.value, (e.row, e.col)),
+                              shape=(len(lp.rows), len(lp.columns)))
+        reference = lp.columns.objective - A.T @ sol.y
+        # both sums round each of at most k + 1 terms once
+        k = int(np.diff(A.indptr).max())
+        bound = 2 * (k + 1) * np.finfo(float).eps * (
+            np.abs(lp.columns.objective) + abs(A).T @ np.abs(sol.y))
+        assert np.all(np.abs(reduced_costs(lp, sol) - reference) <= bound)
 
     def test_tampered_primal_fails(self, desk_system):
         lp = build_lp(desk_system, PolicyConfig.none())
@@ -91,7 +109,43 @@ class TestZeroProfit:
         assert all(d["verdict"] in ("pass", "fail", "inconclusive") for d in doc)
 
 
+def capped_ring():
+    """Three coal units on a voltage-law triangle under a cap that forces
+    load shedding; the flat load leaves the cap's prices non-unique."""
+    def coal(cost, factor):
+        return TechnologySpec(name="coal", capex=100.0, lifetime=1.0,
+                              variable_cost=cost, emission_factor=factor)
+    system = PowerSystem(
+        nodes=("N0", "N1", "N2"), snapshots=4,
+        demand={"N0": (5.0,) * 4, "N1": (5.0,) * 4, "N2": (5.0, 5.0, 5.0, 6.0)},
+        technologies=(("N0", coal(10.0000001, 0.2)), ("N1", coal(10.0000002, 0.5)),
+                      ("N2", coal(10.0000003, 0.2))),
+        lines=tuple(LineSpec(a, b, expandable=True, capex=10.0, reactance=0.5)
+                    for a, b in (("N0", "N1"), ("N1", "N2"), ("N2", "N0"))),
+        voll=1000.0, discount_rate=0.0)
+    policy = PolicyConfig(co2=Co2Cap(9.1))
+    lp = build_lp(system, policy, enforce_kvl=True)
+    return system, policy, lp
+
+
 class TestEquivalence:
+    def test_non_unique_cap_prices_are_inconclusive(self):
+        system, policy, lp = capped_ring()
+        result = check_cap_tax_equivalence(system, lp, solve(lp), policy)
+        assert result.detail["price_deviation"] > 1e-3
+        assert result.verdict == "inconclusive"
+
+    def test_tax_prices_that_are_not_cap_prices_fail(self, monkeypatch):
+        def tampered(lp, *args, _solve=solve, **kwargs):
+            sol = _solve(lp, *args, **kwargs)
+            if not lp.has_row("co2-cap"):  # the tax LP
+                sol.y = sol.y * 1.001
+            return sol
+        monkeypatch.setattr(powermarket.verify, "solve", tampered)
+        system, policy, lp = capped_ring()
+        result = check_cap_tax_equivalence(system, lp, solve(lp), policy)
+        assert result.verdict == "fail"
+
     def test_cap_tax_on_desk_system(self, desk_system):
         policy = PolicyConfig(co2=Co2Cap(900.0))
         lp = build_lp(desk_system, policy)
