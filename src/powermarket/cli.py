@@ -1,8 +1,9 @@
 """Command-line surface: validate, solve, sweep, verify, emit-lp.
 
 Exit codes: 0 success (optimal and all checks pass), 1 input/parse error,
-2 verification failure, 3 infeasible or unbounded model, 4 solver failure
-(iteration limit or numerical trouble: the model may still be feasible).
+2 verification failure, 3 model without an optimum (infeasible, unbounded,
+or one of the two), 4 solver failure (iteration or time limit, numerical
+trouble: the model may still be feasible).
 The default output directory can be set with the POWERMARKET_OUT_DIR
 environment variable.
 """
@@ -18,7 +19,7 @@ from .formulate import build_lp, write_mps
 from .metrics import build_report, report_to_json, write_report_csv
 from .model import Co2Cap, PolicyConfig, SupportDispatched, validate
 from .scenario import ScenarioError, load_plan, load_scenario
-from .solve import solve, solve_external, write_solution_file, SolveError
+from .solve import NO_OPTIMUM, solve, solve_external, write_solution_file, SolveError
 from .sweep import run_sweep, sweep_manifest, write_sweep_csv
 from .verify import (
     check_cap_tax_equivalence,
@@ -59,7 +60,7 @@ def _load(path):
 
 def _not_optimal(sol) -> int:
     """Report a solve that ended without an optimum; returns the exit code."""
-    if sol.status in ("infeasible", "unbounded"):
+    if sol.status in NO_OPTIMUM:
         print(f"model is {sol.status}: {sol.message}", file=sys.stderr)
         return EXIT_INFEASIBLE
     print(f"solver failed ({sol.status}), the model may still be feasible: "

@@ -44,6 +44,7 @@ __all__ = [
     "build_lp",
     "cycle_basis",
     "apply_equivalence_substitution",
+    "column_major",
     "write_mps",
     "parse_mps",
 ]
@@ -498,6 +499,22 @@ _SENSE_TO_MPS = {"=": "E", "<=": "L", ">=": "G"}
 _MPS_TO_SENSE = {"E": "=", "L": "<=", "G": ">="}
 
 
+def column_major(rows: np.ndarray, cols: np.ndarray, values: np.ndarray,
+                 n_cols: int) -> tuple:
+    """CSC arrays ``(indptr, indices, data)`` of COO triplets: entries column
+    by column, rows ascending within a column.  A repeated (row, col) pair
+    is summed into one entry, kept even when it sums to 0.0 (the cyclic
+    state-of-charge entry of a one-snapshot storage)."""
+    order = np.lexsort((rows, cols))
+    rows, cols = rows[order], cols[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+    starts = np.flatnonzero(first)
+    data = np.add.reduceat(values[order], starts) if len(starts) else np.empty(0)
+    indptr = np.searchsorted(cols[starts], np.arange(n_cols + 1))
+    return indptr, rows[starts], data
+
+
 def write_mps(lp: LinearProgram, path) -> None:
     """Emit the LP in free-form MPS (ROWS, COLUMNS, RHS, RANGES, BOUNDS)."""
     col_names, row_names = lp.col_names(), lp.row_names()
@@ -505,18 +522,9 @@ def write_mps(lp: LinearProgram, path) -> None:
     lines += [f" {_SENSE_TO_MPS[s]} {name}"
               for s, name in zip(lp.rows.sense.tolist(), row_names)]
     lines.append("COLUMNS")
-    # entries column by column, rows ascending within a column; a repeated
-    # (row, col) pair is summed into one entry, written even when it sums
-    # to 0.0 (the cyclic state-of-charge entry of a one-snapshot storage)
     e = lp.entries
-    order = np.lexsort((e.row, e.col))
-    rows, cols = e.row[order], e.col[order]
-    first = np.ones(len(order), dtype=bool)
-    first[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
-    starts = np.flatnonzero(first)
-    data = np.add.reduceat(e.value[order], starts).tolist() if len(starts) else []
-    indices = rows[starts].tolist()
-    indptr = np.searchsorted(cols[starts], np.arange(len(lp.columns) + 1)).tolist()
+    indptr, indices, data = (a.tolist() for a in column_major(
+        e.row, e.col, e.value, len(lp.columns)))
     for j, (name, obj) in enumerate(zip(col_names, lp.columns.objective.tolist())):
         if obj != 0.0:
             lines.append(f" {name} {_OBJ_ROW} {obj!r}")

@@ -1,12 +1,19 @@
 """Solve block-indexed LPs to optimality with exact row duals.
 
-The in-process backend is the HiGHS dual simplex (via scipy), which returns
+The in-process backend is the HiGHS dual simplex, driven through scipy's
+bindings of the HiGHS class (:func:`load_highs`), which returns
 vertex-exact duals; the module also reads and writes a canonical solution
 file so external solvers can be bridged through the MPS interchange format.
-scipy is imported on the first solve (:func:`load_highs`), not with the
-package: commands that never solve do not pay for it.
+scipy is imported on the first solve, not with the package: commands that
+never solve do not pay for it.
 The solution file names columns and rows; in memory a solution is two
 arrays in LP order, read through the LP's block index.
+
+A :class:`Session` keeps one HiGHS model across the solves of one LP
+family: an LP with the same columns and matrix as the one it loaded, on
+all or some of its rows, is solved from the basis of the previous solve.
+The cap LP and its tax LP form such a family, and so do the points of a
+sweep.
 
 Sign convention: ``dual[row]`` is the sensitivity of the optimal objective to
 the row's right-hand side (dObj/dRHS).  Balance rows therefore carry
@@ -19,15 +26,15 @@ Reduced costs are not carried: they follow from the LP and the duals
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .formulate import LinearProgram
+from .formulate import LinearProgram, column_major
 
-__all__ = ["Solution", "SolveError", "load_highs", "solve", "solve_external",
-           "write_solution_file"]
+__all__ = ["NO_OPTIMUM", "Session", "Solution", "SolveError", "load_highs", "solve",
+           "solve_external", "write_solution_file"]
 
 
 class SolveError(RuntimeError):
@@ -46,6 +53,9 @@ class Solution:
     iterations: int = 0
     wall_time: float = 0.0
     message: str = ""
+    warm_start: bool = False         # started from the basis of an earlier solve
+    # the HiGHS session that solved it; None for a solution read from a file
+    session: Optional["Session"] = field(default=None, repr=False, compare=False)
 
     def primal(self, family: str, entity: Optional[str] = None):
         """Value of a scalar column block, or the array of a snapshot block."""
@@ -62,61 +72,206 @@ def _read(values: np.ndarray, index):
     return values[index] if isinstance(index, slice) else float(values[index])
 
 
-_STATUS = {0: "optimal", 1: "iteration-limit", 2: "infeasible", 3: "unbounded",
-           4: "numerical"}
+# HiGHS model status (member name of ``HighsModelStatus``) -> Solution.status.
+# Any other status is a solver failure and reads "numerical".
+_STATUS = {
+    "kOptimal": "optimal",
+    "kInfeasible": "infeasible",
+    "kUnbounded": "unbounded",
+    "kUnboundedOrInfeasible": "infeasible-or-unbounded",
+    "kIterationLimit": "iteration-limit",
+    "kTimeLimit": "time-limit",
+}
+# primal and dual feasibility tolerances of every solve
+FEAS_TOL = OPT_TOL = 1e-9
+
+# statuses that prove the model has no optimum
+NO_OPTIMUM = ("infeasible", "unbounded", "infeasible-or-unbounded")
+
+
+def status_of(model_status) -> str:
+    """Solution.status of a ``HighsModelStatus``."""
+    return _STATUS.get(model_status.name, "numerical")
 
 
 def load_highs():
-    """Import scipy's HiGHS front end and return ``linprog``.
+    """Import and return scipy's bindings of the HiGHS library.
 
-    Importing ``scipy.optimize`` costs more than importing the rest of the
-    package, so it happens on the first call rather than at import."""
-    from scipy.optimize import linprog
-    return linprog
+    ``scipy.optimize._highspy._core`` (scipy >= 1.15) holds the ``_Highs``
+    class behind scipy's own LP front end.  It is private scipy API, and
+    this is the one place that reaches it.  Importing it costs more than
+    importing the rest of the package, so it happens on the first solve
+    rather than at import."""
+    from scipy.optimize._highspy import _core
+    return _core
 
 
-def solve(lp: LinearProgram, feas_tol: float = 1e-9, opt_tol: float = 1e-9) -> Solution:
+class Session:
+    """One HiGHS model kept across the solves of one LP family.
+
+    The first solve loads its LP: ``<=`` rows first, then ``=`` rows, with
+    ``>=`` rows negated into ``<=`` form, and runs the dual simplex with
+    presolve on.  A later LP with the same columns and the same matrix on
+    all or some of the loaded rows is solved warm: only the costs and
+    bounds that differ are pushed, rows it lacks are freed, and HiGHS
+    starts from the basis the previous solve ended at.  Any other LP, or
+    any LP after a solve that did not end optimal, is loaded cold into a
+    new HiGHS model.
+    """
+
+    def __init__(self):
+        # HiGHS options, set on every model the session loads
+        self.options = [("output_flag", False), ("log_to_console", False),
+                        ("presolve", "on"), ("solver", "simplex"),
+                        ("simplex_strategy", 1),  # dual simplex
+                        ("highs_debug_level", 0),
+                        ("primal_feasibility_tolerance", FEAS_TOL),
+                        ("dual_feasibility_tolerance", OPT_TOL)]
+        self.lp: Optional[LinearProgram] = None   # the LP of the last solve
+        self._loaded: Optional[LinearProgram] = None
+        self._optimal = False
+
+    def solve(self, lp: LinearProgram) -> Solution:
+        lp.validate_structure()
+        picked = self._loaded_rows(lp) if self._optimal else None
+        warm = picked is not None
+        t0 = time.perf_counter()
+        if warm:
+            self._push(lp, picked)
+        else:
+            picked = self._load(lp)
+        self.lp, self._optimal = lp, False
+        highs = self._highs
+        highs.run()
+        wall = time.perf_counter() - t0
+        model_status, info = highs.getModelStatus(), highs.getInfo()
+        sol = Solution(lp, status=status_of(model_status),
+                       iterations=int(info.simplex_iteration_count), wall_time=wall,
+                       message=f"HiGHS model status {int(model_status)}: "
+                               f"{highs.modelStatusToString(model_status)}",
+                       warm_start=warm, session=self)
+        if sol.status == "optimal":
+            self._optimal = True
+            self._rows = self._highs_row[picked]
+            solution = highs.getSolution()
+            sol.objective = float(info.objective_function_value)
+            sol.x = np.array(solution.col_value)
+            sol.y = self._sign[picked] * np.array(solution.row_dual)[self._rows]
+        return sol
+
+    def _load(self, lp: LinearProgram) -> np.ndarray:
+        """Pass ``lp`` to a new HiGHS model; returns its rows, all of them."""
+        core = load_highs()
+        self._highs = core._Highs()
+        for name, value in self.options:
+            self._highs.setOptionValue(name, value)
+        sense = lp.rows.sense
+        eq = sense == "="
+        order = np.concatenate((np.flatnonzero(~eq), np.flatnonzero(eq)))
+        self._highs_row = np.empty(len(order), dtype=np.int64)  # per loaded row
+        self._highs_row[order] = np.arange(len(order))
+        self._sign = np.where(sense == ">=", -1.0, 1.0)
+        e, cols = lp.entries, lp.columns
+        start, index, value = column_major(self._highs_row[e.row], e.col,
+                                           self._sign[e.row] * e.value, len(cols))
+        model = core.HighsLp()
+        model.num_col_ = model.a_matrix_.num_col_ = len(cols)
+        model.num_row_ = model.a_matrix_.num_row_ = len(order)
+        model.a_matrix_.format_ = core.MatrixFormat.kColwise
+        model.a_matrix_.start_ = start
+        model.a_matrix_.index_ = index
+        model.a_matrix_.value_ = value
+        self._cost = cols.objective.copy()
+        self._lower, self._upper = cols.lower.copy(), cols.upper.copy()
+        model.col_cost_ = self._cost
+        model.col_lower_, model.col_upper_ = self._lower, self._upper
+        picked = np.arange(len(order))
+        self._row_lower, self._row_upper = self._row_bounds(lp, picked)
+        model.row_lower_, model.row_upper_ = self._row_lower, self._row_upper
+        self._highs.passModel(model)
+        self._loaded = lp
+        return picked
+
+    def _row_bounds(self, lp: LinearProgram, picked: np.ndarray) -> tuple:
+        """HiGHS row bounds that put the rows of ``lp`` on the loaded rows
+        ``picked`` and leave the other loaded rows free."""
+        at = self._highs_row[picked]
+        lower = np.full(len(self._highs_row), -np.inf)
+        upper = np.full(len(self._highs_row), np.inf)
+        rhs = lp.rows.rhs
+        lower[at] = np.where(lp.rows.sense == "=", rhs, -np.inf)
+        upper[at] = self._sign[picked] * rhs
+        return lower, upper
+
+    def _loaded_rows(self, lp: LinearProgram) -> Optional[np.ndarray]:
+        """The loaded row behind each row of ``lp``; None unless ``lp`` is the
+        loaded LP on some or all of its rows, up to costs and bounds."""
+        base = self._loaded
+        if lp.col_index != base.col_index or len(lp.columns) != len(base.columns):
+            return None
+        rows = np.arange(len(base.rows))
+        picked = np.full(len(lp.rows), -1, dtype=np.int64)
+        for key, index in lp.row_index.items():
+            at = base.row_index.get(key)
+            if at is None or np.size(rows[at]) != np.size(picked[index]):
+                return None
+            picked[index] = rows[at]
+        if (picked < 0).any() or (base.rows.sense[picked] != lp.rows.sense).any():
+            return None
+        renumber = np.full(len(base.rows), -1, dtype=np.int64)
+        renumber[picked] = np.arange(len(picked))
+        e, b = lp.entries, base.entries
+        row = renumber[b.row]
+        kept = row >= 0
+        if not (np.array_equal(row[kept], e.row) and np.array_equal(b.col[kept], e.col)
+                and np.array_equal(b.value[kept], e.value)):
+            return None
+        return picked
+
+    def _push(self, lp: LinearProgram, picked: np.ndarray) -> None:
+        """Change the loaded model's costs and bounds into those of ``lp``."""
+        highs, cols = self._highs, lp.columns
+        changed = np.flatnonzero(cols.objective != self._cost)
+        if changed.size:
+            self._cost = cols.objective.copy()
+            highs.changeColsCost(changed.size, changed.astype(np.int32),
+                                 self._cost[changed])
+        changed = np.flatnonzero((cols.lower != self._lower) | (cols.upper != self._upper))
+        if changed.size:
+            self._lower, self._upper = cols.lower.copy(), cols.upper.copy()
+            highs.changeColsBounds(changed.size, changed.astype(np.int32),
+                                   self._lower[changed], self._upper[changed])
+        lower, upper = self._row_bounds(lp, picked)
+        for i in np.flatnonzero((lower != self._row_lower) | (upper != self._row_upper)):
+            highs.changeRowBounds(int(i), float(lower[i]), float(upper[i]))
+        self._row_lower, self._row_upper = lower, upper
+
+    def unique_duals(self, rows) -> np.ndarray:
+        """Whether the dual of each of ``rows`` (positions in the LP of the
+        last solve, which must have ended optimal) is unique, by HiGHS
+        ranging: the row's right-hand side can move both ways, by more
+        than the feasibility tolerance, while the basis stays optimal, so
+        the objective moves at the dual's rate on either side.  False where
+        ranging cannot tell."""
+        if not self._optimal:
+            raise SolveError("ranging needs an optimal solve")
+        at = self._rows[rows]
+        status, ranging = self._highs.getRanging()
+        if status != load_highs().HighsStatus.kOk or not ranging.valid:
+            return np.zeros(np.size(at), dtype=bool)
+        activity = np.array(self._highs.getSolution().row_value)[at]
+        room = FEAS_TOL * np.maximum(1.0, np.abs(activity))
+        up = np.array(ranging.row_bound_up.value_)[at]
+        down = np.array(ranging.row_bound_dn.value_)[at]
+        return (up - activity > room) & (activity - down > room)
+
+
+def solve(lp: LinearProgram, session: Optional[Session] = None) -> Solution:
     """Minimize the LP; infeasibility/unboundedness are reported as status,
-    not raised."""
-    linprog = load_highs()
-    from scipy.sparse import csr_matrix
-
-    lp.validate_structure()
-    e = lp.entries  # duplicate (row, col) entries are summed
-    A = csr_matrix((e.value, (e.row, e.col)), shape=(len(lp.rows), len(lp.columns)))
-    sense, rhs = lp.rows.sense, lp.rows.rhs
-    eq = sense == "="
-    ub = ~eq
-    # ">=" rows are negated into "<=" form on the way in
-    sign = np.where(sense[ub] == ">=", -1.0, 1.0)
-    A_ub = A[ub]
-    A_ub.data *= np.repeat(sign, np.diff(A_ub.indptr))
-    t0 = time.perf_counter()
-    res = linprog(
-        lp.columns.objective,
-        A_ub=A_ub if ub.any() else None,
-        b_ub=sign * rhs[ub] if ub.any() else None,
-        A_eq=A[eq] if eq.any() else None,
-        b_eq=rhs[eq] if eq.any() else None,
-        bounds=np.column_stack((lp.columns.lower, lp.columns.upper)),
-        method="highs-ds",
-        options={
-            "primal_feasibility_tolerance": max(feas_tol, 1e-10),
-            "dual_feasibility_tolerance": max(opt_tol, 1e-10),
-        },
-    )
-    wall = time.perf_counter() - t0
-    status = _STATUS.get(res.status, "numerical")
-    if status != "optimal":
-        return Solution(lp, status=status, iterations=int(getattr(res, "nit", 0) or 0),
-                        wall_time=wall, message=str(res.message))
-    y = np.empty(len(lp.rows))
-    if eq.any():
-        y[eq] = res.eqlin.marginals
-    if ub.any():
-        y[ub] = sign * res.ineqlin.marginals
-    return Solution(lp, status="optimal", objective=float(res.fun), x=np.asarray(res.x),
-                    y=y, iterations=int(res.nit), wall_time=wall, message=str(res.message))
+    not raised.  In ``session``, an LP of the family the session holds is
+    solved warm (see :class:`Session`); without one, cold in a new session,
+    which the solution keeps."""
+    return (session or Session()).solve(lp)
 
 
 def write_solution_file(sol: Solution, path) -> None:

@@ -1,9 +1,13 @@
 """Deterministic scenario grids: penetration sweeps, cap tightening, tax grids.
 
 A sweep solves one equilibrium per axis value, verifies it, and merges the
-results in axis order, so the output is byte-identical regardless of the
-degree of parallelism.  Infeasible tail points (a cap of zero without
-flexibility, say) are recorded as such instead of aborting the grid.
+results in axis order.  The axis is cut into fixed chains of
+:data:`CHAIN_POINTS` consecutive points; each chain runs in one HiGHS
+session, every point warm from the basis of the point before it where the
+LPs allow it, and worker processes take whole chains.  The chains do not
+depend on the degree of parallelism, so neither does the output, byte for
+byte.  Infeasible tail points (a cap of zero without flexibility, say) are
+recorded as such instead of aborting the grid.
 """
 
 from __future__ import annotations
@@ -26,13 +30,17 @@ from .model import (
     SupportAvailable,
     SupportDispatched,
 )
-from .solve import load_highs, solve
+from .solve import Session, load_highs, solve
 from .verify import verify_solution
 
 __all__ = ["SweepPlan", "SweepPoint", "SweepResult", "run_sweep",
            "write_sweep_csv", "sweep_manifest"]
 
 AXES = ("support_share", "available_target", "co2_cap", "co2_intensity", "co2_tax")
+
+# Axis points per warm-started chain: longer chains save more simplex
+# iterations, shorter ones leave more chains to spread over workers.
+CHAIN_POINTS = 5
 
 
 @dataclass(frozen=True)
@@ -115,11 +123,11 @@ class SweepResult:
         return all(p.verdict == "pass" for p in self.points if p.status == "optimal")
 
 
-def _solve_point(plan: SweepPlan, value: float) -> SweepPoint:
+def _solve_point(plan: SweepPlan, value: float, session: Session) -> SweepPoint:
     try:
         policy = plan.policy_at(value)
         lp = build_lp(plan.system, policy, enforce_kvl=plan.enforce_kvl)
-        sol = solve(lp)
+        sol = solve(lp, session=session)
         if sol.status != "optimal":
             return SweepPoint(value=value, status=sol.status, verdict="skipped",
                               message=sol.message)
@@ -137,22 +145,30 @@ def _solve_point(plan: SweepPlan, value: float) -> SweepPoint:
                           message=f"{type(exc).__name__}: {exc}")
 
 
+def _solve_chain(plan: SweepPlan, values: tuple) -> list:
+    """Solve consecutive axis points in one HiGHS session."""
+    session = Session()
+    return [_solve_point(plan, v, session) for v in values]
+
+
 def run_sweep(plan: SweepPlan, parallelism: int = 1) -> SweepResult:
     """Solve and verify every point of the plan.
 
-    Points are independent; with ``parallelism`` > 1 they are distributed
-    over worker processes and merged back in axis order.
+    Chains of points are independent; with ``parallelism`` > 1 they are
+    distributed over worker processes and merged back in axis order.
     """
-    if parallelism <= 1 or len(plan.values) == 1:
-        points = [_solve_point(plan, v) for v in plan.values]
+    chains = [plan.values[i:i + CHAIN_POINTS]
+              for i in range(0, len(plan.values), CHAIN_POINTS)]
+    if parallelism <= 1 or len(chains) == 1:
+        points = [p for chain in chains for p in _solve_chain(plan, chain)]
     else:
         # The pool forks its workers from this process: load the solver
         # here, once, so that they inherit it instead of each importing it
         # on its own.
         load_highs()
         with ProcessPoolExecutor(max_workers=parallelism) as pool:
-            points = list(pool.map(_solve_point, [plan] * len(plan.values),
-                                   plan.values))
+            points = [p for chain in pool.map(_solve_chain, [plan] * len(chains), chains)
+                      for p in chain]
     return SweepResult(plan_name=plan.name, axis=plan.axis, points=points,
                        config_digest=plan.config_digest())
 

@@ -244,27 +244,22 @@ def _balance_dual_vector(system: PowerSystem, sol: Solution) -> np.ndarray:
     return np.concatenate([nodal_prices(system, sol)[n] for n in system.nodes])
 
 
-def _perturbed_prices(lp: LinearProgram, system: PowerSystem,
-                      scale: float = 1e-9) -> Optional[np.ndarray]:
-    """Prices after a tiny distinct objective perturbation; None if the
-    perturbed LP fails to solve (used only for degeneracy detection)."""
-    plp = lp.copy()
-    c = plp.columns.objective
-    c += scale * np.arange(1, len(c) + 1) * np.maximum(1.0, np.abs(c))
-    psol = solve(plp)
-    if psol.status != "optimal":
-        return None
-    return _balance_dual_vector(system, psol)
-
-
-def _degenerate(lp: LinearProgram, system: PowerSystem, lam: np.ndarray,
-                tol: float) -> bool:
-    scale = max(1.0, float(np.abs(lam).max()))
-    for eps in (1e-9, 1e-7):
-        plam = _perturbed_prices(lp, system, eps)
-        if plam is None or np.abs(plam - lam).max() > 10 * tol * scale:
-            return True
-    return False
+def _prices_unique(system: PowerSystem, lp: LinearProgram, sol: Solution) -> bool:
+    """Whether every balance row of the solved LP ``lp`` has a unique dual,
+    by HiGHS ranging at an optimal basis of ``lp``: the basis ``sol``'s
+    session ended at, that session taken back to ``lp`` where it has
+    solved another LP since, or a cold solve's for a solution read from a
+    file.  Ranging sees the primal degeneracy that makes prices
+    non-unique, which perturbing the objective does not."""
+    session = sol.session
+    if session is None or session.lp is not lp:
+        ranged = solve(lp, session=session)
+        if ranged.status != "optimal":
+            return False
+        session = ranged.session
+    positions = np.arange(len(lp.rows))
+    rows = np.concatenate([positions[lp.row("balance", n)] for n in system.nodes])
+    return bool(session.unique_duals(rows).all())
 
 
 def _unsolved(check: str, sol: Solution, what: str) -> Optional[CheckResult]:
@@ -289,9 +284,11 @@ def check_cap_tax_equivalence(system: PowerSystem, lp: LinearProgram, sol: Solut
                               policy: PolicyConfig,
                               tol: float = DEFAULT_TOL) -> CheckResult:
     """Lift the emissions cap of the solved LP ``lp`` into the objective at
-    its shadow price, re-solve, and compare the full price vectors.  Prices
-    that differ are 'inconclusive' rather than 'fail' when they are shown
-    not to be unique."""
+    its shadow price, re-solve (warm from the cap's basis where ``sol`` has
+    a session), and compare the full price vectors.  Prices that differ
+    are 'inconclusive' rather than 'fail' when the tax run's duals are
+    shown to be cap duals too, or, where the objective identity fails as
+    well, when the cap's prices are not shown to be unique."""
     if not isinstance(policy.co2, Co2Cap):
         raise ValueError("check_cap_tax_equivalence requires a Co2Cap policy")
     unsolved = _unsolved("cap-tax-equivalence", sol, "cap")
@@ -302,7 +299,9 @@ def check_cap_tax_equivalence(system: PowerSystem, lp: LinearProgram, sol: Solut
                     for e in (spec.emission_factor
                               * sol.primal("g", tech_key(spec.name, node))).tolist())
     tax_lp = apply_equivalence_substitution(lp, "co2-cap", mu)
-    tax_sol = solve(tax_lp)
+    # warm from the cap LP's basis in its session: the tax LP is the cap LP
+    # with new costs and the cap row freed
+    tax_sol = solve(tax_lp, session=sol.session)
     unsolved = _unsolved("cap-tax-equivalence", tax_sol, "tax")
     if unsolved:
         return unsolved
@@ -315,14 +314,21 @@ def check_cap_tax_equivalence(system: PowerSystem, lp: LinearProgram, sol: Solut
     residual = max(dev, obj_dev)
     if residual <= tol:
         verdict = "pass"
-    elif (obj_dev <= tol and _cap_duals_from_tax(lp, sol, tax_sol, tol)) \
-            or _degenerate(lp, system, lam, tol):
+    elif obj_dev <= tol:
+        # the tax LP's duals with mu put back are optimal cap duals, so
+        # they must pass the cap LP's KKT check; when they do, the cap's
+        # prices are shown not to be unique
+        verdict = "inconclusive" if _cap_duals_from_tax(lp, sol, tax_sol, tol) \
+            else "fail"
+    elif not _prices_unique(system, lp, sol):
         verdict = "inconclusive"
     else:
         verdict = "fail"
     return CheckResult("cap-tax-equivalence", "system", residual, verdict,
                        {"mu_co2": mu, "price_deviation": dev,
-                        "objective_deviation": obj_dev, "emissions": emissions})
+                        "objective_deviation": obj_dev, "emissions": emissions,
+                        "tax_iterations": tax_sol.iterations,
+                        "warm_start": tax_sol.warm_start})
 
 
 def check_subsidy_tax_lift(system: PowerSystem, lp: LinearProgram, sol: Solution,
@@ -372,7 +378,7 @@ def check_subsidy_tax_lift(system: PowerSystem, lp: LinearProgram, sol: Solution
     residual = max(price_dev, mv_dev)
     if residual <= tol:
         verdict = "pass"
-    elif _degenerate(lp, system, lam, tol):
+    elif not _prices_unique(system, lp, sol):
         verdict = "inconclusive"
     else:
         verdict = "fail"

@@ -16,7 +16,7 @@ from powermarket.cli import main
 from powermarket.formulate import build_lp, parse_mps, tech_key
 from powermarket.model import PolicyConfig
 from powermarket.scenario import load_scenario
-from powermarket.solve import Solution, solve
+from powermarket.solve import Solution, load_highs, solve, status_of
 
 from conftest import scenario_path
 
@@ -85,6 +85,17 @@ class TestSolve:
         assert main(["verify", scen, "--out-dir", str(tmp_path)]) == 4
         err = capsys.readouterr().err
         assert "numerical" in err and "infeasible" not in err
+
+    @pytest.mark.parametrize("member, code", [
+        ("kInfeasible", 3), ("kUnbounded", 3), ("kUnboundedOrInfeasible", 3),
+        ("kIterationLimit", 4), ("kTimeLimit", 4), ("kSolveError", 4)])
+    def test_exit_code_of_each_highs_status(self, tmp_path, monkeypatch, member, code):
+        status = status_of(load_highs().HighsModelStatus.__members__[member])
+        monkeypatch.setattr(powermarket.cli, "solve",
+                            lambda lp: Solution(lp, status=status))
+        scen = scenario_path("fig1_no_policy.json")
+        assert main(["solve", scen, "--out-dir", str(tmp_path)]) == code
+        assert main(["verify", scen, "--out-dir", str(tmp_path)]) == code
 
     def test_external_solution_round_trip(self, tmp_path):
         scen = scenario_path("fig1_no_policy.json")

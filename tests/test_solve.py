@@ -1,14 +1,28 @@
+import inspect
+import re
+import sys
+
+import numpy as np
 import pytest
 
-from powermarket.formulate import LinearProgram, build_lp
-from powermarket.model import LineSpec, PolicyConfig, PowerSystem, TechnologySpec
+from powermarket.formulate import LinearProgram, apply_equivalence_substitution, build_lp
+from powermarket.model import Co2Cap, LineSpec, PolicyConfig, PowerSystem, TechnologySpec
+from powermarket.scenario import load_scenario
 from powermarket.solve import (
+    Session,
     SolveError,
+    load_highs,
     solve,
     solve_external,
+    status_of,
     write_solution_file,
 )
 from powermarket.verify import reduced_costs, verify_solution
+
+from conftest import random_desk_system, scenario_path
+
+BUNDLED = ("fig1_co2_cap", "fig1_no_policy", "fig1_support", "vre_flex_168h",
+           "wind_gas_168h")
 
 
 def one_tech_two_hours():
@@ -121,3 +135,141 @@ class TestSolutionFiles:
         write_solution_file(sol, path)
         ext = solve_external(lp, path)
         assert check_kkt(lp, ext).passed
+
+
+def linprog_reference(lp: LinearProgram):
+    """The LP solved through scipy's ``linprog`` as the package did before
+    it drove HiGHS itself: (result, duals dObj/dRHS in LP order)."""
+    from scipy.optimize import linprog
+    from scipy.sparse import csr_matrix
+
+    e = lp.entries
+    A = csr_matrix((e.value, (e.row, e.col)), shape=(len(lp.rows), len(lp.columns)))
+    sense, rhs = lp.rows.sense, lp.rows.rhs
+    eq = sense == "="
+    ub = ~eq
+    sign = np.where(sense[ub] == ">=", -1.0, 1.0)
+    A_ub = A[ub]
+    A_ub.data *= np.repeat(sign, np.diff(A_ub.indptr))
+    res = linprog(lp.columns.objective,
+                  A_ub=A_ub if ub.any() else None, b_ub=sign * rhs[ub] if ub.any() else None,
+                  A_eq=A[eq] if eq.any() else None, b_eq=rhs[eq] if eq.any() else None,
+                  bounds=np.column_stack((lp.columns.lower, lp.columns.upper)),
+                  method="highs-ds",
+                  options={"primal_feasibility_tolerance": 1e-9,
+                           "dual_feasibility_tolerance": 1e-9})
+    y = np.empty(len(lp.rows))
+    y[eq] = res.eqlin.marginals
+    y[ub] = sign * res.ineqlin.marginals
+    return res, y
+
+
+class TestHighsBindings:
+    """``solve`` drives scipy's private HiGHS class; these tests pin it."""
+
+    def test_every_method_solve_uses_exists(self):
+        core = load_highs()
+        source = inspect.getsource(sys.modules[Session.__module__])
+        methods = set(re.findall(r"highs\.(\w+)\(", source))
+        assert {"passModel", "run", "changeColsCost", "changeRowBounds",
+                "getRanging"} <= methods
+        for name in methods:
+            assert callable(getattr(core._Highs, name)), name
+        for name in set(re.findall(r"(?:\bcore|load_highs\(\))\.(\w+)", source)):
+            assert hasattr(core, name), name
+
+    def test_options_are_known(self):
+        highs = load_highs()._Highs()
+        for name, value in Session().options:
+            assert highs.setOptionValue(name, value) == load_highs().HighsStatus.kOk, name
+
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_solve_matches_linprog(self, name):
+        system, policy, options = load_scenario(scenario_path(f"{name}.json"))
+        lp = build_lp(system, policy, enforce_kvl=options.get("kvl", False))
+        res, y = linprog_reference(lp)
+        sol = solve(lp)
+        assert sol.status == "optimal" and not sol.warm_start
+        assert sol.iterations == res.nit
+        assert sol.objective == res.fun
+        assert sol.x.tolist() == res.x.tolist()
+        assert sol.y.tolist() == y.tolist()
+
+
+class TestStatus:
+    @pytest.mark.parametrize("member, status", [
+        ("kOptimal", "optimal"),
+        ("kInfeasible", "infeasible"),
+        ("kUnbounded", "unbounded"),
+        ("kUnboundedOrInfeasible", "infeasible-or-unbounded"),
+        ("kIterationLimit", "iteration-limit"),
+        ("kTimeLimit", "time-limit"),
+        ("kSolveError", "numerical"),
+        ("kUnknown", "numerical"),
+        ("kNotset", "numerical"),
+    ])
+    def test_highs_status_table(self, member, status):
+        assert status_of(load_highs().HighsModelStatus.__members__[member]) == status
+
+    def test_iteration_limit_is_reported(self, desk_system):
+        session = Session()
+        session.options.append(("simplex_iteration_limit", 1))
+        sol = session.solve(build_lp(desk_system, PolicyConfig.none()))
+        assert sol.status == "iteration-limit" and sol.x is None
+
+
+class TestSession:
+    def test_tax_lp_resolves_warm_from_the_cap_basis(self, desk_system):
+        lp = build_lp(desk_system, PolicyConfig(co2=Co2Cap(900.0)))
+        sol = solve(lp)
+        tax_lp = apply_equivalence_substitution(lp, "co2-cap", -sol.dual("co2-cap"))
+        warm = solve(tax_lp, session=sol.session)
+        cold = solve(tax_lp)
+        assert warm.warm_start and not cold.warm_start
+        assert warm.iterations < cold.iterations
+        assert warm.objective == pytest.approx(cold.objective, rel=1e-12)
+        assert len(warm.y) == len(tax_lp.rows)
+        np.testing.assert_allclose(warm.dual("balance", "N"), sol.dual("balance", "N"),
+                                   rtol=1e-9, atol=1e-9)
+
+    def test_same_family_back_and_forth(self, desk_system):
+        lp = build_lp(desk_system, PolicyConfig(co2=Co2Cap(900.0)))
+        session = Session()
+        first = session.solve(lp)
+        tighter = build_lp(desk_system, PolicyConfig(co2=Co2Cap(800.0)))
+        second = session.solve(tighter)
+        assert second.warm_start
+        assert second.objective == pytest.approx(solve(tighter).objective, rel=1e-12)
+        again = session.solve(lp)
+        assert again.warm_start
+        assert again.objective == pytest.approx(first.objective, rel=1e-12)
+
+    def test_other_matrix_or_failed_solve_starts_cold(self, desk_system):
+        session = Session()
+        session.solve(build_lp(desk_system, PolicyConfig(co2=Co2Cap(900.0))))
+        # the LP without the cap is the capped LP with the cap row freed
+        assert session.solve(build_lp(desk_system, PolicyConfig.none())).warm_start
+        other = random_desk_system(0, snapshots=24)
+        assert not session.solve(build_lp(other, PolicyConfig.none())).warm_start
+        lp = LinearProgram()
+        x = lp.add_columns("x", lower=0.0, upper=1.0, objective=1.0)
+        need = lp.add_rows("need", sense=">=", rhs=5.0)
+        lp.add_entries(need, x, 1.0)
+        assert session.solve(lp).status == "infeasible"
+        lp.rows.rhs[need] = 0.5
+        sol = session.solve(lp)
+        assert sol.status == "optimal" and not sol.warm_start
+
+    def test_ranging_sees_a_degenerate_price(self):
+        # two copies of one cover row: the objective's slope in either rhs
+        # is 1 upwards and 0 downwards, so neither dual is unique
+        lp = LinearProgram()
+        x = lp.add_columns("x", objective=1.0)
+        for name in ("a", "b"):
+            lp.add_entries(lp.add_rows(name, sense=">=", rhs=1.0), x, 1.0)
+        sol = solve(lp)
+        assert sol.session.unique_duals([0, 1]).tolist() == [False, False]
+        lp = LinearProgram()
+        x = lp.add_columns("x", objective=1.0)
+        lp.add_entries(lp.add_rows("a", sense=">=", rhs=1.0), x, 1.0)
+        assert solve(lp).session.unique_duals([0]).tolist() == [True]

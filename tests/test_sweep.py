@@ -2,8 +2,10 @@ import json
 
 import pytest
 
+import powermarket.sweep
 from powermarket.model import PolicyConfig
 from powermarket.sweep import (
+    CHAIN_POINTS,
     SweepPlan,
     run_sweep,
     sweep_csv_text,
@@ -94,3 +96,49 @@ class TestRunSweep:
         assert m1 == m2
         assert len(m1["config_sha256"]) == 64
         json.dumps(m1)  # must be serializable
+
+
+@pytest.fixture
+def warm(monkeypatch):
+    """The warm-start flag of each solve a sweep makes, in order."""
+    flags = []
+
+    def recording(lp, *args, _solve=powermarket.sweep.solve, **kwargs):
+        sol = _solve(lp, *args, **kwargs)
+        flags.append(sol.warm_start)
+        return sol
+    monkeypatch.setattr(powermarket.sweep, "solve", recording)
+    return flags
+
+
+class TestChains:
+    @pytest.fixture(scope="class")
+    def cap_plan(self):
+        system = two_tech_system(snapshots=48)
+        return SweepPlan(system=system, axis="co2_intensity",
+                         values=tuple(0.05 * k for k in range(1, CHAIN_POINTS + 3)))
+
+    def test_each_chain_starts_cold_then_goes_warm(self, cap_plan, warm):
+        result = run_sweep(cap_plan)
+        assert result.all_verified
+        assert warm == [False] + [True] * (CHAIN_POINTS - 1) + [False, True]
+
+    def test_chains_give_the_same_bytes_at_any_worker_count(self, cap_plan):
+        texts = {jobs: sweep_csv_text(cap_plan, run_sweep(cap_plan, parallelism=jobs))
+                 for jobs in (1, 2, 3)}
+        assert texts[1] == texts[2] == texts[3]
+
+    def test_point_after_a_failed_one_starts_cold(self, warm):
+        from powermarket.model import PowerSystem, TechnologySpec, synth_profiles
+
+        solar = TechnologySpec(name="solar", capex=1000.0, lifetime=25.0,
+                               availability=synth_profiles(2, 48, "solar-diurnal"))
+        gas = TechnologySpec(name="gas", capex=500.0, lifetime=25.0,
+                             fuel_cost=25.0, efficiency=0.5,
+                             emission_factor=0.2 / 0.5)
+        system = PowerSystem(nodes=("N",), snapshots=48,
+                             demand={"N": tuple([10.0] * 48)},
+                             technologies=(("N", solar), ("N", gas)), voll=None)
+        result = run_sweep(SweepPlan(system=system, axis="co2_cap", values=(0.0, 1e9)))
+        assert [p.status for p in result.points] == ["infeasible", "optimal"]
+        assert warm == [False, False]

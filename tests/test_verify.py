@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import powermarket.verify
-from powermarket.formulate import build_lp
+from powermarket.formulate import apply_equivalence_substitution, build_lp
 from powermarket.model import (
     Co2Cap,
     LineSpec,
@@ -13,7 +13,8 @@ from powermarket.model import (
     SupportDispatched,
     TechnologySpec,
 )
-from powermarket.solve import solve
+from powermarket.scenario import load_scenario
+from powermarket.solve import solve, solve_external, write_solution_file
 from powermarket.verify import (
     OracleError,
     brute_force_oracle,
@@ -26,7 +27,7 @@ from powermarket.verify import (
     verify_solution,
 )
 
-from conftest import random_desk_system, tiny_instance, two_tech_system
+from conftest import random_desk_system, scenario_path, tiny_instance, two_tech_system
 
 
 class TestKkt:
@@ -128,10 +129,40 @@ def capped_ring():
     return system, policy, lp
 
 
+def quota_ring():
+    """Wind and two coal units on a voltage-law triangle with flat load and
+    a binding wind quota.  Several prices are not unique (the objective's
+    slopes in an hour's demand differ on the two sides), and perturbing
+    the objective does not reveal it."""
+    def unit(name, capex, cost, availability=None):
+        return TechnologySpec(name=name, capex=capex, lifetime=1.0,
+                              variable_cost=cost, availability=availability)
+    system = PowerSystem(
+        nodes=("N0", "N1", "N2"), snapshots=5,
+        demand={n: (7.0,) * 5 for n in ("N0", "N1", "N2")},
+        technologies=(("N0", unit("wind", 61.0, 1e-7, (1.0, 1.0, 0.5, 0.5, 0.5))),
+                      ("N1", unit("coal", 52.0, 10.0000002)),
+                      ("N2", unit("coal", 76.0, 10.0000003))),
+        lines=tuple(LineSpec(a, b, expandable=True, capex=capex, reactance=0.5)
+                    for a, b, capex in (("N0", "N1", 34.0), ("N1", "N2", 46.0),
+                                        ("N2", "N0", 27.0))),
+        voll=1000.0, discount_rate=0.0)
+    policy = PolicyConfig(support=SupportDispatched(("wind",), share=0.6))
+    return system, policy, build_lp(system, policy, enforce_kvl=True)
+
+
+def balance_prices(system, sol):
+    return np.concatenate([sol.dual("balance", n) for n in system.nodes])
+
+
 class TestEquivalence:
-    def test_non_unique_cap_prices_are_inconclusive(self):
+    def test_non_unique_cap_prices_are_inconclusive(self, tmp_path):
+        # a solution read from a file has no session to start the tax LP
+        # from, so the tax LP is solved cold and lands on other prices
         system, policy, lp = capped_ring()
-        result = check_cap_tax_equivalence(system, lp, solve(lp), policy)
+        write_solution_file(solve(lp), tmp_path / "ring.sol")
+        sol = solve_external(lp, tmp_path / "ring.sol")
+        result = check_cap_tax_equivalence(system, lp, sol, policy)
         assert result.detail["price_deviation"] > 1e-3
         assert result.verdict == "inconclusive"
 
@@ -145,6 +176,52 @@ class TestEquivalence:
         system, policy, lp = capped_ring()
         result = check_cap_tax_equivalence(system, lp, solve(lp), policy)
         assert result.verdict == "fail"
+
+    def test_cap_tax_resolves_warm(self):
+        system, policy, options = load_scenario(scenario_path("fig1_co2_cap.json"))
+        lp = build_lp(system, policy, enforce_kvl=options.get("kvl", False))
+        result = check_cap_tax_equivalence(system, lp, solve(lp), policy)
+        assert result.verdict == "pass"
+        # from the cap LP's basis; a cold solve of the tax LP takes 106
+        assert result.detail["warm_start"] is True
+        assert result.detail["tax_iterations"] == 2
+
+    def test_warm_start_does_not_make_the_check_vacuous(self, monkeypatch):
+        def off(lp, family, mu, _substitute=apply_equivalence_substitution):
+            return _substitute(lp, family, 1.01 * mu)
+        monkeypatch.setattr(powermarket.verify, "apply_equivalence_substitution", off)
+        system, policy, options = load_scenario(scenario_path("fig1_co2_cap.json"))
+        lp = build_lp(system, policy, enforce_kvl=options.get("kvl", False))
+        result = check_cap_tax_equivalence(system, lp, solve(lp), policy)
+        assert result.detail["warm_start"] is True
+        assert result.verdict != "pass"
+
+    def test_non_unique_quota_prices_are_inconclusive(self):
+        system, policy, lp = quota_ring()
+        sol = solve(lp)
+        lam = balance_prices(system, sol)
+        # the objective perturbation of earlier versions sees no movement
+        for eps in (1e-9, 1e-7):
+            perturbed = lp.copy()
+            c = perturbed.columns.objective
+            c += eps * np.arange(1, len(c) + 1) * np.maximum(1.0, np.abs(c))
+            moved = np.abs(balance_prices(system, solve(perturbed)) - lam).max()
+            assert moved <= 1e-5 * max(1.0, np.abs(lam).max())
+        # yet the price of N0 at t0 is not unique: the objective falls by
+        # 7 per unit of demand taken away and rises by 3.5 per unit added
+        row = np.arange(len(lp.rows))[lp.row("balance", "N0")][0]
+        step = 1e-4
+        objective = {}
+        for sign in (-1, 1):
+            shifted = lp.copy()
+            shifted.rows.rhs[row] += sign * step
+            objective[sign] = solve(shifted).objective
+        down = (sol.objective - objective[-1]) / step
+        up = (objective[1] - sol.objective) / step
+        assert up - down > 1.0
+        result = check_subsidy_tax_lift(system, lp, sol, policy)
+        assert result.residual > 1e-6
+        assert result.verdict == "inconclusive"
 
     def test_cap_tax_on_desk_system(self, desk_system):
         policy = PolicyConfig(co2=Co2Cap(900.0))
