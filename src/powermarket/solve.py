@@ -34,7 +34,7 @@ import numpy as np
 from .formulate import LinearProgram, column_major
 
 __all__ = ["NO_OPTIMUM", "Session", "Solution", "SolveError", "load_highs", "solve",
-           "solve_external", "write_solution_file"]
+           "solve_external", "status_of", "write_solution_file"]
 
 
 class SolveError(RuntimeError):
@@ -132,6 +132,7 @@ class Session:
         self._optimal = False
 
     def solve(self, lp: LinearProgram) -> Solution:
+        """Minimize ``lp``, warm where the session's model allows it."""
         lp.validate_structure()
         picked = self._loaded_rows(lp) if self._optimal else None
         warm = picked is not None
