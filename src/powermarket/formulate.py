@@ -334,7 +334,7 @@ def cycle_basis(lines) -> list:
 
 
 def build_lp(system: PowerSystem, policy: PolicyConfig, *,
-             enforce_kvl: bool = False, cyclic_soc: bool = True) -> LinearProgram:
+             enforce_kvl: bool = False) -> LinearProgram:
     """Build the cost-minimization LP whose optimum satisfies the market
     equilibrium KKT system for the given policy regime."""
     violations = validate(system, policy)
@@ -400,13 +400,9 @@ def build_lp(system: PowerSystem, policy: PolicyConfig, *,
             ("store-soc", key), ("store-upper", f"{key}+dis"),
             ("store-upper", f"{key}+sto"), ("store-upper", f"{key}+ene"),
             count=T, sense=("=", "<=", "<=", "<="))
-        # state-of-charge recursion with optional cyclic wrap
+        # state-of-charge recursion, wrapping from the last snapshot to the first
         lp.add_entries(soc, gene, 1.0)
-        soc_rows, ene_cols = _positions(soc), _positions(gene)
-        if cyclic_soc:
-            lp.add_entries(soc_rows, np.roll(ene_cols, 1), -sto.eta_standing)
-        else:
-            lp.add_entries(soc_rows[1:], ene_cols[:-1], -sto.eta_standing)
+        lp.add_entries(soc, np.roll(_positions(gene), 1), -sto.eta_standing)
         lp.add_entries(soc, gsto, -sto.eta_charge)
         lp.add_entries(soc, gdis, 1.0 / sto.eta_discharge)
         for up, col, (cap, coef) in ((up_dis, gdis, (Gdis, -1.0)),

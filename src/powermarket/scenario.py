@@ -330,7 +330,7 @@ def loads_scenario(doc: dict, base_dir: str = "."):
     voll = options.pop("voll", 1000.0)
     discount = options.pop("discount_rate", 0.07)
     for key in options:
-        if key not in ("kvl", "suppress_negative_prices", "verify_tol"):
+        if key not in ("kvl", "suppress_negative_prices"):
             errors.append(f"options: unknown option '{key}'")
 
     if errors:

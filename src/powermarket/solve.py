@@ -116,7 +116,8 @@ class Session:
     bounds that differ are pushed, rows it lacks are freed, and HiGHS
     starts from the basis the previous solve ended at.  Any other LP, or
     any LP after a solve that did not end optimal, is loaded cold into a
-    new HiGHS model.
+    new HiGHS model.  A warm solve that does not end optimal is repeated
+    cold in a new model, and the cold result is returned.
     """
 
     def __init__(self):
@@ -127,7 +128,6 @@ class Session:
                         ("highs_debug_level", 0),
                         ("primal_feasibility_tolerance", FEAS_TOL),
                         ("dual_feasibility_tolerance", OPT_TOL)]
-        self.lp: Optional[LinearProgram] = None   # the LP of the last solve
         self._loaded: Optional[LinearProgram] = None
         self._optimal = False
 
@@ -135,13 +135,21 @@ class Session:
         """Minimize ``lp``, warm where the session's model allows it."""
         lp.validate_structure()
         picked = self._loaded_rows(lp) if self._optimal else None
+        sol = self._run(lp, picked)
+        if sol.warm_start and sol.status != "optimal":
+            sol = self._run(lp, None)
+        return sol
+
+    def _run(self, lp: LinearProgram, picked: Optional[np.ndarray]) -> Solution:
+        """One HiGHS run of ``lp``: warm on the loaded rows ``picked``, or
+        cold in a new model where ``picked`` is None."""
         warm = picked is not None
         t0 = time.perf_counter()
         if warm:
             self._push(lp, picked)
         else:
             picked = self._load(lp)
-        self.lp, self._optimal = lp, False
+        self._optimal = False
         highs = self._highs
         highs.run()
         wall = time.perf_counter() - t0
@@ -153,11 +161,10 @@ class Session:
                        warm_start=warm, session=self)
         if sol.status == "optimal":
             self._optimal = True
-            self._rows = self._highs_row[picked]
             solution = highs.getSolution()
             sol.objective = float(info.objective_function_value)
             sol.x = np.array(solution.col_value)
-            sol.y = self._sign[picked] * np.array(solution.row_dual)[self._rows]
+            sol.y = self._sign[picked] * np.array(solution.row_dual)[self._highs_row[picked]]
         return sol
 
     def _load(self, lp: LinearProgram) -> np.ndarray:
@@ -246,25 +253,6 @@ class Session:
         for i in np.flatnonzero((lower != self._row_lower) | (upper != self._row_upper)):
             highs.changeRowBounds(int(i), float(lower[i]), float(upper[i]))
         self._row_lower, self._row_upper = lower, upper
-
-    def unique_duals(self, rows) -> np.ndarray:
-        """Whether the dual of each of ``rows`` (positions in the LP of the
-        last solve, which must have ended optimal) is unique, by HiGHS
-        ranging: the row's right-hand side can move both ways, by more
-        than the feasibility tolerance, while the basis stays optimal, so
-        the objective moves at the dual's rate on either side.  False where
-        ranging cannot tell."""
-        if not self._optimal:
-            raise SolveError("ranging needs an optimal solve")
-        at = self._rows[rows]
-        status, ranging = self._highs.getRanging()
-        if status != load_highs().HighsStatus.kOk or not ranging.valid:
-            return np.zeros(np.size(at), dtype=bool)
-        activity = np.array(self._highs.getSolution().row_value)[at]
-        room = FEAS_TOL * np.maximum(1.0, np.abs(activity))
-        up = np.array(ranging.row_bound_up.value_)[at]
-        down = np.array(ranging.row_bound_dn.value_)[at]
-        return (up - activity > room) & (activity - down > room)
 
 
 def solve(lp: LinearProgram, session: Optional[Session] = None) -> Solution:

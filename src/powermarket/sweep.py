@@ -60,7 +60,6 @@ class SweepPlan:
     base_co2: Optional[object] = None      # Co2Cap/Co2Tax held fixed on support axes
     suppress_negative_prices: bool = False
     enforce_kvl: bool = False
-    verify_tol: float = 1e-6
     name: str = "sweep"
 
     def __post_init__(self):
@@ -133,7 +132,7 @@ def _solve_point(plan: SweepPlan, value: float, session: Session) -> SweepPoint:
                               message=sol.message)
         report = build_report(plan.system, lp, sol, policy,
                               suppress_negative=plan.suppress_negative_prices)
-        checks = verify_solution(plan.system, lp, sol, policy, tol=plan.verify_tol)
+        checks = verify_solution(plan.system, lp, sol, policy)
         failures = [f"{c.check}:{c.entity}" for c in checks if c.verdict == "fail"]
         pen = penetration_of(plan.system, sol, plan.policy_set) \
             if plan.policy_set else None

@@ -28,13 +28,13 @@ from .metrics import (
     line_cost,
     market_value,
     nodal_prices,
+    policy_prices,
     storage_arbitrage,
     storage_cost,
 )
 from .model import (
     SHEDDING_NAME,
     Co2Cap,
-    Co2Tax,
     FixedFip,
     PolicyConfig,
     PowerSystem,
@@ -136,14 +136,6 @@ def check_kkt(lp: LinearProgram, sol: Solution, tol: float = 1e-6) -> KktReport:
 # -- zero-profit checks -------------------------------------------------------------
 
 
-def _co2_price(lp: LinearProgram, sol: Solution, policy: PolicyConfig) -> float:
-    if lp.has_row("co2-cap"):
-        return -sol.dual("co2-cap")
-    if isinstance(policy.co2, Co2Tax):
-        return policy.co2.rate
-    return 0.0
-
-
 def check_zero_profit(system: PowerSystem, lp: LinearProgram, sol: Solution,
                       policy: PolicyConfig,
                       scope: tuple = ("generators", "storage", "lines"),
@@ -153,11 +145,11 @@ def check_zero_profit(system: PowerSystem, lp: LinearProgram, sol: Solution,
     entity.  The residual is zero at equilibrium."""
     results = []
     prices = nodal_prices(system, sol)
-    mu_co2 = _co2_price(lp, sol, policy)
+    pol = policy_prices(system, sol, lp, policy)
+    mu_co2, mu_gamma, mu_theta = (0.0 if pol[k] is None else pol[k]
+                                  for k in ("mu_co2", "mu_gamma", "mu_theta"))
     support = policy.support
     support_set = set(policy.support_set())
-    mu_gamma = sol.dual("vre-dispatched") if lp.has_row("vre-dispatched") else 0.0
-    mu_theta = sol.dual("vre-available") if lp.has_row("vre-available") else 0.0
 
     if "generators" in scope:
         for node, spec in system.technologies:
@@ -244,24 +236,6 @@ def _balance_dual_vector(system: PowerSystem, sol: Solution) -> np.ndarray:
     return np.concatenate([nodal_prices(system, sol)[n] for n in system.nodes])
 
 
-def _prices_unique(system: PowerSystem, lp: LinearProgram, sol: Solution) -> bool:
-    """Whether every balance row of the solved LP ``lp`` has a unique dual,
-    by HiGHS ranging at an optimal basis of ``lp``: the basis ``sol``'s
-    session ended at, that session taken back to ``lp`` where it has
-    solved another LP since, or a cold solve's for a solution read from a
-    file.  Ranging sees the primal degeneracy that makes prices
-    non-unique, which perturbing the objective does not."""
-    session = sol.session
-    if session is None or session.lp is not lp:
-        ranged = solve(lp, session=session)
-        if ranged.status != "optimal":
-            return False
-        session = ranged.session
-    positions = np.arange(len(lp.rows))
-    rows = np.concatenate([positions[lp.row("balance", n)] for n in system.nodes])
-    return bool(session.unique_duals(rows).all())
-
-
 def _unsolved(check: str, sol: Solution, what: str) -> Optional[CheckResult]:
     if sol.status == "optimal":
         return None
@@ -269,14 +243,21 @@ def _unsolved(check: str, sol: Solution, what: str) -> Optional[CheckResult]:
                        {"reason": f"{what} solve {sol.status}"})
 
 
-def _cap_duals_from_tax(lp: LinearProgram, sol: Solution, tax_sol: Solution,
-                        tol: float) -> bool:
-    """Whether the tax LP's duals, with the cap row's dual put back, pass the
-    cap LP's KKT check at the cap LP's solution.  Lagrangian duality says
-    they must; where they do and still differ from the cap LP's own duals,
-    the cap's prices are not unique."""
-    cap_row = lp.row("co2-cap")
-    y = np.insert(tax_sol.y, cap_row, sol.y[cap_row])
+def _prices_not_unique(lp: LinearProgram, sol: Solution, relaxed: Solution,
+                       family: str, dual: float, shift: float, tol: float) -> bool:
+    """Whether the duals of ``relaxed``, the solution of the solved LP ``lp``
+    with its policy row ``family`` relaxed, pass ``lp``'s KKT check at
+    ``sol`` once mapped back onto ``lp``: row by row key, every balance
+    dual lowered by ``shift`` and the row ``family`` given ``dual``.
+    Mapped duals that pass are optimal duals of ``lp``, so where their
+    prices differ from ``sol``'s, ``lp``'s prices are not unique.  This is
+    the one way an equivalence check reaches 'inconclusive'."""
+    y = np.zeros(len(lp.rows))
+    for key, index in lp.row_index.items():
+        at = relaxed.lp.row_index.get(key)
+        if at is not None:
+            y[index] = relaxed.y[at] - (shift if key[0] == "balance" else 0.0)
+    y[lp.row(family)] = dual
     return check_kkt(lp, replace(sol, y=y), tol).passed
 
 
@@ -286,9 +267,10 @@ def check_cap_tax_equivalence(system: PowerSystem, lp: LinearProgram, sol: Solut
     """Lift the emissions cap of the solved LP ``lp`` into the objective at
     its shadow price, re-solve (warm from the cap's basis where ``sol`` has
     a session), and compare the full price vectors.  Prices that differ
-    are 'inconclusive' rather than 'fail' when the tax run's duals are
-    shown to be cap duals too, or, where the objective identity fails as
-    well, when the cap's prices are not shown to be unique."""
+    are 'inconclusive' rather than 'fail' when the tax run's duals, with
+    the cap's dual put back, are shown to be cap duals too.  By Lagrangian
+    duality the tax optimum is the cap objective plus mu times emissions
+    for every optimal mu, so a gap there is a 'fail'."""
     if not isinstance(policy.co2, Co2Cap):
         raise ValueError("check_cap_tax_equivalence requires a Co2Cap policy")
     unsolved = _unsolved("cap-tax-equivalence", sol, "cap")
@@ -314,13 +296,8 @@ def check_cap_tax_equivalence(system: PowerSystem, lp: LinearProgram, sol: Solut
     residual = max(dev, obj_dev)
     if residual <= tol:
         verdict = "pass"
-    elif obj_dev <= tol:
-        # the tax LP's duals with mu put back are optimal cap duals, so
-        # they must pass the cap LP's KKT check; when they do, the cap's
-        # prices are shown not to be unique
-        verdict = "inconclusive" if _cap_duals_from_tax(lp, sol, tax_sol, tol) \
-            else "fail"
-    elif not _prices_unique(system, lp, sol):
+    elif obj_dev <= tol and _prices_not_unique(lp, sol, tax_sol, "co2-cap", -mu, 0.0,
+                                               tol):
         verdict = "inconclusive"
     else:
         verdict = "fail"
@@ -336,7 +313,9 @@ def check_subsidy_tax_lift(system: PowerSystem, lp: LinearProgram, sol: Solution
                            tol: float = DEFAULT_TOL) -> CheckResult:
     """Replace 'force in the supported set' by 'cap everything else' in the
     solved LP ``lp`` and check that all prices and market values lift by
-    exactly the premium."""
+    exactly the premium.  Prices that differ are 'inconclusive' rather
+    than 'fail' when the mirror's duals, lowered by the mirror row's price
+    mu_m with mu_m on the quota row, are shown to be quota duals too."""
     support = policy.support
     if not isinstance(support, SupportDispatched):
         raise ValueError("check_subsidy_tax_lift requires SupportDispatched")
@@ -376,9 +355,10 @@ def check_subsidy_tax_lift(system: PowerSystem, lp: LinearProgram, sol: Solution
             continue
         mv_dev = max(mv_dev, abs(mv_m - mv - mu_gamma) / scale)
     residual = max(price_dev, mv_dev)
+    mu_m = -mirror_sol.dual("vre-dispatched", "mirror")
     if residual <= tol:
         verdict = "pass"
-    elif not _prices_unique(system, lp, sol):
+    elif _prices_not_unique(lp, sol, mirror_sol, "vre-dispatched", mu_m, mu_m, tol):
         verdict = "inconclusive"
     else:
         verdict = "fail"
@@ -407,9 +387,8 @@ _MAX_ORACLE_TECHS = 3
 _MAX_ORACLE_SNAPSHOTS = 6
 
 
-def brute_force_oracle(system: PowerSystem,
-                       policy: Optional[PolicyConfig] = None) -> OracleResult:
-    """Solver-independent optimum for tiny single-node systems.
+def brute_force_oracle(system: PowerSystem) -> OracleResult:
+    """Solver-independent optimum for tiny single-node systems without policy.
 
     Enumerates every candidate capacity vertex (intersections of zero planes
     and merit-order coverage planes), evaluates the exact merit-order
@@ -418,8 +397,6 @@ def brute_force_oracle(system: PowerSystem,
     exact for a piecewise-linear value function; a price is flagged unique
     when left and right derivatives coincide.
     """
-    if policy is not None and (policy.support is not None or policy.co2 is not None):
-        raise OracleError("oracle supports no policy")
     if len(system.nodes) != 1 or system.storages or system.lines:
         raise OracleError("instance too large: oracle needs 1 node, no storage/network")
     k = len(system.technologies)

@@ -6,7 +6,7 @@ import sys
 import tempfile
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import powermarket
@@ -312,8 +312,46 @@ def meshed_systems(draw) -> dict:
             "options": {"voll": 1000.0, "discount_rate": 0.0, "kvl": True}}
 
 
+def warm_tax_stall() -> dict:
+    """A draw whose warm tax re-solve ends in HiGHS status Unknown (one dual
+    infeasibility of 3e-7 left after 19 iterations); cold, the tax LP is
+    optimal, and its prices differ from the cap's by 45 %."""
+    T = 20
+
+    def series(values, base=0.0):
+        return [float(values.get(t, base)) for t in range(T)]
+
+    def coal(node, capex, cost):
+        return {"node": node, "name": "coal", "lifetime": 1.0, "capex": capex,
+                "variable_cost": cost, "emission_factor": 0.2}
+
+    def wind(node, cost, availability):
+        return {"node": node, "name": "wind", "lifetime": 1.0, "capex": 300.0,
+                "variable_cost": cost, "availability": series(availability)}
+
+    nodes = ["N0", "N1", "N2", "N3"]
+    demand = {"N0": {}, "N1": {}, "N2": {7: 81, 16: 40},
+              "N3": {0: 16, 6: 70, 14: 53, 16: 52}}
+    techs = [coal("N0", 100.0, 10.0000001),
+             wind("N0", 2e-7, {1: 0.1, 2: 0.1, 3: 0.1, 6: 0.9, 7: 0.4, 14: 0.2,
+                               15: 0.3, 16: 0.4, 17: 0.3, 18: 0.3, 19: 0.1}),
+             wind("N1", 3e-7, {2: 0.2, 3: 0.1, 4: 0.3, 7: 0.7, 14: 0.4, 16: 0.6}),
+             coal("N1", 100.0, 10.0000004),
+             wind("N2", 5e-7, {}),
+             coal("N2", 100.0, 20.0000006),
+             coal("N3", 101.0, 10.0000007),
+             wind("N3", 8e-7, {})]
+    lines = [{"from_node": a, "to_node": b, "expandable": True, "capex": 10.0,
+              "reactance": 0.5} for a, b in zip(nodes, nodes[1:] + nodes[:1])]
+    return {"name": "ring", "snapshots": T, "nodes": nodes,
+            "demand": {n: series(d, 5.0) for n, d in demand.items()},
+            "technologies": techs, "lines": lines,
+            "options": {"voll": 1000.0, "discount_rate": 0.0, "kvl": True}}
+
+
 @settings(max_examples=25, deadline=None)
 @given(doc=meshed_systems(), tightness=st.floats(0.2, 0.9))
+@example(doc=warm_tax_stall(), tightness=0.5625)
 def test_meshed_kvl_systems_with_a_binding_cap_verify(doc, tightness):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "ring.json")
@@ -327,7 +365,8 @@ def test_meshed_kvl_systems_with_a_binding_cap_verify(doc, tightness):
         assume(emissions > 1e-6)
 
         # a cap below the unconstrained emissions binds
-        doc["policy"] = {"co2": {"type": "cap", "cap": tightness * float(emissions)}}
+        doc = {**doc, "policy": {"co2": {"type": "cap",
+                                         "cap": tightness * float(emissions)}}}
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(doc, fh)
         assert main(["verify", path, "--out-dir", tmp]) == 0

@@ -99,6 +99,12 @@ class TestErrors:
         with pytest.raises(ScenarioError, match="line 1"):
             load_scenario(bad)
 
+    def test_verify_tol_is_an_unknown_option(self):
+        doc = minimal_doc()
+        doc["options"] = {"verify_tol": 1e-4}
+        with pytest.raises(ScenarioError, match="unknown option 'verify_tol'"):
+            loads_scenario(doc)
+
     def test_timeseries_that_is_not_utf8_is_reported(self, tmp_path):
         (tmp_path / "series.csv").write_bytes(b"timestamp,N_load\n0,\xff1\n")
         doc = minimal_doc()

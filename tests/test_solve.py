@@ -171,8 +171,7 @@ class TestHighsBindings:
         core = load_highs()
         source = inspect.getsource(sys.modules[Session.__module__])
         methods = set(re.findall(r"highs\.(\w+)\(", source))
-        assert {"passModel", "run", "changeColsCost", "changeRowBounds",
-                "getRanging"} <= methods
+        assert {"passModel", "run", "changeColsCost", "changeRowBounds"} <= methods
         for name in methods:
             assert callable(getattr(core._Highs, name)), name
         for name in set(re.findall(r"(?:\bcore|load_highs\(\))\.(\w+)", source)):
@@ -260,16 +259,13 @@ class TestSession:
         sol = session.solve(lp)
         assert sol.status == "optimal" and not sol.warm_start
 
-    def test_ranging_sees_a_degenerate_price(self):
-        # two copies of one cover row: the objective's slope in either rhs
-        # is 1 upwards and 0 downwards, so neither dual is unique
+    def test_warm_solve_without_optimum_is_repeated_cold(self):
         lp = LinearProgram()
-        x = lp.add_columns("x", objective=1.0)
-        for name in ("a", "b"):
-            lp.add_entries(lp.add_rows(name, sense=">=", rhs=1.0), x, 1.0)
-        sol = solve(lp)
-        assert sol.session.unique_duals([0, 1]).tolist() == [False, False]
-        lp = LinearProgram()
-        x = lp.add_columns("x", objective=1.0)
-        lp.add_entries(lp.add_rows("a", sense=">=", rhs=1.0), x, 1.0)
-        assert solve(lp).session.unique_duals([0]).tolist() == [True]
+        x = lp.add_columns("x", lower=0.0, upper=1.0, objective=1.0)
+        need = lp.add_rows("need", sense=">=", rhs=0.5)
+        lp.add_entries(need, x, 1.0)
+        session = Session()
+        assert session.solve(lp).status == "optimal"
+        lp.rows.rhs[need] = 5.0
+        sol = session.solve(lp)
+        assert sol.status == "infeasible" and not sol.warm_start

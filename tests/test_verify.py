@@ -177,6 +177,17 @@ class TestEquivalence:
         result = check_cap_tax_equivalence(system, lp, solve(lp), policy)
         assert result.verdict == "fail"
 
+    def test_mirror_prices_that_are_not_quota_prices_fail(self, monkeypatch):
+        def tampered(lp, *args, _solve=solve, **kwargs):
+            sol = _solve(lp, *args, **kwargs)
+            if lp.has_row("vre-dispatched", "mirror"):
+                sol.y = sol.y * 1.001
+            return sol
+        monkeypatch.setattr(powermarket.verify, "solve", tampered)
+        system, policy, lp = quota_ring()
+        result = check_subsidy_tax_lift(system, lp, solve(lp), policy)
+        assert result.verdict == "fail"
+
     def test_cap_tax_resolves_warm(self):
         system, policy, options = load_scenario(scenario_path("fig1_co2_cap.json"))
         lp = build_lp(system, policy, enforce_kvl=options.get("kvl", False))
