@@ -141,6 +141,10 @@ def cmd_sweep(args) -> int:
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    if args.jobs < 0:
+        print(f"error: --jobs must be a positive integer, got {args.jobs}",
+              file=sys.stderr)
+        return EXIT_INPUT
     if args.jobs:
         jobs = args.jobs
     out = _out_dir(args)
@@ -214,7 +218,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("plan")
     p.add_argument("--out-dir", default=None)
     p.add_argument("--jobs", type=int, default=0, metavar="N",
-                   help="worker processes (default: plan setting or 1)")
+                   help="worker processes, at most one per chain of "
+                        "the sweep (default: plan setting or 1)")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("verify", help="solve and run all theorem checks")

@@ -25,7 +25,7 @@ from .model import (
     SupportAvailable,
     SupportDispatched,
 )
-from .solve import Solution
+from .solve import FEAS_TOL, Solution
 
 __all__ = [
     "TechMetrics",
@@ -66,6 +66,14 @@ def tech_dispatch(system: PowerSystem, sol: Solution, name: str) -> dict:
 
 def tech_energy(system: PowerSystem, sol: Solution, name: str) -> float:
     return float(sum(g.sum() for g in tech_dispatch(system, sol, name).values()))
+
+
+def significant_energy(system: PowerSystem, sol: Solution, name: str) -> float:
+    """:func:`tech_energy`, read as zero at or below round-off: the solver's
+    feasibility tolerance times total demand.  An unbuilt technology can end
+    a warm-started solve with dispatch of order 1e-13 MWh of either sign."""
+    energy = tech_energy(system, sol, name)
+    return energy if energy > FEAS_TOL * system.total_demand() else 0.0
 
 
 def tech_revenue(system: PowerSystem, sol: Solution, name: str,
@@ -161,7 +169,7 @@ def line_cost(system: PowerSystem, sol: Solution) -> dict:
 def market_value(system: PowerSystem, sol: Solution, tech: str,
                  prices: Optional[dict] = None) -> Optional[float]:
     """Generation-weighted average market price, EUR/MWh; None for zero output."""
-    energy = tech_energy(system, sol, tech)
+    energy = significant_energy(system, sol, tech)
     if energy <= 0.0:
         return None
     return tech_revenue(system, sol, tech, prices) / energy
@@ -169,7 +177,7 @@ def market_value(system: PowerSystem, sol: Solution, tech: str,
 
 def lcoe(system: PowerSystem, sol: Solution, tech: str) -> Optional[float]:
     """Annualized total cost over dispatched (post-curtailment) energy."""
-    energy = tech_energy(system, sol, tech)
+    energy = significant_energy(system, sol, tech)
     if energy <= 0.0:
         return None
     return tech_cost(system, sol, tech) / energy
@@ -201,7 +209,7 @@ def rmv(system: PowerSystem, sol: Solution, tech: str,
 def rmv_share_decomposition(system: PowerSystem, sol: Solution, tech: str) -> Optional[float]:
     """Cost share over energy share; equals the value factor when no policy
     constraint binds."""
-    energy = tech_energy(system, sol, tech)
+    energy = significant_energy(system, sol, tech)
     if energy <= 0.0:
         return None
     total_cost = _total_system_cost(system, sol)
@@ -215,7 +223,7 @@ def rmv_share_decomposition(system: PowerSystem, sol: Solution, tech: str) -> Op
 def penetration_of(system: PowerSystem, sol: Solution, techs) -> float:
     """Share of total demand dispatched by the named set; may exceed 1 when
     the set also covers storage losses."""
-    total = sum(tech_energy(system, sol, name) for name in techs)
+    total = sum(significant_energy(system, sol, name) for name in techs)
     return total / system.total_demand()
 
 
@@ -240,7 +248,7 @@ def policy_prices(system: PowerSystem, sol: Solution, lp: LinearProgram,
         out["mu_theta"] = mu
         if isinstance(policy.support, SupportAvailable):
             for name in policy.support.technologies:
-                energy = tech_energy(system, sol, name)
+                energy = significant_energy(system, sol, name)
                 if energy > 0.0:
                     avail = tech_available_energy(system, sol, name)
                     out["mu_theta_equivalent"][name] = mu * avail / energy

@@ -471,4 +471,7 @@ def load_plan(path):
         )
     except ValueError as exc:
         raise ScenarioError(str(exc)) from None
-    return plan, int(doc.get("jobs", 1))
+    jobs = doc.get("jobs", 1)
+    if isinstance(jobs, bool) or not isinstance(jobs, int) or jobs < 1:
+        raise ScenarioError(f"plan key 'jobs' must be a positive integer, got {jobs!r}")
+    return plan, jobs

@@ -117,7 +117,8 @@ class Session:
     starts from the basis the previous solve ended at.  Any other LP, or
     any LP after a solve that did not end optimal, is loaded cold into a
     new HiGHS model.  A warm solve that does not end optimal is repeated
-    cold in a new model, and the cold result is returned.
+    cold in a new model, and the cold result is returned with the
+    iterations and time of both runs.
     """
 
     def __init__(self):
@@ -137,7 +138,9 @@ class Session:
         picked = self._loaded_rows(lp) if self._optimal else None
         sol = self._run(lp, picked)
         if sol.warm_start and sol.status != "optimal":
-            sol = self._run(lp, None)
+            failed, sol = sol, self._run(lp, None)
+            sol.iterations += failed.iterations
+            sol.wall_time += failed.wall_time
         return sol
 
     def _run(self, lp: LinearProgram, picked: Optional[np.ndarray]) -> Solution:

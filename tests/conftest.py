@@ -45,6 +45,19 @@ def two_tech_system(snapshots: int = 168, wind_capex: float = 30000.0,
                        technologies=(("N", wind), ("N", gas)))
 
 
+def solar_gas_system() -> PowerSystem:
+    """Solar plus gas on one node, 48 h, no load shedding: a tight enough
+    CO2 cap leaves the dark hours unservable."""
+    solar = TechnologySpec(name="solar", capex=1000.0, lifetime=25.0,
+                           availability=synth_profiles(2, 48, "solar-diurnal"))
+    gas = TechnologySpec(name="gas", capex=500.0, lifetime=25.0,
+                         fuel_cost=25.0, efficiency=0.5,
+                         emission_factor=0.2 / 0.5)
+    return PowerSystem(nodes=("N",), snapshots=48,
+                       demand={"N": tuple([10.0] * 48)},
+                       technologies=(("N", solar), ("N", gas)), voll=None)
+
+
 def random_desk_system(seed: int, snapshots: int = 120) -> PowerSystem:
     """Seeded single-node desk system with VRE plus two thermal techs.
 

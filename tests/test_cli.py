@@ -163,12 +163,14 @@ print(json.dumps({"before_solve": before_solve,
 """
 
 SWEEP_PROBE = """
-import json, sys
+import dataclasses, json, sys
 import powermarket.cli
 from powermarket.scenario import load_plan
-from powermarket.sweep import run_sweep
+from powermarket.sweep import CHAIN_POINTS, run_sweep
 
 plan, _ = load_plan(sys.argv[1])
+# two chains, so that the sweep builds a pool
+plan = dataclasses.replace(plan, values=tuple(0.05 * k for k in range(1, CHAIN_POINTS + 2)))
 before = "scipy.optimize" in sys.modules
 result = run_sweep(plan, parallelism=2)
 assert result.all_verified
@@ -209,6 +211,18 @@ class TestSweep:
         a = (d1 / "support_sweep.csv").read_bytes()
         b = (d2 / "support_sweep.csv").read_bytes()
         assert a == b
+
+    @pytest.mark.parametrize("plan_jobs, flag", [("two", []), (1, ["--jobs", "-2"])],
+                             ids=["plan-jobs-not-a-number", "negative-jobs-flag"])
+    def test_bad_jobs_exit_one_with_an_error_line(self, tmp_path, capsys, plan_jobs,
+                                                  flag):
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps({"scenario": scenario_path("wind_gas_168h.json"),
+                                    "axis": "co2_tax", "values": [1.0],
+                                    "jobs": plan_jobs}))
+        assert exit_code(["sweep", str(plan), "--out-dir", str(tmp_path), *flag]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "jobs" in err and err.count("\n") == 1
 
     def test_manifest_has_digest_and_verdicts(self, tmp_path):
         plan = scenario_path("co2_sweep_flex.json")

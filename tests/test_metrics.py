@@ -4,13 +4,14 @@ import json
 import numpy as np
 import pytest
 
-from powermarket.formulate import build_lp
+from powermarket.formulate import build_lp, tech_key
 from powermarket.metrics import (
     build_report,
     lcoe,
     load_weighted_price,
     market_value,
     nodal_prices,
+    penetration_of,
     report_csv_rows,
     report_to_json,
     rmv,
@@ -74,6 +75,22 @@ class TestHeadlineMetrics:
             mv = market_value(desk_system, sol, spec.name)
             lc = lcoe(desk_system, sol, spec.name)
             assert mv == pytest.approx(lc + spec.emission_factor * mu, rel=1e-6)
+
+    @pytest.mark.parametrize("dispatch", [1e-13, -1e-13])
+    def test_round_off_dispatch_reads_as_none(self, dispatch):
+        # an unbuilt technology left with round-off dispatch, as a warm
+        # start can leave it, has no market value, LCOE or share
+        system = two_tech_system(wind_capex=1e9)
+        lp, sol = solved(system)
+        wind = lp.col("g", tech_key("wind", "N"))
+        assert not sol.x[wind].any()
+        sol.x[wind.start] = dispatch
+        assert tech_energy(system, sol, "wind") == dispatch
+        assert market_value(system, sol, "wind") is None
+        assert lcoe(system, sol, "wind") is None
+        assert rmv(system, sol, "wind") is None
+        assert rmv_share_decomposition(system, sol, "wind") is None
+        assert penetration_of(system, sol, ("wind",)) == 0.0
 
 
 class TestRmv:

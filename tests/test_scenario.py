@@ -134,6 +134,14 @@ class TestPlans:
             plan, jobs = load_plan(scenario_path(name))
             assert plan.values and jobs >= 1
 
+    @pytest.mark.parametrize("jobs", ["two", -1, 0, 1.5, True])
+    def test_jobs_must_be_a_positive_integer(self, tmp_path, jobs):
+        p = tmp_path / "p.json"
+        p.write_text(json.dumps({"scenario": minimal_doc(), "axis": "co2_tax",
+                                 "values": [1.0], "jobs": jobs}))
+        with pytest.raises(ScenarioError, match="'jobs' must be a positive integer"):
+            load_plan(p)
+
     def test_plan_without_axis(self, tmp_path):
         p = tmp_path / "p.json"
         p.write_text(json.dumps({"scenario": minimal_doc(), "values": [1.0]}))

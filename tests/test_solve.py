@@ -19,7 +19,7 @@ from powermarket.solve import (
 )
 from powermarket.verify import reduced_costs, verify_solution
 
-from conftest import random_desk_system, scenario_path
+from conftest import random_desk_system, scenario_path, solar_gas_system
 
 BUNDLED = ("fig1_co2_cap", "fig1_no_policy", "fig1_support", "vre_flex_168h",
            "wind_gas_168h")
@@ -259,7 +259,7 @@ class TestSession:
         sol = session.solve(lp)
         assert sol.status == "optimal" and not sol.warm_start
 
-    def test_warm_solve_without_optimum_is_repeated_cold(self):
+    def test_warm_solve_without_optimum_is_repeated_cold(self, monkeypatch):
         lp = LinearProgram()
         x = lp.add_columns("x", lower=0.0, upper=1.0, objective=1.0)
         need = lp.add_rows("need", sense=">=", rhs=0.5)
@@ -269,3 +269,22 @@ class TestSession:
         lp.rows.rhs[need] = 5.0
         sol = session.solve(lp)
         assert sol.status == "infeasible" and not sol.warm_start
+
+        # the work of the failed warm run counts with the cold one
+        runs = []
+
+        def recording(self, lp, picked, _run=Session._run):
+            sol = _run(self, lp, picked)
+            runs.append((sol.warm_start, sol.iterations, sol.wall_time))
+            return sol
+        monkeypatch.setattr(Session, "_run", recording)
+        system = solar_gas_system()
+        session = Session()
+        assert session.solve(build_lp(system, PolicyConfig(co2=Co2Cap(1e9)))).status \
+            == "optimal"
+        sol = session.solve(build_lp(system, PolicyConfig(co2=Co2Cap(100.0))))
+        assert sol.status == "infeasible" and not sol.warm_start
+        _, warm, cold = runs
+        assert warm[0] and not cold[0] and warm[1] > 0
+        assert sol.iterations == warm[1] + cold[1]
+        assert sol.wall_time == pytest.approx(warm[2] + cold[2], rel=1e-12)

@@ -3,16 +3,16 @@ import json
 import pytest
 
 import powermarket.sweep
-from powermarket.model import PolicyConfig
 from powermarket.sweep import (
     CHAIN_POINTS,
     SweepPlan,
+    chains_of,
     run_sweep,
     sweep_csv_text,
     sweep_manifest,
 )
 
-from conftest import two_tech_system
+from conftest import solar_gas_system, two_tech_system
 
 
 @pytest.fixture(scope="module")
@@ -66,18 +66,7 @@ class TestRunSweep:
     def test_infeasible_tail_is_recorded_not_fatal(self):
         # a zero cap without storage leaves the dark hours unservable when
         # shedding is disabled; the point is recorded, the grid continues
-        from powermarket.model import PowerSystem, TechnologySpec, synth_profiles
-
-        solar = TechnologySpec(name="solar", capex=1000.0, lifetime=25.0,
-                               availability=synth_profiles(2, 48, "solar-diurnal"))
-        gas = TechnologySpec(name="gas", capex=500.0, lifetime=25.0,
-                             fuel_cost=25.0, efficiency=0.5,
-                             emission_factor=0.2 / 0.5)
-        system = PowerSystem(nodes=("N",), snapshots=48,
-                             demand={"N": tuple([10.0] * 48)},
-                             technologies=(("N", solar), ("N", gas)),
-                             voll=None)
-        plan = SweepPlan(system=system, axis="co2_cap", values=(0.0, 1e9))
+        plan = SweepPlan(system=solar_gas_system(), axis="co2_cap", values=(0.0, 1e9))
         result = run_sweep(plan)
         assert result.points[0].status == "infeasible"
         assert result.points[0].verdict == "skipped"
@@ -111,6 +100,28 @@ def warm(monkeypatch):
     return flags
 
 
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The ``max_workers`` of each pool a sweep builds; the stand-in pool
+    runs its chains in this process."""
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+    monkeypatch.setattr(powermarket.sweep, "ProcessPoolExecutor", InlinePool)
+    return sizes
+
+
 class TestChains:
     @pytest.fixture(scope="class")
     def cap_plan(self):
@@ -118,10 +129,47 @@ class TestChains:
         return SweepPlan(system=system, axis="co2_intensity",
                          values=tuple(0.05 * k for k in range(1, CHAIN_POINTS + 3)))
 
+    def test_chains_are_balanced(self):
+        for n in range(1, 4 * CHAIN_POINTS + 2):
+            values = tuple(range(n))
+            chains = chains_of(values)
+            lengths = [len(chain) for chain in chains]
+            assert sum(chains, ()) == values
+            assert len(chains) == -(-n // CHAIN_POINTS)
+            assert max(lengths) <= CHAIN_POINTS
+            assert max(lengths) - min(lengths) <= 1
+
+    def test_chains_and_pool_size_follow_the_plan(self, cap_plan, pool_sizes,
+                                                  monkeypatch):
+        chains = []
+
+        def recording(plan, values, _solve_chain=powermarket.sweep._solve_chain):
+            chains.append(values)
+            return _solve_chain(plan, values)
+        monkeypatch.setattr(powermarket.sweep, "_solve_chain", recording)
+        expected = chains_of(cap_plan.values)
+        assert len(expected) == 2
+        for jobs in (1, 2, 3, 8):
+            chains.clear()
+            assert run_sweep(cap_plan, parallelism=jobs).all_verified
+            assert chains == expected
+        assert pool_sizes == [2, 2, 2]
+
+    def test_plan_of_one_chain_builds_no_pool(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a one-chain sweep must run in this process")
+        monkeypatch.setattr(powermarket.sweep, "ProcessPoolExecutor", no_pool)
+        plan = SweepPlan(system=two_tech_system(snapshots=24), axis="co2_tax",
+                         values=tuple(float(k) for k in range(CHAIN_POINTS)))
+        result = run_sweep(plan, parallelism=4)
+        assert [p.status for p in result.points] == ["optimal"] * CHAIN_POINTS
+
     def test_each_chain_starts_cold_then_goes_warm(self, cap_plan, warm):
         result = run_sweep(cap_plan)
         assert result.all_verified
-        assert warm == [False] + [True] * (CHAIN_POINTS - 1) + [False, True]
+        assert warm == [k > 0 for chain in chains_of(cap_plan.values)
+                        for k in range(len(chain))]
+        assert warm.count(False) == 2
 
     def test_chains_give_the_same_bytes_at_any_worker_count(self, cap_plan):
         texts = {jobs: sweep_csv_text(cap_plan, run_sweep(cap_plan, parallelism=jobs))
@@ -129,16 +177,7 @@ class TestChains:
         assert texts[1] == texts[2] == texts[3]
 
     def test_point_after_a_failed_one_starts_cold(self, warm):
-        from powermarket.model import PowerSystem, TechnologySpec, synth_profiles
-
-        solar = TechnologySpec(name="solar", capex=1000.0, lifetime=25.0,
-                               availability=synth_profiles(2, 48, "solar-diurnal"))
-        gas = TechnologySpec(name="gas", capex=500.0, lifetime=25.0,
-                             fuel_cost=25.0, efficiency=0.5,
-                             emission_factor=0.2 / 0.5)
-        system = PowerSystem(nodes=("N",), snapshots=48,
-                             demand={"N": tuple([10.0] * 48)},
-                             technologies=(("N", solar), ("N", gas)), voll=None)
-        result = run_sweep(SweepPlan(system=system, axis="co2_cap", values=(0.0, 1e9)))
+        plan = SweepPlan(system=solar_gas_system(), axis="co2_cap", values=(0.0, 1e9))
+        result = run_sweep(plan)
         assert [p.status for p in result.points] == ["infeasible", "optimal"]
         assert warm == [False, False]
