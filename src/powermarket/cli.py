@@ -135,20 +135,14 @@ def cmd_emit_lp(args) -> int:
 
 def cmd_sweep(args) -> int:
     try:
-        plan, jobs = load_plan(args.plan)
+        plan = load_plan(args.plan)
     except OSError as exc:
         return _unreadable(exc, args.plan)
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    if args.jobs < 0:
-        print(f"error: --jobs must be a positive integer, got {args.jobs}",
-              file=sys.stderr)
-        return EXIT_INPUT
-    if args.jobs:
-        jobs = args.jobs
     out = _out_dir(args)
-    result = run_sweep(plan, parallelism=jobs)
+    result = run_sweep(plan)
     write_sweep_csv(plan, result, os.path.join(out, f"{plan.name}.csv"))
     with open(os.path.join(out, f"{plan.name}.manifest.json"), "w",
               encoding="utf-8") as fh:
@@ -217,9 +211,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="run a scenario grid from a plan file")
     p.add_argument("plan")
     p.add_argument("--out-dir", default=None)
-    p.add_argument("--jobs", type=int, default=0, metavar="N",
-                   help="worker processes, at most one per chain of "
-                        "the sweep (default: plan setting or 1)")
+    # ignored: a sweep runs in this process; bench/worker.py still passes it
+    p.add_argument("--jobs", type=int, default=0, help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("verify", help="solve and run all theorem checks")

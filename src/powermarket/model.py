@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import sys
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -298,6 +298,15 @@ def _check_profile(out, entity, series, length, rule, lo=0.0, hi=None):
             return
 
 
+def _check_finite(out, entity, spec):
+    """One violation per float field of the dataclass ``spec`` that is NaN
+    or infinite."""
+    for f in fields(spec):
+        v = getattr(spec, f.name)
+        if f.init and isinstance(v, float) and not math.isfinite(v):
+            out.append(Violation(entity, "non-finite", f"{f.name} is {v}"))
+
+
 def validate(system: PowerSystem, policy: PolicyConfig) -> list:
     """Check all model invariants; returns structured violations, never raises."""
     out: list = []
@@ -329,6 +338,7 @@ def validate(system: PowerSystem, policy: PolicyConfig) -> list:
         if (spec.name, node) in names:
             out.append(Violation(ent, "duplicate", "duplicate technology at node"))
         names.add((spec.name, node))
+        _check_finite(out, ent, spec)
         if spec.capex < 0:
             out.append(Violation(ent, "capex", "capex must be >= 0"))
         if spec.lifetime < 1:
@@ -348,6 +358,7 @@ def validate(system: PowerSystem, policy: PolicyConfig) -> list:
             out.append(Violation(ent, "unresolved-node", f"unknown node {node}"))
         if not _check_ident(sto.name):
             out.append(Violation(ent, "identifier", "storage name has invalid characters"))
+        _check_finite(out, ent, sto)
         for eta in (sto.eta_discharge, sto.eta_charge, sto.eta_standing):
             if not (0.0 < eta <= 1.0):
                 out.append(Violation(ent, "efficiency", "efficiencies must be in (0, 1]"))
@@ -361,6 +372,7 @@ def validate(system: PowerSystem, policy: PolicyConfig) -> list:
         ent = line.name
         if line.from_node == line.to_node:
             out.append(Violation(ent, "self-loop", "line endpoints must differ"))
+        _check_finite(out, ent, line)
         for n in (line.from_node, line.to_node):
             if n not in system.nodes:
                 out.append(Violation(ent, "unresolved-node", f"unknown node {n}"))
@@ -369,6 +381,9 @@ def validate(system: PowerSystem, policy: PolicyConfig) -> list:
 
     known = {spec.name for _, spec in system.technologies}
     sup = policy.support
+    for instrument in (sup, policy.co2):
+        if instrument is not None:
+            _check_finite(out, "policy", instrument)
     if sup is not None:
         for t in sup.technologies:
             if t not in known:
@@ -390,6 +405,7 @@ def validate(system: PowerSystem, policy: PolicyConfig) -> list:
     if isinstance(co2, Co2Tax) and co2.rate < 0:
         out.append(Violation("policy", "co2-tax", "tax must be >= 0"))
 
+    _check_finite(out, "system", system)
     if system.voll is not None and system.voll <= 0:
         out.append(Violation("system", "voll", "value of lost load must be > 0"))
     if system.discount_rate < 0:

@@ -438,30 +438,43 @@ def serialize_scenario(system: PowerSystem, policy: PolicyConfig,
     return json.dumps(doc, indent=2, sort_keys=True)
 
 
+_PLAN_KEYS = ("name", "scenario", "axis", "values", "policy_set",
+              "suppress_negative_prices")
+
+
 def load_plan(path):
-    """Parse a sweep plan file: a scenario plus {axis, values, policy_set,
-    jobs} keys.  Returns (SweepPlan, jobs)."""
+    """Parse a sweep plan file: a scenario (path or inline document) plus
+    {axis, values, policy_set, name, suppress_negative_prices} keys."""
     from .sweep import SweepPlan
 
     doc = _read_json(path)
-    errors = [k for k in ("axis", "values") if k not in doc]
+    if not isinstance(doc, dict):
+        raise ScenarioError(f"{path}: a plan is a JSON object")
+    errors = [f"unknown plan key '{k}'" for k in doc if k not in _PLAN_KEYS]
+    errors += [f"missing plan key '{k}'" for k in ("scenario", "axis", "values")
+               if k not in doc]
+    scenario, values = doc.get("scenario", ""), doc.get("values", [])
+    policy_set = doc.get("policy_set", [])
+    if not isinstance(scenario, (str, dict)):
+        errors.append("plan key 'scenario' must be a path or an inline document")
+    if not isinstance(values, list) or not all(
+            isinstance(v, (int, float)) and not isinstance(v, bool) for v in values):
+        errors.append("plan key 'values' must be a list of numbers")
+    if not isinstance(policy_set, list) or not all(isinstance(t, str) for t in policy_set):
+        errors.append("plan key 'policy_set' must be a list of technology names")
     if errors:
-        raise ScenarioError("; ".join(f"missing plan key '{k}'" for k in errors))
+        raise ScenarioError("; ".join(errors))
     base_dir = os.path.dirname(os.path.abspath(path))
-    if "scenario" in doc:
-        if isinstance(doc["scenario"], str):
-            system, policy, options = load_scenario(
-                os.path.join(base_dir, doc["scenario"]))
-        else:
-            system, policy, options = loads_scenario(doc["scenario"], base_dir)
+    if isinstance(scenario, str):
+        system, policy, options = load_scenario(os.path.join(base_dir, scenario))
     else:
-        raise ScenarioError("plan needs a 'scenario' (path or inline document)")
+        system, policy, options = loads_scenario(scenario, base_dir)
     try:
-        plan = SweepPlan(
+        return SweepPlan(
             system=system,
             axis=doc["axis"],
-            values=tuple(float(v) for v in doc["values"]),
-            policy_set=tuple(doc.get("policy_set", ())),
+            values=tuple(float(v) for v in values),
+            policy_set=tuple(policy_set),
             base_co2=policy.co2,
             suppress_negative_prices=bool(
                 doc.get("suppress_negative_prices",
@@ -471,7 +484,3 @@ def load_plan(path):
         )
     except ValueError as exc:
         raise ScenarioError(str(exc)) from None
-    jobs = doc.get("jobs", 1)
-    if isinstance(jobs, bool) or not isinstance(jobs, int) or jobs < 1:
-        raise ScenarioError(f"plan key 'jobs' must be a positive integer, got {jobs!r}")
-    return plan, jobs

@@ -94,6 +94,14 @@ def status_of(model_status) -> str:
     return _STATUS.get(model_status.name, "numerical")
 
 
+def _check(call: str, status) -> None:
+    """Raise if a HiGHS call returned ``HighsStatus.kError``: the model it
+    meant to change is not the one HiGHS holds (a NaN bound, say), and
+    running it anyway can crash the interpreter."""
+    if status.name == "kError":
+        raise SolveError(f"HiGHS {call} returned an error")
+
+
 def load_highs():
     """Import and return scipy's bindings of the HiGHS library.
 
@@ -118,7 +126,8 @@ class Session:
     any LP after a solve that did not end optimal, is loaded cold into a
     new HiGHS model.  A warm solve that does not end optimal is repeated
     cold in a new model, and the cold result is returned with the
-    iterations and time of both runs.
+    iterations and time of both runs.  An LP that HiGHS rejects raises
+    :class:`SolveError`, and the next LP is loaded cold.
     """
 
     def __init__(self):
@@ -148,11 +157,11 @@ class Session:
         cold in a new model where ``picked`` is None."""
         warm = picked is not None
         t0 = time.perf_counter()
+        self._optimal = False
         if warm:
             self._push(lp, picked)
         else:
             picked = self._load(lp)
-        self._optimal = False
         highs = self._highs
         highs.run()
         wall = time.perf_counter() - t0
@@ -175,7 +184,7 @@ class Session:
         core = load_highs()
         self._highs = core._Highs()
         for name, value in self.options:
-            self._highs.setOptionValue(name, value)
+            _check(f"setOptionValue({name})", self._highs.setOptionValue(name, value))
         sense = lp.rows.sense
         eq = sense == "="
         order = np.concatenate((np.flatnonzero(~eq), np.flatnonzero(eq)))
@@ -199,7 +208,7 @@ class Session:
         picked = np.arange(len(order))
         self._row_lower, self._row_upper = self._row_bounds(lp, picked)
         model.row_lower_, model.row_upper_ = self._row_lower, self._row_upper
-        self._highs.passModel(model)
+        _check("passModel", self._highs.passModel(model))
         self._loaded = lp
         return picked
 
@@ -245,16 +254,18 @@ class Session:
         changed = np.flatnonzero(cols.objective != self._cost)
         if changed.size:
             self._cost = cols.objective.copy()
-            highs.changeColsCost(changed.size, changed.astype(np.int32),
-                                 self._cost[changed])
+            _check("changeColsCost", highs.changeColsCost(
+                changed.size, changed.astype(np.int32), self._cost[changed]))
         changed = np.flatnonzero((cols.lower != self._lower) | (cols.upper != self._upper))
         if changed.size:
             self._lower, self._upper = cols.lower.copy(), cols.upper.copy()
-            highs.changeColsBounds(changed.size, changed.astype(np.int32),
-                                   self._lower[changed], self._upper[changed])
+            _check("changeColsBounds", highs.changeColsBounds(
+                changed.size, changed.astype(np.int32),
+                self._lower[changed], self._upper[changed]))
         lower, upper = self._row_bounds(lp, picked)
         for i in np.flatnonzero((lower != self._row_lower) | (upper != self._row_upper)):
-            highs.changeRowBounds(int(i), float(lower[i]), float(upper[i]))
+            _check("changeRowBounds",
+                   highs.changeRowBounds(int(i), float(lower[i]), float(upper[i])))
         self._row_lower, self._row_upper = lower, upper
 
 

@@ -1,13 +1,10 @@
 """Deterministic scenario grids: penetration sweeps, cap tightening, tax grids.
 
-A sweep solves one equilibrium per axis value, verifies it, and merges the
-results in axis order.  The axis is cut into the fewest chains of at most
-:data:`CHAIN_POINTS` consecutive points, of lengths that differ by at most
-one (:func:`chains_of`); each chain runs in one HiGHS session, every point
-warm from the basis of the point before it where the LPs allow it, and
-worker processes take whole chains.  The chains depend on the plan alone,
-not on the degree of parallelism, so neither does the output, byte for
-byte.  Infeasible tail points (a cap of zero without flexibility, say) are
+A sweep solves one equilibrium per axis value, in axis order, and verifies
+it.  All points run in one HiGHS session in the calling process, each warm
+from the basis of the point before it where the LPs allow it; a cold solve
+costs as much as dozens of warm points, so a sweep pays for one.
+Infeasible tail points (a cap of zero without flexibility, say) are
 recorded as such instead of aborting the grid.
 """
 
@@ -17,7 +14,7 @@ import csv
 import hashlib
 import io
 import json
-from concurrent.futures import ProcessPoolExecutor
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -31,19 +28,13 @@ from .model import (
     SupportAvailable,
     SupportDispatched,
 )
-from .solve import Session, load_highs, solve
+from .solve import Session, solve
 from .verify import verify_solution
 
-__all__ = ["SweepPlan", "SweepPoint", "SweepResult", "chains_of", "run_sweep",
+__all__ = ["SweepPlan", "SweepPoint", "SweepResult", "run_sweep",
            "write_sweep_csv", "sweep_manifest"]
 
 AXES = ("support_share", "available_target", "co2_cap", "co2_intensity", "co2_tax")
-
-# Most axis points per warm-started chain.  A chain pays for one cold
-# solve, which costs as much as dozens of warm points, so a sweep gets a
-# second chain, and with it a second worker, only past this many points.
-# CHANGES.md has the measurements behind the value.
-CHAIN_POINTS = 20
 
 
 @dataclass(frozen=True)
@@ -70,6 +61,8 @@ class SweepPlan:
             raise ValueError(f"unknown sweep axis '{self.axis}'; one of {AXES}")
         if not self.values:
             raise ValueError("sweep axis needs at least one value")
+        if not all(math.isfinite(v) for v in self.values):
+            raise ValueError("sweep axis values must be finite")
         if list(self.values) != sorted(self.values):
             raise ValueError("sweep axis values must be sorted ascending")
         if self.axis in ("support_share", "available_target") and not self.policy_set:
@@ -147,42 +140,12 @@ def _solve_point(plan: SweepPlan, value: float, session: Session) -> SweepPoint:
                           message=f"{type(exc).__name__}: {exc}")
 
 
-def _solve_chain(plan: SweepPlan, values: tuple) -> list:
-    """Solve consecutive axis points in one HiGHS session."""
+def run_sweep(plan: SweepPlan) -> SweepResult:
+    """Solve and verify every point of the plan, in axis order, in one
+    HiGHS session: each point starts from the basis of the one before it,
+    or cold after a point that did not end optimal."""
     session = Session()
-    return [_solve_point(plan, v, session) for v in values]
-
-
-def chains_of(values: tuple) -> list:
-    """Cut the axis into the fewest chains of at most :data:`CHAIN_POINTS`
-    consecutive points; the first chains take one point more where the
-    points do not divide evenly."""
-    count = -(-len(values) // CHAIN_POINTS)
-    size, longer = divmod(len(values), count)
-    bounds = [k * size + min(k, longer) for k in range(count + 1)]
-    return [values[a:b] for a, b in zip(bounds, bounds[1:])]
-
-
-def run_sweep(plan: SweepPlan, parallelism: int = 1) -> SweepResult:
-    """Solve and verify every point of the plan.
-
-    Chains of points are independent; with ``parallelism`` > 1 they are
-    distributed over at most that many worker processes, never more than
-    there are chains, and merged back in axis order.  A sweep of one chain
-    runs in this process.
-    """
-    chains = chains_of(plan.values)
-    workers = min(parallelism, len(chains))
-    if workers <= 1:
-        points = [p for chain in chains for p in _solve_chain(plan, chain)]
-    else:
-        # The pool forks its workers from this process: load the solver
-        # here, once, so that they inherit it instead of each importing it
-        # on its own.
-        load_highs()
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            points = [p for chain in pool.map(_solve_chain, [plan] * len(chains), chains)
-                      for p in chain]
+    points = [_solve_point(plan, v, session) for v in plan.values]
     return SweepResult(plan_name=plan.name, axis=plan.axis, points=points,
                        config_digest=plan.config_digest())
 

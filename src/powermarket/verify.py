@@ -83,8 +83,9 @@ class KktReport:
 
     @property
     def passed(self) -> bool:
-        return max(self.stationarity, self.primal, self.dual,
-                   self.complementarity) <= self.tol
+        """Every residual is at most ``tol``; a NaN residual fails."""
+        return all(r <= self.tol for r in (self.stationarity, self.primal, self.dual,
+                                           self.complementarity))
 
     def results(self) -> list:
         verdict = "pass" if self.passed else "fail"

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -14,8 +15,19 @@ import powermarket.cli
 import powermarket.verify
 from powermarket.cli import main
 from powermarket.formulate import build_lp, parse_mps, tech_key
-from powermarket.model import PolicyConfig
-from powermarket.scenario import load_scenario
+from powermarket.model import (
+    Co2Cap,
+    Co2Tax,
+    FixedFip,
+    LineSpec,
+    PolicyConfig,
+    PowerSystem,
+    StorageSpec,
+    SupportDispatched,
+    TechnologySpec,
+    validate,
+)
+from powermarket.scenario import load_scenario, serialize_scenario
 from powermarket.solve import Solution, load_highs, solve, status_of
 
 from conftest import scenario_path
@@ -162,29 +174,19 @@ print(json.dumps({"before_solve": before_solve,
                   "after_solve": "scipy.optimize" in sys.modules}))
 """
 
-SWEEP_PROBE = """
-import dataclasses, json, sys
-import powermarket.cli
-from powermarket.scenario import load_plan
-from powermarket.sweep import CHAIN_POINTS, run_sweep
-
-plan, _ = load_plan(sys.argv[1])
-# two chains, so that the sweep builds a pool
-plan = dataclasses.replace(plan, values=tuple(0.05 * k for k in range(1, CHAIN_POINTS + 2)))
-before = "scipy.optimize" in sys.modules
-result = run_sweep(plan, parallelism=2)
-assert result.all_verified
-print(json.dumps({"before": before, "after": "scipy.optimize" in sys.modules}))
-"""
-
-
-def run_fresh(code: str, *args) -> dict:
-    """Run ``code`` in a new interpreter that imports this powermarket."""
+def fresh(*args) -> subprocess.CompletedProcess:
+    """Run the interpreter with ``args`` in a new process that imports this
+    powermarket."""
     src = os.path.dirname(os.path.dirname(powermarket.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    proc = subprocess.run([sys.executable, "-c", code, *args], env=env,
+    return subprocess.run([sys.executable, *args], env=env,
                           capture_output=True, text=True, timeout=120)
+
+
+def run_fresh(code: str, *args) -> dict:
+    """Run ``code`` in a new interpreter; returns the JSON of its last line."""
+    proc = fresh("-c", code, *args)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
@@ -197,32 +199,115 @@ class TestStartup:
                           str(tmp_path / "fresh"))
         assert probe == {"before_solve": [], "after_solve": True}
 
-    def test_sweep_loads_the_solver_before_forking(self):
-        probe = run_fresh(SWEEP_PROBE, scenario_path("support_sweep.json"))
-        assert probe == {"before": False, "after": True}
+
+def every_number_set():
+    """Two nodes with a fuelled unit, wind, a battery and a line, every
+    number field of each set, and no violation."""
+    gas = TechnologySpec(name="gas", capex=500.0, lifetime=20.0, fixed_om=5.0,
+                         variable_cost=1.0, fuel_cost=20.0, efficiency=0.5,
+                         emission_factor=0.4, max_potential=100.0)
+    wind = TechnologySpec(name="wind", capex=900.0, availability=(0.5, 0.2))
+    battery = StorageSpec(name="battery", capex_discharge=10.0, capex_charge=5.0,
+                          capex_energy=2.0, lifetime=15.0, eta_discharge=0.9,
+                          eta_charge=0.9, eta_standing=0.99,
+                          fixed_energy_power_ratio=4.0)
+    line = LineSpec("A", "B", existing_capacity=10.0, existing_capacity_reverse=5.0,
+                    expandable=True, capex=100.0, lifetime=30.0, reactance=0.1)
+    return PowerSystem(nodes=("A", "B"), snapshots=2,
+                       demand={"A": (10.0, 12.0), "B": (5.0, 6.0)},
+                       technologies=(("A", gas), ("B", wind)),
+                       storages=(("A", battery),), lines=(line,),
+                       voll=1000.0, discount_rate=0.05)
+
+
+NAN = float("nan")
+# (part, field): every number field that validate checks
+NUMBER_FIELDS = (
+    [("technology", f) for f in ("capex", "lifetime", "fixed_om", "variable_cost",
+                                 "fuel_cost", "efficiency", "emission_factor",
+                                 "max_potential")]
+    + [("storage", f) for f in ("capex_discharge", "capex_charge", "capex_energy",
+                                "lifetime", "eta_discharge", "eta_charge",
+                                "eta_standing", "fixed_energy_power_ratio")]
+    + [("line", f) for f in ("existing_capacity", "existing_capacity_reverse",
+                             "capex", "lifetime", "reactance")]
+    + [("policy", f) for f in ("share", "target", "premium", "cap", "rate")]
+    + [("system", "voll"), ("system", "discount_rate")])
+
+
+def with_non_finite(part: str, name: str, value: float):
+    """(system, policy, entity) with ``name`` of ``part`` set to ``value``."""
+    system, policy = every_number_set(), PolicyConfig.none()
+    if part == "technology":
+        (node, gas), wind = system.technologies
+        technologies = ((node, dataclasses.replace(gas, **{name: value})), wind)
+        return dataclasses.replace(system, technologies=technologies), policy, "gas@A"
+    if part == "storage":
+        (node, battery), = system.storages
+        storages = ((node, dataclasses.replace(battery, **{name: value})),)
+        return dataclasses.replace(system, storages=storages), policy, "battery@A"
+    if part == "line":
+        lines = (dataclasses.replace(system.lines[0], **{name: value}),)
+        return dataclasses.replace(system, lines=lines), policy, "A+B"
+    if part == "system":
+        return dataclasses.replace(system, **{name: value}), policy, "system"
+    instrument = {"share": SupportDispatched(("wind",), share=value),
+                  "target": SupportDispatched(("wind",), target=value),
+                  "premium": FixedFip(("wind",), premium=value),
+                  "cap": Co2Cap(value), "rate": Co2Tax(value)}[name]
+    if name in ("cap", "rate"):
+        return system, PolicyConfig(co2=instrument), "policy"
+    return system, PolicyConfig(support=instrument), "policy"
+
+
+class TestNonFinite:
+    def test_the_base_system_is_valid(self):
+        assert validate(every_number_set(), PolicyConfig.none()) == []
+
+    @pytest.mark.parametrize("part, name", NUMBER_FIELDS,
+                             ids=[f"{part}-{name}" for part, name in NUMBER_FIELDS])
+    def test_non_finite_number_exits_one(self, tmp_path, capsys, part, name):
+        system, policy, entity = with_non_finite(part, name, NAN)
+        found = [(v.entity, v.message) for v in validate(system, policy)
+                 if v.rule == "non-finite"]
+        assert found == [(entity, f"{name} is nan")]
+        path = tmp_path / "bad.json"
+        path.write_text(serialize_scenario(system, policy))
+        assert exit_code(["validate", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"{entity}: non-finite ({name} is nan)" in err
+
+    @pytest.mark.parametrize("value", [float("inf"), -float("inf")])
+    def test_infinite_numbers_are_non_finite(self, value):
+        system, policy, _ = with_non_finite("technology", "capex", value)
+        assert "non-finite" in [v.rule for v in validate(system, policy)]
+
+    @pytest.mark.parametrize("command", ["validate", "solve"])
+    def test_nan_quota_target_exits_one(self, tmp_path, command):
+        # in a new interpreter: HiGHS crashes the one that runs this LP
+        with open(scenario_path("wind_gas_168h.json"), encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["policy"] = {"support": {"type": "dispatched", "technologies": ["wind"],
+                                     "target": NAN}}
+        path = tmp_path / "nan_target.json"
+        path.write_text(json.dumps(doc))
+        out = ["--out-dir", str(tmp_path)] if command == "solve" else []
+        proc = fresh("-m", "powermarket.cli", command, str(path), *out)
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert "policy: non-finite (target is nan)" in proc.stderr
 
 
 class TestSweep:
     def test_jobs_do_not_change_bytes(self, tmp_path):
+        # --jobs is accepted and ignored
         plan = scenario_path("support_sweep.json")
-        d1, d2 = tmp_path / "j1", tmp_path / "j8"
-        assert main(["sweep", plan, "--out-dir", str(d1), "--jobs", "1"]) == 0
-        assert main(["sweep", plan, "--out-dir", str(d2), "--jobs", "8"]) == 0
-        a = (d1 / "support_sweep.csv").read_bytes()
-        b = (d2 / "support_sweep.csv").read_bytes()
-        assert a == b
-
-    @pytest.mark.parametrize("plan_jobs, flag", [("two", []), (1, ["--jobs", "-2"])],
-                             ids=["plan-jobs-not-a-number", "negative-jobs-flag"])
-    def test_bad_jobs_exit_one_with_an_error_line(self, tmp_path, capsys, plan_jobs,
-                                                  flag):
-        plan = tmp_path / "plan.json"
-        plan.write_text(json.dumps({"scenario": scenario_path("wind_gas_168h.json"),
-                                    "axis": "co2_tax", "values": [1.0],
-                                    "jobs": plan_jobs}))
-        assert exit_code(["sweep", str(plan), "--out-dir", str(tmp_path), *flag]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "jobs" in err and err.count("\n") == 1
+        d1, d2 = tmp_path / "plain", tmp_path / "j2"
+        assert main(["sweep", plan, "--out-dir", str(d1)]) == 0
+        assert main(["sweep", plan, "--out-dir", str(d2), "--jobs", "2"]) == 0
+        for name in ("support_sweep.csv", "support_sweep.manifest.json"):
+            assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
 
     def test_manifest_has_digest_and_verdicts(self, tmp_path):
         plan = scenario_path("co2_sweep_flex.json")

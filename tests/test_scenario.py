@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from powermarket.cli import main
 from powermarket.model import Co2Cap, SupportDispatched
 from powermarket.scenario import (
     DEFAULT_TECHNOLOGIES,
@@ -131,15 +132,35 @@ class TestRoundTrip:
 class TestPlans:
     def test_bundled_plans_load(self):
         for name in ("support_sweep.json", "co2_sweep_flex.json"):
-            plan, jobs = load_plan(scenario_path(name))
-            assert plan.values and jobs >= 1
+            assert load_plan(scenario_path(name)).values
 
-    @pytest.mark.parametrize("jobs", ["two", -1, 0, 1.5, True])
-    def test_jobs_must_be_a_positive_integer(self, tmp_path, jobs):
+    @pytest.mark.parametrize("change, message", [
+        ({"values": 5}, "'values' must be a list of numbers"),
+        ({"values": [None]}, "'values' must be a list of numbers"),
+        ({"values": ["1.0"]}, "'values' must be a list of numbers"),
+        ({"values": [1.0, float("nan")]}, "values must be finite"),
+        ({"policy_set": 5}, "'policy_set' must be a list of technology names"),
+        ({"policy_set": "gas"}, "'policy_set' must be a list of technology names"),
+        ({"scenario": 5}, "'scenario' must be a path or an inline document"),
+        ({"polcy_set": ["gas"]}, "unknown plan key 'polcy_set'"),
+        ({"jobs": 1}, "unknown plan key 'jobs'"),
+    ], ids=["values-not-a-list", "value-null", "value-a-string", "value-nan",
+            "policy-set-not-a-list", "policy-set-a-string", "scenario-a-number",
+            "misspelt-key", "stale-jobs-key"])
+    def test_bad_plan_is_one_error_line(self, tmp_path, capsys, change, message):
         p = tmp_path / "p.json"
         p.write_text(json.dumps({"scenario": minimal_doc(), "axis": "co2_tax",
-                                 "values": [1.0], "jobs": jobs}))
-        with pytest.raises(ScenarioError, match="'jobs' must be a positive integer"):
+                                 "values": [1.0], **change}))
+        with pytest.raises(ScenarioError, match=message):
+            load_plan(p)
+        assert main(["sweep", str(p), "--out-dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and err.count("\n") == 1
+
+    def test_plan_that_is_not_an_object(self, tmp_path):
+        p = tmp_path / "p.json"
+        p.write_text("[]")
+        with pytest.raises(ScenarioError, match="JSON object"):
             load_plan(p)
 
     def test_plan_without_axis(self, tmp_path):

@@ -217,7 +217,42 @@ class TestStatus:
         assert sol.status == "iteration-limit" and sol.x is None
 
 
+# Runs in a fresh interpreter: HiGHS crashes it when it runs a model it
+# rejected.  Prints (status, warm start) or the error of each solve.
+NAN_RHS_PROBE = """
+import json, math
+from powermarket.formulate import LinearProgram
+from powermarket.solve import Session, SolveError, solve
+
+def lp_needing(rhs):
+    lp = LinearProgram()
+    x = lp.add_columns("x", lower=0.0, upper=1.0, objective=1.0)
+    need = lp.add_rows("need", sense=">=", rhs=rhs)
+    lp.add_entries(need, x, 1.0)
+    return lp
+
+def outcome(solve, lp):
+    try:
+        sol = solve(lp)
+    except SolveError as exc:
+        return str(exc)
+    return [sol.status, sol.warm_start]
+
+session = Session()
+print(json.dumps([outcome(solve, lp_needing(math.nan))]
+                 + [outcome(session.solve, lp_needing(rhs))
+                    for rhs in (0.5, math.nan, 0.5)]))
+"""
+
+
 class TestSession:
+    def test_rejected_lp_raises_and_the_next_one_loads_cold(self):
+        from test_cli import run_fresh
+
+        assert run_fresh(NAN_RHS_PROBE) == [
+            "HiGHS passModel returned an error", ["optimal", False],
+            "HiGHS changeRowBounds returned an error", ["optimal", False]]
+
     def test_tax_lp_resolves_warm_from_the_cap_basis(self, desk_system):
         lp = build_lp(desk_system, PolicyConfig(co2=Co2Cap(900.0)))
         sol = solve(lp)

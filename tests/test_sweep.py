@@ -3,14 +3,7 @@ import json
 import pytest
 
 import powermarket.sweep
-from powermarket.sweep import (
-    CHAIN_POINTS,
-    SweepPlan,
-    chains_of,
-    run_sweep,
-    sweep_csv_text,
-    sweep_manifest,
-)
+from powermarket.sweep import SweepPlan, run_sweep, sweep_manifest
 
 from conftest import solar_gas_system, two_tech_system
 
@@ -37,6 +30,11 @@ class TestPlanValidation:
             SweepPlan(system=two_tech_system(), axis="support_share",
                       values=(0.1,))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_non_finite_values(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            SweepPlan(system=two_tech_system(), axis="co2_tax", values=(1.0, bad))
+
     def test_intensity_converts_to_absolute_cap(self):
         system = two_tech_system()
         plan = SweepPlan(system=system, axis="co2_intensity", values=(0.1,))
@@ -53,13 +51,8 @@ class TestRunSweep:
         assert point.status == "optimal" and point.verdict == "pass"
         assert point.report.mu_gamma is None
 
-    def test_parallel_and_serial_are_byte_identical(self, support_plan):
-        r1 = run_sweep(support_plan, parallelism=1)
-        r4 = run_sweep(support_plan, parallelism=4)
-        assert sweep_csv_text(support_plan, r1) == sweep_csv_text(support_plan, r4)
-
     def test_points_in_axis_order_and_verified(self, support_plan):
-        result = run_sweep(support_plan, parallelism=4)
+        result = run_sweep(support_plan)
         assert [p.value for p in result.points] == list(support_plan.values)
         assert result.all_verified
 
@@ -100,81 +93,15 @@ def warm(monkeypatch):
     return flags
 
 
-@pytest.fixture
-def pool_sizes(monkeypatch):
-    """The ``max_workers`` of each pool a sweep builds; the stand-in pool
-    runs its chains in this process."""
-    sizes = []
-
-    class InlinePool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
-    monkeypatch.setattr(powermarket.sweep, "ProcessPoolExecutor", InlinePool)
-    return sizes
-
-
 class TestChains:
-    @pytest.fixture(scope="class")
-    def cap_plan(self):
-        system = two_tech_system(snapshots=48)
-        return SweepPlan(system=system, axis="co2_intensity",
-                         values=tuple(0.05 * k for k in range(1, CHAIN_POINTS + 3)))
-
-    def test_chains_are_balanced(self):
-        for n in range(1, 4 * CHAIN_POINTS + 2):
-            values = tuple(range(n))
-            chains = chains_of(values)
-            lengths = [len(chain) for chain in chains]
-            assert sum(chains, ()) == values
-            assert len(chains) == -(-n // CHAIN_POINTS)
-            assert max(lengths) <= CHAIN_POINTS
-            assert max(lengths) - min(lengths) <= 1
-
-    def test_chains_and_pool_size_follow_the_plan(self, cap_plan, pool_sizes,
-                                                  monkeypatch):
-        chains = []
-
-        def recording(plan, values, _solve_chain=powermarket.sweep._solve_chain):
-            chains.append(values)
-            return _solve_chain(plan, values)
-        monkeypatch.setattr(powermarket.sweep, "_solve_chain", recording)
-        expected = chains_of(cap_plan.values)
-        assert len(expected) == 2
-        for jobs in (1, 2, 3, 8):
-            chains.clear()
-            assert run_sweep(cap_plan, parallelism=jobs).all_verified
-            assert chains == expected
-        assert pool_sizes == [2, 2, 2]
-
-    def test_plan_of_one_chain_builds_no_pool(self, monkeypatch):
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a one-chain sweep must run in this process")
-        monkeypatch.setattr(powermarket.sweep, "ProcessPoolExecutor", no_pool)
-        plan = SweepPlan(system=two_tech_system(snapshots=24), axis="co2_tax",
-                         values=tuple(float(k) for k in range(CHAIN_POINTS)))
-        result = run_sweep(plan, parallelism=4)
-        assert [p.status for p in result.points] == ["optimal"] * CHAIN_POINTS
-
-    def test_each_chain_starts_cold_then_goes_warm(self, cap_plan, warm):
-        result = run_sweep(cap_plan)
+    def test_a_sweep_makes_one_cold_solve(self, warm):
+        # 42 points: three chains of at most 20 points each, had the axis
+        # still been cut into chains
+        plan = SweepPlan(system=two_tech_system(snapshots=48), axis="co2_intensity",
+                         values=tuple(0.05 * k for k in range(1, 2 * 20 + 3)))
+        result = run_sweep(plan)
         assert result.all_verified
-        assert warm == [k > 0 for chain in chains_of(cap_plan.values)
-                        for k in range(len(chain))]
-        assert warm.count(False) == 2
-
-    def test_chains_give_the_same_bytes_at_any_worker_count(self, cap_plan):
-        texts = {jobs: sweep_csv_text(cap_plan, run_sweep(cap_plan, parallelism=jobs))
-                 for jobs in (1, 2, 3)}
-        assert texts[1] == texts[2] == texts[3]
+        assert warm == [False] + [True] * (len(plan.values) - 1)
 
     def test_point_after_a_failed_one_starts_cold(self, warm):
         plan = SweepPlan(system=solar_gas_system(), axis="co2_cap", values=(0.0, 1e9))

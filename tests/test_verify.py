@@ -66,6 +66,16 @@ class TestKkt:
         sol.y = np.round(sol.y)
         assert not check_kkt(lp, sol).passed
 
+    def test_nan_residual_fails(self, desk_system):
+        lp = build_lp(desk_system, PolicyConfig.none())
+        sol = solve(lp)
+        lp.rows.rhs[:] = np.nan
+        report = check_kkt(lp, sol)
+        # the first residual is finite, so max() would drop the NaNs after it
+        assert report.stationarity <= 1e-6 and np.isnan(report.primal)
+        assert not report.passed
+        assert {r.verdict for r in report.results()} == {"fail"}
+
 
 class TestZeroProfit:
     def test_no_policy_generators(self, desk_system):
