@@ -48,14 +48,19 @@ def _unreadable(exc: OSError, path) -> int:
     return EXIT_INPUT
 
 
+def _error(exc: Exception, code: int) -> int:
+    """Report ``exc`` in one ``error:`` line; returns the exit code ``code``."""
+    print(f"error: {exc}", file=sys.stderr)
+    return code
+
+
 def _load(path):
     try:
         return load_scenario(path)
     except OSError as exc:
         raise SystemExit(_unreadable(exc, path))
     except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_INPUT)
+        raise SystemExit(_error(exc, EXIT_INPUT))
 
 
 def _not_optimal(sol) -> int:
@@ -97,10 +102,12 @@ def cmd_solve(args) -> int:
         except OSError as exc:
             return _unreadable(exc, args.external_solution)
         except SolveError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_INPUT
+            return _error(exc, EXIT_INPUT)
     else:
-        sol = solve(lp)
+        try:
+            sol = solve(lp)
+        except SolveError as exc:
+            return _error(exc, EXIT_SOLVER)
     if sol.status != "optimal":
         return _not_optimal(sol)
 
@@ -139,8 +146,7 @@ def cmd_sweep(args) -> int:
     except OSError as exc:
         return _unreadable(exc, args.plan)
     except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return _error(exc, EXIT_INPUT)
     out = _out_dir(args)
     result = run_sweep(plan)
     write_sweep_csv(plan, result, os.path.join(out, f"{plan.name}.csv"))
@@ -157,14 +163,17 @@ def cmd_verify(args) -> int:
     system, policy, options = _load(args.scenario)
     out = _out_dir(args)
     lp = build_lp(system, policy, enforce_kvl=options.get("kvl", False))
-    sol = solve(lp)
-    if sol.status != "optimal":
-        return _not_optimal(sol)
-    checks = verify_solution(system, lp, sol, policy)
-    if isinstance(policy.co2, Co2Cap):
-        checks.append(check_cap_tax_equivalence(system, lp, sol, policy))
-    if isinstance(policy.support, SupportDispatched):
-        checks.append(check_subsidy_tax_lift(system, lp, sol, policy))
+    try:
+        sol = solve(lp)
+        if sol.status != "optimal":
+            return _not_optimal(sol)
+        checks = verify_solution(system, lp, sol, policy)
+        if isinstance(policy.co2, Co2Cap):
+            checks.append(check_cap_tax_equivalence(system, lp, sol, policy))
+        if isinstance(policy.support, SupportDispatched):
+            checks.append(check_subsidy_tax_lift(system, lp, sol, policy))
+    except SolveError as exc:
+        return _error(exc, EXIT_SOLVER)
     with open(os.path.join(out, f"{options['name']}.verification.json"), "w",
               encoding="utf-8") as fh:
         fh.write(verify_report_json(checks))

@@ -20,7 +20,7 @@ import csv
 import io
 import json
 import os
-from typing import Optional
+from typing import Optional, get_type_hints
 
 from .model import (
     Co2Cap,
@@ -82,6 +82,68 @@ _LINE_FIELDS = ("from_node", "to_node", "existing_capacity",
                 "lifetime", "reactance")
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# JSON type names; bool before number, as a bool is an int in Python
+_JSON_TYPES = ((bool, "true/false"), (str, "a string"), (list, "a list"),
+               (dict, "an object"), (type(None), "null"), ((int, float), "a number"))
+
+# the kinds of value a scenario field can ask for
+_KINDS = {
+    "a number": _is_number,
+    "a number or null": lambda v: v is None or _is_number(v),
+    "an integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "a string": lambda v: isinstance(v, str),
+    "true or false": lambda v: isinstance(v, bool),
+    "an object": lambda v: isinstance(v, dict),
+    "an object or null": lambda v: v is None or isinstance(v, dict),
+    "a list of strings": lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v),
+    "a list of objects": lambda v: isinstance(v, list) and all(isinstance(x, dict) for x in v),
+}
+# the kind a dataclass field's annotation asks for
+_ANNOTATED = {float: "a number", Optional[float]: "a number or null", int: "an integer",
+              str: "a string", bool: "true or false"}
+
+
+def _field_kinds(*classes) -> dict:
+    """Field name -> kind of every annotated field of the dataclasses."""
+    return {name: _ANNOTATED[hint] for cls in classes
+            for name, hint in get_type_hints(cls).items() if hint in _ANNOTATED}
+
+
+_DOC_KINDS = {"name": "a string", "snapshots": "an integer", "timeseries": "a string",
+              "nodes": "a list of strings", "demand": "an object",
+              "technologies": "a list of objects", "storages": "a list of objects",
+              "lines": "a list of objects", "policy": "an object or null",
+              "options": "an object"}
+_OPTION_KINDS = {"voll": "a number or null", "discount_rate": "a number",
+                 "kvl": "true or false", "suppress_negative_prices": "true or false"}
+_SERIES_KINDS = {"scale": "a number", "seed": "an integer", "kind": "a string",
+                 "series": "a string"}
+_TECH_KINDS = _field_kinds(TechnologySpec)
+_STORAGE_KINDS = _field_kinds(StorageSpec)
+_LINE_KINDS = _field_kinds(LineSpec)
+_POLICY_KINDS = {"support": "an object or null", "co2": "an object or null"}
+_SUPPORT_KINDS = {**_field_kinds(SupportDispatched, SupportAvailable, FixedFip),
+                  "type": "a string", "technologies": "a list of strings"}
+_CO2_KINDS = {**_field_kinds(Co2Cap, Co2Tax), "type": "a string"}
+
+
+def _json_type(value) -> str:
+    return next((name for kind, name in _JSON_TYPES if isinstance(value, kind)),
+                type(value).__name__)
+
+
+def _type_errors(entry: dict, kinds: dict, where: str) -> list:
+    """One message per key of ``entry`` whose value is not of the kind
+    ``kinds`` names for it; keys it does not name are left to other checks."""
+    return [f"{where}: '{key}' must be {kinds[key]}, not {_json_type(value)}"
+            for key, value in entry.items()
+            if key in kinds and not _KINDS[kinds[key]](value)]
+
+
 def _read_timeseries_csv(path, errors: list) -> dict:
     """Read `timestamp,<node>_<series>` columns into name -> list of floats."""
     if not os.path.exists(path):
@@ -117,12 +179,15 @@ def _resolve_series(value, snapshots: int, series: dict, where: str,
     """A series is an inline list, a {'kind','seed'} synth reference, or a
     {'series': <csv column>} reference, with an optional 'scale'."""
     if isinstance(value, (list, tuple)):
-        try:
-            return tuple(float(v) for v in value)
-        except (TypeError, ValueError):
+        if not all(_is_number(v) for v in value):
             errors.append(f"{where}: non-numeric value in series")
             return None
+        return tuple(float(v) for v in value)
     if isinstance(value, dict):
+        bad = _type_errors(value, _SERIES_KINDS, where)
+        if bad:
+            errors.extend(bad)
+            return None
         scale = float(value.get("scale", 1.0))
         if "kind" in value:
             kind = value["kind"]
@@ -131,7 +196,7 @@ def _resolve_series(value, snapshots: int, series: dict, where: str,
                               f"(choose from {PROFILE_KINDS})")
                 return None
             try:
-                base = synth_profiles(int(value.get("seed", 0)), snapshots, kind)
+                base = synth_profiles(value.get("seed", 0), snapshots, kind)
             except ValueError as exc:
                 errors.append(f"{where}: {exc}")
                 return None
@@ -167,6 +232,10 @@ def _build_tech(entry: dict, snapshots: int, series: dict, where: str,
             errors.append(f"{where}: unknown technology field '{key}'")
             return None
         kwargs[key] = val
+    bad = _type_errors(kwargs, _TECH_KINDS, where)
+    if bad:
+        errors.extend(bad)
+        return None
     if "name" not in kwargs:
         errors.append(f"{where}: technology needs a 'name' or a 'default'")
         return None
@@ -203,6 +272,10 @@ def _build_storage(entry: dict, where: str, errors: list) -> Optional[StorageSpe
             errors.append(f"{where}: unknown storage field '{key}'")
             return None
         kwargs[key] = val
+    bad = _type_errors(kwargs, _STORAGE_KINDS, where)
+    if bad:
+        errors.extend(bad)
+        return None
     if "name" not in kwargs:
         errors.append(f"{where}: storage needs a 'name' or a 'default'")
         return None
@@ -217,6 +290,13 @@ def _build_policy(doc: dict, errors: list) -> PolicyConfig:
     pol = doc.get("policy") or {}
     support = None
     co2 = None
+    bad = _type_errors(pol, _POLICY_KINDS, "policy")
+    if not bad:
+        bad = (_type_errors(pol.get("support") or {}, _SUPPORT_KINDS, "policy.support")
+               + _type_errors(pol.get("co2") or {}, _CO2_KINDS, "policy.co2"))
+    if bad:
+        errors.extend(bad)
+        return PolicyConfig()
     sup = pol.get("support")
     if sup is not None:
         kind = sup.get("type")
@@ -264,14 +344,16 @@ def loads_scenario(doc: dict, base_dir: str = "."):
     Schema violations are collected exhaustively and raised as one
     ScenarioError.
     """
-    errors: list = []
-    for key in ("snapshots", "nodes", "demand", "technologies"):
-        if key not in doc:
-            errors.append(f"missing required section '{key}'")
+    if not isinstance(doc, dict):
+        raise ScenarioError("a scenario is a JSON object")
+    errors: list = [f"missing required section '{key}'"
+                    for key in ("snapshots", "nodes", "demand", "technologies")
+                    if key not in doc]
+    errors += _type_errors(doc, _DOC_KINDS, "scenario")
     if errors:
         raise ScenarioError("; ".join(errors))
 
-    snapshots = int(doc["snapshots"])
+    snapshots = doc["snapshots"]
     nodes = tuple(doc["nodes"])
     series: dict = {}
     if "timeseries" in doc:
@@ -320,6 +402,10 @@ def loads_scenario(doc: dict, base_dir: str = "."):
         if bad:
             errors.append(f"{where}: unknown line fields {bad}")
             continue
+        bad = _type_errors(entry, _LINE_KINDS, where)
+        if bad:
+            errors.extend(bad)
+            continue
         try:
             lines.append(LineSpec(**entry))
         except (TypeError, ValueError) as exc:
@@ -327,6 +413,7 @@ def loads_scenario(doc: dict, base_dir: str = "."):
 
     policy = _build_policy(doc, errors)
     options = dict(doc.get("options", {}))
+    errors += _type_errors(options, _OPTION_KINDS, "options")
     voll = options.pop("voll", 1000.0)
     discount = options.pop("discount_rate", 0.07)
     for key in options:
@@ -457,8 +544,7 @@ def load_plan(path):
     policy_set = doc.get("policy_set", [])
     if not isinstance(scenario, (str, dict)):
         errors.append("plan key 'scenario' must be a path or an inline document")
-    if not isinstance(values, list) or not all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) for v in values):
+    if not isinstance(values, list) or not all(_is_number(v) for v in values):
         errors.append("plan key 'values' must be a list of numbers")
     if not isinstance(policy_set, list) or not all(isinstance(t, str) for t in policy_set):
         errors.append("plan key 'policy_set' must be a list of technology names")

@@ -4,8 +4,9 @@ The in-process backend is the HiGHS dual simplex, driven through scipy's
 bindings of the HiGHS class (:func:`load_highs`), which returns
 vertex-exact duals; the module also reads and writes a canonical solution
 file so external solvers can be bridged through the MPS interchange format.
-scipy is imported on the first solve, not with the package: commands that
-never solve do not pay for it.
+The bindings' extension module is loaded on the first solve, on its own:
+the ``scipy.optimize`` package is never imported, and commands that never
+solve load nothing of scipy.
 The solution file names columns and rows; in memory a solution is two
 arrays in LP order, read through the LP's block index.
 
@@ -25,6 +26,10 @@ Reduced costs are not carried: they follow from the LP and the duals
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
 import time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -102,16 +107,44 @@ def _check(call: str, status) -> None:
         raise SolveError(f"HiGHS {call} returned an error")
 
 
+# module name of scipy's bindings of the HiGHS library
+_CORE = "scipy.optimize._highspy._core"
+
+
 def load_highs():
-    """Import and return scipy's bindings of the HiGHS library.
+    """Load and return scipy's bindings of the HiGHS library.
 
     ``scipy.optimize._highspy._core`` (scipy >= 1.15) holds the ``_Highs``
     class behind scipy's own LP front end.  It is private scipy API, and
-    this is the one place that reaches it.  Importing it costs more than
-    importing the rest of the package, so it happens on the first solve
-    rather than at import."""
-    from scipy.optimize._highspy import _core
-    return _core
+    this is the one place that reaches it.  Only the extension file is
+    loaded, on the first solve: importing it through ``scipy.optimize``
+    would run that package and load hundreds of scipy modules the solve
+    never uses.  The module goes into ``sys.modules`` under its own name,
+    so later calls, and scipy's own package when user code imports it
+    later, reuse it rather than load the extension twice.  Raises
+    :class:`SolveError` when the file is missing."""
+    core = sys.modules.get(_CORE)
+    if core is not None:
+        return core
+    scipy = importlib.util.find_spec("scipy")  # locates scipy, runs none of it
+    if scipy is None:
+        raise SolveError("cannot load HiGHS: scipy is not installed "
+                         "(powermarket needs scipy >= 1.15)")
+    where = os.path.join(scipy.submodule_search_locations[0], "optimize", "_highspy")
+    finder = importlib.machinery.FileFinder(where, (
+        importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES))
+    spec = finder.find_spec(_CORE)
+    if spec is None:
+        raise SolveError(f"cannot load HiGHS: no extension module '_core' in {where} "
+                         f"(powermarket needs scipy >= 1.15)")
+    core = importlib.util.module_from_spec(spec)
+    sys.modules[_CORE] = core
+    try:
+        spec.loader.exec_module(core)
+    except BaseException:
+        del sys.modules[_CORE]
+        raise
+    return core
 
 
 class Session:

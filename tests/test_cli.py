@@ -109,6 +109,20 @@ class TestSolve:
         assert main(["solve", scen, "--out-dir", str(tmp_path)]) == code
         assert main(["verify", scen, "--out-dir", str(tmp_path)]) == code
 
+    @pytest.mark.parametrize("command", ["solve", "verify"])
+    def test_solve_error_is_one_error_line(self, tmp_path, capsys, command):
+        # an emission factor of 1e25 makes HiGHS reject the capped LP
+        with open(scenario_path("wind_gas_168h.json"), encoding="utf-8") as fh:
+            doc = json.load(fh)
+        ocgt = next(t for t in doc["technologies"] if t.get("default") == "ocgt")
+        ocgt["emission_factor"] = 1e25
+        doc["policy"] = {"co2": {"type": "cap", "cap": 1000.0}}
+        path = tmp_path / "huge_emissions.json"
+        path.write_text(json.dumps(doc))
+        assert main([command, str(path), "--out-dir", str(tmp_path)]) == 4
+        err = capsys.readouterr().err
+        assert err == "error: HiGHS passModel returned an error\n"
+
     def test_external_solution_round_trip(self, tmp_path):
         scen = scenario_path("fig1_no_policy.json")
         assert main(["solve", scen, "--out-dir", str(tmp_path)]) == 0
@@ -170,8 +184,57 @@ for argv in (["validate", scenario], ["emit-lp", scenario, "--out-dir", out],
     assert main(argv) == 0, argv
 before_solve = scipy_modules()
 assert main(["solve", scenario, "--out-dir", out]) == 0
-print(json.dumps({"before_solve": before_solve,
-                  "after_solve": "scipy.optimize" in sys.modules}))
+print(json.dumps({"before_solve": before_solve, "after_solve": scipy_modules()}))
+"""
+
+# Runs in a fresh interpreter: loads HiGHS and scipy's LP front end in the
+# order given, then solves one LP with each.
+IMPORT_ORDER_PROBE = """
+import json, sys
+from powermarket.solve import load_highs
+
+def front_end():
+    from scipy.optimize import linprog
+    return linprog
+
+if sys.argv[1] == "highs-first":
+    core = load_highs()
+    linprog = front_end()
+else:
+    linprog = front_end()
+    core = load_highs()
+result = linprog([1.0, 2.0], A_ub=[[-1.0, -1.0]], b_ub=[-3.0], method="highs-ds")
+print(json.dumps({"status": result.status, "x": result.x.tolist(),
+                  "same_module": sys.modules["scipy.optimize._highspy._core"] is core,
+                  "load_highs_again": load_highs() is core}))
+"""
+
+# Runs in a fresh interpreter: scipy is found in an empty directory.
+MISSING_EXTENSION_PROBE = """
+import contextlib, importlib.machinery, importlib.util, io, json, sys
+from powermarket.cli import main
+from powermarket.solve import SolveError, load_highs
+
+find_spec = importlib.util.find_spec
+
+def scipy_in_empty_dir(name, package=None):
+    if name != "scipy":
+        return find_spec(name, package)
+    spec = importlib.machinery.ModuleSpec(name, None, is_package=True)
+    spec.submodule_search_locations = [sys.argv[1]]
+    return spec
+
+importlib.util.find_spec = scipy_in_empty_dir
+try:
+    load_highs()
+    error = None
+except SolveError as exc:
+    error = str(exc)
+stderr = io.StringIO()
+with contextlib.redirect_stderr(stderr):
+    code = main(["solve", sys.argv[2], "--out-dir", sys.argv[1]])
+print(json.dumps({"error": error, "solve": [code, stderr.getvalue()],
+                  "loaded": "scipy.optimize._highspy._core" in sys.modules}))
 """
 
 def fresh(*args) -> subprocess.CompletedProcess:
@@ -197,7 +260,25 @@ class TestStartup:
         assert main(["solve", scen, "--out-dir", str(tmp_path)]) == 0
         probe = run_fresh(STARTUP_PROBE, scen, str(tmp_path / "fig1_co2_cap.sol"),
                           str(tmp_path / "fresh"))
-        assert probe == {"before_solve": [], "after_solve": True}
+        # a solve loads HiGHS' extension module alone, not scipy.optimize
+        core = "scipy.optimize._highspy._core"
+        assert probe == {"before_solve": [], "after_solve": [
+            core, f"{core}.cb", f"{core}.simplex_constants"]}
+        assert "scipy.optimize" not in probe["after_solve"]
+
+    @pytest.mark.parametrize("order", ["highs-first", "scipy-first"])
+    def test_highs_and_scipy_optimize_share_one_module(self, order):
+        probe = run_fresh(IMPORT_ORDER_PROBE, order)
+        assert probe == {"status": 0, "x": [3.0, 0.0], "same_module": True,
+                         "load_highs_again": True}
+
+    def test_missing_extension_is_a_solve_error(self, tmp_path):
+        probe = run_fresh(MISSING_EXTENSION_PROBE, str(tmp_path),
+                          scenario_path("fig1_no_policy.json"))
+        assert "scipy >= 1.15" in probe["error"] and str(tmp_path) in probe["error"]
+        # the CLI reports it as a solver failure in one error line
+        assert probe["solve"] == [4, f"error: {probe['error']}\n"]
+        assert probe["loaded"] is False
 
 
 def every_number_set():

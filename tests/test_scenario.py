@@ -114,6 +114,64 @@ class TestErrors:
             loads_scenario(doc, base_dir=str(tmp_path))
 
 
+# case -> (path of keys and list indices in wind_gas_168h.json, value set
+# there, message expected)
+WRONG_TYPES = {
+    "capex-a-string": (("technologies", 1, "capex"), "abc",
+                       "technologies[1]: 'capex' must be a number, not a string"),
+    "lifetime-a-string": (("technologies", 1, "lifetime"), "25",
+                          "technologies[1]: 'lifetime' must be a number, not a string"),
+    "capex-a-bool": (("technologies", 1, "capex"), True,
+                     "technologies[1]: 'capex' must be a number, not true/false"),
+    "voll-a-string": (("options", "voll"), "abc",
+                      "options: 'voll' must be a number or null, not a string"),
+    "cap-a-string": (("policy",), {"co2": {"type": "cap", "cap": "abc"}},
+                     "policy.co2: 'cap' must be a number, not a string"),
+    "snapshots-a-string": (("snapshots",), "x",
+                           "scenario: 'snapshots' must be an integer, not a string"),
+    "nodes-a-number": (("nodes",), 5,
+                       "scenario: 'nodes' must be a list of strings, not a number"),
+    "technology-a-number": (("technologies", 1), 5,
+                            "scenario: 'technologies' must be a list of objects"),
+    "support-set-a-string": (
+        ("policy",), {"support": {"type": "dispatched", "technologies": "wind",
+                                  "share": 0.3}},
+        "policy.support: 'technologies' must be a list of strings, not a string"),
+    "series-value-a-string": (("demand", "N"), ["1.0"] * 168,
+                              "demand[N]: non-numeric value in series"),
+    "profile-seed-a-string": (
+        ("technologies", 0, "availability", "seed"), "7",
+        "availability of 'wind': 'seed' must be an integer, not a string"),
+    "kvl-a-string": (("options", "kvl"), "false",
+                     "options: 'kvl' must be true or false, not a string"),
+    "line-capex-a-string": (("lines",), [{"from_node": "N", "to_node": "M", "capex": "1"}],
+                            "lines[0]: 'capex' must be a number, not a string"),
+}
+
+
+class TestWrongTypes:
+    @pytest.mark.parametrize("case", list(WRONG_TYPES))
+    def test_wrong_type_is_one_error_line(self, tmp_path, capsys, case):
+        (*parents, last), value, message = WRONG_TYPES[case]
+        with open(scenario_path("wind_gas_168h.json"), encoding="utf-8") as fh:
+            doc = json.load(fh)
+        entry = doc
+        for key in parents:
+            entry = entry[key]
+        entry[last] = value
+        path = tmp_path / "wrong.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SystemExit) as err:
+            main(["validate", str(path)])
+        assert err.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+
+    def test_a_scenario_is_an_object(self):
+        with pytest.raises(ScenarioError, match="a scenario is a JSON object"):
+            loads_scenario([minimal_doc()])
+
+
 class TestRoundTrip:
     def test_load_serialize_load_identity(self):
         for name in ("fig1_support.json", "vre_flex_168h.json"):
