@@ -22,7 +22,7 @@ from .model import (
     synth_profiles,
     validate,
 )
-from .formulate import FormulationError, LinearProgram, build_lp, parse_mps, write_mps
+from .formulate import FormulationError, LinearProgram, build_lp, write_mps
 from .solve import Solution, SolveError, solve, solve_external, write_solution_file
 from .metrics import MetricsReport, build_report, lcoe, market_value, rmv
 from .verify import (

@@ -89,11 +89,8 @@ def cmd_solve(args) -> int:
     system, policy, options = _load(args.scenario)
     out = _out_dir(args)
     name = options["name"]
-    kvl = args.kvl or options.get("kvl", False)
-    suppress = args.suppress_negative_prices or options.get(
-        "suppress_negative_prices", False)
 
-    lp = build_lp(system, policy, enforce_kvl=kvl)
+    lp = build_lp(system, policy, enforce_kvl=options["kvl"])
     if args.emit_lp:
         write_mps(lp, os.path.join(out, f"{name}.mps"))
     if args.external_solution:
@@ -112,7 +109,8 @@ def cmd_solve(args) -> int:
         return _not_optimal(sol)
 
     write_solution_file(sol, os.path.join(out, f"{name}.sol"))
-    report = build_report(system, lp, sol, policy, suppress_negative=suppress)
+    report = build_report(system, lp, sol, policy,
+                          suppress_negative=options["suppress_negative_prices"])
     with open(os.path.join(out, f"{name}.metrics.json"), "w", encoding="utf-8") as fh:
         fh.write(report_to_json(report))
     write_report_csv(report, os.path.join(out, f"{name}.metrics.csv"), scenario=name)
@@ -133,7 +131,7 @@ def cmd_solve(args) -> int:
 def cmd_emit_lp(args) -> int:
     system, policy, options = _load(args.scenario)
     out = _out_dir(args)
-    lp = build_lp(system, policy, enforce_kvl=args.kvl or options.get("kvl", False))
+    lp = build_lp(system, policy, enforce_kvl=options["kvl"])
     path = os.path.join(out, f"{options['name']}.mps")
     write_mps(lp, path)
     print(path)
@@ -162,7 +160,7 @@ def cmd_sweep(args) -> int:
 def cmd_verify(args) -> int:
     system, policy, options = _load(args.scenario)
     out = _out_dir(args)
-    lp = build_lp(system, policy, enforce_kvl=options.get("kvl", False))
+    lp = build_lp(system, policy, enforce_kvl=options["kvl"])
     try:
         sol = solve(lp)
         if sol.status != "optimal":
@@ -205,16 +203,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also write the LP in MPS interchange format")
     p.add_argument("--external-solution", default=None, metavar="PATH",
                    help="read a solution file instead of solving in-process")
-    p.add_argument("--kvl", action="store_true",
-                   help="enforce voltage-law cycle constraints")
-    p.add_argument("--suppress-negative-prices", action="store_true",
-                   help="also report metrics with prices floored at zero")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("emit-lp", help="write the LP without solving")
     p.add_argument("scenario")
     p.add_argument("--out-dir", default=None)
-    p.add_argument("--kvl", action="store_true")
     p.set_defaults(func=cmd_emit_lp)
 
     p = sub.add_parser("sweep", help="run a scenario grid from a plan file")

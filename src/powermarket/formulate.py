@@ -10,7 +10,7 @@ of A are numpy arrays, and solve, metrics, verify and sweep read values by
 slicing through the block index.
 
 Names of the form ``family.entity.t<idx>`` exist only at the interchange
-edges: the free-form MPS file written and parsed here, the solution file
+edges: the free-form MPS file written here, the solution file
 in :mod:`powermarket.solve`, and error messages.  The module also
 implements the Lagrangian-relaxation substitution that turns a binding cap
 into an equivalent objective shift.
@@ -19,8 +19,6 @@ into an equivalent objective shift.
 from __future__ import annotations
 
 import copy
-import re
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -38,7 +36,6 @@ from .model import (
 )
 
 __all__ = [
-    "EntityTag",
     "LinearProgram",
     "FormulationError",
     "build_lp",
@@ -46,7 +43,6 @@ __all__ = [
     "apply_equivalence_substitution",
     "column_major",
     "write_mps",
-    "parse_mps",
 ]
 
 INF = float("inf")
@@ -54,42 +50,6 @@ INF = float("inf")
 
 class FormulationError(ValueError):
     pass
-
-
-_SNAP_RE = re.compile(r"^t(\d+)$")
-
-
-@dataclass(frozen=True)
-class EntityTag:
-    """Decoded row/column name: constraint family, entity id, snapshot index."""
-
-    family: str
-    entity: Optional[str] = None
-    snapshot: Optional[int] = None
-
-    def to_id(self) -> str:
-        parts = [self.family]
-        if self.entity is not None:
-            parts.append(self.entity)
-        if self.snapshot is not None:
-            parts.append(f"t{self.snapshot}")
-        return ".".join(parts)
-
-    @classmethod
-    def parse(cls, name: str) -> "EntityTag":
-        parts = name.split(".")
-        family = parts[0]
-        entity = None
-        snapshot = None
-        rest = parts[1:]
-        if rest:
-            m = _SNAP_RE.match(rest[-1])
-            if m:
-                snapshot = int(m.group(1))
-                rest = rest[:-1]
-        if rest:
-            entity = ".".join(rest)
-        return cls(family, entity, snapshot)
 
 
 def tech_key(tech_name: str, node: str) -> str:
@@ -108,8 +68,14 @@ def _key(key) -> tuple:
     return key if isinstance(key, tuple) else (key, None)
 
 
+def _block_id(key: tuple) -> str:
+    """Name of a (family, entity) block: ``family`` or ``family.entity``."""
+    family, entity = key
+    return family if entity is None else f"{family}.{entity}"
+
+
 def _block_names(key: tuple, index) -> list:
-    base = EntityTag(*key).to_id()
+    base = _block_id(key)
     if isinstance(index, slice):
         return [f"{base}.t{t}" for t in range(len(_positions(index)))]
     return base
@@ -158,8 +124,7 @@ class LinearProgram:
     ``row_index`` map each (family, entity) key to its int or slice.
     """
 
-    def __init__(self, name: str = "powermarket"):
-        self.name = name
+    def __init__(self):
         self.columns = Table(lower=0.0, upper=INF, objective=0.0)
         self.rows = Table(sense="<=", rhs=0.0)
         self.entries = Table(row=0, col=0, value=0.0)
@@ -177,7 +142,7 @@ class LinearProgram:
         k, start, n = len(keys), len(table), 1 if count is None else count
         for i, key in enumerate(keys):
             if key in index:
-                raise FormulationError(f"duplicate block '{EntityTag(*key).to_id()}'")
+                raise FormulationError(f"duplicate block '{_block_id(key)}'")
             index[key] = start + i if count is None else \
                 slice(start + i, start + i + k * n, k)
         values = {}
@@ -345,7 +310,7 @@ def build_lp(system: PowerSystem, policy: PolicyConfig, *,
     if T < 1:
         raise FormulationError("degenerate system: zero snapshots")
 
-    lp = LinearProgram(name="powermarket")
+    lp = LinearProgram()
     r = system.discount_rate
     support = policy.support
     co2 = policy.co2
@@ -492,7 +457,6 @@ def apply_equivalence_substitution(lp: LinearProgram, family: str,
 
 _OBJ_ROW = "COST"
 _SENSE_TO_MPS = {"=": "E", "<=": "L", ">=": "G"}
-_MPS_TO_SENSE = {"E": "=", "L": "<=", "G": ">="}
 
 
 def column_major(rows: np.ndarray, cols: np.ndarray, values: np.ndarray,
@@ -514,7 +478,7 @@ def column_major(rows: np.ndarray, cols: np.ndarray, values: np.ndarray,
 def write_mps(lp: LinearProgram, path) -> None:
     """Emit the LP in free-form MPS (ROWS, COLUMNS, RHS, RANGES, BOUNDS)."""
     col_names, row_names = lp.col_names(), lp.row_names()
-    lines = [f"NAME {lp.name}", "ROWS", f" N {_OBJ_ROW}"]
+    lines = ["NAME powermarket", "ROWS", f" N {_OBJ_ROW}"]
     lines += [f" {_SENSE_TO_MPS[s]} {name}"
               for s, name in zip(lp.rows.sense.tolist(), row_names)]
     lines.append("COLUMNS")
@@ -548,118 +512,3 @@ def write_mps(lp: LinearProgram, path) -> None:
     lines.append("ENDATA")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def _index_from_names(names: list, what: str) -> dict:
-    """Rebuild a block index from names in LP order: ``family.entity`` is a
-    scalar block, ``family.entity.t0``, ``.t1``, ... at equally spaced
-    positions form a snapshot block."""
-    index: dict = {}
-    timed: dict = {}
-    for pos, name in enumerate(names):
-        tag = EntityTag.parse(name)
-        key = (tag.family, tag.entity)
-        if key in index:
-            raise FormulationError(f"duplicate {what} '{name}'")
-        if tag.snapshot is None:
-            if key in timed:
-                raise FormulationError(f"duplicate {what} '{name}'")
-            index[key] = pos
-        elif tag.snapshot != len(timed.setdefault(key, [])):
-            raise FormulationError(f"{what} '{name}' out of snapshot order")
-        else:
-            timed[key].append(pos)
-    for key, pos in timed.items():
-        step = pos[1] - pos[0] if len(pos) > 1 else 1
-        if pos != list(range(pos[0], pos[-1] + 1, step)):
-            raise FormulationError(f"{what} block '{EntityTag(*key).to_id()}' is "
-                                   "not equally spaced")
-        index[key] = slice(pos[0], pos[-1] + 1, step)
-    return index
-
-
-def parse_mps(path) -> LinearProgram:
-    """Parse a free-form MPS file written by :func:`write_mps`."""
-    lp = LinearProgram(name="powermarket")
-    row_pos: dict = {}
-    col_pos: dict = {}
-    senses: list = []
-    rhs: dict = {}
-    objective: dict = {}
-    bounds: dict = {}
-    entries = ([], [], [])
-    section = None
-    with open(path, encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("*"):
-                continue
-            tokens = line.split()
-            if not line[0].isspace():
-                head = tokens[0].upper()
-                if head == "NAME":
-                    lp.name = tokens[1] if len(tokens) > 1 else lp.name
-                    section = None
-                elif head in ("ROWS", "COLUMNS", "RHS", "RANGES", "BOUNDS"):
-                    section = head
-                elif head == "ENDATA":
-                    break
-                else:
-                    raise FormulationError(f"unknown MPS section '{head}'")
-                continue
-            if section == "ROWS":
-                kind, rid = tokens[0].upper(), tokens[1]
-                if kind == "N":
-                    continue
-                if rid in row_pos:
-                    raise FormulationError(f"duplicate row '{rid}'")
-                row_pos[rid] = len(senses)
-                senses.append(_MPS_TO_SENSE[kind])
-            elif section == "COLUMNS":
-                cid = tokens[0]
-                j = col_pos.setdefault(cid, len(col_pos))
-                for rid, val in zip(tokens[1::2], tokens[2::2]):
-                    if rid == _OBJ_ROW:
-                        objective[j] = float(val)
-                    else:
-                        entries[0].append(row_pos[rid])
-                        entries[1].append(j)
-                        entries[2].append(float(val))
-            elif section == "RHS":
-                for rid, val in zip(tokens[1::2], tokens[2::2]):
-                    rhs[row_pos[rid]] = float(val)
-            elif section == "RANGES":
-                raise FormulationError("RANGES section is not supported")
-            elif section == "BOUNDS":
-                btype = tokens[0].upper()
-                j = col_pos[tokens[2]]
-                lo, up = bounds.get(j, (0.0, INF))
-                if btype == "LO":
-                    lo = float(tokens[3])
-                elif btype == "UP":
-                    up = float(tokens[3])
-                elif btype == "MI":
-                    lo = -INF
-                elif btype == "PL":
-                    up = INF
-                elif btype == "FR":
-                    lo, up = -INF, INF
-                elif btype == "FX":
-                    lo = up = float(tokens[3])
-                else:
-                    raise FormulationError(f"unsupported bound type '{btype}'")
-                bounds[j] = (lo, up)
-    n, m = len(col_pos), len(senses)
-    lower, upper, obj = np.zeros(n), np.full(n, INF), np.zeros(n)
-    for j, (lo, up) in bounds.items():
-        lower[j], upper[j] = lo, up
-    for j, c in objective.items():
-        obj[j] = c
-    lp.columns.append(n, lower=lower, upper=upper, objective=obj)
-    lp.rows.append(m, sense=senses, rhs=[rhs.get(i, 0.0) for i in range(m)])
-    lp.add_entries(np.array(entries[0], dtype=int), np.array(entries[1], dtype=int),
-                   entries[2])
-    lp.col_index = _index_from_names(list(col_pos), "column")
-    lp.row_index = _index_from_names(list(row_pos), "row")
-    lp.validate_structure()
-    return lp

@@ -284,10 +284,10 @@ def suppress_negative_prices(system: PowerSystem, sol: Solution) -> SuppressedPr
     """
     clipped = {n: clip_prices(p) for n, p in nodal_prices(system, sol).items()}
     mvs = {}
-    names = {spec.name for _, spec in system.technologies}
+    names = system.tech_names()
     if system.voll is not None:
-        names.add(SHEDDING_NAME)
-    for name in sorted(names):
+        names.append(SHEDDING_NAME)
+    for name in names:
         mv = market_value(system, sol, name, prices=clipped)
         if mv is not None:
             mvs[name] = mv

@@ -314,9 +314,13 @@ def validate(system: PowerSystem, policy: PolicyConfig) -> list:
     if T < 1:
         out.append(Violation("system", "snapshots", "at least one snapshot required"))
 
-    for n in system.nodes:
+    if not system.nodes:
+        out.append(Violation("system", "nodes", "at least one node required"))
+    for i, n in enumerate(system.nodes):
         if not _check_ident(n):
             out.append(Violation(n, "identifier", "node name has invalid characters"))
+        if n in system.nodes[:i]:
+            out.append(Violation(n, "duplicate", "duplicate node name"))
         if n not in system.demand:
             out.append(Violation(n, "demand-missing", "no demand series for node"))
     for n, d in system.demand.items():
@@ -352,12 +356,16 @@ def validate(system: PowerSystem, policy: PolicyConfig) -> list:
         if spec.max_potential is not None and spec.max_potential < 0:
             out.append(Violation(ent, "potential", "max potential must be >= 0"))
 
+    names = set()
     for node, sto in system.storages:
         ent = f"{sto.name}@{node}"
         if node not in system.nodes:
             out.append(Violation(ent, "unresolved-node", f"unknown node {node}"))
         if not _check_ident(sto.name):
             out.append(Violation(ent, "identifier", "storage name has invalid characters"))
+        if (sto.name, node) in names:
+            out.append(Violation(ent, "duplicate", "duplicate storage at node"))
+        names.add((sto.name, node))
         _check_finite(out, ent, sto)
         for eta in (sto.eta_discharge, sto.eta_charge, sto.eta_standing):
             if not (0.0 < eta <= 1.0):

@@ -105,7 +105,7 @@ def _pos(v: np.ndarray) -> np.ndarray:
     return np.where(v > 0.0, v, 0.0)
 
 
-def check_kkt(lp: LinearProgram, sol: Solution, tol: float = 1e-6) -> KktReport:
+def check_kkt(lp: LinearProgram, sol: Solution) -> KktReport:
     """Maximum scale-normalized residuals of stationarity, primal/dual
     feasibility and complementary slackness."""
     x, y = sol.x, sol.y
@@ -125,13 +125,15 @@ def check_kkt(lp: LinearProgram, sol: Solution, tol: float = 1e-6) -> KktReport:
     primal = max(primal, float(_pos(lower - x).max(initial=0.0)),
                  float(_pos(x - upper).max(initial=0.0)))
     z = reduced_costs(lp, sol)
-    at_lower = (lower > -np.inf) & (x - lower <= tol * np.maximum(1.0, np.abs(lower)))
-    at_upper = (upper < np.inf) & (upper - x <= tol * np.maximum(1.0, np.abs(upper)))
+    at_lower = (lower > -np.inf) \
+        & (x - lower <= DEFAULT_TOL * np.maximum(1.0, np.abs(lower)))
+    at_upper = (upper < np.inf) \
+        & (upper - x <= DEFAULT_TOL * np.maximum(1.0, np.abs(upper)))
     wrong_sign = np.where(at_lower, _pos(-z), np.where(at_upper, _pos(z), np.abs(z)))
     wrong_sign[at_lower & at_upper] = 0.0
     stat = float((wrong_sign / np.maximum(1.0, np.abs(cols.objective))).max(initial=0.0))
     return KktReport(stationarity=stat, primal=primal, dual=dual,
-                     complementarity=comp, tol=tol)
+                     complementarity=comp, tol=DEFAULT_TOL)
 
 
 # -- zero-profit checks -------------------------------------------------------------
@@ -139,8 +141,7 @@ def check_kkt(lp: LinearProgram, sol: Solution, tol: float = 1e-6) -> KktReport:
 
 def check_zero_profit(system: PowerSystem, lp: LinearProgram, sol: Solution,
                       policy: PolicyConfig,
-                      scope: tuple = ("generators", "storage", "lines"),
-                      tol: float = DEFAULT_TOL) -> list:
+                      scope: tuple = ("generators", "storage", "lines")) -> list:
     """Per-entity profit report: market revenue minus cost, corrected for the
     policy terms (premium, CO2 charge, scarcity rent) that apply to each
     entity.  The residual is zero at equilibrium."""
@@ -176,7 +177,7 @@ def check_zero_profit(system: PowerSystem, lp: LinearProgram, sol: Solution,
             scale = max(1.0, cost)
             results.append(CheckResult(
                 "zero-profit", key, abs(residual) / scale,
-                "pass" if abs(residual) <= tol * scale else "fail",
+                "pass" if abs(residual) <= DEFAULT_TOL * scale else "fail",
                 detail={"revenue": revenue, "cost": cost, "adjustment": adjust,
                         "scarcity_rent": scarcity, "capacity": G}))
 
@@ -188,7 +189,7 @@ def check_zero_profit(system: PowerSystem, lp: LinearProgram, sol: Solution,
             scale = max(1.0, costs[key])
             results.append(CheckResult(
                 "zero-profit-storage", key, abs(residual) / scale,
-                "pass" if abs(residual) <= tol * scale else "fail",
+                "pass" if abs(residual) <= DEFAULT_TOL * scale else "fail",
                 detail={"arbitrage_revenue": arb[key], "cost": costs[key]}))
 
     if "lines" in scope and system.lines:
@@ -206,7 +207,7 @@ def check_zero_profit(system: PowerSystem, lp: LinearProgram, sol: Solution,
             scale = max(1.0, costs[key])
             results.append(CheckResult(
                 "zero-profit-line", key, abs(residual) / scale,
-                "pass" if abs(residual) <= tol * scale else "fail",
+                "pass" if abs(residual) <= DEFAULT_TOL * scale else "fail",
                 detail={"congestion_revenue": cong[key], "cost": costs[key],
                         "kvl_term": kvl_terms.get(key, 0.0), "capacity": F,
                         "lower_bound_rent": rent}))
@@ -245,7 +246,7 @@ def _unsolved(check: str, sol: Solution, what: str) -> Optional[CheckResult]:
 
 
 def _prices_not_unique(lp: LinearProgram, sol: Solution, relaxed: Solution,
-                       family: str, dual: float, shift: float, tol: float) -> bool:
+                       family: str, dual: float, shift: float) -> bool:
     """Whether the duals of ``relaxed``, the solution of the solved LP ``lp``
     with its policy row ``family`` relaxed, pass ``lp``'s KKT check at
     ``sol`` once mapped back onto ``lp``: row by row key, every balance
@@ -259,12 +260,11 @@ def _prices_not_unique(lp: LinearProgram, sol: Solution, relaxed: Solution,
         if at is not None:
             y[index] = relaxed.y[at] - (shift if key[0] == "balance" else 0.0)
     y[lp.row(family)] = dual
-    return check_kkt(lp, replace(sol, y=y), tol).passed
+    return check_kkt(lp, replace(sol, y=y)).passed
 
 
 def check_cap_tax_equivalence(system: PowerSystem, lp: LinearProgram, sol: Solution,
-                              policy: PolicyConfig,
-                              tol: float = DEFAULT_TOL) -> CheckResult:
+                              policy: PolicyConfig) -> CheckResult:
     """Lift the emissions cap of the solved LP ``lp`` into the objective at
     its shadow price, re-solve (warm from the cap's basis where ``sol`` has
     a session), and compare the full price vectors.  Prices that differ
@@ -295,10 +295,10 @@ def check_cap_tax_equivalence(system: PowerSystem, lp: LinearProgram, sol: Solut
     obj_dev = abs(tax_sol.objective - (sol.objective + mu * emissions)) \
         / max(1.0, abs(sol.objective))
     residual = max(dev, obj_dev)
-    if residual <= tol:
+    if residual <= DEFAULT_TOL:
         verdict = "pass"
-    elif obj_dev <= tol and _prices_not_unique(lp, sol, tax_sol, "co2-cap", -mu, 0.0,
-                                               tol):
+    elif obj_dev <= DEFAULT_TOL and _prices_not_unique(lp, sol, tax_sol, "co2-cap",
+                                                       -mu, 0.0):
         verdict = "inconclusive"
     else:
         verdict = "fail"
@@ -310,8 +310,7 @@ def check_cap_tax_equivalence(system: PowerSystem, lp: LinearProgram, sol: Solut
 
 
 def check_subsidy_tax_lift(system: PowerSystem, lp: LinearProgram, sol: Solution,
-                           policy: PolicyConfig,
-                           tol: float = DEFAULT_TOL) -> CheckResult:
+                           policy: PolicyConfig) -> CheckResult:
     """Replace 'force in the supported set' by 'cap everything else' in the
     solved LP ``lp`` and check that all prices and market values lift by
     exactly the premium.  Prices that differ are 'inconclusive' rather
@@ -348,8 +347,7 @@ def check_subsidy_tax_lift(system: PowerSystem, lp: LinearProgram, sol: Solution
     price_dev = float(np.abs(lam_m - lam - mu_gamma).max()) / scale
 
     mv_dev = 0.0
-    names = sorted({spec.name for _, spec in system.technologies})
-    for name in names:
+    for name in system.tech_names():
         mv = market_value(system, sol, name)
         mv_m = market_value(system, mirror_sol, name)
         if mv is None or mv_m is None:
@@ -357,9 +355,9 @@ def check_subsidy_tax_lift(system: PowerSystem, lp: LinearProgram, sol: Solution
         mv_dev = max(mv_dev, abs(mv_m - mv - mu_gamma) / scale)
     residual = max(price_dev, mv_dev)
     mu_m = -mirror_sol.dual("vre-dispatched", "mirror")
-    if residual <= tol:
+    if residual <= DEFAULT_TOL:
         verdict = "pass"
-    elif _prices_not_unique(lp, sol, mirror_sol, "vre-dispatched", mu_m, mu_m, tol):
+    elif _prices_not_unique(lp, sol, mirror_sol, "vre-dispatched", mu_m, mu_m):
         verdict = "inconclusive"
     else:
         verdict = "fail"
@@ -512,10 +510,10 @@ def brute_force_oracle(system: PowerSystem) -> OracleResult:
 
 
 def verify_solution(system: PowerSystem, lp: LinearProgram, sol: Solution,
-                    policy: PolicyConfig, tol: float = DEFAULT_TOL) -> list:
+                    policy: PolicyConfig) -> list:
     """Run the per-solution checks (KKT, zero profit) and return all results."""
-    results = check_kkt(lp, sol, tol).results()
-    results.extend(check_zero_profit(system, lp, sol, policy, tol=tol))
+    results = check_kkt(lp, sol).results()
+    results.extend(check_zero_profit(system, lp, sol, policy))
     return results
 
 

@@ -14,18 +14,49 @@ import pytest
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), ".."))
 
+from powermarket.formulate import column_major
 from powermarket.model import (
     PowerSystem,
     StorageSpec,
     TechnologySpec,
     synth_profiles,
 )
+from powermarket.solve import load_highs
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 
 
 def scenario_path(name: str) -> str:
     return os.path.join(SCENARIO_DIR, name)
+
+
+def assert_highs_reads(path, lp) -> None:
+    """HiGHS' own MPS reader finds ``lp`` in the file at ``path``, in LP
+    order: column and row names, costs, column bounds, row bounds and the
+    CSC matrix.  HiGHS drops matrix entries with |value| <= 1e-9 and
+    returns kWarning when it does, so those entries are left out."""
+    highs = load_highs()._Highs()
+    highs.setOptionValue("output_flag", False)
+    assert highs.readModel(str(path)).name in ("kOk", "kWarning")
+    read = highs.getLp()
+    assert [highs.getColName(j)[1] for j in range(read.num_col_)] == lp.col_names()
+    assert [highs.getRowName(i)[1] for i in range(read.num_row_)] == lp.row_names()
+    cols, rows = lp.columns, lp.rows
+    assert np.array_equal(read.col_cost_, cols.objective)
+    assert np.array_equal(read.col_lower_, cols.lower)
+    assert np.array_equal(read.col_upper_, cols.upper)
+    assert np.array_equal(read.row_lower_, np.where(rows.sense == "<=", -np.inf, rows.rhs))
+    assert np.array_equal(read.row_upper_, np.where(rows.sense == ">=", np.inf, rows.rhs))
+    e = lp.entries
+    indptr, indices, data = column_major(e.row, e.col, e.value, len(cols))
+    kept = np.abs(data) > 1e-9
+    entry_col = np.repeat(np.arange(len(cols)), np.diff(indptr))
+    a = read.a_matrix_
+    assert a.format_.name == "kColwise"
+    assert np.array_equal(a.start_,
+                          np.searchsorted(entry_col[kept], np.arange(len(cols) + 1)))
+    assert np.array_equal(a.index_, indices[kept])
+    assert np.array_equal(a.value_, data[kept])
 
 
 def two_tech_system(snapshots: int = 168, wind_capex: float = 30000.0,

@@ -14,7 +14,7 @@ import powermarket
 import powermarket.cli
 import powermarket.verify
 from powermarket.cli import main
-from powermarket.formulate import build_lp, parse_mps, tech_key
+from powermarket.formulate import build_lp, tech_key
 from powermarket.model import (
     Co2Cap,
     Co2Tax,
@@ -30,7 +30,7 @@ from powermarket.model import (
 from powermarket.scenario import load_scenario, serialize_scenario
 from powermarket.solve import Solution, load_highs, solve, status_of
 
-from conftest import scenario_path
+from conftest import assert_highs_reads, scenario_path
 
 
 def exit_code(argv) -> int:
@@ -63,11 +63,11 @@ class TestSolve:
                 "fig1_no_policy.verification.json"} <= produced
 
     def test_emit_lp_is_reparseable(self, tmp_path):
-        rc = main(["solve", scenario_path("fig1_no_policy.json"),
-                   "--out-dir", str(tmp_path), "--emit-lp"])
+        scen = scenario_path("fig1_no_policy.json")
+        rc = main(["solve", scen, "--out-dir", str(tmp_path), "--emit-lp"])
         assert rc == 0
-        lp = parse_mps(tmp_path / "fig1_no_policy.mps")
-        assert lp.has_row("balance", "DE")
+        system, policy, _ = load_scenario(scen)
+        assert_highs_reads(tmp_path / "fig1_no_policy.mps", build_lp(system, policy))
 
     def test_malformed_json_exit_one(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -378,6 +378,43 @@ class TestNonFinite:
         assert proc.returncode == 1, proc.stderr
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
         assert "policy: non-finite (target is nan)" in proc.stderr
+
+
+def bundled(name: str) -> dict:
+    """The JSON document of a bundled scenario."""
+    with open(scenario_path(name), encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def edited(name: str, **changes) -> dict:
+    return {**bundled(name), **changes}
+
+
+# case -> (scenario document, the violation its error line names)
+STRUCTURE_ERRORS = {
+    "duplicate-node": (edited("wind_gas_168h.json", nodes=["N", "N"]),
+                       "N: duplicate (duplicate node name)"),
+    "duplicate-storage": (
+        edited("vre_flex_168h.json",
+               storages=bundled("vre_flex_168h.json")["storages"] * 2),
+        "battery@N: duplicate (duplicate storage at node)"),
+    "no-nodes": (edited("wind_gas_168h.json", nodes=[], demand={}, technologies=[]),
+                 "system: nodes (at least one node required)"),
+}
+
+
+class TestStructure:
+    @pytest.mark.parametrize("command", ["validate", "emit-lp", "solve"])
+    @pytest.mark.parametrize("case", sorted(STRUCTURE_ERRORS))
+    def test_exit_one_with_one_error_line(self, tmp_path, capsys, case, command):
+        doc, message = STRUCTURE_ERRORS[case]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        out = [] if command == "validate" else ["--out-dir", str(tmp_path)]
+        assert exit_code([command, str(path), *out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
 
 
 class TestSweep:
