@@ -108,12 +108,6 @@ class Table:
             self._chunks[name].append(np.broadcast_to(chunk, (n,)).copy())
         self._len += n
 
-    def take(self, index) -> "Table":
-        out = Table(**self.defaults)
-        picked = {name: getattr(self, name)[index] for name in self.defaults}
-        out.append(len(next(iter(picked.values()))), **picked)
-        return out
-
 
 class LinearProgram:
     """Sparse minimization LP whose columns and rows form named blocks.
@@ -196,14 +190,16 @@ class LinearProgram:
     def copy(self) -> "LinearProgram":
         return copy.deepcopy(self)
 
-    def drop_row(self, family: str, entity: Optional[str] = None) -> None:
-        keep = np.ones(len(self.rows), dtype=bool)
-        keep[self.row_index.pop((family, entity))] = False
-        new_pos = np.cumsum(keep) - 1
-        self.rows = self.rows.take(keep)
-        self.entries = self.entries.take(keep[self.entries.row])
-        self.entries.row[:] = new_pos[self.entries.row]
-        self.row_index = {k: _moved(v, new_pos) for k, v in self.row_index.items()}
+    def free_row(self, family: str, entity: Optional[str] = None) -> None:
+        """Relax a scalar inequality row in place: it keeps its position and
+        entries, and its right-hand side becomes +inf (``<=``) or -inf
+        (``>=``)."""
+        index = self.row(family, entity)
+        sense = self.rows.sense[index]
+        if sense == "=":
+            raise FormulationError(
+                f"cannot free equality row '{_block_id((family, entity))}'")
+        self.rows.rhs[index] = INF if sense == "<=" else -INF
 
     def validate_structure(self) -> None:
         e = self.entries
@@ -220,15 +216,6 @@ def _names(index: dict, n: int) -> list:
     for key, idx in index.items():
         names[idx] = _block_names(key, idx)
     return names
-
-
-def _moved(index, new_pos: np.ndarray):
-    """A block index after the positions were renumbered by ``new_pos``."""
-    if not isinstance(index, slice):
-        return int(new_pos[index])
-    p = new_pos[index]
-    step = int(p[1] - p[0]) if len(p) > 1 else 1
-    return slice(int(p[0]), int(p[-1]) + 1, step)
 
 
 # -- cycle basis ----------------------------------------------------------------
@@ -434,10 +421,12 @@ def apply_equivalence_substitution(lp: LinearProgram, family: str,
                                    mu: float) -> LinearProgram:
     """Lagrangian relaxation of one scalar policy row at a fixed multiplier.
 
-    Returns a copy with the row removed and the objective coefficients of the
-    row's columns shifted by ``mu`` times the coefficient (sign chosen so a
-    binding cap becomes a tax and a binding quota becomes a premium).  ``mu``
-    is the non-negative policy shadow price.
+    Returns a copy with the row freed (see :meth:`LinearProgram.free_row`)
+    and the objective coefficients of the row's columns shifted by ``mu``
+    times the coefficient (sign chosen so a binding cap becomes a tax and a
+    binding quota becomes a premium).  ``mu`` is the non-negative policy
+    shadow price.  The copy has the rows and matrix of ``lp``, so it can be
+    solved warm in the session that solved ``lp``.
     """
     if not lp.has_row(family):
         raise FormulationError(f"policy row '{family}' absent")
@@ -449,7 +438,7 @@ def apply_equivalence_substitution(lp: LinearProgram, family: str,
     coef = np.bincount(cols, weights=out.entries.value[in_row], minlength=len(out.columns))
     cols = np.unique(cols)
     out.columns.objective[cols] += sign * mu * coef[cols]
-    out.drop_row(family)
+    out.free_row(family)
     return out
 
 

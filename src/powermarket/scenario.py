@@ -396,6 +396,7 @@ def loads_scenario(doc: dict, base_dir: str = "."):
             storages.append((node, spec))
 
     lines = []
+    kvl = doc.get("options", {}).get("kvl") is True
     for i, entry in enumerate(doc.get("lines", ())):
         where = f"lines[{i}]"
         bad = [k for k in entry if k not in _LINE_FIELDS]
@@ -407,9 +408,14 @@ def loads_scenario(doc: dict, base_dir: str = "."):
             errors.extend(bad)
             continue
         try:
-            lines.append(LineSpec(**entry))
+            line = LineSpec(**entry)
         except (TypeError, ValueError) as exc:
             errors.append(f"{where}: {exc}")
+            continue
+        if kvl and line.reactance is None:
+            errors.append(f"{where}: line {line.name} has no reactance, "
+                          "which options.kvl needs")
+        lines.append(line)
 
     policy = _build_policy(doc, errors)
     options = dict(doc.get("options", {}))

@@ -11,10 +11,10 @@ The solution file names columns and rows; in memory a solution is two
 arrays in LP order, read through the LP's block index.
 
 A :class:`Session` keeps one HiGHS model across the solves of one LP
-family: an LP with the same columns and matrix as the one it loaded, on
-all or some of its rows, is solved from the basis of the previous solve.
-The cap LP and its tax LP form such a family, and so do the points of a
-sweep.
+family: an LP of the same shape as the one it loaded (the same column and
+row blocks, senses and matrix) is solved from the basis of the previous
+solve.  The cap LP and its tax LP, which frees the cap row, form such a
+family, and so do the points of a sweep.
 
 Sign convention: ``dual[row]`` is the sensitivity of the optimal objective to
 the row's right-hand side (dObj/dRHS).  Balance rows therefore carry
@@ -152,15 +152,16 @@ class Session:
 
     The first solve loads its LP: ``<=`` rows first, then ``=`` rows, with
     ``>=`` rows negated into ``<=`` form, and runs the dual simplex with
-    presolve on.  A later LP with the same columns and the same matrix on
-    all or some of the loaded rows is solved warm: only the costs and
-    bounds that differ are pushed, rows it lacks are freed, and HiGHS
-    starts from the basis the previous solve ended at.  Any other LP, or
-    any LP after a solve that did not end optimal, is loaded cold into a
-    new HiGHS model.  A warm solve that does not end optimal is repeated
-    cold in a new model, and the cold result is returned with the
-    iterations and time of both runs.  An LP that HiGHS rejects raises
-    :class:`SolveError`, and the next LP is loaded cold.
+    presolve on.  A later LP of the same shape (equal column and row
+    blocks, row senses and matrix entries) is solved warm: only the costs
+    and bounds that differ are pushed, and HiGHS starts from the basis the
+    previous solve ended at.  A relaxed row is one with an infinite
+    right-hand side, so an LP with one of its policy rows relaxed keeps the
+    shape.  Any other LP, or any LP after a solve that did not end optimal,
+    is loaded cold into a new HiGHS model.  A warm solve that does not end
+    optimal is repeated cold in a new model, and the cold result is
+    returned with the iterations and time of both runs.  An LP that HiGHS
+    rejects raises :class:`SolveError`, and the next LP is loaded cold.
     """
 
     def __init__(self):
@@ -177,24 +178,22 @@ class Session:
     def solve(self, lp: LinearProgram) -> Solution:
         """Minimize ``lp``, warm where the session's model allows it."""
         lp.validate_structure()
-        picked = self._loaded_rows(lp) if self._optimal else None
-        sol = self._run(lp, picked)
+        sol = self._run(lp, self._optimal and self._same_shape(lp))
         if sol.warm_start and sol.status != "optimal":
-            failed, sol = sol, self._run(lp, None)
+            failed, sol = sol, self._run(lp, False)
             sol.iterations += failed.iterations
             sol.wall_time += failed.wall_time
         return sol
 
-    def _run(self, lp: LinearProgram, picked: Optional[np.ndarray]) -> Solution:
-        """One HiGHS run of ``lp``: warm on the loaded rows ``picked``, or
-        cold in a new model where ``picked`` is None."""
-        warm = picked is not None
+    def _run(self, lp: LinearProgram, warm: bool) -> Solution:
+        """One HiGHS run of ``lp``: warm in the loaded model, or cold in a
+        new one."""
         t0 = time.perf_counter()
         self._optimal = False
         if warm:
-            self._push(lp, picked)
+            self._push(lp)
         else:
-            picked = self._load(lp)
+            self._load(lp)
         highs = self._highs
         highs.run()
         wall = time.perf_counter() - t0
@@ -209,11 +208,11 @@ class Session:
             solution = highs.getSolution()
             sol.objective = float(info.objective_function_value)
             sol.x = np.array(solution.col_value)
-            sol.y = self._sign[picked] * np.array(solution.row_dual)[self._highs_row[picked]]
+            sol.y = self._sign * np.array(solution.row_dual)[self._highs_row]
         return sol
 
-    def _load(self, lp: LinearProgram) -> np.ndarray:
-        """Pass ``lp`` to a new HiGHS model; returns its rows, all of them."""
+    def _load(self, lp: LinearProgram) -> None:
+        """Pass ``lp`` to a new HiGHS model."""
         core = load_highs()
         self._highs = core._Highs()
         for name, value in self.options:
@@ -238,50 +237,30 @@ class Session:
         self._lower, self._upper = cols.lower.copy(), cols.upper.copy()
         model.col_cost_ = self._cost
         model.col_lower_, model.col_upper_ = self._lower, self._upper
-        picked = np.arange(len(order))
-        self._row_lower, self._row_upper = self._row_bounds(lp, picked)
+        self._row_lower, self._row_upper = self._row_bounds(lp)
         model.row_lower_, model.row_upper_ = self._row_lower, self._row_upper
         _check("passModel", self._highs.passModel(model))
         self._loaded = lp
-        return picked
 
-    def _row_bounds(self, lp: LinearProgram, picked: np.ndarray) -> tuple:
-        """HiGHS row bounds that put the rows of ``lp`` on the loaded rows
-        ``picked`` and leave the other loaded rows free."""
-        at = self._highs_row[picked]
-        lower = np.full(len(self._highs_row), -np.inf)
-        upper = np.full(len(self._highs_row), np.inf)
+    def _row_bounds(self, lp: LinearProgram) -> tuple:
+        """HiGHS row bounds of the rows of ``lp``, in the loaded model's
+        order; an infinite right-hand side leaves its row free."""
         rhs = lp.rows.rhs
-        lower[at] = np.where(lp.rows.sense == "=", rhs, -np.inf)
-        upper[at] = self._sign[picked] * rhs
+        lower, upper = np.empty(len(rhs)), np.empty(len(rhs))
+        lower[self._highs_row] = np.where(lp.rows.sense == "=", rhs, -np.inf)
+        upper[self._highs_row] = self._sign * rhs
         return lower, upper
 
-    def _loaded_rows(self, lp: LinearProgram) -> Optional[np.ndarray]:
-        """The loaded row behind each row of ``lp``; None unless ``lp`` is the
-        loaded LP on some or all of its rows, up to costs and bounds."""
+    def _same_shape(self, lp: LinearProgram) -> bool:
+        """Whether ``lp`` is the loaded LP up to costs and bounds."""
         base = self._loaded
-        if lp.col_index != base.col_index or len(lp.columns) != len(base.columns):
-            return None
-        rows = np.arange(len(base.rows))
-        picked = np.full(len(lp.rows), -1, dtype=np.int64)
-        for key, index in lp.row_index.items():
-            at = base.row_index.get(key)
-            if at is None or np.size(rows[at]) != np.size(picked[index]):
-                return None
-            picked[index] = rows[at]
-        if (picked < 0).any() or (base.rows.sense[picked] != lp.rows.sense).any():
-            return None
-        renumber = np.full(len(base.rows), -1, dtype=np.int64)
-        renumber[picked] = np.arange(len(picked))
-        e, b = lp.entries, base.entries
-        row = renumber[b.row]
-        kept = row >= 0
-        if not (np.array_equal(row[kept], e.row) and np.array_equal(b.col[kept], e.col)
-                and np.array_equal(b.value[kept], e.value)):
-            return None
-        return picked
+        return (lp.col_index == base.col_index and lp.row_index == base.row_index
+                and len(lp.columns) == len(base.columns)
+                and np.array_equal(lp.rows.sense, base.rows.sense)
+                and all(np.array_equal(getattr(lp.entries, name), getattr(base.entries, name))
+                        for name in ("row", "col", "value")))
 
-    def _push(self, lp: LinearProgram, picked: np.ndarray) -> None:
+    def _push(self, lp: LinearProgram) -> None:
         """Change the loaded model's costs and bounds into those of ``lp``."""
         highs, cols = self._highs, lp.columns
         changed = np.flatnonzero(cols.objective != self._cost)
@@ -295,7 +274,7 @@ class Session:
             _check("changeColsBounds", highs.changeColsBounds(
                 changed.size, changed.astype(np.int32),
                 self._lower[changed], self._upper[changed]))
-        lower, upper = self._row_bounds(lp, picked)
+        lower, upper = self._row_bounds(lp)
         for i in np.flatnonzero((lower != self._row_lower) | (upper != self._row_upper)):
             _check("changeRowBounds",
                    highs.changeRowBounds(int(i), float(lower[i]), float(upper[i])))

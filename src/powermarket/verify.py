@@ -19,7 +19,7 @@ import numpy as np
 from .formulate import (
     LinearProgram,
     apply_equivalence_substitution,
-    build_lp,
+    build_lp,  # not called here, but bench/spans.py wraps verify.build_lp
     cycle_basis,
     tech_key,
 )
@@ -140,8 +140,7 @@ def check_kkt(lp: LinearProgram, sol: Solution) -> KktReport:
 
 
 def check_zero_profit(system: PowerSystem, lp: LinearProgram, sol: Solution,
-                      policy: PolicyConfig,
-                      scope: tuple = ("generators", "storage", "lines")) -> list:
+                      policy: PolicyConfig) -> list:
     """Per-entity profit report: market revenue minus cost, corrected for the
     policy terms (premium, CO2 charge, scarcity rent) that apply to each
     entity.  The residual is zero at equilibrium."""
@@ -153,35 +152,34 @@ def check_zero_profit(system: PowerSystem, lp: LinearProgram, sol: Solution,
     support = policy.support
     support_set = set(policy.support_set())
 
-    if "generators" in scope:
-        for node, spec in system.technologies:
-            key = tech_key(spec.name, node)
-            g = sol.primal("g", key)
-            G = sol.primal("G", key)
-            energy = float(g.sum())
-            revenue = float((prices[node] * g).sum())
-            cost = spec.annual_cost(system.discount_rate) * G \
-                + spec.marginal_cost * energy
-            adjust = -spec.emission_factor * mu_co2 * energy
-            if spec.name in support_set:
-                if isinstance(support, SupportDispatched):
-                    adjust += mu_gamma * energy
-                elif isinstance(support, SupportAvailable):
-                    adjust += mu_theta * G * spec.availability_sum(system.snapshots)
-                elif isinstance(support, FixedFip):
-                    adjust += support.premium * energy
-            scarcity = 0.0
-            if lp.has_row("potential", key):
-                scarcity = -sol.dual("potential", key) * G   # mu_s^max >= 0
-            residual = revenue - cost + adjust - scarcity
-            scale = max(1.0, cost)
-            results.append(CheckResult(
-                "zero-profit", key, abs(residual) / scale,
-                "pass" if abs(residual) <= DEFAULT_TOL * scale else "fail",
-                detail={"revenue": revenue, "cost": cost, "adjustment": adjust,
-                        "scarcity_rent": scarcity, "capacity": G}))
+    for node, spec in system.technologies:
+        key = tech_key(spec.name, node)
+        g = sol.primal("g", key)
+        G = sol.primal("G", key)
+        energy = float(g.sum())
+        revenue = float((prices[node] * g).sum())
+        cost = spec.annual_cost(system.discount_rate) * G \
+            + spec.marginal_cost * energy
+        adjust = -spec.emission_factor * mu_co2 * energy
+        if spec.name in support_set:
+            if isinstance(support, SupportDispatched):
+                adjust += mu_gamma * energy
+            elif isinstance(support, SupportAvailable):
+                adjust += mu_theta * G * spec.availability_sum(system.snapshots)
+            elif isinstance(support, FixedFip):
+                adjust += support.premium * energy
+        scarcity = 0.0
+        if lp.has_row("potential", key):
+            scarcity = -sol.dual("potential", key) * G   # mu_s^max >= 0
+        residual = revenue - cost + adjust - scarcity
+        scale = max(1.0, cost)
+        results.append(CheckResult(
+            "zero-profit", key, abs(residual) / scale,
+            "pass" if abs(residual) <= DEFAULT_TOL * scale else "fail",
+            detail={"revenue": revenue, "cost": cost, "adjustment": adjust,
+                    "scarcity_rent": scarcity, "capacity": G}))
 
-    if "storage" in scope and system.storages:
+    if system.storages:
         arb = storage_arbitrage(system, sol, prices)
         costs = storage_cost(system, sol)
         for key in arb:
@@ -192,7 +190,7 @@ def check_zero_profit(system: PowerSystem, lp: LinearProgram, sol: Solution,
                 "pass" if abs(residual) <= DEFAULT_TOL * scale else "fail",
                 detail={"arbitrage_revenue": arb[key], "cost": costs[key]}))
 
-    if "lines" in scope and system.lines:
+    if system.lines:
         cong = congestion_revenue(system, sol, prices)
         costs = line_cost(system, sol)
         kvl_terms = _kvl_profit_terms(system, lp, sol)
@@ -214,15 +212,13 @@ def check_zero_profit(system: PowerSystem, lp: LinearProgram, sol: Solution,
     return results
 
 
-def _kvl_cycles(lp: LinearProgram, system: PowerSystem) -> list:
-    """The cycle basis when ``lp`` carries voltage-law rows, else []."""
-    return cycle_basis(system.lines) if lp.has_row("kvl-cycle", "c0") else []
-
-
 def _kvl_profit_terms(system: PowerSystem, lp: LinearProgram, sol: Solution) -> dict:
-    """Cycle-dual distortion term per line: sum_t,c y_c C_lc x_l f_lt."""
+    """Cycle-dual distortion term per line: sum_t,c y_c C_lc x_l f_lt, where
+    ``lp`` carries voltage-law rows."""
     out: dict = {}
-    for ci, cyc in enumerate(_kvl_cycles(lp, system)):
+    if not lp.has_row("kvl-cycle", "c0"):
+        return out
+    for ci, cyc in enumerate(cycle_basis(system.lines)):
         y = sol.dual("kvl-cycle", f"c{ci}")
         for li, sign in cyc.items():
             f = sol.primal("f", f"L{li}")
@@ -245,20 +241,20 @@ def _unsolved(check: str, sol: Solution, what: str) -> Optional[CheckResult]:
                        {"reason": f"{what} solve {sol.status}"})
 
 
-def _prices_not_unique(lp: LinearProgram, sol: Solution, relaxed: Solution,
-                       family: str, dual: float, shift: float) -> bool:
+def _prices_not_unique(system: PowerSystem, lp: LinearProgram, sol: Solution,
+                       relaxed: Solution, family: str, dual: float,
+                       shift: float) -> bool:
     """Whether the duals of ``relaxed``, the solution of the solved LP ``lp``
-    with its policy row ``family`` relaxed, pass ``lp``'s KKT check at
-    ``sol`` once mapped back onto ``lp``: row by row key, every balance
-    dual lowered by ``shift`` and the row ``family`` given ``dual``.
-    Mapped duals that pass are optimal duals of ``lp``, so where their
-    prices differ from ``sol``'s, ``lp``'s prices are not unique.  This is
-    the one way an equivalence check reaches 'inconclusive'."""
-    y = np.zeros(len(lp.rows))
-    for key, index in lp.row_index.items():
-        at = relaxed.lp.row_index.get(key)
-        if at is not None:
-            y[index] = relaxed.y[at] - (shift if key[0] == "balance" else 0.0)
+    with its policy row ``family`` freed, pass ``lp``'s KKT check at
+    ``sol`` once mapped back onto ``lp``: the rows of ``lp`` come first in
+    the relaxed LP, every balance dual is lowered by ``shift`` and the row
+    ``family`` is given ``dual``.  Mapped duals that pass are optimal duals
+    of ``lp``, so where their prices differ from ``sol``'s, ``lp``'s prices
+    are not unique.  This is the one way an equivalence check reaches
+    'inconclusive'."""
+    y = relaxed.y[:len(lp.rows)].copy()
+    for node in system.nodes:
+        y[lp.row("balance", node)] -= shift
     y[lp.row(family)] = dual
     return check_kkt(lp, replace(sol, y=y)).passed
 
@@ -282,8 +278,8 @@ def check_cap_tax_equivalence(system: PowerSystem, lp: LinearProgram, sol: Solut
                     for e in (spec.emission_factor
                               * sol.primal("g", tech_key(spec.name, node))).tolist())
     tax_lp = apply_equivalence_substitution(lp, "co2-cap", mu)
-    # warm from the cap LP's basis in its session: the tax LP is the cap LP
-    # with new costs and the cap row freed
+    # warm from the cap LP's basis in its session: the tax LP has the cap
+    # LP's shape, with new costs and the cap row freed
     tax_sol = solve(tax_lp, session=sol.session)
     unsolved = _unsolved("cap-tax-equivalence", tax_sol, "tax")
     if unsolved:
@@ -297,8 +293,8 @@ def check_cap_tax_equivalence(system: PowerSystem, lp: LinearProgram, sol: Solut
     residual = max(dev, obj_dev)
     if residual <= DEFAULT_TOL:
         verdict = "pass"
-    elif obj_dev <= DEFAULT_TOL and _prices_not_unique(lp, sol, tax_sol, "co2-cap",
-                                                       -mu, 0.0):
+    elif obj_dev <= DEFAULT_TOL and _prices_not_unique(system, lp, sol, tax_sol,
+                                                       "co2-cap", -mu, 0.0):
         verdict = "inconclusive"
     else:
         verdict = "fail"
@@ -312,7 +308,8 @@ def check_cap_tax_equivalence(system: PowerSystem, lp: LinearProgram, sol: Solut
 def check_subsidy_tax_lift(system: PowerSystem, lp: LinearProgram, sol: Solution,
                            policy: PolicyConfig) -> CheckResult:
     """Replace 'force in the supported set' by 'cap everything else' in the
-    solved LP ``lp`` and check that all prices and market values lift by
+    solved LP ``lp`` (a copy with the quota row freed and the mirror row
+    appended) and check that all prices and market values lift by
     exactly the premium.  Prices that differ are 'inconclusive' rather
     than 'fail' when the mirror's duals, lowered by the mirror row's price
     mu_m with mu_m on the quota row, are shown to be quota duals too."""
@@ -325,8 +322,8 @@ def check_subsidy_tax_lift(system: PowerSystem, lp: LinearProgram, sol: Solution
     mu_gamma = sol.dual("vre-dispatched")
     gamma_energy = support.energy_target(system)
 
-    mirror = build_lp(system, PolicyConfig(support=None, co2=policy.co2),
-                      enforce_kvl=bool(_kvl_cycles(lp, system)))
+    mirror = lp.copy()
+    mirror.free_row("vre-dispatched")
     row = mirror.add_rows(("vre-dispatched", "mirror"), sense="<=",
                           rhs=system.total_demand() - gamma_energy)
     support_set = set(support.technologies)
@@ -357,7 +354,7 @@ def check_subsidy_tax_lift(system: PowerSystem, lp: LinearProgram, sol: Solution
     mu_m = -mirror_sol.dual("vre-dispatched", "mirror")
     if residual <= DEFAULT_TOL:
         verdict = "pass"
-    elif _prices_not_unique(lp, sol, mirror_sol, "vre-dispatched", mu_m, mu_m):
+    elif _prices_not_unique(system, lp, sol, mirror_sol, "vre-dispatched", mu_m, mu_m):
         verdict = "inconclusive"
     else:
         verdict = "fail"

@@ -225,15 +225,15 @@ def test_criterion_08_congestion_revenue():
 
     # KCL only: price-difference revenue covers the line cost directly
     lp, sol = _solved(system)
-    results = check_zero_profit(system, lp, sol, PolicyConfig.none(),
-                                scope=("lines",))
+    results = [r for r in check_zero_profit(system, lp, sol, PolicyConfig.none())
+               if r.check == "zero-profit-line"]
     worst_kcl = max(r.residual for r in results)
     cycle_terms_kcl = max(abs(r.detail["kvl_term"]) for r in results)
 
     # with the voltage law the cycle term appears and closes the identity
     lp, sol = _solved(system, enforce_kvl=True)
-    results = check_zero_profit(system, lp, sol, PolicyConfig.none(),
-                                scope=("lines",))
+    results = [r for r in check_zero_profit(system, lp, sol, PolicyConfig.none())
+               if r.check == "zero-profit-line"]
     worst_kvl = max(r.residual for r in results)
     cycle_terms_kvl = max(abs(r.detail["kvl_term"]) for r in results)
     ok = worst_kcl <= 1e-6 and worst_kvl <= 1e-6 and \

@@ -132,10 +132,15 @@ class TestEquivalenceSubstitution:
                              technologies=(("N", gas),), discount_rate=0.0)
         lp = build_lp(system, PolicyConfig(co2=Co2Cap(5.0)))
         sub = apply_equivalence_substitution(lp, "co2-cap", 50.0)
-        assert not sub.has_row("co2-cap")
+        # the cap row is freed in place: same rows and matrix, rhs +inf
+        assert sub.row_index == lp.row_index
+        assert sub.rows.rhs[sub.row("co2-cap")] == float("inf")
+        assert np.array_equal(np.delete(sub.rows.rhs, sub.row("co2-cap")),
+                              np.delete(lp.rows.rhs, lp.row("co2-cap")))
+        assert np.array_equal(sub.entries.value, lp.entries.value)
         assert sub.columns.objective[sub.col("g", "gas@N")][0] == pytest.approx(110.0)
         # original LP untouched
-        assert lp.has_row("co2-cap")
+        assert lp.rows.rhs[lp.row("co2-cap")] == 5.0
         assert lp.columns.objective[lp.col("g", "gas@N")][0] == pytest.approx(90.0)
 
 

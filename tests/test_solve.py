@@ -281,8 +281,8 @@ class TestSession:
     def test_other_matrix_or_failed_solve_starts_cold(self, desk_system):
         session = Session()
         session.solve(build_lp(desk_system, PolicyConfig(co2=Co2Cap(900.0))))
-        # the LP without the cap is the capped LP with the cap row freed
-        assert session.solve(build_lp(desk_system, PolicyConfig.none())).warm_start
+        # the LP without the cap row has another shape
+        assert not session.solve(build_lp(desk_system, PolicyConfig.none())).warm_start
         other = random_desk_system(0, snapshots=24)
         assert not session.solve(build_lp(other, PolicyConfig.none())).warm_start
         lp = LinearProgram()
@@ -308,8 +308,8 @@ class TestSession:
         # the work of the failed warm run counts with the cold one
         runs = []
 
-        def recording(self, lp, picked, _run=Session._run):
-            sol = _run(self, lp, picked)
+        def recording(self, lp, warm, _run=Session._run):
+            sol = _run(self, lp, warm)
             runs.append((sol.warm_start, sol.iterations, sol.wall_time))
             return sol
         monkeypatch.setattr(Session, "_run", recording)

@@ -179,7 +179,7 @@ class TestEquivalence:
     def test_tax_prices_that_are_not_cap_prices_fail(self, monkeypatch):
         def tampered(lp, *args, _solve=solve, **kwargs):
             sol = _solve(lp, *args, **kwargs)
-            if not lp.has_row("co2-cap"):  # the tax LP
+            if np.isinf(lp.rows.rhs[lp.row("co2-cap")]):  # the tax LP
                 sol.y = sol.y * 1.001
             return sol
         monkeypatch.setattr(powermarket.verify, "solve", tampered)
@@ -197,6 +197,34 @@ class TestEquivalence:
         system, policy, lp = quota_ring()
         result = check_subsidy_tax_lift(system, lp, solve(lp), policy)
         assert result.verdict == "fail"
+
+    def test_relaxed_lps_keep_the_solved_rows_in_place(self, monkeypatch):
+        solved = []
+
+        def recording(lp, *args, _solve=solve, **kwargs):
+            solved.append(lp)
+            return _solve(lp, *args, **kwargs)
+        monkeypatch.setattr(powermarket.verify, "solve", recording)
+        system, policy, lp = quota_ring()
+        assert lp.has_row("kvl-cycle", "c0")
+        sol = solve(lp)
+        check_subsidy_tax_lift(system, lp, sol, policy)
+        mirror, = solved
+        tax = apply_equivalence_substitution(lp, "vre-dispatched",
+                                             sol.dual("vre-dispatched"))
+        quota = lp.row("vre-dispatched")
+        n = len(lp.rows)
+        for relaxed in (tax, mirror):
+            assert all(relaxed.row_index[key] == index
+                       for key, index in lp.row_index.items())
+            assert np.array_equal(relaxed.rows.sense[:n], lp.rows.sense)
+            assert relaxed.rows.rhs[quota] == -np.inf
+            assert np.array_equal(np.delete(relaxed.rows.rhs[:n], quota),
+                                  np.delete(lp.rows.rhs, quota))
+        assert len(tax.rows) == n
+        assert len(mirror.rows) == n + 1
+        assert set(mirror.row_index) - set(lp.row_index) == {("vre-dispatched", "mirror")}
+        assert mirror.row("vre-dispatched", "mirror") == n
 
     def test_cap_tax_resolves_warm(self):
         system, policy, options = load_scenario(scenario_path("fig1_co2_cap.json"))
