@@ -294,8 +294,6 @@ def build_lp(system: PowerSystem, policy: PolicyConfig, *,
         msgs = "; ".join(f"{v.entity}: {v.rule} ({v.message})" for v in violations[:8])
         raise FormulationError(f"invalid system/policy: {msgs}")
     T = system.snapshots
-    if T < 1:
-        raise FormulationError("degenerate system: zero snapshots")
 
     lp = LinearProgram()
     r = system.discount_rate

@@ -96,8 +96,8 @@ class TechnologySpec:
             object.__setattr__(self, "availability", tuple(float(v) for v in self.availability))
         mc = self.variable_cost
         if self.fuel_cost is not None:
-            if self.efficiency is None:
-                raise ValueError(f"{self.name}: fuel_cost given without efficiency")
+            if not self.efficiency:
+                raise ValueError(f"{self.name}: fuel_cost given without a nonzero efficiency")
             mc = self.variable_cost + self.fuel_cost / self.efficiency
         object.__setattr__(self, "marginal_cost", float(mc))
 
@@ -307,10 +307,22 @@ def _check_finite(out, entity, spec):
             out.append(Violation(entity, "non-finite", f"{f.name} is {v}"))
 
 
+def _check_annual_cost(out, entity, cost, rate_ok):
+    """A violation when the annualized cost ``cost()`` is not finite.  It is
+    computed only under a valid discount rate and for an entity without
+    other violations, as annuitize raises on the inputs those reject."""
+    if rate_ok and all(v.entity != entity for v in out):
+        value = cost()
+        if not math.isfinite(value):
+            out.append(Violation(entity, "annual-cost", f"annualized cost is {value}"))
+
+
 def validate(system: PowerSystem, policy: PolicyConfig) -> list:
     """Check all model invariants; returns structured violations, never raises."""
     out: list = []
     T = system.snapshots
+    r = system.discount_rate
+    rate_ok = math.isfinite(r) and r >= 0
     if T < 1:
         out.append(Violation("system", "snapshots", "at least one snapshot required"))
 
@@ -355,6 +367,7 @@ def validate(system: PowerSystem, policy: PolicyConfig) -> list:
             _check_profile(out, ent, spec.availability, T, "profile out of [0,1]", 0.0, 1.0)
         if spec.max_potential is not None and spec.max_potential < 0:
             out.append(Violation(ent, "potential", "max potential must be >= 0"))
+        _check_annual_cost(out, ent, lambda: spec.annual_cost(r), rate_ok)
 
     names = set()
     for node, sto in system.storages:
@@ -367,6 +380,8 @@ def validate(system: PowerSystem, policy: PolicyConfig) -> list:
             out.append(Violation(ent, "duplicate", "duplicate storage at node"))
         names.add((sto.name, node))
         _check_finite(out, ent, sto)
+        if sto.lifetime < 1:
+            out.append(Violation(ent, "lifetime", "lifetime must be >= 1"))
         for eta in (sto.eta_discharge, sto.eta_charge, sto.eta_standing):
             if not (0.0 < eta <= 1.0):
                 out.append(Violation(ent, "efficiency", "efficiencies must be in (0, 1]"))
@@ -375,6 +390,7 @@ def validate(system: PowerSystem, policy: PolicyConfig) -> list:
                 out.append(Violation(ent, "capex", "capex must be >= 0"))
         if sto.fixed_energy_power_ratio is not None and sto.fixed_energy_power_ratio <= 0:
             out.append(Violation(ent, "energy-power-ratio", "ratio must be > 0"))
+        _check_annual_cost(out, ent, lambda: sum(sto.annual_costs(r).values()), rate_ok)
 
     for line in system.lines:
         ent = line.name
@@ -386,6 +402,10 @@ def validate(system: PowerSystem, policy: PolicyConfig) -> list:
                 out.append(Violation(ent, "unresolved-node", f"unknown node {n}"))
         if line.existing_capacity < 0 or line.reverse_capacity() < 0:
             out.append(Violation(ent, "capacity", "existing capacity must be >= 0"))
+        if line.lifetime is not None and line.lifetime < 1:
+            out.append(Violation(ent, "lifetime", "lifetime must be >= 1"))
+        if line.expandable:
+            _check_annual_cost(out, ent, lambda: line.annual_cost(r), rate_ok)
 
     known = {spec.name for _, spec in system.technologies}
     sup = policy.support
@@ -393,6 +413,8 @@ def validate(system: PowerSystem, policy: PolicyConfig) -> list:
         if instrument is not None:
             _check_finite(out, "policy", instrument)
     if sup is not None:
+        if not sup.technologies:
+            out.append(Violation("policy", "support-set", "empty technology set"))
         for t in sup.technologies:
             if t not in known:
                 out.append(Violation(t, "unresolved policy set member",
@@ -416,7 +438,7 @@ def validate(system: PowerSystem, policy: PolicyConfig) -> list:
     _check_finite(out, "system", system)
     if system.voll is not None and system.voll <= 0:
         out.append(Violation("system", "voll", "value of lost load must be > 0"))
-    if system.discount_rate < 0:
+    if r < 0:
         out.append(Violation("system", "discount-rate", "discount rate must be >= 0"))
     return out
 

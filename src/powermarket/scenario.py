@@ -19,7 +19,9 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import os
+from dataclasses import MISSING, fields
 from typing import Optional, get_type_hints
 
 from .model import (
@@ -71,15 +73,10 @@ DEFAULT_STORAGES = {
                      eta_discharge=0.58, eta_charge=0.8),
 }
 
-_TECH_FIELDS = ("name", "capex", "lifetime", "fixed_om", "variable_cost",
-                "fuel_cost", "efficiency", "emission_factor", "availability",
-                "max_potential")
-_STORAGE_FIELDS = ("name", "capex_discharge", "capex_charge", "capex_energy",
-                   "lifetime", "eta_discharge", "eta_charge", "eta_standing",
-                   "fixed_energy_power_ratio")
-_LINE_FIELDS = ("from_node", "to_node", "existing_capacity",
-                "existing_capacity_reverse", "expandable", "capex",
-                "lifetime", "reactance")
+# the instrument classes a policy section's 'type' names
+_SUPPORT_TYPES = {"dispatched": SupportDispatched, "available": SupportAvailable,
+                  "fip": FixedFip}
+_CO2_TYPES = {"cap": Co2Cap, "tax": Co2Tax}
 
 
 def _is_number(value) -> bool:
@@ -101,17 +98,12 @@ _KINDS = {
     "an object or null": lambda v: v is None or isinstance(v, dict),
     "a list of strings": lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v),
     "a list of objects": lambda v: isinstance(v, list) and all(isinstance(x, dict) for x in v),
+    "a series": lambda v: True,  # _resolve_series checks it
 }
 # the kind a dataclass field's annotation asks for
-_ANNOTATED = {float: "a number", Optional[float]: "a number or null", int: "an integer",
-              str: "a string", bool: "true or false"}
-
-
-def _field_kinds(*classes) -> dict:
-    """Field name -> kind of every annotated field of the dataclasses."""
-    return {name: _ANNOTATED[hint] for cls in classes
-            for name, hint in get_type_hints(cls).items() if hint in _ANNOTATED}
-
+_ANNOTATED = {float: "a number", Optional[float]: "a number or null", str: "a string",
+              bool: "true or false", tuple: "a list of strings",
+              Optional[tuple]: "a series"}
 
 _DOC_KINDS = {"name": "a string", "snapshots": "an integer", "timeseries": "a string",
               "nodes": "a list of strings", "demand": "an object",
@@ -122,13 +114,7 @@ _OPTION_KINDS = {"voll": "a number or null", "discount_rate": "a number",
                  "kvl": "true or false", "suppress_negative_prices": "true or false"}
 _SERIES_KINDS = {"scale": "a number", "seed": "an integer", "kind": "a string",
                  "series": "a string"}
-_TECH_KINDS = _field_kinds(TechnologySpec)
-_STORAGE_KINDS = _field_kinds(StorageSpec)
-_LINE_KINDS = _field_kinds(LineSpec)
 _POLICY_KINDS = {"support": "an object or null", "co2": "an object or null"}
-_SUPPORT_KINDS = {**_field_kinds(SupportDispatched, SupportAvailable, FixedFip),
-                  "type": "a string", "technologies": "a list of strings"}
-_CO2_KINDS = {**_field_kinds(Co2Cap, Co2Tax), "type": "a string"}
 
 
 def _json_type(value) -> str:
@@ -136,12 +122,28 @@ def _json_type(value) -> str:
                 type(value).__name__)
 
 
-def _type_errors(entry: dict, kinds: dict, where: str) -> list:
-    """One message per key of ``entry`` whose value is not of the kind
-    ``kinds`` names for it; keys it does not name are left to other checks."""
-    return [f"{where}: '{key}' must be {kinds[key]}, not {_json_type(value)}"
+def _type_errors(entry: dict, kinds: dict, where: str, noun: str = "field") -> list:
+    """One message per key of ``entry`` that ``kinds`` does not name, or
+    whose value is not of the kind ``kinds`` names for it."""
+    return [f"{where}: unknown {noun} '{key}'" if key not in kinds else
+            f"{where}: '{key}' must be {kinds[key]}, not {_json_type(value)}"
             for key, value in entry.items()
-            if key in kinds and not _KINDS[kinds[key]](value)]
+            if key not in kinds or not _KINDS[kinds[key]](value)]
+
+
+def _float(value) -> Optional[float]:
+    """A JSON number as a float, null as None; an integer beyond the float
+    range becomes an infinity, which validate reports like any other."""
+    if value is None:
+        return None
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
+# how _build turns a JSON value of a kind into a field value
+_CONVERT = {"a number": _float, "a number or null": _float, "a list of strings": tuple}
 
 
 def _read_timeseries_csv(path, errors: list) -> dict:
@@ -188,7 +190,7 @@ def _resolve_series(value, snapshots: int, series: dict, where: str,
         if bad:
             errors.extend(bad)
             return None
-        scale = float(value.get("scale", 1.0))
+        scale = _float(value.get("scale", 1.0))
         if "kind" in value:
             kind = value["kind"]
             if kind not in PROFILE_KINDS:
@@ -214,128 +216,50 @@ def _resolve_series(value, snapshots: int, series: dict, where: str,
     return None
 
 
-def _build_tech(entry: dict, snapshots: int, series: dict, where: str,
-                errors: list) -> Optional[TechnologySpec]:
+def _build(cls, entry: dict, where: str, errors: list, defaults=None, series=None):
+    """An instance of the dataclass ``cls`` from the JSON object ``entry``,
+    or None after adding what is wrong with it to ``errors``.
+
+    ``entry`` takes the fields of ``cls``, each of the JSON kind its
+    annotation asks for, and, where ``defaults`` is given, a 'default' that
+    names one of them for the entry's fields to override.  A series field is
+    resolved with ``series``, a (snapshots, timeseries columns) pair.
+    """
+    hints = get_type_hints(cls)
+    kinds = {f.name: _ANNOTATED[hints[f.name]] for f in fields(cls) if f.init}
+    if defaults is not None:
+        kinds["default"] = "a string"
+    bad = _type_errors(entry, kinds, where)
+    if not bad and "default" in entry and entry["default"] not in defaults:
+        bad = [f"{where}: unknown default '{entry['default']}' "
+               f"(available: {sorted(defaults)})"]
+    if bad:
+        errors.extend(bad)
+        return None
     kwargs = {}
     if "default" in entry:
-        default = entry["default"]
-        if default not in DEFAULT_TECHNOLOGIES:
-            errors.append(f"{where}: unknown technology default '{default}' "
-                          f"(available: {sorted(DEFAULT_TECHNOLOGIES)})")
-            return None
-        kwargs.update(DEFAULT_TECHNOLOGIES[default])
-        kwargs["name"] = default
-    for key, val in entry.items():
-        if key in ("node", "default"):
-            continue
-        if key not in _TECH_FIELDS:
-            errors.append(f"{where}: unknown technology field '{key}'")
-            return None
-        kwargs[key] = val
-    bad = _type_errors(kwargs, _TECH_KINDS, where)
-    if bad:
-        errors.extend(bad)
+        kwargs = {**defaults[entry["default"]], "name": entry["default"]}
+    for key, value in entry.items():
+        if key != "default":
+            convert = _CONVERT.get(kinds[key])
+            kwargs[key] = convert(value) if convert else value
+    missing = [f"{where}: missing field '{f.name}'" for f in fields(cls)
+               if f.init and f.name not in kwargs
+               and f.default is MISSING and f.default_factory is MISSING]
+    if missing:
+        errors.extend(missing)
         return None
-    if "name" not in kwargs:
-        errors.append(f"{where}: technology needs a 'name' or a 'default'")
-        return None
-    if "capex" not in kwargs:
-        errors.append(f"{where}: technology '{kwargs['name']}' needs a capex")
-        return None
-    if kwargs.get("availability") is not None:
-        kwargs["availability"] = _resolve_series(
-            kwargs["availability"], snapshots, series,
-            f"{where}: availability of '{kwargs['name']}'", errors)
-        if kwargs["availability"] is None:
-            return None
+    for key, kind in kinds.items():
+        if kind == "a series" and kwargs.get(key) is not None:
+            kwargs[key] = _resolve_series(kwargs[key], *series,
+                                          f"{where}: {key} of '{kwargs['name']}'", errors)
+            if kwargs[key] is None:
+                return None
     try:
-        return TechnologySpec(**kwargs)
-    except (TypeError, ValueError) as exc:
+        return cls(**kwargs)
+    except ValueError as exc:
         errors.append(f"{where}: {exc}")
         return None
-
-
-def _build_storage(entry: dict, where: str, errors: list) -> Optional[StorageSpec]:
-    kwargs = {}
-    if "default" in entry:
-        default = entry["default"]
-        if default not in DEFAULT_STORAGES:
-            errors.append(f"{where}: unknown storage default '{default}' "
-                          f"(available: {sorted(DEFAULT_STORAGES)})")
-            return None
-        kwargs.update(DEFAULT_STORAGES[default])
-        kwargs["name"] = default
-    for key, val in entry.items():
-        if key in ("node", "default"):
-            continue
-        if key not in _STORAGE_FIELDS:
-            errors.append(f"{where}: unknown storage field '{key}'")
-            return None
-        kwargs[key] = val
-    bad = _type_errors(kwargs, _STORAGE_KINDS, where)
-    if bad:
-        errors.extend(bad)
-        return None
-    if "name" not in kwargs:
-        errors.append(f"{where}: storage needs a 'name' or a 'default'")
-        return None
-    try:
-        return StorageSpec(**kwargs)
-    except (TypeError, ValueError) as exc:
-        errors.append(f"{where}: {exc}")
-        return None
-
-
-def _build_policy(doc: dict, errors: list) -> PolicyConfig:
-    pol = doc.get("policy") or {}
-    support = None
-    co2 = None
-    bad = _type_errors(pol, _POLICY_KINDS, "policy")
-    if not bad:
-        bad = (_type_errors(pol.get("support") or {}, _SUPPORT_KINDS, "policy.support")
-               + _type_errors(pol.get("co2") or {}, _CO2_KINDS, "policy.co2"))
-    if bad:
-        errors.extend(bad)
-        return PolicyConfig()
-    sup = pol.get("support")
-    if sup is not None:
-        kind = sup.get("type")
-        techs = tuple(sup.get("technologies", ()))
-        if not techs:
-            errors.append("policy.support: empty technology set")
-        if kind == "dispatched":
-            support = SupportDispatched(techs, share=sup.get("share"),
-                                        target=sup.get("target"))
-        elif kind == "available":
-            support = SupportAvailable(techs, share=sup.get("share"),
-                                       target=sup.get("target"))
-        elif kind == "fip":
-            if "premium" not in sup:
-                errors.append("policy.support: fip needs a 'premium'")
-            else:
-                support = FixedFip(techs, premium=float(sup["premium"]))
-        else:
-            errors.append(f"policy.support: unknown type '{kind}' "
-                          "(dispatched | available | fip)")
-        if kind in ("dispatched", "available") and \
-                (sup.get("share") is None) == (sup.get("target") is None):
-            errors.append("policy.support: exactly one of 'share'/'target' required")
-    cd = pol.get("co2")
-    if cd is not None:
-        kind = cd.get("type")
-        if kind == "cap":
-            if "cap" not in cd:
-                errors.append("policy.co2: cap needs a 'cap' value")
-            else:
-                co2 = Co2Cap(float(cd["cap"]))
-        elif kind == "tax":
-            if "rate" not in cd:
-                errors.append("policy.co2: tax needs a 'rate'")
-            else:
-                co2 = Co2Tax(float(cd["rate"]))
-        else:
-            errors.append(f"policy.co2: unknown type '{kind}' (cap | tax)")
-    return PolicyConfig(support=support, co2=co2)
 
 
 def loads_scenario(doc: dict, base_dir: str = "."):
@@ -349,99 +273,81 @@ def loads_scenario(doc: dict, base_dir: str = "."):
     errors: list = [f"missing required section '{key}'"
                     for key in ("snapshots", "nodes", "demand", "technologies")
                     if key not in doc]
-    errors += _type_errors(doc, _DOC_KINDS, "scenario")
+    errors += _type_errors(doc, _DOC_KINDS, "scenario", "section")
+    pol, options = doc.get("policy") or {}, doc.get("options", {})
+    if isinstance(pol, dict):
+        errors += _type_errors(pol, _POLICY_KINDS, "policy")
+    if isinstance(options, dict):
+        errors += _type_errors(options, _OPTION_KINDS, "options", "option")
     if errors:
         raise ScenarioError("; ".join(errors))
 
     snapshots = doc["snapshots"]
     nodes = tuple(doc["nodes"])
-    series: dict = {}
+    columns: dict = {}
     if "timeseries" in doc:
-        series = _read_timeseries_csv(
+        columns = _read_timeseries_csv(
             os.path.join(base_dir, doc["timeseries"]), errors)
+    series = (snapshots, columns)
 
-    demand = {}
-    for n in nodes:
-        if n not in doc["demand"]:
-            errors.append(f"demand: no series for node '{n}'")
-            continue
-        d = _resolve_series(doc["demand"][n], snapshots, series,
-                            f"demand[{n}]", errors)
-        if d is not None:
-            demand[n] = d
-    for n in doc["demand"]:
-        if n not in nodes:
-            errors.append(f"demand: series for unknown node '{n}'")
+    # unknown and missing demand nodes are left to validate
+    demand = {n: _resolve_series(d, *series, f"demand[{n}]", errors)
+              for n, d in doc["demand"].items()}
 
-    technologies = []
-    for i, entry in enumerate(doc["technologies"]):
-        where = f"technologies[{i}]"
-        node = entry.get("node")
-        if node not in nodes:
-            errors.append(f"{where}: unknown or missing node '{node}'")
-            continue
-        spec = _build_tech(entry, snapshots, series, where, errors)
-        if spec is not None:
-            technologies.append((node, spec))
-
-    storages = []
-    for i, entry in enumerate(doc.get("storages", ())):
-        where = f"storages[{i}]"
-        node = entry.get("node")
-        if node not in nodes:
-            errors.append(f"{where}: unknown or missing node '{node}'")
-            continue
-        spec = _build_storage(entry, where, errors)
-        if spec is not None:
-            storages.append((node, spec))
+    placed: dict = {}
+    for section, cls, defaults in (("technologies", TechnologySpec, DEFAULT_TECHNOLOGIES),
+                                   ("storages", StorageSpec, DEFAULT_STORAGES)):
+        placed[section] = []
+        for i, entry in enumerate(doc.get(section, ())):
+            where = f"{section}[{i}]"
+            node = entry.get("node")
+            if node not in nodes:
+                errors.append(f"{where}: unknown or missing node '{node}'")
+                continue
+            spec = _build(cls, {k: v for k, v in entry.items() if k != "node"},
+                          where, errors, defaults, series)
+            if spec is not None:
+                placed[section].append((node, spec))
 
     lines = []
-    kvl = doc.get("options", {}).get("kvl") is True
     for i, entry in enumerate(doc.get("lines", ())):
-        where = f"lines[{i}]"
-        bad = [k for k in entry if k not in _LINE_FIELDS]
-        if bad:
-            errors.append(f"{where}: unknown line fields {bad}")
-            continue
-        bad = _type_errors(entry, _LINE_KINDS, where)
-        if bad:
-            errors.extend(bad)
-            continue
-        try:
-            line = LineSpec(**entry)
-        except (TypeError, ValueError) as exc:
-            errors.append(f"{where}: {exc}")
-            continue
-        if kvl and line.reactance is None:
-            errors.append(f"{where}: line {line.name} has no reactance, "
+        line = _build(LineSpec, entry, f"lines[{i}]", errors)
+        if line is not None and options.get("kvl") is True and line.reactance is None:
+            errors.append(f"lines[{i}]: line {line.name} has no reactance, "
                           "which options.kvl needs")
         lines.append(line)
 
-    policy = _build_policy(doc, errors)
-    options = dict(doc.get("options", {}))
-    errors += _type_errors(options, _OPTION_KINDS, "options")
-    voll = options.pop("voll", 1000.0)
-    discount = options.pop("discount_rate", 0.07)
-    for key in options:
-        if key not in ("kvl", "suppress_negative_prices"):
-            errors.append(f"options: unknown option '{key}'")
+    instruments = {}
+    for key, types in (("support", _SUPPORT_TYPES), ("co2", _CO2_TYPES)):
+        entry, where = pol.get(key), f"policy.{key}"
+        if entry is None:
+            continue
+        kind = entry.get("type")
+        if not isinstance(kind, str):
+            errors.append(f"{where}: 'type' must be a string, not {_json_type(kind)}")
+        elif kind not in types:
+            errors.append(f"{where}: unknown type '{kind}' ({' | '.join(types)})")
+        else:
+            instruments[key] = _build(types[kind], {k: v for k, v in entry.items()
+                                                    if k != "type"}, where, errors)
 
     if errors:
         raise ScenarioError("; ".join(errors))
 
+    policy = PolicyConfig(**instruments)
     system = PowerSystem(nodes=nodes, snapshots=snapshots, demand=demand,
-                         technologies=tuple(technologies),
-                         storages=tuple(storages), lines=tuple(lines),
-                         voll=voll, discount_rate=float(discount))
+                         technologies=tuple(placed["technologies"]),
+                         storages=tuple(placed["storages"]), lines=tuple(lines),
+                         voll=_float(options.get("voll", 1000.0)),
+                         discount_rate=_float(options.get("discount_rate", 0.07)))
     violations = validate(system, policy)
     if violations:
         raise ScenarioError("; ".join(
             f"{v.entity}: {v.rule} ({v.message})" for v in violations))
-    options["kvl"] = bool(doc.get("options", {}).get("kvl", False))
-    options["suppress_negative_prices"] = bool(
-        doc.get("options", {}).get("suppress_negative_prices", False))
-    options["name"] = doc.get("name", "scenario")
-    return system, policy, options
+    return system, policy, {"kvl": options.get("kvl", False),
+                            "suppress_negative_prices":
+                                options.get("suppress_negative_prices", False),
+                            "name": doc.get("name", "scenario")}
 
 
 def _read_json(path):
@@ -463,6 +369,13 @@ def load_scenario(path):
     return loads_scenario(doc, base_dir=os.path.dirname(os.path.abspath(path)))
 
 
+def _entry(obj) -> dict:
+    """The fields of the dataclass ``obj`` that are set, as JSON values."""
+    entry = {f.name: getattr(obj, f.name) for f in fields(obj) if f.init}
+    return {k: list(v) if isinstance(v, tuple) else v
+            for k, v in entry.items() if v is not None}
+
+
 def serialize_scenario(system: PowerSystem, policy: PolicyConfig,
                        options: Optional[dict] = None) -> str:
     """Canonical JSON for a resolved model; loading it back yields an
@@ -472,62 +385,21 @@ def serialize_scenario(system: PowerSystem, policy: PolicyConfig,
         "name": options.get("name", "scenario"),
         "snapshots": system.snapshots,
         "nodes": list(system.nodes),
-        "demand": {n: list(system.demand[n]) for n in system.nodes},
-        "technologies": [],
+        "demand": {n: list(d) for n, d in system.demand.items()},
+        "technologies": [{"node": n, **_entry(s)} for n, s in system.technologies],
+        "storages": [{"node": n, **_entry(s)} for n, s in system.storages],
+        "lines": [_entry(line) for line in system.lines],
+        "policy": {},
         "options": {"voll": system.voll, "discount_rate": system.discount_rate,
                     "kvl": bool(options.get("kvl", False)),
                     "suppress_negative_prices":
                         bool(options.get("suppress_negative_prices", False))},
     }
-    for node, spec in system.technologies:
-        entry = {"node": node, "name": spec.name, "capex": spec.capex,
-                 "lifetime": spec.lifetime}
-        for f in ("fixed_om", "variable_cost", "fuel_cost", "efficiency",
-                  "emission_factor", "max_potential"):
-            v = getattr(spec, f)
-            if v not in (None, 0.0):
-                entry[f] = v
-        if spec.availability is not None:
-            entry["availability"] = list(spec.availability)
-        doc["technologies"].append(entry)
-    if system.storages:
-        doc["storages"] = []
-        for node, sto in system.storages:
-            entry = {"node": node}
-            for f in _STORAGE_FIELDS:
-                v = getattr(sto, f)
-                if v is not None:
-                    entry[f] = v
-            doc["storages"].append(entry)
-    if system.lines:
-        doc["lines"] = []
-        for line in system.lines:
-            entry = {}
-            for f in _LINE_FIELDS:
-                v = getattr(line, f)
-                if v is not None:
-                    entry[f] = v
-            doc["lines"].append(entry)
-    pol: dict = {}
-    sup = policy.support
-    if isinstance(sup, SupportDispatched):
-        pol["support"] = {"type": "dispatched", "technologies": list(sup.technologies)}
-    elif isinstance(sup, SupportAvailable):
-        pol["support"] = {"type": "available", "technologies": list(sup.technologies)}
-    elif isinstance(sup, FixedFip):
-        pol["support"] = {"type": "fip", "technologies": list(sup.technologies),
-                          "premium": sup.premium}
-    if isinstance(sup, (SupportDispatched, SupportAvailable)):
-        if sup.share is not None:
-            pol["support"]["share"] = sup.share
-        else:
-            pol["support"]["target"] = sup.target
-    if isinstance(policy.co2, Co2Cap):
-        pol["co2"] = {"type": "cap", "cap": policy.co2.cap}
-    elif isinstance(policy.co2, Co2Tax):
-        pol["co2"] = {"type": "tax", "rate": policy.co2.rate}
-    if pol:
-        doc["policy"] = pol
+    for key, types in (("support", _SUPPORT_TYPES), ("co2", _CO2_TYPES)):
+        instrument = getattr(policy, key)
+        if instrument is not None:
+            kind = next(k for k, cls in types.items() if type(instrument) is cls)
+            doc["policy"][key] = {"type": kind, **_entry(instrument)}
     return json.dumps(doc, indent=2, sort_keys=True)
 
 
@@ -565,7 +437,7 @@ def load_plan(path):
         return SweepPlan(
             system=system,
             axis=doc["axis"],
-            values=tuple(float(v) for v in values),
+            values=tuple(_float(v) for v in values),
             policy_set=tuple(policy_set),
             base_co2=policy.co2,
             suppress_negative_prices=bool(

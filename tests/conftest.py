@@ -7,12 +7,9 @@ duals), which the equivalence checks rely on.
 """
 
 import os
-import sys
 
 import numpy as np
 import pytest
-
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), ".."))
 
 from powermarket.formulate import column_major
 from powermarket.model import (
@@ -24,10 +21,41 @@ from powermarket.model import (
 from powermarket.solve import load_highs
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
+BUNDLED_SCENARIOS = ("fig1_no_policy.json", "fig1_support.json", "fig1_co2_cap.json",
+                     "wind_gas_168h.json", "vre_flex_168h.json")
 
 
 def scenario_path(name: str) -> str:
     return os.path.join(SCENARIO_DIR, name)
+
+
+def gate_document(directory) -> dict:
+    """A scenario with a timeseries file, two nodes, a storage unit, a line
+    under the voltage law, a fixed premium and a CO2 tax; the CSV is
+    written to ``directory``."""
+    (directory / "gate.csv").write_text(
+        "timestamp,B_load\n" + "".join(f"{t},{5 + t}\n" for t in range(4)))
+    return {
+        "name": "gate", "snapshots": 4, "nodes": ["A", "B"], "timeseries": "gate.csv",
+        "demand": {"A": [10.0, 12.0, 9.0, 11.0], "B": {"series": "B_load", "scale": 1.0}},
+        "technologies": [
+            {"node": "A", "name": "gas", "capex": 100.0, "lifetime": 20.0, "fixed_om": 1.0,
+             "variable_cost": 1.0, "fuel_cost": 20.0, "efficiency": 0.5,
+             "emission_factor": 0.4, "max_potential": 50.0},
+            {"node": "B", "default": "wind", "capex": 50.0,
+             "availability": {"kind": "wind-autocorrelated", "seed": 3}}],
+        "storages": [{"node": "B", "name": "battery", "capex_discharge": 5.0,
+                      "capex_charge": 1.0, "capex_energy": 2.0, "lifetime": 15.0,
+                      "eta_discharge": 0.9, "eta_charge": 0.9, "eta_standing": 0.99,
+                      "fixed_energy_power_ratio": 4.0}],
+        "lines": [{"from_node": "A", "to_node": "B", "existing_capacity": 5.0,
+                   "existing_capacity_reverse": 4.0, "expandable": True, "capex": 10.0,
+                   "lifetime": 30.0, "reactance": 0.1}],
+        "policy": {"support": {"type": "fip", "technologies": ["wind"], "premium": 5.0},
+                   "co2": {"type": "tax", "rate": 30.0}},
+        "options": {"voll": 1000.0, "discount_rate": 0.05, "kvl": True,
+                    "suppress_negative_prices": False},
+    }
 
 
 def assert_highs_reads(path, lp) -> None:

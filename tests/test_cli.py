@@ -32,7 +32,7 @@ from powermarket.model import (
 from powermarket.scenario import load_scenario, serialize_scenario
 from powermarket.solve import Solution, load_highs, solve, status_of
 
-from conftest import assert_highs_reads, scenario_path
+from conftest import BUNDLED_SCENARIOS, assert_highs_reads, gate_document, scenario_path
 
 
 def exit_code(argv) -> int:
@@ -411,6 +411,21 @@ STRUCTURE_ERRORS = {
                       {"from_node": "N", "to_node": "M", "existing_capacity": 50.0}],
                options={**bundled("wind_gas_168h.json")["options"], "kvl": True}),
         "lines[1]: line N+M has no reactance, which options.kvl needs"),
+    "storage-lifetime-below-one": (
+        edited("vre_flex_168h.json",
+               storages=[{**bundled("vre_flex_168h.json")["storages"][0], "lifetime": 0.5}]),
+        "battery@N: lifetime (lifetime must be >= 1)"),
+    "line-lifetime-below-one": (
+        edited("wind_gas_168h.json", nodes=["N", "M"],
+               demand={**bundled("wind_gas_168h.json")["demand"],
+                       "M": {"kind": "flat-demand", "scale": 10.0}},
+               lines=[{"from_node": "N", "to_node": "M", "expandable": True,
+                       "capex": 10.0, "lifetime": 0.5}]),
+        "N+M: lifetime (lifetime must be >= 1)"),
+    "overflowing-annual-cost": (
+        edited("wind_gas_168h.json",
+               options={**bundled("wind_gas_168h.json")["options"], "discount_rate": 1e308}),
+        "wind@N: annual-cost (annualized cost is inf)"),
 }
 
 
@@ -426,6 +441,56 @@ class TestStructure:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert message in err
+
+
+def field_paths(node, path=()):
+    """The key or index path of every value below the JSON value ``node``."""
+    items = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, value in items:
+        yield path + (key,)
+        yield from field_paths(value, path + (key,))
+
+
+def with_value(doc: dict, path: tuple, value) -> dict:
+    doc = json.loads(json.dumps(doc))
+    entry = doc
+    for key in path[:-1]:
+        entry = entry[key]
+    entry[path[-1]] = value
+    return doc
+
+
+# one value of each JSON kind
+JSON_VALUES = (True, "x", ["x"], {"x": 2}, None, 2)
+
+
+class TestJsonKinds:
+    @pytest.mark.parametrize("name", BUNDLED_SCENARIOS + ("gate",))
+    def test_each_field_takes_each_json_kind(self, tmp_path, capsys, name):
+        # validate exits 0 or 1 with one error line, emit-lp exits 0 where
+        # validate did, and no value ends in a traceback
+        doc = gate_document(tmp_path) if name == "gate" else bundled(name)
+        path, out = tmp_path / "case.json", ["--out-dir", str(tmp_path / "out")]
+        wrong = []
+        for where in field_paths(doc):
+            for value in JSON_VALUES:
+                case = f"{'.'.join(map(str, where))} = {json.dumps(value)}"
+                path.write_text(json.dumps(with_value(doc, where, value)))
+                capsys.readouterr()
+                try:
+                    code = exit_code(["validate", str(path)])
+                    err = capsys.readouterr().err
+                    if code == 0:
+                        code = exit_code(["emit-lp", str(path), *out])
+                        if code != 0:
+                            wrong.append(f"{case}: validate exit 0, emit-lp exit {code}")
+                    elif code != 1 or not err.startswith("error: ") \
+                            or err.count("\n") != 1:
+                        wrong.append(f"{case}: validate exit {code}, {err!r}")
+                except Exception as exc:
+                    wrong.append(f"{case}: {type(exc).__name__}: {exc}")
+        assert wrong == []
 
 
 class TestSweep:

@@ -84,6 +84,10 @@ class TestValidate:
         assert violations and any("geothermal" in v.message or
                                   "geothermal" in v.entity for v in violations)
 
+    def test_empty_support_set(self):
+        policy = PolicyConfig(support=SupportDispatched((), share=0.1))
+        assert [v.rule for v in validate(random_desk_system(0), policy)] == ["support-set"]
+
     def test_never_raises_on_garbage(self):
         system = PowerSystem(nodes=("N", "M"), snapshots=0, demand={},
                              technologies=())

@@ -13,7 +13,7 @@ from powermarket.scenario import (
     serialize_scenario,
 )
 
-from conftest import scenario_path
+from conftest import BUNDLED_SCENARIOS, gate_document, scenario_path
 
 
 def minimal_doc():
@@ -31,9 +31,7 @@ def minimal_doc():
 
 class TestLoad:
     def test_bundled_scenarios_load(self):
-        for name in ("fig1_no_policy.json", "fig1_support.json",
-                     "fig1_co2_cap.json", "wind_gas_168h.json",
-                     "vre_flex_168h.json"):
+        for name in BUNDLED_SCENARIOS:
             system, policy, options = load_scenario(scenario_path(name))
             assert system.snapshots in (48, 168)
             assert options["name"]
@@ -146,6 +144,19 @@ WRONG_TYPES = {
                      "options: 'kvl' must be true or false, not a string"),
     "line-capex-a-string": (("lines",), [{"from_node": "N", "to_node": "M", "capex": "1"}],
                             "lines[0]: 'capex' must be a number, not a string"),
+    "co2-unknown-key": (("policy",), {"co2": {"type": "cap", "cap": 12.0, "rate": 5.0}},
+                        "policy.co2: unknown field 'rate'"),
+    "line-without-to-node": (("lines",), [{"from_node": "N", "capex": 1.0}],
+                             "lines[0]: missing field 'to_node'"),
+    "fuel-without-efficiency": (("technologies", 1, "efficiency"), 0,
+                                "ocgt: fuel_cost given without a nonzero efficiency"),
+    # an integer beyond the float range is infinite
+    "capex-beyond-float-range": (("technologies", 1, "capex"), 10 ** 400,
+                                 "ocgt@N: non-finite (capex is inf)"),
+    "discount-rate-beyond-float-range": (("options", "discount_rate"), 10 ** 400,
+                                         "system: non-finite (discount_rate is inf)"),
+    "series-scale-beyond-float-range": (("demand", "N", "scale"), 10 ** 400,
+                                        "N: demand out of range (non-finite value)"),
 }
 
 
@@ -173,13 +184,17 @@ class TestWrongTypes:
 
 
 class TestRoundTrip:
-    def test_load_serialize_load_identity(self):
-        for name in ("fig1_support.json", "vre_flex_168h.json"):
-            system, policy, options = load_scenario(scenario_path(name))
-            text = serialize_scenario(system, policy, options)
-            system2, policy2, options2 = loads_scenario(json.loads(text))
-            assert system == system2
-            assert policy == policy2
+    def test_load_serialize_load_identity(self, tmp_path):
+        # the bundled scenarios hold a quota and a cap; the gate document
+        # lines, storage, a premium and a tax
+        gate = gate_document(tmp_path)
+        available = {**gate, "policy": {"support": {
+            "type": "available", "technologies": ["wind"], "target": 3.0}}}
+        for source in [scenario_path(name) for name in BUNDLED_SCENARIOS] + [gate, available]:
+            loaded = load_scenario(source) if isinstance(source, str) \
+                else loads_scenario(source, base_dir=str(tmp_path))
+            text = serialize_scenario(*loaded)
+            assert loads_scenario(json.loads(text)) == loaded, source
 
     def test_serialization_is_canonical(self):
         system, policy, options = load_scenario(scenario_path("fig1_support.json"))
@@ -197,12 +212,14 @@ class TestPlans:
         ({"values": [None]}, "'values' must be a list of numbers"),
         ({"values": ["1.0"]}, "'values' must be a list of numbers"),
         ({"values": [1.0, float("nan")]}, "values must be finite"),
+        ({"values": [10 ** 400]}, "values must be finite"),
         ({"policy_set": 5}, "'policy_set' must be a list of technology names"),
         ({"policy_set": "gas"}, "'policy_set' must be a list of technology names"),
         ({"scenario": 5}, "'scenario' must be a path or an inline document"),
         ({"polcy_set": ["gas"]}, "unknown plan key 'polcy_set'"),
         ({"jobs": 1}, "unknown plan key 'jobs'"),
     ], ids=["values-not-a-list", "value-null", "value-a-string", "value-nan",
+            "value-beyond-float-range",
             "policy-set-not-a-list", "policy-set-a-string", "scenario-a-number",
             "misspelt-key", "stale-jobs-key"])
     def test_bad_plan_is_one_error_line(self, tmp_path, capsys, change, message):
