@@ -37,7 +37,12 @@ EXIT_SOLVER = 4
 
 def _out_dir(args) -> str:
     out = args.out_dir or os.environ.get("POWERMARKET_OUT_DIR", ".")
-    os.makedirs(out, exist_ok=True)
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:
+        print(f"error: cannot create output directory '{out}': {exc.strerror or exc}",
+              file=sys.stderr)
+        raise SystemExit(EXIT_INPUT)
     return out
 
 
@@ -86,7 +91,7 @@ def cmd_solve(args) -> int:
     out = _out_dir(args)
     name = options["name"]
 
-    lp = build_lp(system, policy, enforce_kvl=options["kvl"])
+    lp = build_lp(system, policy)
     if args.emit_lp:
         write_mps(lp, os.path.join(out, f"{name}.mps"))
     if args.external_solution:
@@ -127,7 +132,7 @@ def cmd_solve(args) -> int:
 def cmd_emit_lp(args) -> int:
     system, policy, options = _load(args.scenario)
     out = _out_dir(args)
-    lp = build_lp(system, policy, enforce_kvl=options["kvl"])
+    lp = build_lp(system, policy)
     path = os.path.join(out, f"{options['name']}.mps")
     write_mps(lp, path)
     print(path)
@@ -156,7 +161,7 @@ def cmd_sweep(args) -> int:
 def cmd_verify(args) -> int:
     system, policy, options = _load(args.scenario)
     out = _out_dir(args)
-    lp = build_lp(system, policy, enforce_kvl=options["kvl"])
+    lp = build_lp(system, policy)
     try:
         sol = solve(lp)
         if sol.status != "optimal":

@@ -285,8 +285,7 @@ def cycle_basis(lines) -> list:
 # -- LP construction -------------------------------------------------------------
 
 
-def build_lp(system: PowerSystem, policy: PolicyConfig, *,
-             enforce_kvl: bool = False) -> LinearProgram:
+def build_lp(system: PowerSystem, policy: PolicyConfig) -> LinearProgram:
     """Build the cost-minimization LP whose optimum satisfies the market
     equilibrium KKT system for the given policy regime."""
     violations = validate(system, policy)
@@ -380,11 +379,7 @@ def build_lp(system: PowerSystem, policy: PolicyConfig, *,
             lp.add_entries(up, F, -1.0)
             lp.add_entries(lo, F, -1.0)
 
-    if enforce_kvl and system.lines:
-        for line in system.lines:
-            if line.reactance is None:
-                raise FormulationError(
-                    f"KVL requested but line {line.name} has no reactance")
+    if system.kvl:
         for ci, cyc in enumerate(cycle_basis(system.lines)):
             row = lp.add_rows(("kvl-cycle", f"c{ci}"), count=T, sense="=")
             for li, sign in sorted(cyc.items()):

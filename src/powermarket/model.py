@@ -181,7 +181,8 @@ class PowerSystem:
     """A complete model instance: nodes, demand, fleet, storage and network.
 
     Demand is perfectly price-inelastic up to ``voll``; snapshots carry a
-    uniform weight of one hour.
+    uniform weight of one hour.  With ``kvl`` the line flows also obey the
+    voltage law around every cycle of the network.
     """
 
     nodes: tuple
@@ -192,6 +193,7 @@ class PowerSystem:
     lines: tuple = ()     # of LineSpec
     voll: Optional[float] = 1000.0
     discount_rate: float = 0.07
+    kvl: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "nodes", tuple(self.nodes))
@@ -340,6 +342,8 @@ def validate(system: PowerSystem, policy: PolicyConfig) -> list:
             out.append(Violation(n, "unresolved-node", "demand for unknown node"))
         else:
             _check_profile(out, n, d, T, "demand out of range", lo=0.0)
+    if system.demand and system.total_demand() <= 0:
+        out.append(Violation("system", "demand", "total demand must be > 0"))
 
     names = set()
     for node, spec in system.technologies:
@@ -404,6 +408,8 @@ def validate(system: PowerSystem, policy: PolicyConfig) -> list:
             out.append(Violation(ent, "capacity", "existing capacity must be >= 0"))
         if line.lifetime is not None and line.lifetime < 1:
             out.append(Violation(ent, "lifetime", "lifetime must be >= 1"))
+        if system.kvl and line.reactance is None:
+            out.append(Violation(ent, "reactance", "kvl needs a reactance on every line"))
         if line.expandable:
             _check_annual_cost(out, ent, lambda: line.annual_cost(r), rate_ok)
 

@@ -309,13 +309,8 @@ def loads_scenario(doc: dict, base_dir: str = "."):
             if spec is not None:
                 placed[section].append((node, spec))
 
-    lines = []
-    for i, entry in enumerate(doc.get("lines", ())):
-        line = _build(LineSpec, entry, f"lines[{i}]", errors)
-        if line is not None and options.get("kvl") is True and line.reactance is None:
-            errors.append(f"lines[{i}]: line {line.name} has no reactance, "
-                          "which options.kvl needs")
-        lines.append(line)
+    lines = [_build(LineSpec, entry, f"lines[{i}]", errors)
+             for i, entry in enumerate(doc.get("lines", ()))]
 
     instruments = {}
     for key, types in (("support", _SUPPORT_TYPES), ("co2", _CO2_TYPES)):
@@ -339,13 +334,13 @@ def loads_scenario(doc: dict, base_dir: str = "."):
                          technologies=tuple(placed["technologies"]),
                          storages=tuple(placed["storages"]), lines=tuple(lines),
                          voll=_float(options.get("voll", 1000.0)),
-                         discount_rate=_float(options.get("discount_rate", 0.07)))
+                         discount_rate=_float(options.get("discount_rate", 0.07)),
+                         kvl=options.get("kvl", False))
     violations = validate(system, policy)
     if violations:
         raise ScenarioError("; ".join(
             f"{v.entity}: {v.rule} ({v.message})" for v in violations))
-    return system, policy, {"kvl": options.get("kvl", False),
-                            "suppress_negative_prices":
+    return system, policy, {"suppress_negative_prices":
                                 options.get("suppress_negative_prices", False),
                             "name": doc.get("name", "scenario")}
 
@@ -391,7 +386,7 @@ def serialize_scenario(system: PowerSystem, policy: PolicyConfig,
         "lines": [_entry(line) for line in system.lines],
         "policy": {},
         "options": {"voll": system.voll, "discount_rate": system.discount_rate,
-                    "kvl": bool(options.get("kvl", False)),
+                    "kvl": system.kvl,
                     "suppress_negative_prices":
                         bool(options.get("suppress_negative_prices", False))},
     }
@@ -443,7 +438,6 @@ def load_plan(path):
             suppress_negative_prices=bool(
                 doc.get("suppress_negative_prices",
                         options.get("suppress_negative_prices", False))),
-            enforce_kvl=bool(options.get("kvl", False)),
             name=doc.get("name", options.get("name", "sweep")),
         )
     except ValueError as exc:

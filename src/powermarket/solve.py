@@ -12,9 +12,9 @@ arrays in LP order, read through the LP's block index.
 
 A :class:`Session` keeps one HiGHS model across the solves of one LP
 family: an LP of the same shape as the one it loaded (the same column and
-row blocks, senses and matrix) is solved from the basis of the previous
-solve.  The cap LP and its tax LP, which frees the cap row, form such a
-family, and so do the points of a sweep.
+row blocks, column bounds, senses and matrix) is solved from the basis of
+the previous solve.  The cap LP and its tax LP, which frees the cap row,
+form such a family, and so do the points of a sweep.
 
 Sign convention: ``dual[row]`` is the sensitivity of the optimal objective to
 the row's right-hand side (dObj/dRHS).  Balance rows therefore carry
@@ -153,11 +153,13 @@ class Session:
     The first solve loads its LP: ``<=`` rows first, then ``=`` rows, with
     ``>=`` rows negated into ``<=`` form, and runs the dual simplex with
     presolve on.  A later LP of the same shape (equal column and row
-    blocks, row senses and matrix entries) is solved warm: only the costs
-    and bounds that differ are pushed, and HiGHS starts from the basis the
-    previous solve ended at.  A relaxed row is one with an infinite
-    right-hand side, so an LP with one of its policy rows relaxed keeps the
-    shape.  Any other LP, or any LP after a solve that did not end optimal,
+    blocks, column bounds, row senses and matrix entries) is solved warm:
+    only the costs and row bounds that differ are pushed, and HiGHS starts
+    from the basis the previous solve ended at.  The loaded LP is the
+    reference for the shape, so change its columns or matrix in a copy
+    (:meth:`LinearProgram.copy`), not in place.  A relaxed row is one
+    with an infinite right-hand side, so an LP with one of its policy rows
+    relaxed keeps the shape.  Any other LP, or any LP after a solve that did not end optimal,
     is loaded cold into a new HiGHS model.  A warm solve that does not end
     optimal is repeated cold in a new model, and the cold result is
     returned with the iterations and time of both runs.  An LP that HiGHS
@@ -234,9 +236,8 @@ class Session:
         model.a_matrix_.index_ = index
         model.a_matrix_.value_ = value
         self._cost = cols.objective.copy()
-        self._lower, self._upper = cols.lower.copy(), cols.upper.copy()
         model.col_cost_ = self._cost
-        model.col_lower_, model.col_upper_ = self._lower, self._upper
+        model.col_lower_, model.col_upper_ = cols.lower, cols.upper
         self._row_lower, self._row_upper = self._row_bounds(lp)
         model.row_lower_, model.row_upper_ = self._row_lower, self._row_upper
         _check("passModel", self._highs.passModel(model))
@@ -252,28 +253,23 @@ class Session:
         return lower, upper
 
     def _same_shape(self, lp: LinearProgram) -> bool:
-        """Whether ``lp`` is the loaded LP up to costs and bounds."""
+        """Whether ``lp`` is the loaded LP up to costs and row bounds."""
         base = self._loaded
         return (lp.col_index == base.col_index and lp.row_index == base.row_index
-                and len(lp.columns) == len(base.columns)
+                and all(np.array_equal(getattr(lp.columns, name), getattr(base.columns, name))
+                        for name in ("lower", "upper"))
                 and np.array_equal(lp.rows.sense, base.rows.sense)
                 and all(np.array_equal(getattr(lp.entries, name), getattr(base.entries, name))
                         for name in ("row", "col", "value")))
 
     def _push(self, lp: LinearProgram) -> None:
-        """Change the loaded model's costs and bounds into those of ``lp``."""
+        """Change the loaded model's costs and row bounds into those of ``lp``."""
         highs, cols = self._highs, lp.columns
         changed = np.flatnonzero(cols.objective != self._cost)
         if changed.size:
             self._cost = cols.objective.copy()
             _check("changeColsCost", highs.changeColsCost(
                 changed.size, changed.astype(np.int32), self._cost[changed]))
-        changed = np.flatnonzero((cols.lower != self._lower) | (cols.upper != self._upper))
-        if changed.size:
-            self._lower, self._upper = cols.lower.copy(), cols.upper.copy()
-            _check("changeColsBounds", highs.changeColsBounds(
-                changed.size, changed.astype(np.int32),
-                self._lower[changed], self._upper[changed]))
         lower, upper = self._row_bounds(lp)
         for i in np.flatnonzero((lower != self._row_lower) | (upper != self._row_upper)):
             _check("changeRowBounds",

@@ -53,7 +53,6 @@ class SweepPlan:
     policy_set: tuple = ()
     base_co2: Optional[object] = None      # Co2Cap/Co2Tax held fixed on support axes
     suppress_negative_prices: bool = False
-    enforce_kvl: bool = False
     name: str = "sweep"
 
     def __post_init__(self):
@@ -89,7 +88,7 @@ class SweepPlan:
             "policy_set": list(self.policy_set),
             "base_co2": repr(self.base_co2),
             "suppress_negative_prices": self.suppress_negative_prices,
-            "enforce_kvl": self.enforce_kvl, "name": self.name,
+            "name": self.name,
             "system": repr(self.system),
         }, sort_keys=True)
         return hashlib.sha256(payload.encode()).hexdigest()
@@ -121,7 +120,7 @@ class SweepResult:
 def _solve_point(plan: SweepPlan, value: float, session: Session) -> SweepPoint:
     try:
         policy = plan.policy_at(value)
-        lp = build_lp(plan.system, policy, enforce_kvl=plan.enforce_kvl)
+        lp = build_lp(plan.system, policy)
         sol = solve(lp, session=session)
         if sol.status != "optimal":
             return SweepPoint(value=value, status=sol.status, verdict="skipped",

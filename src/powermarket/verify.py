@@ -20,7 +20,6 @@ from .formulate import (
     LinearProgram,
     apply_equivalence_substitution,
     build_lp,  # not called here, but bench/spans.py wraps verify.build_lp
-    cycle_basis,
     tech_key,
 )
 from .metrics import (
@@ -33,7 +32,6 @@ from .metrics import (
     storage_cost,
 )
 from .model import (
-    SHEDDING_NAME,
     Co2Cap,
     FixedFip,
     PolicyConfig,
@@ -193,7 +191,7 @@ def check_zero_profit(system: PowerSystem, lp: LinearProgram, sol: Solution,
     if system.lines:
         cong = congestion_revenue(system, sol, prices)
         costs = line_cost(system, sol)
-        kvl_terms = _kvl_profit_terms(system, lp, sol)
+        kvl_terms = _kvl_profit_terms(lp, sol)
         z = reduced_costs(lp, sol)
         for li, line in enumerate(system.lines):
             if not line.expandable:
@@ -201,30 +199,30 @@ def check_zero_profit(system: PowerSystem, lp: LinearProgram, sol: Solution,
             key = f"L{li}"
             F = sol.primal("F", key)
             rent = float(z[lp.col("F", key)]) * F
-            residual = cong[key] - costs[key] + kvl_terms.get(key, 0.0) + rent
+            residual = cong[key] - costs[key] + kvl_terms[key] + rent
             scale = max(1.0, costs[key])
             results.append(CheckResult(
                 "zero-profit-line", key, abs(residual) / scale,
                 "pass" if abs(residual) <= DEFAULT_TOL * scale else "fail",
                 detail={"congestion_revenue": cong[key], "cost": costs[key],
-                        "kvl_term": kvl_terms.get(key, 0.0), "capacity": F,
+                        "kvl_term": kvl_terms[key], "capacity": F,
                         "lower_bound_rent": rent}))
     return results
 
 
-def _kvl_profit_terms(system: PowerSystem, lp: LinearProgram, sol: Solution) -> dict:
-    """Cycle-dual distortion term per line: sum_t,c y_c C_lc x_l f_lt, where
-    ``lp`` carries voltage-law rows."""
-    out: dict = {}
-    if not lp.has_row("kvl-cycle", "c0"):
-        return out
-    for ci, cyc in enumerate(cycle_basis(system.lines)):
-        y = sol.dual("kvl-cycle", f"c{ci}")
-        for li, sign in cyc.items():
-            f = sol.primal("f", f"L{li}")
-            term = float((y * (sign * system.lines[li].reactance) * f).sum())
-            out[f"L{li}"] = out.get(f"L{li}", 0.0) + term
-    return out
+def _kvl_profit_terms(lp: LinearProgram, sol: Solution) -> dict:
+    """Cycle-dual distortion term per line: sum_t,c y_c C_lc x_l f_lt, summed
+    over the entries of the voltage-law rows of ``lp``, keyed by the
+    entity of the line's flow block."""
+    e = lp.entries
+    in_cycle = np.zeros(len(lp.rows), dtype=bool)
+    for (family, _), index in lp.row_index.items():
+        in_cycle[index] = family == "kvl-cycle"
+    k = in_cycle[e.row]
+    terms = np.bincount(e.col[k], weights=sol.y[e.row[k]] * e.value[k] * sol.x[e.col[k]],
+                        minlength=len(lp.columns))
+    return {entity: float(terms[index].sum())
+            for (family, entity), index in lp.col_index.items() if family == "f"}
 
 
 # -- policy-equivalence checks ---------------------------------------------------------
@@ -308,8 +306,9 @@ def check_cap_tax_equivalence(system: PowerSystem, lp: LinearProgram, sol: Solut
 def check_subsidy_tax_lift(system: PowerSystem, lp: LinearProgram, sol: Solution,
                            policy: PolicyConfig) -> CheckResult:
     """Replace 'force in the supported set' by 'cap everything else' in the
-    solved LP ``lp`` (a copy with the quota row freed and the mirror row
-    appended) and check that all prices and market values lift by
+    solved LP ``lp`` (a copy with the quota row freed and a mirror row
+    appended over every dispatch block outside the quota row, load
+    shedding included) and check that all prices and market values lift by
     exactly the premium.  Prices that differ are 'inconclusive' rather
     than 'fail' when the mirror's duals, lowered by the mirror row's price
     mu_m with mu_m on the quota row, are shown to be quota duals too."""
@@ -326,13 +325,11 @@ def check_subsidy_tax_lift(system: PowerSystem, lp: LinearProgram, sol: Solution
     mirror.free_row("vre-dispatched")
     row = mirror.add_rows(("vre-dispatched", "mirror"), sense="<=",
                           rhs=system.total_demand() - gamma_energy)
-    support_set = set(support.technologies)
-    for node, spec in system.technologies:
-        if spec.name not in support_set:
-            mirror.add_entries(row, mirror.col("g", tech_key(spec.name, node)), 1.0)
-    if system.voll is not None:
-        for n in system.nodes:
-            mirror.add_entries(row, mirror.col("g", tech_key(SHEDDING_NAME, n)), 1.0)
+    in_quota = np.zeros(len(lp.columns), dtype=bool)
+    in_quota[lp.entries.col[lp.entries.row == lp.row("vre-dispatched")]] = True
+    for (family, _), index in lp.col_index.items():
+        if family == "g" and not in_quota[index].any():
+            mirror.add_entries(row, index, 1.0)
     mirror_sol = solve(mirror)
     unsolved = _unsolved("subsidy-tax-lift", mirror_sol, "mirror")
     if unsolved:

@@ -5,6 +5,7 @@ The suite exercises the equilibrium theorems on seeded desk-scale systems
 ``pytest -v -s tests/test_acceptance.py`` to see the per-criterion lines.
 """
 
+import dataclasses
 import time
 
 import numpy as np
@@ -57,8 +58,8 @@ def _report(criterion: int, ok: bool, detail: str) -> None:
     assert ok, f"criterion {criterion}: {detail}"
 
 
-def _solved(system, policy=PolicyConfig.none(), **kw):
-    lp = build_lp(system, policy, **kw)
+def _solved(system, policy=PolicyConfig.none()):
+    lp = build_lp(system, policy)
     sol = solve(lp)
     assert sol.status == "optimal"
     return lp, sol
@@ -231,7 +232,7 @@ def test_criterion_08_congestion_revenue():
     cycle_terms_kcl = max(abs(r.detail["kvl_term"]) for r in results)
 
     # with the voltage law the cycle term appears and closes the identity
-    lp, sol = _solved(system, enforce_kvl=True)
+    lp, sol = _solved(dataclasses.replace(system, kvl=True))
     results = [r for r in check_zero_profit(system, lp, sol, PolicyConfig.none())
                if r.check == "zero-profit-line"]
     worst_kvl = max(r.residual for r in results)

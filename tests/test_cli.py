@@ -29,7 +29,7 @@ from powermarket.model import (
     TechnologySpec,
     validate,
 )
-from powermarket.scenario import load_scenario, serialize_scenario
+from powermarket.scenario import load_plan, load_scenario, serialize_scenario
 from powermarket.solve import Solution, load_highs, solve, status_of
 
 from conftest import BUNDLED_SCENARIOS, assert_highs_reads, gate_document, scenario_path
@@ -137,6 +137,19 @@ class TestSolve:
         monkeypatch.setenv("POWERMARKET_OUT_DIR", str(tmp_path / "envout"))
         assert main(["solve", scenario_path("fig1_no_policy.json")]) == 0
         assert (tmp_path / "envout" / "fig1_no_policy.sol").exists()
+
+    @pytest.mark.parametrize("command, source", [
+        ("solve", "wind_gas_168h.json"), ("emit-lp", "wind_gas_168h.json"),
+        ("verify", "wind_gas_168h.json"), ("sweep", "support_sweep.json")])
+    def test_unusable_out_dir_is_one_error_line(self, tmp_path, capsys, command, source):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        # an existing file, and a path below one
+        for out in (taken, taken / "below"):
+            assert exit_code([command, scenario_path(source), "--out-dir", str(out)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: cannot create output directory '{out}': ")
+            assert err.count("\n") == 1
 
 
 class TestBadInput:
@@ -410,7 +423,7 @@ STRUCTURE_ERRORS = {
                        "reactance": 0.1},
                       {"from_node": "N", "to_node": "M", "existing_capacity": 50.0}],
                options={**bundled("wind_gas_168h.json")["options"], "kvl": True}),
-        "lines[1]: line N+M has no reactance, which options.kvl needs"),
+        "N+M: reactance (kvl needs a reactance on every line)"),
     "storage-lifetime-below-one": (
         edited("vre_flex_168h.json",
                storages=[{**bundled("vre_flex_168h.json")["storages"][0], "lifetime": 0.5}]),
@@ -426,6 +439,9 @@ STRUCTURE_ERRORS = {
         edited("wind_gas_168h.json",
                options={**bundled("wind_gas_168h.json")["options"], "discount_rate": 1e308}),
         "wind@N: annual-cost (annualized cost is inf)"),
+    "zero-total-demand": (
+        edited("wind_gas_168h.json", demand={"N": {"kind": "flat-demand", "scale": 0}}),
+        "system: demand (total demand must be > 0)"),
 }
 
 
@@ -653,7 +669,7 @@ def test_meshed_kvl_systems_with_a_binding_cap_verify(doc, tightness):
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(doc, fh)
         system, _, _ = load_scenario(path)
-        sol = solve(build_lp(system, PolicyConfig.none(), enforce_kvl=True))
+        sol = solve(build_lp(system, PolicyConfig.none()))
         assert sol.status == "optimal"
         emissions = sum(spec.emission_factor * sol.primal("g", tech_key(spec.name, node)).sum()
                         for node, spec in system.technologies)
@@ -671,12 +687,34 @@ def test_meshed_kvl_systems_with_a_binding_cap_verify(doc, tightness):
         assert cap_tax["detail"]["mu_co2"] > 0.0
 
 
+def bench_module(name: str):
+    """The module ``bench/<name>.py``, loaded on its own."""
+    spec = importlib.util.spec_from_file_location(
+        f"bench_{name}", os.path.join(os.path.dirname(__file__), "..", "bench", f"{name}.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_bench_span_bindings_resolve():
     # bench/spans.py wraps these names of the package to time its layers
-    spec = importlib.util.spec_from_file_location(
-        "bench_spans", os.path.join(os.path.dirname(__file__), "..", "bench", "spans.py"))
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
+    spans = bench_module("spans")
     assert spans.BINDINGS
     for module, attr, _, _ in spans.BINDINGS:
         assert callable(getattr(getattr(powermarket, module), attr)), (module, attr)
+
+
+def test_bench_inputs_load(tmp_path):
+    # the documents bench/inputs.py writes for each workload, at 48 h, pass
+    # every input rule, so a stricter rule cannot silently break the benchmark
+    inputs = bench_module("inputs")
+    scenarios = [inputs.annual_cap(1, 48), inputs.mesh_storage(48),
+                 inputs.sweep_system(1, 48)]
+    for doc in scenarios:
+        path = tmp_path / f"{doc['name']}.json"
+        path.write_text(json.dumps(doc))
+        assert exit_code(["validate", str(path)]) == 0, doc["name"]
+    for plan in inputs.sweep_plans("sweep_base.json"):
+        path = tmp_path / f"{plan['name']}.plan.json"
+        path.write_text(json.dumps(plan))
+        assert load_plan(str(path)).values == tuple(plan["values"])

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,8 @@ from powermarket.model import (
     StorageSpec,
     SupportDispatched,
     TechnologySpec,
+    Violation,
+    validate,
 )
 
 from conftest import assert_highs_reads, flexible_system, random_desk_system
@@ -74,14 +78,18 @@ class TestBuildLp:
 
     def test_kvl_needs_reactance(self):
         gas = TechnologySpec(name="gas", capex=10.0, lifetime=1.0)
-        lines = (LineSpec("A", "B", existing_capacity=10.0),
+        lines = (LineSpec("A", "B", existing_capacity=10.0, reactance=0.1),
                  LineSpec("B", "C", existing_capacity=10.0),
-                 LineSpec("A", "C", existing_capacity=10.0))
+                 LineSpec("A", "C", existing_capacity=10.0, reactance=0.1))
         system = PowerSystem(nodes=("A", "B", "C"), snapshots=1,
                              demand={"A": (1.0,), "B": (1.0,), "C": (1.0,)},
-                             technologies=(("A", gas),), lines=lines)
-        with pytest.raises(FormulationError, match="reactance"):
-            build_lp(system, PolicyConfig.none(), enforce_kvl=True)
+                             technologies=(("A", gas),), lines=lines, kvl=True)
+        assert validate(system, PolicyConfig.none()) == [
+            Violation("B+C", "reactance", "kvl needs a reactance on every line")]
+        with pytest.raises(FormulationError, match="B\\+C: reactance"):
+            build_lp(system, PolicyConfig.none())
+        # without the voltage law the reactance is not needed
+        assert validate(replace(system, kvl=False), PolicyConfig.none()) == []
 
 
 class TestCycleBasis:

@@ -184,8 +184,8 @@ class TestHighsBindings:
 
     @pytest.mark.parametrize("name", BUNDLED)
     def test_solve_matches_linprog(self, name):
-        system, policy, options = load_scenario(scenario_path(f"{name}.json"))
-        lp = build_lp(system, policy, enforce_kvl=options.get("kvl", False))
+        system, policy, _ = load_scenario(scenario_path(f"{name}.json"))
+        lp = build_lp(system, policy)
         res, y = linprog_reference(lp)
         sol = solve(lp)
         assert sol.status == "optimal" and not sol.warm_start
@@ -277,6 +277,19 @@ class TestSession:
         again = session.solve(lp)
         assert again.warm_start
         assert again.objective == pytest.approx(first.objective, rel=1e-12)
+
+    def test_changed_column_bound_loads_cold(self, desk_system):
+        lp = build_lp(desk_system, PolicyConfig(co2=Co2Cap(900.0)))
+        session = Session()
+        wind = session.solve(lp).primal("G", "wind@N")
+        bounded = lp.copy()
+        bounded.columns.upper[lp.col("G", "wind@N")] = wind / 2
+        sol = session.solve(bounded)
+        fresh = Session().solve(bounded)
+        assert not sol.warm_start
+        assert sol.primal("G", "wind@N") == wind / 2
+        assert sol.objective == fresh.objective
+        assert np.array_equal(sol.x, fresh.x) and np.array_equal(sol.y, fresh.y)
 
     def test_other_matrix_or_failed_solve_starts_cold(self, desk_system):
         session = Session()

@@ -1,10 +1,11 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import powermarket.verify
-from powermarket.formulate import apply_equivalence_substitution, build_lp
+from powermarket.formulate import apply_equivalence_substitution, build_lp, cycle_basis
 from powermarket.model import (
     Co2Cap,
     LineSpec,
@@ -133,9 +134,9 @@ def capped_ring():
                       ("N2", coal(10.0000003, 0.2))),
         lines=tuple(LineSpec(a, b, expandable=True, capex=10.0, reactance=0.5)
                     for a, b in (("N0", "N1"), ("N1", "N2"), ("N2", "N0"))),
-        voll=1000.0, discount_rate=0.0)
+        voll=1000.0, discount_rate=0.0, kvl=True)
     policy = PolicyConfig(co2=Co2Cap(9.1))
-    lp = build_lp(system, policy, enforce_kvl=True)
+    lp = build_lp(system, policy)
     return system, policy, lp
 
 
@@ -156,9 +157,39 @@ def quota_ring():
         lines=tuple(LineSpec(a, b, expandable=True, capex=capex, reactance=0.5)
                     for a, b, capex in (("N0", "N1", 34.0), ("N1", "N2", 46.0),
                                         ("N2", "N0", 27.0))),
-        voll=1000.0, discount_rate=0.0)
+        voll=1000.0, discount_rate=0.0, kvl=True)
     policy = PolicyConfig(support=SupportDispatched(("wind",), share=0.6))
-    return system, policy, build_lp(system, policy, enforce_kvl=True)
+    return system, policy, build_lp(system, policy)
+
+
+def kvl_terms_by_cycle_basis(system, sol):
+    """Reference for verify's cycle-dual term of each line, summed over the
+    network's cycle basis, cycle by cycle."""
+    out = {f"L{li}": 0.0 for li in range(len(system.lines))}
+    for ci, cyc in enumerate(cycle_basis(system.lines)):
+        y = sol.dual("kvl-cycle", f"c{ci}")
+        for li, sign in cyc.items():
+            f = sol.primal("f", f"L{li}")
+            out[f"L{li}"] += float((y * (sign * system.lines[li].reactance) * f).sum())
+    return out
+
+
+class TestKvlTerms:
+    def test_lp_entries_give_the_cycle_basis_terms(self):
+        system, policy, lp = quota_ring()
+        # a second line between N0 and N2 closes a second cycle
+        chord = replace(system, lines=system.lines + (
+            LineSpec("N0", "N2", expandable=True, capex=20.0, reactance=0.3),))
+        for system, lp in ((system, lp), (chord, build_lp(chord, policy))):
+            sol = solve(lp)
+            terms = powermarket.verify._kvl_profit_terms(lp, sol)
+            reference = kvl_terms_by_cycle_basis(system, sol)
+            if len(cycle_basis(system.lines)) == 1:
+                assert terms == reference
+            else:  # a line's terms from two cycles are summed in another order
+                scale = max(abs(v) for v in reference.values())
+                assert terms == pytest.approx(reference, rel=0, abs=1e-12 * scale)
+            assert max(abs(v) for v in terms.values()) > 1.0
 
 
 def balance_prices(system, sol):
@@ -225,10 +256,16 @@ class TestEquivalence:
         assert len(mirror.rows) == n + 1
         assert set(mirror.row_index) - set(lp.row_index) == {("vre-dispatched", "mirror")}
         assert mirror.row("vre-dispatched", "mirror") == n
+        # it caps the dispatch blocks outside the quota row: coal, load shedding
+        capped = mirror.entries.col[mirror.entries.row == n]
+        outside = ("coal@N1", "coal@N2", "load-shedding@N0", "load-shedding@N1",
+                   "load-shedding@N2")
+        assert capped.tolist() == [j for key in outside
+                                   for j in range(len(lp.columns))[lp.col("g", key)]]
 
     def test_cap_tax_resolves_warm(self):
-        system, policy, options = load_scenario(scenario_path("fig1_co2_cap.json"))
-        lp = build_lp(system, policy, enforce_kvl=options.get("kvl", False))
+        system, policy, _ = load_scenario(scenario_path("fig1_co2_cap.json"))
+        lp = build_lp(system, policy)
         result = check_cap_tax_equivalence(system, lp, solve(lp), policy)
         assert result.verdict == "pass"
         # from the cap LP's basis; a cold solve of the tax LP takes 106
@@ -239,8 +276,8 @@ class TestEquivalence:
         def off(lp, family, mu, _substitute=apply_equivalence_substitution):
             return _substitute(lp, family, 1.01 * mu)
         monkeypatch.setattr(powermarket.verify, "apply_equivalence_substitution", off)
-        system, policy, options = load_scenario(scenario_path("fig1_co2_cap.json"))
-        lp = build_lp(system, policy, enforce_kvl=options.get("kvl", False))
+        system, policy, _ = load_scenario(scenario_path("fig1_co2_cap.json"))
+        lp = build_lp(system, policy)
         result = check_cap_tax_equivalence(system, lp, solve(lp), policy)
         assert result.detail["warm_start"] is True
         assert result.verdict != "pass"
