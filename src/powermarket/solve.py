@@ -14,7 +14,8 @@ A :class:`Session` keeps one HiGHS model across the solves of one LP
 family: an LP of the same shape as the one it loaded (the same column and
 row blocks, column bounds, senses and matrix) is solved from the basis of
 the previous solve.  The cap LP and its tax LP, which frees the cap row,
-form such a family, and so do the points of a sweep.
+form such a family, and so do the points of a sweep.  A cold LP with a
+dispatched quota is solved from its policy-free optimum.
 
 Sign convention: ``dual[row]`` is the sensitivity of the optimal objective to
 the row's right-hand side (dObj/dRHS).  Balance rows therefore carry
@@ -160,9 +161,23 @@ class Session:
     (:meth:`LinearProgram.copy`), not in place.  A relaxed row is one
     with an infinite right-hand side, so an LP with one of its policy rows
     relaxed keeps the shape.  Any other LP, or any LP after a solve that did not end optimal,
-    is loaded cold into a new HiGHS model.  A warm solve that does not end
-    optimal is repeated cold in a new model, and the cold result is
-    returned with the iterations and time of both runs.  An LP that HiGHS
+    is loaded cold into a new HiGHS model.
+
+    A cold LP whose dispatched-quota row (``vre-dispatched``) has a target
+    is run twice in the model it loads: first with that row free, which
+    presolve drops, so HiGHS solves the policy-free LP; then with the
+    target put back, warm from that basis.  From the slack basis the dual
+    simplex would repair the violated quota row first and carry that dense
+    row (one entry per dispatch hour of every supported technology) through
+    every factorization after it, at several times the cost per
+    iteration.  The second run solves the LP itself, so the result is an
+    optimum of it; on a degenerate LP it can be another optimal vertex than
+    a one-run cold solve finds.  A CO2 cap row or an available-energy quota
+    row is not opened first: measured, that made the cold solve slower.
+
+    A warm solve, or either run of a cold quota LP, that does not end
+    optimal is repeated cold in one run in a new model, and the result is
+    returned with the iterations and time of every run.  An LP that HiGHS
     rejects raises :class:`SolveError`, and the next LP is loaded cold.
     """
 
@@ -180,22 +195,28 @@ class Session:
     def solve(self, lp: LinearProgram) -> Solution:
         """Minimize ``lp``, warm where the session's model allows it."""
         lp.validate_structure()
-        sol = self._run(lp, self._optimal and self._same_shape(lp))
-        if sol.warm_start and sol.status != "optimal":
-            failed, sol = sol, self._run(lp, False)
-            sol.iterations += failed.iterations
-            sol.wall_time += failed.wall_time
+        warm = self._optimal and self._same_shape(lp)
+        quota = None if warm else _quota_row(lp)
+        runs = [self._run(lp, warm, opened=quota)]
+        if quota is not None and runs[0].status == "optimal":
+            runs.append(self._run(lp, True))
+        if runs[-1].status != "optimal" and (warm or quota is not None):
+            runs.append(self._run(lp, False))
+        sol = runs[-1]
+        sol.iterations = sum(run.iterations for run in runs)
+        sol.wall_time = sum(run.wall_time for run in runs)
+        sol.warm_start = warm and len(runs) == 1
         return sol
 
-    def _run(self, lp: LinearProgram, warm: bool) -> Solution:
+    def _run(self, lp: LinearProgram, warm: bool, opened: Optional[int] = None) -> Solution:
         """One HiGHS run of ``lp``: warm in the loaded model, or cold in a
-        new one."""
+        new one with row ``opened``, if given, left free."""
         t0 = time.perf_counter()
         self._optimal = False
         if warm:
             self._push(lp)
         else:
-            self._load(lp)
+            self._load(lp, opened)
         highs = self._highs
         highs.run()
         wall = time.perf_counter() - t0
@@ -213,8 +234,8 @@ class Session:
             sol.y = self._sign * np.array(solution.row_dual)[self._highs_row]
         return sol
 
-    def _load(self, lp: LinearProgram) -> None:
-        """Pass ``lp`` to a new HiGHS model."""
+    def _load(self, lp: LinearProgram, opened: Optional[int]) -> None:
+        """Pass ``lp`` to a new HiGHS model, with row ``opened`` free."""
         core = load_highs()
         self._highs = core._Highs()
         for name, value in self.options:
@@ -239,6 +260,9 @@ class Session:
         model.col_cost_ = self._cost
         model.col_lower_, model.col_upper_ = cols.lower, cols.upper
         self._row_lower, self._row_upper = self._row_bounds(lp)
+        if opened is not None:
+            i = self._highs_row[opened]
+            self._row_lower[i], self._row_upper[i] = -np.inf, np.inf
         model.row_lower_, model.row_upper_ = self._row_lower, self._row_upper
         _check("passModel", self._highs.passModel(model))
         self._loaded = lp
@@ -275,6 +299,15 @@ class Session:
             _check("changeRowBounds",
                    highs.changeRowBounds(int(i), float(lower[i]), float(upper[i])))
         self._row_lower, self._row_upper = lower, upper
+
+
+def _quota_row(lp: LinearProgram) -> Optional[int]:
+    """Position of the dispatched-quota row of ``lp`` if it has a target."""
+    if lp.has_row("vre-dispatched"):
+        row = lp.row("vre-dispatched")
+        if np.isfinite(lp.rows.rhs[row]):
+            return row
+    return None
 
 
 def solve(lp: LinearProgram, session: Optional[Session] = None) -> Solution:

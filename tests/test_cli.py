@@ -7,6 +7,8 @@ import os
 import subprocess
 import sys
 import tempfile
+from functools import reduce
+from operator import getitem
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -469,12 +471,52 @@ def field_paths(node, path=()):
 
 
 def with_value(doc: dict, path: tuple, value) -> dict:
+    return edited_at(doc, path[:-1], lambda entry: entry.__setitem__(path[-1], value))
+
+
+def edited_at(doc: dict, path: tuple, change) -> dict:
+    """A copy of ``doc`` with ``change`` applied to the value at ``path``."""
     doc = json.loads(json.dumps(doc))
-    entry = doc
-    for key in path[:-1]:
-        entry = entry[key]
-    entry[path[-1]] = value
+    change(reduce(getitem, path, doc))
     return doc
+
+
+def structural_mutations(doc: dict):
+    """(label, document) of each structural mutation of ``doc``: each key
+    dropped, each non-empty list emptied, each list entry duplicated and
+    each list entry dropped."""
+    for where in field_paths(doc):
+        name, parent, key = ".".join(map(str, where)), where[:-1], where[-1]
+        if isinstance(key, int):
+            yield f"duplicate {name}", edited_at(
+                doc, parent, lambda entry, k=key: entry.insert(k, entry[k]))
+        yield f"drop {name}", edited_at(doc, parent, lambda entry, k=key: entry.pop(k))
+        value = reduce(getitem, where, doc)
+        if isinstance(value, list) and value:
+            yield f"empty {name}", edited_at(doc, where, list.clear)
+
+
+def gate_failures(cases, tmp_path, capsys) -> list:
+    """The cases ``(label, document)`` that get past the input gate:
+    ``validate`` must exit 0, or 1 with one error line; ``emit-lp`` must
+    exit 0 where ``validate`` did; and no case may end in a traceback."""
+    path, out = tmp_path / "case.json", ["--out-dir", str(tmp_path / "out")]
+    wrong = []
+    for case, doc in cases:
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        try:
+            code = exit_code(["validate", str(path)])
+            err = capsys.readouterr().err
+            if code == 0:
+                code = exit_code(["emit-lp", str(path), *out])
+                if code != 0:
+                    wrong.append(f"{case}: validate exit 0, emit-lp exit {code}")
+            elif code != 1 or not err.startswith("error: ") or err.count("\n") != 1:
+                wrong.append(f"{case}: validate exit {code}, {err!r}")
+        except Exception as exc:
+            wrong.append(f"{case}: {type(exc).__name__}: {exc}")
+    return wrong
 
 
 # one value of each JSON kind
@@ -484,29 +526,18 @@ JSON_VALUES = (True, "x", ["x"], {"x": 2}, None, 2)
 class TestJsonKinds:
     @pytest.mark.parametrize("name", BUNDLED_SCENARIOS + ("gate",))
     def test_each_field_takes_each_json_kind(self, tmp_path, capsys, name):
-        # validate exits 0 or 1 with one error line, emit-lp exits 0 where
-        # validate did, and no value ends in a traceback
         doc = gate_document(tmp_path) if name == "gate" else bundled(name)
-        path, out = tmp_path / "case.json", ["--out-dir", str(tmp_path / "out")]
-        wrong = []
-        for where in field_paths(doc):
-            for value in JSON_VALUES:
-                case = f"{'.'.join(map(str, where))} = {json.dumps(value)}"
-                path.write_text(json.dumps(with_value(doc, where, value)))
-                capsys.readouterr()
-                try:
-                    code = exit_code(["validate", str(path)])
-                    err = capsys.readouterr().err
-                    if code == 0:
-                        code = exit_code(["emit-lp", str(path), *out])
-                        if code != 0:
-                            wrong.append(f"{case}: validate exit 0, emit-lp exit {code}")
-                    elif code != 1 or not err.startswith("error: ") \
-                            or err.count("\n") != 1:
-                        wrong.append(f"{case}: validate exit {code}, {err!r}")
-                except Exception as exc:
-                    wrong.append(f"{case}: {type(exc).__name__}: {exc}")
-        assert wrong == []
+        cases = ((f"{'.'.join(map(str, where))} = {json.dumps(value)}",
+                  with_value(doc, where, value))
+                 for where in field_paths(doc) for value in JSON_VALUES)
+        assert gate_failures(cases, tmp_path, capsys) == []
+
+
+class TestStructuralMutations:
+    @pytest.mark.parametrize("name", BUNDLED_SCENARIOS + ("gate",))
+    def test_each_structural_mutation_passes_the_gate(self, tmp_path, capsys, name):
+        doc = gate_document(tmp_path) if name == "gate" else bundled(name)
+        assert gate_failures(structural_mutations(doc), tmp_path, capsys) == []
 
 
 class TestSweep:

@@ -1,13 +1,15 @@
 import inspect
+import json
 import re
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from powermarket.formulate import LinearProgram, apply_equivalence_substitution, build_lp
 from powermarket.model import Co2Cap, LineSpec, PolicyConfig, PowerSystem, TechnologySpec
-from powermarket.scenario import load_scenario
+from powermarket.scenario import load_scenario, loads_scenario
 from powermarket.solve import (
     Session,
     SolveError,
@@ -17,7 +19,12 @@ from powermarket.solve import (
     status_of,
     write_solution_file,
 )
-from powermarket.verify import reduced_costs, verify_solution
+from powermarket.verify import (
+    check_kkt,
+    check_subsidy_tax_lift,
+    reduced_costs,
+    verify_solution,
+)
 
 from conftest import random_desk_system, scenario_path, solar_gas_system
 
@@ -189,6 +196,12 @@ class TestHighsBindings:
         res, y = linprog_reference(lp)
         sol = solve(lp)
         assert sol.status == "optimal" and not sol.warm_start
+        if lp.has_row("vre-dispatched"):
+            # a cold quota LP starts from its policy-free optimum (see Session)
+            # and may end at another optimal vertex of this degenerate LP
+            assert sol.objective == pytest.approx(res.fun, rel=1e-12)
+            assert check_kkt(lp, sol).passed
+            return
         assert sol.iterations == res.nit
         assert sol.objective == res.fun
         assert sol.x.tolist() == res.x.tolist()
@@ -243,6 +256,32 @@ print(json.dumps([outcome(solve, lp_needing(math.nan))]
                  + [outcome(session.solve, lp_needing(rhs))
                     for rhs in (0.5, math.nan, 0.5)]))
 """
+
+
+def record_runs(monkeypatch) -> list:
+    """Patch ``Session._run`` to record every HiGHS run: whether it was warm,
+    the row it left open, and its status, iterations, time and objective."""
+    runs = []
+
+    def recording(self, lp, warm, opened=None, _run=Session._run):
+        sol = _run(self, lp, warm, opened)
+        runs.append(SimpleNamespace(warm=warm, opened=opened, status=sol.status,
+                                    iterations=sol.iterations, wall_time=sol.wall_time,
+                                    objective=sol.objective))
+        return sol
+    monkeypatch.setattr(Session, "_run", recording)
+    return runs
+
+
+def fig1_support_lp(share: float = 0.4, **solar):
+    """``fig1_support.json`` at quota ``share``, with the ``solar`` fields set
+    on its solar plant: (system, policy, lp)."""
+    with open(scenario_path("fig1_support.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["policy"]["support"]["share"] = share
+    doc["technologies"][0].update(solar)
+    system, policy, _ = loads_scenario(doc)
+    return system, policy, build_lp(system, policy)
 
 
 class TestSession:
@@ -319,13 +358,7 @@ class TestSession:
         assert sol.status == "infeasible" and not sol.warm_start
 
         # the work of the failed warm run counts with the cold one
-        runs = []
-
-        def recording(self, lp, warm, _run=Session._run):
-            sol = _run(self, lp, warm)
-            runs.append((sol.warm_start, sol.iterations, sol.wall_time))
-            return sol
-        monkeypatch.setattr(Session, "_run", recording)
+        runs = record_runs(monkeypatch)
         system = solar_gas_system()
         session = Session()
         assert session.solve(build_lp(system, PolicyConfig(co2=Co2Cap(1e9)))).status \
@@ -333,6 +366,58 @@ class TestSession:
         sol = session.solve(build_lp(system, PolicyConfig(co2=Co2Cap(100.0))))
         assert sol.status == "infeasible" and not sol.warm_start
         _, warm, cold = runs
-        assert warm[0] and not cold[0] and warm[1] > 0
-        assert sol.iterations == warm[1] + cold[1]
-        assert sol.wall_time == pytest.approx(warm[2] + cold[2], rel=1e-12)
+        assert warm.warm and not cold.warm and warm.iterations > 0
+        assert sol.iterations == warm.iterations + cold.iterations
+        assert sol.wall_time == pytest.approx(warm.wall_time + cold.wall_time, rel=1e-12)
+
+    def test_cold_quota_lp_starts_from_its_policy_free_optimum(self, monkeypatch):
+        _, _, lp = fig1_support_lp()
+        _, _, other = fig1_support_lp(share=0.5)
+        one_run, other_one_run = (Session()._run(quota, False) for quota in (lp, other))
+        free = lp.copy()
+        free.free_row("vre-dispatched")
+        policy_free = Session().solve(free)
+        runs = record_runs(monkeypatch)
+        session = Session()
+        sol = session.solve(lp)
+        opened, warm = runs
+        # the first run is the policy-free LP, the second restores the target
+        assert (opened.warm, opened.opened) == (False, lp.row("vre-dispatched"))
+        assert opened.objective == policy_free.objective < sol.objective
+        assert (warm.warm, warm.opened) == (True, None)
+        assert sol.status == "optimal" and not sol.warm_start
+        assert sol.iterations == opened.iterations + warm.iterations
+        assert sol.wall_time == pytest.approx(opened.wall_time + warm.wall_time, rel=1e-12)
+        assert sol.objective == pytest.approx(one_run.objective, rel=1e-9)
+        assert check_kkt(lp, sol).passed
+        # the session holds the quota LP: another share is one warm run
+        again = session.solve(other)
+        assert again.warm_start and len(runs) == 3
+        assert again.objective == pytest.approx(other_one_run.objective, rel=1e-9)
+
+    def test_lp_with_the_quota_row_free_takes_one_run(self, monkeypatch):
+        system, policy, lp = fig1_support_lp()
+        sol = solve(lp)
+        premium = apply_equivalence_substitution(lp, "vre-dispatched",
+                                                 sol.dual("vre-dispatched"))
+        runs = record_runs(monkeypatch)
+        assert Session().solve(premium).status == "optimal"
+        check_subsidy_tax_lift(system, lp, sol, policy)  # solves the quota mirror
+        assert [(run.warm, run.opened) for run in runs] == [(False, None)] * 2
+
+    def test_cap_lp_takes_one_run(self, monkeypatch, desk_system):
+        runs = record_runs(monkeypatch)
+        assert solve(build_lp(desk_system, PolicyConfig(co2=Co2Cap(900.0)))).status \
+            == "optimal"
+        assert [(run.warm, run.opened) for run in runs] == [(False, None)]
+
+    def test_infeasible_quota_counts_every_run(self, monkeypatch):
+        _, _, lp = fig1_support_lp(share=0.9, max_potential=10.0)
+        runs = record_runs(monkeypatch)
+        sol = Session().solve(lp)
+        assert sol.status == "infeasible" and not sol.warm_start
+        assert [(run.warm, run.opened is not None, run.status) for run in runs] == [
+            (False, True, "optimal"), (True, False, "infeasible"),
+            (False, False, "infeasible")]
+        assert sol.iterations == sum(run.iterations for run in runs)
+        assert sol.wall_time == pytest.approx(sum(run.wall_time for run in runs), rel=1e-12)
