@@ -135,6 +135,14 @@ class TestSolve:
                    str(tmp_path / "fig1_no_policy.sol")])
         assert rc == 0
 
+    @pytest.mark.parametrize("status, code", [("infeasible", 3), ("numerical", 4)])
+    def test_status_read_from_a_file_names_it(self, tmp_path, capsys, status, code):
+        path = tmp_path / "external.sol"
+        path.write_text(f"status {status}\n")
+        assert main(["solve", scenario_path("fig1_no_policy.json"), "--out-dir",
+                     str(tmp_path), "--external-solution", str(path)]) == code
+        assert capsys.readouterr().err.endswith(f": status read from {path}\n")
+
     def test_env_var_sets_out_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("POWERMARKET_OUT_DIR", str(tmp_path / "envout"))
         assert main(["solve", scenario_path("fig1_no_policy.json")]) == 0
@@ -158,13 +166,14 @@ class TestBadInput:
     @pytest.mark.parametrize("command, content, expected", [
         ("solve", "status optimal\ncol G.solar@DE\n", "line 2"),
         ("solve", "status\n", "line 1"),
+        ("solve", "status optimall\n", "line 1: unknown status 'optimall'"),
         ("solve", "status optimal\ncol G.solar@DE abc\n", "line 2: 'abc' is not a number"),
         ("solve", b"status optimal\n\xff\n", "not UTF-8"),
         ("validate", b"\xff\xfe{}", "not UTF-8"),
         ("solve", None, ""),
         ("validate", None, ""),
         ("sweep", None, ""),
-    ], ids=["record-without-value", "bare-status", "value-not-a-number",
+    ], ids=["record-without-value", "bare-status", "unknown-status", "value-not-a-number",
             "solution-not-utf8", "scenario-not-utf8",
             "solution-path-is-a-directory", "scenario-path-is-a-directory",
             "plan-path-is-a-directory"])

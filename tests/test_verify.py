@@ -135,16 +135,15 @@ def capped_ring():
         lines=tuple(LineSpec(a, b, expandable=True, capex=10.0, reactance=0.5)
                     for a, b in (("N0", "N1"), ("N1", "N2"), ("N2", "N0"))),
         voll=1000.0, discount_rate=0.0, kvl=True)
-    policy = PolicyConfig(co2=Co2Cap(9.1))
+    policy = PolicyConfig(co2=Co2Cap(8.0))
     lp = build_lp(system, policy)
     return system, policy, lp
 
 
 def quota_ring():
     """Wind and two coal units on a voltage-law triangle with flat load and
-    a binding wind quota.  Several prices are not unique (the objective's
-    slopes in an hour's demand differ on the two sides), and perturbing
-    the objective does not reveal it."""
+    a binding wind quota.  Several prices are not unique: the objective's
+    slopes in an hour's demand differ on the two sides."""
     def unit(name, capex, cost, availability=None):
         return TechnologySpec(name=name, capex=capex, lifetime=1.0,
                               variable_cost=cost, availability=availability)
@@ -190,10 +189,6 @@ class TestKvlTerms:
                 scale = max(abs(v) for v in reference.values())
                 assert terms == pytest.approx(reference, rel=0, abs=1e-12 * scale)
             assert max(abs(v) for v in terms.values()) > 1.0
-
-
-def balance_prices(system, sol):
-    return np.concatenate([sol.dual("balance", n) for n in system.nodes])
 
 
 class TestEquivalence:
@@ -285,15 +280,10 @@ class TestEquivalence:
     def test_non_unique_quota_prices_are_inconclusive(self):
         system, policy, lp = quota_ring()
         sol = solve(lp)
-        lam = balance_prices(system, sol)
-        # the objective perturbation of earlier versions sees no movement
-        for eps in (1e-9, 1e-7):
-            perturbed = lp.copy()
-            c = perturbed.columns.objective
-            c += eps * np.arange(1, len(c) + 1) * np.maximum(1.0, np.abs(c))
-            moved = np.abs(balance_prices(system, solve(perturbed)) - lam).max()
-            assert moved <= 1e-5 * max(1.0, np.abs(lam).max())
-        # yet the price of N0 at t0 is not unique: the objective falls by
+        # the solved prices are optimal duals, at whichever vertex the
+        # solver ends ...
+        assert check_kkt(lp, sol).passed
+        # ... yet the price of N0 at t0 is not unique: the objective falls by
         # 7 per unit of demand taken away and rises by 3.5 per unit added
         row = np.arange(len(lp.rows))[lp.row("balance", "N0")][0]
         step = 1e-4
