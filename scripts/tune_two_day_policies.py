@@ -13,7 +13,7 @@ import sys
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from powermarket.formulate import build_lp
-from powermarket.metrics import tech_energy
+from powermarket.metrics import accounts
 from powermarket.model import Co2Cap, PolicyConfig
 from powermarket.scenario import load_scenario
 from powermarket.solve import solve
@@ -25,7 +25,8 @@ def solar_share(system, cap):
     sol = solve(build_lp(system, PolicyConfig(co2=Co2Cap(cap))))
     if sol.status != "optimal":
         return None
-    return tech_energy(system, sol, "solar") / system.total_demand()
+    solar = sum(a.energy for a in accounts(system, sol) if a.name == "solar")
+    return solar / system.total_demand()
 
 
 def main() -> int:
@@ -39,8 +40,8 @@ def main() -> int:
     _, quota, _ = load_scenario(os.path.join(SCENARIOS, "fig1_support.json"))
     target = quota.support.share
     sol0 = solve(build_lp(system, PolicyConfig.none()))
-    emissions0 = sum(spec.emission_factor * tech_energy(system, sol0, spec.name)
-                     for _, spec in system.technologies)
+    emissions0 = sum(a.spec.emission_factor * a.energy
+                     for a in accounts(system, sol0) if a.spec is not None)
     print(f"baseline emissions: {emissions0:.4f} tCO2")
 
     lo, hi = 0.0, emissions0

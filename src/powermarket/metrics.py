@@ -2,8 +2,10 @@
 
 Market value, LCOE, relative market value, equivalent feed-in premium,
 policy shadow prices, penetration, curtailment, system-cost breakdown,
-duration curves and the negative-price-suppressed variants.  All functions
-are pure over immutable solutions.
+duration curves and the negative-price-suppressed variants.  Each
+technology quantity is read off one account per placement
+(:func:`accounts`), which ``verify``'s zero-profit check reads too.  All
+functions are pure over immutable solutions.
 """
 
 from __future__ import annotations
@@ -23,14 +25,17 @@ from .model import (
     PolicyConfig,
     PowerSystem,
     SupportAvailable,
-    SupportDispatched,
+    TechnologySpec,
 )
 from .solve import FEAS_TOL, Solution
 
 __all__ = [
+    "Account",
+    "accounts",
     "TechMetrics",
     "MetricsReport",
     "market_value",
+    "market_values",
     "lcoe",
     "rmv",
     "policy_prices",
@@ -52,65 +57,74 @@ def nodal_prices(system: PowerSystem, sol: Solution) -> dict:
     return {n: sol.dual("balance", n) for n in system.nodes}
 
 
-def _tech_nodes(system: PowerSystem, name: str) -> list:
-    if name == SHEDDING_NAME:
-        return [(n, None) for n in system.nodes] if system.voll is not None else []
-    return [(node, spec) for node, spec in system.technologies if spec.name == name]
+@dataclass(frozen=True)
+class Account:
+    """One placement's books at the given prices.  ``cost`` is annualized
+    fixed cost plus true marginal cost (no tax or premium shifts) and
+    ``available`` the energy its capacity could have produced.  Load
+    shedding has no spec, capacity or available energy."""
+
+    name: str
+    node: str
+    spec: Optional[TechnologySpec]
+    dispatch: np.ndarray
+    energy: float
+    revenue: float
+    cost: float
+    capacity: float
+    available: float
 
 
-def tech_dispatch(system: PowerSystem, sol: Solution, name: str) -> dict:
-    """node -> dispatch array for one technology name."""
-    return {node: sol.primal("g", tech_key(name, node))
-            for node, _ in _tech_nodes(system, name)}
+def accounts(system: PowerSystem, sol: Solution,
+             prices: Optional[dict] = None) -> list:
+    """The :class:`Account` of every placement, in placement order, then
+    load shedding per node where the system has a value of lost load."""
+    prices = prices if prices is not None else nodal_prices(system, sol)
+    placements = list(system.technologies)
+    if system.voll is not None:
+        placements += [(node, None) for node in system.nodes]
+    out = []
+    for node, spec in placements:
+        name = SHEDDING_NAME if spec is None else spec.name
+        key = tech_key(name, node)
+        g = sol.primal("g", key)
+        energy = float(g.sum())
+        revenue = float((prices[node] * g).sum())
+        if spec is None:
+            out.append(Account(name, node, None, g, energy, revenue,
+                               system.voll * energy, 0.0, 0.0))
+            continue
+        G = sol.primal("G", key)
+        cost = spec.annual_cost(system.discount_rate) * G + spec.marginal_cost * energy
+        out.append(Account(name, node, spec, g, energy, revenue, float(cost), G,
+                           float(G * spec.availability_sum(system.snapshots))))
+    return out
 
 
-def tech_energy(system: PowerSystem, sol: Solution, name: str) -> float:
-    return float(sum(g.sum() for g in tech_dispatch(system, sol, name).values()))
+_SUMMED = ("energy", "revenue", "cost", "capacity", "available")
 
 
-def significant_energy(system: PowerSystem, sol: Solution, name: str) -> float:
-    """:func:`tech_energy`, read as zero at or below round-off: the solver's
+def _totals(accts: list) -> dict:
+    """name -> {field: sum over the accounts of its placements}, names in
+    placement order; the sums add in placement order too."""
+    by_name = {}
+    for acct in accts:
+        by_name.setdefault(acct.name, []).append(acct)
+    return {name: {key: sum(getattr(acct, key) for acct in mine) for key in _SUMMED}
+            for name, mine in by_name.items()}
+
+
+def _significant(system: PowerSystem, energy: float) -> float:
+    """``energy``, read as zero at or below round-off: the solver's
     feasibility tolerance times total demand.  An unbuilt technology can end
     a warm-started solve with dispatch of order 1e-13 MWh of either sign."""
-    energy = tech_energy(system, sol, name)
     return energy if energy > FEAS_TOL * system.total_demand() else 0.0
 
 
-def tech_revenue(system: PowerSystem, sol: Solution, name: str,
-                 prices: Optional[dict] = None) -> float:
-    prices = prices if prices is not None else nodal_prices(system, sol)
-    disp = tech_dispatch(system, sol, name)
-    return float(sum((prices[node] * g).sum() for node, g in disp.items()))
-
-
-def tech_cost(system: PowerSystem, sol: Solution, name: str) -> float:
-    """Annualized fixed cost plus true marginal cost (excl. tax/premium shifts)."""
-    if name == SHEDDING_NAME:
-        return system.voll * tech_energy(system, sol, name)
-    total = 0.0
-    for node, spec in _tech_nodes(system, name):
-        key = tech_key(name, node)
-        G = sol.primal("G", key)
-        energy = sum(sol.primal("g", key).tolist())
-        total += spec.annual_cost(system.discount_rate) * G + spec.marginal_cost * energy
-    return float(total)
-
-
-def tech_capacity(system: PowerSystem, sol: Solution, name: str) -> float:
-    if name == SHEDDING_NAME:
-        return 0.0
-    return float(sum(sol.primal("G", tech_key(name, node))
-                     for node, _ in _tech_nodes(system, name)))
-
-
-def tech_available_energy(system: PowerSystem, sol: Solution, name: str) -> float:
-    total = 0.0
-    for node, spec in _tech_nodes(system, name):
-        if spec is None:
-            continue
-        G = sol.primal("G", tech_key(name, node))
-        total += G * spec.availability_sum(system.snapshots)
-    return float(total)
+def _per_mwh(system: PowerSystem, totals: Optional[dict], key: str) -> Optional[float]:
+    """A name's ``key`` total per MWh dispatched; None for zero output."""
+    energy = 0.0 if totals is None else _significant(system, totals["energy"])
+    return totals[key] / energy if energy > 0.0 else None
 
 
 def storage_arbitrage(system: PowerSystem, sol: Solution,
@@ -166,21 +180,24 @@ def line_cost(system: PowerSystem, sol: Solution) -> dict:
 # -- headline per-technology metrics ----------------------------------------------
 
 
+def market_values(system: PowerSystem, sol: Solution,
+                  prices: Optional[dict] = None) -> dict:
+    """name -> generation-weighted average market price, EUR/MWh, of every
+    name with output (load shedding included)."""
+    mvs = {name: _per_mwh(system, totals, "revenue")
+           for name, totals in _totals(accounts(system, sol, prices)).items()}
+    return {name: mv for name, mv in mvs.items() if mv is not None}
+
+
 def market_value(system: PowerSystem, sol: Solution, tech: str,
                  prices: Optional[dict] = None) -> Optional[float]:
     """Generation-weighted average market price, EUR/MWh; None for zero output."""
-    energy = significant_energy(system, sol, tech)
-    if energy <= 0.0:
-        return None
-    return tech_revenue(system, sol, tech, prices) / energy
+    return market_values(system, sol, prices).get(tech)
 
 
 def lcoe(system: PowerSystem, sol: Solution, tech: str) -> Optional[float]:
     """Annualized total cost over dispatched (post-curtailment) energy."""
-    energy = significant_energy(system, sol, tech)
-    if energy <= 0.0:
-        return None
-    return tech_cost(system, sol, tech) / energy
+    return _per_mwh(system, _totals(accounts(system, sol)).get(tech), "cost")
 
 
 def load_weighted_price(system: PowerSystem, sol: Solution,
@@ -196,48 +213,29 @@ def average_price(system: PowerSystem, sol: Solution,
     return float(np.mean(np.concatenate([prices[n] for n in system.nodes])))
 
 
+def _value_factor(mv: Optional[float], avg: float) -> Optional[float]:
+    return None if mv is None or avg <= 0.0 else mv / avg
+
+
 def rmv(system: PowerSystem, sol: Solution, tech: str,
         prices: Optional[dict] = None) -> Optional[float]:
     """Market value over load-weighted average price (the value factor)."""
-    mv = market_value(system, sol, tech, prices)
-    avg = load_weighted_price(system, sol, prices)
-    if mv is None or avg <= 0.0:
-        return None
-    return mv / avg
+    return _value_factor(market_value(system, sol, tech, prices),
+                         load_weighted_price(system, sol, prices))
 
 
-def rmv_share_decomposition(system: PowerSystem, sol: Solution, tech: str) -> Optional[float]:
-    """Cost share over energy share; equals the value factor when no policy
-    constraint binds."""
-    energy = significant_energy(system, sol, tech)
-    if energy <= 0.0:
-        return None
-    total_cost = _total_system_cost(system, sol)
-    if total_cost <= 0.0:
-        return None
-    cost_share = tech_cost(system, sol, tech) / total_cost
-    energy_share = energy / system.total_demand()
-    return cost_share / energy_share
-
-
-def penetration_of(system: PowerSystem, sol: Solution, techs) -> float:
+def penetration_of(system: PowerSystem, sol: Solution, techs,
+                   totals: Optional[dict] = None) -> float:
     """Share of total demand dispatched by the named set; may exceed 1 when
     the set also covers storage losses."""
-    total = sum(significant_energy(system, sol, name) for name in techs)
+    totals = totals if totals is not None else _totals(accounts(system, sol))
+    total = sum(_significant(system, totals[name]["energy"])
+                for name in techs if name in totals)
     return total / system.total_demand()
 
 
-def _total_system_cost(system: PowerSystem, sol: Solution) -> float:
-    total = sum(tech_cost(system, sol, name) for name in system.tech_names())
-    if system.voll is not None:
-        total += tech_cost(system, sol, SHEDDING_NAME)
-    total += sum(storage_cost(system, sol).values())
-    total += sum(line_cost(system, sol).values())
-    return float(total)
-
-
 def policy_prices(system: PowerSystem, sol: Solution, lp: LinearProgram,
-                  policy: PolicyConfig) -> dict:
+                  policy: PolicyConfig, totals: Optional[dict] = None) -> dict:
     """Shadow prices of the policy rows, reported as non-negative prices."""
     out = {"mu_gamma": None, "mu_theta": None, "mu_theta_equivalent": {},
            "mu_co2": None}
@@ -247,11 +245,11 @@ def policy_prices(system: PowerSystem, sol: Solution, lp: LinearProgram,
         mu = sol.dual("vre-available")
         out["mu_theta"] = mu
         if isinstance(policy.support, SupportAvailable):
+            totals = totals if totals is not None else _totals(accounts(system, sol))
             for name in policy.support.technologies:
-                energy = significant_energy(system, sol, name)
-                if energy > 0.0:
-                    avail = tech_available_energy(system, sol, name)
-                    out["mu_theta_equivalent"][name] = mu * avail / energy
+                t = totals.get(name)
+                if t is not None and _significant(system, t["energy"]) > 0.0:
+                    out["mu_theta_equivalent"][name] = mu * t["available"] / t["energy"]
     if lp.has_row("co2-cap"):
         out["mu_co2"] = -sol.dual("co2-cap")
     elif isinstance(policy.co2, Co2Tax):
@@ -283,17 +281,9 @@ def suppress_negative_prices(system: PowerSystem, sol: Solution) -> SuppressedPr
     pointwise >= the raw ones.
     """
     clipped = {n: clip_prices(p) for n, p in nodal_prices(system, sol).items()}
-    mvs = {}
-    names = system.tech_names()
-    if system.voll is not None:
-        names.append(SHEDDING_NAME)
-    for name in names:
-        mv = market_value(system, sol, name, prices=clipped)
-        if mv is not None:
-            mvs[name] = mv
     return SuppressedPrices(
         prices=clipped,
-        market_values=mvs,
+        market_values=market_values(system, sol, clipped),
         load_weighted_price=load_weighted_price(system, sol, prices=clipped),
         average_price=average_price(system, sol, prices=clipped),
     )
@@ -302,21 +292,19 @@ def suppress_negative_prices(system: PowerSystem, sol: Solution) -> SuppressedPr
 # -- duration curves ----------------------------------------------------------------
 
 
-def duration_curves(system: PowerSystem, sol: Solution) -> dict:
+def duration_curves(system: PowerSystem, sol: Solution,
+                    accts: Optional[list] = None) -> dict:
     """Descending-sorted price duration per node and per-capacity revenue
     duration per technology; curves are absent for unbuilt technologies."""
     prices = nodal_prices(system, sol)
-    price_duration = {n: np.sort(p)[::-1] for n, p in prices.items()}
-    revenue_duration = {}
-    for name in system.tech_names():
-        G = tech_capacity(system, sol, name)
-        if G <= 0.0:
-            continue
-        rev_t = np.zeros(system.snapshots)
-        for node, g in tech_dispatch(system, sol, name).items():
-            rev_t += prices[node] * g
-        revenue_duration[name] = np.sort(rev_t / G)[::-1]
-    return {"price": price_duration, "revenue": revenue_duration}
+    accts = accts if accts is not None else accounts(system, sol, prices)
+    revenue = {}
+    for acct in accts:
+        revenue[acct.name] = revenue.get(acct.name, 0.0) + prices[acct.node] * acct.dispatch
+    return {"price": {n: np.sort(p)[::-1] for n, p in prices.items()},
+            "revenue": {name: np.sort(revenue[name] / totals["capacity"])[::-1]
+                        for name, totals in _totals(accts).items()
+                        if totals["capacity"] > 0.0}}
 
 
 # -- full report ----------------------------------------------------------------------
@@ -362,51 +350,51 @@ def build_report(system: PowerSystem, lp: LinearProgram, sol: Solution,
     if sol.status != "optimal":
         raise ValueError(f"metrics require an optimal solution, got '{sol.status}'")
     prices = nodal_prices(system, sol)
-    pol = policy_prices(system, sol, lp, policy)
+    accts = accounts(system, sol, prices)
+    totals = _totals(accts)
+    pol = policy_prices(system, sol, lp, policy, totals)
     support_set = set(policy.support_set())
-
-    names = system.tech_names()
-    if system.voll is not None and tech_energy(system, sol, SHEDDING_NAME) > 0.0:
-        names.append(SHEDDING_NAME)
+    avg = load_weighted_price(system, sol, prices)
+    storage = storage_cost(system, sol)
+    lines = line_cost(system, sol)
+    total_cost = sum(t["cost"] for t in totals.values()) \
+        + sum(storage.values()) + sum(lines.values())
 
     techs = {}
     breakdown = {}
-    for name in names:
-        energy = tech_energy(system, sol, name)
-        cost = tech_cost(system, sol, name)
-        breakdown[name] = cost
-        mv = market_value(system, sol, name, prices)
-        lc = lcoe(system, sol, name)
+    for name, t in totals.items():
+        if name == SHEDDING_NAME and not t["energy"] > 0.0:
+            continue
+        breakdown[name] = t["cost"]
+        mv, lc = _per_mwh(system, t, "revenue"), _per_mwh(system, t, "cost")
         fip = None
         if name in support_set and mv is not None and lc is not None:
             fip = lc - mv
         elif isinstance(policy.support, FixedFip) and name in support_set:
             fip = policy.support.premium
-        curt = None
-        avail = tech_available_energy(system, sol, name)
-        if avail > 0.0:
-            curt = 1.0 - energy / avail
+        # cost share over energy share: the value factor when no policy binds
+        shares = None
+        if mv is not None and total_cost > 0.0:
+            shares = (t["cost"] / total_cost) / (t["energy"] / system.total_demand())
         techs[name] = TechMetrics(
-            name=name, mv=mv, lcoe=lc, rmv=rmv(system, sol, name, prices),
-            rmv_shares=rmv_share_decomposition(system, sol, name),
-            fip_equivalent=fip,
-            revenue=tech_revenue(system, sol, name, prices), cost=cost,
-            energy=energy, capacity=tech_capacity(system, sol, name),
-            curtailment_share=curt,
+            name=name, mv=mv, lcoe=lc, rmv=_value_factor(mv, avg), rmv_shares=shares,
+            fip_equivalent=fip, revenue=t["revenue"], cost=t["cost"], energy=t["energy"],
+            capacity=t["capacity"], curtailment_share=(
+                1.0 - t["energy"] / t["available"] if t["available"] > 0.0 else None),
         )
-    for key, cost in storage_cost(system, sol).items():
+    for key, cost in storage.items():
         breakdown[f"storage:{key}"] = cost
-    for key, cost in line_cost(system, sol).items():
+    for key, cost in lines.items():
         breakdown[f"line:{key}"] = cost
 
-    curves = duration_curves(system, sol)
+    curves = duration_curves(system, sol, accts)
     pen = None
     if support_set:
-        pen = penetration_of(system, sol, sorted(support_set))
+        pen = penetration_of(system, sol, sorted(support_set), totals)
 
     report = MetricsReport(
         technologies=techs,
-        load_weighted_price=load_weighted_price(system, sol, prices),
+        load_weighted_price=avg,
         average_price=average_price(system, sol, prices),
         mu_gamma=pol["mu_gamma"], mu_theta=pol["mu_theta"],
         mu_theta_equivalent=pol["mu_theta_equivalent"], mu_co2=pol["mu_co2"],

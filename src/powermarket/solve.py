@@ -348,16 +348,21 @@ def write_solution_file(sol: Solution, path) -> None:
 def solve_external(lp: LinearProgram, solution_file) -> Solution:
     """Parse an externally produced solution file against the LP's names.
 
-    The file must cover every column and every row; a missing dual section
-    makes the solution unusable for theorem checks and is reported as an
-    error.  Its status, ``optimal`` when the file gives none, must be one
-    of :data:`STATUSES`.
+    The file must cover every column and every row, each in one record of
+    exactly its fields; a missing dual section makes the solution unusable
+    for theorem checks and is reported as an error.  Its status, ``optimal``
+    when the file gives none, must be one of :data:`STATUSES`.
     """
     sol = Solution(lp, status="optimal")
     x = np.full(len(lp.columns), np.nan)
     y = np.full(len(lp.rows), np.nan)
     positions = {kind: {name: i for i, name in enumerate(names)}
                  for kind, names in (("col", lp.col_names()), ("row", lp.row_names()))}
+
+    # fields of each record, and which columns, rows, objective and status were read
+    width = {"col": 3, "row": 3, "objective": 2, "status": 2}
+    seen = {kind: bytearray(n) for kind, n in
+            (("col", len(x)), ("row", len(y)), ("objective", 1), ("status", 1))}
 
     def error(message):
         return SolveError(f"{solution_file}, line {lineno}: {message}")
@@ -369,21 +374,27 @@ def solve_external(lp: LinearProgram, solution_file) -> Solution:
                 if not tokens or tokens[0].startswith("#"):
                     continue
                 kind = tokens[0]
+                if kind not in width:
+                    raise error(f"unknown record '{kind}' in solution file")
+                if len(tokens) > width[kind]:
+                    raise error(f"'{kind}' record has an extra field '{tokens[width[kind]]}'")
                 try:
+                    i, what = 0, f"'{kind}'"
                     if kind == "col" or kind == "row":
+                        what = f"{'column' if kind == 'col' else 'row'} '{tokens[1]}'"
                         i = positions[kind].get(tokens[1])
                         if i is None:
-                            what = "column" if kind == "col" else "row"
-                            raise error(f"unmatched tag: unknown {what} '{tokens[1]}'")
+                            raise error(f"unmatched tag: unknown {what}")
                         (x if kind == "col" else y)[i] = float(tokens[2])
                     elif kind == "objective":
                         sol.objective = float(tokens[1])
-                    elif kind == "status":
-                        if tokens[1] not in STATUSES:
-                            raise error(f"unknown status '{tokens[1]}'")
-                        sol.status = tokens[1]
+                    elif tokens[1] not in STATUSES:
+                        raise error(f"unknown status '{tokens[1]}'")
                     else:
-                        raise error(f"unknown record '{kind}' in solution file")
+                        sol.status = tokens[1]
+                    if seen[kind][i]:
+                        raise error(f"second record of {what}")
+                    seen[kind][i] = 1
                 except IndexError:
                     raise error(f"'{kind}' record misses a field") from None
                 except ValueError:

@@ -2,8 +2,9 @@
 
 A sweep solves one equilibrium per axis value, in axis order, and verifies
 it.  All points run in one HiGHS session in the calling process, each warm
-from the basis of the point before it where the LPs allow it; a cold solve
-costs as much as dozens of warm points, so a sweep pays for one.
+from the basis of the point before it where the LPs allow it, so a sweep
+pays for one cold solve.  A warm point is cheap only if it barely pivots:
+where a CO2 cap binds, one can take nearly as long as the cold first point.
 Infeasible tail points (a cap of zero without flexibility, say) are
 recorded as such instead of aborting the grid.
 """

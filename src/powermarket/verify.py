@@ -23,9 +23,10 @@ from .formulate import (
     tech_key,
 )
 from .metrics import (
+    accounts,
     congestion_revenue,
     line_cost,
-    market_value,
+    market_values,
     nodal_prices,
     policy_prices,
     storage_arbitrage,
@@ -86,8 +87,10 @@ class KktReport:
                                            self.complementarity))
 
     def results(self) -> list:
-        verdict = "pass" if self.passed else "fail"
-        return [CheckResult("kkt", kind, getattr(self, kind), verdict)
+        """One row per residual, each judged on its own against ``tol``; a
+        NaN residual fails."""
+        return [CheckResult("kkt", kind, getattr(self, kind),
+                            "pass" if getattr(self, kind) <= self.tol else "fail")
                 for kind in ("stationarity", "primal", "dual", "complementarity")]
 
 
@@ -150,32 +153,29 @@ def check_zero_profit(system: PowerSystem, lp: LinearProgram, sol: Solution,
     support = policy.support
     support_set = set(policy.support_set())
 
-    for node, spec in system.technologies:
-        key = tech_key(spec.name, node)
-        g = sol.primal("g", key)
-        G = sol.primal("G", key)
-        energy = float(g.sum())
-        revenue = float((prices[node] * g).sum())
-        cost = spec.annual_cost(system.discount_rate) * G \
-            + spec.marginal_cost * energy
-        adjust = -spec.emission_factor * mu_co2 * energy
-        if spec.name in support_set:
+    for acct in accounts(system, sol, prices):
+        spec = acct.spec
+        if spec is None:
+            continue
+        key = tech_key(acct.name, acct.node)
+        adjust = -spec.emission_factor * mu_co2 * acct.energy
+        if acct.name in support_set:
             if isinstance(support, SupportDispatched):
-                adjust += mu_gamma * energy
+                adjust += mu_gamma * acct.energy
             elif isinstance(support, SupportAvailable):
-                adjust += mu_theta * G * spec.availability_sum(system.snapshots)
+                adjust += mu_theta * acct.available
             elif isinstance(support, FixedFip):
-                adjust += support.premium * energy
+                adjust += support.premium * acct.energy
         scarcity = 0.0
         if lp.has_row("potential", key):
-            scarcity = -sol.dual("potential", key) * G   # mu_s^max >= 0
-        residual = revenue - cost + adjust - scarcity
-        scale = max(1.0, cost)
+            scarcity = -sol.dual("potential", key) * acct.capacity   # mu_s^max >= 0
+        residual = acct.revenue - acct.cost + adjust - scarcity
+        scale = max(1.0, acct.cost)
         results.append(CheckResult(
             "zero-profit", key, abs(residual) / scale,
             "pass" if abs(residual) <= DEFAULT_TOL * scale else "fail",
-            detail={"revenue": revenue, "cost": cost, "adjustment": adjust,
-                    "scarcity_rent": scarcity, "capacity": G}))
+            detail={"revenue": acct.revenue, "cost": acct.cost, "adjustment": adjust,
+                    "scarcity_rent": scarcity, "capacity": acct.capacity}))
 
     if system.storages:
         arb = storage_arbitrage(system, sol, prices)
@@ -341,12 +341,10 @@ def check_subsidy_tax_lift(system: PowerSystem, lp: LinearProgram, sol: Solution
     price_dev = float(np.abs(lam_m - lam - mu_gamma).max()) / scale
 
     mv_dev = 0.0
+    mvs, mvs_m = market_values(system, sol), market_values(system, mirror_sol)
     for name in system.tech_names():
-        mv = market_value(system, sol, name)
-        mv_m = market_value(system, mirror_sol, name)
-        if mv is None or mv_m is None:
-            continue
-        mv_dev = max(mv_dev, abs(mv_m - mv - mu_gamma) / scale)
+        if name in mvs and name in mvs_m:
+            mv_dev = max(mv_dev, abs(mvs_m[name] - mvs[name] - mu_gamma) / scale)
     residual = max(price_dev, mv_dev)
     mu_m = -mirror_sol.dual("vre-dispatched", "mirror")
     if residual <= DEFAULT_TOL:

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from powermarket.formulate import column_major
+from powermarket.metrics import accounts
 from powermarket.model import (
     PowerSystem,
     StorageSpec,
@@ -27,6 +28,11 @@ BUNDLED_SCENARIOS = ("fig1_no_policy.json", "fig1_support.json", "fig1_co2_cap.j
 
 def scenario_path(name: str) -> str:
     return os.path.join(SCENARIO_DIR, name)
+
+
+def energy_of(system, sol, name: str) -> float:
+    """Dispatch of every placement of ``name``, summed as the metrics sum it."""
+    return sum(a.energy for a in accounts(system, sol) if a.name == name)
 
 
 def gate_document(directory) -> dict:

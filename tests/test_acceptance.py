@@ -13,18 +13,15 @@ import pytest
 
 from powermarket.formulate import build_lp, tech_key
 from powermarket.metrics import (
+    accounts,
+    build_report,
     lcoe,
     market_value,
     nodal_prices,
     rmv,
-    rmv_share_decomposition,
     storage_arbitrage,
     storage_cost,
     suppress_negative_prices,
-    tech_available_energy,
-    tech_capacity,
-    tech_cost,
-    tech_energy,
 )
 from powermarket.model import (
     Co2Cap,
@@ -45,6 +42,7 @@ from powermarket.verify import (
 )
 
 from conftest import (
+    energy_of,
     flexible_system,
     random_desk_system,
     scenario_path,
@@ -66,8 +64,8 @@ def _solved(system, policy=PolicyConfig.none()):
 
 
 def _emissions(system, sol) -> float:
-    return sum(spec.emission_factor * tech_energy(system, sol, spec.name)
-               for _, spec in system.technologies)
+    return sum(a.spec.emission_factor * a.energy
+               for a in accounts(system, sol) if a.spec is not None)
 
 
 SEEDS = range(50)
@@ -101,9 +99,8 @@ def test_criterion_02_total_cost_identity():
         lp, sol = _solved(system)
         prices = nodal_prices(system, sol)["N"]
         payments = float(prices @ np.array(system.demand["N"]))
-        names = sorted({spec.name for _, spec in system.technologies})
-        total = sum(tech_cost(system, sol, n) for n in names)
-        total += tech_cost(system, sol, "load-shedding")
+        # every placement's cost, load shedding included
+        total = sum(a.cost for a in accounts(system, sol))
         worst = max(worst, abs(payments - total) / abs(total))
     _report(2, worst <= 1e-8,
             f"max |payments - total cost| / cost = {worst:.2e}")
@@ -149,7 +146,7 @@ def test_criterion_04_co2_relation():
         lp, sol = _solved(system, PolicyConfig(co2=Co2Cap(frac * e0)))
         mu = -sol.dual("co2-cap")
         for _, spec in system.technologies:
-            if tech_energy(system, sol, spec.name) <= 0.0:
+            if energy_of(system, sol, spec.name) <= 0.0:
                 continue
             mv = market_value(system, sol, spec.name)
             lc = lcoe(system, sol, spec.name)
@@ -309,8 +306,8 @@ def test_criterion_11_two_day_policy_comparison():
 
     # (c) cap at the same solar share: zero (not negative) prices in the
     # solar-curtailment hours, higher prices in some fossil hour
-    share_b = tech_energy(sys_b, sol_b, "solar") / sys_b.total_demand()
-    share_c = tech_energy(sys_c, sol_c, "solar") / sys_c.total_demand()
+    share_b = energy_of(sys_b, sol_b, "solar") / sys_b.total_demand()
+    share_c = energy_of(sys_c, sol_c, "solar") / sys_c.total_demand()
     zero_hours = np.abs(lam_c) <= 1e-6
     fossil_hours = np.array([sys_a.technologies[0][1].availability_at(t) == 0.0
                              for t in range(48)])
@@ -328,9 +325,10 @@ def test_criterion_12_rmv_identity():
     for seed in range(10):
         system = random_desk_system(seed)
         lp, sol = _solved(system)
+        report = build_report(system, lp, sol, PolicyConfig.none())
         for _, spec in system.technologies:
             r = rmv(system, sol, spec.name)
-            d = rmv_share_decomposition(system, sol, spec.name)
+            d = report.technologies[spec.name].rmv_shares
             if r is None:
                 continue
             worst = max(worst, abs(r - d))

@@ -135,6 +135,55 @@ class TestSolve:
                    str(tmp_path / "fig1_no_policy.sol")])
         assert rc == 0
 
+    @staticmethod
+    def written_solution(tmp_path) -> list:
+        """Lines of the solution file that solving fig1_no_policy writes."""
+        assert main(["solve", scenario_path("fig1_no_policy.json"),
+                     "--out-dir", str(tmp_path)]) == 0
+        return (tmp_path / "fig1_no_policy.sol").read_text().splitlines()
+
+    @staticmethod
+    def read_back(tmp_path, lines) -> tuple:
+        """Write ``lines`` as a solution file and solve fig1_no_policy from
+        it: (path of the file, exit code)."""
+        path = tmp_path / "external.sol"
+        path.write_text("\n".join(lines) + "\n")
+        return path, exit_code(["solve", scenario_path("fig1_no_policy.json"),
+                                "--out-dir", str(tmp_path / "out"),
+                                "--external-solution", str(path)])
+
+    def test_each_kkt_row_has_its_own_verdict(self, tmp_path, capsys):
+        lines = ["col G.coal@DE 999.0" if line.startswith("col G.coal@DE ") else line
+                 for line in self.written_solution(tmp_path)]
+        assert self.read_back(tmp_path, lines)[1] == 2
+        failed = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("check failed: kkt ")]
+        assert [line.split()[3] for line in failed] == ["complementarity"]
+
+    @pytest.mark.parametrize("kind, extra", [
+        ("status", "now"), ("objective", "junk"), ("col", "7.0"), ("row", "0.0")])
+    def test_record_with_an_extra_field_is_one_error_line(self, tmp_path, capsys,
+                                                          kind, extra):
+        lines = self.written_solution(tmp_path)
+        at = next(i for i, line in enumerate(lines) if line.startswith(f"{kind} "))
+        lines[at] += f" {extra}"
+        path, code = self.read_back(tmp_path, lines)
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}, line {at + 1}: '{kind}' record has an extra field "
+            f"'{extra}'\n")
+
+    @pytest.mark.parametrize("record, what", [
+        ("status optimal", "'status'"), ("objective 1.0", "'objective'"),
+        ("col G.coal@DE 999.0", "column 'G.coal@DE'"),
+        ("row balance.DE.t0 0.0", "row 'balance.DE.t0'")])
+    def test_repeated_record_is_one_error_line(self, tmp_path, capsys, record, what):
+        lines = self.written_solution(tmp_path) + [record]
+        path, code = self.read_back(tmp_path, lines)
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}, line {len(lines)}: second record of {what}\n")
+
     @pytest.mark.parametrize("status, code", [("infeasible", 3), ("numerical", 4)])
     def test_status_read_from_a_file_names_it(self, tmp_path, capsys, status, code):
         path = tmp_path / "external.sol"

@@ -15,9 +15,7 @@ from powermarket.metrics import (
     report_csv_rows,
     report_to_json,
     rmv,
-    rmv_share_decomposition,
     suppress_negative_prices,
-    tech_energy,
     write_report_csv,
 )
 from powermarket.model import (
@@ -29,7 +27,7 @@ from powermarket.model import (
 )
 from powermarket.solve import solve
 
-from conftest import random_desk_system, two_tech_system
+from conftest import energy_of, random_desk_system, two_tech_system
 
 
 def solved(system, policy=PolicyConfig.none()):
@@ -43,7 +41,7 @@ class TestHeadlineMetrics:
     def test_mv_equals_lcoe_without_policy(self, desk_system):
         lp, sol = solved(desk_system)
         for name in ("wind", "solar", "ccgt", "ocgt"):
-            energy = tech_energy(desk_system, sol, name)
+            energy = energy_of(desk_system, sol, name)
             if energy <= 0.0:
                 continue
             mv = market_value(desk_system, sol, name)
@@ -70,7 +68,7 @@ class TestHeadlineMetrics:
         mu = -sol.dual("co2-cap")
         assert mu > 0.0
         for _, spec in desk_system.technologies:
-            if tech_energy(desk_system, sol, spec.name) <= 0.0:
+            if energy_of(desk_system, sol, spec.name) <= 0.0:
                 continue
             mv = market_value(desk_system, sol, spec.name)
             lc = lcoe(desk_system, sol, spec.name)
@@ -85,11 +83,13 @@ class TestHeadlineMetrics:
         wind = lp.col("g", tech_key("wind", "N"))
         assert not sol.x[wind].any()
         sol.x[wind.start] = dispatch
-        assert tech_energy(system, sol, "wind") == dispatch
+        assert energy_of(system, sol, "wind") == dispatch
         assert market_value(system, sol, "wind") is None
         assert lcoe(system, sol, "wind") is None
         assert rmv(system, sol, "wind") is None
-        assert rmv_share_decomposition(system, sol, "wind") is None
+        wind = build_report(system, lp, sol, PolicyConfig.none()).technologies["wind"]
+        assert wind.energy == dispatch
+        assert (wind.mv, wind.lcoe, wind.rmv, wind.rmv_shares) == (None,) * 4
         assert penetration_of(system, sol, ("wind",)) == 0.0
 
 
@@ -105,9 +105,10 @@ class TestRmv:
 
     def test_share_decomposition_matches(self, desk_system):
         lp, sol = solved(desk_system)
+        report = build_report(desk_system, lp, sol, PolicyConfig.none())
         for name in ("wind", "solar", "ccgt", "ocgt"):
             r = rmv(desk_system, sol, name)
-            d = rmv_share_decomposition(desk_system, sol, name)
+            d = report.technologies[name].rmv_shares
             if r is None:
                 assert d is None
                 continue
