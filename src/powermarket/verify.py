@@ -272,9 +272,8 @@ def check_cap_tax_equivalence(system: PowerSystem, lp: LinearProgram, sol: Solut
     if unsolved:
         return unsolved
     mu = -sol.dual("co2-cap")
-    emissions = sum(e for node, spec in system.technologies
-                    for e in (spec.emission_factor
-                              * sol.primal("g", tech_key(spec.name, node))).tolist())
+    emissions = sum(acct.spec.emission_factor * acct.energy
+                    for acct in accounts(system, sol) if acct.spec is not None)
     tax_lp = apply_equivalence_substitution(lp, "co2-cap", mu)
     # warm from the cap LP's basis in its session: the tax LP has the cap
     # LP's shape, with new costs and the cap row freed

@@ -2,6 +2,7 @@ import inspect
 import json
 import re
 import sys
+import time
 from types import SimpleNamespace
 
 import numpy as np
@@ -206,7 +207,8 @@ class TestHighsBindings:
         core = load_highs()
         source = inspect.getsource(sys.modules[Session.__module__])
         methods = set(re.findall(r"highs\.(\w+)\(", source))
-        assert {"passModel", "run", "changeColsCost", "changeRowBounds"} <= methods
+        assert {"passModel", "run", "changeColsCost", "changeRowBounds",
+                "getLp", "getBasis", "setBasis"} <= methods
         for name in methods:
             assert callable(getattr(core._Highs, name)), name
         for name in set(re.findall(r"(?:\bcore|load_highs\(\))\.(\w+)", source)):
@@ -291,16 +293,25 @@ print(json.dumps([outcome(solve, lp_needing(math.nan))]
 """
 
 
+PRICING = "simplex_dual_edge_weight_strategy"
+
+
+def pricing(session: Session) -> int:
+    """Dual edge-weight strategy of the HiGHS model ``session`` holds."""
+    return session._highs.getOptionValue(PRICING)[1]
+
+
 def record_runs(monkeypatch) -> list:
     """Patch ``Session._run`` to record every HiGHS run: whether it was warm,
-    the row it left open, and its status, iterations, time and objective."""
+    the row it left open, the dual pricing of the model it ran in, and its
+    status, iterations, time and objective."""
     runs = []
 
-    def recording(self, lp, warm, opened=None, _run=Session._run):
-        sol = _run(self, lp, warm, opened)
-        runs.append(SimpleNamespace(warm=warm, opened=opened, status=sol.status,
-                                    iterations=sol.iterations, wall_time=sol.wall_time,
-                                    objective=sol.objective))
+    def recording(self, lp, warm, opened=None, devex=False, _run=Session._run):
+        sol = _run(self, lp, warm, opened, devex)
+        runs.append(SimpleNamespace(warm=warm, opened=opened, pricing=pricing(self),
+                                    status=sol.status, iterations=sol.iterations,
+                                    wall_time=sol.wall_time, objective=sol.objective))
         return sol
     monkeypatch.setattr(Session, "_run", recording)
     return runs
@@ -458,6 +469,54 @@ class TestSession:
         assert sol.x.tolist() == default.x.tolist()
         assert sol.y.tolist() == default.y.tolist()
         assert sol.iterations < default.iterations
+
+    def test_warm_solves_price_with_devex(self, monkeypatch, desk_system):
+        default = load_highs()._Highs().getOptionValue(PRICING)[1]
+        assert default != 1
+        session = Session()
+        session.solve(build_lp(desk_system, PolicyConfig(co2=Co2Cap(900.0))))
+        assert pricing(session) == default
+        loaded = session._highs
+        tighter = build_lp(desk_system, PolicyConfig(co2=Co2Cap(800.0)))
+        assert session.solve(tighter).warm_start
+        # the warm solve ran in a new model, and later ones stay in it
+        assert session._highs is not loaded and pricing(session) == 1
+        devex = session._highs
+        assert session.solve(build_lp(desk_system, PolicyConfig(co2=Co2Cap(700.0)))) \
+            .warm_start
+        assert session._highs is devex
+        # both runs of a cold quota LP belong to its cold solve
+        runs = record_runs(monkeypatch)
+        _, _, lp = fig1_support_lp()
+        _, _, other = fig1_support_lp(share=0.5)
+        assert not session.solve(lp).warm_start
+        assert session.solve(other).warm_start
+        assert [(run.warm, run.pricing) for run in runs] == [
+            (False, default), (True, default), (True, 1)]
+
+    def test_warm_chain_matches_cold_solves(self):
+        system = random_desk_system(0, 1512)
+        demand = float(np.sum(system.demand["N"]))
+        session = Session()
+        for intensity in (0.005, 0.01, 0.02, 0.03):
+            lp = build_lp(system, PolicyConfig(co2=Co2Cap(intensity * demand)))
+            warm = session.solve(lp)
+            cold = Session().solve(lp)
+            assert warm.warm_start == (intensity > 0.005) and not cold.warm_start
+            assert warm.dual("co2-cap") < 0.0
+            assert warm.objective == pytest.approx(cold.objective, rel=1e-12)
+            assert check_kkt(lp, warm).passed
+        assert pricing(session) == 1
+
+    def test_wall_time_covers_the_handoff(self, monkeypatch, desk_system):
+        def slow(self, _hand_over=Session._hand_over):
+            time.sleep(0.05)
+            _hand_over(self)
+        monkeypatch.setattr(Session, "_hand_over", slow)
+        session = Session()
+        session.solve(build_lp(desk_system, PolicyConfig(co2=Co2Cap(900.0))))
+        sol = session.solve(build_lp(desk_system, PolicyConfig(co2=Co2Cap(800.0))))
+        assert sol.warm_start and sol.wall_time >= 0.05
 
     def test_infeasible_quota_counts_every_run(self, monkeypatch):
         _, _, lp = fig1_support_lp(share=0.9, max_potential=10.0)

@@ -1,11 +1,22 @@
+import csv
+import io
 import json
 
 import pytest
 
 import powermarket.sweep
-from powermarket.sweep import SweepPlan, run_sweep, sweep_manifest
+from powermarket.scenario import load_plan
+from powermarket.solve import Session
+from powermarket.sweep import (
+    SweepPlan,
+    SweepResult,
+    _solve_point,
+    run_sweep,
+    sweep_csv_text,
+    sweep_manifest,
+)
 
-from conftest import solar_gas_system, two_tech_system
+from conftest import scenario_path, solar_gas_system, two_tech_system
 
 
 @pytest.fixture(scope="module")
@@ -108,3 +119,27 @@ class TestChains:
         result = run_sweep(plan)
         assert [p.status for p in result.points] == ["infeasible", "optimal"]
         assert warm == [False, False]
+
+
+class TestSolvePath:
+    @pytest.mark.parametrize("name", ["support_sweep", "co2_sweep_flex"])
+    def test_warm_chain_writes_the_cold_points(self, name, warm):
+        # the warm-chained sweep and one cold session per point give the
+        # same table, every number to 1e-9 relative
+        plan = load_plan(scenario_path(f"{name}.json"))
+        chained = run_sweep(plan)
+        assert warm == [False] + [True] * (len(plan.values) - 1)
+        cold = SweepResult(plan.name, plan.axis,
+                           [_solve_point(plan, v, Session()) for v in plan.values],
+                           chained.config_digest)
+        tables = [list(csv.reader(io.StringIO(sweep_csv_text(plan, result))))
+                  for result in (chained, cold)]
+        assert [len(row) for row in tables[0]] == [len(row) for row in tables[1]]
+        for row, other in zip(*tables):
+            for cell, cold_cell in zip(row, other):
+                try:
+                    value = float(cold_cell)
+                except ValueError:
+                    assert cell == cold_cell
+                else:
+                    assert float(cell) == pytest.approx(value, rel=1e-9), (row[0], cell)
