@@ -42,6 +42,7 @@ __all__ = [
     "cycle_basis",
     "apply_equivalence_substitution",
     "column_major",
+    "relaxation_shift",
     "write_mps",
 ]
 
@@ -201,6 +202,45 @@ class LinearProgram:
                 f"cannot free equality row '{_block_id((family, entity))}'")
         self.rows.rhs[index] = INF if sense == "<=" else -INF
 
+    def sampled(self, stride: int) -> Optional["LinearProgram"]:
+        """The LP restricted to every ``stride``-th snapshot, or None when a
+        row links two snapshots (a storage state-of-charge row does).
+
+        A snapshot block is a slice block; they all have one length, T.
+        Each keeps snapshots 0, stride, 2·stride, ... and scalar blocks are
+        kept whole.  Each of the n kept snapshots stands for T/n of them:
+        per-snapshot costs, and the entries of scalar rows (a CO2 cap, a
+        dispatched quota) in per-snapshot columns, are weighted by T/n.
+        Returns None too when the LP has no snapshot blocks, or blocks of
+        several lengths."""
+        col_t, col_lengths = _snapshot_of(self.col_index, len(self.columns))
+        row_t, row_lengths = _snapshot_of(self.row_index, len(self.rows))
+        lengths = col_lengths | row_lengths
+        e = self.entries
+        row_of, col_of = row_t[e.row], col_t[e.col]
+        if len(lengths) != 1 or np.any((row_of >= 0) & (col_of >= 0) & (row_of != col_of)):
+            return None
+        T = lengths.pop()
+        n = len(range(0, T, stride))
+        weight = T / n
+        keep_col = (col_t < 0) | (col_t % stride == 0)
+        keep_row = (row_t < 0) | (row_t % stride == 0)
+        new_col, new_row = np.cumsum(keep_col) - 1, np.cumsum(keep_row) - 1
+        out = LinearProgram()
+        out.col_index = _kept_index(self.col_index, new_col, n)
+        out.row_index = _kept_index(self.row_index, new_row, n)
+        cols, rows = self.columns, self.rows
+        out.columns.append(int(keep_col.sum()), lower=cols.lower[keep_col],
+                           upper=cols.upper[keep_col],
+                           objective=np.where(col_t[keep_col] >= 0, weight, 1.0)
+                           * cols.objective[keep_col])
+        out.rows.append(int(keep_row.sum()), sense=rows.sense[keep_row], rhs=rows.rhs[keep_row])
+        keep = keep_row[e.row] & keep_col[e.col]
+        scale = np.where((row_of[keep] < 0) & (col_of[keep] >= 0), weight, 1.0)
+        out.entries.append(int(keep.sum()), row=new_row[e.row[keep]], col=new_col[e.col[keep]],
+                           value=scale * e.value[keep])
+        return out
+
     def validate_structure(self) -> None:
         e = self.entries
         if len(e) and not (0 <= e.row.min() and e.row.max() < len(self.rows)
@@ -216,6 +256,26 @@ def _names(index: dict, n: int) -> list:
     for key, idx in index.items():
         names[idx] = _block_names(key, idx)
     return names
+
+
+def _snapshot_of(index: dict, n: int) -> tuple:
+    """Snapshot of each of ``n`` positions (-1 in a scalar block), and the
+    set of slice block lengths."""
+    snapshot, lengths = np.full(n, -1), set()
+    for idx in index.values():
+        if isinstance(idx, slice):
+            positions = _positions(idx)
+            snapshot[positions] = np.arange(len(positions))
+            lengths.add(len(positions))
+    return snapshot, lengths
+
+
+def _kept_index(index: dict, new: np.ndarray, n: int) -> dict:
+    """``index`` over the kept positions, ``new`` giving each kept one its
+    new position, with n per slice block.  The interleaved blocks of a
+    snapshot are kept or dropped together, so a slice keeps its step."""
+    return {key: slice(int(new[idx.start]), int(new[idx.start]) + idx.step * n, idx.step)
+            if isinstance(idx, slice) else int(new[idx]) for key, idx in index.items()}
 
 
 # -- cycle basis ----------------------------------------------------------------
@@ -424,15 +484,23 @@ def apply_equivalence_substitution(lp: LinearProgram, family: str,
     if not lp.has_row(family):
         raise FormulationError(f"policy row '{family}' absent")
     out = lp.copy()
-    ri = out.row(family)
-    sign = 1.0 if out.rows.sense[ri] == "<=" else -1.0
-    in_row = out.entries.row == ri
-    cols = out.entries.col[in_row]
-    coef = np.bincount(cols, weights=out.entries.value[in_row], minlength=len(out.columns))
-    cols = np.unique(cols)
-    out.columns.objective[cols] += sign * mu * coef[cols]
+    cols, shift = relaxation_shift(out, family, mu)
+    out.columns.objective[cols] += shift
     out.free_row(family)
     return out
+
+
+def relaxation_shift(lp: LinearProgram, family: str, mu: float) -> tuple:
+    """(columns, cost shift) of the Lagrangian relaxation of scalar policy
+    row ``family`` at multiplier ``mu``: ``mu`` times each column's
+    coefficient in the row, negated for a ``>=`` row."""
+    ri = lp.row(family)
+    sign = 1.0 if lp.rows.sense[ri] == "<=" else -1.0
+    in_row = lp.entries.row == ri
+    cols = lp.entries.col[in_row]
+    coef = np.bincount(cols, weights=lp.entries.value[in_row], minlength=len(lp.columns))
+    cols = np.unique(cols)
+    return cols, sign * mu * coef[cols]
 
 
 # -- MPS interchange --------------------------------------------------------------

@@ -15,7 +15,9 @@ family: an LP of the same shape as the one it loaded (the same column and
 row blocks, column bounds, senses and matrix) is solved from the basis of
 the previous solve, with Devex pricing.  The cap LP and its tax LP, which
 frees the cap row, form such a family, and so do the points of a sweep.
-A cold LP with a dispatched quota is solved from its policy-free optimum.
+A cold LP with a dispatched quota is solved from its policy-free optimum,
+and a cold LP with a CO2 cap from its tax LP at the cap price of a
+snapshot sample.
 
 Sign convention: ``dual[row]`` is the sensitivity of the optimal objective to
 the row's right-hand side (dObj/dRHS).  Balance rows therefore carry
@@ -37,7 +39,7 @@ from typing import Optional
 
 import numpy as np
 
-from .formulate import LinearProgram, column_major
+from .formulate import LinearProgram, column_major, relaxation_shift
 
 __all__ = ["NO_OPTIMUM", "STATUSES", "Session", "Solution", "SolveError", "load_highs",
            "solve", "solve_external", "status_of", "write_solution_file"]
@@ -97,6 +99,8 @@ FEAS_TOL = OPT_TOL = 1e-9
 COST_PERTURBATION = OPT_TOL / 1e-7
 # dual simplex pricing of warm solves: Devex (see Session)
 WARM_PRICING = ("simplex_dual_edge_weight_strategy", 1)
+# snapshot stride of the sample that prices a cold CO2 cap (see Session)
+SAMPLE_STRIDE = 11
 
 # statuses that prove the model has no optimum
 NO_OPTIMUM = ("infeasible", "unbounded", "infeasible-or-unbounded")
@@ -179,8 +183,35 @@ class Session:
     every factorization after it, at several times the cost per
     iteration.  The second run solves the LP itself, so the result is an
     optimum of it; on a degenerate LP it can be another optimal vertex than
-    a one-run cold solve finds.  A CO2 cap row or an available-energy quota
-    row is not opened first: measured, that made the cold solve slower.
+    a one-run cold solve finds.  An available-energy quota row is not
+    opened first: measured, that made the cold solve slower.
+
+    A cold LP whose CO2 cap row (``co2-cap``) has a right-hand side starts
+    from its tax LP.  A binding cap and a tax at its shadow price μ have the
+    same optimum, and the tax LP solves without the dense cap row (one
+    entry per dispatch hour of every emitting technology) in its
+    factorizations.  μ is priced on a sample first:
+    :meth:`LinearProgram.sampled` keeps every :data:`SAMPLE_STRIDE`-th
+    snapshot, weighted to the full horizon, and the sample is solved cold
+    in a model of its own, μ̂ being minus its cap dual.  If the sample ends
+    optimal with μ̂ > 0, the LP is loaded with the cap row free, and a
+    dispatched-quota row with a target too, and with each column's cost
+    raised by μ̂ times its cap coefficient.  Its optimal basis is then
+    handed to a model that prices with Devex, as for a warm solve (below),
+    the real costs and row bounds are pushed, and the LP itself runs warm.
+    Measured on an 8760-hour cap LP, the sample priced the cap within 7 %
+    of μ, and the three runs took 4.4 s against 6.4 s for one cold run;
+    opening the cap row unpriced, from the policy-free optimum, took three
+    times as long.  On a degenerate LP the result can be another optimal
+    vertex than a one-run cold solve finds.  The rule keeps peak memory
+    where a one-run solve has it: the costs are shifted while loading,
+    without a copy of the LP; each model, the sample's first, is released
+    before the next one is loaded; and a run with rows left free solves
+    another LP, so its solution is never read.  An LP whose rows
+    link two snapshots, as a storage unit's state-of-charge rows do, has
+    no sample, since a strided sample misprices storage; it takes one cold
+    run, and so does an LP whose sample does not end optimal or prices the
+    cap at 0.
 
     HiGHS sizes the dual simplex's cost perturbation for its default dual
     feasibility tolerance, 1e-7.  Every solve runs to :data:`OPT_TOL`, 1e-9,
@@ -205,10 +236,11 @@ class Session:
     The second run of a cold quota LP is part of its cold solve and stays
     in the model it was loaded in.
 
-    A warm solve, or either run of a cold quota LP, that does not end
-    optimal is repeated cold in one run in a new model, and the result is
-    returned with the iterations and time of every run.  An LP that HiGHS
-    rejects raises :class:`SolveError`, and the next LP is loaded cold.
+    A warm solve, or a run of a cold quota LP or of a priced cap LP, that
+    does not end optimal is repeated cold in one run in a new model.  The
+    result is returned with the iterations and time of every run, the
+    sample's build and solve included.  An LP that HiGHS rejects raises
+    :class:`SolveError`, and the next LP is loaded cold.
     """
 
     def __init__(self):
@@ -228,11 +260,20 @@ class Session:
         """Minimize ``lp``, warm where the session's model allows it."""
         lp.validate_structure()
         warm = self._optimal and self._same_shape(lp)
-        quota = None if warm else _quota_row(lp)
-        runs = [self._run(lp, warm, opened=quota, devex=warm)]
-        if quota is not None and runs[0].status == "optimal":
-            runs.append(self._run(lp, True))
-        if runs[-1].status != "optimal" and (warm or quota is not None):
+        runs, opened, tax = [], (), 0.0
+        if not warm:
+            cap = _policy_row(lp, "co2-cap")
+            if cap is not None:
+                tax, sample = self._sample_price(lp)
+                runs += [] if sample is None else [sample]
+            opened = tuple(row for row in (cap if tax > 0.0 else None,
+                                           _policy_row(lp, "vre-dispatched"))
+                           if row is not None)
+        runs.append(self._run(lp, warm, opened, tax, devex=warm))
+        if opened and runs[-1].status == "optimal":
+            # the LP itself, warm; from a priced cap LP in a Devex model
+            runs.append(self._run(lp, True, devex=tax > 0.0))
+        if runs[-1].status != "optimal" and (warm or opened):
             runs.append(self._run(lp, False))
         sol = runs[-1]
         sol.iterations = sum(run.iterations for run in runs)
@@ -240,11 +281,31 @@ class Session:
         sol.warm_start = warm and len(runs) == 1
         return sol
 
-    def _run(self, lp: LinearProgram, warm: bool, opened: Optional[int] = None,
+    def _sample_price(self, lp: LinearProgram) -> tuple:
+        """(μ̂, run): the CO2 price of ``lp``'s snapshot sample, solved in a
+        model of its own that is released on return, and that run with its
+        build time and without its solution.  μ̂ is 0 when the sample does not
+        end optimal; the run is None when ``lp`` has no sample."""
+        t0 = time.perf_counter()
+        sample = lp.sampled(SAMPLE_STRIDE)
+        if sample is None:
+            return 0.0, None
+        sampler = Session()
+        sampler.options = self.options
+        run = sampler._run(sample, False)
+        price = -run.dual("co2-cap") if run.status == "optimal" else 0.0
+        run.x = run.y = run.session = None
+        run.wall_time = time.perf_counter() - t0
+        return price, run
+
+    def _run(self, lp: LinearProgram, warm: bool, opened: tuple = (), tax: float = 0.0,
              devex: bool = False) -> Solution:
         """One HiGHS run of ``lp``: warm in the loaded model, handed over
         to a Devex-pricing one first if ``devex``, or cold in a new model
-        with row ``opened``, if given, left free."""
+        with the rows ``opened`` left free and the CO2 cap row's costs
+        raised by ``tax`` times its coefficients.  A run with rows left free
+        solves another LP than ``lp``: it reads no solution, only status,
+        iterations and objective."""
         t0 = time.perf_counter()
         self._optimal = False
         if warm:
@@ -252,7 +313,7 @@ class Session:
                 self._hand_over()
             self._push(lp)
         else:
-            self._load(lp, opened)
+            self._load(lp, opened, tax)
         highs = self._highs
         highs.run()
         wall = time.perf_counter() - t0
@@ -264,8 +325,9 @@ class Session:
                        warm_start=warm, session=self)
         if sol.status == "optimal":
             self._optimal = True
-            solution = highs.getSolution()
             sol.objective = float(info.objective_function_value)
+        if sol.status == "optimal" and not opened:
+            solution = highs.getSolution()
             sol.x = np.array(solution.col_value)
             sol.y = self._sign * np.array(solution.row_dual)[self._highs_row]
         return sol
@@ -279,19 +341,23 @@ class Session:
 
     def _hand_over(self) -> None:
         """Move the loaded LP and its optimal basis into a new model that
-        prices with Devex.  The old model is released first, so that the
-        two are never held at once."""
-        model, basis = self._highs.getLp(), self._highs.getBasis()
-        self._highs = self._new_model([*self.options, WARM_PRICING])
-        _check("passModel", self._highs.passModel(model))
+        prices with Devex.  The old model is released first and the LP is
+        passed again from its arrays, so that no two copies of it are held
+        at once: measured on an 8760-hour cap LP, passing a copy taken from
+        the old model (``getLp``) raised the process's peak memory."""
+        basis = self._highs.getBasis()
+        self._highs = None
+        self._load(self._loaded, devex=True)
         _check("setBasis", self._highs.setBasis(basis))
-        self._devex = True
 
-    def _load(self, lp: LinearProgram, opened: Optional[int]) -> None:
-        """Pass ``lp`` to a new HiGHS model, with row ``opened`` free."""
+    def _load(self, lp: LinearProgram, opened: tuple = (), tax: float = 0.0,
+              devex: bool = False) -> None:
+        """Pass ``lp`` to a new HiGHS model, pricing with Devex if ``devex``,
+        with the rows ``opened`` free and the costs of the CO2 cap row's
+        columns raised by ``tax`` times their coefficients in it."""
         core = load_highs()
-        self._highs = self._new_model(self.options)
-        self._devex = False
+        self._highs = self._new_model([*self.options, WARM_PRICING] if devex else self.options)
+        self._devex = devex
         sense = lp.rows.sense
         eq = sense == "="
         order = np.concatenate((np.flatnonzero(~eq), np.flatnonzero(eq)))
@@ -309,12 +375,14 @@ class Session:
         model.a_matrix_.index_ = index
         model.a_matrix_.value_ = value
         self._cost = cols.objective.copy()
+        if tax:
+            taxed, shift = relaxation_shift(lp, "co2-cap", tax)
+            self._cost[taxed] += shift
         model.col_cost_ = self._cost
         model.col_lower_, model.col_upper_ = cols.lower, cols.upper
         self._row_lower, self._row_upper = self._row_bounds(lp)
-        if opened is not None:
-            i = self._highs_row[opened]
-            self._row_lower[i], self._row_upper[i] = -np.inf, np.inf
+        i = self._highs_row[list(opened)]
+        self._row_lower[i], self._row_upper[i] = -np.inf, np.inf
         model.row_lower_, model.row_upper_ = self._row_lower, self._row_upper
         _check("passModel", self._highs.passModel(model))
         self._loaded = lp
@@ -353,10 +421,11 @@ class Session:
         self._row_lower, self._row_upper = lower, upper
 
 
-def _quota_row(lp: LinearProgram) -> Optional[int]:
-    """Position of the dispatched-quota row of ``lp`` if it has a target."""
-    if lp.has_row("vre-dispatched"):
-        row = lp.row("vre-dispatched")
+def _policy_row(lp: LinearProgram, family: str) -> Optional[int]:
+    """Position of the scalar policy row ``family`` of ``lp`` if it has a
+    finite right-hand side."""
+    if lp.has_row(family):
+        row = lp.row(family)
         if np.isfinite(lp.rows.rhs[row]):
             return row
     return None

@@ -23,6 +23,8 @@ from powermarket.model import (
     validate,
 )
 
+from powermarket.solve import SAMPLE_STRIDE, Session
+
 from conftest import assert_highs_reads, flexible_system, random_desk_system
 
 
@@ -150,6 +152,98 @@ class TestEquivalenceSubstitution:
         # original LP untouched
         assert lp.rows.rhs[lp.row("co2-cap")] == 5.0
         assert lp.columns.objective[lp.col("g", "gas@N")][0] == pytest.approx(90.0)
+
+
+def dense(lp) -> np.ndarray:
+    A = np.zeros((len(lp.rows), len(lp.columns)))
+    np.add.at(A, (lp.entries.row, lp.entries.col), lp.entries.value)
+    return A
+
+
+def sampled_positions(index: dict, sample_index: dict, stride: int, n: int) -> np.ndarray:
+    """Position in the LP of each position of its sample, block by block."""
+    where = np.full(n, -1)
+    for key, idx in index.items():
+        kept = np.arange(idx.start, idx.stop, idx.step)[::stride] \
+            if isinstance(idx, slice) else idx
+        where[sample_index[key]] = kept
+    return where
+
+
+class TestSampled:
+    @staticmethod
+    def policy_lp(snapshots: int = 10) -> tuple:
+        """Two nodes joined by a fixed line (interleaved row blocks), wind with
+        a potential limit, a dispatched wind quota and a CO2 cap."""
+        base = random_desk_system(0, snapshots)
+        techs = tuple(("A", replace(spec, max_potential=500.0) if spec.name == "wind"
+                       else spec) for _, spec in base.technologies)
+        system = PowerSystem(nodes=("A", "B"), snapshots=snapshots,
+                             demand={"A": base.demand["N"], "B": base.demand["N"]},
+                             technologies=techs + (("B", techs[3][1]),),
+                             lines=(LineSpec("A", "B", existing_capacity=30.0),))
+        policy = PolicyConfig(support=SupportDispatched(("wind",), share=0.3),
+                              co2=Co2Cap(1000.0))
+        return system, build_lp(system, policy)
+
+    def test_stride_one_gives_the_lps_own_arrays(self):
+        _, lp = self.policy_lp()
+        sample = lp.sampled(1)
+        assert sample.col_index == lp.col_index and sample.row_index == lp.row_index
+        for table in ("columns", "rows", "entries"):
+            for name in getattr(lp, table).defaults:
+                assert np.array_equal(getattr(getattr(sample, table), name),
+                                      getattr(getattr(lp, table), name)), (table, name)
+
+    def test_snapshot_terms_are_weighted(self):
+        T, stride = 10, 3
+        _, lp = self.policy_lp(T)
+        sample = lp.sampled(stride)
+        weight = T / 4  # snapshots 0, 3, 6 and 9
+        assert set(sample.col_index) == set(lp.col_index)
+        assert set(sample.row_index) == set(lp.row_index)
+        cols = sampled_positions(lp.col_index, sample.col_index, stride, len(sample.columns))
+        rows = sampled_positions(lp.row_index, sample.row_index, stride, len(sample.rows))
+        assert cols.min() >= 0 and rows.min() >= 0
+        snapshot_col = np.zeros(len(lp.columns), bool)
+        for idx in lp.col_index.values():
+            snapshot_col[idx] = isinstance(idx, slice)
+        snapshot_row = np.zeros(len(lp.rows), bool)
+        for idx in lp.row_index.values():
+            snapshot_row[idx] = isinstance(idx, slice)
+        # costs of per-snapshot columns only; bounds, senses and rhs as they are
+        cost = np.where(snapshot_col[cols], weight, 1.0) * lp.columns.objective[cols]
+        assert np.array_equal(sample.columns.objective, cost)
+        assert np.array_equal(sample.columns.lower, lp.columns.lower[cols])
+        assert np.array_equal(sample.columns.upper, lp.columns.upper[cols])
+        assert np.array_equal(sample.rows.sense, lp.rows.sense[rows])
+        assert np.array_equal(sample.rows.rhs, lp.rows.rhs[rows])
+        # entries of scalar rows in per-snapshot columns only
+        scale = np.where(~snapshot_row[rows][:, None] & snapshot_col[cols][None, :],
+                         weight, 1.0)
+        assert np.array_equal(dense(sample), scale * dense(lp)[np.ix_(rows, cols)])
+        # which are those of the cap and the quota row
+        weighted = (scale != 1.0) & (dense(sample) != 0.0)
+        assert {lp.row_names()[r] for r in rows[weighted.any(axis=1)]} == {
+            "co2-cap", "vre-dispatched"}
+
+    def test_storage_lp_has_no_sample(self):
+        system = flexible_system(6)
+        lp = build_lp(system, PolicyConfig(co2=Co2Cap(100.0)))
+        assert lp.sampled(3) is None and lp.sampled(1) is None
+
+    def test_sample_prices_the_cap(self):
+        # a cap binding at 1512 h, fixed before the ratio was looked at
+        system = random_desk_system(0, 1512)
+        cap = Co2Cap(0.01 * float(np.sum(system.demand["N"])))
+        lp = build_lp(system, PolicyConfig(co2=cap))
+        sample = lp.sampled(SAMPLE_STRIDE)
+        assert sample.rows.sense[sample.row("co2-cap")] == "<="
+        assert sample.rows.rhs[sample.row("co2-cap")] == cap.cap
+        mu = -Session()._run(lp, False).dual("co2-cap")
+        estimate = -Session()._run(sample, False).dual("co2-cap")
+        assert mu > 0.0
+        assert 0.5 <= estimate / mu <= 2.0
 
 
 class TestMpsRoundTrip:

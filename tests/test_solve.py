@@ -3,15 +3,24 @@ import json
 import re
 import sys
 import time
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from powermarket.formulate import LinearProgram, apply_equivalence_substitution, build_lp
-from powermarket.model import Co2Cap, LineSpec, PolicyConfig, PowerSystem, TechnologySpec
+from powermarket.model import (
+    Co2Cap,
+    LineSpec,
+    PolicyConfig,
+    PowerSystem,
+    SupportDispatched,
+    TechnologySpec,
+)
 from powermarket.scenario import load_scenario, loads_scenario
 from powermarket.solve import (
+    SAMPLE_STRIDE,
     STATUSES,
     Session,
     SolveError,
@@ -28,7 +37,7 @@ from powermarket.verify import (
     verify_solution,
 )
 
-from conftest import random_desk_system, scenario_path, solar_gas_system
+from conftest import flexible_system, random_desk_system, scenario_path, solar_gas_system
 
 BUNDLED = ("fig1_co2_cap", "fig1_no_policy", "fig1_support", "vre_flex_168h",
            "wind_gas_168h")
@@ -208,7 +217,7 @@ class TestHighsBindings:
         source = inspect.getsource(sys.modules[Session.__module__])
         methods = set(re.findall(r"highs\.(\w+)\(", source))
         assert {"passModel", "run", "changeColsCost", "changeRowBounds",
-                "getLp", "getBasis", "setBasis"} <= methods
+                "getBasis", "setBasis"} <= methods
         for name in methods:
             assert callable(getattr(core._Highs, name)), name
         for name in set(re.findall(r"(?:\bcore|load_highs\(\))\.(\w+)", source)):
@@ -227,16 +236,17 @@ class TestHighsBindings:
         sol = solve(lp)
         assert sol.status == "optimal" and not sol.warm_start
         quota = lp.has_row("vre-dispatched")
-        if quota or name == "vre_flex_168h":
-            # a cold quota LP starts from its policy-free optimum (see Session),
-            # and on vre_flex_168h the smaller cost perturbation takes another
-            # pivot path: both may end at another optimal vertex of these
-            # degenerate LPs
+        if quota or lp.has_row("co2-cap") or name == "vre_flex_168h":
+            # a cold quota LP starts from its policy-free optimum and a cold
+            # cap LP from its tax LP (see Session), and on vre_flex_168h the
+            # smaller cost perturbation takes another pivot path: each may
+            # end at another optimal vertex of these degenerate LPs
             assert sol.objective == pytest.approx(res.fun, rel=1e-12)
             assert check_kkt(lp, sol).passed
             if quota:
                 return
-            sol = linprog_perturbation().solve(lp)
+            # one cold run with linprog's perturbation is linprog's solve
+            sol = linprog_perturbation()._run(lp, False)
         assert sol.iterations == res.nit
         assert sol.objective == res.fun
         assert sol.x.tolist() == res.x.tolist()
@@ -302,16 +312,20 @@ def pricing(session: Session) -> int:
 
 
 def record_runs(monkeypatch) -> list:
-    """Patch ``Session._run`` to record every HiGHS run: whether it was warm,
-    the row it left open, the dual pricing of the model it ran in, and its
-    status, iterations, time and objective."""
+    """Patch ``Session._run`` to record every HiGHS run: the rows of the LP it
+    ran, whether it was warm, the rows it left free, the tax it raised the
+    cap row's costs by, the dual pricing of the model it ran in and a weak
+    reference to that model, whether it read a solution, and its status,
+    iterations, time and objective."""
     runs = []
 
-    def recording(self, lp, warm, opened=None, devex=False, _run=Session._run):
-        sol = _run(self, lp, warm, opened, devex)
-        runs.append(SimpleNamespace(warm=warm, opened=opened, pricing=pricing(self),
-                                    status=sol.status, iterations=sol.iterations,
-                                    wall_time=sol.wall_time, objective=sol.objective))
+    def recording(self, lp, warm, opened=(), tax=0.0, devex=False, _run=Session._run):
+        sol = _run(self, lp, warm, opened, tax, devex)
+        runs.append(SimpleNamespace(rows=len(lp.rows), warm=warm, opened=opened, tax=tax,
+                                    pricing=pricing(self), model=weakref.ref(self._highs),
+                                    read=sol.x is not None, status=sol.status,
+                                    iterations=sol.iterations, wall_time=sol.wall_time,
+                                    objective=sol.objective))
         return sol
     monkeypatch.setattr(Session, "_run", recording)
     return runs
@@ -409,7 +423,7 @@ class TestSession:
             == "optimal"
         sol = session.solve(build_lp(system, PolicyConfig(co2=Co2Cap(100.0))))
         assert sol.status == "infeasible" and not sol.warm_start
-        _, warm, cold = runs
+        *_, warm, cold = runs
         assert warm.warm and not cold.warm and warm.iterations > 0
         assert sol.iterations == warm.iterations + cold.iterations
         assert sol.wall_time == pytest.approx(warm.wall_time + cold.wall_time, rel=1e-12)
@@ -426,9 +440,9 @@ class TestSession:
         sol = session.solve(lp)
         opened, warm = runs
         # the first run is the policy-free LP, the second restores the target
-        assert (opened.warm, opened.opened) == (False, lp.row("vre-dispatched"))
+        assert (opened.warm, opened.opened) == (False, (lp.row("vre-dispatched"),))
         assert opened.objective == policy_free.objective < sol.objective
-        assert (warm.warm, warm.opened) == (True, None)
+        assert (warm.warm, warm.opened) == (True, ())
         assert sol.status == "optimal" and not sol.warm_start
         assert sol.iterations == opened.iterations + warm.iterations
         assert sol.wall_time == pytest.approx(opened.wall_time + warm.wall_time, rel=1e-12)
@@ -447,23 +461,118 @@ class TestSession:
         runs = record_runs(monkeypatch)
         assert Session().solve(premium).status == "optimal"
         check_subsidy_tax_lift(system, lp, sol, policy)  # solves the quota mirror
-        assert [(run.warm, run.opened) for run in runs] == [(False, None)] * 2
+        assert [(run.warm, run.opened) for run in runs] == [(False, ())] * 2
 
-    def test_cap_lp_takes_one_run(self, monkeypatch, desk_system):
+    def test_cold_cap_lp_starts_from_its_priced_tax_lp(self, monkeypatch, desk_system):
+        lp = build_lp(desk_system, PolicyConfig(co2=Co2Cap(900.0)))
+        tighter = build_lp(desk_system, PolicyConfig(co2=Co2Cap(800.0)))
+        one_run = Session()._run(lp, False)
+        sample_price = -Session()._run(lp.sampled(SAMPLE_STRIDE), False).dual("co2-cap")
+        tax_lp = apply_equivalence_substitution(lp, "co2-cap", sample_price)
+        tax_objective = Session().solve(tax_lp).objective
         runs = record_runs(monkeypatch)
-        assert solve(build_lp(desk_system, PolicyConfig(co2=Co2Cap(900.0)))).status \
-            == "optimal"
-        assert [(run.warm, run.opened) for run in runs] == [(False, None)]
+        session = Session()
+        sol = session.solve(lp)
+        sample, priced, warm = runs
+        # the sample prices the cap in a model of its own
+        assert sample.rows < len(lp.rows) and not sample.warm and sample.opened == ()
+        # the LP runs as the tax LP at that price: cap row free, costs raised
+        cap = lp.row("co2-cap")
+        assert (priced.warm, priced.opened, priced.tax) == (False, (cap,), sample_price)
+        assert sample_price > 0.0 and not priced.read
+        assert priced.objective == pytest.approx(tax_objective, rel=1e-9)
+        # then hands its basis to a Devex model and puts the cap back
+        assert (warm.warm, warm.opened, warm.tax, warm.pricing) == (True, (), 0.0, 1)
+        assert sol.status == "optimal" and not sol.warm_start
+        assert sol.objective == pytest.approx(one_run.objective, rel=1e-9)
+        assert check_kkt(lp, sol).passed
+        # the sample's time also counts its build (test_wall_time_covers_the_sample)
+        assert sol.iterations == sum(run.iterations for run in runs)
+        assert sol.wall_time >= sum(run.wall_time for run in runs)
+        # the session holds the cap LP: another cap is one warm run
+        again = session.solve(tighter)
+        assert again.warm_start and len(runs) == 4
+        assert again.objective == pytest.approx(Session()._run(tighter, False).objective,
+                                                rel=1e-9)
+
+    def test_each_model_is_released_before_the_next_load(self, monkeypatch, desk_system):
+        runs = record_runs(monkeypatch)
+        alive = []
+
+        def loading(self, *args, _load=Session._load, **kwargs):
+            alive.append([run.model() is not None for run in runs])
+            _load(self, *args, **kwargs)
+        monkeypatch.setattr(Session, "_load", loading)
+        Session().solve(build_lp(desk_system, PolicyConfig(co2=Co2Cap(900.0))))
+        # loads of the sample, the priced LP and the LP handed to Devex:
+        # each finds every model before it released
+        assert len(runs) == 3 and alive == [[], [False], [False, False]]
+
+    def test_cap_and_quota_lp_frees_both_rows(self, monkeypatch, desk_system):
+        # both rows bind
+        policy = PolicyConfig(support=SupportDispatched(("wind",), share=0.62),
+                              co2=Co2Cap(1000.0))
+        lp = build_lp(desk_system, policy)
+        one_run = Session()._run(lp, False)
+        runs = record_runs(monkeypatch)
+        sol = Session().solve(lp)
+        assert [(run.warm, run.opened) for run in runs] == [
+            (False, ()), (False, (lp.row("co2-cap"), lp.row("vre-dispatched"))), (True, ())]
+        assert sol.dual("co2-cap") < 0.0 < sol.dual("vre-dispatched")
+        assert sol.objective == pytest.approx(one_run.objective, rel=1e-9)
+        assert check_kkt(lp, sol).passed
+
+    @pytest.mark.parametrize("case", ["storage", "unpriced", "infeasible-sample"])
+    def test_cap_lp_without_a_sample_price_takes_one_run(self, monkeypatch, case):
+        if case == "storage":  # a row links two snapshots: no sample
+            system = flexible_system(24)
+            cap = 0.05 * float(np.sum(system.demand["N"]))
+        elif case == "unpriced":  # the sample's cap does not bind
+            system, cap = random_desk_system(0), 5000.0
+        else:  # the sample's dark hours emit more than the cap, the LP's do not
+            system, cap = solar_gas_system(), 110.0
+        lp = build_lp(system, PolicyConfig(co2=Co2Cap(cap)))
+        one_run = Session()._run(lp, False)
+        runs = record_runs(monkeypatch)
+        sol = Session().solve(lp)
+        sampled = [] if case == "storage" else [
+            (len(lp.sampled(SAMPLE_STRIDE).rows), False, (), 0.0,
+             "infeasible" if case == "infeasible-sample" else "optimal")]
+        assert [(run.rows, run.warm, run.opened, run.tax, run.status) for run in runs] \
+            == sampled + [(len(lp.rows), False, (), 0.0, "optimal")]
+        assert sol.objective == one_run.objective
+        assert np.array_equal(sol.x, one_run.x) and np.array_equal(sol.y, one_run.y)
+        assert sol.iterations == sum(run.iterations for run in runs)
+        assert sol.wall_time >= sum(run.wall_time for run in runs)
+
+    def test_priced_start_without_optimum_is_repeated_cold(self, monkeypatch):
+        # the sampled hours 0 and 11 can be served clean, the others only by
+        # the emitting column: the sample prices the cap, the LP is infeasible
+        T = 12
+        lp = LinearProgram()
+        clean, dirty = lp.add_columns("clean", "dirty", count=T, objective=(2.0, 1.0))
+        lp.columns.upper[clean] = [1.0] + [0.0] * (T - 2) + [1.0]
+        balance = lp.add_rows("balance", count=T, sense="=", rhs=1.0)
+        lp.add_entries(balance, clean, 1.0)
+        lp.add_entries(balance, dirty, 1.0)
+        lp.add_entries(lp.add_rows("co2-cap", sense="<=", rhs=1.0), dirty, 1.0)
+        runs = record_runs(monkeypatch)
+        sol = Session().solve(lp)
+        assert sol.status == "infeasible" and not sol.warm_start
+        assert [(run.warm, bool(run.tax), run.status) for run in runs] == [
+            (False, False, "optimal"), (False, True, "optimal"), (True, False, "infeasible"),
+            (False, False, "infeasible")]
+        assert sol.iterations == sum(run.iterations for run in runs)
 
     def test_cost_perturbation_spares_the_cleanup(self):
         # one node, 1512 h, a binding CO2 cap, marginal costs 1e-7 apart: at
         # HiGHS' default size the perturbation swamps those offsets, and a
-        # primal simplex cleanup follows the dual simplex
+        # primal simplex cleanup follows the dual simplex (one cold run each)
         system = random_desk_system(0, 1512)
         cap = Co2Cap(0.01 * float(np.sum(system.demand["N"])))
         lp = build_lp(system, PolicyConfig(co2=cap))
-        sol = Session().solve(lp)
-        default = linprog_perturbation().solve(lp)
+        sol = Session()._run(lp, False)
+        default = linprog_perturbation()._run(lp, False)
         assert sol.dual("co2-cap") < 0.0
         assert sol.objective == default.objective
         assert sol.x.tolist() == default.x.tolist()
@@ -474,7 +583,7 @@ class TestSession:
         default = load_highs()._Highs().getOptionValue(PRICING)[1]
         assert default != 1
         session = Session()
-        session.solve(build_lp(desk_system, PolicyConfig(co2=Co2Cap(900.0))))
+        session._run(build_lp(desk_system, PolicyConfig(co2=Co2Cap(900.0))), False)
         assert pricing(session) == default
         loaded = session._highs
         tighter = build_lp(desk_system, PolicyConfig(co2=Co2Cap(800.0)))
@@ -514,16 +623,26 @@ class TestSession:
             _hand_over(self)
         monkeypatch.setattr(Session, "_hand_over", slow)
         session = Session()
-        session.solve(build_lp(desk_system, PolicyConfig(co2=Co2Cap(900.0))))
+        session._run(build_lp(desk_system, PolicyConfig(co2=Co2Cap(900.0))), False)
         sol = session.solve(build_lp(desk_system, PolicyConfig(co2=Co2Cap(800.0))))
         assert sol.warm_start and sol.wall_time >= 0.05
+
+    def test_wall_time_covers_the_sample(self, monkeypatch, desk_system):
+        def slow(self, stride, _sampled=LinearProgram.sampled):
+            time.sleep(0.05)
+            return _sampled(self, stride)
+        monkeypatch.setattr(LinearProgram, "sampled", slow)
+        runs = record_runs(monkeypatch)
+        sol = Session().solve(build_lp(desk_system, PolicyConfig(co2=Co2Cap(900.0))))
+        assert len(runs) == 3
+        assert sol.wall_time >= 0.05 + sum(run.wall_time for run in runs)
 
     def test_infeasible_quota_counts_every_run(self, monkeypatch):
         _, _, lp = fig1_support_lp(share=0.9, max_potential=10.0)
         runs = record_runs(monkeypatch)
         sol = Session().solve(lp)
         assert sol.status == "infeasible" and not sol.warm_start
-        assert [(run.warm, run.opened is not None, run.status) for run in runs] == [
+        assert [(run.warm, bool(run.opened), run.status) for run in runs] == [
             (False, True, "optimal"), (True, False, "infeasible"),
             (False, False, "infeasible")]
         assert sol.iterations == sum(run.iterations for run in runs)

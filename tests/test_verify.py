@@ -16,7 +16,7 @@ from powermarket.model import (
     TechnologySpec,
 )
 from powermarket.scenario import load_scenario
-from powermarket.solve import solve, solve_external, write_solution_file
+from powermarket.solve import Session, solve, solve_external, write_solution_file
 from powermarket.verify import (
     OracleError,
     brute_force_oracle,
@@ -228,9 +228,10 @@ class TestKvlTerms:
 class TestEquivalence:
     def test_non_unique_cap_prices_are_inconclusive(self, tmp_path):
         # a solution read from a file has no session to start the tax LP
-        # from, so the tax LP is solved cold and lands on other prices
+        # from, so the tax LP is solved cold and lands on other prices than
+        # a one-run cold solve of the cap LP
         system, policy, lp = capped_ring()
-        write_solution_file(solve(lp), tmp_path / "ring.sol")
+        write_solution_file(Session()._run(lp, False), tmp_path / "ring.sol")
         sol = solve_external(lp, tmp_path / "ring.sol")
         result = check_cap_tax_equivalence(system, lp, sol, policy)
         assert result.detail["price_deviation"] > 1e-3
@@ -295,9 +296,10 @@ class TestEquivalence:
     def test_cap_tax_resolves_warm(self):
         system, policy, _ = load_scenario(scenario_path("fig1_co2_cap.json"))
         lp = build_lp(system, policy)
-        result = check_cap_tax_equivalence(system, lp, solve(lp), policy)
+        # from the basis of a one-run cold cap solve, through the handoff to
+        # a Devex model; a cold solve of the tax LP takes 106
+        result = check_cap_tax_equivalence(system, lp, Session()._run(lp, False), policy)
         assert result.verdict == "pass"
-        # from the cap LP's basis; a cold solve of the tax LP takes 106
         assert result.detail["warm_start"] is True
         assert result.detail["tax_iterations"] == 2
 
