@@ -25,9 +25,10 @@ from powermarket.model import (
     SupportDispatched,
     TechnologySpec,
 )
-from powermarket.solve import solve
+from powermarket.scenario import load_scenario
+from powermarket.solve import Session, solve
 
-from conftest import energy_of, random_desk_system, two_tech_system
+from conftest import energy_of, random_desk_system, scenario_path, two_tech_system
 
 
 def solved(system, policy=PolicyConfig.none()):
@@ -169,3 +170,30 @@ class TestReport:
         d = np.array(desk_system.demand["N"])
         expected = float(np.dot(prices, d) / d.sum())
         assert load_weighted_price(desk_system, sol) == pytest.approx(expected)
+
+
+class TestOptimalVertices:
+    def test_paper_sums_agree_across_optimal_vertices(self):
+        # fig1_support's two-run cold solve (Session.solve) and a one-run
+        # cold solve end at different optimal vertices of this degenerate
+        # LP: hourly prices differ, the quantities the paper plots do not
+        system, policy, _ = load_scenario(scenario_path("fig1_support.json"))
+        lp = build_lp(system, policy)
+        two_runs, one_run = Session().solve(lp), Session()._run(lp, False)
+        assert not np.array_equal(nodal_prices(system, two_runs)["DE"],
+                                  nodal_prices(system, one_run)["DE"])
+        a, b = (build_report(system, lp, sol, policy) for sol in (two_runs, one_run))
+
+        def agree(x, y):
+            x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+            return np.abs(x - y).max() <= 1e-9 * max(1.0, np.abs(x).max())
+        assert a.technologies.keys() == b.technologies.keys()
+        for name, tech in a.technologies.items():
+            assert agree(tech.mv, b.technologies[name].mv), name
+            assert agree(tech.lcoe, b.technologies[name].lcoe), name
+        assert a.mu_gamma > 0.0 and agree(a.mu_gamma, b.mu_gamma)
+        for curves, other in ((a.price_duration, b.price_duration),
+                              (a.revenue_duration, b.revenue_duration)):
+            assert curves.keys() == other.keys()
+            for key, curve in curves.items():
+                assert agree(curve, other[key]), key

@@ -20,6 +20,7 @@ from powermarket.model import (
 )
 from powermarket.scenario import load_scenario, loads_scenario
 from powermarket.solve import (
+    PRICED_SCALING,
     SAMPLE_STRIDE,
     STATUSES,
     Session,
@@ -228,6 +229,15 @@ class TestHighsBindings:
         for name, value in Session().options:
             assert highs.setOptionValue(name, value) == load_highs().HighsStatus.kOk, name
 
+    def test_scale_strategies_keep_their_numbers(self):
+        # 2 (HiGHS' default) equilibrates only where HiGHS' own test says it
+        # pays; 3 forces that equilibration (PRICED_SCALING)
+        highs = load_highs()._Highs()
+        assert highs.getOptionValue(SCALING)[1] == 2
+        assert PRICED_SCALING == (SCALING, 3)
+        assert highs.setOptionValue(*PRICED_SCALING) == load_highs().HighsStatus.kOk
+        assert highs.getOptionValue(SCALING)[1] == 3
+
     @pytest.mark.parametrize("name", BUNDLED)
     def test_solve_matches_linprog(self, name):
         system, policy, _ = load_scenario(scenario_path(f"{name}.json"))
@@ -304,6 +314,7 @@ print(json.dumps([outcome(solve, lp_needing(math.nan))]
 
 
 PRICING = "simplex_dual_edge_weight_strategy"
+SCALING = "simplex_scale_strategy"
 
 
 def pricing(session: Session) -> int:
@@ -311,18 +322,24 @@ def pricing(session: Session) -> int:
     return session._highs.getOptionValue(PRICING)[1]
 
 
+def scaling(session: Session) -> int:
+    """Simplex scale strategy of the HiGHS model ``session`` holds."""
+    return session._highs.getOptionValue(SCALING)[1]
+
+
 def record_runs(monkeypatch) -> list:
     """Patch ``Session._run`` to record every HiGHS run: the rows of the LP it
     ran, whether it was warm, the rows it left free, the tax it raised the
-    cap row's costs by, the dual pricing of the model it ran in and a weak
-    reference to that model, whether it read a solution, and its status,
-    iterations, time and objective."""
+    cap row's costs by, the dual pricing and scaling of the model it ran in
+    and a weak reference to that model, whether it read a solution, and its
+    status, iterations, time and objective."""
     runs = []
 
     def recording(self, lp, warm, opened=(), tax=0.0, devex=False, _run=Session._run):
         sol = _run(self, lp, warm, opened, tax, devex)
         runs.append(SimpleNamespace(rows=len(lp.rows), warm=warm, opened=opened, tax=tax,
-                                    pricing=pricing(self), model=weakref.ref(self._highs),
+                                    pricing=pricing(self), scaling=scaling(self),
+                                    model=weakref.ref(self._highs),
                                     read=sol.x is not None, status=sol.status,
                                     iterations=sol.iterations, wall_time=sol.wall_time,
                                     objective=sol.objective))
@@ -562,6 +579,10 @@ class TestSession:
         assert [(run.warm, bool(run.tax), run.status) for run in runs] == [
             (False, False, "optimal"), (False, True, "optimal"), (True, False, "infeasible"),
             (False, False, "infeasible")]
+        # the sample and the priced run are scaled, the Devex model and the
+        # cold repeat keep HiGHS' default
+        forced = PRICED_SCALING[1]
+        assert [run.scaling for run in runs] == [forced, forced, 2, 2]
         assert sol.iterations == sum(run.iterations for run in runs)
 
     def test_cost_perturbation_spares_the_cleanup(self):
@@ -602,6 +623,33 @@ class TestSession:
         assert session.solve(other).warm_start
         assert [(run.warm, run.pricing) for run in runs] == [
             (False, default), (True, default), (True, 1)]
+
+    def test_only_the_priced_cap_start_forces_scaling(self, monkeypatch, desk_system):
+        highs = load_highs()._Highs()
+        default, steepest = highs.getOptionValue(SCALING)[1], highs.getOptionValue(PRICING)[1]
+        forced = PRICED_SCALING[1]
+        assert default != forced
+        runs = record_runs(monkeypatch)
+        # the sample and the priced tax LP are scaled; the cap LP itself
+        # runs in the Devex model with the default scaling, and so do later
+        # warm runs
+        session = Session()
+        for cap in (900.0, 800.0):
+            session.solve(build_lp(desk_system, PolicyConfig(co2=Co2Cap(cap))))
+        assert [(run.warm, bool(run.tax), run.pricing, run.scaling) for run in runs] == [
+            (False, False, steepest, forced), (False, True, steepest, forced),
+            (True, False, 1, default), (True, False, 1, default)]
+        # a plain cold run, both runs of a cold quota LP and a storage cap
+        # LP, which has no sample, keep the default
+        runs.clear()
+        Session()._run(build_lp(desk_system, PolicyConfig.none()), False)
+        Session().solve(fig1_support_lp()[2])
+        system = flexible_system(24)
+        cap = Co2Cap(0.05 * float(np.sum(system.demand["N"])))
+        Session().solve(build_lp(system, PolicyConfig(co2=cap)))
+        assert [(run.warm, bool(run.opened), run.scaling) for run in runs] == [
+            (False, False, default), (False, True, default), (True, False, default),
+            (False, False, default)]
 
     def test_warm_chain_matches_cold_solves(self):
         system = random_desk_system(0, 1512)

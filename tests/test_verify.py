@@ -6,7 +6,7 @@ import pytest
 
 import powermarket.verify
 from powermarket.formulate import apply_equivalence_substitution, build_lp, cycle_basis
-from powermarket.metrics import build_report
+from powermarket.metrics import accounts, build_report
 from powermarket.model import (
     Co2Cap,
     LineSpec,
@@ -31,6 +31,7 @@ from powermarket.verify import (
 
 from conftest import (
     BUNDLED_SCENARIOS,
+    flexible_system,
     random_desk_system,
     scenario_path,
     tiny_instance,
@@ -341,6 +342,23 @@ class TestEquivalence:
         result = check_cap_tax_equivalence(desk_system, lp, solve(lp), policy)
         assert result.verdict == "pass"
         assert result.detail["mu_co2"] > 0.0
+
+    @pytest.mark.parametrize("name", ["flexible_system", "vre_flex_168h"])
+    def test_cap_tax_on_storage_lp_with_a_binding_cap(self, name):
+        # a storage LP takes one cold run (no sample), and its cap here is
+        # half of its policy-free emissions, so it binds
+        if name == "flexible_system":
+            system = flexible_system()
+        else:
+            system, _, _ = load_scenario(scenario_path(f"{name}.json"))
+        free = solve(build_lp(system, PolicyConfig.none()))
+        emissions = sum(acct.spec.emission_factor * acct.energy
+                        for acct in accounts(system, free) if acct.spec is not None)
+        policy = PolicyConfig(co2=Co2Cap(0.5 * emissions))
+        lp = build_lp(system, policy)
+        result = check_cap_tax_equivalence(system, lp, solve(lp), policy)
+        assert result.detail["mu_co2"] > 0.0
+        assert result.verdict == "pass"
 
     def test_subsidy_tax_lift_on_two_tech(self):
         system = two_tech_system()
