@@ -15,9 +15,8 @@ family: an LP of the same shape as the one it loaded (the same column and
 row blocks, column bounds, senses and matrix) is solved from the basis of
 the previous solve, with Devex pricing.  The cap LP and its tax LP, which
 frees the cap row, form such a family, and so do the points of a sweep.
-A cold LP with a dispatched quota is solved from its policy-free optimum,
-and a cold LP with a CO2 cap from its tax LP at the cap price of a
-snapshot sample.
+A cold LP first runs with its dense policy rows left free, and is then
+solved warm from that basis.
 
 Sign convention: ``dual[row]`` is the sensitivity of the optimal objective to
 the row's right-hand side (dObj/dRHS).  Balance rows therefore carry
@@ -31,17 +30,18 @@ from __future__ import annotations
 
 import importlib.machinery
 import importlib.util
+import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
 
 from .formulate import LinearProgram, column_major, relaxation_shift
 
-__all__ = ["NO_OPTIMUM", "STATUSES", "Session", "Solution", "SolveError", "load_highs",
+__all__ = ["NO_OPTIMUM", "STATUSES", "Run", "Session", "Solution", "SolveError", "load_highs",
            "solve", "solve_external", "status_of", "write_solution_file"]
 
 
@@ -62,6 +62,7 @@ class Solution:
     wall_time: float = 0.0
     message: str = ""
     warm_start: bool = False         # started from the basis of an earlier solve
+    runs: tuple = ()                 # one Run per HiGHS run; () for a solution file
     # the HiGHS session that solved it; None for a solution read from a file
     session: Optional["Session"] = field(default=None, repr=False, compare=False)
 
@@ -74,6 +75,22 @@ class Solution:
 
     def price(self, node: str, t: int) -> float:
         return float(self.dual("balance", node)[t])
+
+
+@dataclass(frozen=True)
+class Run:
+    """One HiGHS run of a solve (see :class:`Session`)."""
+
+    rows: int          # rows of the LP it ran; a CO2 cap's sample has fewer
+    warm: bool         # from the basis of the run before, in a Devex model
+    opened: tuple      # positions of the rows it left free
+    price: float       # μ̂ that raised the CO2 cap row's costs, or 0
+    pricing: int       # HiGHS simplex_dual_edge_weight_strategy of its model
+    scaling: int       # HiGHS simplex_scale_strategy of its model
+    status: str
+    iterations: int
+    wall_time: float   # from loading or pushing the LP (a sample: building it) to the end
+    objective: float   # of the LP it ran; NaN unless optimal
 
 
 def _read(values: np.ndarray, index):
@@ -95,15 +112,20 @@ STATUSES = (*_STATUS.values(), "numerical")
 # primal and dual feasibility tolerances of every solve
 FEAS_TOL = OPT_TOL = 1e-9
 # multiplier of the dual simplex cost perturbation, which HiGHS sizes for
-# its default dual feasibility tolerance of 1e-7 (see Session)
+# its default dual feasibility tolerance of 1e-7: at that size it swamps the
+# 1e-7 cost offsets that keep merit order unique, and a primal cleanup follows
 COST_PERTURBATION = OPT_TOL / 1e-7
-# dual simplex pricing of warm solves: Devex (see Session)
+# dual simplex pricing of warm runs: Devex, which starts from unit edge
+# weights where steepest edge first computes them for the whole basis
 WARM_PRICING = ("simplex_dual_edge_weight_strategy", 1)
 # snapshot stride of the sample that prices a cold CO2 cap (see Session)
 SAMPLE_STRIDE = 11
-# scaling of the cold runs of a cap LP's sample and of its priced tax LP:
-# equilibration, applied even where HiGHS' own test declines it (see Session)
+# scaling of a cap LP's sample and of its priced run: equilibration, applied
+# even where HiGHS' default strategy computes it and then declines it
 PRICED_SCALING = ("simplex_scale_strategy", 3)
+
+# relative tolerance of a solution file's objective against c·x of its columns
+OBJECTIVE_TOL = 1e-9
 
 # statuses that prove the model has no optimum
 NO_OPTIMUM = ("infeasible", "unbounded", "infeasible-or-unbounded")
@@ -165,93 +187,45 @@ def load_highs():
 class Session:
     """One HiGHS model kept across the solves of one LP family.
 
-    The first solve loads its LP: ``<=`` rows first, then ``=`` rows, with
-    ``>=`` rows negated into ``<=`` form, and runs the dual simplex with
-    presolve on.  A later LP of the same shape (equal column and row
-    blocks, column bounds, row senses and matrix entries) is solved warm:
-    only the costs and row bounds that differ are pushed, and HiGHS starts
-    from the basis the previous solve ended at.  The loaded LP is the
-    reference for the shape, so change its columns or matrix in a copy
-    (:meth:`LinearProgram.copy`), not in place.  A relaxed row is one
-    with an infinite right-hand side, so an LP with one of its policy rows
-    relaxed keeps the shape.  Any other LP, or any LP after a solve that did not end optimal,
-    is loaded cold into a new HiGHS model.
+    A cold solve loads its LP into a new model: ``<=`` rows first, then
+    ``=`` rows, with ``>=`` rows negated into ``<=`` form, and runs the dual
+    simplex with presolve on.  A later LP of the same shape (equal column
+    and row blocks, column bounds, row senses and matrix entries) after an
+    optimal solve is solved warm: only the costs and row bounds that differ
+    are pushed, and HiGHS starts from the basis the run before ended at.
+    The loaded LP is the reference for the shape, so change its columns or
+    matrix in a copy (:meth:`LinearProgram.copy`), not in place.  A relaxed
+    row has an infinite right-hand side, so relaxing a policy row keeps the
+    shape.
 
-    A cold LP whose dispatched-quota row (``vre-dispatched``) has a target
-    is run twice in the model it loads: first with that row free, which
-    presolve drops, so HiGHS solves the policy-free LP; then with the
-    target put back, warm from that basis.  From the slack basis the dual
-    simplex would repair the violated quota row first and carry that dense
-    row (one entry per dispatch hour of every supported technology) through
-    every factorization after it, at several times the cost per
-    iteration.  The second run solves the LP itself, so the result is an
-    optimum of it; on a degenerate LP it can be another optimal vertex than
-    a one-run cold solve finds.  An available-energy quota row is not
-    opened first: measured, that made the cold solve slower.
+    The rules, each of which :attr:`Solution.runs` records run by run:
 
-    A cold LP whose CO2 cap row (``co2-cap``) has a right-hand side starts
-    from its tax LP.  A binding cap and a tax at its shadow price μ have the
-    same optimum, and the tax LP solves without the dense cap row (one
-    entry per dispatch hour of every emitting technology) in its
-    factorizations.  μ is priced on a sample first:
-    :meth:`LinearProgram.sampled` keeps every :data:`SAMPLE_STRIDE`-th
-    snapshot, weighted to the full horizon, and the sample is solved cold
-    in a model of its own, μ̂ being minus its cap dual.  If the sample ends
-    optimal with μ̂ > 0, the LP is loaded with the cap row free, and a
-    dispatched-quota row with a target too, and with each column's cost
-    raised by μ̂ times its cap coefficient.  Its optimal basis is then
-    handed to a model that prices with Devex, as for a warm solve (below),
-    the real costs and row bounds are pushed, and the LP itself runs warm.
-    The sample and the priced run are scaled with :data:`PRICED_SCALING`:
-    HiGHS' default strategy computes an equilibration of these LPs and then
-    declines it by its own test, although applying it saves about a fifth
-    of their pivots and makes each one cheaper.  The warm run of the LP
-    itself, and every other run, keep HiGHS' default scaling, so every
-    solution read comes from a model scaled as HiGHS chooses; forced on a
-    meshed storage LP, the equilibration took 1.3–1.8 times as long.  Measured
-    on an 8760-hour cap LP, the sample priced the cap within 7 % of μ, and
-    the three runs took 3.0–3.3 s (1,275 + 13,741 + 170 iterations), 4.6–5.0 s
-    unscaled, against 5.4–6.1 s for one cold run; opening the cap row
-    unpriced, from the policy-free optimum, took three times as long.  On
-    a degenerate LP the result can be another optimal vertex than a
-    one-run cold solve finds.  The rule keeps peak memory
-    where a one-run solve has it: the costs are shifted while loading,
-    without a copy of the LP; each model, the sample's first, is released
-    before the next one is loaded; and a run with rows left free solves
-    another LP, so its solution is never read.  An LP whose rows
-    link two snapshots, as a storage unit's state-of-charge rows do, has
-    no sample, since a strided sample misprices storage; it takes one cold
-    run, and so does an LP whose sample does not end optimal or prices the
-    cap at 0.
+    - Opened rows.  A cold solve leaves free the dense policy rows (one
+      entry per dispatch hour) that slow the dual simplex from its slack
+      basis: the dispatched-quota row (``vre-dispatched``) whenever it has a
+      target, and the CO2 cap row (``co2-cap``) when its snapshot sample
+      (:meth:`LinearProgram.sampled`, every :data:`SAMPLE_STRIDE`-th
+      snapshot) ends optimal with a price μ̂ > 0; the cap's columns then
+      have their costs raised by μ̂ times their coefficients, so the run
+      solves the tax LP that a binding cap equals.  An LP with storage has
+      no sample, and its cap row is never opened.  A run with rows open
+      solves another LP: its solution is not read, and the LP itself is
+      then solved as a warm solve from its basis.
+    - Models.  Each model takes the session's :attr:`options` and one more
+      kind's: a plain cold run HiGHS' defaults, the sample and the priced
+      run :data:`PRICED_SCALING`, and every warm run :data:`WARM_PRICING`
+      (Devex).  HiGHS reads the pricing option only when a model is passed,
+      so the first warm run after a cold one hands the loaded LP and its
+      optimal basis over to a new Devex model, and later warm runs stay in
+      it.  Each model is released before the next one is loaded.
+    - Repeats.  A warm run, or a run with rows open, that does not end
+      optimal is repeated cold in one plain run.  An LP that HiGHS rejects
+      raises :class:`SolveError`, and the next LP is loaded cold.
 
-    HiGHS sizes the dual simplex's cost perturbation for its default dual
-    feasibility tolerance, 1e-7.  Every solve runs to :data:`OPT_TOL`, 1e-9,
-    so the perturbation is scaled by the same factor, :data:`COST_PERTURBATION`.
-    At the default size it swamps the 1e-7 EUR/MWh cost offsets that keep
-    merit order and duals unique, and removing it at the end leaves dual
-    infeasibilities that a primal simplex cleanup mends one pivot at a
-    time; measured on an 8760-hour CO2-cap LP, scaled it ends without one.
-
-    A warm solve prices with Devex, a cold run with HiGHS' default dual
-    steepest edge.  A warm run skips presolve, and from a basis handed to
-    it HiGHS first computes exact steepest-edge weights, about one solve
-    with the transposed basis matrix per row, before its first pivot; on
-    an 8760-hour CO2-cap LP a warm point of 1,434 iterations took as long
-    as the cold solve before it.  Devex starts from unit weights instead.
-    Cold runs keep steepest edge: with Devex a cold solve of a meshed
-    storage LP took twice the iterations, and a binding CO2 cap got other
-    optimal duals.  HiGHS reads the pricing option only when a model is
-    passed, so the first warm solve after a cold load passes the loaded LP
-    and its optimal basis to a new model that prices with Devex, and later
-    warm solves stay in it; the handoff's time counts with that solve.
-    The second run of a cold quota LP is part of its cold solve and stays
-    in the model it was loaded in.
-
-    A warm solve, or a run of a cold quota LP or of a priced cap LP, that
-    does not end optimal is repeated cold in one run in a new model.  The
-    result is returned with the iterations and time of every run, the
-    sample's build and solve included.  An LP that HiGHS rejects raises
-    :class:`SolveError`, and the next LP is loaded cold.
+    The solution returned is the last run's, with the iterations and wall
+    time of every run, the sample's build included.  Every run uses the
+    tolerances :data:`FEAS_TOL` and :data:`OPT_TOL`, and the cost
+    perturbation :data:`COST_PERTURBATION` sized to them.
     """
 
     def __init__(self):
@@ -263,6 +237,7 @@ class Session:
                         ("primal_feasibility_tolerance", FEAS_TOL),
                         ("dual_feasibility_tolerance", OPT_TOL),
                         ("dual_simplex_cost_perturbation_multiplier", COST_PERTURBATION)]
+        self._highs = None
         self._loaded: Optional[LinearProgram] = None
         self._optimal = False
         self._devex = False  # whether the model prices with Devex
@@ -270,61 +245,55 @@ class Session:
     def solve(self, lp: LinearProgram) -> Solution:
         """Minimize ``lp``, warm where the session's model allows it."""
         lp.validate_structure()
-        warm = self._optimal and self._same_shape(lp)
-        runs, opened, tax = [], (), 0.0
-        if not warm:
-            cap = _policy_row(lp, "co2-cap")
-            if cap is not None:
-                tax, sample = self._sample_price(lp)
-                runs += [] if sample is None else [sample]
-            opened = tuple(row for row in (cap if tax > 0.0 else None,
+        if self._optimal and self._same_shape(lp):
+            sols = [self._run(lp, True)]
+        else:
+            price, sols = self._sample_price(lp)
+            opened = tuple(row for row in (_policy_row(lp, "co2-cap") if price > 0.0 else None,
                                            _policy_row(lp, "vre-dispatched"))
                            if row is not None)
-        runs.append(self._run(lp, warm, opened, tax, devex=warm))
-        if opened and runs[-1].status == "optimal":
-            # the LP itself, warm; from a priced cap LP in a Devex model
-            runs.append(self._run(lp, True, devex=tax > 0.0))
-        if runs[-1].status != "optimal" and (warm or opened):
-            runs.append(self._run(lp, False))
-        sol = runs[-1]
-        sol.iterations = sum(run.iterations for run in runs)
-        sol.wall_time = sum(run.wall_time for run in runs)
-        sol.warm_start = warm and len(runs) == 1
+            sols.append(self._run(lp, False, opened, price, scaled=price > 0.0))
+            if opened and sols[-1].status == "optimal":
+                sols.append(self._run(lp, True))
+        last = sols[-1].runs[0]
+        if last.status != "optimal" and (last.warm or last.opened):
+            sols.append(self._run(lp, False))
+        sol = sols[-1]
+        sol.runs = tuple(run for each in sols for run in each.runs)
+        sol.iterations = sum(run.iterations for run in sol.runs)
+        sol.wall_time = sum(run.wall_time for run in sol.runs)
+        sol.warm_start = len(sol.runs) == 1 and sol.runs[0].warm
         return sol
 
     def _sample_price(self, lp: LinearProgram) -> tuple:
-        """(μ̂, run): the CO2 price of ``lp``'s snapshot sample, solved in a
-        model of its own that is released on return, and that run with its
-        build time and without its solution.  μ̂ is 0 when the sample does not
-        end optimal; the run is None when ``lp`` has no sample."""
+        """(μ̂, [sample's solution]): the CO2 cap price of ``lp``'s snapshot
+        sample, and the solution whose run is timed from the sample's build.
+        μ̂ is 0 when the sample does not end optimal; (0, []) when ``lp`` has
+        no cap or no sample."""
         t0 = time.perf_counter()
-        sample = lp.sampled(SAMPLE_STRIDE)
+        sample = lp.sampled(SAMPLE_STRIDE) if _policy_row(lp, "co2-cap") is not None else None
         if sample is None:
-            return 0.0, None
-        sampler = Session()
-        sampler.options = [*self.options, PRICED_SCALING]
-        run = sampler._run(sample, False)
-        price = -run.dual("co2-cap") if run.status == "optimal" else 0.0
-        run.x = run.y = run.session = None
-        run.wall_time = time.perf_counter() - t0
-        return price, run
+            return 0.0, []
+        sol = self._run(sample, False, scaled=True)
+        price = -sol.dual("co2-cap") if sol.status == "optimal" else 0.0
+        sol.runs = (replace(sol.runs[0], wall_time=time.perf_counter() - t0),)
+        return price, [sol]
 
-    def _run(self, lp: LinearProgram, warm: bool, opened: tuple = (), tax: float = 0.0,
-             devex: bool = False) -> Solution:
-        """One HiGHS run of ``lp``: warm in the loaded model, handed over
-        to a Devex-pricing one first if ``devex``, or cold in a new model
-        with the rows ``opened`` left free and the CO2 cap row's costs
-        raised by ``tax`` times its coefficients.  A run with rows left free
-        solves another LP than ``lp``: it reads no solution, only status,
-        iterations and objective."""
+    def _run(self, lp: LinearProgram, warm: bool, opened: tuple = (), price: float = 0.0,
+             scaled: bool = False) -> Solution:
+        """One HiGHS run of ``lp``: warm in a Devex model, or cold in a new
+        model, scaled with :data:`PRICED_SCALING` if ``scaled``, with the rows
+        ``opened`` left free and the CO2 cap row's costs raised by ``price``
+        times its coefficients.  A run with rows left free solves another LP
+        than ``lp``: it reads no solution, only status and objective."""
         t0 = time.perf_counter()
         self._optimal = False
-        if warm:
-            if devex and not self._devex:
+        if not warm:
+            self._load(lp, opened, price, [PRICED_SCALING] if scaled else [])
+        else:
+            if not self._devex:
                 self._hand_over()
             self._push(lp)
-        else:
-            self._load(lp, opened, tax)
         highs = self._highs
         highs.run()
         wall = time.perf_counter() - t0
@@ -341,36 +310,35 @@ class Session:
             solution = highs.getSolution()
             sol.x = np.array(solution.col_value)
             sol.y = self._sign * np.array(solution.row_dual)[self._highs_row]
+        sol.runs = (Run(rows=len(lp.rows), warm=warm, opened=opened, price=price,
+                        pricing=highs.getOptionValue(WARM_PRICING[0])[1],
+                        scaling=highs.getOptionValue(PRICED_SCALING[0])[1],
+                        status=sol.status, iterations=sol.iterations, wall_time=wall,
+                        objective=sol.objective),)
         return sol
-
-    def _new_model(self, options: list):
-        """A new HiGHS model with ``options`` set."""
-        highs = load_highs()._Highs()
-        for name, value in options:
-            _check(f"setOptionValue({name})", highs.setOptionValue(name, value))
-        return highs
 
     def _hand_over(self) -> None:
         """Move the loaded LP and its optimal basis into a new model that
-        prices with Devex.  The old model is released first and the LP is
-        passed again from its arrays, so that no two copies of it are held
-        at once: measured on an 8760-hour cap LP, passing a copy taken from
-        the old model (``getLp``) raised the process's peak memory."""
+        prices with Devex.  The LP is passed again from its arrays, after the
+        old model is released, so that no two copies of it are held at once:
+        passing a copy taken from the old model (``getLp``) raised the
+        process's peak memory."""
         basis = self._highs.getBasis()
-        self._highs = None
-        self._load(self._loaded, devex=True)
+        self._load(self._loaded, options=[WARM_PRICING])
         _check("setBasis", self._highs.setBasis(basis))
 
-    def _load(self, lp: LinearProgram, opened: tuple = (), tax: float = 0.0,
-              devex: bool = False) -> None:
-        """Pass ``lp`` to a new HiGHS model, pricing with Devex if ``devex``,
-        with the rows ``opened`` free and the costs of the CO2 cap row's
-        columns raised by ``tax`` times their coefficients in it, scaled
-        with :data:`PRICED_SCALING` if they are."""
+    def _load(self, lp: LinearProgram, opened: tuple = (), price: float = 0.0,
+              options: list = ()) -> None:
+        """Release the model and pass ``lp`` to a new one with the session's
+        :attr:`options` and ``options``, with the rows ``opened`` free and the
+        costs of the CO2 cap row's columns raised by ``price`` times their
+        coefficients in it."""
         core = load_highs()
-        extra = [WARM_PRICING] if devex else [PRICED_SCALING] if tax else []
-        self._highs = self._new_model([*self.options, *extra])
-        self._devex = devex
+        self._highs = None
+        self._highs = core._Highs()
+        for name, value in [*self.options, *options]:
+            _check(f"setOptionValue({name})", self._highs.setOptionValue(name, value))
+        self._devex = WARM_PRICING in options
         sense = lp.rows.sense
         eq = sense == "="
         order = np.concatenate((np.flatnonzero(~eq), np.flatnonzero(eq)))
@@ -388,8 +356,8 @@ class Session:
         model.a_matrix_.index_ = index
         model.a_matrix_.value_ = value
         self._cost = cols.objective.copy()
-        if tax:
-            taxed, shift = relaxation_shift(lp, "co2-cap", tax)
+        if price:
+            taxed, shift = relaxation_shift(lp, "co2-cap", price)
             self._cost[taxed] += shift
         model.col_cost_ = self._cost
         model.col_lower_, model.col_upper_ = cols.lower, cols.upper
@@ -469,9 +437,12 @@ def solve_external(lp: LinearProgram, solution_file) -> Solution:
     """Parse an externally produced solution file against the LP's names.
 
     The file must cover every column and every row, each in one record of
-    exactly its fields; a missing dual section makes the solution unusable
-    for theorem checks and is reported as an error.  Its status, ``optimal``
-    when the file gives none, must be one of :data:`STATUSES`.
+    exactly its fields and with a finite number; a missing dual section
+    makes the solution unusable for theorem checks and is reported as an
+    error.  Its status, ``optimal`` when the file gives none, must be one of
+    :data:`STATUSES`.  An optimal solution's objective is c·x of its
+    columns; an ``objective`` record must agree with it to
+    :data:`OBJECTIVE_TOL` relative.
     """
     sol = Solution(lp, status="optimal")
     x = np.full(len(lp.columns), np.nan)
@@ -486,6 +457,12 @@ def solve_external(lp: LinearProgram, solution_file) -> Solution:
 
     def error(message):
         return SolveError(f"{solution_file}, line {lineno}: {message}")
+
+    def number(token):
+        value = float(token)
+        if not math.isfinite(value):
+            raise error(f"'{token}' is not a finite number")
+        return value
 
     with open(solution_file, encoding="utf-8") as fh:
         try:
@@ -505,9 +482,9 @@ def solve_external(lp: LinearProgram, solution_file) -> Solution:
                         i = positions[kind].get(tokens[1])
                         if i is None:
                             raise error(f"unmatched tag: unknown {what}")
-                        (x if kind == "col" else y)[i] = float(tokens[2])
+                        (x if kind == "col" else y)[i] = number(tokens[2])
                     elif kind == "objective":
-                        sol.objective = float(tokens[1])
+                        sol.objective, objective_line = number(tokens[1]), lineno
                     elif tokens[1] not in STATUSES:
                         raise error(f"unknown status '{tokens[1]}'")
                     else:
@@ -537,6 +514,11 @@ def solve_external(lp: LinearProgram, solution_file) -> Solution:
             raise SolveError(f"{solution_file}: solution file misses rows, "
                              f"e.g. '{lp.row_names()[missing[0]]}'")
         sol.x, sol.y = x, y
+        cx = float(lp.columns.objective @ x)
         if np.isnan(sol.objective):
-            sol.objective = float(lp.columns.objective @ x)
+            sol.objective = cx
+        elif abs(sol.objective - cx) > OBJECTIVE_TOL * max(1.0, abs(cx)):
+            raise SolveError(f"{solution_file}, line {objective_line}: objective "
+                             f"{sol.objective!r} differs from the columns' c·x {cx!r} "
+                             f"by more than {OBJECTIVE_TOL:g} relative")
     return sol

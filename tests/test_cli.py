@@ -153,8 +153,10 @@ class TestSolve:
                                 "--external-solution", str(path)])
 
     def test_each_kkt_row_has_its_own_verdict(self, tmp_path, capsys):
+        # without its objective record, which would no longer be c·x
         lines = ["col G.coal@DE 999.0" if line.startswith("col G.coal@DE ") else line
-                 for line in self.written_solution(tmp_path)]
+                 for line in self.written_solution(tmp_path)
+                 if not line.startswith("objective ")]
         assert self.read_back(tmp_path, lines)[1] == 2
         failed = [line for line in capsys.readouterr().err.splitlines()
                   if line.startswith("check failed: kkt ")]
@@ -172,6 +174,22 @@ class TestSolve:
         assert capsys.readouterr().err == (
             f"error: {path}, line {at + 1}: '{kind}' record has an extra field "
             f"'{extra}'\n")
+
+    @pytest.mark.parametrize("record, value, message", [
+        ("col G.coal@DE", "nan", "'nan' is not a finite number"),
+        ("col G.coal@DE", "inf", "'inf' is not a finite number"),
+        ("objective", "nan", "'nan' is not a finite number"),
+        ("objective", "1.0", "objective 1.0 differs from the columns' c·x ")],
+        ids=["col-nan", "col-inf", "objective-nan", "objective-off"])
+    def test_bad_number_is_one_error_line(self, tmp_path, capsys, record, value, message):
+        lines = self.written_solution(tmp_path)
+        at = next(i for i, line in enumerate(lines) if line.startswith(f"{record} "))
+        lines[at] = f"{record} {value}"
+        path, code = self.read_back(tmp_path, lines)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}, line {at + 1}: {message}")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("record, what", [
         ("status optimal", "'status'"), ("objective 1.0", "'objective'"),

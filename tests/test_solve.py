@@ -67,6 +67,7 @@ class TestSolve:
         lp = build_lp(one_tech_two_hours(), PolicyConfig.none())
         sol = solve(lp)
         assert sol.status == "optimal"
+        assert [(run.warm, run.opened) for run in sol.runs] == [(False, ())] and totals(sol)
         assert sol.objective == pytest.approx(11_500.0)
         assert sol.price("N", 0) == pytest.approx(110.0)
         assert sol.price("N", 1) == pytest.approx(10.0)
@@ -105,6 +106,7 @@ class TestSolutionFiles:
         path = tmp_path / "model.sol"
         write_solution_file(sol, path)
         back = solve_external(lp, path)
+        assert back.runs == ()
         assert back.objective == pytest.approx(sol.objective, rel=1e-12)
         assert back.x.tolist() == sol.x.tolist()
         assert back.y.tolist() == sol.y.tolist()
@@ -134,6 +136,40 @@ class TestSolutionFiles:
         with pytest.raises(SolveError,
                            match=r"model\.sol, line 1: unknown status 'optimall'$"):
             solve_external(lp, path)
+
+    @pytest.mark.parametrize("kind, value", [
+        ("col", "nan"), ("col", "inf"), ("row", "-inf"), ("objective", "nan"),
+        ("objective", "inf")])
+    def test_non_finite_number_is_rejected(self, tmp_path, kind, value):
+        lp = build_lp(one_tech_two_hours(), PolicyConfig.none())
+        path = tmp_path / "model.sol"
+        write_solution_file(solve(lp), path)
+        lines = path.read_text().splitlines()
+        at = next(i for i, line in enumerate(lines) if line.startswith(f"{kind} "))
+        lines[at] = " ".join([*lines[at].split()[:-1], value])
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(SolveError, match=rf"model\.sol, line {at + 1}: "
+                                             rf"'{value}' is not a finite number$"):
+            solve_external(lp, path)
+
+    def test_objective_must_agree_with_the_columns(self, tmp_path):
+        lp = build_lp(one_tech_two_hours(), PolicyConfig.none())
+        sol = solve(lp)
+        path = tmp_path / "model.sol"
+        write_solution_file(sol, path)
+        text = path.read_text()
+
+        def read_with(objective):
+            path.write_text(text.replace(f"objective {sol.objective!r}",
+                                         f"objective {objective!r}"))
+            return solve_external(lp, path)
+        near = sol.objective * (1 + 1e-10)
+        assert read_with(near).objective == near
+        for objective in (sol.objective * (1 + 1e-8), 1.0):
+            with pytest.raises(SolveError, match=rf"model\.sol, line 2: objective "
+                                                 rf"{objective!r} differs from the columns' "
+                                                 rf"c·x .* by more than 1e-09 relative$"):
+                read_with(objective)
 
     def test_missing_duals_are_rejected(self, tmp_path):
         lp = build_lp(one_tech_two_hours(), PolicyConfig.none())
@@ -317,35 +353,10 @@ PRICING = "simplex_dual_edge_weight_strategy"
 SCALING = "simplex_scale_strategy"
 
 
-def pricing(session: Session) -> int:
-    """Dual edge-weight strategy of the HiGHS model ``session`` holds."""
-    return session._highs.getOptionValue(PRICING)[1]
-
-
-def scaling(session: Session) -> int:
-    """Simplex scale strategy of the HiGHS model ``session`` holds."""
-    return session._highs.getOptionValue(SCALING)[1]
-
-
-def record_runs(monkeypatch) -> list:
-    """Patch ``Session._run`` to record every HiGHS run: the rows of the LP it
-    ran, whether it was warm, the rows it left free, the tax it raised the
-    cap row's costs by, the dual pricing and scaling of the model it ran in
-    and a weak reference to that model, whether it read a solution, and its
-    status, iterations, time and objective."""
-    runs = []
-
-    def recording(self, lp, warm, opened=(), tax=0.0, devex=False, _run=Session._run):
-        sol = _run(self, lp, warm, opened, tax, devex)
-        runs.append(SimpleNamespace(rows=len(lp.rows), warm=warm, opened=opened, tax=tax,
-                                    pricing=pricing(self), scaling=scaling(self),
-                                    model=weakref.ref(self._highs),
-                                    read=sol.x is not None, status=sol.status,
-                                    iterations=sol.iterations, wall_time=sol.wall_time,
-                                    objective=sol.objective))
-        return sol
-    monkeypatch.setattr(Session, "_run", recording)
-    return runs
+def totals(sol) -> bool:
+    """Whether a solution's iterations and wall time are its runs' sums."""
+    return (sol.iterations == sum(run.iterations for run in sol.runs)
+            and sol.wall_time == sum(run.wall_time for run in sol.runs))
 
 
 def fig1_support_lp(share: float = 0.4, **solar):
@@ -421,7 +432,7 @@ class TestSession:
         sol = session.solve(lp)
         assert sol.status == "optimal" and not sol.warm_start
 
-    def test_warm_solve_without_optimum_is_repeated_cold(self, monkeypatch):
+    def test_warm_solve_without_optimum_is_repeated_cold(self):
         lp = LinearProgram()
         x = lp.add_columns("x", lower=0.0, upper=1.0, objective=1.0)
         need = lp.add_rows("need", sense=">=", rhs=0.5)
@@ -433,41 +444,37 @@ class TestSession:
         assert sol.status == "infeasible" and not sol.warm_start
 
         # the work of the failed warm run counts with the cold one
-        runs = record_runs(monkeypatch)
         system = solar_gas_system()
         session = Session()
         assert session.solve(build_lp(system, PolicyConfig(co2=Co2Cap(1e9)))).status \
             == "optimal"
         sol = session.solve(build_lp(system, PolicyConfig(co2=Co2Cap(100.0))))
         assert sol.status == "infeasible" and not sol.warm_start
-        *_, warm, cold = runs
+        warm, cold = sol.runs
         assert warm.warm and not cold.warm and warm.iterations > 0
-        assert sol.iterations == warm.iterations + cold.iterations
-        assert sol.wall_time == pytest.approx(warm.wall_time + cold.wall_time, rel=1e-12)
+        assert (cold.opened, cold.status) == ((), "infeasible") and totals(sol)
 
-    def test_cold_quota_lp_starts_from_its_policy_free_optimum(self, monkeypatch):
+    def test_cold_quota_lp_starts_from_its_policy_free_optimum(self):
         _, _, lp = fig1_support_lp()
         _, _, other = fig1_support_lp(share=0.5)
         one_run, other_one_run = (Session()._run(quota, False) for quota in (lp, other))
         free = lp.copy()
         free.free_row("vre-dispatched")
         policy_free = Session().solve(free)
-        runs = record_runs(monkeypatch)
         session = Session()
         sol = session.solve(lp)
-        opened, warm = runs
+        opened, warm = sol.runs
         # the first run is the policy-free LP, the second restores the target
-        assert (opened.warm, opened.opened) == (False, (lp.row("vre-dispatched"),))
+        assert (opened.warm, opened.opened, opened.price) == (
+            False, (lp.row("vre-dispatched"),), 0.0)
         assert opened.objective == policy_free.objective < sol.objective
         assert (warm.warm, warm.opened) == (True, ())
-        assert sol.status == "optimal" and not sol.warm_start
-        assert sol.iterations == opened.iterations + warm.iterations
-        assert sol.wall_time == pytest.approx(opened.wall_time + warm.wall_time, rel=1e-12)
+        assert sol.status == "optimal" and not sol.warm_start and totals(sol)
         assert sol.objective == pytest.approx(one_run.objective, rel=1e-9)
         assert check_kkt(lp, sol).passed
         # the session holds the quota LP: another share is one warm run
         again = session.solve(other)
-        assert again.warm_start and len(runs) == 3
+        assert again.warm_start and len(again.runs) == 1
         assert again.objective == pytest.approx(other_one_run.objective, rel=1e-9)
 
     def test_lp_with_the_quota_row_free_takes_one_run(self, monkeypatch):
@@ -475,72 +482,73 @@ class TestSession:
         sol = solve(lp)
         premium = apply_equivalence_substitution(lp, "vre-dispatched",
                                                  sol.dual("vre-dispatched"))
-        runs = record_runs(monkeypatch)
-        assert Session().solve(premium).status == "optimal"
+        sols = [Session().solve(premium)]
+        monkeypatch.setattr(sys.modules[check_kkt.__module__], "solve",
+                            lambda mirror: sols.append(solve(mirror)) or sols[-1])
         check_subsidy_tax_lift(system, lp, sol, policy)  # solves the quota mirror
-        assert [(run.warm, run.opened) for run in runs] == [(False, ())] * 2
+        assert [(run.warm, run.opened, run.status) for each in sols for run in each.runs] \
+            == [(False, (), "optimal")] * 2
 
-    def test_cold_cap_lp_starts_from_its_priced_tax_lp(self, monkeypatch, desk_system):
+    def test_cold_cap_lp_starts_from_its_priced_tax_lp(self, desk_system):
         lp = build_lp(desk_system, PolicyConfig(co2=Co2Cap(900.0)))
         tighter = build_lp(desk_system, PolicyConfig(co2=Co2Cap(800.0)))
         one_run = Session()._run(lp, False)
         sample_price = -Session()._run(lp.sampled(SAMPLE_STRIDE), False).dual("co2-cap")
         tax_lp = apply_equivalence_substitution(lp, "co2-cap", sample_price)
         tax_objective = Session().solve(tax_lp).objective
-        runs = record_runs(monkeypatch)
         session = Session()
         sol = session.solve(lp)
-        sample, priced, warm = runs
+        sample, priced, warm = sol.runs
         # the sample prices the cap in a model of its own
-        assert sample.rows < len(lp.rows) and not sample.warm and sample.opened == ()
+        assert sample.rows == len(lp.sampled(SAMPLE_STRIDE).rows) < len(lp.rows)
+        assert not sample.warm and sample.opened == ()
         # the LP runs as the tax LP at that price: cap row free, costs raised
         cap = lp.row("co2-cap")
-        assert (priced.warm, priced.opened, priced.tax) == (False, (cap,), sample_price)
-        assert sample_price > 0.0 and not priced.read
+        assert (priced.warm, priced.opened, priced.price) == (False, (cap,), sample_price)
+        assert sample_price > 0.0
+        assert Session()._run(lp, False, (cap,), sample_price).x is None
         assert priced.objective == pytest.approx(tax_objective, rel=1e-9)
         # then hands its basis to a Devex model and puts the cap back
-        assert (warm.warm, warm.opened, warm.tax, warm.pricing) == (True, (), 0.0, 1)
-        assert sol.status == "optimal" and not sol.warm_start
+        assert (warm.warm, warm.opened, warm.price, warm.pricing) == (True, (), 0.0, 1)
+        assert sol.status == "optimal" and not sol.warm_start and totals(sol)
         assert sol.objective == pytest.approx(one_run.objective, rel=1e-9)
         assert check_kkt(lp, sol).passed
-        # the sample's time also counts its build (test_wall_time_covers_the_sample)
-        assert sol.iterations == sum(run.iterations for run in runs)
-        assert sol.wall_time >= sum(run.wall_time for run in runs)
         # the session holds the cap LP: another cap is one warm run
         again = session.solve(tighter)
-        assert again.warm_start and len(runs) == 4
+        assert again.warm_start and len(again.runs) == 1
         assert again.objective == pytest.approx(Session()._run(tighter, False).objective,
                                                 rel=1e-9)
 
     def test_each_model_is_released_before_the_next_load(self, monkeypatch, desk_system):
-        runs = record_runs(monkeypatch)
-        alive = []
+        core, models, alive = load_highs(), [], []
 
-        def loading(self, *args, _load=Session._load, **kwargs):
-            alive.append([run.model() is not None for run in runs])
-            _load(self, *args, **kwargs)
-        monkeypatch.setattr(Session, "_load", loading)
-        Session().solve(build_lp(desk_system, PolicyConfig(co2=Co2Cap(900.0))))
-        # loads of the sample, the priced LP and the LP handed to Devex:
+        def new_model():
+            alive.append([model() is not None for model in models])
+            models.append(weakref.ref(highs := core._Highs()))
+            return highs
+        monkeypatch.setattr(sys.modules[Session.__module__], "load_highs", lambda: SimpleNamespace(
+            _Highs=new_model, HighsLp=core.HighsLp, MatrixFormat=core.MatrixFormat))
+        sol = Session().solve(build_lp(desk_system, PolicyConfig(co2=Co2Cap(900.0))))
+        # models of the sample, the priced LP and the LP handed to Devex:
         # each finds every model before it released
-        assert len(runs) == 3 and alive == [[], [False], [False, False]]
+        assert len(sol.runs) == 3 and alive == [[], [False], [False, False]]
 
-    def test_cap_and_quota_lp_frees_both_rows(self, monkeypatch, desk_system):
+    def test_cap_and_quota_lp_frees_both_rows(self, desk_system):
         # both rows bind
         policy = PolicyConfig(support=SupportDispatched(("wind",), share=0.62),
                               co2=Co2Cap(1000.0))
         lp = build_lp(desk_system, policy)
         one_run = Session()._run(lp, False)
-        runs = record_runs(monkeypatch)
         sol = Session().solve(lp)
-        assert [(run.warm, run.opened) for run in runs] == [
+        assert [(run.warm, run.opened) for run in sol.runs] == [
             (False, ()), (False, (lp.row("co2-cap"), lp.row("vre-dispatched"))), (True, ())]
+        assert totals(sol)
         assert sol.dual("co2-cap") < 0.0 < sol.dual("vre-dispatched")
         assert sol.objective == pytest.approx(one_run.objective, rel=1e-9)
         assert check_kkt(lp, sol).passed
 
     @pytest.mark.parametrize("case", ["storage", "unpriced", "infeasible-sample"])
-    def test_cap_lp_without_a_sample_price_takes_one_run(self, monkeypatch, case):
+    def test_cap_lp_without_a_sample_price_takes_one_run(self, case):
         if case == "storage":  # a row links two snapshots: no sample
             system = flexible_system(24)
             cap = 0.05 * float(np.sum(system.demand["N"]))
@@ -550,19 +558,17 @@ class TestSession:
             system, cap = solar_gas_system(), 110.0
         lp = build_lp(system, PolicyConfig(co2=Co2Cap(cap)))
         one_run = Session()._run(lp, False)
-        runs = record_runs(monkeypatch)
         sol = Session().solve(lp)
         sampled = [] if case == "storage" else [
             (len(lp.sampled(SAMPLE_STRIDE).rows), False, (), 0.0,
              "infeasible" if case == "infeasible-sample" else "optimal")]
-        assert [(run.rows, run.warm, run.opened, run.tax, run.status) for run in runs] \
+        assert [(run.rows, run.warm, run.opened, run.price, run.status) for run in sol.runs] \
             == sampled + [(len(lp.rows), False, (), 0.0, "optimal")]
         assert sol.objective == one_run.objective
         assert np.array_equal(sol.x, one_run.x) and np.array_equal(sol.y, one_run.y)
-        assert sol.iterations == sum(run.iterations for run in runs)
-        assert sol.wall_time >= sum(run.wall_time for run in runs)
+        assert totals(sol)
 
-    def test_priced_start_without_optimum_is_repeated_cold(self, monkeypatch):
+    def test_priced_start_without_optimum_is_repeated_cold(self):
         # the sampled hours 0 and 11 can be served clean, the others only by
         # the emitting column: the sample prices the cap, the LP is infeasible
         T = 12
@@ -573,17 +579,16 @@ class TestSession:
         lp.add_entries(balance, clean, 1.0)
         lp.add_entries(balance, dirty, 1.0)
         lp.add_entries(lp.add_rows("co2-cap", sense="<=", rhs=1.0), dirty, 1.0)
-        runs = record_runs(monkeypatch)
         sol = Session().solve(lp)
         assert sol.status == "infeasible" and not sol.warm_start
-        assert [(run.warm, bool(run.tax), run.status) for run in runs] == [
+        assert [(run.warm, bool(run.price), run.status) for run in sol.runs] == [
             (False, False, "optimal"), (False, True, "optimal"), (True, False, "infeasible"),
             (False, False, "infeasible")]
         # the sample and the priced run are scaled, the Devex model and the
         # cold repeat keep HiGHS' default
         forced = PRICED_SCALING[1]
-        assert [run.scaling for run in runs] == [forced, forced, 2, 2]
-        assert sol.iterations == sum(run.iterations for run in runs)
+        assert [run.scaling for run in sol.runs] == [forced, forced, 2, 2]
+        assert totals(sol)
 
     def test_cost_perturbation_spares_the_cleanup(self):
         # one node, 1512 h, a binding CO2 cap, marginal costs 1e-7 apart: at
@@ -600,53 +605,50 @@ class TestSession:
         assert sol.y.tolist() == default.y.tolist()
         assert sol.iterations < default.iterations
 
-    def test_warm_solves_price_with_devex(self, monkeypatch, desk_system):
+    def test_warm_solves_price_with_devex(self, desk_system):
         default = load_highs()._Highs().getOptionValue(PRICING)[1]
         assert default != 1
         session = Session()
-        session._run(build_lp(desk_system, PolicyConfig(co2=Co2Cap(900.0))), False)
-        assert pricing(session) == default
+        cold = session._run(build_lp(desk_system, PolicyConfig(co2=Co2Cap(900.0))), False)
+        assert cold.runs[0].pricing == default
         loaded = session._highs
-        tighter = build_lp(desk_system, PolicyConfig(co2=Co2Cap(800.0)))
-        assert session.solve(tighter).warm_start
+        warm = session.solve(build_lp(desk_system, PolicyConfig(co2=Co2Cap(800.0))))
+        assert warm.warm_start and warm.runs[0].pricing == 1
         # the warm solve ran in a new model, and later ones stay in it
-        assert session._highs is not loaded and pricing(session) == 1
+        assert session._highs is not loaded
         devex = session._highs
         assert session.solve(build_lp(desk_system, PolicyConfig(co2=Co2Cap(700.0)))) \
             .warm_start
         assert session._highs is devex
-        # both runs of a cold quota LP belong to its cold solve
-        runs = record_runs(monkeypatch)
+        # the second run of a cold quota LP is a warm run too
         _, _, lp = fig1_support_lp()
         _, _, other = fig1_support_lp(share=0.5)
-        assert not session.solve(lp).warm_start
-        assert session.solve(other).warm_start
-        assert [(run.warm, run.pricing) for run in runs] == [
-            (False, default), (True, default), (True, 1)]
+        first, again = session.solve(lp), session.solve(other)
+        assert not first.warm_start and again.warm_start
+        assert [(run.warm, run.pricing) for run in (*first.runs, *again.runs)] == [
+            (False, default), (True, 1), (True, 1)]
 
-    def test_only_the_priced_cap_start_forces_scaling(self, monkeypatch, desk_system):
+    def test_only_the_priced_cap_start_forces_scaling(self, desk_system):
         highs = load_highs()._Highs()
         default, steepest = highs.getOptionValue(SCALING)[1], highs.getOptionValue(PRICING)[1]
         forced = PRICED_SCALING[1]
         assert default != forced
-        runs = record_runs(monkeypatch)
         # the sample and the priced tax LP are scaled; the cap LP itself
         # runs in the Devex model with the default scaling, and so do later
         # warm runs
         session = Session()
-        for cap in (900.0, 800.0):
-            session.solve(build_lp(desk_system, PolicyConfig(co2=Co2Cap(cap))))
-        assert [(run.warm, bool(run.tax), run.pricing, run.scaling) for run in runs] == [
+        runs = [run for cap in (900.0, 800.0) for run in
+                session.solve(build_lp(desk_system, PolicyConfig(co2=Co2Cap(cap)))).runs]
+        assert [(run.warm, bool(run.price), run.pricing, run.scaling) for run in runs] == [
             (False, False, steepest, forced), (False, True, steepest, forced),
             (True, False, 1, default), (True, False, 1, default)]
         # a plain cold run, both runs of a cold quota LP and a storage cap
         # LP, which has no sample, keep the default
-        runs.clear()
-        Session()._run(build_lp(desk_system, PolicyConfig.none()), False)
-        Session().solve(fig1_support_lp()[2])
         system = flexible_system(24)
         cap = Co2Cap(0.05 * float(np.sum(system.demand["N"])))
-        Session().solve(build_lp(system, PolicyConfig(co2=cap)))
+        runs = [*Session()._run(build_lp(desk_system, PolicyConfig.none()), False).runs,
+                *Session().solve(fig1_support_lp()[2]).runs,
+                *Session().solve(build_lp(system, PolicyConfig(co2=cap))).runs]
         assert [(run.warm, bool(run.opened), run.scaling) for run in runs] == [
             (False, False, default), (False, True, default), (True, False, default),
             (False, False, default)]
@@ -663,7 +665,7 @@ class TestSession:
             assert warm.dual("co2-cap") < 0.0
             assert warm.objective == pytest.approx(cold.objective, rel=1e-12)
             assert check_kkt(lp, warm).passed
-        assert pricing(session) == 1
+        assert warm.runs[-1].pricing == 1
 
     def test_wall_time_covers_the_handoff(self, monkeypatch, desk_system):
         def slow(self, _hand_over=Session._hand_over):
@@ -680,18 +682,14 @@ class TestSession:
             time.sleep(0.05)
             return _sampled(self, stride)
         monkeypatch.setattr(LinearProgram, "sampled", slow)
-        runs = record_runs(monkeypatch)
         sol = Session().solve(build_lp(desk_system, PolicyConfig(co2=Co2Cap(900.0))))
-        assert len(runs) == 3
-        assert sol.wall_time >= 0.05 + sum(run.wall_time for run in runs)
+        assert len(sol.runs) == 3 and sol.runs[0].wall_time >= 0.05 and totals(sol)
 
-    def test_infeasible_quota_counts_every_run(self, monkeypatch):
+    def test_infeasible_quota_counts_every_run(self):
         _, _, lp = fig1_support_lp(share=0.9, max_potential=10.0)
-        runs = record_runs(monkeypatch)
         sol = Session().solve(lp)
         assert sol.status == "infeasible" and not sol.warm_start
-        assert [(run.warm, bool(run.opened), run.status) for run in runs] == [
+        assert [(run.warm, bool(run.opened), run.status) for run in sol.runs] == [
             (False, True, "optimal"), (True, False, "infeasible"),
             (False, False, "infeasible")]
-        assert sol.iterations == sum(run.iterations for run in runs)
-        assert sol.wall_time == pytest.approx(sum(run.wall_time for run in runs), rel=1e-12)
+        assert totals(sol)
