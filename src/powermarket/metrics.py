@@ -251,7 +251,7 @@ def policy_prices(system: PowerSystem, sol: Solution, lp: LinearProgram,
                 if t is not None and _significant(system, t["energy"]) > 0.0:
                     out["mu_theta_equivalent"][name] = mu * t["available"] / t["energy"]
     if lp.has_row("co2-cap"):
-        out["mu_co2"] = -sol.dual("co2-cap")
+        out["mu_co2"] = 0.0 - sol.dual("co2-cap")  # a zero price reads 0.0, not -0.0
     elif isinstance(policy.co2, Co2Tax):
         out["mu_co2"] = float(policy.co2.rate)
     return out

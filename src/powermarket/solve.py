@@ -15,8 +15,9 @@ family: an LP of the same shape as the one it loaded (the same column and
 row blocks, column bounds, senses and matrix) is solved from the basis of
 the previous solve, with Devex pricing.  The cap LP and its tax LP, which
 frees the cap row, form such a family, and so do the points of a sweep.
-A cold LP first runs with its dense policy rows left free, and is then
-solved warm from that basis.
+A cold LP first runs with its capacities held at the optimum of a snapshot
+sample and its dense policy rows left free, and is then solved warm from
+that basis.
 
 Sign convention: ``dual[row]`` is the sensitivity of the optimal objective to
 the row's right-hand side (dObj/dRHS).  Balance rows therefore carry
@@ -81,9 +82,10 @@ class Solution:
 class Run:
     """One HiGHS run of a solve (see :class:`Session`)."""
 
-    rows: int          # rows of the LP it ran; a CO2 cap's sample has fewer
+    rows: int          # rows of the LP it ran; a snapshot sample has fewer
     warm: bool         # from the basis of the run before, in a Devex model
     opened: tuple      # positions of the rows it left free
+    fixed: tuple       # positions of the columns it held at the sample's values
     price: float       # μ̂ that raised the CO2 cap row's costs, or 0
     pricing: int       # HiGHS simplex_dual_edge_weight_strategy of its model
     scaling: int       # HiGHS simplex_scale_strategy of its model
@@ -118,10 +120,10 @@ COST_PERTURBATION = OPT_TOL / 1e-7
 # dual simplex pricing of warm runs: Devex, which starts from unit edge
 # weights where steepest edge first computes them for the whole basis
 WARM_PRICING = ("simplex_dual_edge_weight_strategy", 1)
-# snapshot stride of the sample that prices a cold CO2 cap (see Session)
+# snapshot stride of the sample that starts a cold LP (see Session)
 SAMPLE_STRIDE = 11
-# scaling of a cap LP's sample and of its priced run: equilibration, applied
-# even where HiGHS' default strategy computes it and then declines it
+# scaling of a snapshot sample: equilibration, applied even where HiGHS'
+# default strategy computes it and then declines it
 PRICED_SCALING = ("simplex_scale_strategy", 3)
 
 # relative tolerance of a solution file's objective against c·x of its columns
@@ -200,27 +202,34 @@ class Session:
 
     The rules, each of which :attr:`Solution.runs` records run by run:
 
-    - Opened rows.  A cold solve leaves free the dense policy rows (one
+    - Held columns.  A cold solve first solves the LP's snapshot sample
+      (:meth:`LinearProgram.sampled`, every :data:`SAMPLE_STRIDE`-th
+      snapshot).  When the sample ends optimal, the LP runs with each
+      scalar column (a capacity) held at the sample's value, lower bound
+      equal to upper; with its capacities fixed the LP falls apart into one
+      small dispatch LP per snapshot.  An LP with storage has no sample,
+      and holds no column.
+    - Opened rows.  That run also leaves free the dense policy rows (one
       entry per dispatch hour) that slow the dual simplex from its slack
       basis: the dispatched-quota row (``vre-dispatched``) whenever it has a
-      target, and the CO2 cap row (``co2-cap``) when its snapshot sample
-      (:meth:`LinearProgram.sampled`, every :data:`SAMPLE_STRIDE`-th
-      snapshot) ends optimal with a price μ̂ > 0; the cap's columns then
-      have their costs raised by μ̂ times their coefficients, so the run
-      solves the tax LP that a binding cap equals.  An LP with storage has
-      no sample, and its cap row is never opened.  A run with rows open
-      solves another LP: its solution is not read, and the LP itself is
-      then solved as a warm solve from its basis.
+      target, and the CO2 cap row (``co2-cap``) when the sample prices it
+      at μ̂ > 0; the cap's columns then have their costs raised by μ̂ times
+      their coefficients, so the run solves the tax LP that a binding cap
+      equals.
+    - A run with columns held or rows open solves another LP: its solution
+      is not read, and the LP itself is then solved as a warm solve from
+      its basis, which releases the held columns.
     - Models.  Each model takes the session's :attr:`options` and one more
-      kind's: a plain cold run HiGHS' defaults, the sample and the priced
-      run :data:`PRICED_SCALING`, and every warm run :data:`WARM_PRICING`
+      kind's: a cold run of the LP HiGHS' defaults, the sample
+      :data:`PRICED_SCALING`, and every warm run :data:`WARM_PRICING`
       (Devex).  HiGHS reads the pricing option only when a model is passed,
       so the first warm run after a cold one hands the loaded LP and its
       optimal basis over to a new Devex model, and later warm runs stay in
       it.  Each model is released before the next one is loaded.
-    - Repeats.  A warm run, or a run with rows open, that does not end
-      optimal is repeated cold in one plain run.  An LP that HiGHS rejects
-      raises :class:`SolveError`, and the next LP is loaded cold.
+    - Repeats.  A warm run, or a run with columns held or rows open, that
+      does not end optimal is repeated cold in one plain run.  An LP that
+      HiGHS rejects raises :class:`SolveError`, and the next LP is loaded
+      cold.
 
     The solution returned is the last run's, with the iterations and wall
     time of every run, the sample's build included.  Every run uses the
@@ -248,15 +257,20 @@ class Session:
         if self._optimal and self._same_shape(lp):
             sols = [self._run(lp, True)]
         else:
-            price, sols = self._sample_price(lp)
-            opened = tuple(row for row in (_policy_row(lp, "co2-cap") if price > 0.0 else None,
+            sols = self._sample(lp)
+            sample = sols[0] if sols and sols[0].status == "optimal" else None
+            cap = _policy_row(lp, "co2-cap")
+            price = (max(0.0, -sample.dual("co2-cap"))
+                     if sample is not None and cap is not None else 0.0)
+            held = _scalar_values(lp, sample) if sample is not None else {}
+            opened = tuple(row for row in (cap if price > 0.0 else None,
                                            _policy_row(lp, "vre-dispatched"))
                            if row is not None)
-            sols.append(self._run(lp, False, opened, price, scaled=price > 0.0))
-            if opened and sols[-1].status == "optimal":
+            sols.append(self._run(lp, False, opened, price, held))
+            if (opened or held) and sols[-1].status == "optimal":
                 sols.append(self._run(lp, True))
         last = sols[-1].runs[0]
-        if last.status != "optimal" and (last.warm or last.opened):
+        if last.status != "optimal" and (last.warm or last.opened or last.fixed):
             sols.append(self._run(lp, False))
         sol = sols[-1]
         sol.runs = tuple(run for each in sols for run in each.runs)
@@ -265,31 +279,31 @@ class Session:
         sol.warm_start = len(sol.runs) == 1 and sol.runs[0].warm
         return sol
 
-    def _sample_price(self, lp: LinearProgram) -> tuple:
-        """(μ̂, [sample's solution]): the CO2 cap price of ``lp``'s snapshot
-        sample, and the solution whose run is timed from the sample's build.
-        μ̂ is 0 when the sample does not end optimal; (0, []) when ``lp`` has
-        no cap or no sample."""
+    def _sample(self, lp: LinearProgram) -> list:
+        """[solution of ``lp``'s snapshot sample], its run timed from the
+        sample's build; [] when ``lp`` has no sample."""
         t0 = time.perf_counter()
-        sample = lp.sampled(SAMPLE_STRIDE) if _policy_row(lp, "co2-cap") is not None else None
+        sample = lp.sampled(SAMPLE_STRIDE)
         if sample is None:
-            return 0.0, []
+            return []
         sol = self._run(sample, False, scaled=True)
-        price = -sol.dual("co2-cap") if sol.status == "optimal" else 0.0
         sol.runs = (replace(sol.runs[0], wall_time=time.perf_counter() - t0),)
-        return price, [sol]
+        return [sol]
 
     def _run(self, lp: LinearProgram, warm: bool, opened: tuple = (), price: float = 0.0,
-             scaled: bool = False) -> Solution:
+             held: Optional[dict] = None, scaled: bool = False) -> Solution:
         """One HiGHS run of ``lp``: warm in a Devex model, or cold in a new
         model, scaled with :data:`PRICED_SCALING` if ``scaled``, with the rows
-        ``opened`` left free and the CO2 cap row's costs raised by ``price``
-        times its coefficients.  A run with rows left free solves another LP
-        than ``lp``: it reads no solution, only status and objective."""
+        ``opened`` left free, the CO2 cap row's costs raised by ``price``
+        times its coefficients and each column of ``held`` (position: value)
+        held at its value.  A run with rows left free or columns held solves
+        another LP than ``lp``: it reads no solution, only status and
+        objective."""
         t0 = time.perf_counter()
         self._optimal = False
+        held = held or {}
         if not warm:
-            self._load(lp, opened, price, [PRICED_SCALING] if scaled else [])
+            self._load(lp, opened, price, held, [PRICED_SCALING] if scaled else [])
         else:
             if not self._devex:
                 self._hand_over()
@@ -306,12 +320,13 @@ class Session:
         if sol.status == "optimal":
             self._optimal = True
             sol.objective = float(info.objective_function_value)
-        if sol.status == "optimal" and not opened:
+        if sol.status == "optimal" and not opened and not held:
             solution = highs.getSolution()
-            sol.x = np.array(solution.col_value)
-            sol.y = self._sign * np.array(solution.row_dual)[self._highs_row]
-        sol.runs = (Run(rows=len(lp.rows), warm=warm, opened=opened, price=price,
-                        pricing=highs.getOptionValue(WARM_PRICING[0])[1],
+            # + 0.0 turns HiGHS' -0.0 into 0.0, as a solution file writes it
+            sol.x = np.array(solution.col_value) + 0.0
+            sol.y = self._sign * np.array(solution.row_dual)[self._highs_row] + 0.0
+        sol.runs = (Run(rows=len(lp.rows), warm=warm, opened=opened, fixed=tuple(held),
+                        price=price, pricing=highs.getOptionValue(WARM_PRICING[0])[1],
                         scaling=highs.getOptionValue(PRICED_SCALING[0])[1],
                         status=sol.status, iterations=sol.iterations, wall_time=wall,
                         objective=sol.objective),)
@@ -322,17 +337,25 @@ class Session:
         prices with Devex.  The LP is passed again from its arrays, after the
         old model is released, so that no two copies of it are held at once:
         passing a copy taken from the old model (``getLp``) raised the
-        process's peak memory."""
-        basis = self._highs.getBasis()
+        process's peak memory.  Columns the old model held at a value are
+        released; one that ended nonbasic at its held value as an upper bound
+        starts at its lower bound where it has no upper one."""
+        basis, held = self._highs.getBasis(), self._held
         self._load(self._loaded, options=[WARM_PRICING])
+        if held:
+            status = basis.col_status  # a list of HighsBasisStatus members
+            for i in held:
+                if status[i].name == "kUpper" and np.isinf(self._loaded.columns.upper[i]):
+                    status[i] = type(status[i]).kLower
+            basis.col_status = status
         _check("setBasis", self._highs.setBasis(basis))
 
     def _load(self, lp: LinearProgram, opened: tuple = (), price: float = 0.0,
-              options: list = ()) -> None:
+              held: Optional[dict] = None, options: list = ()) -> None:
         """Release the model and pass ``lp`` to a new one with the session's
-        :attr:`options` and ``options``, with the rows ``opened`` free and the
+        :attr:`options` and ``options``, with the rows ``opened`` free, the
         costs of the CO2 cap row's columns raised by ``price`` times their
-        coefficients in it."""
+        coefficients in it, and the columns of ``held`` held at its values."""
         core = load_highs()
         self._highs = None
         self._highs = core._Highs()
@@ -360,7 +383,12 @@ class Session:
             taxed, shift = relaxation_shift(lp, "co2-cap", price)
             self._cost[taxed] += shift
         model.col_cost_ = self._cost
-        model.col_lower_, model.col_upper_ = cols.lower, cols.upper
+        self._held = list(held or ())
+        lower, upper = cols.lower, cols.upper
+        if self._held:
+            lower, upper = lower.copy(), upper.copy()
+            lower[self._held] = upper[self._held] = list(held.values())
+        model.col_lower_, model.col_upper_ = lower, upper
         self._row_lower, self._row_upper = self._row_bounds(lp)
         i = self._highs_row[list(opened)]
         self._row_lower[i], self._row_upper[i] = -np.inf, np.inf
@@ -402,6 +430,13 @@ class Session:
         self._row_lower, self._row_upper = lower, upper
 
 
+def _scalar_values(lp: LinearProgram, sample: Solution) -> dict:
+    """{position: value} of each scalar column of ``lp`` (a capacity) at the
+    optimum of its snapshot ``sample``, which keeps every scalar block."""
+    return {i: float(sample.x[sample.lp.col_index[key]])
+            for key, i in lp.col_index.items() if isinstance(i, int)}
+
+
 def _policy_row(lp: LinearProgram, family: str) -> Optional[int]:
     """Position of the scalar policy row ``family`` of ``lp`` if it has a
     finite right-hand side."""
@@ -422,13 +457,14 @@ def solve(lp: LinearProgram, session: Optional[Session] = None) -> Solution:
 
 def write_solution_file(sol: Solution, path) -> None:
     """Canonical solution file: one `col`/`row` line per primal/dual value,
-    each section sorted by name."""
+    each section sorted by name.  Every zero is written as ``0.0``: HiGHS
+    returns some as ``-0.0``, a sign that depends only on its pivot path."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"status {sol.status}\n")
-        fh.write(f"objective {sol.objective!r}\n")
+        fh.write(f"objective {sol.objective + 0.0!r}\n")
         for kind, names, values in (("col", sol.lp.col_names(), sol.x),
                                     ("row", sol.lp.row_names(), sol.y)):
-            values = values.tolist()
+            values = (values + 0.0).tolist()
             fh.writelines(f"{kind} {names[i]} {values[i]!r}\n"
                           for i in sorted(range(len(names)), key=names.__getitem__))
 

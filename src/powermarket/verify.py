@@ -271,7 +271,7 @@ def check_cap_tax_equivalence(system: PowerSystem, lp: LinearProgram, sol: Solut
     unsolved = _unsolved("cap-tax-equivalence", sol, "cap")
     if unsolved:
         return unsolved
-    mu = -sol.dual("co2-cap")
+    mu = 0.0 - sol.dual("co2-cap")  # a zero price reads 0.0, not -0.0
     emissions = sum(acct.spec.emission_factor * acct.energy
                     for acct in accounts(system, sol) if acct.spec is not None)
     tax_lp = apply_equivalence_substitution(lp, "co2-cap", mu)

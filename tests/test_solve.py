@@ -4,12 +4,14 @@ import re
 import sys
 import time
 import weakref
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from powermarket.formulate import LinearProgram, apply_equivalence_substitution, build_lp
+from powermarket.metrics import policy_prices
 from powermarket.model import (
     Co2Cap,
     LineSpec,
@@ -32,6 +34,7 @@ from powermarket.solve import (
     write_solution_file,
 )
 from powermarket.verify import (
+    check_cap_tax_equivalence,
     check_kkt,
     check_subsidy_tax_lift,
     reduced_costs,
@@ -67,7 +70,10 @@ class TestSolve:
         lp = build_lp(one_tech_two_hours(), PolicyConfig.none())
         sol = solve(lp)
         assert sol.status == "optimal"
-        assert [(run.warm, run.opened) for run in sol.runs] == [(False, ())] and totals(sol)
+        # the sample, the LP at the sample's capacity, the LP itself warm
+        assert [(run.warm, run.opened, run.fixed) for run in sol.runs] == [
+            (False, (), ()), (False, (), (lp.col("G", "gas@N"),)), (True, (), ())]
+        assert totals(sol)
         assert sol.objective == pytest.approx(11_500.0)
         assert sol.price("N", 0) == pytest.approx(110.0)
         assert sol.price("N", 1) == pytest.approx(10.0)
@@ -110,6 +116,30 @@ class TestSolutionFiles:
         assert back.objective == pytest.approx(sol.objective, rel=1e-12)
         assert back.x.tolist() == sol.x.tolist()
         assert back.y.tolist() == sol.y.tolist()
+
+    def test_zeros_are_written_as_positive_zero(self, tmp_path, desk_system):
+        lp = build_lp(desk_system, PolicyConfig.none())
+        sol = solve(lp)
+        zero_x, zero_y = sol.x == 0.0, sol.y == 0.0
+        assert zero_x.any() and zero_y.any()
+        # a solve holds them as the file writes them
+        assert not np.signbit(sol.x[zero_x]).any() and not np.signbit(sol.y[zero_y]).any()
+        sol.x[zero_x], sol.y[zero_y] = -0.0, -0.0
+        path = tmp_path / "model.sol"
+        write_solution_file(sol, path)
+        assert " -0.0\n" not in path.read_text()
+        back = solve_external(lp, path)
+        assert back.x.tolist() == sol.x.tolist() and back.y.tolist() == sol.y.tolist()
+        assert not np.signbit(back.x[zero_x]).any() and not np.signbit(back.y[zero_y]).any()
+
+    def test_zero_cap_price_reads_positive_zero(self, desk_system):
+        # a cap that does not bind has price 0.0, in the metrics and the check
+        policy = PolicyConfig(co2=Co2Cap(1e9))
+        lp = build_lp(desk_system, policy)
+        sol = solve(lp)
+        prices = (policy_prices(desk_system, sol, lp, policy)["mu_co2"],
+                  check_cap_tax_equivalence(desk_system, lp, sol, policy).detail["mu_co2"])
+        assert prices == (0.0, 0.0) and not np.signbit(prices).any()
 
     def test_unknown_column_is_rejected(self, tmp_path):
         lp = build_lp(one_tech_two_hours(), PolicyConfig.none())
@@ -281,18 +311,14 @@ class TestHighsBindings:
         res, y = linprog_reference(lp)
         sol = solve(lp)
         assert sol.status == "optimal" and not sol.warm_start
-        quota = lp.has_row("vre-dispatched")
-        if quota or lp.has_row("co2-cap") or name == "vre_flex_168h":
-            # a cold quota LP starts from its policy-free optimum and a cold
-            # cap LP from its tax LP (see Session), and on vre_flex_168h the
-            # smaller cost perturbation takes another pivot path: each may
-            # end at another optimal vertex of these degenerate LPs
-            assert sol.objective == pytest.approx(res.fun, rel=1e-12)
-            assert check_kkt(lp, sol).passed
-            if quota:
-                return
-            # one cold run with linprog's perturbation is linprog's solve
-            sol = linprog_perturbation()._run(lp, False)
+        # a cold LP starts from its sample's capacities, with a quota row
+        # free and a cap priced (see Session), and on vre_flex_168h, which has
+        # no sample, the smaller cost perturbation takes another pivot path:
+        # each may end at another optimal vertex of these degenerate LPs
+        assert sol.objective == pytest.approx(res.fun, rel=1e-12)
+        assert check_kkt(lp, sol).passed
+        # one plain cold run with linprog's perturbation is linprog's solve
+        sol = linprog_perturbation()._run(lp, False)
         assert sol.iterations == res.nit
         assert sol.objective == res.fun
         assert sol.x.tolist() == res.x.tolist()
@@ -357,6 +383,23 @@ def totals(sol) -> bool:
     """Whether a solution's iterations and wall time are its runs' sums."""
     return (sol.iterations == sum(run.iterations for run in sol.runs)
             and sol.wall_time == sum(run.wall_time for run in sol.runs))
+
+
+def scalar_columns(lp: LinearProgram) -> tuple:
+    """Positions of the scalar columns of ``lp`` (its capacities)."""
+    return tuple(i for i in lp.col_index.values() if isinstance(i, int))
+
+
+def held_at_sample(lp: LinearProgram) -> LinearProgram:
+    """A copy of ``lp`` with each scalar column held at its value in the
+    optimum of ``lp``'s snapshot sample."""
+    sample = lp.sampled(SAMPLE_STRIDE)
+    x = Session()._run(sample, False, scaled=True).x
+    held, sample_names = lp.copy(), sample.col_names()
+    for i in scalar_columns(lp):
+        held.columns.lower[i] = held.columns.upper[i] = \
+            x[sample_names.index(lp.col_names()[i])]
+    return held
 
 
 def fig1_support_lp(share: float = 0.4, **solar):
@@ -454,21 +497,66 @@ class TestSession:
         assert warm.warm and not cold.warm and warm.iterations > 0
         assert (cold.opened, cold.status) == ((), "infeasible") and totals(sol)
 
+    def test_cold_lp_runs_at_its_sample_capacities(self, desk_system):
+        lp = build_lp(desk_system, PolicyConfig.none())
+        sol = Session().solve(lp)
+        sample, held, warm = sol.runs
+        assert (sample.warm, sample.opened, sample.fixed) == (False, (), ())
+        assert sample.rows == len(lp.sampled(SAMPLE_STRIDE).rows) < len(lp.rows)
+        # every capacity is held at the sample's value, and that run's
+        # solution, of another LP, is not read
+        assert (held.warm, held.opened, held.fixed) == (False, (), scalar_columns(lp))
+        assert len(held.fixed) == 4
+        assert held.objective == Session()._run(held_at_sample(lp), False).objective
+        assert Session()._run(lp, False, held={held.fixed[0]: 1.0}).x is None
+        # the LP itself runs warm, with the capacities released
+        assert (warm.warm, warm.opened, warm.fixed) == (True, (), ())
+        assert sol.status == "optimal" and not sol.warm_start and totals(sol)
+        assert sol.objective == pytest.approx(Session()._run(lp, False).objective, rel=1e-9)
+        assert check_kkt(lp, sol).passed
+
+    def test_held_start_matches_a_plain_run(self):
+        for seed in range(10):
+            lp = build_lp(random_desk_system(seed), PolicyConfig.none())
+            sol = Session().solve(lp)
+            assert [bool(run.fixed) for run in sol.runs] == [False, True, False], seed
+            assert sol.objective == pytest.approx(Session()._run(lp, False).objective,
+                                                  rel=1e-9), seed
+
+    def test_held_start_without_optimum_is_repeated_cold(self):
+        # no load shedding, and a demand spike at an hour the sample skips
+        # that the sample's capacities cannot serve
+        base = random_desk_system(0)
+        demand = np.array(base.demand["N"])
+        assert 5 % SAMPLE_STRIDE
+        demand[5] *= 3.0
+        system = replace(base, voll=None, demand={"N": tuple(demand)})
+        lp = build_lp(system, PolicyConfig.none())
+        sol = Session().solve(lp)
+        assert sol.status == "optimal" and not sol.warm_start
+        assert [(run.warm, bool(run.fixed), run.status) for run in sol.runs] == [
+            (False, False, "optimal"), (False, True, "infeasible"), (False, False, "optimal")]
+        assert totals(sol)
+        one_run = Session()._run(lp, False)
+        assert sol.objective == one_run.objective
+        assert np.array_equal(sol.x, one_run.x) and np.array_equal(sol.y, one_run.y)
+
     def test_cold_quota_lp_starts_from_its_policy_free_optimum(self):
         _, _, lp = fig1_support_lp()
         _, _, other = fig1_support_lp(share=0.5)
         one_run, other_one_run = (Session()._run(quota, False) for quota in (lp, other))
-        free = lp.copy()
+        free = held_at_sample(lp)
         free.free_row("vre-dispatched")
-        policy_free = Session().solve(free)
         session = Session()
         sol = session.solve(lp)
-        opened, warm = sol.runs
-        # the first run is the policy-free LP, the second restores the target
-        assert (opened.warm, opened.opened, opened.price) == (
-            False, (lp.row("vre-dispatched"),), 0.0)
-        assert opened.objective == policy_free.objective < sol.objective
-        assert (warm.warm, warm.opened) == (True, ())
+        sample, opened, warm = sol.runs
+        # after the sample, the LP runs policy-free at the sample's
+        # capacities; the warm run restores the target and the capacities
+        assert not sample.warm and sample.rows < len(lp.rows)
+        assert (opened.warm, opened.opened, opened.fixed, opened.price) == (
+            False, (lp.row("vre-dispatched"),), scalar_columns(lp), 0.0)
+        assert opened.objective == Session()._run(free, False).objective
+        assert (warm.warm, warm.opened, warm.fixed) == (True, (), ())
         assert sol.status == "optimal" and not sol.warm_start and totals(sol)
         assert sol.objective == pytest.approx(one_run.objective, rel=1e-9)
         assert check_kkt(lp, sol).passed
@@ -486,15 +574,19 @@ class TestSession:
         monkeypatch.setattr(sys.modules[check_kkt.__module__], "solve",
                             lambda mirror: sols.append(solve(mirror)) or sols[-1])
         check_subsidy_tax_lift(system, lp, sol, policy)  # solves the quota mirror
+        # each: the sample, then the LP at the sample's capacities; the
+        # premium LP goes on warm, while the sample's capacities cannot meet
+        # the mirror's row, so the mirror is repeated in one plain run
         assert [(run.warm, run.opened, run.status) for each in sols for run in each.runs] \
-            == [(False, (), "optimal")] * 2
+            == [(False, (), "optimal"), (False, (), "optimal"), (True, (), "optimal"),
+                (False, (), "optimal"), (False, (), "infeasible"), (False, (), "optimal")]
 
     def test_cold_cap_lp_starts_from_its_priced_tax_lp(self, desk_system):
         lp = build_lp(desk_system, PolicyConfig(co2=Co2Cap(900.0)))
         tighter = build_lp(desk_system, PolicyConfig(co2=Co2Cap(800.0)))
         one_run = Session()._run(lp, False)
         sample_price = -Session()._run(lp.sampled(SAMPLE_STRIDE), False).dual("co2-cap")
-        tax_lp = apply_equivalence_substitution(lp, "co2-cap", sample_price)
+        tax_lp = apply_equivalence_substitution(held_at_sample(lp), "co2-cap", sample_price)
         tax_objective = Session().solve(tax_lp).objective
         session = Session()
         sol = session.solve(lp)
@@ -502,14 +594,17 @@ class TestSession:
         # the sample prices the cap in a model of its own
         assert sample.rows == len(lp.sampled(SAMPLE_STRIDE).rows) < len(lp.rows)
         assert not sample.warm and sample.opened == ()
-        # the LP runs as the tax LP at that price: cap row free, costs raised
+        # the LP runs as the tax LP at that price and the sample's
+        # capacities: cap row free, costs raised, capacities held
         cap = lp.row("co2-cap")
-        assert (priced.warm, priced.opened, priced.price) == (False, (cap,), sample_price)
+        assert (priced.warm, priced.opened, priced.fixed, priced.price) == (
+            False, (cap,), scalar_columns(lp), sample_price)
         assert sample_price > 0.0
         assert Session()._run(lp, False, (cap,), sample_price).x is None
         assert priced.objective == pytest.approx(tax_objective, rel=1e-9)
         # then hands its basis to a Devex model and puts the cap back
-        assert (warm.warm, warm.opened, warm.price, warm.pricing) == (True, (), 0.0, 1)
+        assert (warm.warm, warm.opened, warm.fixed, warm.price, warm.pricing) == (
+            True, (), (), 0.0, 1)
         assert sol.status == "optimal" and not sol.warm_start and totals(sol)
         assert sol.objective == pytest.approx(one_run.objective, rel=1e-9)
         assert check_kkt(lp, sol).passed
@@ -540,8 +635,10 @@ class TestSession:
         lp = build_lp(desk_system, policy)
         one_run = Session()._run(lp, False)
         sol = Session().solve(lp)
-        assert [(run.warm, run.opened) for run in sol.runs] == [
-            (False, ()), (False, (lp.row("co2-cap"), lp.row("vre-dispatched"))), (True, ())]
+        assert [(run.warm, run.opened, run.fixed) for run in sol.runs] == [
+            (False, (), ()),
+            (False, (lp.row("co2-cap"), lp.row("vre-dispatched")), scalar_columns(lp)),
+            (True, (), ())]
         assert totals(sol)
         assert sol.dual("co2-cap") < 0.0 < sol.dual("vre-dispatched")
         assert sol.objective == pytest.approx(one_run.objective, rel=1e-9)
@@ -560,13 +657,22 @@ class TestSession:
         one_run = Session()._run(lp, False)
         sol = Session().solve(lp)
         sampled = [] if case == "storage" else [
-            (len(lp.sampled(SAMPLE_STRIDE).rows), False, (), 0.0,
+            (len(lp.sampled(SAMPLE_STRIDE).rows), False, (), (), 0.0,
              "infeasible" if case == "infeasible-sample" else "optimal")]
-        assert [(run.rows, run.warm, run.opened, run.price, run.status) for run in sol.runs] \
-            == sampled + [(len(lp.rows), False, (), 0.0, "optimal")]
+        # the cap row stays in every run; only an optimal sample holds the
+        # capacities, and the LP itself then runs warm
+        held = [(len(lp.rows), False, (), scalar_columns(lp), 0.0, "optimal"),
+                (len(lp.rows), True, (), (), 0.0, "optimal")]
+        assert [(run.rows, run.warm, run.opened, run.fixed, run.price, run.status)
+                for run in sol.runs] == sampled + (
+            held if case == "unpriced" else [(len(lp.rows), False, (), (), 0.0, "optimal")])
+        assert totals(sol)
+        if case == "unpriced":
+            assert sol.objective == pytest.approx(one_run.objective, rel=1e-9)
+            assert check_kkt(lp, sol).passed
+            return
         assert sol.objective == one_run.objective
         assert np.array_equal(sol.x, one_run.x) and np.array_equal(sol.y, one_run.y)
-        assert totals(sol)
 
     def test_priced_start_without_optimum_is_repeated_cold(self):
         # the sampled hours 0 and 11 can be served clean, the others only by
@@ -584,10 +690,10 @@ class TestSession:
         assert [(run.warm, bool(run.price), run.status) for run in sol.runs] == [
             (False, False, "optimal"), (False, True, "optimal"), (True, False, "infeasible"),
             (False, False, "infeasible")]
-        # the sample and the priced run are scaled, the Devex model and the
-        # cold repeat keep HiGHS' default
+        # the sample is scaled; the priced run, the Devex model and the cold
+        # repeat keep HiGHS' default
         forced = PRICED_SCALING[1]
-        assert [run.scaling for run in sol.runs] == [forced, forced, 2, 2]
+        assert [run.scaling for run in sol.runs] == [forced, 2, 2, 2]
         assert totals(sol)
 
     def test_cost_perturbation_spares_the_cleanup(self):
@@ -626,32 +732,32 @@ class TestSession:
         first, again = session.solve(lp), session.solve(other)
         assert not first.warm_start and again.warm_start
         assert [(run.warm, run.pricing) for run in (*first.runs, *again.runs)] == [
-            (False, default), (True, 1), (True, 1)]
+            (False, default), (False, default), (True, 1), (True, 1)]
 
     def test_only_the_priced_cap_start_forces_scaling(self, desk_system):
         highs = load_highs()._Highs()
         default, steepest = highs.getOptionValue(SCALING)[1], highs.getOptionValue(PRICING)[1]
         forced = PRICED_SCALING[1]
         assert default != forced
-        # the sample and the priced tax LP are scaled; the cap LP itself
-        # runs in the Devex model with the default scaling, and so do later
-        # warm runs
+        # the sample is scaled; the priced tax LP at the sample's capacities
+        # keeps the default, and so do the cap LP itself in the Devex model
+        # and later warm runs
         session = Session()
         runs = [run for cap in (900.0, 800.0) for run in
                 session.solve(build_lp(desk_system, PolicyConfig(co2=Co2Cap(cap)))).runs]
         assert [(run.warm, bool(run.price), run.pricing, run.scaling) for run in runs] == [
-            (False, False, steepest, forced), (False, True, steepest, forced),
+            (False, False, steepest, forced), (False, True, steepest, default),
             (True, False, 1, default), (True, False, 1, default)]
-        # a plain cold run, both runs of a cold quota LP and a storage cap
-        # LP, which has no sample, keep the default
+        # a plain cold run, the runs of a cold quota LP after its sample and
+        # a storage cap LP, which has no sample, keep the default
         system = flexible_system(24)
         cap = Co2Cap(0.05 * float(np.sum(system.demand["N"])))
         runs = [*Session()._run(build_lp(desk_system, PolicyConfig.none()), False).runs,
                 *Session().solve(fig1_support_lp()[2]).runs,
                 *Session().solve(build_lp(system, PolicyConfig(co2=cap))).runs]
         assert [(run.warm, bool(run.opened), run.scaling) for run in runs] == [
-            (False, False, default), (False, True, default), (True, False, default),
-            (False, False, default)]
+            (False, False, default), (False, False, forced), (False, True, default),
+            (True, False, default), (False, False, default)]
 
     def test_warm_chain_matches_cold_solves(self):
         system = random_desk_system(0, 1512)
@@ -689,7 +795,9 @@ class TestSession:
         _, _, lp = fig1_support_lp(share=0.9, max_potential=10.0)
         sol = Session().solve(lp)
         assert sol.status == "infeasible" and not sol.warm_start
-        assert [(run.warm, bool(run.opened), run.status) for run in sol.runs] == [
-            (False, True, "optimal"), (True, False, "infeasible"),
-            (False, False, "infeasible")]
+        # the sample cannot meet the quota either, so no capacity is held
+        assert [(run.warm, bool(run.opened), bool(run.fixed), run.status)
+                for run in sol.runs] == [
+            (False, False, False, "infeasible"), (False, True, False, "optimal"),
+            (True, False, False, "infeasible"), (False, False, False, "infeasible")]
         assert totals(sol)
