@@ -315,29 +315,22 @@ def cycle_basis(lines) -> list:
     def path_to_root(node):
         out = []
         while parent[node] is not None:
-            li, sign, up = parent[node]
-            out.append((li, sign, node, up))
-            node = up
+            li, sign, node = parent[node]
+            out.append((li, sign))
         return out
 
     cycles = []
     for i, line in enumerate(lines):
         if i in tree_lines:
             continue
-        # cycle: line i forward, then tree path to_node -> from_node
+        # cycle: line i forward, then tree path to_node -> from_node, walked
+        # as from_node's path to the root less to_node's: the tree lines both
+        # share, above the lowest common ancestor, sum to 0
         cyc = {i: +1}
-        pa = path_to_root(line.from_node)
-        pb = path_to_root(line.to_node)
-        # strip common suffix up to the lowest common ancestor
-        sa = {li for li, *_ in pa}
-        sb = {li for li, *_ in pb}
-        for li, sign, _, _ in pb:
-            if li not in sa:
-                # traversed against the stored direction when walking towards root
-                cyc[li] = cyc.get(li, 0) - sign
-        for li, sign, _, _ in pa:
-            if li not in sb:
-                cyc[li] = cyc.get(li, 0) + sign
+        for li, sign in path_to_root(line.from_node):
+            cyc[li] = cyc.get(li, 0) + sign
+        for li, sign in path_to_root(line.to_node):
+            cyc[li] = cyc.get(li, 0) - sign
         cycles.append({k: v for k, v in cyc.items() if v != 0})
     return cycles
 

@@ -260,12 +260,6 @@ def policy_prices(system: PowerSystem, sol: Solution, lp: LinearProgram,
 # -- negative price suppression ----------------------------------------------------
 
 
-def clip_prices(prices) -> np.ndarray:
-    """Forbid negative prices by flooring at zero; idempotent and
-    order-preserving."""
-    return np.maximum(np.asarray(prices, dtype=float), 0.0)
-
-
 @dataclass
 class SuppressedPrices:
     prices: dict                   # node -> clipped price array
@@ -280,7 +274,7 @@ def suppress_negative_prices(system: PowerSystem, sol: Solution) -> SuppressedPr
     The original solution is untouched; suppressed market values are
     pointwise >= the raw ones.
     """
-    clipped = {n: clip_prices(p) for n, p in nodal_prices(system, sol).items()}
+    clipped = {n: np.maximum(p, 0.0) for n, p in nodal_prices(system, sol).items()}
     return SuppressedPrices(
         prices=clipped,
         market_values=market_values(system, sol, clipped),

@@ -59,13 +59,25 @@ class Solution:
     objective: float = float("nan")
     x: Optional[np.ndarray] = None   # column values in LP order
     y: Optional[np.ndarray] = None   # row duals dObj/dRHS in LP order
-    iterations: int = 0
-    wall_time: float = 0.0
     message: str = ""
-    warm_start: bool = False         # started from the basis of an earlier solve
     runs: tuple = ()                 # one Run per HiGHS run; () for a solution file
     # the HiGHS session that solved it; None for a solution read from a file
     session: Optional["Session"] = field(default=None, repr=False, compare=False)
+
+    @property
+    def iterations(self) -> int:
+        """Simplex iterations of every run."""
+        return sum(run.iterations for run in self.runs)
+
+    @property
+    def wall_time(self) -> float:
+        """Wall time of every run."""
+        return sum((run.wall_time for run in self.runs), 0.0)
+
+    @property
+    def warm_start(self) -> bool:
+        """Whether it took one run, from the basis of an earlier solve."""
+        return len(self.runs) == 1 and self.runs[0].warm
 
     def primal(self, family: str, entity: Optional[str] = None):
         """Value of a scalar column block, or the array of a snapshot block."""
@@ -88,7 +100,6 @@ class Run:
     fixed: tuple       # positions of the columns it held at the sample's values
     price: float       # μ̂ that raised the CO2 cap row's costs, or 0
     pricing: int       # HiGHS simplex_dual_edge_weight_strategy of its model
-    scaling: int       # HiGHS simplex_scale_strategy of its model
     status: str
     iterations: int
     wall_time: float   # from loading or pushing the LP (a sample: building it) to the end
@@ -122,9 +133,6 @@ COST_PERTURBATION = OPT_TOL / 1e-7
 WARM_PRICING = ("simplex_dual_edge_weight_strategy", 1)
 # snapshot stride of the sample that starts a cold LP (see Session)
 SAMPLE_STRIDE = 11
-# scaling of a snapshot sample: equilibration, applied even where HiGHS'
-# default strategy computes it and then declines it
-PRICED_SCALING = ("simplex_scale_strategy", 3)
 
 # relative tolerance of a solution file's objective against c·x of its columns
 OBJECTIVE_TOL = 1e-9
@@ -219,13 +227,13 @@ class Session:
     - A run with columns held or rows open solves another LP: its solution
       is not read, and the LP itself is then solved as a warm solve from
       its basis, which releases the held columns.
-    - Models.  Each model takes the session's :attr:`options` and one more
-      kind's: a cold run of the LP HiGHS' defaults, the sample
-      :data:`PRICED_SCALING`, and every warm run :data:`WARM_PRICING`
-      (Devex).  HiGHS reads the pricing option only when a model is passed,
-      so the first warm run after a cold one hands the loaded LP and its
-      optimal basis over to a new Devex model, and later warm runs stay in
-      it.  Each model is released before the next one is loaded.
+    - Models.  Each model takes the session's :attr:`options`, and the
+      model of warm runs :data:`WARM_PRICING` (Devex) as well: a cold run
+      keeps HiGHS' defaults otherwise.  HiGHS reads the pricing option only
+      when a model is passed, so the first warm run after a cold one hands
+      the loaded LP and its optimal basis over to a new Devex model, and
+      later warm runs stay in it.  Each model is released before the next
+      one is loaded.
     - Repeats.  A warm run, or a run with columns held or rows open, that
       does not end optimal is repeated cold in one plain run.  An LP that
       HiGHS rejects raises :class:`SolveError`, and the next LP is loaded
@@ -274,9 +282,6 @@ class Session:
             sols.append(self._run(lp, False))
         sol = sols[-1]
         sol.runs = tuple(run for each in sols for run in each.runs)
-        sol.iterations = sum(run.iterations for run in sol.runs)
-        sol.wall_time = sum(run.wall_time for run in sol.runs)
-        sol.warm_start = len(sol.runs) == 1 and sol.runs[0].warm
         return sol
 
     def _sample(self, lp: LinearProgram) -> list:
@@ -286,24 +291,23 @@ class Session:
         sample = lp.sampled(SAMPLE_STRIDE)
         if sample is None:
             return []
-        sol = self._run(sample, False, scaled=True)
+        sol = self._run(sample, False)
         sol.runs = (replace(sol.runs[0], wall_time=time.perf_counter() - t0),)
         return [sol]
 
     def _run(self, lp: LinearProgram, warm: bool, opened: tuple = (), price: float = 0.0,
-             held: Optional[dict] = None, scaled: bool = False) -> Solution:
+             held: Optional[dict] = None) -> Solution:
         """One HiGHS run of ``lp``: warm in a Devex model, or cold in a new
-        model, scaled with :data:`PRICED_SCALING` if ``scaled``, with the rows
-        ``opened`` left free, the CO2 cap row's costs raised by ``price``
-        times its coefficients and each column of ``held`` (position: value)
-        held at its value.  A run with rows left free or columns held solves
-        another LP than ``lp``: it reads no solution, only status and
-        objective."""
+        model with the rows ``opened`` left free, the CO2 cap row's costs
+        raised by ``price`` times its coefficients and each column of
+        ``held`` (position: value) held at its value.  A run with rows left
+        free or columns held solves another LP than ``lp``: it reads no
+        solution, only status and objective."""
         t0 = time.perf_counter()
         self._optimal = False
         held = held or {}
         if not warm:
-            self._load(lp, opened, price, held, [PRICED_SCALING] if scaled else [])
+            self._load(lp, opened, price, held)
         else:
             if not self._devex:
                 self._hand_over()
@@ -313,10 +317,9 @@ class Session:
         wall = time.perf_counter() - t0
         model_status, info = highs.getModelStatus(), highs.getInfo()
         sol = Solution(lp, status=status_of(model_status),
-                       iterations=int(info.simplex_iteration_count), wall_time=wall,
                        message=f"HiGHS model status {int(model_status)}: "
                                f"{highs.modelStatusToString(model_status)}",
-                       warm_start=warm, session=self)
+                       session=self)
         if sol.status == "optimal":
             self._optimal = True
             sol.objective = float(info.objective_function_value)
@@ -327,9 +330,8 @@ class Session:
             sol.y = self._sign * np.array(solution.row_dual)[self._highs_row] + 0.0
         sol.runs = (Run(rows=len(lp.rows), warm=warm, opened=opened, fixed=tuple(held),
                         price=price, pricing=highs.getOptionValue(WARM_PRICING[0])[1],
-                        scaling=highs.getOptionValue(PRICED_SCALING[0])[1],
-                        status=sol.status, iterations=sol.iterations, wall_time=wall,
-                        objective=sol.objective),)
+                        status=sol.status, iterations=int(info.simplex_iteration_count),
+                        wall_time=wall, objective=sol.objective),)
         return sol
 
     def _hand_over(self) -> None:
@@ -338,30 +340,24 @@ class Session:
         old model is released, so that no two copies of it are held at once:
         passing a copy taken from the old model (``getLp``) raised the
         process's peak memory.  Columns the old model held at a value are
-        released; one that ended nonbasic at its held value as an upper bound
-        starts at its lower bound where it has no upper one."""
-        basis, held = self._highs.getBasis(), self._held
-        self._load(self._loaded, options=[WARM_PRICING])
-        if held:
-            status = basis.col_status  # a list of HighsBasisStatus members
-            for i in held:
-                if status[i].name == "kUpper" and np.isinf(self._loaded.columns.upper[i]):
-                    status[i] = type(status[i]).kLower
-            basis.col_status = status
+        released."""
+        basis = self._highs.getBasis()
+        self._load(self._loaded, devex=True)
         _check("setBasis", self._highs.setBasis(basis))
 
     def _load(self, lp: LinearProgram, opened: tuple = (), price: float = 0.0,
-              held: Optional[dict] = None, options: list = ()) -> None:
+              held: Optional[dict] = None, devex: bool = False) -> None:
         """Release the model and pass ``lp`` to a new one with the session's
-        :attr:`options` and ``options``, with the rows ``opened`` free, the
-        costs of the CO2 cap row's columns raised by ``price`` times their
-        coefficients in it, and the columns of ``held`` held at its values."""
+        :attr:`options`, and :data:`WARM_PRICING` if ``devex``, with the rows
+        ``opened`` free, the costs of the CO2 cap row's columns raised by
+        ``price`` times their coefficients in it, and the columns of ``held``
+        held at its values."""
         core = load_highs()
         self._highs = None
         self._highs = core._Highs()
-        for name, value in [*self.options, *options]:
+        for name, value in [*self.options, WARM_PRICING] if devex else self.options:
             _check(f"setOptionValue({name})", self._highs.setOptionValue(name, value))
-        self._devex = WARM_PRICING in options
+        self._devex = devex
         sense = lp.rows.sense
         eq = sense == "="
         order = np.concatenate((np.flatnonzero(~eq), np.flatnonzero(eq)))
@@ -383,11 +379,10 @@ class Session:
             taxed, shift = relaxation_shift(lp, "co2-cap", price)
             self._cost[taxed] += shift
         model.col_cost_ = self._cost
-        self._held = list(held or ())
         lower, upper = cols.lower, cols.upper
-        if self._held:
+        if held:
             lower, upper = lower.copy(), upper.copy()
-            lower[self._held] = upper[self._held] = list(held.values())
+            lower[list(held)] = upper[list(held)] = list(held.values())
         model.col_lower_, model.col_upper_ = lower, upper
         self._row_lower, self._row_upper = self._row_bounds(lp)
         i = self._highs_row[list(opened)]

@@ -153,6 +153,13 @@ def check_zero_profit(system: PowerSystem, lp: LinearProgram, sol: Solution,
     support = policy.support
     support_set = set(policy.support_set())
 
+    def result(check, entity, residual, detail):
+        # the residual relative to the entity's cost, absolute below a cost of 1
+        scale = max(1.0, detail["cost"])
+        return CheckResult(check, entity, abs(residual) / scale,
+                           "pass" if abs(residual) <= DEFAULT_TOL * scale else "fail",
+                           detail=detail)
+
     for acct in accounts(system, sol, prices):
         spec = acct.spec
         if spec is None:
@@ -170,23 +177,18 @@ def check_zero_profit(system: PowerSystem, lp: LinearProgram, sol: Solution,
         if lp.has_row("potential", key):
             scarcity = -sol.dual("potential", key) * acct.capacity   # mu_s^max >= 0
         residual = acct.revenue - acct.cost + adjust - scarcity
-        scale = max(1.0, acct.cost)
-        results.append(CheckResult(
-            "zero-profit", key, abs(residual) / scale,
-            "pass" if abs(residual) <= DEFAULT_TOL * scale else "fail",
-            detail={"revenue": acct.revenue, "cost": acct.cost, "adjustment": adjust,
-                    "scarcity_rent": scarcity, "capacity": acct.capacity}))
+        results.append(result(
+            "zero-profit", key, residual,
+            {"revenue": acct.revenue, "cost": acct.cost, "adjustment": adjust,
+             "scarcity_rent": scarcity, "capacity": acct.capacity}))
 
     if system.storages:
         arb = storage_arbitrage(system, sol, prices)
         costs = storage_cost(system, sol)
         for key in arb:
-            residual = arb[key] - costs[key]
-            scale = max(1.0, costs[key])
-            results.append(CheckResult(
-                "zero-profit-storage", key, abs(residual) / scale,
-                "pass" if abs(residual) <= DEFAULT_TOL * scale else "fail",
-                detail={"arbitrage_revenue": arb[key], "cost": costs[key]}))
+            results.append(result(
+                "zero-profit-storage", key, arb[key] - costs[key],
+                {"arbitrage_revenue": arb[key], "cost": costs[key]}))
 
     if system.lines:
         cong = congestion_revenue(system, sol, prices)
@@ -199,14 +201,10 @@ def check_zero_profit(system: PowerSystem, lp: LinearProgram, sol: Solution,
             key = f"L{li}"
             F = sol.primal("F", key)
             rent = float(z[lp.col("F", key)]) * F
-            residual = cong[key] - costs[key] + kvl_terms[key] + rent
-            scale = max(1.0, costs[key])
-            results.append(CheckResult(
-                "zero-profit-line", key, abs(residual) / scale,
-                "pass" if abs(residual) <= DEFAULT_TOL * scale else "fail",
-                detail={"congestion_revenue": cong[key], "cost": costs[key],
-                        "kvl_term": kvl_terms[key], "capacity": F,
-                        "lower_bound_rent": rent}))
+            results.append(result(
+                "zero-profit-line", key, cong[key] - costs[key] + kvl_terms[key] + rent,
+                {"congestion_revenue": cong[key], "cost": costs[key],
+                 "kvl_term": kvl_terms[key], "capacity": F, "lower_bound_rent": rent}))
     return results
 
 

@@ -20,9 +20,8 @@ from powermarket.model import (
     SupportDispatched,
     TechnologySpec,
 )
-from powermarket.scenario import load_scenario, loads_scenario
+from powermarket.scenario import DEFAULT_TECHNOLOGIES, load_scenario, loads_scenario
 from powermarket.solve import (
-    PRICED_SCALING,
     SAMPLE_STRIDE,
     STATUSES,
     Session,
@@ -73,7 +72,6 @@ class TestSolve:
         # the sample, the LP at the sample's capacity, the LP itself warm
         assert [(run.warm, run.opened, run.fixed) for run in sol.runs] == [
             (False, (), ()), (False, (), (lp.col("G", "gas@N"),)), (True, (), ())]
-        assert totals(sol)
         assert sol.objective == pytest.approx(11_500.0)
         assert sol.price("N", 0) == pytest.approx(110.0)
         assert sol.price("N", 1) == pytest.approx(10.0)
@@ -113,6 +111,7 @@ class TestSolutionFiles:
         write_solution_file(sol, path)
         back = solve_external(lp, path)
         assert back.runs == ()
+        assert (back.iterations, back.wall_time, back.warm_start) == (0, 0.0, False)
         assert back.objective == pytest.approx(sol.objective, rel=1e-12)
         assert back.x.tolist() == sol.x.tolist()
         assert back.y.tolist() == sol.y.tolist()
@@ -295,15 +294,6 @@ class TestHighsBindings:
         for name, value in Session().options:
             assert highs.setOptionValue(name, value) == load_highs().HighsStatus.kOk, name
 
-    def test_scale_strategies_keep_their_numbers(self):
-        # 2 (HiGHS' default) equilibrates only where HiGHS' own test says it
-        # pays; 3 forces that equilibration (PRICED_SCALING)
-        highs = load_highs()._Highs()
-        assert highs.getOptionValue(SCALING)[1] == 2
-        assert PRICED_SCALING == (SCALING, 3)
-        assert highs.setOptionValue(*PRICED_SCALING) == load_highs().HighsStatus.kOk
-        assert highs.getOptionValue(SCALING)[1] == 3
-
     @pytest.mark.parametrize("name", BUNDLED)
     def test_solve_matches_linprog(self, name):
         system, policy, _ = load_scenario(scenario_path(f"{name}.json"))
@@ -376,13 +366,6 @@ print(json.dumps([outcome(solve, lp_needing(math.nan))]
 
 
 PRICING = "simplex_dual_edge_weight_strategy"
-SCALING = "simplex_scale_strategy"
-
-
-def totals(sol) -> bool:
-    """Whether a solution's iterations and wall time are its runs' sums."""
-    return (sol.iterations == sum(run.iterations for run in sol.runs)
-            and sol.wall_time == sum(run.wall_time for run in sol.runs))
 
 
 def scalar_columns(lp: LinearProgram) -> tuple:
@@ -394,7 +377,7 @@ def held_at_sample(lp: LinearProgram) -> LinearProgram:
     """A copy of ``lp`` with each scalar column held at its value in the
     optimum of ``lp``'s snapshot sample."""
     sample = lp.sampled(SAMPLE_STRIDE)
-    x = Session()._run(sample, False, scaled=True).x
+    x = Session()._run(sample, False).x
     held, sample_names = lp.copy(), sample.col_names()
     for i in scalar_columns(lp):
         held.columns.lower[i] = held.columns.upper[i] = \
@@ -411,6 +394,21 @@ def fig1_support_lp(share: float = 0.4, **solar):
     doc["technologies"][0].update(solar)
     system, policy, _ = loads_scenario(doc)
     return system, policy, build_lp(system, policy)
+
+
+def coal_gas_system() -> PowerSystem:
+    """``random_desk_system``'s demand, wind and sun over 504 h with six
+    technologies at the bundled costs, capex scaled to the horizon:
+    untaxed, lignite and coal run before gas."""
+    base = random_desk_system(0, 504)
+    availability = {tech.name: tech.availability for _, tech in base.technologies}
+    techs = []
+    for i, name in enumerate(("wind", "solar", "lignite", "coal", "ccgt", "ocgt")):
+        spec = dict(DEFAULT_TECHNOLOGIES[name])
+        spec["capex"] *= base.snapshots / 8760
+        techs.append(("N", TechnologySpec(name=name, variable_cost=(i + 1) * 1e-7,
+                                          availability=availability.get(name), **spec)))
+    return replace(base, technologies=tuple(techs), voll=1000.0, discount_rate=0.07)
 
 
 class TestSession:
@@ -495,7 +493,7 @@ class TestSession:
         assert sol.status == "infeasible" and not sol.warm_start
         warm, cold = sol.runs
         assert warm.warm and not cold.warm and warm.iterations > 0
-        assert (cold.opened, cold.status) == ((), "infeasible") and totals(sol)
+        assert (cold.opened, cold.status) == ((), "infeasible")
 
     def test_cold_lp_runs_at_its_sample_capacities(self, desk_system):
         lp = build_lp(desk_system, PolicyConfig.none())
@@ -511,7 +509,7 @@ class TestSession:
         assert Session()._run(lp, False, held={held.fixed[0]: 1.0}).x is None
         # the LP itself runs warm, with the capacities released
         assert (warm.warm, warm.opened, warm.fixed) == (True, (), ())
-        assert sol.status == "optimal" and not sol.warm_start and totals(sol)
+        assert sol.status == "optimal" and not sol.warm_start
         assert sol.objective == pytest.approx(Session()._run(lp, False).objective, rel=1e-9)
         assert check_kkt(lp, sol).passed
 
@@ -522,6 +520,18 @@ class TestSession:
             assert [bool(run.fixed) for run in sol.runs] == [False, True, False], seed
             assert sol.objective == pytest.approx(Session()._run(lp, False).objective,
                                                   rel=1e-9), seed
+
+    def test_hand_over_releases_capacities_held_at_their_upper_bound(self, desk_system):
+        lp = build_lp(desk_system, PolicyConfig.none())
+        capacities = held_at_sample(lp).columns.lower
+        session = Session()
+        session._run(lp, False, held={i: capacities[i] for i in scalar_columns(lp)})
+        status = session._highs.getBasis().col_status
+        # the Devex model takes these as they are, with no upper bound left
+        assert [i for i in scalar_columns(lp) if status[i].name == "kUpper"]
+        warm = session._run(lp, True)
+        assert warm.status == "optimal"
+        assert warm.objective == pytest.approx(Session()._run(lp, False).objective, rel=1e-9)
 
     def test_held_start_without_optimum_is_repeated_cold(self):
         # no load shedding, and a demand spike at an hour the sample skips
@@ -536,7 +546,6 @@ class TestSession:
         assert sol.status == "optimal" and not sol.warm_start
         assert [(run.warm, bool(run.fixed), run.status) for run in sol.runs] == [
             (False, False, "optimal"), (False, True, "infeasible"), (False, False, "optimal")]
-        assert totals(sol)
         one_run = Session()._run(lp, False)
         assert sol.objective == one_run.objective
         assert np.array_equal(sol.x, one_run.x) and np.array_equal(sol.y, one_run.y)
@@ -557,7 +566,7 @@ class TestSession:
             False, (lp.row("vre-dispatched"),), scalar_columns(lp), 0.0)
         assert opened.objective == Session()._run(free, False).objective
         assert (warm.warm, warm.opened, warm.fixed) == (True, (), ())
-        assert sol.status == "optimal" and not sol.warm_start and totals(sol)
+        assert sol.status == "optimal" and not sol.warm_start
         assert sol.objective == pytest.approx(one_run.objective, rel=1e-9)
         assert check_kkt(lp, sol).passed
         # the session holds the quota LP: another share is one warm run
@@ -605,7 +614,7 @@ class TestSession:
         # then hands its basis to a Devex model and puts the cap back
         assert (warm.warm, warm.opened, warm.fixed, warm.price, warm.pricing) == (
             True, (), (), 0.0, 1)
-        assert sol.status == "optimal" and not sol.warm_start and totals(sol)
+        assert sol.status == "optimal" and not sol.warm_start
         assert sol.objective == pytest.approx(one_run.objective, rel=1e-9)
         assert check_kkt(lp, sol).passed
         # the session holds the cap LP: another cap is one warm run
@@ -613,6 +622,29 @@ class TestSession:
         assert again.warm_start and len(again.runs) == 1
         assert again.objective == pytest.approx(Session()._run(tighter, False).objective,
                                                 rel=1e-9)
+
+    def test_sample_price_keeps_the_taxed_merit_order(self):
+        system = coal_gas_system()
+        lp = build_lp(system, PolicyConfig(co2=Co2Cap(0.03 * float(np.sum(system.demand["N"])))))
+        sol = Session().solve(lp)
+        _, priced, warm = sol.runs
+        mu = -sol.dual("co2-cap")
+        techs = {tech.name: tech for _, tech in system.technologies}
+
+        def cost(name, price):
+            return techs[name].marginal_cost + techs[name].emission_factor * price
+        # the tax moves lignite and coal from before gas to after it
+        assert max(cost("lignite", 0.0), cost("coal", 0.0)) < cost("ccgt", 0.0)
+        assert min(cost("lignite", mu), cost("coal", mu)) > cost("ccgt", mu)
+        assert priced.price > 0.0 and warm.warm and sol.status == "optimal"
+        # held unpriced, the capacities leave the warm run to reorder dispatch
+        capacities = held_at_sample(lp).columns.lower
+        session = Session()
+        session._run(lp, False, (lp.row("co2-cap"),), 0.0,
+                     {i: capacities[i] for i in priced.fixed})
+        unpriced = session._run(lp, True)
+        assert unpriced.objective == pytest.approx(sol.objective, rel=1e-9)
+        assert 3 * warm.iterations < unpriced.iterations
 
     def test_each_model_is_released_before_the_next_load(self, monkeypatch, desk_system):
         core, models, alive = load_highs(), [], []
@@ -639,7 +671,6 @@ class TestSession:
             (False, (), ()),
             (False, (lp.row("co2-cap"), lp.row("vre-dispatched")), scalar_columns(lp)),
             (True, (), ())]
-        assert totals(sol)
         assert sol.dual("co2-cap") < 0.0 < sol.dual("vre-dispatched")
         assert sol.objective == pytest.approx(one_run.objective, rel=1e-9)
         assert check_kkt(lp, sol).passed
@@ -666,7 +697,6 @@ class TestSession:
         assert [(run.rows, run.warm, run.opened, run.fixed, run.price, run.status)
                 for run in sol.runs] == sampled + (
             held if case == "unpriced" else [(len(lp.rows), False, (), (), 0.0, "optimal")])
-        assert totals(sol)
         if case == "unpriced":
             assert sol.objective == pytest.approx(one_run.objective, rel=1e-9)
             assert check_kkt(lp, sol).passed
@@ -690,11 +720,6 @@ class TestSession:
         assert [(run.warm, bool(run.price), run.status) for run in sol.runs] == [
             (False, False, "optimal"), (False, True, "optimal"), (True, False, "infeasible"),
             (False, False, "infeasible")]
-        # the sample is scaled; the priced run, the Devex model and the cold
-        # repeat keep HiGHS' default
-        forced = PRICED_SCALING[1]
-        assert [run.scaling for run in sol.runs] == [forced, 2, 2, 2]
-        assert totals(sol)
 
     def test_cost_perturbation_spares_the_cleanup(self):
         # one node, 1512 h, a binding CO2 cap, marginal costs 1e-7 apart: at
@@ -734,31 +759,6 @@ class TestSession:
         assert [(run.warm, run.pricing) for run in (*first.runs, *again.runs)] == [
             (False, default), (False, default), (True, 1), (True, 1)]
 
-    def test_only_the_priced_cap_start_forces_scaling(self, desk_system):
-        highs = load_highs()._Highs()
-        default, steepest = highs.getOptionValue(SCALING)[1], highs.getOptionValue(PRICING)[1]
-        forced = PRICED_SCALING[1]
-        assert default != forced
-        # the sample is scaled; the priced tax LP at the sample's capacities
-        # keeps the default, and so do the cap LP itself in the Devex model
-        # and later warm runs
-        session = Session()
-        runs = [run for cap in (900.0, 800.0) for run in
-                session.solve(build_lp(desk_system, PolicyConfig(co2=Co2Cap(cap)))).runs]
-        assert [(run.warm, bool(run.price), run.pricing, run.scaling) for run in runs] == [
-            (False, False, steepest, forced), (False, True, steepest, default),
-            (True, False, 1, default), (True, False, 1, default)]
-        # a plain cold run, the runs of a cold quota LP after its sample and
-        # a storage cap LP, which has no sample, keep the default
-        system = flexible_system(24)
-        cap = Co2Cap(0.05 * float(np.sum(system.demand["N"])))
-        runs = [*Session()._run(build_lp(desk_system, PolicyConfig.none()), False).runs,
-                *Session().solve(fig1_support_lp()[2]).runs,
-                *Session().solve(build_lp(system, PolicyConfig(co2=cap))).runs]
-        assert [(run.warm, bool(run.opened), run.scaling) for run in runs] == [
-            (False, False, default), (False, False, forced), (False, True, default),
-            (True, False, default), (False, False, default)]
-
     def test_warm_chain_matches_cold_solves(self):
         system = random_desk_system(0, 1512)
         demand = float(np.sum(system.demand["N"]))
@@ -789,7 +789,7 @@ class TestSession:
             return _sampled(self, stride)
         monkeypatch.setattr(LinearProgram, "sampled", slow)
         sol = Session().solve(build_lp(desk_system, PolicyConfig(co2=Co2Cap(900.0))))
-        assert len(sol.runs) == 3 and sol.runs[0].wall_time >= 0.05 and totals(sol)
+        assert len(sol.runs) == 3 and sol.runs[0].wall_time >= 0.05
 
     def test_infeasible_quota_counts_every_run(self):
         _, _, lp = fig1_support_lp(share=0.9, max_potential=10.0)
@@ -800,4 +800,3 @@ class TestSession:
                 for run in sol.runs] == [
             (False, False, False, "infeasible"), (False, True, False, "optimal"),
             (True, False, False, "infeasible"), (False, False, False, "infeasible")]
-        assert totals(sol)
