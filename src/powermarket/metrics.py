@@ -45,6 +45,7 @@ __all__ = [
     "build_report",
     "report_to_json",
     "report_csv_rows",
+    "csv_cell",
     "write_report_csv",
 ]
 
@@ -448,10 +449,15 @@ def report_csv_rows(report: MetricsReport, scenario: str = "") -> list:
     return rows
 
 
+def csv_cell(value):
+    """A CSV cell of the metrics and sweep tables: "" for None, ``repr`` for
+    a float, so that re-runs write the same bytes, and the value otherwise."""
+    return "" if value is None else repr(float(value)) if isinstance(value, float) else value
+
+
 def write_report_csv(report: MetricsReport, path, scenario: str = "") -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=_CSV_FIELDS)
         writer.writeheader()
         for row in report_csv_rows(report, scenario):
-            writer.writerow({k: ("" if v is None else repr(float(v)) if isinstance(v, float) else v)
-                             for k, v in row.items()})
+            writer.writerow({k: csv_cell(v) for k, v in row.items()})

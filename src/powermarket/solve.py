@@ -15,9 +15,10 @@ family: an LP of the same shape as the one it loaded (the same column and
 row blocks, column bounds, senses and matrix) is solved from the basis of
 the previous solve, with Devex pricing.  The cap LP and its tax LP, which
 frees the cap row, form such a family, and so do the points of a sweep.
-A cold LP first runs with its capacities held at the optimum of a snapshot
-sample and its dense policy rows left free, and is then solved warm from
-that basis.
+A cold LP whose snapshot sample ends optimal first runs with its
+capacities held at the sample's optimum and its dense policy rows left
+free, and is then solved warm from that basis; any other cold LP is
+solved in one plain run.
 
 Sign convention: ``dual[row]`` is the sensitivity of the optimal objective to
 the row's right-hand side (dObj/dRHS).  Balance rows therefore carry
@@ -197,12 +198,12 @@ def load_highs():
 class Session:
     """One HiGHS model kept across the solves of one LP family.
 
-    A cold solve loads its LP into a new model: ``<=`` rows first, then
-    ``=`` rows, with ``>=`` rows negated into ``<=`` form, and runs the dual
-    simplex with presolve on.  A later LP of the same shape (equal column
-    and row blocks, column bounds, row senses and matrix entries) after an
-    optimal solve is solved warm: only the costs and row bounds that differ
-    are pushed, and HiGHS starts from the basis the run before ended at.
+    A cold solve loads its LP into a new model, inequality rows first and
+    then ``=`` rows, and runs the dual simplex with presolve on.  A later
+    LP of the same shape (equal column and row blocks, column bounds, row
+    senses and matrix entries) after an optimal solve is solved warm: only
+    the costs and row bounds that differ are pushed, and HiGHS starts from
+    the basis the run before ended at.
     The loaded LP is the reference for the shape, so change its columns or
     matrix in a copy (:meth:`LinearProgram.copy`), not in place.  A relaxed
     row has an infinite right-hand side, so relaxing a policy row keeps the
@@ -210,23 +211,22 @@ class Session:
 
     The rules, each of which :attr:`Solution.runs` records run by run:
 
-    - Held columns.  A cold solve first solves the LP's snapshot sample
+    - Cold stage.  A cold solve first solves the LP's snapshot sample
       (:meth:`LinearProgram.sampled`, every :data:`SAMPLE_STRIDE`-th
-      snapshot).  When the sample ends optimal, the LP runs with each
-      scalar column (a capacity) held at the sample's value, lower bound
-      equal to upper; with its capacities fixed the LP falls apart into one
-      small dispatch LP per snapshot.  An LP with storage has no sample,
-      and holds no column.
-    - Opened rows.  That run also leaves free the dense policy rows (one
-      entry per dispatch hour) that slow the dual simplex from its slack
-      basis: the dispatched-quota row (``vre-dispatched``) whenever it has a
-      target, and the CO2 cap row (``co2-cap``) when the sample prices it
-      at μ̂ > 0; the cap's columns then have their costs raised by μ̂ times
-      their coefficients, so the run solves the tax LP that a binding cap
-      equals.
-    - A run with columns held or rows open solves another LP: its solution
-      is not read, and the LP itself is then solved as a warm solve from
-      its basis, which releases the held columns.
+      snapshot).  When the sample ends optimal, the LP takes a held start:
+      one run with each scalar column (a capacity) held at the sample's
+      value, lower bound equal to upper, so that the LP falls apart into
+      one small dispatch LP per snapshot.  That run also leaves free every
+      row with a finite right-hand side of the dense policy families, the
+      CO2 cap (``co2-cap``) and the dispatched quota (``vre-dispatched``),
+      whose one entry per dispatch hour slows the dual simplex from its
+      slack basis.  The cap's columns have their costs raised by the
+      sample's cap price μ̂ (which may be 0) times their coefficients, so
+      the run solves the tax LP that a binding cap equals.  The held run
+      solves another LP: its solution is not read, and the LP itself is
+      then solved as a warm solve from its basis, which releases the held
+      columns and restores the rows.  Without an optimal sample (an LP
+      with storage has none) the LP is solved cold in one plain run.
     - Models.  Each model takes the session's :attr:`options`, and the
       model of warm runs :data:`WARM_PRICING` (Devex) as well: a cold run
       keeps HiGHS' defaults otherwise.  HiGHS reads the pricing option only
@@ -234,10 +234,9 @@ class Session:
       the loaded LP and its optimal basis over to a new Devex model, and
       later warm runs stay in it.  Each model is released before the next
       one is loaded.
-    - Repeats.  A warm run, or a run with columns held or rows open, that
-      does not end optimal is repeated cold in one plain run.  An LP that
-      HiGHS rejects raises :class:`SolveError`, and the next LP is loaded
-      cold.
+    - Repeats.  A warm or held run that does not end optimal is repeated
+      cold in one plain run.  An LP that HiGHS rejects raises
+      :class:`SolveError`, and the next LP is loaded cold.
 
     The solution returned is the last run's, with the iterations and wall
     time of every run, the sample's build included.  Every run uses the
@@ -266,19 +265,14 @@ class Session:
             sols = [self._run(lp, True)]
         else:
             sols = self._sample(lp)
-            sample = sols[0] if sols and sols[0].status == "optimal" else None
-            cap = _policy_row(lp, "co2-cap")
-            price = (max(0.0, -sample.dual("co2-cap"))
-                     if sample is not None and cap is not None else 0.0)
-            held = _scalar_values(lp, sample) if sample is not None else {}
-            opened = tuple(row for row in (cap if price > 0.0 else None,
-                                           _policy_row(lp, "vre-dispatched"))
-                           if row is not None)
-            sols.append(self._run(lp, False, opened, price, held))
-            if (opened or held) and sols[-1].status == "optimal":
-                sols.append(self._run(lp, True))
-        last = sols[-1].runs[0]
-        if last.status != "optimal" and (last.warm or last.opened or last.fixed):
+            if sols and sols[0].status == "optimal":
+                sample = sols[0]
+                price = max(0.0, -sample.dual("co2-cap")) if lp.has_row("co2-cap") else 0.0
+                sols.append(self._run(lp, False, _policy_rows(lp), price,
+                                      _scalar_values(lp, sample)))
+                if sols[-1].status == "optimal":
+                    sols.append(self._run(lp, True))
+        if not sols or sols[-1].status != "optimal":
             sols.append(self._run(lp, False))
         sol = sols[-1]
         sol.runs = tuple(run for each in sols for run in each.runs)
@@ -327,7 +321,7 @@ class Session:
             solution = highs.getSolution()
             # + 0.0 turns HiGHS' -0.0 into 0.0, as a solution file writes it
             sol.x = np.array(solution.col_value) + 0.0
-            sol.y = self._sign * np.array(solution.row_dual)[self._highs_row] + 0.0
+            sol.y = np.array(solution.row_dual)[self._highs_row] + 0.0
         sol.runs = (Run(rows=len(lp.rows), warm=warm, opened=opened, fixed=tuple(held),
                         price=price, pricing=highs.getOptionValue(WARM_PRICING[0])[1],
                         status=sol.status, iterations=int(info.simplex_iteration_count),
@@ -358,15 +352,12 @@ class Session:
         for name, value in [*self.options, WARM_PRICING] if devex else self.options:
             _check(f"setOptionValue({name})", self._highs.setOptionValue(name, value))
         self._devex = devex
-        sense = lp.rows.sense
-        eq = sense == "="
+        eq = lp.rows.sense == "="
         order = np.concatenate((np.flatnonzero(~eq), np.flatnonzero(eq)))
         self._highs_row = np.empty(len(order), dtype=np.int64)  # per loaded row
         self._highs_row[order] = np.arange(len(order))
-        self._sign = np.where(sense == ">=", -1.0, 1.0)
         e, cols = lp.entries, lp.columns
-        start, index, value = column_major(self._highs_row[e.row], e.col,
-                                           self._sign[e.row] * e.value, len(cols))
+        start, index, value = column_major(self._highs_row[e.row], e.col, e.value, len(cols))
         model = core.HighsLp()
         model.num_col_ = model.a_matrix_.num_col_ = len(cols)
         model.num_row_ = model.a_matrix_.num_row_ = len(order)
@@ -394,10 +385,10 @@ class Session:
     def _row_bounds(self, lp: LinearProgram) -> tuple:
         """HiGHS row bounds of the rows of ``lp``, in the loaded model's
         order; an infinite right-hand side leaves its row free."""
-        rhs = lp.rows.rhs
+        sense, rhs = lp.rows.sense, lp.rows.rhs
         lower, upper = np.empty(len(rhs)), np.empty(len(rhs))
-        lower[self._highs_row] = np.where(lp.rows.sense == "=", rhs, -np.inf)
-        upper[self._highs_row] = self._sign * rhs
+        lower[self._highs_row] = np.where(sense == "<=", -np.inf, rhs)
+        upper[self._highs_row] = np.where(sense == ">=", np.inf, rhs)
         return lower, upper
 
     def _same_shape(self, lp: LinearProgram) -> bool:
@@ -432,14 +423,13 @@ def _scalar_values(lp: LinearProgram, sample: Solution) -> dict:
             for key, i in lp.col_index.items() if isinstance(i, int)}
 
 
-def _policy_row(lp: LinearProgram, family: str) -> Optional[int]:
-    """Position of the scalar policy row ``family`` of ``lp`` if it has a
-    finite right-hand side."""
-    if lp.has_row(family):
-        row = lp.row(family)
-        if np.isfinite(lp.rows.rhs[row]):
-            return row
-    return None
+def _policy_rows(lp: LinearProgram) -> tuple:
+    """Positions of the rows of ``lp``'s dense policy families, the CO2 cap
+    (``co2-cap``) and then the dispatched quota (``vre-dispatched``), that
+    have a finite right-hand side."""
+    return tuple(i for family in ("co2-cap", "vre-dispatched")
+                 for (name, _), i in lp.row_index.items()
+                 if name == family and np.isfinite(lp.rows.rhs[i]))
 
 
 def solve(lp: LinearProgram, session: Optional[Session] = None) -> Solution:

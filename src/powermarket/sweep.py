@@ -5,11 +5,9 @@ it.  All points run in one HiGHS session in the calling process, each warm
 from the basis of the point before it where the LPs allow it, so a sweep
 pays for one cold solve.  A warm point costs in proportion to its pivots,
 since warm solves price with Devex (see :class:`~powermarket.solve.Session`).
-A cold point starts from its snapshot sample's capacities: on a 1512-hour
-system (2-core machine) the cold first point of a CO2-intensity sweep
-took 0.05-0.08 s, and a warm point where the cap binds 0.06-0.11 s.
-Infeasible tail points (a cap of zero without flexibility, say) are
-recorded as such instead of aborting the grid.
+A cold point starts from its snapshot sample's capacities.  Infeasible
+tail points (a cap of zero without flexibility, say) are recorded as such
+instead of aborting the grid.
 """
 
 from __future__ import annotations
@@ -23,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .formulate import build_lp
-from .metrics import MetricsReport, build_report, penetration_of
+from .metrics import MetricsReport, build_report, csv_cell, penetration_of
 from .model import (
     Co2Cap,
     Co2Tax,
@@ -153,17 +151,9 @@ def run_sweep(plan: SweepPlan) -> SweepResult:
                        config_digest=plan.config_digest())
 
 
-def _fmt(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
 def sweep_csv_text(plan: SweepPlan, result: SweepResult) -> str:
-    """Render the sweep table; float cells use repr so re-runs are
-    byte-identical."""
+    """Render the sweep table; cells follow :func:`~powermarket.metrics.csv_cell`,
+    so re-runs are byte-identical."""
     names = plan.system.tech_names()
     fields = [plan.axis, "status", "verdict", "penetration", "mu_gamma",
               "mu_theta", "mu_co2", "load_weighted_price", "average_price",
@@ -177,28 +167,26 @@ def sweep_csv_text(plan: SweepPlan, result: SweepResult) -> str:
     writer = csv.DictWriter(buf, fieldnames=fields, lineterminator="\n")
     writer.writeheader()
     for p in result.points:
-        row = {plan.axis: _fmt(float(p.value)), "status": p.status,
-               "verdict": p.verdict, "penetration": _fmt(p.penetration)}
+        row = {plan.axis: float(p.value), "status": p.status,
+               "verdict": p.verdict, "penetration": p.penetration}
         if p.report is not None:
             rep = p.report
             row.update({
-                "mu_gamma": _fmt(rep.mu_gamma), "mu_theta": _fmt(rep.mu_theta),
-                "mu_co2": _fmt(rep.mu_co2),
-                "load_weighted_price": _fmt(rep.load_weighted_price),
-                "average_price": _fmt(rep.average_price),
-                "system_cost": _fmt(rep.average_system_cost),
-                "objective": _fmt(rep.objective),
+                "mu_gamma": rep.mu_gamma, "mu_theta": rep.mu_theta, "mu_co2": rep.mu_co2,
+                "load_weighted_price": rep.load_weighted_price,
+                "average_price": rep.average_price,
+                "system_cost": rep.average_system_cost,
+                "objective": rep.objective,
             })
             for name in names:
                 tm = rep.technologies.get(name)
                 if tm is not None:
-                    row[f"mv_{name}"] = _fmt(tm.mv)
-                    row[f"lcoe_{name}"] = _fmt(tm.lcoe)
-                    row[f"rmv_{name}"] = _fmt(tm.rmv)
+                    row[f"mv_{name}"] = tm.mv
+                    row[f"lcoe_{name}"] = tm.lcoe
+                    row[f"rmv_{name}"] = tm.rmv
                 if plan.suppress_negative_prices and rep.suppressed is not None:
-                    row[f"mv_suppressed_{name}"] = _fmt(
-                        rep.suppressed["market_values"].get(name))
-        writer.writerow({k: row.get(k, "") for k in fields})
+                    row[f"mv_suppressed_{name}"] = rep.suppressed["market_values"].get(name)
+        writer.writerow({k: csv_cell(row.get(k)) for k in fields})
     return buf.getvalue()
 
 

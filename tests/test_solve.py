@@ -583,12 +583,13 @@ class TestSession:
         monkeypatch.setattr(sys.modules[check_kkt.__module__], "solve",
                             lambda mirror: sols.append(solve(mirror)) or sols[-1])
         check_subsidy_tax_lift(system, lp, sol, policy)  # solves the quota mirror
-        # each: the sample, then the LP at the sample's capacities; the
-        # premium LP goes on warm, while the sample's capacities cannot meet
-        # the mirror's row, so the mirror is repeated in one plain run
+        # each: the sample, then the LP at the sample's capacities, then warm;
+        # the premium LP's freed quota row stays free, and the mirror's
+        # appended row is left free in its held run
+        mirror = sols[1].lp.row("vre-dispatched", "mirror")
         assert [(run.warm, run.opened, run.status) for each in sols for run in each.runs] \
             == [(False, (), "optimal"), (False, (), "optimal"), (True, (), "optimal"),
-                (False, (), "optimal"), (False, (), "infeasible"), (False, (), "optimal")]
+                (False, (), "optimal"), (False, (mirror,), "optimal"), (True, (), "optimal")]
 
     def test_cold_cap_lp_starts_from_its_priced_tax_lp(self, desk_system):
         lp = build_lp(desk_system, PolicyConfig(co2=Co2Cap(900.0)))
@@ -675,32 +676,45 @@ class TestSession:
         assert sol.objective == pytest.approx(one_run.objective, rel=1e-9)
         assert check_kkt(lp, sol).passed
 
-    @pytest.mark.parametrize("case", ["storage", "unpriced", "infeasible-sample"])
+    @pytest.mark.parametrize("case", ["storage", "infeasible-sample"])
     def test_cap_lp_without_a_sample_price_takes_one_run(self, case):
         if case == "storage":  # a row links two snapshots: no sample
             system = flexible_system(24)
             cap = 0.05 * float(np.sum(system.demand["N"]))
-        elif case == "unpriced":  # the sample's cap does not bind
-            system, cap = random_desk_system(0), 5000.0
         else:  # the sample's dark hours emit more than the cap, the LP's do not
             system, cap = solar_gas_system(), 110.0
         lp = build_lp(system, PolicyConfig(co2=Co2Cap(cap)))
         one_run = Session()._run(lp, False)
         sol = Session().solve(lp)
         sampled = [] if case == "storage" else [
-            (len(lp.sampled(SAMPLE_STRIDE).rows), False, (), (), 0.0,
-             "infeasible" if case == "infeasible-sample" else "optimal")]
-        # the cap row stays in every run; only an optimal sample holds the
-        # capacities, and the LP itself then runs warm
-        held = [(len(lp.rows), False, (), scalar_columns(lp), 0.0, "optimal"),
-                (len(lp.rows), True, (), (), 0.0, "optimal")]
+            (len(lp.sampled(SAMPLE_STRIDE).rows), False, (), (), 0.0, "infeasible")]
+        # without an optimal sample the LP takes one plain run
         assert [(run.rows, run.warm, run.opened, run.fixed, run.price, run.status)
-                for run in sol.runs] == sampled + (
-            held if case == "unpriced" else [(len(lp.rows), False, (), (), 0.0, "optimal")])
-        if case == "unpriced":
-            assert sol.objective == pytest.approx(one_run.objective, rel=1e-9)
-            assert check_kkt(lp, sol).passed
-            return
+                for run in sol.runs] == sampled + [(len(lp.rows), False, (), (), 0.0, "optimal")]
+        assert sol.objective == one_run.objective
+        assert np.array_equal(sol.x, one_run.x) and np.array_equal(sol.y, one_run.y)
+
+    def test_cap_lp_without_a_sample_price_is_held_with_its_cap_row_free(self):
+        # the sample's cap does not bind: the held run leaves the cap row
+        # free at μ̂ = 0, and the LP itself then runs warm with the cap back
+        lp = build_lp(random_desk_system(0), PolicyConfig(co2=Co2Cap(5000.0)))
+        sol = Session().solve(lp)
+        assert [(run.rows, run.warm, run.opened, run.fixed, run.price, run.status)
+                for run in sol.runs] == [
+            (len(lp.sampled(SAMPLE_STRIDE).rows), False, (), (), 0.0, "optimal"),
+            (len(lp.rows), False, (lp.row("co2-cap"),), scalar_columns(lp), 0.0, "optimal"),
+            (len(lp.rows), True, (), (), 0.0, "optimal")]
+        assert sol.objective == pytest.approx(Session()._run(lp, False).objective, rel=1e-9)
+        assert check_kkt(lp, sol).passed
+
+    def test_storage_quota_lp_takes_one_plain_run(self):
+        # a storage LP has no sample: nothing is held and no row left free
+        system = flexible_system(168)
+        lp = build_lp(system, PolicyConfig(support=SupportDispatched(("solar",), share=0.5)))
+        sol = Session().solve(lp)
+        one_run = Session()._run(lp, False)
+        assert [(run.warm, run.opened, run.fixed, run.status) for run in sol.runs] == [
+            (False, (), (), "optimal")]
         assert sol.objective == one_run.objective
         assert np.array_equal(sol.x, one_run.x) and np.array_equal(sol.y, one_run.y)
 
@@ -795,8 +809,7 @@ class TestSession:
         _, _, lp = fig1_support_lp(share=0.9, max_potential=10.0)
         sol = Session().solve(lp)
         assert sol.status == "infeasible" and not sol.warm_start
-        # the sample cannot meet the quota either, so no capacity is held
+        # the sample cannot meet the quota either, so the LP takes one plain run
         assert [(run.warm, bool(run.opened), bool(run.fixed), run.status)
                 for run in sol.runs] == [
-            (False, False, False, "infeasible"), (False, True, False, "optimal"),
-            (True, False, False, "infeasible"), (False, False, False, "infeasible")]
+            (False, False, False, "infeasible"), (False, False, False, "infeasible")]
