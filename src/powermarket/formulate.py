@@ -11,9 +11,10 @@ slicing through the block index.
 
 Names of the form ``family.entity.t<idx>`` exist only at the interchange
 edges: the free-form MPS file written here, the solution file
-in :mod:`powermarket.solve`, and error messages.  The module also
-implements the Lagrangian-relaxation substitution that turns a binding cap
-into an equivalent objective shift.
+in :mod:`powermarket.solve`, and error messages.  :func:`relax` is the one
+Lagrangian relaxation of policy rows: it frees rows and prices them into
+the costs, so that a binding cap relaxed at its shadow price is a tax and a
+binding quota a premium.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ __all__ = [
     "cycle_basis",
     "apply_equivalence_substitution",
     "column_major",
-    "relaxation_shift",
+    "relax",
     "write_mps",
 ]
 
@@ -190,17 +191,6 @@ class LinearProgram:
 
     def copy(self) -> "LinearProgram":
         return copy.deepcopy(self)
-
-    def free_row(self, family: str, entity: Optional[str] = None) -> None:
-        """Relax a scalar inequality row in place: it keeps its position and
-        entries, and its right-hand side becomes +inf (``<=``) or -inf
-        (``>=``)."""
-        index = self.row(family, entity)
-        sense = self.rows.sense[index]
-        if sense == "=":
-            raise FormulationError(
-                f"cannot free equality row '{_block_id((family, entity))}'")
-        self.rows.rhs[index] = INF if sense == "<=" else -INF
 
     def sampled(self, stride: int) -> Optional["LinearProgram"]:
         """The LP restricted to every ``stride``-th snapshot, or None when a
@@ -463,37 +453,36 @@ def build_lp(system: PowerSystem, policy: PolicyConfig) -> LinearProgram:
     return lp
 
 
-def apply_equivalence_substitution(lp: LinearProgram, family: str,
-                                   mu: float) -> LinearProgram:
-    """Lagrangian relaxation of one scalar policy row at a fixed multiplier.
+def relax(lp: LinearProgram, prices: dict) -> tuple:
+    """(objective, rhs) of the Lagrangian relaxation of ``lp`` at ``prices``,
+    ``{row position: μ >= 0}``: each listed inequality row is freed, its
+    right-hand side +inf (``<=``) or -inf (``>=``), and the costs of its
+    columns are raised by μ times their coefficients in it, negated for a
+    ``>=`` row.  Raises :class:`FormulationError` on an ``=`` row.  The
+    arrays are new; ``lp`` is not changed."""
+    objective, rhs = lp.columns.objective.copy(), lp.rows.rhs.copy()
+    e = lp.entries
+    for row, mu in prices.items():
+        sense = lp.rows.sense[row]
+        if sense == "=":
+            raise FormulationError(f"cannot relax equality row '{lp.row_names()[row]}'")
+        rhs[row] = INF if sense == "<=" else -INF
+        if mu:
+            in_row = e.row == row
+            cols = e.col[in_row]
+            coef = np.bincount(cols, weights=e.value[in_row], minlength=len(objective))
+            cols = np.unique(cols)
+            objective[cols] += (mu if sense == "<=" else -mu) * coef[cols]
+    return objective, rhs
 
-    Returns a copy with the row freed (see :meth:`LinearProgram.free_row`)
-    and the objective coefficients of the row's columns shifted by ``mu``
-    times the coefficient (sign chosen so a binding cap becomes a tax and a
-    binding quota becomes a premium).  ``mu`` is the non-negative policy
-    shadow price.  The copy has the rows and matrix of ``lp``, so it can be
-    solved warm in the session that solved ``lp``.
-    """
-    if not lp.has_row(family):
-        raise FormulationError(f"policy row '{family}' absent")
+
+def apply_equivalence_substitution(lp: LinearProgram, prices: dict) -> LinearProgram:
+    """A copy of ``lp`` relaxed at ``prices`` (see :func:`relax`).  The copy
+    has the rows and matrix of ``lp``, so it can be solved warm in the
+    session that solved ``lp``."""
     out = lp.copy()
-    cols, shift = relaxation_shift(out, family, mu)
-    out.columns.objective[cols] += shift
-    out.free_row(family)
+    out.columns.objective[:], out.rows.rhs[:] = relax(lp, prices)
     return out
-
-
-def relaxation_shift(lp: LinearProgram, family: str, mu: float) -> tuple:
-    """(columns, cost shift) of the Lagrangian relaxation of scalar policy
-    row ``family`` at multiplier ``mu``: ``mu`` times each column's
-    coefficient in the row, negated for a ``>=`` row."""
-    ri = lp.row(family)
-    sign = 1.0 if lp.rows.sense[ri] == "<=" else -1.0
-    in_row = lp.entries.row == ri
-    cols = lp.entries.col[in_row]
-    coef = np.bincount(cols, weights=lp.entries.value[in_row], minlength=len(lp.columns))
-    cols = np.unique(cols)
-    return cols, sign * mu * coef[cols]
 
 
 # -- MPS interchange --------------------------------------------------------------

@@ -15,10 +15,10 @@ family: an LP of the same shape as the one it loaded (the same column and
 row blocks, column bounds, senses and matrix) is solved from the basis of
 the previous solve, with Devex pricing.  The cap LP and its tax LP, which
 frees the cap row, form such a family, and so do the points of a sweep.
-A cold LP whose snapshot sample ends optimal first runs with its
-capacities held at the sample's optimum and its dense policy rows left
-free, and is then solved warm from that basis; any other cold LP is
-solved in one plain run.
+A cold LP whose snapshot sample ends optimal first takes a held run, the
+LP relaxed at the sample's prices (:func:`powermarket.formulate.relax`)
+with its capacities held at the sample's optimum, and is then solved warm
+from that basis; any other cold LP is solved in one plain run.
 
 Sign convention: ``dual[row]`` is the sensitivity of the optimal objective to
 the row's right-hand side (dObj/dRHS).  Balance rows therefore carry
@@ -41,7 +41,7 @@ from typing import Optional
 
 import numpy as np
 
-from .formulate import LinearProgram, column_major, relaxation_shift
+from .formulate import LinearProgram, column_major, relax
 
 __all__ = ["NO_OPTIMUM", "STATUSES", "Run", "Session", "Solution", "SolveError", "load_highs",
            "solve", "solve_external", "status_of", "write_solution_file"]
@@ -97,9 +97,8 @@ class Run:
 
     rows: int          # rows of the LP it ran; a snapshot sample has fewer
     warm: bool         # from the basis of the run before, in a Devex model
-    opened: tuple      # positions of the rows it left free
+    relaxed: tuple     # (position, price) of each row it relaxed
     fixed: tuple       # positions of the columns it held at the sample's values
-    price: float       # μ̂ that raised the CO2 cap row's costs, or 0
     pricing: int       # HiGHS simplex_dual_edge_weight_strategy of its model
     status: str
     iterations: int
@@ -206,27 +205,27 @@ class Session:
     the basis the run before ended at.
     The loaded LP is the reference for the shape, so change its columns or
     matrix in a copy (:meth:`LinearProgram.copy`), not in place.  A relaxed
-    row has an infinite right-hand side, so relaxing a policy row keeps the
-    shape.
+    row has an infinite right-hand side, so relaxing a policy row
+    (:func:`powermarket.formulate.relax`) keeps the shape.
 
     The rules, each of which :attr:`Solution.runs` records run by run:
 
     - Cold stage.  A cold solve first solves the LP's snapshot sample
       (:meth:`LinearProgram.sampled`, every :data:`SAMPLE_STRIDE`-th
       snapshot).  When the sample ends optimal, the LP takes a held start:
-      one run with each scalar column (a capacity) held at the sample's
-      value, lower bound equal to upper, so that the LP falls apart into
-      one small dispatch LP per snapshot.  That run also leaves free every
-      row with a finite right-hand side of the dense policy families, the
-      CO2 cap (``co2-cap``) and the dispatched quota (``vre-dispatched``),
-      whose one entry per dispatch hour slows the dual simplex from its
-      slack basis.  The cap's columns have their costs raised by the
-      sample's cap price μ̂ (which may be 0) times their coefficients, so
-      the run solves the tax LP that a binding cap equals.  The held run
-      solves another LP: its solution is not read, and the LP itself is
-      then solved as a warm solve from its basis, which releases the held
-      columns and restores the rows.  Without an optimal sample (an LP
-      with storage has none) the LP is solved cold in one plain run.
+      one run of the LP relaxed at the sample's prices, with each scalar
+      column (a capacity) held at the sample's value, lower bound equal to
+      upper, so that the LP falls apart into one small dispatch LP per
+      snapshot.  The prices (:func:`_policy_rows`) relax every row with a
+      finite right-hand side of the dense policy families, whose one entry
+      per dispatch hour slows the dual simplex from its slack basis: the
+      CO2 cap (``co2-cap``) at the sample's price μ̂ (which may be 0), so
+      that a binding cap runs as its tax, and the dispatched quota
+      (``vre-dispatched``) at 0.  The held run solves another LP: its
+      solution is not read, and the LP itself is then solved as a warm
+      solve from its basis, which releases the held columns and restores
+      the rows and costs.  Without an optimal sample (an LP with storage
+      has none) the LP is solved cold in one plain run.
     - Models.  Each model takes the session's :attr:`options`, and the
       model of warm runs :data:`WARM_PRICING` (Devex) as well: a cold run
       keeps HiGHS' defaults otherwise.  HiGHS reads the pricing option only
@@ -267,8 +266,7 @@ class Session:
             sols = self._sample(lp)
             if sols and sols[0].status == "optimal":
                 sample = sols[0]
-                price = max(0.0, -sample.dual("co2-cap")) if lp.has_row("co2-cap") else 0.0
-                sols.append(self._run(lp, False, _policy_rows(lp), price,
+                sols.append(self._run(lp, False, _policy_rows(lp, sample),
                                       _scalar_values(lp, sample)))
                 if sols[-1].status == "optimal":
                     sols.append(self._run(lp, True))
@@ -289,19 +287,18 @@ class Session:
         sol.runs = (replace(sol.runs[0], wall_time=time.perf_counter() - t0),)
         return [sol]
 
-    def _run(self, lp: LinearProgram, warm: bool, opened: tuple = (), price: float = 0.0,
+    def _run(self, lp: LinearProgram, warm: bool, prices: Optional[dict] = None,
              held: Optional[dict] = None) -> Solution:
         """One HiGHS run of ``lp``: warm in a Devex model, or cold in a new
-        model with the rows ``opened`` left free, the CO2 cap row's costs
-        raised by ``price`` times its coefficients and each column of
-        ``held`` (position: value) held at its value.  A run with rows left
-        free or columns held solves another LP than ``lp``: it reads no
-        solution, only status and objective."""
+        model of ``lp`` relaxed at ``prices`` (row position: μ) with each
+        column of ``held`` (position: value) held at its value.  A run with
+        rows relaxed or columns held solves another LP than ``lp``: it reads
+        no solution, only status and objective."""
         t0 = time.perf_counter()
         self._optimal = False
-        held = held or {}
+        prices, held = prices or {}, held or {}
         if not warm:
-            self._load(lp, opened, price, held)
+            self._load(lp, prices, held)
         else:
             if not self._devex:
                 self._hand_over()
@@ -317,13 +314,13 @@ class Session:
         if sol.status == "optimal":
             self._optimal = True
             sol.objective = float(info.objective_function_value)
-        if sol.status == "optimal" and not opened and not held:
+        if sol.status == "optimal" and not prices and not held:
             solution = highs.getSolution()
             # + 0.0 turns HiGHS' -0.0 into 0.0, as a solution file writes it
             sol.x = np.array(solution.col_value) + 0.0
             sol.y = np.array(solution.row_dual)[self._highs_row] + 0.0
-        sol.runs = (Run(rows=len(lp.rows), warm=warm, opened=opened, fixed=tuple(held),
-                        price=price, pricing=highs.getOptionValue(WARM_PRICING[0])[1],
+        sol.runs = (Run(rows=len(lp.rows), warm=warm, relaxed=tuple(prices.items()),
+                        fixed=tuple(held), pricing=highs.getOptionValue(WARM_PRICING[0])[1],
                         status=sol.status, iterations=int(info.simplex_iteration_count),
                         wall_time=wall, objective=sol.objective),)
         return sol
@@ -339,13 +336,11 @@ class Session:
         self._load(self._loaded, devex=True)
         _check("setBasis", self._highs.setBasis(basis))
 
-    def _load(self, lp: LinearProgram, opened: tuple = (), price: float = 0.0,
+    def _load(self, lp: LinearProgram, prices: Optional[dict] = None,
               held: Optional[dict] = None, devex: bool = False) -> None:
-        """Release the model and pass ``lp`` to a new one with the session's
-        :attr:`options`, and :data:`WARM_PRICING` if ``devex``, with the rows
-        ``opened`` free, the costs of the CO2 cap row's columns raised by
-        ``price`` times their coefficients in it, and the columns of ``held``
-        held at its values."""
+        """Release the model and pass ``lp`` relaxed at ``prices`` to a new
+        one with the session's :attr:`options`, and :data:`WARM_PRICING` if
+        ``devex``, with the columns of ``held`` held at its values."""
         core = load_highs()
         self._highs = None
         self._highs = core._Highs()
@@ -365,27 +360,22 @@ class Session:
         model.a_matrix_.start_ = start
         model.a_matrix_.index_ = index
         model.a_matrix_.value_ = value
-        self._cost = cols.objective.copy()
-        if price:
-            taxed, shift = relaxation_shift(lp, "co2-cap", price)
-            self._cost[taxed] += shift
+        self._cost, rhs = relax(lp, prices or {})
         model.col_cost_ = self._cost
         lower, upper = cols.lower, cols.upper
         if held:
             lower, upper = lower.copy(), upper.copy()
             lower[list(held)] = upper[list(held)] = list(held.values())
         model.col_lower_, model.col_upper_ = lower, upper
-        self._row_lower, self._row_upper = self._row_bounds(lp)
-        i = self._highs_row[list(opened)]
-        self._row_lower[i], self._row_upper[i] = -np.inf, np.inf
+        self._row_lower, self._row_upper = self._row_bounds(lp.rows.sense, rhs)
         model.row_lower_, model.row_upper_ = self._row_lower, self._row_upper
         _check("passModel", self._highs.passModel(model))
         self._loaded = lp
 
-    def _row_bounds(self, lp: LinearProgram) -> tuple:
-        """HiGHS row bounds of the rows of ``lp``, in the loaded model's
-        order; an infinite right-hand side leaves its row free."""
-        sense, rhs = lp.rows.sense, lp.rows.rhs
+    def _row_bounds(self, sense: np.ndarray, rhs: np.ndarray) -> tuple:
+        """HiGHS row bounds of rows of senses ``sense`` and right-hand sides
+        ``rhs``, in the loaded model's order; an infinite right-hand side
+        leaves its row free."""
         lower, upper = np.empty(len(rhs)), np.empty(len(rhs))
         lower[self._highs_row] = np.where(sense == "<=", -np.inf, rhs)
         upper[self._highs_row] = np.where(sense == ">=", np.inf, rhs)
@@ -409,7 +399,7 @@ class Session:
             self._cost = cols.objective.copy()
             _check("changeColsCost", highs.changeColsCost(
                 changed.size, changed.astype(np.int32), self._cost[changed]))
-        lower, upper = self._row_bounds(lp)
+        lower, upper = self._row_bounds(lp.rows.sense, lp.rows.rhs)
         for i in np.flatnonzero((lower != self._row_lower) | (upper != self._row_upper)):
             _check("changeRowBounds",
                    highs.changeRowBounds(int(i), float(lower[i]), float(upper[i])))
@@ -423,13 +413,15 @@ def _scalar_values(lp: LinearProgram, sample: Solution) -> dict:
             for key, i in lp.col_index.items() if isinstance(i, int)}
 
 
-def _policy_rows(lp: LinearProgram) -> tuple:
-    """Positions of the rows of ``lp``'s dense policy families, the CO2 cap
-    (``co2-cap``) and then the dispatched quota (``vre-dispatched``), that
-    have a finite right-hand side."""
-    return tuple(i for family in ("co2-cap", "vre-dispatched")
-                 for (name, _), i in lp.row_index.items()
-                 if name == family and np.isfinite(lp.rows.rhs[i]))
+def _policy_rows(lp: LinearProgram, sample: Solution) -> dict:
+    """Prices of the held run of ``lp`` (see :class:`Session`) on each row of
+    the dense policy families with a finite right-hand side: the CO2 cap
+    (``co2-cap``) at its price in the snapshot ``sample``, which may be 0,
+    and then the dispatched quota (``vre-dispatched``) at 0."""
+    return {i: max(0.0, -sample.dual(*key)) if family == "co2-cap" else 0.0
+            for family in ("co2-cap", "vre-dispatched")
+            for key, i in lp.row_index.items()
+            if key[0] == family and np.isfinite(lp.rows.rhs[i])}
 
 
 def solve(lp: LinearProgram, session: Optional[Session] = None) -> Solution:

@@ -272,9 +272,8 @@ def check_cap_tax_equivalence(system: PowerSystem, lp: LinearProgram, sol: Solut
     mu = 0.0 - sol.dual("co2-cap")  # a zero price reads 0.0, not -0.0
     emissions = sum(acct.spec.emission_factor * acct.energy
                     for acct in accounts(system, sol) if acct.spec is not None)
-    tax_lp = apply_equivalence_substitution(lp, "co2-cap", mu)
-    # warm from the cap LP's basis in its session: the tax LP has the cap
-    # LP's shape, with new costs and the cap row freed
+    tax_lp = apply_equivalence_substitution(lp, {lp.row("co2-cap"): mu})
+    # warm from the cap LP's basis in its session: the tax LP keeps its shape
     tax_sol = solve(tax_lp, session=sol.session)
     unsolved = _unsolved("cap-tax-equivalence", tax_sol, "tax")
     if unsolved:
@@ -303,8 +302,8 @@ def check_cap_tax_equivalence(system: PowerSystem, lp: LinearProgram, sol: Solut
 def check_subsidy_tax_lift(system: PowerSystem, lp: LinearProgram, sol: Solution,
                            policy: PolicyConfig) -> CheckResult:
     """Replace 'force in the supported set' by 'cap everything else' in the
-    solved LP ``lp`` (a copy with the quota row freed and a mirror row
-    appended over every dispatch block outside the quota row, load
+    solved LP ``lp`` (a copy relaxed at 0 on the quota row, with a mirror
+    row appended over every dispatch block outside the quota row, load
     shedding included) and check that all prices and market values lift by
     exactly the premium.  Prices that differ are 'inconclusive' rather
     than 'fail' when the mirror's duals, lowered by the mirror row's price
@@ -318,12 +317,12 @@ def check_subsidy_tax_lift(system: PowerSystem, lp: LinearProgram, sol: Solution
     mu_gamma = sol.dual("vre-dispatched")
     gamma_energy = support.energy_target(system)
 
-    mirror = lp.copy()
-    mirror.free_row("vre-dispatched")
+    quota = lp.row("vre-dispatched")
+    mirror = apply_equivalence_substitution(lp, {quota: 0.0})
     row = mirror.add_rows(("vre-dispatched", "mirror"), sense="<=",
                           rhs=system.total_demand() - gamma_energy)
     in_quota = np.zeros(len(lp.columns), dtype=bool)
-    in_quota[lp.entries.col[lp.entries.row == lp.row("vre-dispatched")]] = True
+    in_quota[lp.entries.col[lp.entries.row == quota]] = True
     for (family, _), index in lp.col_index.items():
         if family == "g" and not in_quota[index].any():
             mirror.add_entries(row, index, 1.0)

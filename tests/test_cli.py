@@ -202,6 +202,18 @@ class TestSolve:
         assert capsys.readouterr().err == (
             f"error: {path}, line {len(lines)}: second record of {what}\n")
 
+    @pytest.mark.parametrize("dropped, message", [
+        ("col G.coal@DE ", "misses columns, e.g. 'G.coal@DE'"),
+        ("row balance.DE.t0 ", "misses rows, e.g. 'balance.DE.t0'"),
+        ("row ", "has no dual section; unusable for theorem checks")],
+        ids=["one-col", "one-row", "every-row"])
+    def test_missing_records_are_one_error_line(self, tmp_path, capsys, dropped, message):
+        lines = [line for line in self.written_solution(tmp_path)
+                 if not line.startswith(dropped)]
+        path, code = self.read_back(tmp_path, lines)
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {path}: solution file {message}\n"
+
     @pytest.mark.parametrize("status, code", [("infeasible", 3), ("numerical", 4)])
     def test_status_read_from_a_file_names_it(self, tmp_path, capsys, status, code):
         path = tmp_path / "external.sol"
@@ -520,6 +532,34 @@ STRUCTURE_ERRORS = {
     "zero-total-demand": (
         edited("wind_gas_168h.json", demand={"N": {"kind": "flat-demand", "scale": 0}}),
         "system: demand (total demand must be > 0)"),
+    "line-self-loop": (
+        edited("wind_gas_168h.json",
+               lines=[{"from_node": "N", "to_node": "N", "existing_capacity": 50.0}]),
+        "N+N: self-loop (line endpoints must differ)"),
+    "negative-capex": (
+        edited("wind_gas_168h.json", technologies=[
+            {**bundled("wind_gas_168h.json")["technologies"][0], "capex": -1.0},
+            bundled("wind_gas_168h.json")["technologies"][1]]),
+        "wind@N: capex (capex must be >= 0)"),
+    "negative-emission-factor": (
+        edited("wind_gas_168h.json", technologies=[
+            bundled("wind_gas_168h.json")["technologies"][0],
+            {**bundled("wind_gas_168h.json")["technologies"][1], "emission_factor": -0.1}]),
+        "ocgt@N: emission-factor (emission factor must be >= 0)"),
+    "zero-voll": (
+        edited("wind_gas_168h.json",
+               options={**bundled("wind_gas_168h.json")["options"], "voll": 0}),
+        "system: voll (value of lost load must be > 0)"),
+    "negative-premium": (
+        edited("wind_gas_168h.json", policy={"support": {
+            "type": "fip", "technologies": ["wind"], "premium": -1.0}}),
+        "policy: premium (premium must be >= 0)"),
+    "negative-tax": (
+        edited("wind_gas_168h.json", policy={"co2": {"type": "tax", "rate": -1.0}}),
+        "policy: co2-tax (tax must be >= 0)"),
+    "negative-cap": (
+        edited("wind_gas_168h.json", policy={"co2": {"type": "cap", "cap": -1.0}}),
+        "policy: co2-cap (cap must be >= 0)"),
 }
 
 

@@ -8,6 +8,7 @@ from powermarket.formulate import (
     apply_equivalence_substitution,
     build_lp,
     cycle_basis,
+    relax,
     write_mps,
 )
 from powermarket.model import (
@@ -17,15 +18,17 @@ from powermarket.model import (
     PolicyConfig,
     PowerSystem,
     StorageSpec,
+    SupportAvailable,
     SupportDispatched,
     TechnologySpec,
     Violation,
     validate,
 )
 
+from powermarket.scenario import load_scenario
 from powermarket.solve import SAMPLE_STRIDE, Session
 
-from conftest import assert_highs_reads, flexible_system, random_desk_system
+from conftest import assert_highs_reads, flexible_system, random_desk_system, scenario_path
 
 
 def simple_system(snapshots=4):
@@ -133,25 +136,89 @@ class TestCycleBasis:
 
 
 class TestEquivalenceSubstitution:
-    def test_cap_row_becomes_objective_shift(self):
-        # gas with e=0.4 and o=90 under mu=50 gets an effective o of 110
+    @staticmethod
+    def policy_lp():
+        """Gas (e=0.4, o=90) and wind (o=1) under a CO2 cap, a ``<=`` row,
+        and a dispatched wind quota, a ``>=`` row."""
         gas = TechnologySpec(name="gas", capex=100.0, lifetime=1.0,
                              variable_cost=90.0, emission_factor=0.4)
+        wind = TechnologySpec(name="wind", capex=50.0, lifetime=1.0, variable_cost=1.0,
+                              availability=(0.2, 0.8))
         system = PowerSystem(nodes=("N",), snapshots=2,
                              demand={"N": (10.0, 10.0)},
-                             technologies=(("N", gas),), discount_rate=0.0)
-        lp = build_lp(system, PolicyConfig(co2=Co2Cap(5.0)))
-        sub = apply_equivalence_substitution(lp, "co2-cap", 50.0)
-        # the cap row is freed in place: same rows and matrix, rhs +inf
-        assert sub.row_index == lp.row_index
-        assert sub.rows.rhs[sub.row("co2-cap")] == float("inf")
-        assert np.array_equal(np.delete(sub.rows.rhs, sub.row("co2-cap")),
-                              np.delete(lp.rows.rhs, lp.row("co2-cap")))
-        assert np.array_equal(sub.entries.value, lp.entries.value)
-        assert sub.columns.objective[sub.col("g", "gas@N")][0] == pytest.approx(110.0)
+                             technologies=(("N", gas), ("N", wind)), discount_rate=0.0)
+        return build_lp(system, PolicyConfig(support=SupportDispatched(("wind",), share=0.5),
+                                             co2=Co2Cap(5.0)))
+
+    @staticmethod
+    def assert_relaxed(lp, prices: dict, gas: float, wind: float) -> None:
+        """``lp`` relaxed at ``prices`` has dispatch costs ``gas`` and
+        ``wind``, the rows of ``prices`` free and otherwise the arrays of
+        ``lp``, which is left untouched."""
+        before = lp.copy()
+        sub = apply_equivalence_substitution(lp, prices)
+        # the rows are freed in place: same rows and matrix
+        assert sub.row_index == lp.row_index and sub.col_index == lp.col_index
+        assert np.array_equal(sub.rows.sense, lp.rows.sense)
+        for name in ("row", "col", "value"):
+            assert np.array_equal(getattr(sub.entries, name), getattr(lp.entries, name))
+        rhs = lp.rows.rhs.copy()
+        for row in prices:
+            rhs[row] = np.inf if lp.rows.sense[row] == "<=" else -np.inf
+        assert np.array_equal(sub.rows.rhs, rhs)
+        g_gas, g_wind = lp.col("g", "gas@N"), lp.col("g", "wind@N")
+        assert sub.columns.objective[g_gas] == pytest.approx([gas, gas])
+        assert sub.columns.objective[g_wind] == pytest.approx([wind, wind])
+        others = np.ones(len(lp.columns), dtype=bool)
+        others[g_gas] = others[g_wind] = False
+        assert np.array_equal(sub.columns.objective[others], lp.columns.objective[others])
         # original LP untouched
+        assert np.array_equal(lp.rows.rhs, before.rows.rhs)
+        assert np.array_equal(lp.columns.objective, before.columns.objective)
+
+    def test_cap_row_becomes_objective_shift(self):
+        # gas with e=0.4 and o=90 under mu=50 gets an effective o of 110
+        lp = self.policy_lp()
         assert lp.rows.rhs[lp.row("co2-cap")] == 5.0
-        assert lp.columns.objective[lp.col("g", "gas@N")][0] == pytest.approx(90.0)
+        self.assert_relaxed(lp, {lp.row("co2-cap"): 50.0}, gas=110.0, wind=1.0)
+
+    def test_quota_row_becomes_premium(self):
+        # wind with o=1 under mu=7 gets an effective o of -6, alone and
+        # with the cap relaxed in the same call
+        lp = self.policy_lp()
+        quota, cap = lp.row("vre-dispatched"), lp.row("co2-cap")
+        self.assert_relaxed(lp, {quota: 7.0}, gas=90.0, wind=-6.0)
+        self.assert_relaxed(lp, {cap: 50.0, quota: 7.0}, gas=110.0, wind=-6.0)
+
+    def test_equality_row_cannot_be_relaxed(self):
+        lp = self.policy_lp()
+        balance = lp.row("balance", "N").start
+        with pytest.raises(FormulationError, match="equality row 'balance.N.t0'"):
+            relax(lp, {balance: 1.0})
+        with pytest.raises(FormulationError):
+            apply_equivalence_substitution(lp, {lp.row("co2-cap"): 50.0, balance: 0.0})
+
+    @pytest.mark.parametrize("family, policy", [
+        ("co2-cap", PolicyConfig(co2=Co2Cap(855.558))),
+        ("vre-dispatched", PolicyConfig(support=SupportDispatched(("wind",), share=0.9))),
+        ("vre-available", PolicyConfig(support=SupportAvailable(("wind",), share=1.0)))],
+        ids=["co2-cap", "vre-dispatched", "vre-available"])
+    def test_relaxed_objective_is_the_lagrangian(self, family, policy):
+        # at the row's shadow price μ the relaxed LP's optimum is z + μ·b for
+        # a binding <= row and z - μ·b for a binding >= row
+        system, _, _ = load_scenario(scenario_path("wind_gas_168h.json"))
+        lp = build_lp(system, policy)
+        sol = Session().solve(lp)
+        row = lp.row(family)
+        sign = 1.0 if lp.rows.sense[row] == "<=" else -1.0
+        mu = -sign * sol.dual(family)
+        assert sol.status == "optimal" and mu > 0.0
+        if family == "vre-available":
+            assert mu == pytest.approx(3.237, abs=1e-3)
+        relaxed = sol.session.solve(apply_equivalence_substitution(lp, {row: mu}))
+        assert relaxed.status == "optimal" and relaxed.warm_start
+        assert relaxed.objective == pytest.approx(
+            sol.objective + sign * mu * lp.rows.rhs[row], rel=1e-9)
 
 
 def dense(lp) -> np.ndarray:

@@ -70,7 +70,7 @@ class TestSolve:
         sol = solve(lp)
         assert sol.status == "optimal"
         # the sample, the LP at the sample's capacity, the LP itself warm
-        assert [(run.warm, run.opened, run.fixed) for run in sol.runs] == [
+        assert [(run.warm, run.relaxed, run.fixed) for run in sol.runs] == [
             (False, (), ()), (False, (), (lp.col("G", "gas@N"),)), (True, (), ())]
         assert sol.objective == pytest.approx(11_500.0)
         assert sol.price("N", 0) == pytest.approx(110.0)
@@ -422,7 +422,7 @@ class TestSession:
     def test_tax_lp_resolves_warm_from_the_cap_basis(self, desk_system):
         lp = build_lp(desk_system, PolicyConfig(co2=Co2Cap(900.0)))
         sol = solve(lp)
-        tax_lp = apply_equivalence_substitution(lp, "co2-cap", -sol.dual("co2-cap"))
+        tax_lp = apply_equivalence_substitution(lp, {lp.row("co2-cap"): -sol.dual("co2-cap")})
         warm = solve(tax_lp, session=sol.session)
         cold = solve(tax_lp)
         assert warm.warm_start and not cold.warm_start
@@ -493,22 +493,22 @@ class TestSession:
         assert sol.status == "infeasible" and not sol.warm_start
         warm, cold = sol.runs
         assert warm.warm and not cold.warm and warm.iterations > 0
-        assert (cold.opened, cold.status) == ((), "infeasible")
+        assert (cold.relaxed, cold.status) == ((), "infeasible")
 
     def test_cold_lp_runs_at_its_sample_capacities(self, desk_system):
         lp = build_lp(desk_system, PolicyConfig.none())
         sol = Session().solve(lp)
         sample, held, warm = sol.runs
-        assert (sample.warm, sample.opened, sample.fixed) == (False, (), ())
+        assert (sample.warm, sample.relaxed, sample.fixed) == (False, (), ())
         assert sample.rows == len(lp.sampled(SAMPLE_STRIDE).rows) < len(lp.rows)
         # every capacity is held at the sample's value, and that run's
         # solution, of another LP, is not read
-        assert (held.warm, held.opened, held.fixed) == (False, (), scalar_columns(lp))
+        assert (held.warm, held.relaxed, held.fixed) == (False, (), scalar_columns(lp))
         assert len(held.fixed) == 4
         assert held.objective == Session()._run(held_at_sample(lp), False).objective
         assert Session()._run(lp, False, held={held.fixed[0]: 1.0}).x is None
         # the LP itself runs warm, with the capacities released
-        assert (warm.warm, warm.opened, warm.fixed) == (True, (), ())
+        assert (warm.warm, warm.relaxed, warm.fixed) == (True, (), ())
         assert sol.status == "optimal" and not sol.warm_start
         assert sol.objective == pytest.approx(Session()._run(lp, False).objective, rel=1e-9)
         assert check_kkt(lp, sol).passed
@@ -554,18 +554,18 @@ class TestSession:
         _, _, lp = fig1_support_lp()
         _, _, other = fig1_support_lp(share=0.5)
         one_run, other_one_run = (Session()._run(quota, False) for quota in (lp, other))
-        free = held_at_sample(lp)
-        free.free_row("vre-dispatched")
+        free = apply_equivalence_substitution(held_at_sample(lp),
+                                              {lp.row("vre-dispatched"): 0.0})
         session = Session()
         sol = session.solve(lp)
-        sample, opened, warm = sol.runs
+        sample, held, warm = sol.runs
         # after the sample, the LP runs policy-free at the sample's
         # capacities; the warm run restores the target and the capacities
         assert not sample.warm and sample.rows < len(lp.rows)
-        assert (opened.warm, opened.opened, opened.fixed, opened.price) == (
-            False, (lp.row("vre-dispatched"),), scalar_columns(lp), 0.0)
-        assert opened.objective == Session()._run(free, False).objective
-        assert (warm.warm, warm.opened, warm.fixed) == (True, (), ())
+        assert (held.warm, held.relaxed, held.fixed) == (
+            False, ((lp.row("vre-dispatched"), 0.0),), scalar_columns(lp))
+        assert held.objective == Session()._run(free, False).objective
+        assert (warm.warm, warm.relaxed, warm.fixed) == (True, (), ())
         assert sol.status == "optimal" and not sol.warm_start
         assert sol.objective == pytest.approx(one_run.objective, rel=1e-9)
         assert check_kkt(lp, sol).passed
@@ -577,8 +577,8 @@ class TestSession:
     def test_lp_with_the_quota_row_free_takes_one_run(self, monkeypatch):
         system, policy, lp = fig1_support_lp()
         sol = solve(lp)
-        premium = apply_equivalence_substitution(lp, "vre-dispatched",
-                                                 sol.dual("vre-dispatched"))
+        premium = apply_equivalence_substitution(
+            lp, {lp.row("vre-dispatched"): sol.dual("vre-dispatched")})
         sols = [Session().solve(premium)]
         monkeypatch.setattr(sys.modules[check_kkt.__module__], "solve",
                             lambda mirror: sols.append(solve(mirror)) or sols[-1])
@@ -587,34 +587,35 @@ class TestSession:
         # the premium LP's freed quota row stays free, and the mirror's
         # appended row is left free in its held run
         mirror = sols[1].lp.row("vre-dispatched", "mirror")
-        assert [(run.warm, run.opened, run.status) for each in sols for run in each.runs] \
+        assert [(run.warm, run.relaxed, run.status) for each in sols for run in each.runs] \
             == [(False, (), "optimal"), (False, (), "optimal"), (True, (), "optimal"),
-                (False, (), "optimal"), (False, (mirror,), "optimal"), (True, (), "optimal")]
+                (False, (), "optimal"), (False, ((mirror, 0.0),), "optimal"),
+                (True, (), "optimal")]
 
     def test_cold_cap_lp_starts_from_its_priced_tax_lp(self, desk_system):
         lp = build_lp(desk_system, PolicyConfig(co2=Co2Cap(900.0)))
         tighter = build_lp(desk_system, PolicyConfig(co2=Co2Cap(800.0)))
         one_run = Session()._run(lp, False)
         sample_price = -Session()._run(lp.sampled(SAMPLE_STRIDE), False).dual("co2-cap")
-        tax_lp = apply_equivalence_substitution(held_at_sample(lp), "co2-cap", sample_price)
+        tax_lp = apply_equivalence_substitution(held_at_sample(lp),
+                                                {lp.row("co2-cap"): sample_price})
         tax_objective = Session().solve(tax_lp).objective
         session = Session()
         sol = session.solve(lp)
         sample, priced, warm = sol.runs
         # the sample prices the cap in a model of its own
         assert sample.rows == len(lp.sampled(SAMPLE_STRIDE).rows) < len(lp.rows)
-        assert not sample.warm and sample.opened == ()
+        assert not sample.warm and sample.relaxed == ()
         # the LP runs as the tax LP at that price and the sample's
         # capacities: cap row free, costs raised, capacities held
         cap = lp.row("co2-cap")
-        assert (priced.warm, priced.opened, priced.fixed, priced.price) == (
-            False, (cap,), scalar_columns(lp), sample_price)
+        assert (priced.warm, priced.relaxed, priced.fixed) == (
+            False, ((cap, sample_price),), scalar_columns(lp))
         assert sample_price > 0.0
-        assert Session()._run(lp, False, (cap,), sample_price).x is None
+        assert Session()._run(lp, False, {cap: sample_price}).x is None
         assert priced.objective == pytest.approx(tax_objective, rel=1e-9)
         # then hands its basis to a Devex model and puts the cap back
-        assert (warm.warm, warm.opened, warm.fixed, warm.price, warm.pricing) == (
-            True, (), (), 0.0, 1)
+        assert (warm.warm, warm.relaxed, warm.fixed, warm.pricing) == (True, (), (), 1)
         assert sol.status == "optimal" and not sol.warm_start
         assert sol.objective == pytest.approx(one_run.objective, rel=1e-9)
         assert check_kkt(lp, sol).passed
@@ -637,11 +638,12 @@ class TestSession:
         # the tax moves lignite and coal from before gas to after it
         assert max(cost("lignite", 0.0), cost("coal", 0.0)) < cost("ccgt", 0.0)
         assert min(cost("lignite", mu), cost("coal", mu)) > cost("ccgt", mu)
-        assert priced.price > 0.0 and warm.warm and sol.status == "optimal"
+        assert dict(priced.relaxed)[lp.row("co2-cap")] > 0.0
+        assert warm.warm and sol.status == "optimal"
         # held unpriced, the capacities leave the warm run to reorder dispatch
         capacities = held_at_sample(lp).columns.lower
         session = Session()
-        session._run(lp, False, (lp.row("co2-cap"),), 0.0,
+        session._run(lp, False, {lp.row("co2-cap"): 0.0},
                      {i: capacities[i] for i in priced.fixed})
         unpriced = session._run(lp, True)
         assert unpriced.objective == pytest.approx(sol.objective, rel=1e-9)
@@ -667,10 +669,12 @@ class TestSession:
                               co2=Co2Cap(1000.0))
         lp = build_lp(desk_system, policy)
         one_run = Session()._run(lp, False)
+        sample_price = -Session()._run(lp.sampled(SAMPLE_STRIDE), False).dual("co2-cap")
         sol = Session().solve(lp)
-        assert [(run.warm, run.opened, run.fixed) for run in sol.runs] == [
+        assert [(run.warm, run.relaxed, run.fixed) for run in sol.runs] == [
             (False, (), ()),
-            (False, (lp.row("co2-cap"), lp.row("vre-dispatched")), scalar_columns(lp)),
+            (False, ((lp.row("co2-cap"), sample_price), (lp.row("vre-dispatched"), 0.0)),
+             scalar_columns(lp)),
             (True, (), ())]
         assert sol.dual("co2-cap") < 0.0 < sol.dual("vre-dispatched")
         assert sol.objective == pytest.approx(one_run.objective, rel=1e-9)
@@ -687,10 +691,10 @@ class TestSession:
         one_run = Session()._run(lp, False)
         sol = Session().solve(lp)
         sampled = [] if case == "storage" else [
-            (len(lp.sampled(SAMPLE_STRIDE).rows), False, (), (), 0.0, "infeasible")]
+            (len(lp.sampled(SAMPLE_STRIDE).rows), False, (), (), "infeasible")]
         # without an optimal sample the LP takes one plain run
-        assert [(run.rows, run.warm, run.opened, run.fixed, run.price, run.status)
-                for run in sol.runs] == sampled + [(len(lp.rows), False, (), (), 0.0, "optimal")]
+        assert [(run.rows, run.warm, run.relaxed, run.fixed, run.status)
+                for run in sol.runs] == sampled + [(len(lp.rows), False, (), (), "optimal")]
         assert sol.objective == one_run.objective
         assert np.array_equal(sol.x, one_run.x) and np.array_equal(sol.y, one_run.y)
 
@@ -699,11 +703,11 @@ class TestSession:
         # free at μ̂ = 0, and the LP itself then runs warm with the cap back
         lp = build_lp(random_desk_system(0), PolicyConfig(co2=Co2Cap(5000.0)))
         sol = Session().solve(lp)
-        assert [(run.rows, run.warm, run.opened, run.fixed, run.price, run.status)
+        assert [(run.rows, run.warm, run.relaxed, run.fixed, run.status)
                 for run in sol.runs] == [
-            (len(lp.sampled(SAMPLE_STRIDE).rows), False, (), (), 0.0, "optimal"),
-            (len(lp.rows), False, (lp.row("co2-cap"),), scalar_columns(lp), 0.0, "optimal"),
-            (len(lp.rows), True, (), (), 0.0, "optimal")]
+            (len(lp.sampled(SAMPLE_STRIDE).rows), False, (), (), "optimal"),
+            (len(lp.rows), False, ((lp.row("co2-cap"), 0.0),), scalar_columns(lp), "optimal"),
+            (len(lp.rows), True, (), (), "optimal")]
         assert sol.objective == pytest.approx(Session()._run(lp, False).objective, rel=1e-9)
         assert check_kkt(lp, sol).passed
 
@@ -713,7 +717,7 @@ class TestSession:
         lp = build_lp(system, PolicyConfig(support=SupportDispatched(("solar",), share=0.5)))
         sol = Session().solve(lp)
         one_run = Session()._run(lp, False)
-        assert [(run.warm, run.opened, run.fixed, run.status) for run in sol.runs] == [
+        assert [(run.warm, run.relaxed, run.fixed, run.status) for run in sol.runs] == [
             (False, (), (), "optimal")]
         assert sol.objective == one_run.objective
         assert np.array_equal(sol.x, one_run.x) and np.array_equal(sol.y, one_run.y)
@@ -728,12 +732,14 @@ class TestSession:
         balance = lp.add_rows("balance", count=T, sense="=", rhs=1.0)
         lp.add_entries(balance, clean, 1.0)
         lp.add_entries(balance, dirty, 1.0)
-        lp.add_entries(lp.add_rows("co2-cap", sense="<=", rhs=1.0), dirty, 1.0)
+        cap = lp.add_rows("co2-cap", sense="<=", rhs=1.0)
+        lp.add_entries(cap, dirty, 1.0)
         sol = Session().solve(lp)
         assert sol.status == "infeasible" and not sol.warm_start
-        assert [(run.warm, bool(run.price), run.status) for run in sol.runs] == [
-            (False, False, "optimal"), (False, True, "optimal"), (True, False, "infeasible"),
-            (False, False, "infeasible")]
+        assert [(run.warm, [row for row, mu in run.relaxed if mu > 0], run.status)
+                for run in sol.runs] == [
+            (False, [], "optimal"), (False, [cap], "optimal"), (True, [], "infeasible"),
+            (False, [], "infeasible")]
 
     def test_cost_perturbation_spares_the_cleanup(self):
         # one node, 1512 h, a binding CO2 cap, marginal costs 1e-7 apart: at
@@ -810,6 +816,6 @@ class TestSession:
         sol = Session().solve(lp)
         assert sol.status == "infeasible" and not sol.warm_start
         # the sample cannot meet the quota either, so the LP takes one plain run
-        assert [(run.warm, bool(run.opened), bool(run.fixed), run.status)
+        assert [(run.warm, bool(run.relaxed), bool(run.fixed), run.status)
                 for run in sol.runs] == [
             (False, False, False, "infeasible"), (False, False, False, "infeasible")]

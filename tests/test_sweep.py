@@ -5,7 +5,7 @@ import json
 import pytest
 
 import powermarket.sweep
-from powermarket.scenario import load_plan
+from powermarket.scenario import load_plan, load_scenario
 from powermarket.solve import Session
 from powermarket.sweep import (
     SweepPlan,
@@ -89,6 +89,43 @@ class TestRunSweep:
         assert m1 == m2
         assert len(m1["config_sha256"]) == 64
         json.dumps(m1)  # must be serializable
+
+
+class TestInstrumentAxes:
+    """The available-energy quota and CO2 tax axes on ``wind_gas_168h``."""
+
+    @staticmethod
+    def sweep(axis: str, values: tuple) -> list:
+        system, _, _ = load_scenario(scenario_path("wind_gas_168h.json"))
+        result = run_sweep(SweepPlan(system=system, axis=axis, values=values,
+                                     policy_set=("wind",)))
+        assert {(p.status, p.verdict) for p in result.points} == {("optimal", "pass")}
+        return result.points
+
+    def test_available_target_axis(self):
+        points = self.sweep("available_target", (0.5, 0.7, 0.9, 1.0))
+        # below the policy-free penetration (0.743) the row does not bind
+        for point in points[:-1]:
+            wind = point.report.technologies["wind"]
+            assert point.report.mu_theta == 0.0
+            assert wind.mv == pytest.approx(wind.lcoe, rel=1e-9)
+        # at share 1.0 wind earns its cost less μ_θ per available MWh
+        top = points[-1].report
+        wind, equivalent = top.technologies["wind"], top.mu_theta_equivalent["wind"]
+        assert top.mu_theta == pytest.approx(3.237, abs=1e-3)
+        assert equivalent == pytest.approx(4.244, abs=1e-3)
+        assert wind.mv == pytest.approx(wind.lcoe - equivalent, rel=1e-9)
+
+    def test_co2_tax_axis(self):
+        values = (0.0, 50.0, 150.0)
+        points = self.sweep("co2_tax", values)
+        for value, point in zip(values, points):
+            wind = point.report.technologies["wind"]
+            # built wind recovers its cost from the market alone
+            assert point.report.mu_co2 == value and wind.energy > 0.0
+            assert wind.mv == pytest.approx(wind.lcoe, rel=1e-9)
+        # penetration rises with the tax
+        assert points[0].penetration < points[1].penetration < points[2].penetration
 
 
 @pytest.fixture

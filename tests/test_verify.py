@@ -272,9 +272,8 @@ class TestEquivalence:
         sol = solve(lp)
         check_subsidy_tax_lift(system, lp, sol, policy)
         mirror, = solved
-        tax = apply_equivalence_substitution(lp, "vre-dispatched",
-                                             sol.dual("vre-dispatched"))
         quota = lp.row("vre-dispatched")
+        tax = apply_equivalence_substitution(lp, {quota: sol.dual("vre-dispatched")})
         n = len(lp.rows)
         for relaxed in (tax, mirror):
             assert all(relaxed.row_index[key] == index
@@ -305,8 +304,8 @@ class TestEquivalence:
         assert result.detail["tax_iterations"] == 2
 
     def test_warm_start_does_not_make_the_check_vacuous(self, monkeypatch):
-        def off(lp, family, mu, _substitute=apply_equivalence_substitution):
-            return _substitute(lp, family, 1.01 * mu)
+        def off(lp, prices, _substitute=apply_equivalence_substitution):
+            return _substitute(lp, {row: 1.01 * mu for row, mu in prices.items()})
         monkeypatch.setattr(powermarket.verify, "apply_equivalence_substitution", off)
         system, policy, _ = load_scenario(scenario_path("fig1_co2_cap.json"))
         lp = build_lp(system, policy)
