@@ -110,13 +110,13 @@ def cmd_solve(args) -> int:
         return _not_optimal(sol)
 
     write_solution_file(sol, os.path.join(out, f"{name}.sol"))
-    report = build_report(system, lp, sol, policy,
+    report = build_report(system, sol, policy,
                           suppress_negative=options["suppress_negative_prices"])
     with open(os.path.join(out, f"{name}.metrics.json"), "w", encoding="utf-8") as fh:
         fh.write(report_to_json(report))
     write_report_csv(report, os.path.join(out, f"{name}.metrics.csv"), scenario=name)
 
-    checks = verify_solution(system, lp, sol, policy)
+    checks = verify_solution(system, sol, policy)
     with open(os.path.join(out, f"{name}.verification.json"), "w",
               encoding="utf-8") as fh:
         fh.write(verify_report_json(checks))
@@ -166,11 +166,11 @@ def cmd_verify(args) -> int:
         sol = solve(lp)
         if sol.status != "optimal":
             return _not_optimal(sol)
-        checks = verify_solution(system, lp, sol, policy)
+        checks = verify_solution(system, sol, policy)
         if isinstance(policy.co2, Co2Cap):
-            checks.append(check_cap_tax_equivalence(system, lp, sol, policy))
+            checks.append(check_cap_tax_equivalence(system, sol, policy))
         if isinstance(policy.support, SupportDispatched):
-            checks.append(check_subsidy_tax_lift(system, lp, sol, policy))
+            checks.append(check_subsidy_tax_lift(system, sol, policy))
     except SolveError as exc:
         return _error(exc, EXIT_SOLVER)
     with open(os.path.join(out, f"{options['name']}.verification.json"), "w",

@@ -4,20 +4,22 @@ Market value, LCOE, relative market value, equivalent feed-in premium,
 policy shadow prices, penetration, curtailment, system-cost breakdown,
 duration curves and the negative-price-suppressed variants.  Each
 technology quantity is read off one account per placement
-(:func:`accounts`), which ``verify``'s zero-profit check reads too.  All
-functions are pure over immutable solutions.
+(:func:`accounts`), which ``verify``'s zero-profit check reads too.  Every
+metric reads ``(system, sol)``, plus the policy or the technologies it
+reports on; the LP is ``sol.lp``.  All functions are pure over immutable
+solutions.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
 
-from .formulate import LinearProgram, tech_key
+from .formulate import tech_key
 from .model import (
     SHEDDING_NAME,
     Co2Tax,
@@ -76,11 +78,10 @@ class Account:
     available: float
 
 
-def accounts(system: PowerSystem, sol: Solution,
-             prices: Optional[dict] = None) -> list:
+def accounts(system: PowerSystem, sol: Solution) -> list:
     """The :class:`Account` of every placement, in placement order, then
     load shedding per node where the system has a value of lost load."""
-    prices = prices if prices is not None else nodal_prices(system, sol)
+    prices = nodal_prices(system, sol)
     placements = list(system.technologies)
     if system.voll is not None:
         placements += [(node, None) for node in system.nodes]
@@ -105,11 +106,11 @@ def accounts(system: PowerSystem, sol: Solution,
 _SUMMED = ("energy", "revenue", "cost", "capacity", "available")
 
 
-def _totals(accts: list) -> dict:
+def _totals(system: PowerSystem, sol: Solution) -> dict:
     """name -> {field: sum over the accounts of its placements}, names in
     placement order; the sums add in placement order too."""
     by_name = {}
-    for acct in accts:
+    for acct in accounts(system, sol):
         by_name.setdefault(acct.name, []).append(acct)
     return {name: {key: sum(getattr(acct, key) for acct in mine) for key in _SUMMED}
             for name, mine in by_name.items()}
@@ -122,16 +123,15 @@ def _significant(system: PowerSystem, energy: float) -> float:
     return energy if energy > FEAS_TOL * system.total_demand() else 0.0
 
 
-def _per_mwh(system: PowerSystem, totals: Optional[dict], key: str) -> Optional[float]:
+def _per_mwh(system: PowerSystem, sums: Optional[dict], key: str) -> Optional[float]:
     """A name's ``key`` total per MWh dispatched; None for zero output."""
-    energy = 0.0 if totals is None else _significant(system, totals["energy"])
-    return totals[key] / energy if energy > 0.0 else None
+    energy = 0.0 if sums is None else _significant(system, sums["energy"])
+    return sums[key] / energy if energy > 0.0 else None
 
 
-def storage_arbitrage(system: PowerSystem, sol: Solution,
-                      prices: Optional[dict] = None) -> dict:
+def storage_arbitrage(system: PowerSystem, sol: Solution) -> dict:
     """name@node -> market revenue from charging low and discharging high."""
-    prices = prices if prices is not None else nodal_prices(system, sol)
+    prices = nodal_prices(system, sol)
     out = {}
     for node, sto in system.storages:
         key = tech_key(sto.name, node)
@@ -156,10 +156,9 @@ def storage_cost(system: PowerSystem, sol: Solution) -> dict:
     return out
 
 
-def congestion_revenue(system: PowerSystem, sol: Solution,
-                       prices: Optional[dict] = None) -> dict:
+def congestion_revenue(system: PowerSystem, sol: Solution) -> dict:
     """line name -> flow times nodal price difference, summed over snapshots."""
-    prices = prices if prices is not None else nodal_prices(system, sol)
+    prices = nodal_prices(system, sol)
     out = {}
     for li, line in enumerate(system.lines):
         f = sol.primal("f", f"L{li}")
@@ -181,36 +180,32 @@ def line_cost(system: PowerSystem, sol: Solution) -> dict:
 # -- headline per-technology metrics ----------------------------------------------
 
 
-def market_values(system: PowerSystem, sol: Solution,
-                  prices: Optional[dict] = None) -> dict:
+def market_values(system: PowerSystem, sol: Solution) -> dict:
     """name -> generation-weighted average market price, EUR/MWh, of every
     name with output (load shedding included)."""
-    mvs = {name: _per_mwh(system, totals, "revenue")
-           for name, totals in _totals(accounts(system, sol, prices)).items()}
+    mvs = {name: _per_mwh(system, sums, "revenue")
+           for name, sums in _totals(system, sol).items()}
     return {name: mv for name, mv in mvs.items() if mv is not None}
 
 
-def market_value(system: PowerSystem, sol: Solution, tech: str,
-                 prices: Optional[dict] = None) -> Optional[float]:
+def market_value(system: PowerSystem, sol: Solution, tech: str) -> Optional[float]:
     """Generation-weighted average market price, EUR/MWh; None for zero output."""
-    return market_values(system, sol, prices).get(tech)
+    return market_values(system, sol).get(tech)
 
 
 def lcoe(system: PowerSystem, sol: Solution, tech: str) -> Optional[float]:
     """Annualized total cost over dispatched (post-curtailment) energy."""
-    return _per_mwh(system, _totals(accounts(system, sol)).get(tech), "cost")
+    return _per_mwh(system, _totals(system, sol).get(tech), "cost")
 
 
-def load_weighted_price(system: PowerSystem, sol: Solution,
-                        prices: Optional[dict] = None) -> float:
-    prices = prices if prices is not None else nodal_prices(system, sol)
+def load_weighted_price(system: PowerSystem, sol: Solution) -> float:
+    prices = nodal_prices(system, sol)
     num = sum(float((prices[n] * np.array(system.demand[n])).sum()) for n in system.nodes)
     return num / system.total_demand()
 
 
-def average_price(system: PowerSystem, sol: Solution,
-                  prices: Optional[dict] = None) -> float:
-    prices = prices if prices is not None else nodal_prices(system, sol)
+def average_price(system: PowerSystem, sol: Solution) -> float:
+    prices = nodal_prices(system, sol)
     return float(np.mean(np.concatenate([prices[n] for n in system.nodes])))
 
 
@@ -218,40 +213,38 @@ def _value_factor(mv: Optional[float], avg: float) -> Optional[float]:
     return None if mv is None or avg <= 0.0 else mv / avg
 
 
-def rmv(system: PowerSystem, sol: Solution, tech: str,
-        prices: Optional[dict] = None) -> Optional[float]:
+def rmv(system: PowerSystem, sol: Solution, tech: str) -> Optional[float]:
     """Market value over load-weighted average price (the value factor)."""
-    return _value_factor(market_value(system, sol, tech, prices),
-                         load_weighted_price(system, sol, prices))
+    return _value_factor(market_value(system, sol, tech),
+                         load_weighted_price(system, sol))
 
 
-def penetration_of(system: PowerSystem, sol: Solution, techs,
-                   totals: Optional[dict] = None) -> float:
+def penetration_of(system: PowerSystem, sol: Solution, techs) -> float:
     """Share of total demand dispatched by the named set; may exceed 1 when
     the set also covers storage losses."""
-    totals = totals if totals is not None else _totals(accounts(system, sol))
+    totals = _totals(system, sol)
     total = sum(_significant(system, totals[name]["energy"])
                 for name in techs if name in totals)
     return total / system.total_demand()
 
 
-def policy_prices(system: PowerSystem, sol: Solution, lp: LinearProgram,
-                  policy: PolicyConfig, totals: Optional[dict] = None) -> dict:
-    """Shadow prices of the policy rows, reported as non-negative prices."""
+def policy_prices(system: PowerSystem, sol: Solution, policy: PolicyConfig) -> dict:
+    """Shadow prices of the policy rows of ``sol.lp``, reported as
+    non-negative prices."""
     out = {"mu_gamma": None, "mu_theta": None, "mu_theta_equivalent": {},
            "mu_co2": None}
-    if lp.has_row("vre-dispatched"):
+    if sol.lp.has_row("vre-dispatched"):
         out["mu_gamma"] = sol.dual("vre-dispatched")
-    if lp.has_row("vre-available"):
+    if sol.lp.has_row("vre-available"):
         mu = sol.dual("vre-available")
         out["mu_theta"] = mu
         if isinstance(policy.support, SupportAvailable):
-            totals = totals if totals is not None else _totals(accounts(system, sol))
+            totals = _totals(system, sol)
             for name in policy.support.technologies:
                 t = totals.get(name)
                 if t is not None and _significant(system, t["energy"]) > 0.0:
                     out["mu_theta_equivalent"][name] = mu * t["available"] / t["energy"]
-    if lp.has_row("co2-cap"):
+    if sol.lp.has_row("co2-cap"):
         out["mu_co2"] = 0.0 - sol.dual("co2-cap")  # a zero price reads 0.0, not -0.0
     elif isinstance(policy.co2, Co2Tax):
         out["mu_co2"] = float(policy.co2.rate)
@@ -272,34 +265,38 @@ class SuppressedPrices:
 def suppress_negative_prices(system: PowerSystem, sol: Solution) -> SuppressedPrices:
     """Recompute market values and averages with prices floored at zero.
 
-    The original solution is untouched; suppressed market values are
-    pointwise >= the raw ones.
+    They are read off a copy of ``sol`` whose balance duals are floored at
+    zero; that copy is not returned, since its duals are not optimal.  The
+    original solution is untouched; suppressed market values are pointwise
+    >= the raw ones.
     """
-    clipped = {n: np.maximum(p, 0.0) for n, p in nodal_prices(system, sol).items()}
+    y = sol.y.copy()
+    for node in system.nodes:
+        index = sol.lp.row("balance", node)
+        y[index] = np.maximum(y[index], 0.0)
+    floored = replace(sol, y=y)
     return SuppressedPrices(
-        prices=clipped,
-        market_values=market_values(system, sol, clipped),
-        load_weighted_price=load_weighted_price(system, sol, prices=clipped),
-        average_price=average_price(system, sol, prices=clipped),
+        prices=nodal_prices(system, floored),
+        market_values=market_values(system, floored),
+        load_weighted_price=load_weighted_price(system, floored),
+        average_price=average_price(system, floored),
     )
 
 
 # -- duration curves ----------------------------------------------------------------
 
 
-def duration_curves(system: PowerSystem, sol: Solution,
-                    accts: Optional[list] = None) -> dict:
+def duration_curves(system: PowerSystem, sol: Solution) -> dict:
     """Descending-sorted price duration per node and per-capacity revenue
     duration per technology; curves are absent for unbuilt technologies."""
     prices = nodal_prices(system, sol)
-    accts = accts if accts is not None else accounts(system, sol, prices)
     revenue = {}
-    for acct in accts:
+    for acct in accounts(system, sol):
         revenue[acct.name] = revenue.get(acct.name, 0.0) + prices[acct.node] * acct.dispatch
     return {"price": {n: np.sort(p)[::-1] for n, p in prices.items()},
-            "revenue": {name: np.sort(revenue[name] / totals["capacity"])[::-1]
-                        for name, totals in _totals(accts).items()
-                        if totals["capacity"] > 0.0}}
+            "revenue": {name: np.sort(revenue[name] / sums["capacity"])[::-1]
+                        for name, sums in _totals(system, sol).items()
+                        if sums["capacity"] > 0.0}}
 
 
 # -- full report ----------------------------------------------------------------------
@@ -340,16 +337,14 @@ class MetricsReport:
     suppressed: Optional[dict] = field(default=None)
 
 
-def build_report(system: PowerSystem, lp: LinearProgram, sol: Solution,
-                 policy: PolicyConfig, *, suppress_negative: bool = False) -> MetricsReport:
+def build_report(system: PowerSystem, sol: Solution, policy: PolicyConfig, *,
+                 suppress_negative: bool = False) -> MetricsReport:
     if sol.status != "optimal":
         raise ValueError(f"metrics require an optimal solution, got '{sol.status}'")
-    prices = nodal_prices(system, sol)
-    accts = accounts(system, sol, prices)
-    totals = _totals(accts)
-    pol = policy_prices(system, sol, lp, policy, totals)
+    totals = _totals(system, sol)
+    pol = policy_prices(system, sol, policy)
     support_set = set(policy.support_set())
-    avg = load_weighted_price(system, sol, prices)
+    avg = load_weighted_price(system, sol)
     storage = storage_cost(system, sol)
     lines = line_cost(system, sol)
     total_cost = sum(t["cost"] for t in totals.values()) \
@@ -382,22 +377,22 @@ def build_report(system: PowerSystem, lp: LinearProgram, sol: Solution,
     for key, cost in lines.items():
         breakdown[f"line:{key}"] = cost
 
-    curves = duration_curves(system, sol, accts)
+    curves = duration_curves(system, sol)
     pen = None
     if support_set:
-        pen = penetration_of(system, sol, sorted(support_set), totals)
+        pen = penetration_of(system, sol, sorted(support_set))
 
     report = MetricsReport(
         technologies=techs,
         load_weighted_price=avg,
-        average_price=average_price(system, sol, prices),
+        average_price=average_price(system, sol),
         mu_gamma=pol["mu_gamma"], mu_theta=pol["mu_theta"],
         mu_theta_equivalent=pol["mu_theta_equivalent"], mu_co2=pol["mu_co2"],
         penetration=pen,
         average_system_cost=sum(breakdown.values()) / system.total_demand(),
         cost_breakdown=breakdown,
-        storage_arbitrage=storage_arbitrage(system, sol, prices),
-        congestion_revenue=congestion_revenue(system, sol, prices),
+        storage_arbitrage=storage_arbitrage(system, sol),
+        congestion_revenue=congestion_revenue(system, sol),
         price_duration={n: p.tolist() for n, p in curves["price"].items()},
         revenue_duration={k: v.tolist() for k, v in curves["revenue"].items()},
         objective=sol.objective,
@@ -413,13 +408,7 @@ def build_report(system: PowerSystem, lp: LinearProgram, sol: Solution,
 
 
 def report_to_json(report: MetricsReport) -> str:
-    def enc(obj):
-        if isinstance(obj, (TechMetrics,)):
-            return vars(obj)
-        if isinstance(obj, np.ndarray):
-            return obj.tolist()
-        raise TypeError(type(obj).__name__)
-    return json.dumps(vars(report), default=enc, indent=2, sort_keys=True)
+    return json.dumps(vars(report), default=vars, indent=2, sort_keys=True)
 
 
 _CSV_FIELDS = [

@@ -127,9 +127,9 @@ def _solve_point(plan: SweepPlan, value: float, session: Session) -> SweepPoint:
         if sol.status != "optimal":
             return SweepPoint(value=value, status=sol.status, verdict="skipped",
                               message=sol.message)
-        report = build_report(plan.system, lp, sol, policy,
+        report = build_report(plan.system, sol, policy,
                               suppress_negative=plan.suppress_negative_prices)
-        checks = verify_solution(plan.system, lp, sol, policy)
+        checks = verify_solution(plan.system, sol, policy)
         failures = [f"{c.check}:{c.entity}" for c in checks if c.verdict == "fail"]
         pen = penetration_of(plan.system, sol, plan.policy_set) \
             if plan.policy_set else None

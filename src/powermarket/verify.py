@@ -2,9 +2,10 @@
 
 Each check turns one of the equilibrium results (KKT optimality, per-entity
 zero profit, cap/tax equivalence, the subsidy-to-tax price lift) into a
-pass/fail/inconclusive verdict with a numerical residual.  A brute-force
-enumeration oracle provides solver-independent optima and prices for tiny
-instances.
+pass/fail/inconclusive verdict with a numerical residual.  Every check
+reads ``(system, sol[, policy])`` and judges the LP that was solved,
+``sol.lp``.  A brute-force enumeration oracle provides solver-independent
+optima and prices for tiny instances.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from typing import Optional
 import numpy as np
 
 from .formulate import (
-    LinearProgram,
     apply_equivalence_substitution,
     build_lp,  # not called here, but bench/spans.py wraps verify.build_lp
     tech_key,
@@ -94,11 +94,11 @@ class KktReport:
                 for kind in ("stationarity", "primal", "dual", "complementarity")]
 
 
-def reduced_costs(lp: LinearProgram, sol: Solution) -> np.ndarray:
-    """z = c - A^T y, from the LP and the solution's duals."""
-    e = lp.entries
-    return lp.columns.objective - np.bincount(e.col, weights=e.value * sol.y[e.row],
-                                              minlength=len(lp.columns))
+def reduced_costs(sol: Solution) -> np.ndarray:
+    """z = c - A^T y, from the LP of ``sol`` and its duals."""
+    cols, e = sol.lp.columns, sol.lp.entries
+    return cols.objective - np.bincount(e.col, weights=e.value * sol.y[e.row],
+                                        minlength=len(cols))
 
 
 def _pos(v: np.ndarray) -> np.ndarray:
@@ -106,11 +106,11 @@ def _pos(v: np.ndarray) -> np.ndarray:
     return np.where(v > 0.0, v, 0.0)
 
 
-def check_kkt(lp: LinearProgram, sol: Solution) -> KktReport:
+def check_kkt(sol: Solution) -> KktReport:
     """Maximum scale-normalized residuals of stationarity, primal/dual
-    feasibility and complementary slackness."""
+    feasibility and complementary slackness of ``sol`` in its LP."""
     x, y = sol.x, sol.y
-    cols, rows, e = lp.columns, lp.rows, lp.entries
+    cols, rows, e = sol.lp.columns, sol.lp.rows, sol.lp.entries
     row_norm = np.ones(len(rows))
     np.maximum.at(row_norm, e.row, np.abs(e.value))
 
@@ -125,7 +125,7 @@ def check_kkt(lp: LinearProgram, sol: Solution) -> KktReport:
     lower, upper = cols.lower, cols.upper
     primal = max(primal, float(_pos(lower - x).max(initial=0.0)),
                  float(_pos(x - upper).max(initial=0.0)))
-    z = reduced_costs(lp, sol)
+    z = reduced_costs(sol)
     at_lower = (lower > -np.inf) \
         & (x - lower <= DEFAULT_TOL * np.maximum(1.0, np.abs(lower)))
     at_upper = (upper < np.inf) \
@@ -140,14 +140,12 @@ def check_kkt(lp: LinearProgram, sol: Solution) -> KktReport:
 # -- zero-profit checks -------------------------------------------------------------
 
 
-def check_zero_profit(system: PowerSystem, lp: LinearProgram, sol: Solution,
-                      policy: PolicyConfig) -> list:
+def check_zero_profit(system: PowerSystem, sol: Solution, policy: PolicyConfig) -> list:
     """Per-entity profit report: market revenue minus cost, corrected for the
     policy terms (premium, CO2 charge, scarcity rent) that apply to each
     entity.  The residual is zero at equilibrium."""
     results = []
-    prices = nodal_prices(system, sol)
-    pol = policy_prices(system, sol, lp, policy)
+    pol = policy_prices(system, sol, policy)
     mu_co2, mu_gamma, mu_theta = (0.0 if pol[k] is None else pol[k]
                                   for k in ("mu_co2", "mu_gamma", "mu_theta"))
     support = policy.support
@@ -160,7 +158,7 @@ def check_zero_profit(system: PowerSystem, lp: LinearProgram, sol: Solution,
                            "pass" if abs(residual) <= DEFAULT_TOL * scale else "fail",
                            detail=detail)
 
-    for acct in accounts(system, sol, prices):
+    for acct in accounts(system, sol):
         spec = acct.spec
         if spec is None:
             continue
@@ -174,7 +172,7 @@ def check_zero_profit(system: PowerSystem, lp: LinearProgram, sol: Solution,
             elif isinstance(support, FixedFip):
                 adjust += support.premium * acct.energy
         scarcity = 0.0
-        if lp.has_row("potential", key):
+        if sol.lp.has_row("potential", key):
             scarcity = -sol.dual("potential", key) * acct.capacity   # mu_s^max >= 0
         residual = acct.revenue - acct.cost + adjust - scarcity
         results.append(result(
@@ -183,7 +181,7 @@ def check_zero_profit(system: PowerSystem, lp: LinearProgram, sol: Solution,
              "scarcity_rent": scarcity, "capacity": acct.capacity}))
 
     if system.storages:
-        arb = storage_arbitrage(system, sol, prices)
+        arb = storage_arbitrage(system, sol)
         costs = storage_cost(system, sol)
         for key in arb:
             results.append(result(
@@ -191,16 +189,16 @@ def check_zero_profit(system: PowerSystem, lp: LinearProgram, sol: Solution,
                 {"arbitrage_revenue": arb[key], "cost": costs[key]}))
 
     if system.lines:
-        cong = congestion_revenue(system, sol, prices)
+        cong = congestion_revenue(system, sol)
         costs = line_cost(system, sol)
-        kvl_terms = _kvl_profit_terms(lp, sol)
-        z = reduced_costs(lp, sol)
+        kvl_terms = _kvl_profit_terms(sol)
+        z = reduced_costs(sol)
         for li, line in enumerate(system.lines):
             if not line.expandable:
                 continue
             key = f"L{li}"
             F = sol.primal("F", key)
-            rent = float(z[lp.col("F", key)]) * F
+            rent = float(z[sol.lp.col("F", key)]) * F
             results.append(result(
                 "zero-profit-line", key, cong[key] - costs[key] + kvl_terms[key] + rent,
                 {"congestion_revenue": cong[key], "cost": costs[key],
@@ -208,10 +206,11 @@ def check_zero_profit(system: PowerSystem, lp: LinearProgram, sol: Solution,
     return results
 
 
-def _kvl_profit_terms(lp: LinearProgram, sol: Solution) -> dict:
+def _kvl_profit_terms(sol: Solution) -> dict:
     """Cycle-dual distortion term per line: sum_t,c y_c C_lc x_l f_lt, summed
-    over the entries of the voltage-law rows of ``lp``, keyed by the
-    entity of the line's flow block."""
+    over the entries of the voltage-law rows of the LP of ``sol``, keyed by
+    the entity of the line's flow block."""
+    lp = sol.lp
     e = lp.entries
     in_cycle = np.zeros(len(lp.rows), dtype=bool)
     for (family, _), index in lp.row_index.items():
@@ -237,27 +236,27 @@ def _unsolved(check: str, sol: Solution, what: str) -> Optional[CheckResult]:
                        {"reason": f"{what} solve {sol.status}"})
 
 
-def _prices_not_unique(system: PowerSystem, lp: LinearProgram, sol: Solution,
-                       relaxed: Solution, family: str, dual: float,
-                       shift: float) -> bool:
-    """Whether the duals of ``relaxed``, the solution of the solved LP ``lp``
-    with its policy row ``family`` freed, pass ``lp``'s KKT check at
-    ``sol`` once mapped back onto ``lp``: the rows of ``lp`` come first in
+def _prices_not_unique(system: PowerSystem, sol: Solution, relaxed: Solution,
+                       family: str, dual: float, shift: float) -> bool:
+    """Whether the duals of ``relaxed``, the solution of the LP of ``sol``
+    with its policy row ``family`` freed, pass the KKT check at ``sol``
+    once mapped back onto ``sol.lp``: the rows of ``sol.lp`` come first in
     the relaxed LP, every balance dual is lowered by ``shift`` and the row
     ``family`` is given ``dual``.  Mapped duals that pass are optimal duals
-    of ``lp``, so where their prices differ from ``sol``'s, ``lp``'s prices
+    of ``sol.lp``, so where their prices differ from ``sol``'s, its prices
     are not unique.  This is the one way an equivalence check reaches
     'inconclusive'."""
+    lp = sol.lp
     y = relaxed.y[:len(lp.rows)].copy()
     for node in system.nodes:
         y[lp.row("balance", node)] -= shift
     y[lp.row(family)] = dual
-    return check_kkt(lp, replace(sol, y=y)).passed
+    return check_kkt(replace(sol, y=y)).passed
 
 
-def check_cap_tax_equivalence(system: PowerSystem, lp: LinearProgram, sol: Solution,
+def check_cap_tax_equivalence(system: PowerSystem, sol: Solution,
                               policy: PolicyConfig) -> CheckResult:
-    """Lift the emissions cap of the solved LP ``lp`` into the objective at
+    """Lift the emissions cap of the LP of ``sol`` into the objective at
     its shadow price, re-solve (warm from the cap's basis where ``sol`` has
     a session), and compare the full price vectors.  Prices that differ
     are 'inconclusive' rather than 'fail' when the tax run's duals, with
@@ -272,7 +271,7 @@ def check_cap_tax_equivalence(system: PowerSystem, lp: LinearProgram, sol: Solut
     mu = 0.0 - sol.dual("co2-cap")  # a zero price reads 0.0, not -0.0
     emissions = sum(acct.spec.emission_factor * acct.energy
                     for acct in accounts(system, sol) if acct.spec is not None)
-    tax_lp = apply_equivalence_substitution(lp, {lp.row("co2-cap"): mu})
+    tax_lp = apply_equivalence_substitution(sol.lp, {sol.lp.row("co2-cap"): mu})
     # warm from the cap LP's basis in its session: the tax LP keeps its shape
     tax_sol = solve(tax_lp, session=sol.session)
     unsolved = _unsolved("cap-tax-equivalence", tax_sol, "tax")
@@ -287,7 +286,7 @@ def check_cap_tax_equivalence(system: PowerSystem, lp: LinearProgram, sol: Solut
     residual = max(dev, obj_dev)
     if residual <= DEFAULT_TOL:
         verdict = "pass"
-    elif obj_dev <= DEFAULT_TOL and _prices_not_unique(system, lp, sol, tax_sol,
+    elif obj_dev <= DEFAULT_TOL and _prices_not_unique(system, sol, tax_sol,
                                                        "co2-cap", -mu, 0.0):
         verdict = "inconclusive"
     else:
@@ -299,10 +298,10 @@ def check_cap_tax_equivalence(system: PowerSystem, lp: LinearProgram, sol: Solut
                         "warm_start": tax_sol.warm_start})
 
 
-def check_subsidy_tax_lift(system: PowerSystem, lp: LinearProgram, sol: Solution,
+def check_subsidy_tax_lift(system: PowerSystem, sol: Solution,
                            policy: PolicyConfig) -> CheckResult:
     """Replace 'force in the supported set' by 'cap everything else' in the
-    solved LP ``lp`` (a copy relaxed at 0 on the quota row, with a mirror
+    LP of ``sol`` (a copy relaxed at 0 on the quota row, with a mirror
     row appended over every dispatch block outside the quota row, load
     shedding included) and check that all prices and market values lift by
     exactly the premium.  Prices that differ are 'inconclusive' rather
@@ -317,6 +316,7 @@ def check_subsidy_tax_lift(system: PowerSystem, lp: LinearProgram, sol: Solution
     mu_gamma = sol.dual("vre-dispatched")
     gamma_energy = support.energy_target(system)
 
+    lp = sol.lp
     quota = lp.row("vre-dispatched")
     mirror = apply_equivalence_substitution(lp, {quota: 0.0})
     row = mirror.add_rows(("vre-dispatched", "mirror"), sense="<=",
@@ -345,7 +345,7 @@ def check_subsidy_tax_lift(system: PowerSystem, lp: LinearProgram, sol: Solution
     mu_m = -mirror_sol.dual("vre-dispatched", "mirror")
     if residual <= DEFAULT_TOL:
         verdict = "pass"
-    elif _prices_not_unique(system, lp, sol, mirror_sol, "vre-dispatched", mu_m, mu_m):
+    elif _prices_not_unique(system, sol, mirror_sol, "vre-dispatched", mu_m, mu_m):
         verdict = "inconclusive"
     else:
         verdict = "fail"
@@ -497,11 +497,10 @@ def brute_force_oracle(system: PowerSystem) -> OracleResult:
 # -- aggregation -----------------------------------------------------------------------
 
 
-def verify_solution(system: PowerSystem, lp: LinearProgram, sol: Solution,
-                    policy: PolicyConfig) -> list:
+def verify_solution(system: PowerSystem, sol: Solution, policy: PolicyConfig) -> list:
     """Run the per-solution checks (KKT, zero profit) and return all results."""
-    results = check_kkt(lp, sol).results()
-    results.extend(check_zero_profit(system, lp, sol, policy))
+    results = check_kkt(sol).results()
+    results.extend(check_zero_profit(system, sol, policy))
     return results
 
 

@@ -167,7 +167,7 @@ def test_criterion_05_cap_tax_equivalence():
         lp0, sol0 = _solved(system)
         cap = 0.35 * max(_emissions(system, sol0), 1.0)
         policy = PolicyConfig(co2=Co2Cap(cap))
-        result = check_cap_tax_equivalence(system, *_solved(system, policy), policy)
+        result = check_cap_tax_equivalence(system, _solved(system, policy)[1], policy)
         verdicts.append(result.verdict)
         worst = max(worst, result.detail.get("price_deviation", float("nan")))
     ok = all(v == "pass" for v in verdicts)
@@ -182,7 +182,7 @@ def test_criterion_06_subsidy_tax_lift():
         system = random_desk_system(seed)
         policy = PolicyConfig(
             support=SupportDispatched(("wind", "solar"), share=0.8))
-        result = check_subsidy_tax_lift(system, *_solved(system, policy), policy)
+        result = check_subsidy_tax_lift(system, _solved(system, policy)[1], policy)
         verdicts.append(result.verdict)
         worst = max(worst,
                     result.detail.get("price_deviation", float("nan")),
@@ -223,14 +223,14 @@ def test_criterion_08_congestion_revenue():
 
     # KCL only: price-difference revenue covers the line cost directly
     lp, sol = _solved(system)
-    results = [r for r in check_zero_profit(system, lp, sol, PolicyConfig.none())
+    results = [r for r in check_zero_profit(system, sol, PolicyConfig.none())
                if r.check == "zero-profit-line"]
     worst_kcl = max(r.residual for r in results)
     cycle_terms_kcl = max(abs(r.detail["kvl_term"]) for r in results)
 
     # with the voltage law the cycle term appears and closes the identity
     lp, sol = _solved(dataclasses.replace(system, kvl=True))
-    results = [r for r in check_zero_profit(system, lp, sol, PolicyConfig.none())
+    results = [r for r in check_zero_profit(system, sol, PolicyConfig.none())
                if r.check == "zero-profit-line"]
     worst_kvl = max(r.residual for r in results)
     cycle_terms_kvl = max(abs(r.detail["kvl_term"]) for r in results)
@@ -325,7 +325,7 @@ def test_criterion_12_rmv_identity():
     for seed in range(10):
         system = random_desk_system(seed)
         lp, sol = _solved(system)
-        report = build_report(system, lp, sol, PolicyConfig.none())
+        report = build_report(system, sol, PolicyConfig.none())
         for _, spec in system.technologies:
             r = rmv(system, sol, spec.name)
             d = report.technologies[spec.name].rmv_shares

@@ -202,6 +202,14 @@ class TestSolve:
         assert capsys.readouterr().err == (
             f"error: {path}, line {len(lines)}: second record of {what}\n")
 
+    def test_unknown_record_is_one_error_line(self, tmp_path, capsys):
+        lines = self.written_solution(tmp_path)
+        lines.insert(1, "foo 1.0")
+        path, code = self.read_back(tmp_path, lines)
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}, line 2: unknown record 'foo' in solution file\n")
+
     @pytest.mark.parametrize("dropped, message", [
         ("col G.coal@DE ", "misses columns, e.g. 'G.coal@DE'"),
         ("row balance.DE.t0 ", "misses rows, e.g. 'balance.DE.t0'"),

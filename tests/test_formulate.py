@@ -5,6 +5,7 @@ import pytest
 
 from powermarket.formulate import (
     FormulationError,
+    LinearProgram,
     apply_equivalence_substitution,
     build_lp,
     cycle_basis,
@@ -95,6 +96,47 @@ class TestBuildLp:
             build_lp(system, PolicyConfig.none())
         # without the voltage law the reactance is not needed
         assert validate(replace(system, kvl=False), PolicyConfig.none()) == []
+
+    @pytest.mark.parametrize("family, quota, share", [
+        ("vre-dispatched", SupportDispatched, 0.9), ("vre-available", SupportAvailable, 1.0)])
+    def test_quota_target_is_its_share_of_demand(self, family, quota, share):
+        # an absolute target in MWh gives the LP, and the price, of its share
+        system, _, _ = load_scenario(scenario_path("wind_gas_168h.json"))
+        target = share * system.total_demand()
+        a, b = (build_lp(system, PolicyConfig(support=support))
+                for support in (quota(("wind",), share=share), quota(("wind",), target=target)))
+        assert a.col_index == b.col_index and a.row_index == b.row_index
+        for table in ("columns", "rows", "entries"):
+            ta, tb = getattr(a, table), getattr(b, table)
+            for name in ta.defaults:
+                assert np.array_equal(getattr(ta, name), getattr(tb, name)), (table, name)
+        mus = [Session().solve(lp).dual(family) for lp in (a, b)]
+        assert mus[0] > 0.0 and mus[0] == mus[1]
+
+
+def bounded_lp() -> LinearProgram:
+    """Columns x in [-inf, 5] and y in [0, 1] covering one >= row."""
+    lp = LinearProgram()
+    x, y = lp.add_columns("x", "y", lower=(-np.inf, 0.0), upper=(5.0, 1.0),
+                          objective=(-1.0, 1.0))
+    lp.add_entries(lp.add_rows("cover", sense=">=", rhs=1.0), (x, y), 1.0)
+    return lp
+
+
+class TestLinearProgramGuards:
+    @pytest.mark.parametrize("spoil, message", [
+        (lambda lp: lp.add_columns("x"), "duplicate block 'x'"),
+        (lambda lp: lp.add_rows("r", sense="<"), "bad sense '<'"),
+        (lambda lp: lp.add_entries(0, 2, 1.0), "entry references missing row or column"),
+        (lambda lp: lp.add_columns("z", lower=2.0, upper=1.0),
+         "column 'z' has lower > upper")],
+        ids=["duplicate-block", "bad-sense", "entry-outside", "lower-above-upper"])
+    def test_malformed_lp_is_rejected(self, spoil, message):
+        lp = bounded_lp()
+        lp.validate_structure()
+        with pytest.raises(FormulationError, match=f"^{message}$"):
+            spoil(lp)
+            lp.validate_structure()
 
 
 class TestCycleBasis:
@@ -371,4 +413,12 @@ class TestMpsRoundTrip:
         assert lp.columns.lower[lp.col("F", "L0")] == 5.0
         path = tmp_path / "net.mps"
         write_mps(lp, path)
+        assert_highs_reads(path, lp)
+
+    def test_upper_and_minus_infinite_bounds_survive(self, tmp_path):
+        lp = bounded_lp()
+        path = tmp_path / "bounds.mps"
+        write_mps(lp, path)
+        bounds = path.read_text().split("BOUNDS\n")[1].splitlines()
+        assert bounds == [" MI BND x", " UP BND x 5.0", " UP BND y 1.0", "ENDATA"]
         assert_highs_reads(path, lp)

@@ -20,6 +20,7 @@ from powermarket.metrics import (
 )
 from powermarket.model import (
     Co2Cap,
+    FixedFip,
     PolicyConfig,
     PowerSystem,
     SupportDispatched,
@@ -88,10 +89,20 @@ class TestHeadlineMetrics:
         assert market_value(system, sol, "wind") is None
         assert lcoe(system, sol, "wind") is None
         assert rmv(system, sol, "wind") is None
-        wind = build_report(system, lp, sol, PolicyConfig.none()).technologies["wind"]
+        wind = build_report(system, sol, PolicyConfig.none()).technologies["wind"]
         assert wind.energy == dispatch
         assert (wind.mv, wind.lcoe, wind.rmv, wind.rmv_shares) == (None,) * 4
         assert penetration_of(system, sol, ("wind",)) == 0.0
+
+    def test_unbuilt_premium_tech_reports_the_premium(self):
+        # without output there is no LCOE - MV to read: the report names
+        # the premium itself
+        system = two_tech_system(wind_capex=1e9)
+        policy = PolicyConfig(support=FixedFip(("wind",), 5.0))
+        lp, sol = solved(system, policy)
+        wind = build_report(system, sol, policy).technologies["wind"]
+        assert wind.energy == 0.0 and (wind.mv, wind.lcoe) == (None, None)
+        assert wind.fip_equivalent == 5.0
 
 
 class TestRmv:
@@ -106,7 +117,7 @@ class TestRmv:
 
     def test_share_decomposition_matches(self, desk_system):
         lp, sol = solved(desk_system)
-        report = build_report(desk_system, lp, sol, PolicyConfig.none())
+        report = build_report(desk_system, sol, PolicyConfig.none())
         for name in ("wind", "solar", "ccgt", "ocgt"):
             r = rmv(desk_system, sol, name)
             d = report.technologies[name].rmv_shares
@@ -136,7 +147,7 @@ class TestSuppression:
 class TestReport:
     def test_report_fields_and_json(self, desk_system):
         lp, sol = solved(desk_system)
-        report = build_report(desk_system, lp, sol, PolicyConfig.none(),
+        report = build_report(desk_system, sol, PolicyConfig.none(),
                               suppress_negative=True)
         doc = json.loads(report_to_json(report))
         assert set(doc["technologies"]) >= {"wind", "solar", "ccgt", "ocgt"}
@@ -156,7 +167,7 @@ class TestReport:
 
     def test_csv_output_is_stable(self, tmp_path, desk_system):
         lp, sol = solved(desk_system)
-        report = build_report(desk_system, lp, sol, PolicyConfig.none())
+        report = build_report(desk_system, sol, PolicyConfig.none())
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         write_report_csv(report, p1, scenario="x")
         write_report_csv(report, p2, scenario="x")
@@ -182,7 +193,7 @@ class TestOptimalVertices:
         two_runs, one_run = Session().solve(lp), Session()._run(lp, False)
         assert not np.array_equal(nodal_prices(system, two_runs)["DE"],
                                   nodal_prices(system, one_run)["DE"])
-        a, b = (build_report(system, lp, sol, policy) for sol in (two_runs, one_run))
+        a, b = (build_report(system, sol, policy) for sol in (two_runs, one_run))
 
         def agree(x, y):
             x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)

@@ -86,7 +86,7 @@ class TestSolve:
         sol = solve(lp)
         assert sol.primal("y") == 0.0
         # y's cost exceeds the row price by 2
-        assert reduced_costs(lp, sol)[y] == pytest.approx(2.0)
+        assert reduced_costs(sol)[y] == pytest.approx(2.0)
         assert sol.dual("cover") == pytest.approx(1.0)
 
     def test_infeasible_status(self):
@@ -116,6 +116,18 @@ class TestSolutionFiles:
         assert back.x.tolist() == sol.x.tolist()
         assert back.y.tolist() == sol.y.tolist()
 
+    def test_comment_and_blank_lines_are_skipped(self, tmp_path):
+        lp = build_lp(one_tech_two_hours(), PolicyConfig.none())
+        sol = solve(lp)
+        path = tmp_path / "model.sol"
+        write_solution_file(sol, path)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(["# written by hand", ""] + lines[:2]
+                                  + ["   ", "  # the columns"] + lines[2:]) + "\n")
+        back = solve_external(lp, path)
+        assert back.objective == sol.objective
+        assert back.x.tolist() == sol.x.tolist() and back.y.tolist() == sol.y.tolist()
+
     def test_zeros_are_written_as_positive_zero(self, tmp_path, desk_system):
         lp = build_lp(desk_system, PolicyConfig.none())
         sol = solve(lp)
@@ -136,8 +148,8 @@ class TestSolutionFiles:
         policy = PolicyConfig(co2=Co2Cap(1e9))
         lp = build_lp(desk_system, policy)
         sol = solve(lp)
-        prices = (policy_prices(desk_system, sol, lp, policy)["mu_co2"],
-                  check_cap_tax_equivalence(desk_system, lp, sol, policy).detail["mu_co2"])
+        prices = (policy_prices(desk_system, sol, policy)["mu_co2"],
+                  check_cap_tax_equivalence(desk_system, sol, policy).detail["mu_co2"])
         assert prices == (0.0, 0.0) and not np.signbit(prices).any()
 
     def test_unknown_column_is_rejected(self, tmp_path):
@@ -224,7 +236,7 @@ class TestSolutionFiles:
         path = tmp_path / "line.sol"
         write_solution_file(solve(lp), path)
         ext = solve_external(lp, path)
-        results = verify_solution(system, lp, ext, PolicyConfig.none())
+        results = verify_solution(system, ext, PolicyConfig.none())
         assert [(r.check, r.entity) for r in results if r.verdict != "pass"] == []
         rent = next(r for r in results if r.check == "zero-profit-line")
         assert rent.detail["lower_bound_rent"] == pytest.approx(4.0 * 50.0)
@@ -237,7 +249,7 @@ class TestSolutionFiles:
         path = tmp_path / "ext.sol"
         write_solution_file(sol, path)
         ext = solve_external(lp, path)
-        assert check_kkt(lp, ext).passed
+        assert check_kkt(ext).passed
 
 
 def linprog_reference(lp: LinearProgram):
@@ -306,7 +318,7 @@ class TestHighsBindings:
         # no sample, the smaller cost perturbation takes another pivot path:
         # each may end at another optimal vertex of these degenerate LPs
         assert sol.objective == pytest.approx(res.fun, rel=1e-12)
-        assert check_kkt(lp, sol).passed
+        assert check_kkt(sol).passed
         # one plain cold run with linprog's perturbation is linprog's solve
         sol = linprog_perturbation()._run(lp, False)
         assert sol.iterations == res.nit
@@ -511,7 +523,7 @@ class TestSession:
         assert (warm.warm, warm.relaxed, warm.fixed) == (True, (), ())
         assert sol.status == "optimal" and not sol.warm_start
         assert sol.objective == pytest.approx(Session()._run(lp, False).objective, rel=1e-9)
-        assert check_kkt(lp, sol).passed
+        assert check_kkt(sol).passed
 
     def test_held_start_matches_a_plain_run(self):
         for seed in range(10):
@@ -568,7 +580,7 @@ class TestSession:
         assert (warm.warm, warm.relaxed, warm.fixed) == (True, (), ())
         assert sol.status == "optimal" and not sol.warm_start
         assert sol.objective == pytest.approx(one_run.objective, rel=1e-9)
-        assert check_kkt(lp, sol).passed
+        assert check_kkt(sol).passed
         # the session holds the quota LP: another share is one warm run
         again = session.solve(other)
         assert again.warm_start and len(again.runs) == 1
@@ -582,7 +594,7 @@ class TestSession:
         sols = [Session().solve(premium)]
         monkeypatch.setattr(sys.modules[check_kkt.__module__], "solve",
                             lambda mirror: sols.append(solve(mirror)) or sols[-1])
-        check_subsidy_tax_lift(system, lp, sol, policy)  # solves the quota mirror
+        check_subsidy_tax_lift(system, sol, policy)  # solves the quota mirror
         # each: the sample, then the LP at the sample's capacities, then warm;
         # the premium LP's freed quota row stays free, and the mirror's
         # appended row is left free in its held run
@@ -618,7 +630,7 @@ class TestSession:
         assert (warm.warm, warm.relaxed, warm.fixed, warm.pricing) == (True, (), (), 1)
         assert sol.status == "optimal" and not sol.warm_start
         assert sol.objective == pytest.approx(one_run.objective, rel=1e-9)
-        assert check_kkt(lp, sol).passed
+        assert check_kkt(sol).passed
         # the session holds the cap LP: another cap is one warm run
         again = session.solve(tighter)
         assert again.warm_start and len(again.runs) == 1
@@ -678,7 +690,7 @@ class TestSession:
             (True, (), ())]
         assert sol.dual("co2-cap") < 0.0 < sol.dual("vre-dispatched")
         assert sol.objective == pytest.approx(one_run.objective, rel=1e-9)
-        assert check_kkt(lp, sol).passed
+        assert check_kkt(sol).passed
 
     @pytest.mark.parametrize("case", ["storage", "infeasible-sample"])
     def test_cap_lp_without_a_sample_price_takes_one_run(self, case):
@@ -709,7 +721,7 @@ class TestSession:
             (len(lp.rows), False, ((lp.row("co2-cap"), 0.0),), scalar_columns(lp), "optimal"),
             (len(lp.rows), True, (), (), "optimal")]
         assert sol.objective == pytest.approx(Session()._run(lp, False).objective, rel=1e-9)
-        assert check_kkt(lp, sol).passed
+        assert check_kkt(sol).passed
 
     def test_storage_quota_lp_takes_one_plain_run(self):
         # a storage LP has no sample: nothing is held and no row left free
@@ -790,7 +802,7 @@ class TestSession:
             assert warm.warm_start == (intensity > 0.005) and not cold.warm_start
             assert warm.dual("co2-cap") < 0.0
             assert warm.objective == pytest.approx(cold.objective, rel=1e-12)
-            assert check_kkt(lp, warm).passed
+            assert check_kkt(warm).passed
         assert warm.runs[-1].pricing == 1
 
     def test_wall_time_covers_the_handoff(self, monkeypatch, desk_system):

@@ -76,6 +76,23 @@ class TestRunSweep:
         assert result.points[0].verdict == "skipped"
         assert result.points[1].status == "optimal"
 
+    def test_a_point_that_raises_is_recorded_not_fatal(self):
+        # a negative cap fails validation: the point keeps the error, the
+        # grid goes on and the next point is solved and verified
+        system, _, _ = load_scenario(scenario_path("wind_gas_168h.json"))
+        plan = SweepPlan(system=system, axis="co2_cap", values=(-1.0, 855.558),
+                         policy_set=("wind",))
+        result = run_sweep(plan)
+        bad, good = result.points
+        assert (bad.status, bad.verdict, bad.report) == ("error", "skipped", None)
+        assert bad.message.startswith(
+            "FormulationError: invalid system/policy: policy: co2-cap")
+        assert (good.status, good.verdict) == ("optimal", "pass")
+        assert good.penetration == pytest.approx(0.9, abs=1e-6)
+        assert result.all_verified
+        rows = list(csv.reader(io.StringIO(sweep_csv_text(plan, result))))
+        assert rows[1] == ["-1.0", "error", "skipped"] + [""] * (len(rows[0]) - 3)
+
     def test_binding_support_hits_share_exactly(self, support_plan):
         result = run_sweep(support_plan)
         last = result.points[-1]

@@ -9,9 +9,11 @@ from powermarket.formulate import apply_equivalence_substitution, build_lp, cycl
 from powermarket.metrics import accounts, build_report
 from powermarket.model import (
     Co2Cap,
+    FixedFip,
     LineSpec,
     PolicyConfig,
     PowerSystem,
+    StorageSpec,
     SupportDispatched,
     TechnologySpec,
 )
@@ -43,7 +45,7 @@ class TestKkt:
     def test_optimal_solution_passes(self, desk_system):
         lp = build_lp(desk_system, PolicyConfig.none())
         sol = solve(lp)
-        report = check_kkt(lp, sol)
+        report = check_kkt(sol)
         assert report.passed
         assert report.primal <= 1e-9
 
@@ -60,26 +62,26 @@ class TestKkt:
         k = int(np.diff(A.indptr).max())
         bound = 2 * (k + 1) * np.finfo(float).eps * (
             np.abs(lp.columns.objective) + abs(A).T @ np.abs(sol.y))
-        assert np.all(np.abs(reduced_costs(lp, sol) - reference) <= bound)
+        assert np.all(np.abs(reduced_costs(sol) - reference) <= bound)
 
     def test_tampered_primal_fails(self, desk_system):
         lp = build_lp(desk_system, PolicyConfig.none())
         sol = solve(lp)
         sol.x[0] += 5.0
-        assert not check_kkt(lp, sol).passed
+        assert not check_kkt(sol).passed
 
     def test_rounded_duals_fail(self, desk_system):
         # a solution file with duals rounded to integers must be caught
         lp = build_lp(desk_system, PolicyConfig.none())
         sol = solve(lp)
         sol.y = np.round(sol.y)
-        assert not check_kkt(lp, sol).passed
+        assert not check_kkt(sol).passed
 
     def test_nan_residual_fails(self, desk_system):
         lp = build_lp(desk_system, PolicyConfig.none())
         sol = solve(lp)
         lp.rows.rhs[:] = np.nan
-        report = check_kkt(lp, sol)
+        report = check_kkt(sol)
         # the first residual is finite, so max() would drop the NaNs after it
         assert report.stationarity <= 1e-6 and np.isnan(report.primal)
         assert not report.passed
@@ -92,7 +94,7 @@ class TestZeroProfit:
     def test_no_policy_generators(self, desk_system):
         lp = build_lp(desk_system, PolicyConfig.none())
         sol = solve(lp)
-        results = check_zero_profit(desk_system, lp, sol, PolicyConfig.none())
+        results = check_zero_profit(desk_system, sol, PolicyConfig.none())
         assert results and all(r.verdict == "pass" for r in results)
 
     def test_policy_terms_balance_the_books(self):
@@ -101,7 +103,7 @@ class TestZeroProfit:
                               co2=None)
         lp = build_lp(system, policy)
         sol = solve(lp)
-        results = check_zero_profit(system, lp, sol, policy)
+        results = check_zero_profit(system, sol, policy)
         assert all(r.verdict == "pass" for r in results)
         wind = next(r for r in results if r.entity == "wind@N")
         # without the support adjustment the books would not balance
@@ -118,16 +120,56 @@ class TestZeroProfit:
                              voll=100.0, discount_rate=0.0)
         lp = build_lp(system, PolicyConfig.none())
         sol = solve(lp)
-        results = check_zero_profit(system, lp, sol, PolicyConfig.none())
+        results = check_zero_profit(system, sol, PolicyConfig.none())
         assert all(r.verdict == "pass" for r in results)
         entry = next(r for r in results if r.entity == "cheap@N")
         assert entry.detail["scarcity_rent"] > 0.0
+
+    @pytest.mark.parametrize("premium, mv, lcoe", [(5.0, 42.478, 47.478),
+                                                   (20.0, 29.442, 49.442)])
+    def test_fixed_premium_balances_the_books(self, premium, mv, lcoe):
+        # the premium is paid outside the market: wind's books balance with
+        # it, and its market value falls short of its LCOE by exactly it
+        system, _, _ = load_scenario(scenario_path("wind_gas_168h.json"))
+        policy = PolicyConfig(support=FixedFip(("wind",), premium))
+        sol = solve(build_lp(system, policy))
+        row = next(r for r in check_zero_profit(system, sol, policy) if r.entity == "wind@N")
+        wind = build_report(system, sol, policy).technologies["wind"]
+        assert row.verdict == "pass" and wind.energy > 0.0
+        assert row.detail["adjustment"] == pytest.approx(premium * wind.energy, rel=1e-12)
+        assert (wind.mv, wind.lcoe) == pytest.approx((mv, lcoe), abs=1e-3)
+        assert wind.mv == pytest.approx(wind.lcoe - premium, rel=1e-9)
+        # with output, the premium equivalent is read off the books
+        assert wind.fip_equivalent == pytest.approx(premium, rel=1e-9)
+
+    def test_fixed_ratio_storage_and_a_fixed_line(self):
+        # a battery whose energy capacity is four hours of its discharge
+        # power pays for both through its discharge capacity; a line that
+        # cannot be expanded costs nothing
+        base = random_desk_system(3, 48)
+        battery = StorageSpec(name="battery", capex_discharge=1000.0, capex_energy=500.0,
+                              lifetime=20.0, eta_discharge=0.9, eta_charge=0.9,
+                              fixed_energy_power_ratio=4.0)
+        system = replace(base, nodes=("N", "M"),
+                         demand={"N": base.demand["N"], "M": (20.0,) * 48},
+                         storages=(("N", battery),),
+                         lines=(LineSpec("N", "M", existing_capacity=30.0),))
+        policy = PolicyConfig.none()
+        sol = solve(build_lp(system, policy))
+        row = next(r for r in verify_solution(system, sol, policy)
+                   if r.check == "zero-profit-storage")
+        costs = battery.annual_costs(system.discount_rate)
+        power = sol.primal("Gdis", "battery@N")
+        assert row.verdict == "pass" and power > 0.0
+        assert row.detail["cost"] == pytest.approx((costs["dis"] + 4.0 * costs["ene"]) * power,
+                                                   rel=1e-12)
+        assert build_report(system, sol, policy).cost_breakdown["line:L0"] == 0.0
 
     def test_report_json_is_valid(self, desk_system):
         lp = build_lp(desk_system, PolicyConfig.none())
         sol = solve(lp)
         doc = json.loads(report_to_json(
-            verify_solution(desk_system, lp, sol, PolicyConfig.none())))
+            verify_solution(desk_system, sol, PolicyConfig.none())))
         assert all(d["verdict"] in ("pass", "fail", "inconclusive") for d in doc)
 
     def test_report_sums_the_checked_accounts(self):
@@ -135,8 +177,8 @@ class TestZeroProfit:
         # the books the check balances, bit for bit
         system, policy, lp = capped_ring()
         sol = solve(lp)
-        coal = build_report(system, lp, sol, policy).technologies["coal"]
-        rows = [r for r in check_zero_profit(system, lp, sol, policy)
+        coal = build_report(system, sol, policy).technologies["coal"]
+        rows = [r for r in check_zero_profit(system, sol, policy)
                 if r.entity.startswith("coal@")]
         assert [r.entity for r in rows] == ["coal@N0", "coal@N1", "coal@N2"]
         assert coal.energy > 0.0 and coal.cost > 0.0
@@ -149,8 +191,8 @@ class TestZeroProfit:
         system, policy, _ = load_scenario(scenario_path(name))
         lp = build_lp(system, policy)
         sol = solve(lp)
-        techs = build_report(system, lp, sol, policy).technologies
-        rows = check_zero_profit(system, lp, sol, policy)
+        techs = build_report(system, sol, policy).technologies
+        rows = check_zero_profit(system, sol, policy)
         for tech in system.tech_names():
             assert techs[tech].cost == sum(r.detail["cost"] for r in rows
                                            if r.entity.startswith(f"{tech}@"))
@@ -216,7 +258,7 @@ class TestKvlTerms:
             LineSpec("N0", "N2", expandable=True, capex=20.0, reactance=0.3),))
         for system, lp in ((system, lp), (chord, build_lp(chord, policy))):
             sol = solve(lp)
-            terms = powermarket.verify._kvl_profit_terms(lp, sol)
+            terms = powermarket.verify._kvl_profit_terms(sol)
             reference = kvl_terms_by_cycle_basis(system, sol)
             if len(cycle_basis(system.lines)) == 1:
                 assert terms == reference
@@ -234,7 +276,7 @@ class TestEquivalence:
         system, policy, lp = capped_ring()
         write_solution_file(Session()._run(lp, False), tmp_path / "ring.sol")
         sol = solve_external(lp, tmp_path / "ring.sol")
-        result = check_cap_tax_equivalence(system, lp, sol, policy)
+        result = check_cap_tax_equivalence(system, sol, policy)
         assert result.detail["price_deviation"] > 1e-3
         assert result.verdict == "inconclusive"
 
@@ -246,7 +288,7 @@ class TestEquivalence:
             return sol
         monkeypatch.setattr(powermarket.verify, "solve", tampered)
         system, policy, lp = capped_ring()
-        result = check_cap_tax_equivalence(system, lp, solve(lp), policy)
+        result = check_cap_tax_equivalence(system, solve(lp), policy)
         assert result.verdict == "fail"
 
     def test_mirror_prices_that_are_not_quota_prices_fail(self, monkeypatch):
@@ -257,7 +299,7 @@ class TestEquivalence:
             return sol
         monkeypatch.setattr(powermarket.verify, "solve", tampered)
         system, policy, lp = quota_ring()
-        result = check_subsidy_tax_lift(system, lp, solve(lp), policy)
+        result = check_subsidy_tax_lift(system, solve(lp), policy)
         assert result.verdict == "fail"
 
     def test_relaxed_lps_keep_the_solved_rows_in_place(self, monkeypatch):
@@ -270,7 +312,7 @@ class TestEquivalence:
         system, policy, lp = quota_ring()
         assert lp.has_row("kvl-cycle", "c0")
         sol = solve(lp)
-        check_subsidy_tax_lift(system, lp, sol, policy)
+        check_subsidy_tax_lift(system, sol, policy)
         mirror, = solved
         quota = lp.row("vre-dispatched")
         tax = apply_equivalence_substitution(lp, {quota: sol.dual("vre-dispatched")})
@@ -298,7 +340,7 @@ class TestEquivalence:
         lp = build_lp(system, policy)
         # from the basis of a one-run cold cap solve, through the handoff to
         # a Devex model; a cold solve of the tax LP takes 106
-        result = check_cap_tax_equivalence(system, lp, Session()._run(lp, False), policy)
+        result = check_cap_tax_equivalence(system, Session()._run(lp, False), policy)
         assert result.verdict == "pass"
         assert result.detail["warm_start"] is True
         assert result.detail["tax_iterations"] == 2
@@ -309,7 +351,7 @@ class TestEquivalence:
         monkeypatch.setattr(powermarket.verify, "apply_equivalence_substitution", off)
         system, policy, _ = load_scenario(scenario_path("fig1_co2_cap.json"))
         lp = build_lp(system, policy)
-        result = check_cap_tax_equivalence(system, lp, solve(lp), policy)
+        result = check_cap_tax_equivalence(system, solve(lp), policy)
         assert result.detail["warm_start"] is True
         assert result.verdict != "pass"
 
@@ -318,7 +360,7 @@ class TestEquivalence:
         sol = solve(lp)
         # the solved prices are optimal duals, at whichever vertex the
         # solver ends ...
-        assert check_kkt(lp, sol).passed
+        assert check_kkt(sol).passed
         # ... yet the price of N0 at t0 is not unique: the objective falls by
         # 7 per unit of demand taken away and rises by 3.5 per unit added
         row = np.arange(len(lp.rows))[lp.row("balance", "N0")][0]
@@ -331,14 +373,14 @@ class TestEquivalence:
         down = (sol.objective - objective[-1]) / step
         up = (objective[1] - sol.objective) / step
         assert up - down > 1.0
-        result = check_subsidy_tax_lift(system, lp, sol, policy)
+        result = check_subsidy_tax_lift(system, sol, policy)
         assert result.residual > 1e-6
         assert result.verdict == "inconclusive"
 
     def test_cap_tax_on_desk_system(self, desk_system):
         policy = PolicyConfig(co2=Co2Cap(900.0))
         lp = build_lp(desk_system, policy)
-        result = check_cap_tax_equivalence(desk_system, lp, solve(lp), policy)
+        result = check_cap_tax_equivalence(desk_system, solve(lp), policy)
         assert result.verdict == "pass"
         assert result.detail["mu_co2"] > 0.0
 
@@ -355,7 +397,7 @@ class TestEquivalence:
                         for acct in accounts(system, free) if acct.spec is not None)
         policy = PolicyConfig(co2=Co2Cap(0.5 * emissions))
         lp = build_lp(system, policy)
-        result = check_cap_tax_equivalence(system, lp, solve(lp), policy)
+        result = check_cap_tax_equivalence(system, solve(lp), policy)
         assert result.detail["mu_co2"] > 0.0
         assert result.verdict == "pass"
 
@@ -363,7 +405,7 @@ class TestEquivalence:
         system = two_tech_system()
         policy = PolicyConfig(support=SupportDispatched(("wind",), share=0.85))
         lp = build_lp(system, policy)
-        result = check_subsidy_tax_lift(system, lp, solve(lp), policy)
+        result = check_subsidy_tax_lift(system, solve(lp), policy)
         assert result.verdict == "pass"
         assert result.detail["mu_gamma"] > 0.0
 
@@ -371,9 +413,9 @@ class TestEquivalence:
         lp = build_lp(desk_system, PolicyConfig.none())
         sol = solve(lp)
         with pytest.raises(ValueError):
-            check_cap_tax_equivalence(desk_system, lp, sol, PolicyConfig.none())
+            check_cap_tax_equivalence(desk_system, sol, PolicyConfig.none())
         with pytest.raises(ValueError):
-            check_subsidy_tax_lift(desk_system, lp, sol, PolicyConfig.none())
+            check_subsidy_tax_lift(desk_system, sol, PolicyConfig.none())
 
 
 class TestOracle:
