@@ -20,7 +20,7 @@ from .metrics import build_report, report_to_json, write_report_csv
 from .model import Co2Cap, SupportDispatched
 from .scenario import ScenarioError, load_plan, load_scenario
 from .solve import NO_OPTIMUM, solve, solve_external, write_solution_file, SolveError
-from .sweep import run_sweep, sweep_manifest, write_sweep_csv
+from .sweep import all_verified, run_sweep, sweep_manifest, write_sweep_csv
 from .verify import (
     check_cap_tax_equivalence,
     check_subsidy_tax_lift,
@@ -147,15 +147,16 @@ def cmd_sweep(args) -> int:
     except ScenarioError as exc:
         return _error(exc, EXIT_INPUT)
     out = _out_dir(args)
-    result = run_sweep(plan)
-    write_sweep_csv(plan, result, os.path.join(out, f"{plan.name}.csv"))
+    points = run_sweep(plan)
+    write_sweep_csv(plan, points, os.path.join(out, f"{plan.name}.csv"))
     with open(os.path.join(out, f"{plan.name}.manifest.json"), "w",
               encoding="utf-8") as fh:
-        json.dump(sweep_manifest(plan, result), fh, indent=2, sort_keys=True)
-    solved = sum(1 for p in result.points if p.status == "optimal")
-    print(f"sweep '{plan.name}': {solved}/{len(result.points)} points optimal, "
-          f"verified={result.all_verified}")
-    return EXIT_OK if result.all_verified else EXIT_VERIFY
+        json.dump(sweep_manifest(plan, points), fh, indent=2, sort_keys=True)
+    solved = sum(1 for p in points if p.status == "optimal")
+    verified = all_verified(points)
+    print(f"sweep '{plan.name}': {solved}/{len(points)} points optimal, "
+          f"verified={verified}")
+    return EXIT_OK if verified else EXIT_VERIFY
 
 
 def cmd_verify(args) -> int:

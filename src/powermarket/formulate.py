@@ -333,7 +333,7 @@ def build_lp(system: PowerSystem, policy: PolicyConfig) -> LinearProgram:
     equilibrium KKT system for the given policy regime."""
     violations = validate(system, policy)
     if violations:
-        msgs = "; ".join(f"{v.entity}: {v.rule} ({v.message})" for v in violations[:8])
+        msgs = "; ".join(map(str, violations[:8]))
         raise FormulationError(f"invalid system/policy: {msgs}")
     T = system.snapshots
 

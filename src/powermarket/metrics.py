@@ -254,16 +254,10 @@ def policy_prices(system: PowerSystem, sol: Solution, policy: PolicyConfig) -> d
 # -- negative price suppression ----------------------------------------------------
 
 
-@dataclass
-class SuppressedPrices:
-    prices: dict                   # node -> clipped price array
-    market_values: dict            # tech -> MV under clipped prices
-    load_weighted_price: float
-    average_price: float
-
-
-def suppress_negative_prices(system: PowerSystem, sol: Solution) -> SuppressedPrices:
-    """Recompute market values and averages with prices floored at zero.
+def suppress_negative_prices(system: PowerSystem, sol: Solution) -> dict:
+    """Market values and average prices with prices floored at zero: the
+    ``market_values``, ``load_weighted_price`` and ``average_price`` that
+    :attr:`MetricsReport.suppressed` holds.
 
     They are read off a copy of ``sol`` whose balance duals are floored at
     zero; that copy is not returned, since its duals are not optimal.  The
@@ -275,12 +269,9 @@ def suppress_negative_prices(system: PowerSystem, sol: Solution) -> SuppressedPr
         index = sol.lp.row("balance", node)
         y[index] = np.maximum(y[index], 0.0)
     floored = replace(sol, y=y)
-    return SuppressedPrices(
-        prices=nodal_prices(system, floored),
-        market_values=market_values(system, floored),
-        load_weighted_price=load_weighted_price(system, floored),
-        average_price=average_price(system, floored),
-    )
+    return {"market_values": market_values(system, floored),
+            "load_weighted_price": load_weighted_price(system, floored),
+            "average_price": average_price(system, floored)}
 
 
 # -- duration curves ----------------------------------------------------------------
@@ -398,12 +389,7 @@ def build_report(system: PowerSystem, sol: Solution, policy: PolicyConfig, *,
         objective=sol.objective,
     )
     if suppress_negative:
-        sup = suppress_negative_prices(system, sol)
-        report.suppressed = {
-            "market_values": sup.market_values,
-            "load_weighted_price": sup.load_weighted_price,
-            "average_price": sup.average_price,
-        }
+        report.suppressed = suppress_negative_prices(system, sol)
     return report
 
 

@@ -285,6 +285,9 @@ class Violation:
     rule: str
     message: str
 
+    def __str__(self) -> str:
+        return f"{self.entity}: {self.rule} ({self.message})"
+
 
 def _check_profile(out, entity, series, length, rule, lo=0.0, hi=None):
     if len(series) != length:

@@ -338,8 +338,7 @@ def loads_scenario(doc: dict, base_dir: str = "."):
                          kvl=options.get("kvl", False))
     violations = validate(system, policy)
     if violations:
-        raise ScenarioError("; ".join(
-            f"{v.entity}: {v.rule} ({v.message})" for v in violations))
+        raise ScenarioError("; ".join(map(str, violations)))
     return system, policy, {"suppress_negative_prices":
                                 options.get("suppress_negative_prices", False),
                             "name": doc.get("name", "scenario")}

@@ -29,11 +29,12 @@ from .model import (
     PowerSystem,
     SupportAvailable,
     SupportDispatched,
+    validate,
 )
-from .solve import Session, solve
+from .solve import NO_OPTIMUM, Session, solve
 from .verify import verify_solution
 
-__all__ = ["SweepPlan", "SweepPoint", "SweepResult", "run_sweep",
+__all__ = ["SweepPlan", "SweepPoint", "run_sweep", "all_verified",
            "write_sweep_csv", "sweep_manifest"]
 
 AXES = ("support_share", "available_target", "co2_cap", "co2_intensity", "co2_tax")
@@ -66,8 +67,16 @@ class SweepPlan:
             raise ValueError("sweep axis values must be finite")
         if list(self.values) != sorted(self.values):
             raise ValueError("sweep axis values must be sorted ascending")
-        if self.axis in ("support_share", "available_target") and not self.policy_set:
-            raise ValueError(f"axis '{self.axis}' needs a non-empty policy_set")
+        if self.axis in ("support_share", "available_target"):
+            if not self.policy_set:
+                raise ValueError(f"axis '{self.axis}' needs a non-empty policy_set")
+            if self.values[0] < 0.0:
+                raise ValueError(f"axis '{self.axis}' values must be >= 0")
+        for value in self.values:
+            violations = validate(self.system, self.policy_at(value))
+            if violations:
+                raise ValueError(f"sweep value {value!r}: "
+                                 + "; ".join(map(str, violations)))
 
     def policy_at(self, value: float) -> PolicyConfig:
         if self.axis == "support_share":
@@ -107,18 +116,6 @@ class SweepPoint:
     message: str = ""
 
 
-@dataclass
-class SweepResult:
-    plan_name: str
-    axis: str
-    points: list                        # SweepPoint, in axis order
-    config_digest: str
-
-    @property
-    def all_verified(self) -> bool:
-        return all(p.verdict == "pass" for p in self.points if p.status == "optimal")
-
-
 def _solve_point(plan: SweepPlan, value: float, session: Session) -> SweepPoint:
     try:
         policy = plan.policy_at(value)
@@ -141,17 +138,22 @@ def _solve_point(plan: SweepPlan, value: float, session: Session) -> SweepPoint:
                           message=f"{type(exc).__name__}: {exc}")
 
 
-def run_sweep(plan: SweepPlan) -> SweepResult:
+def run_sweep(plan: SweepPlan) -> list:
     """Solve and verify every point of the plan, in axis order, in one
     HiGHS session: each point starts from the basis of the one before it,
-    or cold after a point that did not end optimal."""
+    or cold after a point that did not end optimal.  Returns the
+    :class:`SweepPoint` of each value, in axis order."""
     session = Session()
-    points = [_solve_point(plan, v, session) for v in plan.values]
-    return SweepResult(plan_name=plan.name, axis=plan.axis, points=points,
-                       config_digest=plan.config_digest())
+    return [_solve_point(plan, v, session) for v in plan.values]
 
 
-def sweep_csv_text(plan: SweepPlan, result: SweepResult) -> str:
+def all_verified(points: list) -> bool:
+    """Every point passes its checks or ends without an optimum; a point
+    that raised or stopped at a solver limit is not verified."""
+    return all(p.verdict == "pass" or p.status in NO_OPTIMUM for p in points)
+
+
+def sweep_csv_text(plan: SweepPlan, points: list) -> str:
     """Render the sweep table; cells follow :func:`~powermarket.metrics.csv_cell`,
     so re-runs are byte-identical."""
     names = plan.system.tech_names()
@@ -166,7 +168,7 @@ def sweep_csv_text(plan: SweepPlan, result: SweepResult) -> str:
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=fields, lineterminator="\n")
     writer.writeheader()
-    for p in result.points:
+    for p in points:
         row = {plan.axis: float(p.value), "status": p.status,
                "verdict": p.verdict, "penetration": p.penetration}
         if p.report is not None:
@@ -190,19 +192,19 @@ def sweep_csv_text(plan: SweepPlan, result: SweepResult) -> str:
     return buf.getvalue()
 
 
-def write_sweep_csv(plan: SweepPlan, result: SweepResult, path) -> None:
+def write_sweep_csv(plan: SweepPlan, points: list, path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(sweep_csv_text(plan, result))
+        fh.write(sweep_csv_text(plan, points))
 
 
-def sweep_manifest(plan: SweepPlan, result: SweepResult) -> dict:
+def sweep_manifest(plan: SweepPlan, points: list) -> dict:
     return {
         "name": plan.name,
         "axis": plan.axis,
         "values": [float(v) for v in plan.values],
-        "config_sha256": result.config_digest,
+        "config_sha256": plan.config_digest(),
         "points": [{"value": float(p.value), "status": p.status,
                     "verdict": p.verdict, "failures": p.failures,
-                    "message": p.message} for p in result.points],
-        "all_verified": result.all_verified,
+                    "message": p.message} for p in points],
+        "all_verified": all_verified(points),
     }

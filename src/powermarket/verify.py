@@ -44,7 +44,6 @@ from .solve import Solution, solve
 
 __all__ = [
     "CheckResult",
-    "KktReport",
     "reduced_costs",
     "check_kkt",
     "check_zero_profit",
@@ -72,28 +71,6 @@ class CheckResult:
 # -- KKT residuals ---------------------------------------------------------------
 
 
-@dataclass
-class KktReport:
-    stationarity: float
-    primal: float
-    dual: float
-    complementarity: float
-    tol: float
-
-    @property
-    def passed(self) -> bool:
-        """Every residual is at most ``tol``; a NaN residual fails."""
-        return all(r <= self.tol for r in (self.stationarity, self.primal, self.dual,
-                                           self.complementarity))
-
-    def results(self) -> list:
-        """One row per residual, each judged on its own against ``tol``; a
-        NaN residual fails."""
-        return [CheckResult("kkt", kind, getattr(self, kind),
-                            "pass" if getattr(self, kind) <= self.tol else "fail")
-                for kind in ("stationarity", "primal", "dual", "complementarity")]
-
-
 def reduced_costs(sol: Solution) -> np.ndarray:
     """z = c - A^T y, from the LP of ``sol`` and its duals."""
     cols, e = sol.lp.columns, sol.lp.entries
@@ -106,9 +83,11 @@ def _pos(v: np.ndarray) -> np.ndarray:
     return np.where(v > 0.0, v, 0.0)
 
 
-def check_kkt(sol: Solution) -> KktReport:
-    """Maximum scale-normalized residuals of stationarity, primal/dual
-    feasibility and complementary slackness of ``sol`` in its LP."""
+def check_kkt(sol: Solution) -> list:
+    """One ``kkt`` :class:`CheckResult` per condition of ``sol`` in its LP
+    (stationarity, primal and dual feasibility, complementary slackness),
+    with the maximum scale-normalized residual; a residual passes at most
+    ``DEFAULT_TOL``, and a NaN residual fails."""
     x, y = sol.x, sol.y
     cols, rows, e = sol.lp.columns, sol.lp.rows, sol.lp.entries
     row_norm = np.ones(len(rows))
@@ -133,8 +112,9 @@ def check_kkt(sol: Solution) -> KktReport:
     wrong_sign = np.where(at_lower, _pos(-z), np.where(at_upper, _pos(z), np.abs(z)))
     wrong_sign[at_lower & at_upper] = 0.0
     stat = float((wrong_sign / np.maximum(1.0, np.abs(cols.objective))).max(initial=0.0))
-    return KktReport(stationarity=stat, primal=primal, dual=dual,
-                     complementarity=comp, tol=DEFAULT_TOL)
+    return [CheckResult("kkt", kind, r, "pass" if r <= DEFAULT_TOL else "fail")
+            for kind, r in (("stationarity", stat), ("primal", primal), ("dual", dual),
+                            ("complementarity", comp))]
 
 
 # -- zero-profit checks -------------------------------------------------------------
@@ -251,7 +231,7 @@ def _prices_not_unique(system: PowerSystem, sol: Solution, relaxed: Solution,
     for node in system.nodes:
         y[lp.row("balance", node)] -= shift
     y[lp.row(family)] = dual
-    return check_kkt(replace(sol, y=y)).passed
+    return all(c.verdict == "pass" for c in check_kkt(replace(sol, y=y)))
 
 
 def check_cap_tax_equivalence(system: PowerSystem, sol: Solution,
@@ -367,7 +347,6 @@ class OracleResult:
     objective: float = float("nan")
     prices: Optional[np.ndarray] = None        # per snapshot
     price_unique: Optional[np.ndarray] = None  # bool per snapshot
-    capacities: dict = field(default_factory=dict)
 
 
 _MAX_ORACLE_TECHS = 3
@@ -499,13 +478,10 @@ def brute_force_oracle(system: PowerSystem) -> OracleResult:
 
 def verify_solution(system: PowerSystem, sol: Solution, policy: PolicyConfig) -> list:
     """Run the per-solution checks (KKT, zero profit) and return all results."""
-    results = check_kkt(sol).results()
+    results = check_kkt(sol)
     results.extend(check_zero_profit(system, sol, policy))
     return results
 
 
 def report_to_json(results: list) -> str:
-    return json.dumps(
-        [{"check": r.check, "entity": r.entity, "residual": r.residual,
-          "verdict": r.verdict, "detail": r.detail} for r in results],
-        indent=2, sort_keys=True)
+    return json.dumps(results, default=vars, indent=2, sort_keys=True)

@@ -20,6 +20,7 @@ from powermarket.model import (
     synth_profiles,
 )
 from powermarket.solve import load_highs
+from powermarket.verify import check_kkt
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 BUNDLED_SCENARIOS = ("fig1_no_policy.json", "fig1_support.json", "fig1_co2_cap.json",
@@ -28,6 +29,11 @@ BUNDLED_SCENARIOS = ("fig1_no_policy.json", "fig1_support.json", "fig1_co2_cap.j
 
 def scenario_path(name: str) -> str:
     return os.path.join(SCENARIO_DIR, name)
+
+
+def kkt_passes(sol) -> bool:
+    """Whether every condition that ``check_kkt`` judges passes at ``sol``."""
+    return all(c.verdict == "pass" for c in check_kkt(sol))
 
 
 def energy_of(system, sol, name: str) -> float:

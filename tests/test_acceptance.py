@@ -271,8 +271,7 @@ def test_criterion_10_negative_price_suppression():
     raw, suppressed = [], []
     for gamma, system, sol in _support_sweep_solutions():
         raw.append(market_value(system, sol, "wind"))
-        suppressed.append(suppress_negative_prices(system, sol)
-                          .market_values["wind"])
+        suppressed.append(suppress_negative_prices(system, sol)["market_values"]["wind"])
     dominates = all(s >= r - 1e-9 for s, r in zip(suppressed, raw))
     ok = dominates and min(suppressed) >= 0.0
     _report(10, ok, f"suppressed >= raw pointwise = {dominates}, "
@@ -318,6 +317,27 @@ def test_criterion_11_two_day_policy_comparison():
             f"(a) |MV-LCOE| ok={a_ok}; (b) {int(neg.sum())} negative-price "
             f"hours at -mu ok={b_ok}; (c) share {share_c:.4f} vs {share_b:.4f}, "
             f"{int(zero_hours.sum())} zero-price hours ok={c_ok}")
+
+
+def test_fig1_cap_is_the_cap_at_the_quota_share():
+    """``fig1_co2_cap.json``'s cap, to the 4 decimals it holds, is the one at
+    which solar reaches ``fig1_support.json``'s quota share on the
+    no-policy system: 45 bisection steps between 0 and the policy-free
+    emissions, each a cold solve."""
+    system, _, _ = load_scenario(scenario_path("fig1_no_policy.json"))
+    _, quota, _ = load_scenario(scenario_path("fig1_support.json"))
+    _, capped, _ = load_scenario(scenario_path("fig1_co2_cap.json"))
+    target = quota.support.share
+    lo, hi = 0.0, _emissions(system, _solved(system)[1])
+    for _ in range(45):
+        mid = 0.5 * (lo + hi)
+        sol = solve(build_lp(system, PolicyConfig(co2=Co2Cap(mid))))
+        if sol.status != "optimal" \
+                or energy_of(system, sol, "solar") / system.total_demand() > target:
+            lo = mid
+        else:
+            hi = mid
+    assert round(hi, 4) == capped.co2.cap, f"the cap at solar share {target} is {hi:.4f}"
 
 
 def test_criterion_12_rmv_identity():

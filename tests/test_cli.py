@@ -503,6 +503,13 @@ def edited(name: str, **changes) -> dict:
     return {**bundled(name), **changes}
 
 
+def with_timeseries(path: str, column: str = "N_load") -> dict:
+    """``wind_gas_168h`` with its demand read from ``column`` of the
+    timeseries file ``path``."""
+    return edited("wind_gas_168h.json", timeseries=path,
+                  demand={"N": {"series": column}})
+
+
 # case -> (scenario document, the violation its error line names)
 STRUCTURE_ERRORS = {
     "duplicate-node": (edited("wind_gas_168h.json", nodes=["N", "N"]),
@@ -568,6 +575,22 @@ STRUCTURE_ERRORS = {
     "negative-cap": (
         edited("wind_gas_168h.json", policy={"co2": {"type": "cap", "cap": -1.0}}),
         "policy: co2-cap (cap must be >= 0)"),
+    "timeseries-file-missing": (with_timeseries("missing.csv"),
+                                "missing.csv' not found"),
+    "timeseries-without-data-columns": (with_timeseries("series.csv"),
+                                        "series.csv' has no data columns"),
+    "timeseries-cell-not-a-number": (with_timeseries("series.csv"),
+                                     "row 3 column 'N_load' is not a number"),
+    "timeseries-column-missing": (with_timeseries("series.csv", "M_load"),
+                                  "timeseries column 'M_load' not found"),
+}
+
+# case -> the timeseries file it writes next to its scenario, as series.csv
+TIMESERIES_FILES = {
+    "timeseries-without-data-columns": "timestamp\n" + "".join(f"{t}\n" for t in range(168)),
+    "timeseries-cell-not-a-number": "timestamp,N_load\n0,100\n1,abc\n",
+    "timeseries-column-missing": "timestamp,N_load\n" + "".join(f"{t},100\n"
+                                                                for t in range(168)),
 }
 
 
@@ -578,6 +601,8 @@ class TestStructure:
         doc, message = STRUCTURE_ERRORS[case]
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
+        if case in TIMESERIES_FILES:
+            (tmp_path / "series.csv").write_text(TIMESERIES_FILES[case])
         out = [] if command == "validate" else ["--out-dir", str(tmp_path)]
         assert exit_code([command, str(path), *out]) == 1
         err = capsys.readouterr().err
@@ -680,6 +705,23 @@ class TestSweep:
         manifest = json.load(open(tmp_path / "co2_sweep_flex.manifest.json"))
         assert len(manifest["config_sha256"]) == 64
         assert all(p["verdict"] == "pass" for p in manifest["points"])
+
+    @pytest.mark.parametrize("axis, values, message", [
+        ("co2_cap", [-1.0, 855.558], "sweep value -1.0: policy: co2-cap (cap must be >= 0)"),
+        ("support_share", [-0.1, 0.5], "axis 'support_share' values must be >= 0"),
+        ("co2_cap", [], "sweep axis needs at least one value"),
+    ], ids=["negative-cap", "negative-share", "no-values"])
+    def test_bad_plan_value_is_one_error_line(self, tmp_path, capsys, axis, values,
+                                              message):
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps({"scenario": scenario_path("wind_gas_168h.json"),
+                                    "axis": axis, "values": values,
+                                    "policy_set": ["wind"]}))
+        assert exit_code(["sweep", str(plan), "--out-dir", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+        assert not (tmp_path / "out").exists()
 
 
 def meshed_cap_scenario(tmp_path) -> str:

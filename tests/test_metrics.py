@@ -6,10 +6,12 @@ import pytest
 
 from powermarket.formulate import build_lp, tech_key
 from powermarket.metrics import (
+    average_price,
     build_report,
     lcoe,
     load_weighted_price,
     market_value,
+    market_values,
     nodal_prices,
     penetration_of,
     report_csv_rows,
@@ -29,7 +31,13 @@ from powermarket.model import (
 from powermarket.scenario import load_scenario
 from powermarket.solve import Session, solve
 
-from conftest import energy_of, random_desk_system, scenario_path, two_tech_system
+from conftest import (
+    energy_of,
+    random_desk_system,
+    scenario_path,
+    solar_gas_system,
+    two_tech_system,
+)
 
 
 def solved(system, policy=PolicyConfig.none()):
@@ -134,14 +142,21 @@ class TestSuppression:
         lp, sol = solved(system, policy)
         raw = market_value(system, sol, "wind")
         sup = suppress_negative_prices(system, sol)
-        assert min(sup.prices["N"]) >= 0.0
-        assert sup.market_values["wind"] >= raw
-        assert sup.market_values["wind"] >= 0.0
+        # the averages are those of the raw prices floored at 0
+        floored = np.maximum(nodal_prices(system, sol)["N"], 0.0)
+        assert sup["average_price"] == float(np.mean(floored))
+        assert sup["market_values"]["wind"] >= raw
+        assert sup["market_values"]["wind"] >= 0.0
 
     def test_noop_when_prices_positive(self, desk_system):
         lp, sol = solved(desk_system)
         sup = suppress_negative_prices(desk_system, sol)
-        assert np.allclose(sup.prices["N"], nodal_prices(desk_system, sol)["N"])
+        raw = market_values(desk_system, sol)
+        assert sup["market_values"].keys() == raw.keys()
+        assert np.allclose(
+            [*sup["market_values"].values(), sup["load_weighted_price"], sup["average_price"]],
+            [*raw.values(), load_weighted_price(desk_system, sol),
+             average_price(desk_system, sol)])
 
 
 class TestReport:
@@ -157,6 +172,14 @@ class TestReport:
         assert len(doc["price_duration"]["N"]) == desk_system.snapshots
         prices = doc["price_duration"]["N"]
         assert prices == sorted(prices, reverse=True)
+
+    def test_a_solution_that_is_not_optimal_has_no_report(self):
+        # a zero cap leaves the dark hours unservable without shedding
+        system, policy = solar_gas_system(), PolicyConfig(co2=Co2Cap(0.0))
+        sol = solve(build_lp(system, policy))
+        assert sol.status == "infeasible"
+        with pytest.raises(ValueError, match="got 'infeasible'"):
+            build_report(system, sol, policy)
 
     def test_total_cost_identity(self, desk_system):
         # payments by consumers equal total system cost without policy

@@ -40,7 +40,13 @@ from powermarket.verify import (
     verify_solution,
 )
 
-from conftest import flexible_system, random_desk_system, scenario_path, solar_gas_system
+from conftest import (
+    flexible_system,
+    kkt_passes,
+    random_desk_system,
+    scenario_path,
+    solar_gas_system,
+)
 
 BUNDLED = ("fig1_co2_cap", "fig1_no_policy", "fig1_support", "vre_flex_168h",
            "wind_gas_168h")
@@ -242,14 +248,12 @@ class TestSolutionFiles:
         assert rent.detail["lower_bound_rent"] == pytest.approx(4.0 * 50.0)
 
     def test_external_duals_feed_the_checks(self, tmp_path, desk_system):
-        from powermarket.verify import check_kkt
-
         lp = build_lp(desk_system, PolicyConfig.none())
         sol = solve(lp)
         path = tmp_path / "ext.sol"
         write_solution_file(sol, path)
         ext = solve_external(lp, path)
-        assert check_kkt(ext).passed
+        assert kkt_passes(ext)
 
 
 def linprog_reference(lp: LinearProgram):
@@ -318,7 +322,7 @@ class TestHighsBindings:
         # no sample, the smaller cost perturbation takes another pivot path:
         # each may end at another optimal vertex of these degenerate LPs
         assert sol.objective == pytest.approx(res.fun, rel=1e-12)
-        assert check_kkt(sol).passed
+        assert kkt_passes(sol)
         # one plain cold run with linprog's perturbation is linprog's solve
         sol = linprog_perturbation()._run(lp, False)
         assert sol.iterations == res.nit
@@ -523,7 +527,7 @@ class TestSession:
         assert (warm.warm, warm.relaxed, warm.fixed) == (True, (), ())
         assert sol.status == "optimal" and not sol.warm_start
         assert sol.objective == pytest.approx(Session()._run(lp, False).objective, rel=1e-9)
-        assert check_kkt(sol).passed
+        assert kkt_passes(sol)
 
     def test_held_start_matches_a_plain_run(self):
         for seed in range(10):
@@ -580,7 +584,7 @@ class TestSession:
         assert (warm.warm, warm.relaxed, warm.fixed) == (True, (), ())
         assert sol.status == "optimal" and not sol.warm_start
         assert sol.objective == pytest.approx(one_run.objective, rel=1e-9)
-        assert check_kkt(sol).passed
+        assert kkt_passes(sol)
         # the session holds the quota LP: another share is one warm run
         again = session.solve(other)
         assert again.warm_start and len(again.runs) == 1
@@ -630,7 +634,7 @@ class TestSession:
         assert (warm.warm, warm.relaxed, warm.fixed, warm.pricing) == (True, (), (), 1)
         assert sol.status == "optimal" and not sol.warm_start
         assert sol.objective == pytest.approx(one_run.objective, rel=1e-9)
-        assert check_kkt(sol).passed
+        assert kkt_passes(sol)
         # the session holds the cap LP: another cap is one warm run
         again = session.solve(tighter)
         assert again.warm_start and len(again.runs) == 1
@@ -690,7 +694,7 @@ class TestSession:
             (True, (), ())]
         assert sol.dual("co2-cap") < 0.0 < sol.dual("vre-dispatched")
         assert sol.objective == pytest.approx(one_run.objective, rel=1e-9)
-        assert check_kkt(sol).passed
+        assert kkt_passes(sol)
 
     @pytest.mark.parametrize("case", ["storage", "infeasible-sample"])
     def test_cap_lp_without_a_sample_price_takes_one_run(self, case):
@@ -721,7 +725,7 @@ class TestSession:
             (len(lp.rows), False, ((lp.row("co2-cap"), 0.0),), scalar_columns(lp), "optimal"),
             (len(lp.rows), True, (), (), "optimal")]
         assert sol.objective == pytest.approx(Session()._run(lp, False).objective, rel=1e-9)
-        assert check_kkt(sol).passed
+        assert kkt_passes(sol)
 
     def test_storage_quota_lp_takes_one_plain_run(self):
         # a storage LP has no sample: nothing is held and no row left free
@@ -802,7 +806,7 @@ class TestSession:
             assert warm.warm_start == (intensity > 0.005) and not cold.warm_start
             assert warm.dual("co2-cap") < 0.0
             assert warm.objective == pytest.approx(cold.objective, rel=1e-12)
-            assert check_kkt(warm).passed
+            assert kkt_passes(warm)
         assert warm.runs[-1].pricing == 1
 
     def test_wall_time_covers_the_handoff(self, monkeypatch, desk_system):

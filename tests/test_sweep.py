@@ -5,12 +5,14 @@ import json
 import pytest
 
 import powermarket.sweep
+from powermarket.formulate import FormulationError
 from powermarket.scenario import load_plan, load_scenario
-from powermarket.solve import Session
+from powermarket.solve import NO_OPTIMUM, Session
 from powermarket.sweep import (
     SweepPlan,
-    SweepResult,
+    SweepPoint,
     _solve_point,
+    all_verified,
     run_sweep,
     sweep_csv_text,
     sweep_manifest,
@@ -46,6 +48,20 @@ class TestPlanValidation:
         with pytest.raises(ValueError, match="finite"):
             SweepPlan(system=two_tech_system(), axis="co2_tax", values=(1.0, bad))
 
+    @pytest.mark.parametrize("axis, values, message", [
+        ("co2_cap", (-1.0, 10.0), r"sweep value -1\.0: policy: co2-cap \(cap must be >= 0\)"),
+        ("co2_intensity", (-0.1, 0.1), "policy: co2-cap"),
+        ("co2_tax", (-1.0, 10.0), "policy: co2-tax"),
+        ("support_share", (0.5, 1.5), r"sweep value 1\.5: policy: target \(share must"),
+        ("support_share", (-0.1, 0.5), "'support_share' values must be >= 0"),
+        ("available_target", (-0.1, 0.5), "'available_target' values must be >= 0"),
+    ], ids=["negative-cap", "negative-intensity", "negative-tax", "share-above-one",
+            "negative-share", "negative-available-share"])
+    def test_a_value_the_model_rejects(self, axis, values, message):
+        with pytest.raises(ValueError, match=message):
+            SweepPlan(system=two_tech_system(), axis=axis, values=values,
+                      policy_set=("wind",))
+
     def test_intensity_converts_to_absolute_cap(self):
         system = two_tech_system()
         plan = SweepPlan(system=system, axis="co2_intensity", values=(0.1,))
@@ -57,51 +73,67 @@ class TestRunSweep:
     def test_single_point_no_policy(self):
         plan = SweepPlan(system=two_tech_system(), axis="support_share",
                          values=(0.0,), policy_set=("wind",))
-        result = run_sweep(plan)
-        point = result.points[0]
+        point = run_sweep(plan)[0]
         assert point.status == "optimal" and point.verdict == "pass"
         assert point.report.mu_gamma is None
 
     def test_points_in_axis_order_and_verified(self, support_plan):
-        result = run_sweep(support_plan)
-        assert [p.value for p in result.points] == list(support_plan.values)
-        assert result.all_verified
+        points = run_sweep(support_plan)
+        assert [p.value for p in points] == list(support_plan.values)
+        assert all_verified(points)
 
     def test_infeasible_tail_is_recorded_not_fatal(self):
         # a zero cap without storage leaves the dark hours unservable when
         # shedding is disabled; the point is recorded, the grid continues
         plan = SweepPlan(system=solar_gas_system(), axis="co2_cap", values=(0.0, 1e9))
-        result = run_sweep(plan)
-        assert result.points[0].status == "infeasible"
-        assert result.points[0].verdict == "skipped"
-        assert result.points[1].status == "optimal"
+        points = run_sweep(plan)
+        assert points[0].status == "infeasible"
+        assert points[0].verdict == "skipped"
+        assert points[1].status == "optimal"
 
-    def test_a_point_that_raises_is_recorded_not_fatal(self):
-        # a negative cap fails validation: the point keeps the error, the
-        # grid goes on and the next point is solved and verified
+    def test_a_point_that_raises_is_recorded_not_fatal(self, monkeypatch):
+        # the first point's build raises: the point keeps the error, the
+        # grid goes on and the next point is solved and verified, but the
+        # sweep as a whole is not verified
         system, _, _ = load_scenario(scenario_path("wind_gas_168h.json"))
-        plan = SweepPlan(system=system, axis="co2_cap", values=(-1.0, 855.558),
+        plan = SweepPlan(system=system, axis="co2_cap", values=(0.0, 855.558),
                          policy_set=("wind",))
-        result = run_sweep(plan)
-        bad, good = result.points
+
+        def faulty(system, policy, _build=powermarket.sweep.build_lp):
+            if policy.co2.cap == 0.0:
+                raise FormulationError("invalid system/policy: policy: co2-cap (fault)")
+            return _build(system, policy)
+        monkeypatch.setattr(powermarket.sweep, "build_lp", faulty)
+        points = run_sweep(plan)
+        bad, good = points
         assert (bad.status, bad.verdict, bad.report) == ("error", "skipped", None)
         assert bad.message.startswith(
             "FormulationError: invalid system/policy: policy: co2-cap")
         assert (good.status, good.verdict) == ("optimal", "pass")
         assert good.penetration == pytest.approx(0.9, abs=1e-6)
-        assert result.all_verified
-        rows = list(csv.reader(io.StringIO(sweep_csv_text(plan, result))))
-        assert rows[1] == ["-1.0", "error", "skipped"] + [""] * (len(rows[0]) - 3)
+        assert not all_verified(points)
+        assert sweep_manifest(plan, points)["all_verified"] is False
+        rows = list(csv.reader(io.StringIO(sweep_csv_text(plan, points))))
+        assert rows[1] == ["0.0", "error", "skipped"] + [""] * (len(rows[0]) - 3)
+
+    @pytest.mark.parametrize("status, verdict, verified", [
+        *[(status, "skipped", True) for status in NO_OPTIMUM],
+        ("optimal", "fail", False),
+        *[(status, "skipped", False)
+          for status in ("error", "iteration-limit", "time-limit", "numerical")],
+    ])
+    def test_verified_unless_a_point_fails_raises_or_hits_a_limit(self, status, verdict,
+                                                                 verified):
+        points = [SweepPoint(1.0, "optimal", "pass"), SweepPoint(2.0, status, verdict)]
+        assert all_verified(points) is verified
 
     def test_binding_support_hits_share_exactly(self, support_plan):
-        result = run_sweep(support_plan)
-        last = result.points[-1]
+        last = run_sweep(support_plan)[-1]
         assert last.report.mu_gamma > 0.0
         assert last.penetration == pytest.approx(0.95, abs=1e-9)
 
     def test_manifest_digest_is_stable(self, support_plan):
-        r1 = run_sweep(support_plan)
-        m1 = sweep_manifest(support_plan, r1)
+        m1 = sweep_manifest(support_plan, run_sweep(support_plan))
         m2 = sweep_manifest(support_plan, run_sweep(support_plan))
         assert m1 == m2
         assert len(m1["config_sha256"]) == 64
@@ -114,10 +146,10 @@ class TestInstrumentAxes:
     @staticmethod
     def sweep(axis: str, values: tuple) -> list:
         system, _, _ = load_scenario(scenario_path("wind_gas_168h.json"))
-        result = run_sweep(SweepPlan(system=system, axis=axis, values=values,
+        points = run_sweep(SweepPlan(system=system, axis=axis, values=values,
                                      policy_set=("wind",)))
-        assert {(p.status, p.verdict) for p in result.points} == {("optimal", "pass")}
-        return result.points
+        assert {(p.status, p.verdict) for p in points} == {("optimal", "pass")}
+        return points
 
     def test_available_target_axis(self):
         points = self.sweep("available_target", (0.5, 0.7, 0.9, 1.0))
@@ -164,14 +196,12 @@ class TestChains:
         # still been cut into chains
         plan = SweepPlan(system=two_tech_system(snapshots=48), axis="co2_intensity",
                          values=tuple(0.05 * k for k in range(1, 2 * 20 + 3)))
-        result = run_sweep(plan)
-        assert result.all_verified
+        assert all_verified(run_sweep(plan))
         assert warm == [False] + [True] * (len(plan.values) - 1)
 
     def test_point_after_a_failed_one_starts_cold(self, warm):
         plan = SweepPlan(system=solar_gas_system(), axis="co2_cap", values=(0.0, 1e9))
-        result = run_sweep(plan)
-        assert [p.status for p in result.points] == ["infeasible", "optimal"]
+        assert [p.status for p in run_sweep(plan)] == ["infeasible", "optimal"]
         assert warm == [False, False]
 
 
@@ -183,11 +213,9 @@ class TestSolvePath:
         plan = load_plan(scenario_path(f"{name}.json"))
         chained = run_sweep(plan)
         assert warm == [False] + [True] * (len(plan.values) - 1)
-        cold = SweepResult(plan.name, plan.axis,
-                           [_solve_point(plan, v, Session()) for v in plan.values],
-                           chained.config_digest)
-        tables = [list(csv.reader(io.StringIO(sweep_csv_text(plan, result))))
-                  for result in (chained, cold)]
+        cold = [_solve_point(plan, v, Session()) for v in plan.values]
+        tables = [list(csv.reader(io.StringIO(sweep_csv_text(plan, points))))
+                  for points in (chained, cold)]
         assert [len(row) for row in tables[0]] == [len(row) for row in tables[1]]
         for row, other in zip(*tables):
             for cell, cold_cell in zip(row, other):
