@@ -12,7 +12,7 @@ import math
 import sys
 import re
 from dataclasses import dataclass, field, fields
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
 

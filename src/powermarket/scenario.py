@@ -421,7 +421,7 @@ def load_plan(path):
     if not isinstance(policy_set, list) or not all(isinstance(t, str) for t in policy_set):
         errors.append("plan key 'policy_set' must be a list of technology names")
     if errors:
-        raise ScenarioError("; ".join(errors))
+        raise ScenarioError(f"{path}: " + "; ".join(errors))
     base_dir = os.path.dirname(os.path.abspath(path))
     if isinstance(scenario, str):
         system, policy, options = load_scenario(os.path.join(base_dir, scenario))
@@ -440,4 +440,4 @@ def load_plan(path):
             name=doc.get("name", options.get("name", "sweep")),
         )
     except ValueError as exc:
-        raise ScenarioError(str(exc)) from None
+        raise ScenarioError(f"{path}: {exc}") from None

@@ -209,29 +209,46 @@ def _balance_dual_vector(system: PowerSystem, sol: Solution) -> np.ndarray:
     return np.concatenate([nodal_prices(system, sol)[n] for n in system.nodes])
 
 
-def _unsolved(check: str, sol: Solution, what: str) -> Optional[CheckResult]:
-    if sol.status == "optimal":
-        return None
-    return CheckResult(check, "system", float("nan"), "inconclusive",
-                       {"reason": f"{what} solve {sol.status}"})
+def _equivalence(check: str, names: tuple, price: str, system: PowerSystem,
+                 sol: Solution, policy: PolicyConfig, relax, compare) -> CheckResult:
+    """The path of each policy-equivalence check.  ``relax(mu)`` solves the
+    LP of ``sol`` with a policy row freed, given the policy price ``price``
+    of ``sol`` (:func:`metrics.policy_prices`), and ``compare(mu,
+    relaxed)`` returns the residual, the detail and the duals and shift
+    that :func:`_verdict` maps.  The first of ``sol`` and the relaxed
+    solution that is not optimal, named by ``names``, makes the result
+    'inconclusive' with the reason '<name> solve <status>'."""
+    mu = policy_prices(system, sol, policy)[price] if sol.status == "optimal" else None
+    relaxed = relax(mu) if sol.status == "optimal" else sol
+    for what, solved in zip(names, (sol, relaxed)):
+        if solved.status != "optimal":
+            return CheckResult(check, "system", float("nan"), "inconclusive",
+                               {"reason": f"{what} solve {solved.status}"})
+    residual, detail, duals, shift = compare(mu, relaxed)
+    return CheckResult(check, "system", residual,
+                       _verdict(system, sol, relaxed, residual, duals, shift), detail)
 
 
-def _prices_not_unique(system: PowerSystem, sol: Solution, relaxed: Solution,
-                       family: str, dual: float, shift: float) -> bool:
-    """Whether the duals of ``relaxed``, the solution of the LP of ``sol``
-    with its policy row ``family`` freed, pass the KKT check at ``sol``
-    once mapped back onto ``sol.lp``: the rows of ``sol.lp`` come first in
-    the relaxed LP, every balance dual is lowered by ``shift`` and the row
-    ``family`` is given ``dual``.  Mapped duals that pass are optimal duals
-    of ``sol.lp``, so where their prices differ from ``sol``'s, its prices
-    are not unique.  This is the one way an equivalence check reaches
-    'inconclusive'."""
-    lp = sol.lp
-    y = relaxed.y[:len(lp.rows)].copy()
+def _verdict(system: PowerSystem, sol: Solution, relaxed: Solution, residual: float,
+             duals: Optional[dict], shift: float) -> str:
+    """'pass' for a residual within ``DEFAULT_TOL``; else 'inconclusive'
+    when the duals of ``relaxed`` pass the KKT check at ``sol`` once mapped
+    back onto ``sol.lp``, whose rows come first in the relaxed LP: every
+    balance dual lowered by ``shift``, and each row of ``duals``, ``{row
+    position: dual}``, given its dual.  Mapped duals that pass are optimal
+    duals of ``sol.lp``, so where their prices differ from ``sol``'s, its
+    prices are not unique.  Else, and where ``duals`` is None, 'fail'."""
+    if residual <= DEFAULT_TOL:
+        return "pass"
+    if duals is None:
+        return "fail"
+    y = relaxed.y[:len(sol.lp.rows)].copy()
     for node in system.nodes:
-        y[lp.row("balance", node)] -= shift
-    y[lp.row(family)] = dual
-    return all(c.verdict == "pass" for c in check_kkt(replace(sol, y=y)))
+        y[sol.lp.row("balance", node)] -= shift
+    for row, dual in duals.items():
+        y[row] = dual
+    kkt = check_kkt(replace(sol, y=y))
+    return "inconclusive" if all(c.verdict == "pass" for c in kkt) else "fail"
 
 
 def check_cap_tax_equivalence(system: PowerSystem, sol: Solution,
@@ -245,37 +262,29 @@ def check_cap_tax_equivalence(system: PowerSystem, sol: Solution,
     for every optimal mu, so a gap there is a 'fail'."""
     if not isinstance(policy.co2, Co2Cap):
         raise ValueError("check_cap_tax_equivalence requires a Co2Cap policy")
-    unsolved = _unsolved("cap-tax-equivalence", sol, "cap")
-    if unsolved:
-        return unsolved
-    mu = 0.0 - sol.dual("co2-cap")  # a zero price reads 0.0, not -0.0
-    emissions = sum(acct.spec.emission_factor * acct.energy
-                    for acct in accounts(system, sol) if acct.spec is not None)
-    tax_lp = apply_equivalence_substitution(sol.lp, {sol.lp.row("co2-cap"): mu})
-    # warm from the cap LP's basis in its session: the tax LP keeps its shape
-    tax_sol = solve(tax_lp, session=sol.session)
-    unsolved = _unsolved("cap-tax-equivalence", tax_sol, "tax")
-    if unsolved:
-        return unsolved
-    lam = _balance_dual_vector(system, sol)
-    lam_tax = _balance_dual_vector(system, tax_sol)
-    scale = max(1.0, float(np.abs(lam).max()))
-    dev = float(np.abs(lam - lam_tax).max()) / scale
-    obj_dev = abs(tax_sol.objective - (sol.objective + mu * emissions)) \
-        / max(1.0, abs(sol.objective))
-    residual = max(dev, obj_dev)
-    if residual <= DEFAULT_TOL:
-        verdict = "pass"
-    elif obj_dev <= DEFAULT_TOL and _prices_not_unique(system, sol, tax_sol,
-                                                       "co2-cap", -mu, 0.0):
-        verdict = "inconclusive"
-    else:
-        verdict = "fail"
-    return CheckResult("cap-tax-equivalence", "system", residual, verdict,
-                       {"mu_co2": mu, "price_deviation": dev,
-                        "objective_deviation": obj_dev, "emissions": emissions,
-                        "tax_iterations": tax_sol.iterations,
-                        "warm_start": tax_sol.warm_start})
+    lp = sol.lp
+
+    def tax(mu):
+        # warm from the cap LP's basis in its session: the tax LP keeps its shape
+        return solve(apply_equivalence_substitution(lp, {lp.row("co2-cap"): mu}),
+                     session=sol.session)
+
+    def compare(mu, tax_sol):
+        emissions = sum(acct.spec.emission_factor * acct.energy
+                        for acct in accounts(system, sol) if acct.spec is not None)
+        lam = _balance_dual_vector(system, sol)
+        lam_tax = _balance_dual_vector(system, tax_sol)
+        dev = float(np.abs(lam - lam_tax).max()) / max(1.0, float(np.abs(lam).max()))
+        obj_dev = abs(tax_sol.objective - (sol.objective + mu * emissions)) \
+            / max(1.0, abs(sol.objective))
+        detail = {"mu_co2": mu, "price_deviation": dev, "objective_deviation": obj_dev,
+                  "emissions": emissions, "tax_iterations": tax_sol.iterations,
+                  "warm_start": tax_sol.warm_start}
+        duals = {lp.row("co2-cap"): -mu} if obj_dev <= DEFAULT_TOL else None
+        return max(dev, obj_dev), detail, duals, 0.0
+
+    return _equivalence("cap-tax-equivalence", ("cap", "tax"), "mu_co2", system, sol,
+                        policy, tax, compare)
 
 
 def check_subsidy_tax_lift(system: PowerSystem, sol: Solution,
@@ -290,48 +299,37 @@ def check_subsidy_tax_lift(system: PowerSystem, sol: Solution,
     support = policy.support
     if not isinstance(support, SupportDispatched):
         raise ValueError("check_subsidy_tax_lift requires SupportDispatched")
-    unsolved = _unsolved("subsidy-tax-lift", sol, "support")
-    if unsolved:
-        return unsolved
-    mu_gamma = sol.dual("vre-dispatched")
-    gamma_energy = support.energy_target(system)
-
     lp = sol.lp
-    quota = lp.row("vre-dispatched")
-    mirror = apply_equivalence_substitution(lp, {quota: 0.0})
-    row = mirror.add_rows(("vre-dispatched", "mirror"), sense="<=",
-                          rhs=system.total_demand() - gamma_energy)
-    in_quota = np.zeros(len(lp.columns), dtype=bool)
-    in_quota[lp.entries.col[lp.entries.row == quota]] = True
-    for (family, _), index in lp.col_index.items():
-        if family == "g" and not in_quota[index].any():
-            mirror.add_entries(row, index, 1.0)
-    mirror_sol = solve(mirror)
-    unsolved = _unsolved("subsidy-tax-lift", mirror_sol, "mirror")
-    if unsolved:
-        return unsolved
 
-    lam = _balance_dual_vector(system, sol)
-    lam_m = _balance_dual_vector(system, mirror_sol)
-    scale = max(1.0, abs(mu_gamma))
-    price_dev = float(np.abs(lam_m - lam - mu_gamma).max()) / scale
+    def mirror(_mu):  # the quota row is freed at 0
+        quota = lp.row("vre-dispatched")
+        out = apply_equivalence_substitution(lp, {quota: 0.0})
+        row = out.add_rows(("vre-dispatched", "mirror"), sense="<=",
+                           rhs=system.total_demand() - support.energy_target(system))
+        in_quota = np.zeros(len(lp.columns), dtype=bool)
+        in_quota[lp.entries.col[lp.entries.row == quota]] = True
+        for (family, _), index in lp.col_index.items():
+            if family == "g" and not in_quota[index].any():
+                out.add_entries(row, index, 1.0)
+        return solve(out)
 
-    mv_dev = 0.0
-    mvs, mvs_m = market_values(system, sol), market_values(system, mirror_sol)
-    for name in system.tech_names():
-        if name in mvs and name in mvs_m:
-            mv_dev = max(mv_dev, abs(mvs_m[name] - mvs[name] - mu_gamma) / scale)
-    residual = max(price_dev, mv_dev)
-    mu_m = -mirror_sol.dual("vre-dispatched", "mirror")
-    if residual <= DEFAULT_TOL:
-        verdict = "pass"
-    elif _prices_not_unique(system, sol, mirror_sol, "vre-dispatched", mu_m, mu_m):
-        verdict = "inconclusive"
-    else:
-        verdict = "fail"
-    return CheckResult("subsidy-tax-lift", "system", residual, verdict,
-                       {"mu_gamma": mu_gamma, "price_deviation": price_dev,
-                        "mv_deviation": mv_dev})
+    def compare(mu_gamma, mirror_sol):
+        lam = _balance_dual_vector(system, sol)
+        lam_m = _balance_dual_vector(system, mirror_sol)
+        scale = max(1.0, abs(mu_gamma))
+        price_dev = float(np.abs(lam_m - lam - mu_gamma).max()) / scale
+        mv_dev = 0.0
+        mvs, mvs_m = market_values(system, sol), market_values(system, mirror_sol)
+        for name in system.tech_names():
+            if name in mvs and name in mvs_m:
+                mv_dev = max(mv_dev, abs(mvs_m[name] - mvs[name] - mu_gamma) / scale)
+        mu_m = -mirror_sol.dual("vre-dispatched", "mirror")
+        detail = {"mu_gamma": mu_gamma, "price_deviation": price_dev,
+                  "mv_deviation": mv_dev}
+        return max(price_dev, mv_dev), detail, {lp.row("vre-dispatched"): mu_m}, mu_m
+
+    return _equivalence("subsidy-tax-lift", ("support", "mirror"), "mu_gamma", system,
+                        sol, policy, mirror, compare)
 
 
 # -- brute-force oracle ------------------------------------------------------------------

@@ -9,7 +9,6 @@ import dataclasses
 import time
 
 import numpy as np
-import pytest
 
 from powermarket.formulate import build_lp, tech_key
 from powermarket.metrics import (
@@ -28,7 +27,6 @@ from powermarket.model import (
     LineSpec,
     PolicyConfig,
     PowerSystem,
-    StorageSpec,
     SupportDispatched,
     TechnologySpec,
 )

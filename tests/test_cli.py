@@ -1,4 +1,3 @@
-import csv
 import dataclasses
 import importlib.util
 import json
@@ -720,7 +719,7 @@ class TestSweep:
         assert exit_code(["sweep", str(plan), "--out-dir", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
-        assert message in err
+        assert message in err and str(plan) in err
         assert not (tmp_path / "out").exists()
 
 

@@ -14,7 +14,6 @@ from powermarket.metrics import (
     market_values,
     nodal_prices,
     penetration_of,
-    report_csv_rows,
     report_to_json,
     rmv,
     suppress_negative_prices,
@@ -33,7 +32,6 @@ from powermarket.solve import Session, solve
 
 from conftest import (
     energy_of,
-    random_desk_system,
     scenario_path,
     solar_gas_system,
     two_tech_system,

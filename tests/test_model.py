@@ -1,8 +1,5 @@
-import math
-
-import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from powermarket.model import (

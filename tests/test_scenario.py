@@ -231,6 +231,7 @@ class TestPlans:
         assert main(["sweep", str(p), "--out-dir", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err and err.count("\n") == 1
+        assert str(p) in err
 
     def test_plan_that_is_not_an_object(self, tmp_path):
         p = tmp_path / "p.json"

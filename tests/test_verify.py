@@ -18,7 +18,7 @@ from powermarket.model import (
     TechnologySpec,
 )
 from powermarket.scenario import load_scenario
-from powermarket.solve import Session, solve, solve_external, write_solution_file
+from powermarket.solve import Session, Solution, solve, solve_external, write_solution_file
 from powermarket.verify import (
     OracleError,
     brute_force_oracle,
@@ -408,6 +408,25 @@ class TestEquivalence:
         result = check_subsidy_tax_lift(system, solve(lp), policy)
         assert result.verdict == "pass"
         assert result.detail["mu_gamma"] > 0.0
+
+    @pytest.mark.parametrize("check, system_of, names", [
+        (check_cap_tax_equivalence, capped_ring, ("cap", "tax")),
+        (check_subsidy_tax_lift, quota_ring, ("support", "mirror")),
+    ], ids=["cap-tax", "subsidy-lift"])
+    def test_a_solve_that_is_not_optimal_is_inconclusive(self, monkeypatch, check,
+                                                         system_of, names):
+        system, policy, lp = system_of()
+        # a solution as solve returns it for an LP without an optimum
+        result = check(system, Solution(lp, status="infeasible"), policy)
+        assert (result.verdict, result.detail) == \
+            ("inconclusive", {"reason": f"{names[0]} solve infeasible"})
+        sol = solve(lp)
+        monkeypatch.setattr(powermarket.verify, "solve",
+                            lambda relaxed, **kwargs: Solution(relaxed, "iteration-limit"))
+        result = check(system, sol, policy)
+        assert (result.verdict, result.detail) == \
+            ("inconclusive", {"reason": f"{names[1]} solve iteration-limit"})
+        assert np.isnan(result.residual)
 
     def test_requires_matching_policy_kind(self, desk_system):
         lp = build_lp(desk_system, PolicyConfig.none())
