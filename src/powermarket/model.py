@@ -312,14 +312,15 @@ def _check_finite(out, entity, spec):
             out.append(Violation(entity, "non-finite", f"{f.name} is {v}"))
 
 
-def _check_annual_cost(out, entity, cost, rate_ok):
-    """A violation when the annualized cost ``cost()`` is not finite.  It is
-    computed only under a valid discount rate and for an entity without
-    other violations, as annuitize raises on the inputs those reject."""
-    if rate_ok and all(v.entity != entity for v in out):
+def _check_derived(out, entity, rule, what, cost, ok=True):
+    """A violation ``rule`` when ``cost()``, the ``what`` that the entity's
+    fields give, is not finite: inf, say, from finite fields.  It is
+    computed only when ``ok`` and for an entity without other violations,
+    as annuitize raises on the inputs those reject."""
+    if ok and all(v.entity != entity for v in out):
         value = cost()
         if not math.isfinite(value):
-            out.append(Violation(entity, "annual-cost", f"annualized cost is {value}"))
+            out.append(Violation(entity, rule, f"{what} is {value}"))
 
 
 def validate(system: PowerSystem, policy: PolicyConfig) -> list:
@@ -374,7 +375,9 @@ def validate(system: PowerSystem, policy: PolicyConfig) -> list:
             _check_profile(out, ent, spec.availability, T, "profile out of [0,1]", 0.0, 1.0)
         if spec.max_potential is not None and spec.max_potential < 0:
             out.append(Violation(ent, "potential", "max potential must be >= 0"))
-        _check_annual_cost(out, ent, lambda: spec.annual_cost(r), rate_ok)
+        _check_derived(out, ent, "marginal-cost", "marginal cost", lambda: spec.marginal_cost)
+        _check_derived(out, ent, "annual-cost", "annualized cost",
+                       lambda: spec.annual_cost(r), rate_ok)
 
     names = set()
     for node, sto in system.storages:
@@ -397,7 +400,8 @@ def validate(system: PowerSystem, policy: PolicyConfig) -> list:
                 out.append(Violation(ent, "capex", "capex must be >= 0"))
         if sto.fixed_energy_power_ratio is not None and sto.fixed_energy_power_ratio <= 0:
             out.append(Violation(ent, "energy-power-ratio", "ratio must be > 0"))
-        _check_annual_cost(out, ent, lambda: sum(sto.annual_costs(r).values()), rate_ok)
+        _check_derived(out, ent, "annual-cost", "annualized cost",
+                       lambda: sum(sto.annual_costs(r).values()), rate_ok)
 
     for line in system.lines:
         ent = line.name
@@ -414,7 +418,8 @@ def validate(system: PowerSystem, policy: PolicyConfig) -> list:
         if system.kvl and line.reactance is None:
             out.append(Violation(ent, "reactance", "kvl needs a reactance on every line"))
         if line.expandable:
-            _check_annual_cost(out, ent, lambda: line.annual_cost(r), rate_ok)
+            _check_derived(out, ent, "annual-cost", "annualized cost",
+                           lambda: line.annual_cost(r), rate_ok)
 
     known = {spec.name for _, spec in system.technologies}
     sup = policy.support

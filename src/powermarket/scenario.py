@@ -184,7 +184,7 @@ def _resolve_series(value, snapshots: int, series: dict, where: str,
         if not all(_is_number(v) for v in value):
             errors.append(f"{where}: non-numeric value in series")
             return None
-        return tuple(float(v) for v in value)
+        return tuple(_float(v) for v in value)
     if isinstance(value, dict):
         bad = _type_errors(value, _SERIES_KINDS, where)
         if bad:
@@ -201,6 +201,9 @@ def _resolve_series(value, snapshots: int, series: dict, where: str,
                 base = synth_profiles(value.get("seed", 0), snapshots, kind)
             except ValueError as exc:
                 errors.append(f"{where}: {exc}")
+                return None
+            except OverflowError:  # a list of more than sys.maxsize entries
+                errors.append(f"{where}: snapshots beyond the index range")
                 return None
             return tuple(scale * v for v in base)
         if "series" in value:

@@ -197,12 +197,12 @@ def load_highs():
 class Session:
     """One HiGHS model kept across the solves of one LP family.
 
-    A cold solve loads its LP into a new model, inequality rows first and
-    then ``=`` rows, and runs the dual simplex with presolve on.  A later
-    LP of the same shape (equal column and row blocks, column bounds, row
-    senses and matrix entries) after an optimal solve is solved warm: only
-    the costs and row bounds that differ are pushed, and HiGHS starts from
-    the basis the run before ended at.
+    A cold solve loads its LP, as it is, into a new model, inequality rows
+    first and then ``=`` rows, and runs the dual simplex with presolve on.
+    A later LP of the same shape (equal column and row blocks, column
+    bounds, row senses and matrix entries) after an optimal solve is solved
+    warm: only the costs and bounds that differ are pushed, and HiGHS
+    starts from the basis the run before ended at.
     The loaded LP is the reference for the shape, so change its columns or
     matrix in a copy (:meth:`LinearProgram.copy`), not in place.  A relaxed
     row has an infinite right-hand side, so relaxing a policy row
@@ -226,13 +226,13 @@ class Session:
       solve from its basis, which releases the held columns and restores
       the rows and costs.  Without an optimal sample (an LP with storage
       has none) the LP is solved cold in one plain run.
-    - Models.  Each model takes the session's :attr:`options`, and the
-      model of warm runs :data:`WARM_PRICING` (Devex) as well: a cold run
-      keeps HiGHS' defaults otherwise.  HiGHS reads the pricing option only
-      when a model is passed, so the first warm run after a cold one hands
-      the loaded LP and its optimal basis over to a new Devex model, and
-      later warm runs stay in it.  Each model is released before the next
-      one is loaded.
+    - Models.  One model per loaded LP, released before the next one is
+      loaded: a held start loads two, the sample and the LP.  Each takes
+      the session's :attr:`options`.  The held run's relaxation and held
+      capacities, and a warm LP's costs and bounds, are pushed into it.
+      The first warm run after a cold one switches it to
+      :data:`WARM_PRICING` (Devex), keeping its basis; a cold run keeps
+      HiGHS' default pricing.
     - Repeats.  A warm or held run that does not end optimal is repeated
       cold in one plain run.  An LP that HiGHS rejects raises
       :class:`SolveError`, and the next LP is loaded cold.
@@ -255,7 +255,6 @@ class Session:
         self._highs = None
         self._loaded: Optional[LinearProgram] = None
         self._optimal = False
-        self._devex = False  # whether the model prices with Devex
 
     def solve(self, lp: LinearProgram) -> Solution:
         """Minimize ``lp``, warm where the session's model allows it."""
@@ -289,20 +288,19 @@ class Session:
 
     def _run(self, lp: LinearProgram, warm: bool, prices: Optional[dict] = None,
              held: Optional[dict] = None) -> Solution:
-        """One HiGHS run of ``lp``: warm in a Devex model, or cold in a new
-        model of ``lp`` relaxed at ``prices`` (row position: μ) with each
-        column of ``held`` (position: value) held at its value.  A run with
-        rows relaxed or columns held solves another LP than ``lp``: it reads
-        no solution, only status and objective."""
+        """One HiGHS run of ``lp``: warm from the loaded model's basis, or
+        cold in a new model; either of ``lp`` relaxed at ``prices`` (row
+        position: μ) with each column of ``held`` (position: value) held at
+        its value.  A run with rows relaxed or columns held solves another
+        LP than ``lp``: it reads no solution, only status and objective."""
         t0 = time.perf_counter()
         self._optimal = False
         prices, held = prices or {}, held or {}
         if not warm:
-            self._load(lp, prices, held)
-        else:
-            if not self._devex:
-                self._hand_over()
-            self._push(lp)
+            self._load(lp)
+        elif self._highs.getOptionValue(WARM_PRICING[0])[1] != WARM_PRICING[1]:
+            self._switch_pricing()
+        self._push(lp, prices, held)
         highs = self._highs
         highs.run()
         wall = time.perf_counter() - t0
@@ -325,28 +323,24 @@ class Session:
                         wall_time=wall, objective=sol.objective),)
         return sol
 
-    def _hand_over(self) -> None:
-        """Move the loaded LP and its optimal basis into a new model that
-        prices with Devex.  The LP is passed again from its arrays, after the
-        old model is released, so that no two copies of it are held at once:
-        passing a copy taken from the old model (``getLp``) raised the
-        process's peak memory.  Columns the old model held at a value are
-        released."""
-        basis = self._highs.getBasis()
-        self._load(self._loaded, devex=True)
-        _check("setBasis", self._highs.setBasis(basis))
+    def _switch_pricing(self) -> None:
+        """Switch the loaded model to :data:`WARM_PRICING`, keeping its basis.
+        HiGHS takes the option on a model that has run only once its solver
+        data is cleared, the basis with it, so the basis is set again."""
+        highs = self._highs
+        basis = highs.getBasis()
+        _check(f"setOptionValue({WARM_PRICING[0]})", highs.setOptionValue(*WARM_PRICING))
+        _check("clearSolver", highs.clearSolver())
+        _check("setBasis", highs.setBasis(basis))
 
-    def _load(self, lp: LinearProgram, prices: Optional[dict] = None,
-              held: Optional[dict] = None, devex: bool = False) -> None:
-        """Release the model and pass ``lp`` relaxed at ``prices`` to a new
-        one with the session's :attr:`options`, and :data:`WARM_PRICING` if
-        ``devex``, with the columns of ``held`` held at its values."""
+    def _load(self, lp: LinearProgram) -> None:
+        """Release the model and pass ``lp`` to a new one with the
+        session's :attr:`options`."""
         core = load_highs()
         self._highs = None
         self._highs = core._Highs()
-        for name, value in [*self.options, WARM_PRICING] if devex else self.options:
+        for name, value in self.options:
             _check(f"setOptionValue({name})", self._highs.setOptionValue(name, value))
-        self._devex = devex
         eq = lp.rows.sense == "="
         order = np.concatenate((np.flatnonzero(~eq), np.flatnonzero(eq)))
         self._highs_row = np.empty(len(order), dtype=np.int64)  # per loaded row
@@ -360,14 +354,10 @@ class Session:
         model.a_matrix_.start_ = start
         model.a_matrix_.index_ = index
         model.a_matrix_.value_ = value
-        self._cost, rhs = relax(lp, prices or {})
-        model.col_cost_ = self._cost
-        lower, upper = cols.lower, cols.upper
-        if held:
-            lower, upper = lower.copy(), upper.copy()
-            lower[list(held)] = upper[list(held)] = list(held.values())
-        model.col_lower_, model.col_upper_ = lower, upper
-        self._row_lower, self._row_upper = self._row_bounds(lp.rows.sense, rhs)
+        model.col_cost_ = self._cost = cols.objective.copy()
+        model.col_lower_, model.col_upper_ = self._col_lower, self._col_upper = \
+            cols.lower, cols.upper
+        self._row_lower, self._row_upper = self._row_bounds(lp.rows.sense, lp.rows.rhs)
         model.row_lower_, model.row_upper_ = self._row_lower, self._row_upper
         _check("passModel", self._highs.passModel(model))
         self._loaded = lp
@@ -391,15 +381,25 @@ class Session:
                 and all(np.array_equal(getattr(lp.entries, name), getattr(base.entries, name))
                         for name in ("row", "col", "value")))
 
-    def _push(self, lp: LinearProgram) -> None:
-        """Change the loaded model's costs and row bounds into those of ``lp``."""
+    def _push(self, lp: LinearProgram, prices: dict, held: dict) -> None:
+        """Change the loaded model into ``lp`` relaxed at ``prices`` with the
+        columns of ``held`` held at its values: push the costs, column
+        bounds and row bounds that differ."""
         highs, cols = self._highs, lp.columns
-        changed = np.flatnonzero(cols.objective != self._cost)
+        cost, rhs = relax(lp, prices)
+        changed = np.flatnonzero(cost != self._cost)
         if changed.size:
-            self._cost = cols.objective.copy()
+            self._cost = cost
             _check("changeColsCost", highs.changeColsCost(
-                changed.size, changed.astype(np.int32), self._cost[changed]))
-        lower, upper = self._row_bounds(lp.rows.sense, lp.rows.rhs)
+                changed.size, changed.astype(np.int32), cost[changed]))
+        lower, upper = cols.lower.copy(), cols.upper.copy()
+        lower[list(held)] = upper[list(held)] = list(held.values())
+        changed = np.flatnonzero((lower != self._col_lower) | (upper != self._col_upper))
+        if changed.size:
+            _check("changeColsBounds", highs.changeColsBounds(
+                changed.size, changed.astype(np.int32), lower[changed], upper[changed]))
+        self._col_lower, self._col_upper = lower, upper
+        lower, upper = self._row_bounds(lp.rows.sense, rhs)
         for i in np.flatnonzero((lower != self._row_lower) | (upper != self._row_upper)):
             _check("changeRowBounds",
                    highs.changeRowBounds(int(i), float(lower[i]), float(upper[i])))

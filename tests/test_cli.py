@@ -543,6 +543,16 @@ STRUCTURE_ERRORS = {
         edited("wind_gas_168h.json",
                options={**bundled("wind_gas_168h.json")["options"], "discount_rate": 1e308}),
         "wind@N: annual-cost (annualized cost is inf)"),
+    "overflowing-marginal-cost": (
+        edited("wind_gas_168h.json", technologies=[
+            bundled("wind_gas_168h.json")["technologies"][0],
+            {**bundled("wind_gas_168h.json")["technologies"][1], "fuel_cost": 1e308}]),
+        "ocgt@N: marginal-cost (marginal cost is inf)"),
+    "inline-demand-beyond-float-range": (
+        edited("wind_gas_168h.json", demand={"N": [100.0] * 167 + [10**400]}),
+        "N: demand out of range (non-finite value)"),
+    "snapshots-beyond-index-range": (edited("wind_gas_168h.json", snapshots=10**400),
+                                     "demand[N]: snapshots beyond the index range"),
     "zero-total-demand": (
         edited("wind_gas_168h.json", demand={"N": {"kind": "flat-demand", "scale": 0}}),
         "system: demand (total demand must be > 0)"),
@@ -667,8 +677,9 @@ def gate_failures(cases, tmp_path, capsys) -> list:
     return wrong
 
 
-# one value of each JSON kind
-JSON_VALUES = (True, "x", ["x"], {"x": 2}, None, 2)
+# one value of each JSON kind, and numbers beyond and at the edge of the
+# float range
+JSON_VALUES = (True, "x", ["x"], {"x": 2}, None, 2, 10**400, -10**400, 1e308, -1e308)
 
 
 class TestJsonKinds:

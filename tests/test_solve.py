@@ -299,7 +299,7 @@ class TestHighsBindings:
         source = inspect.getsource(sys.modules[Session.__module__])
         methods = set(re.findall(r"highs\.(\w+)\(", source))
         assert {"passModel", "run", "changeColsCost", "changeRowBounds",
-                "getBasis", "setBasis"} <= methods
+                "getBasis", "setBasis", "clearSolver"} <= methods
         for name in methods:
             assert callable(getattr(core._Highs, name)), name
         for name in set(re.findall(r"(?:\bcore|load_highs\(\))\.(\w+)", source)):
@@ -630,7 +630,7 @@ class TestSession:
         assert sample_price > 0.0
         assert Session()._run(lp, False, {cap: sample_price}).x is None
         assert priced.objective == pytest.approx(tax_objective, rel=1e-9)
-        # then hands its basis to a Devex model and puts the cap back
+        # then switches its model to Devex and puts the cap back
         assert (warm.warm, warm.relaxed, warm.fixed, warm.pricing) == (True, (), (), 1)
         assert sol.status == "optimal" and not sol.warm_start
         assert sol.objective == pytest.approx(one_run.objective, rel=1e-9)
@@ -675,9 +675,9 @@ class TestSession:
         monkeypatch.setattr(sys.modules[Session.__module__], "load_highs", lambda: SimpleNamespace(
             _Highs=new_model, HighsLp=core.HighsLp, MatrixFormat=core.MatrixFormat))
         sol = Session().solve(build_lp(desk_system, PolicyConfig(co2=Co2Cap(900.0))))
-        # models of the sample, the priced LP and the LP handed to Devex:
-        # each finds every model before it released
-        assert len(sol.runs) == 3 and alive == [[], [False], [False, False]]
+        # models of the sample and of the LP, which the priced run and the
+        # warm run share: each finds every model before it released
+        assert len(sol.runs) == 3 and alive == [[], [False]]
 
     def test_cap_and_quota_lp_frees_both_rows(self, desk_system):
         # both rows bind
@@ -781,12 +781,11 @@ class TestSession:
         loaded = session._highs
         warm = session.solve(build_lp(desk_system, PolicyConfig(co2=Co2Cap(800.0))))
         assert warm.warm_start and warm.runs[0].pricing == 1
-        # the warm solve ran in a new model, and later ones stay in it
-        assert session._highs is not loaded
-        devex = session._highs
+        # the warm solves run in the loaded model
+        assert session._highs is loaded
         assert session.solve(build_lp(desk_system, PolicyConfig(co2=Co2Cap(700.0)))) \
             .warm_start
-        assert session._highs is devex
+        assert session._highs is loaded
         # the second run of a cold quota LP is a warm run too
         _, _, lp = fig1_support_lp()
         _, _, other = fig1_support_lp(share=0.5)
@@ -794,6 +793,34 @@ class TestSession:
         assert not first.warm_start and again.warm_start
         assert [(run.warm, run.pricing) for run in (*first.runs, *again.runs)] == [
             (False, default), (False, default), (True, 1), (True, 1)]
+
+    def test_pricing_switch_in_place_matches_a_new_devex_model(self, desk_system):
+        lp = build_lp(desk_system, PolicyConfig(co2=Co2Cap(900.0)))
+        session = Session()
+        cap = session._run(lp, False)
+        basis = session._highs.getBasis()
+        tax_lp = apply_equivalence_substitution(lp, {lp.row("co2-cap"): -cap.dual("co2-cap")})
+        warm = session._run(tax_lp, True)
+
+        def from_basis(pricing):
+            """Iterations, x and y of the tax LP in a new model with
+            ``pricing``, run from the cap LP's optimal basis."""
+            fresh = Session()
+            fresh.options.append((PRICING, pricing))
+            fresh._load(tax_lp)
+            highs = fresh._highs
+            highs.setBasis(basis)
+            highs.run()
+            solution = highs.getSolution()
+            return (int(highs.getInfo().simplex_iteration_count), np.array(solution.col_value),
+                    np.array(solution.row_dual)[fresh._highs_row])
+        iterations, x, y = from_basis(1)
+        assert warm.status == "optimal" and warm.runs[0].pricing == 1
+        assert warm.iterations == iterations
+        assert np.array_equal(warm.x, x) and np.array_equal(warm.y, y)
+        # HiGHS' default pricing takes another path from the same basis
+        default = load_highs()._Highs().getOptionValue(PRICING)[1]
+        assert from_basis(default)[0] != iterations
 
     def test_warm_chain_matches_cold_solves(self):
         system = random_desk_system(0, 1512)
@@ -810,10 +837,10 @@ class TestSession:
         assert warm.runs[-1].pricing == 1
 
     def test_wall_time_covers_the_handoff(self, monkeypatch, desk_system):
-        def slow(self, _hand_over=Session._hand_over):
+        def slow(self, _switch_pricing=Session._switch_pricing):
             time.sleep(0.05)
-            _hand_over(self)
-        monkeypatch.setattr(Session, "_hand_over", slow)
+            _switch_pricing(self)
+        monkeypatch.setattr(Session, "_switch_pricing", slow)
         session = Session()
         session._run(build_lp(desk_system, PolicyConfig(co2=Co2Cap(900.0))), False)
         sol = session.solve(build_lp(desk_system, PolicyConfig(co2=Co2Cap(800.0))))

@@ -338,8 +338,8 @@ class TestEquivalence:
     def test_cap_tax_resolves_warm(self):
         system, policy, _ = load_scenario(scenario_path("fig1_co2_cap.json"))
         lp = build_lp(system, policy)
-        # from the basis of a one-run cold cap solve, through the handoff to
-        # a Devex model; a cold solve of the tax LP takes 106
+        # from the basis of a one-run cold cap solve, in its model switched
+        # to Devex; a cold solve of the tax LP takes 106
         result = check_cap_tax_equivalence(system, Session()._run(lp, False), policy)
         assert result.verdict == "pass"
         assert result.detail["warm_start"] is True
