@@ -40,32 +40,30 @@ def _out_dir(args) -> str:
     try:
         os.makedirs(out, exist_ok=True)
     except OSError as exc:
-        print(f"error: cannot create output directory '{out}': {exc.strerror or exc}",
-              file=sys.stderr)
-        raise SystemExit(EXIT_INPUT)
+        raise SystemExit(_error(f"cannot create output directory '{out}': "
+                                f"{exc.strerror or exc}", EXIT_INPUT))
     return out
 
 
-def _unreadable(exc: OSError, path) -> int:
-    """Report a file that cannot be opened or read; returns the exit code."""
-    print(f"error: cannot read '{exc.filename or path}': {exc.strerror or exc}",
-          file=sys.stderr)
-    return EXIT_INPUT
-
-
-def _error(exc: Exception, code: int) -> int:
-    """Report ``exc`` in one ``error:`` line; returns the exit code ``code``."""
+def _error(exc, code: int) -> int:
+    """Report ``exc``, an exception or a message, in one ``error:`` line;
+    returns the exit code ``code``."""
     print(f"error: {exc}", file=sys.stderr)
     return code
 
 
-def _load(path):
+def _read(load, *args):
+    """``load(*args)``, whose last argument names an input file: the
+    scenario, the plan or the solution file.  A file that cannot be read,
+    or that holds no valid input, ends the command in one ``error:`` line
+    with exit code 1."""
     try:
-        return load_scenario(path)
+        return load(*args)
     except OSError as exc:
-        raise SystemExit(_unreadable(exc, path))
-    except ScenarioError as exc:
-        raise SystemExit(_error(exc, EXIT_INPUT))
+        message = f"cannot read '{exc.filename or args[-1]}': {exc.strerror or exc}"
+    except (ScenarioError, SolveError) as exc:
+        message = str(exc)
+    raise SystemExit(_error(message, EXIT_INPUT))
 
 
 def _not_optimal(sol) -> int:
@@ -79,15 +77,15 @@ def _not_optimal(sol) -> int:
 
 
 def cmd_validate(args) -> int:
-    # loading runs model.validate: a violation ends in _load's error line
-    system, _, _ = _load(args.scenario)
+    # loading runs model.validate: a violation ends in _read's error line
+    system, _, _ = _read(load_scenario, args.scenario)
     print(f"ok: {len(system.nodes)} node(s), {system.snapshots} snapshot(s), "
           f"{len(system.technologies)} technology placement(s)")
     return EXIT_OK
 
 
 def cmd_solve(args) -> int:
-    system, policy, options = _load(args.scenario)
+    system, policy, options = _read(load_scenario, args.scenario)
     out = _out_dir(args)
     name = options["name"]
 
@@ -95,12 +93,7 @@ def cmd_solve(args) -> int:
     if args.emit_lp:
         write_mps(lp, os.path.join(out, f"{name}.mps"))
     if args.external_solution:
-        try:
-            sol = solve_external(lp, args.external_solution)
-        except OSError as exc:
-            return _unreadable(exc, args.external_solution)
-        except SolveError as exc:
-            return _error(exc, EXIT_INPUT)
+        sol = _read(solve_external, lp, args.external_solution)
     else:
         try:
             sol = solve(lp)
@@ -130,7 +123,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_emit_lp(args) -> int:
-    system, policy, options = _load(args.scenario)
+    system, policy, options = _read(load_scenario, args.scenario)
     out = _out_dir(args)
     lp = build_lp(system, policy)
     path = os.path.join(out, f"{options['name']}.mps")
@@ -140,12 +133,7 @@ def cmd_emit_lp(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    try:
-        plan = load_plan(args.plan)
-    except OSError as exc:
-        return _unreadable(exc, args.plan)
-    except ScenarioError as exc:
-        return _error(exc, EXIT_INPUT)
+    plan = _read(load_plan, args.plan)
     out = _out_dir(args)
     points = run_sweep(plan)
     write_sweep_csv(plan, points, os.path.join(out, f"{plan.name}.csv"))
@@ -160,7 +148,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    system, policy, options = _load(args.scenario)
+    system, policy, options = _read(load_scenario, args.scenario)
     out = _out_dir(args)
     lp = build_lp(system, policy)
     try:

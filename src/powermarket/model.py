@@ -32,10 +32,18 @@ __all__ = [
     "validate",
     "synth_profiles",
     "SHEDDING_NAME",
+    "MAX_MAGNITUDE",
 ]
 
 # Pseudo-technology automatically added to represent load shedding at VOLL.
 SHEDDING_NAME = "load-shedding"
+
+# No input number, nor the marginal cost, annualized cost or 1/eta_discharge
+# validate derives, may reach this.  HiGHS (1.12.0) rejects matrix values of
+# 1e15 and row bounds of 1e20 or more, and reads costs of 1e20 or more as
+# infinite; a snapshot sample weights costs and scalar rows' entries by up
+# to solve.SAMPLE_STRIDE (11), and a quota row sums demand over the system.
+MAX_MAGNITUDE = 1e13
 
 # Identifiers end up embedded in LP row/column names, where '.' separates
 # tag fields and whitespace would break the interchange format.
@@ -289,7 +297,7 @@ class Violation:
         return f"{self.entity}: {self.rule} ({self.message})"
 
 
-def _check_profile(out, entity, series, length, rule, lo=0.0, hi=None):
+def _check_profile(out, entity, series, length, rule, lo=0.0, hi=MAX_MAGNITUDE):
     if len(series) != length:
         out.append(Violation(entity, "profile-length",
                              f"expected {length} values, got {len(series)}"))
@@ -298,28 +306,29 @@ def _check_profile(out, entity, series, length, rule, lo=0.0, hi=None):
         if not math.isfinite(v):
             out.append(Violation(entity, rule, "non-finite value"))
             return
-        if v < lo or (hi is not None and v > hi):
+        if v < lo or v > hi:
             out.append(Violation(entity, rule, f"value {v} out of range"))
             return
 
 
-def _check_finite(out, entity, spec):
-    """One violation per float field of the dataclass ``spec`` that is NaN
-    or infinite."""
+def _check_numbers(out, entity, spec):
+    """One violation per float field of the dataclass ``spec`` that is NaN,
+    infinite, or of a magnitude at or above ``MAX_MAGNITUDE``."""
     for f in fields(spec):
         v = getattr(spec, f.name)
-        if f.init and isinstance(v, float) and not math.isfinite(v):
-            out.append(Violation(entity, "non-finite", f"{f.name} is {v}"))
+        if f.init and isinstance(v, float) and not abs(v) < MAX_MAGNITUDE:
+            rule = f"beyond ±{MAX_MAGNITUDE:g}" if math.isfinite(v) else "non-finite"
+            out.append(Violation(entity, rule, f"{f.name} is {v}"))
 
 
 def _check_derived(out, entity, rule, what, cost, ok=True):
     """A violation ``rule`` when ``cost()``, the ``what`` that the entity's
-    fields give, is not finite: inf, say, from finite fields.  It is
-    computed only when ``ok`` and for an entity without other violations,
-    as annuitize raises on the inputs those reject."""
+    fields give, is not below ``MAX_MAGNITUDE``: inf, say, from fields in
+    range.  It is computed only when ``ok`` and for an entity without other
+    violations, as annuitize raises on the inputs those reject."""
     if ok and all(v.entity != entity for v in out):
         value = cost()
-        if not math.isfinite(value):
+        if not abs(value) < MAX_MAGNITUDE:
             out.append(Violation(entity, rule, f"{what} is {value}"))
 
 
@@ -362,7 +371,7 @@ def validate(system: PowerSystem, policy: PolicyConfig) -> list:
         if (spec.name, node) in names:
             out.append(Violation(ent, "duplicate", "duplicate technology at node"))
         names.add((spec.name, node))
-        _check_finite(out, ent, spec)
+        _check_numbers(out, ent, spec)
         if spec.capex < 0:
             out.append(Violation(ent, "capex", "capex must be >= 0"))
         if spec.lifetime < 1:
@@ -389,7 +398,7 @@ def validate(system: PowerSystem, policy: PolicyConfig) -> list:
         if (sto.name, node) in names:
             out.append(Violation(ent, "duplicate", "duplicate storage at node"))
         names.add((sto.name, node))
-        _check_finite(out, ent, sto)
+        _check_numbers(out, ent, sto)
         if sto.lifetime < 1:
             out.append(Violation(ent, "lifetime", "lifetime must be >= 1"))
         for eta in (sto.eta_discharge, sto.eta_charge, sto.eta_standing):
@@ -402,12 +411,14 @@ def validate(system: PowerSystem, policy: PolicyConfig) -> list:
             out.append(Violation(ent, "energy-power-ratio", "ratio must be > 0"))
         _check_derived(out, ent, "annual-cost", "annualized cost",
                        lambda: sum(sto.annual_costs(r).values()), rate_ok)
+        _check_derived(out, ent, "efficiency", "1/eta_discharge",
+                       lambda: 1.0 / sto.eta_discharge)
 
     for line in system.lines:
         ent = line.name
         if line.from_node == line.to_node:
             out.append(Violation(ent, "self-loop", "line endpoints must differ"))
-        _check_finite(out, ent, line)
+        _check_numbers(out, ent, line)
         for n in (line.from_node, line.to_node):
             if n not in system.nodes:
                 out.append(Violation(ent, "unresolved-node", f"unknown node {n}"))
@@ -425,7 +436,7 @@ def validate(system: PowerSystem, policy: PolicyConfig) -> list:
     sup = policy.support
     for instrument in (sup, policy.co2):
         if instrument is not None:
-            _check_finite(out, "policy", instrument)
+            _check_numbers(out, "policy", instrument)
     if sup is not None:
         if not sup.technologies:
             out.append(Violation("policy", "support-set", "empty technology set"))
@@ -449,7 +460,7 @@ def validate(system: PowerSystem, policy: PolicyConfig) -> list:
     if isinstance(co2, Co2Tax) and co2.rate < 0:
         out.append(Violation("policy", "co2-tax", "tax must be >= 0"))
 
-    _check_finite(out, "system", system)
+    _check_numbers(out, "system", system)
     if system.voll is not None and system.voll <= 0:
         out.append(Violation("system", "voll", "value of lost load must be > 0"))
     if r < 0:

@@ -98,6 +98,10 @@ _KINDS = {
     "an object or null": lambda v: v is None or isinstance(v, dict),
     "a list of strings": lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v),
     "a list of objects": lambda v: isinstance(v, list) and all(isinstance(x, dict) for x in v),
+    "a list of numbers": lambda v: isinstance(v, list) and all(_is_number(x) for x in v),
+    "a list of technology names":
+        lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v),
+    "a path or an inline document": lambda v: isinstance(v, (str, dict)),
     "a series": lambda v: True,  # _resolve_series checks it
 }
 # the kind a dataclass field's annotation asks for
@@ -115,6 +119,10 @@ _OPTION_KINDS = {"voll": "a number or null", "discount_rate": "a number",
 _SERIES_KINDS = {"scale": "a number", "seed": "an integer", "kind": "a string",
                  "series": "a string"}
 _POLICY_KINDS = {"support": "an object or null", "co2": "an object or null"}
+_PLAN_KINDS = {"name": "a string", "scenario": "a path or an inline document",
+               "axis": "a string", "values": "a list of numbers",
+               "policy_set": "a list of technology names",
+               "suppress_negative_prices": "true or false"}
 
 
 def _json_type(value) -> str:
@@ -129,6 +137,16 @@ def _type_errors(entry: dict, kinds: dict, where: str, noun: str = "field") -> l
             f"{where}: '{key}' must be {kinds[key]}, not {_json_type(value)}"
             for key, value in entry.items()
             if key not in kinds or not _KINDS[kinds[key]](value)]
+
+
+def _name_errors(doc: dict, where) -> list:
+    """A message if the document's 'name', the stem of its output files, is
+    a string but not a plain file name."""
+    name = doc.get("name")
+    if isinstance(name, str) and (os.path.basename(name) != name or "\0" in name
+                                  or name in ("", ".", "..")):
+        return [f"{where}: 'name' must be a plain file name, not {json.dumps(name)}"]
+    return []
 
 
 def _float(value) -> Optional[float]:
@@ -151,7 +169,6 @@ def _read_timeseries_csv(path, errors: list) -> dict:
     if not os.path.exists(path):
         errors.append(f"timeseries: file '{path}' not found")
         return {}
-    out: dict = {}
     with open(path, newline="", encoding="utf-8") as fh:
         try:
             text = fh.read()
@@ -163,8 +180,7 @@ def _read_timeseries_csv(path, errors: list) -> dict:
     if not cols:
         errors.append(f"timeseries: '{path}' has no data columns")
         return {}
-    for c in cols:
-        out[c] = []
+    out = {c: [] for c in cols}
     for i, row in enumerate(reader):
         for c in cols:
             try:
@@ -277,6 +293,7 @@ def loads_scenario(doc: dict, base_dir: str = "."):
                     for key in ("snapshots", "nodes", "demand", "technologies")
                     if key not in doc]
     errors += _type_errors(doc, _DOC_KINDS, "scenario", "section")
+    errors += _name_errors(doc, "scenario")
     pol, options = doc.get("policy") or {}, doc.get("options", {})
     if isinstance(pol, dict):
         errors += _type_errors(pol, _POLICY_KINDS, "policy")
@@ -400,47 +417,29 @@ def serialize_scenario(system: PowerSystem, policy: PolicyConfig,
     return json.dumps(doc, indent=2, sort_keys=True)
 
 
-_PLAN_KEYS = ("name", "scenario", "axis", "values", "policy_set",
-              "suppress_negative_prices")
-
-
 def load_plan(path):
     """Parse a sweep plan file: a scenario (path or inline document) plus
-    {axis, values, policy_set, name, suppress_negative_prices} keys."""
+    {axis, values, policy_set, name, suppress_negative_prices} keys, each of
+    the kind ``_PLAN_KINDS`` names."""
     from .sweep import SweepPlan
 
     doc = _read_json(path)
     if not isinstance(doc, dict):
         raise ScenarioError(f"{path}: a plan is a JSON object")
-    errors = [f"unknown plan key '{k}'" for k in doc if k not in _PLAN_KEYS]
-    errors += [f"missing plan key '{k}'" for k in ("scenario", "axis", "values")
+    errors = _type_errors(doc, _PLAN_KINDS, path, "plan key") + _name_errors(doc, path)
+    errors += [f"{path}: missing plan key '{k}'" for k in ("scenario", "axis", "values")
                if k not in doc]
-    scenario, values = doc.get("scenario", ""), doc.get("values", [])
-    policy_set = doc.get("policy_set", [])
-    if not isinstance(scenario, (str, dict)):
-        errors.append("plan key 'scenario' must be a path or an inline document")
-    if not isinstance(values, list) or not all(_is_number(v) for v in values):
-        errors.append("plan key 'values' must be a list of numbers")
-    if not isinstance(policy_set, list) or not all(isinstance(t, str) for t in policy_set):
-        errors.append("plan key 'policy_set' must be a list of technology names")
     if errors:
-        raise ScenarioError(f"{path}: " + "; ".join(errors))
-    base_dir = os.path.dirname(os.path.abspath(path))
-    if isinstance(scenario, str):
-        system, policy, options = load_scenario(os.path.join(base_dir, scenario))
-    else:
-        system, policy, options = loads_scenario(scenario, base_dir)
+        raise ScenarioError("; ".join(errors))
+    scenario, base_dir = doc["scenario"], os.path.dirname(os.path.abspath(path))
+    system, policy, options = (load_scenario(os.path.join(base_dir, scenario))
+                               if isinstance(scenario, str) else loads_scenario(scenario, base_dir))
     try:
-        return SweepPlan(
-            system=system,
-            axis=doc["axis"],
-            values=tuple(_float(v) for v in values),
-            policy_set=tuple(policy_set),
-            base_co2=policy.co2,
-            suppress_negative_prices=bool(
-                doc.get("suppress_negative_prices",
-                        options.get("suppress_negative_prices", False))),
-            name=doc.get("name", options.get("name", "sweep")),
-        )
+        return SweepPlan(system=system, axis=doc["axis"], base_co2=policy.co2,
+                         values=tuple(_float(v) for v in doc["values"]),
+                         policy_set=tuple(doc.get("policy_set", ())),
+                         suppress_negative_prices=doc.get(
+                             "suppress_negative_prices", options["suppress_negative_prices"]),
+                         name=doc.get("name", options["name"]))
     except ValueError as exc:
         raise ScenarioError(f"{path}: {exc}") from None

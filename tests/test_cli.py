@@ -30,8 +30,8 @@ from powermarket.model import (
     TechnologySpec,
     validate,
 )
-from powermarket.scenario import load_plan, load_scenario, serialize_scenario
-from powermarket.solve import Solution, load_highs, solve, status_of
+from powermarket.scenario import ScenarioError, load_plan, load_scenario, serialize_scenario
+from powermarket.solve import Solution, SolveError, load_highs, solve, status_of
 
 from conftest import BUNDLED_SCENARIOS, assert_highs_reads, gate_document, scenario_path
 
@@ -113,16 +113,14 @@ class TestSolve:
         assert main(["verify", scen, "--out-dir", str(tmp_path)]) == code
 
     @pytest.mark.parametrize("command", ["solve", "verify"])
-    def test_solve_error_is_one_error_line(self, tmp_path, capsys, command):
-        # an emission factor of 1e25 makes HiGHS reject the capped LP
-        with open(scenario_path("wind_gas_168h.json"), encoding="utf-8") as fh:
-            doc = json.load(fh)
-        ocgt = next(t for t in doc["technologies"] if t.get("default") == "ocgt")
-        ocgt["emission_factor"] = 1e25
-        doc["policy"] = {"co2": {"type": "cap", "cap": 1000.0}}
-        path = tmp_path / "huge_emissions.json"
-        path.write_text(json.dumps(doc))
-        assert main([command, str(path), "--out-dir", str(tmp_path)]) == 4
+    def test_solve_error_is_one_error_line(self, tmp_path, monkeypatch, capsys, command):
+        # validate keeps every LP within HiGHS' limits, so the rejection that
+        # test_solve.py's NAN_RHS_PROBE gets from HiGHS is raised here
+        def rejected(lp):
+            raise SolveError("HiGHS passModel returned an error")
+        monkeypatch.setattr(powermarket.cli, "solve", rejected)
+        path = scenario_path("wind_gas_168h.json")
+        assert main([command, path, "--out-dir", str(tmp_path)]) == 4
         err = capsys.readouterr().err
         assert err == "error: HiGHS passModel returned an error\n"
 
@@ -498,7 +496,7 @@ def bundled(name: str) -> dict:
         return json.load(fh)
 
 
-def edited(name: str, **changes) -> dict:
+def edited(name: str, /, **changes) -> dict:
     return {**bundled(name), **changes}
 
 
@@ -546,8 +544,37 @@ STRUCTURE_ERRORS = {
     "overflowing-marginal-cost": (
         edited("wind_gas_168h.json", technologies=[
             bundled("wind_gas_168h.json")["technologies"][0],
-            {**bundled("wind_gas_168h.json")["technologies"][1], "fuel_cost": 1e308}]),
+            {**bundled("wind_gas_168h.json")["technologies"][1], "efficiency": 5e-324}]),
         "ocgt@N: marginal-cost (marginal cost is inf)"),
+    "voll-beyond-lp-range": (
+        edited("wind_gas_168h.json",
+               options={**bundled("wind_gas_168h.json")["options"], "voll": 1e308}),
+        "system: beyond ±1e+13 (voll is 1e+308)"),
+    "co2-tax-beyond-lp-range": (
+        edited("wind_gas_168h.json", policy={"co2": {"type": "tax", "rate": 1e308}}),
+        "policy: beyond ±1e+13 (rate is 1e+308)"),
+    "demand-scale-beyond-lp-range": (
+        edited("wind_gas_168h.json", demand={"N": {"kind": "flat-demand", "scale": 1e308}}),
+        "N: demand out of range (value 1e+308 out of range)"),
+    # a snapshot sample weights the cap row's entries by up to 11
+    "emission-factor-beyond-lp-range": (
+        edited("wind_gas_168h.json", technologies=[
+            bundled("wind_gas_168h.json")["technologies"][0],
+            {**bundled("wind_gas_168h.json")["technologies"][1], "emission_factor": 1e14}],
+               policy={"co2": {"type": "cap", "cap": 1000.0}}),
+        "ocgt@N: beyond ±1e+13 (emission_factor is 100000000000000.0)"),
+    "discharge-efficiency-beyond-lp-range": (
+        edited("vre_flex_168h.json",
+               storages=[{**bundled("vre_flex_168h.json")["storages"][0],
+                          "eta_discharge": 1e-16}]),
+        "battery@N: efficiency (1/eta_discharge is 1e+16)"),
+    "name-outside-the-out-dir": (edited("wind_gas_168h.json", name="../escaped"),
+                                 "scenario: 'name' must be a plain file name, "
+                                 "not \"../escaped\""),
+    "name-with-a-directory": (edited("wind_gas_168h.json", name="sub/evil"),
+                              "scenario: 'name' must be a plain file name, not \"sub/evil\""),
+    "name-with-nul": (edited("wind_gas_168h.json", name="a\u0000b"),
+                      "scenario: 'name' must be a plain file name, not \"a\\u0000b\""),
     "inline-demand-beyond-float-range": (
         edited("wind_gas_168h.json", demand={"N": [100.0] * 167 + [10**400]}),
         "N: demand out of range (non-finite value)"),
@@ -677,9 +704,10 @@ def gate_failures(cases, tmp_path, capsys) -> list:
     return wrong
 
 
-# one value of each JSON kind, and numbers beyond and at the edge of the
-# float range
-JSON_VALUES = (True, "x", ["x"], {"x": 2}, None, 2, 10**400, -10**400, 1e308, -1e308)
+# one value of each JSON kind, numbers beyond and at the edge of the float
+# range, zero, a negative and the smallest subnormal
+JSON_VALUES = (True, "x", ["x"], {"x": 2}, None, 2, 10**400, -10**400, 1e308, -1e308,
+               0, -1, 5e-324)
 
 
 class TestJsonKinds:
@@ -690,6 +718,38 @@ class TestJsonKinds:
                   with_value(doc, where, value))
                  for where in field_paths(doc) for value in JSON_VALUES)
         assert gate_failures(cases, tmp_path, capsys) == []
+
+
+def json_kind(value):
+    """The JSON kind of ``value``: a number, or the Python type of another kind."""
+    return "number" if isinstance(value, (int, float)) and not isinstance(value, bool) \
+        else type(value)
+
+
+class TestPlanJsonKinds:
+    @pytest.mark.parametrize("name", ["support_sweep.json", "co2_sweep_flex.json"])
+    def test_each_plan_field_takes_each_json_kind(self, tmp_path, name):
+        # a plan loads or raises ScenarioError, and a value of another JSON kind
+        # than the field's is rejected; a 'scenario' path naming no file raises
+        # FileNotFoundError, which the CLI reports as an unreadable file
+        doc = edited(name, scenario=scenario_path(bundled(name)["scenario"]))
+        path, wrong = tmp_path / "plan.json", []
+        for where in field_paths(doc):
+            for value in JSON_VALUES:
+                case = f"{'.'.join(map(str, where))} = {json.dumps(value)}"
+                path.write_text(json.dumps(with_value(doc, where, value)))
+                try:
+                    load_plan(path)
+                    if json_kind(value) != json_kind(reduce(getitem, where, doc)):
+                        wrong.append(f"{case}: loaded")
+                except ScenarioError:
+                    pass
+                except FileNotFoundError:
+                    if where != ("scenario",):
+                        wrong.append(f"{case}: FileNotFoundError")
+                except Exception as exc:
+                    wrong.append(f"{case}: {type(exc).__name__}: {exc}")
+        assert wrong == []
 
 
 class TestStructuralMutations:

@@ -218,17 +218,24 @@ class TestPlans:
         ({"scenario": 5}, "'scenario' must be a path or an inline document"),
         ({"polcy_set": ["gas"]}, "unknown plan key 'polcy_set'"),
         ({"jobs": 1}, "unknown plan key 'jobs'"),
+        ({"suppress_negative_prices": "no"},
+         "'suppress_negative_prices' must be true or false, not a string"),
+        ({"name": ["a"]}, "'name' must be a string, not a list"),
+        ({"name": "../escaped"}, "'name' must be a plain file name, not \"../escaped\""),
     ], ids=["values-not-a-list", "value-null", "value-a-string", "value-nan",
             "value-beyond-float-range",
             "policy-set-not-a-list", "policy-set-a-string", "scenario-a-number",
-            "misspelt-key", "stale-jobs-key"])
+            "misspelt-key", "stale-jobs-key", "suppress-a-string", "name-a-list",
+            "name-a-path"])
     def test_bad_plan_is_one_error_line(self, tmp_path, capsys, change, message):
         p = tmp_path / "p.json"
         p.write_text(json.dumps({"scenario": minimal_doc(), "axis": "co2_tax",
                                  "values": [1.0], **change}))
         with pytest.raises(ScenarioError, match=message):
             load_plan(p)
-        assert main(["sweep", str(p), "--out-dir", str(tmp_path)]) == 1
+        with pytest.raises(SystemExit) as exit_:
+            main(["sweep", str(p), "--out-dir", str(tmp_path)])
+        assert exit_.value.code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err and err.count("\n") == 1
         assert str(p) in err

@@ -13,6 +13,7 @@ import pytest
 from powermarket.formulate import LinearProgram, apply_equivalence_substitution, build_lp
 from powermarket.metrics import policy_prices
 from powermarket.model import (
+    MAX_MAGNITUDE,
     Co2Cap,
     LineSpec,
     PolicyConfig,
@@ -304,6 +305,15 @@ class TestHighsBindings:
             assert callable(getattr(core._Highs, name)), name
         for name in set(re.findall(r"(?:\bcore|load_highs\(\))\.(\w+)", source)):
             assert hasattr(core, name), name
+
+    def test_validated_magnitudes_are_within_the_limits(self):
+        # model.MAX_MAGNITUDE, weighted by a snapshot sample, stays below the
+        # matrix values, row bounds and costs HiGHS takes
+        highs = load_highs()._Highs()
+        limit = {name: highs.getOptionValue(name)[1]
+                 for name in ("large_matrix_value", "infinite_bound", "infinite_cost")}
+        assert MAX_MAGNITUDE * SAMPLE_STRIDE < limit["large_matrix_value"] \
+            <= min(limit["infinite_bound"], limit["infinite_cost"])
 
     def test_options_are_known(self):
         highs = load_highs()._Highs()
