@@ -66,6 +66,21 @@ def _read(load, *args):
     raise SystemExit(_error(message, EXIT_INPUT))
 
 
+def _write(write, *args, **kwargs):
+    """``write(*args, **kwargs)``, whose last positional argument is an output
+    file; a file it cannot write ends the command in one ``error:`` line."""
+    try:
+        write(*args, **kwargs)
+    except OSError as exc:
+        raise SystemExit(_error(f"cannot write '{exc.filename or args[-1]}': "
+                                f"{exc.strerror or exc}", EXIT_INPUT))
+
+
+def _write_text(text: str, path) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
 def _not_optimal(sol) -> int:
     """Report a solve that ended without an optimum; returns the exit code."""
     if sol.status in NO_OPTIMUM:
@@ -91,7 +106,7 @@ def cmd_solve(args) -> int:
 
     lp = build_lp(system, policy)
     if args.emit_lp:
-        write_mps(lp, os.path.join(out, f"{name}.mps"))
+        _write(write_mps, lp, os.path.join(out, f"{name}.mps"))
     if args.external_solution:
         sol = _read(solve_external, lp, args.external_solution)
     else:
@@ -102,17 +117,16 @@ def cmd_solve(args) -> int:
     if sol.status != "optimal":
         return _not_optimal(sol)
 
-    write_solution_file(sol, os.path.join(out, f"{name}.sol"))
+    _write(write_solution_file, sol, os.path.join(out, f"{name}.sol"))
     report = build_report(system, sol, policy,
                           suppress_negative=options["suppress_negative_prices"])
-    with open(os.path.join(out, f"{name}.metrics.json"), "w", encoding="utf-8") as fh:
-        fh.write(report_to_json(report))
-    write_report_csv(report, os.path.join(out, f"{name}.metrics.csv"), scenario=name)
+    _write(_write_text, report_to_json(report), os.path.join(out, f"{name}.metrics.json"))
+    _write(write_report_csv, report, os.path.join(out, f"{name}.metrics.csv"),
+           scenario=name)
 
     checks = verify_solution(system, sol, policy)
-    with open(os.path.join(out, f"{name}.verification.json"), "w",
-              encoding="utf-8") as fh:
-        fh.write(verify_report_json(checks))
+    _write(_write_text, verify_report_json(checks),
+           os.path.join(out, f"{name}.verification.json"))
     failures = [c for c in checks if c.verdict == "fail"]
     for c in failures:
         print(f"check failed: {c.check} {c.entity} residual={c.residual:.3e}",
@@ -127,7 +141,7 @@ def cmd_emit_lp(args) -> int:
     out = _out_dir(args)
     lp = build_lp(system, policy)
     path = os.path.join(out, f"{options['name']}.mps")
-    write_mps(lp, path)
+    _write(write_mps, lp, path)
     print(path)
     return EXIT_OK
 
@@ -136,10 +150,9 @@ def cmd_sweep(args) -> int:
     plan = _read(load_plan, args.plan)
     out = _out_dir(args)
     points = run_sweep(plan)
-    write_sweep_csv(plan, points, os.path.join(out, f"{plan.name}.csv"))
-    with open(os.path.join(out, f"{plan.name}.manifest.json"), "w",
-              encoding="utf-8") as fh:
-        json.dump(sweep_manifest(plan, points), fh, indent=2, sort_keys=True)
+    _write(write_sweep_csv, plan, points, os.path.join(out, f"{plan.name}.csv"))
+    _write(_write_text, json.dumps(sweep_manifest(plan, points), indent=2, sort_keys=True),
+           os.path.join(out, f"{plan.name}.manifest.json"))
     solved = sum(1 for p in points if p.status == "optimal")
     verified = all_verified(points)
     print(f"sweep '{plan.name}': {solved}/{len(points)} points optimal, "
@@ -162,9 +175,8 @@ def cmd_verify(args) -> int:
             checks.append(check_subsidy_tax_lift(system, sol, policy))
     except SolveError as exc:
         return _error(exc, EXIT_SOLVER)
-    with open(os.path.join(out, f"{options['name']}.verification.json"), "w",
-              encoding="utf-8") as fh:
-        fh.write(verify_report_json(checks))
+    _write(_write_text, verify_report_json(checks),
+           os.path.join(out, f"{options['name']}.verification.json"))
     counts = {"pass": 0, "fail": 0, "inconclusive": 0}
     for c in checks:
         counts[c.verdict] += 1

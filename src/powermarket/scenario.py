@@ -40,13 +40,18 @@ from .model import (
     validate,
 )
 
-__all__ = ["ScenarioError", "DEFAULT_TECHNOLOGIES", "DEFAULT_STORAGES",
+__all__ = ["ScenarioError", "DEFAULT_TECHNOLOGIES", "DEFAULT_STORAGES", "MAX_SNAPSHOTS",
            "load_scenario", "loads_scenario", "serialize_scenario",
            "load_plan"]
 
 
 class ScenarioError(ValueError):
     """Scenario schema violation; the message lists every problem found."""
+
+
+# The most snapshots a scenario may ask for, a century of hours: checked before
+# any series is resolved into that many floats, as validate runs only after.
+MAX_SNAPSHOTS = 10**6
 
 
 DEFAULT_TECHNOLOGIES = {
@@ -218,9 +223,6 @@ def _resolve_series(value, snapshots: int, series: dict, where: str,
             except ValueError as exc:
                 errors.append(f"{where}: {exc}")
                 return None
-            except OverflowError:  # a list of more than sys.maxsize entries
-                errors.append(f"{where}: snapshots beyond the index range")
-                return None
             return tuple(scale * v for v in base)
         if "series" in value:
             name = value["series"]
@@ -294,6 +296,8 @@ def loads_scenario(doc: dict, base_dir: str = "."):
                     if key not in doc]
     errors += _type_errors(doc, _DOC_KINDS, "scenario", "section")
     errors += _name_errors(doc, "scenario")
+    if isinstance(doc.get("snapshots"), int) and doc["snapshots"] > MAX_SNAPSHOTS:
+        errors.append(f"scenario: 'snapshots' must be at most {MAX_SNAPSHOTS}")
     pol, options = doc.get("policy") or {}, doc.get("options", {})
     if isinstance(pol, dict):
         errors += _type_errors(pol, _POLICY_KINDS, "policy")
@@ -431,9 +435,14 @@ def load_plan(path):
                if k not in doc]
     if errors:
         raise ScenarioError("; ".join(errors))
-    scenario, base_dir = doc["scenario"], os.path.dirname(os.path.abspath(path))
-    system, policy, options = (load_scenario(os.path.join(base_dir, scenario))
-                               if isinstance(scenario, str) else loads_scenario(scenario, base_dir))
+    where, scenario = path, doc["scenario"]  # the file a scenario error names
+    if isinstance(scenario, str):
+        where = os.path.join(os.path.dirname(os.path.abspath(path)), scenario)
+        scenario = _read_json(where)
+    try:
+        system, policy, options = loads_scenario(scenario, os.path.dirname(os.path.abspath(where)))
+    except ScenarioError as exc:
+        raise ScenarioError(f"{where}: {exc}") from None
     try:
         return SweepPlan(system=system, axis=doc["axis"], base_co2=policy.co2,
                          values=tuple(_float(v) for v in doc["values"]),

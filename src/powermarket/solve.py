@@ -201,8 +201,8 @@ class Session:
     first and then ``=`` rows, and runs the dual simplex with presolve on.
     A later LP of the same shape (equal column and row blocks, column
     bounds, row senses and matrix entries) after an optimal solve is solved
-    warm: only the costs and bounds that differ are pushed, and HiGHS
-    starts from the basis the run before ended at.
+    warm: only the costs and bounds that differ from the model HiGHS holds
+    are pushed, and HiGHS starts from the basis the run before ended at.
     The loaded LP is the reference for the shape, so change its columns or
     matrix in a copy (:meth:`LinearProgram.copy`), not in place.  A relaxed
     row has an infinite right-hand side, so relaxing a policy row
@@ -354,11 +354,9 @@ class Session:
         model.a_matrix_.start_ = start
         model.a_matrix_.index_ = index
         model.a_matrix_.value_ = value
-        model.col_cost_ = self._cost = cols.objective.copy()
-        model.col_lower_, model.col_upper_ = self._col_lower, self._col_upper = \
-            cols.lower, cols.upper
-        self._row_lower, self._row_upper = self._row_bounds(lp.rows.sense, lp.rows.rhs)
-        model.row_lower_, model.row_upper_ = self._row_lower, self._row_upper
+        model.col_cost_ = cols.objective
+        model.col_lower_, model.col_upper_ = cols.lower, cols.upper
+        model.row_lower_, model.row_upper_ = self._row_bounds(lp.rows.sense, lp.rows.rhs)
         _check("passModel", self._highs.passModel(model))
         self._loaded = lp
 
@@ -383,27 +381,24 @@ class Session:
 
     def _push(self, lp: LinearProgram, prices: dict, held: dict) -> None:
         """Change the loaded model into ``lp`` relaxed at ``prices`` with the
-        columns of ``held`` held at its values: push the costs, column
-        bounds and row bounds that differ."""
-        highs, cols = self._highs, lp.columns
+        columns of ``held`` held at its values: push the costs, column bounds
+        and row bounds that differ from those of the model HiGHS holds."""
+        highs, model, cols = self._highs, self._highs.getLp(), lp.columns
         cost, rhs = relax(lp, prices)
-        changed = np.flatnonzero(cost != self._cost)
+        changed = np.flatnonzero(cost != model.col_cost_)
         if changed.size:
-            self._cost = cost
             _check("changeColsCost", highs.changeColsCost(
                 changed.size, changed.astype(np.int32), cost[changed]))
         lower, upper = cols.lower.copy(), cols.upper.copy()
         lower[list(held)] = upper[list(held)] = list(held.values())
-        changed = np.flatnonzero((lower != self._col_lower) | (upper != self._col_upper))
+        changed = np.flatnonzero((lower != model.col_lower_) | (upper != model.col_upper_))
         if changed.size:
             _check("changeColsBounds", highs.changeColsBounds(
                 changed.size, changed.astype(np.int32), lower[changed], upper[changed]))
-        self._col_lower, self._col_upper = lower, upper
         lower, upper = self._row_bounds(lp.rows.sense, rhs)
-        for i in np.flatnonzero((lower != self._row_lower) | (upper != self._row_upper)):
+        for i in np.flatnonzero((lower != model.row_lower_) | (upper != model.row_upper_)):
             _check("changeRowBounds",
                    highs.changeRowBounds(int(i), float(lower[i]), float(upper[i])))
-        self._row_lower, self._row_upper = lower, upper
 
 
 def _scalar_values(lp: LinearProgram, sample: Solution) -> dict:

@@ -352,7 +352,8 @@ _MAX_ORACLE_SNAPSHOTS = 6
 
 
 def brute_force_oracle(system: PowerSystem) -> OracleResult:
-    """Solver-independent optimum for tiny single-node systems without policy.
+    """Solver-independent optimum for tiny single-node systems without policy:
+    1–3 technologies, at most 6 snapshots, no storage or lines.
 
     Enumerates every candidate capacity vertex (intersections of zero planes
     and merit-order coverage planes), evaluates the exact merit-order
@@ -365,8 +366,9 @@ def brute_force_oracle(system: PowerSystem) -> OracleResult:
         raise OracleError("instance too large: oracle needs 1 node, no storage/network")
     k = len(system.technologies)
     T = system.snapshots
-    if k > _MAX_ORACLE_TECHS or T > _MAX_ORACLE_SNAPSHOTS:
-        raise OracleError("instance too large")
+    if not 0 < k <= _MAX_ORACLE_TECHS or T > _MAX_ORACLE_SNAPSHOTS:
+        raise OracleError(f"instance too large or without technologies: oracle needs 1–"
+                          f"{_MAX_ORACLE_TECHS} technologies, up to {_MAX_ORACLE_SNAPSHOTS} hours")
     node = system.nodes[0]
     d0 = np.array(system.demand[node], dtype=float)
     voll = system.voll
@@ -379,24 +381,12 @@ def brute_force_oracle(system: PowerSystem) -> OracleResult:
 
     if voll is None:
         for t in range(T):
-            if d0[t] > 0 and (k == 0 or avail[:, t].max() == 0.0):
+            if d0[t] > 0 and avail[:, t].max() == 0.0:
                 return OracleResult(status="infeasible")
-    if k == 0:
-        if voll is None:
-            return OracleResult(status="optimal", objective=0.0,
-                                prices=np.zeros(T), price_unique=np.ones(T, bool)) \
-                if d0.max() == 0 else OracleResult(status="infeasible")
-        obj = float(voll * d0.sum())
-        return OracleResult(status="optimal", objective=obj,
-                            prices=np.full(T, float(voll)),
-                            price_unique=np.ones(T, bool))
 
-    # hyperplanes a.G = rhs: zero planes and merit-order prefix coverage planes
-    planes = []           # (a_row, kind, hour)   rhs = 0 or d[hour]
-    for s in range(k):
-        a = np.zeros(k)
-        a[s] = 1.0
-        planes.append((a, "zero", -1))
+    # hyperplanes a.G = rhs, each (a, hour): the zero planes (hour -1, rhs 0)
+    # and merit-order prefix coverage planes (rhs d[hour])
+    planes = [(a, -1) for a in np.eye(k)]
     for j in range(1, k + 1):
         prefix = order[:j]
         for t in range(T):
@@ -404,19 +394,14 @@ def brute_force_oracle(system: PowerSystem) -> OracleResult:
             a[prefix] = avail[prefix, t]
             if np.abs(a).max() == 0.0:
                 continue
-            planes.append((a, "demand", t))
+            planes.append((a, t))
 
-    combos = []
-    mats = []
-    for combo in itertools.combinations(range(len(planes)), k):
-        A = np.stack([planes[i][0] for i in combo])
-        if abs(np.linalg.det(A)) < 1e-10:
-            continue
-        combos.append(combo)
-        mats.append(A)
-    inv = np.linalg.inv(np.stack(mats))          # (ncomb, k, k)
-    kinds = [[planes[i][1] for i in combo] for combo in combos]
-    hours = [[planes[i][2] for i in combo] for combo in combos]
+    # vertices: the nonsingular intersections of k planes
+    combos = np.array(list(itertools.combinations(range(len(planes)), k)))
+    mats = np.stack([a for a, _ in planes])[combos]          # (ncomb, k, k)
+    keep = np.abs(np.linalg.det(mats)) >= 1e-10
+    inv = np.linalg.inv(mats[keep])
+    hours = np.array([hour for _, hour in planes])[combos[keep]]
 
     def dispatch_cost(G: np.ndarray, d: np.ndarray) -> np.ndarray:
         """Exact merit-order dispatch cost for a batch of capacity vectors."""
@@ -430,24 +415,21 @@ def brute_force_oracle(system: PowerSystem) -> OracleResult:
             if voll is not None:
                 total += voll * residual
             else:
-                total += np.where(residual > 1e-9, np.inf, 0.0)
+                # relative: exact coverage leaves a residual of an ulp of d[t]
+                total += np.where(residual > 1e-9 * max(1.0, d[t]), np.inf, 0.0)
         return total
 
     def value(d: np.ndarray) -> float:
-        b = np.array([[d[h] if kind == "demand" else 0.0
-                       for kind, h in zip(ks, hs)]
-                      for ks, hs in zip(kinds, hours)])
-        G = np.einsum("nij,nj->ni", inv, b)
-        ok = G.min(axis=1) >= -1e-9
-        if not ok.any():
-            return float("inf")
-        G = np.clip(G[ok], 0.0, None)
+        G = np.einsum("nij,nj->ni", inv, np.where(hours >= 0, d[hours], 0.0))
+        # the k zero planes meet at G = 0, so some vertex always passes
+        G = np.clip(G[G.min(axis=1) >= -1e-9], 0.0, None)
         costs = G @ c + dispatch_cost(G, d)
         return float(costs.min())
 
     base = value(d0)
     if not np.isfinite(base):
-        return OracleResult(status="infeasible")
+        # feasible after the scan above; a vertex serving it had det < 1e-10
+        raise OracleError("no enumerated capacity vertex serves the demand")
 
     eps = 1e-5 * max(1.0, float(np.abs(d0).max()))
     prices = np.zeros(T)
@@ -463,7 +445,8 @@ def brute_force_oracle(system: PowerSystem) -> OracleResult:
             left = (base - vl1) / eps
             left_ok = abs((vl1 - vl2) / eps - left) <= 1e-6 * max(1.0, abs(left))
         else:
-            left, left_ok = right, right_ok
+            # at zero demand every price up to the right derivative is a dual
+            left, left_ok = right, right_ok and d0[t] > 0
         prices[t] = right
         unique[t] = bool(right_ok and left_ok
                          and abs(left - right) <= 1e-6 * max(1.0, abs(right)))

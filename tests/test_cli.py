@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import powermarket
 import powermarket.cli
+import powermarket.scenario
 import powermarket.verify
 from powermarket.cli import main
 from powermarket.formulate import build_lp, tech_key
@@ -30,7 +31,13 @@ from powermarket.model import (
     TechnologySpec,
     validate,
 )
-from powermarket.scenario import ScenarioError, load_plan, load_scenario, serialize_scenario
+from powermarket.scenario import (
+    MAX_SNAPSHOTS,
+    ScenarioError,
+    load_plan,
+    load_scenario,
+    serialize_scenario,
+)
 from powermarket.solve import Solution, SolveError, load_highs, solve, status_of
 
 from conftest import BUNDLED_SCENARIOS, assert_highs_reads, gate_document, scenario_path
@@ -579,7 +586,39 @@ STRUCTURE_ERRORS = {
         edited("wind_gas_168h.json", demand={"N": [100.0] * 167 + [10**400]}),
         "N: demand out of range (non-finite value)"),
     "snapshots-beyond-index-range": (edited("wind_gas_168h.json", snapshots=10**400),
-                                     "demand[N]: snapshots beyond the index range"),
+                                     f"scenario: 'snapshots' must be at most {MAX_SNAPSHOTS}"),
+    # names end up in LP tags, where whitespace breaks the MPS format
+    "node-name-with-a-space": (
+        edited("wind_gas_168h.json", nodes=["N", "a b"],
+               demand={**bundled("wind_gas_168h.json")["demand"],
+                       "a b": {"kind": "flat-demand", "scale": 10.0}}),
+        "a b: identifier (node name has invalid characters)"),
+    "technology-name-with-a-space": (
+        edited("wind_gas_168h.json", technologies=[
+            {**bundled("wind_gas_168h.json")["technologies"][0], "name": "a b"},
+            bundled("wind_gas_168h.json")["technologies"][1]]),
+        "a b@N: identifier (technology name has invalid characters)"),
+    "storage-name-with-a-space": (
+        edited("vre_flex_168h.json",
+               storages=[{**bundled("vre_flex_168h.json")["storages"][0], "name": "a b"}]),
+        "a b@N: identifier (storage name has invalid characters)"),
+    # the loader leaves demand at unknown nodes to validate
+    "demand-for-unknown-node": (
+        edited("wind_gas_168h.json",
+               demand={**bundled("wind_gas_168h.json")["demand"],
+                       "M": {"kind": "flat-demand", "scale": 10.0}}),
+        "M: unresolved-node (demand for unknown node)"),
+    # the LP names its VOLL column after the shedding pseudo-technology
+    "technology-named-load-shedding": (
+        edited("wind_gas_168h.json", technologies=[
+            bundled("wind_gas_168h.json")["technologies"][0],
+            {**bundled("wind_gas_168h.json")["technologies"][1],
+             "name": "load-shedding"}]),
+        "load-shedding@N: reserved-name"),
+    "negative-quota-target": (
+        edited("wind_gas_168h.json", policy={"support": {
+            "type": "dispatched", "technologies": ["wind"], "target": -1.0}}),
+        "policy: target (target must be >= 0)"),
     "zero-total-demand": (
         edited("wind_gas_168h.json", demand={"N": {"kind": "flat-demand", "scale": 0}}),
         "system: demand (total demand must be > 0)"),
@@ -644,6 +683,37 @@ class TestStructure:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert message in err
+
+
+def test_snapshots_beyond_the_bound_resolve_no_series(tmp_path, capsys, monkeypatch):
+    # the bound is checked before any series is resolved: a value Python
+    # could allocate is never run here
+    def resolve(*args):
+        raise AssertionError("a series was resolved")
+
+    monkeypatch.setattr(powermarket.scenario, "synth_profiles", resolve)
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(edited("wind_gas_168h.json", snapshots=MAX_SNAPSHOTS + 1)))
+    assert exit_code(["validate", str(path)]) == 1
+    assert capsys.readouterr().err == \
+        f"error: scenario: 'snapshots' must be at most {MAX_SNAPSHOTS}\n"
+
+
+class TestUnwritableOutput:
+    @pytest.mark.parametrize("command", ["solve", "emit-lp", "verify", "sweep"])
+    def test_exit_one_with_an_error_line(self, tmp_path, capsys, command):
+        # a valid 'name' longer than a file name may be (255 bytes on Linux)
+        name = "x" * 300
+        doc = edited("wind_gas_168h.json", name=name)
+        if command == "sweep":
+            doc = {"scenario": scenario_path("wind_gas_168h.json"), "axis": "co2_cap",
+                   "values": [855.558], "policy_set": ["wind"], "name": name}
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(doc))
+        assert exit_code([command, str(path), "--out-dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write '{tmp_path / name}.")
+        assert err.endswith("': File name too long\n") and err.count("\n") == 1
 
 
 def field_paths(node, path=()):

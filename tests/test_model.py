@@ -6,6 +6,7 @@ from powermarket.model import (
     Co2Cap,
     PolicyConfig,
     PowerSystem,
+    StorageSpec,
     SupportDispatched,
     TechnologySpec,
     annuitize,
@@ -31,6 +32,17 @@ class TestAnnuitize:
     def test_fixed_om_is_additive(self):
         base = annuitize(1000.0, 10.0, 0.05)
         assert annuitize(1000.0, 10.0, 0.05, fixed_om=7.5) == pytest.approx(base + 7.5)
+
+    # annuitize is public: outside validate's gate a bad input raises, where
+    # it would otherwise return a cost (NaN, or one below straight-line)
+    @pytest.mark.parametrize("args, message", [
+        ((float("nan"), 25.0, 0.07), "non-finite input"),
+        ((1000.0, 0.5, 0.07), "lifetime must be >= 1 year"),
+        ((1000.0, 25.0, -0.1), "discount rate must be >= 0"),
+    ], ids=["nan-capex", "half-year-lifetime", "negative-rate"])
+    def test_rejects_inputs_outside_its_domain(self, args, message):
+        with pytest.raises(ValueError, match=message):
+            annuitize(*args)
 
     @given(capex=st.floats(1.0, 1e7), lifetime=st.floats(1.0, 60.0),
            r1=st.floats(0.0, 0.2), r2=st.floats(0.0, 0.2))
@@ -84,6 +96,16 @@ class TestValidate:
     def test_empty_support_set(self):
         policy = PolicyConfig(support=SupportDispatched((), share=0.1))
         assert [v.rule for v in validate(random_desk_system(0), policy)] == ["support-set"]
+
+    def test_placement_at_an_unknown_node(self):
+        # the scenario loader rejects these first; a system built in code
+        # reaches validate with them
+        gas = TechnologySpec(name="gas", capex=1.0)
+        system = PowerSystem(nodes=("N",), snapshots=1, demand={"N": (1.0,)},
+                             technologies=(("N", gas), ("M", gas)),
+                             storages=(("M", StorageSpec(name="battery")),))
+        assert [(v.entity, v.rule) for v in validate(system, PolicyConfig.none())] == \
+            [("gas@M", "unresolved-node"), ("battery@M", "unresolved-node")]
 
     def test_never_raises_on_garbage(self):
         system = PowerSystem(nodes=("N", "M"), snapshots=0, demand={},

@@ -240,6 +240,25 @@ class TestPlans:
         assert err.startswith("error: ") and message in err and err.count("\n") == 1
         assert str(p) in err
 
+    @pytest.mark.parametrize("inline", [True, False], ids=["inline", "path"])
+    def test_scenario_error_names_its_file(self, tmp_path, capsys, inline):
+        # an inline scenario's errors name the plan, a scenario file's the file
+        doc, p = {**minimal_doc(), "snapshots": "x"}, tmp_path / "p.json"
+        where = p
+        if not inline:
+            where = tmp_path / "s.json"
+            where.write_text(json.dumps(doc))
+            doc = where.name
+        p.write_text(json.dumps({"scenario": doc, "axis": "co2_tax", "values": [1.0]}))
+        message = f"{where}: scenario: 'snapshots' must be an integer, not a string"
+        with pytest.raises(ScenarioError) as err:
+            load_plan(p)
+        assert str(err.value) == message
+        with pytest.raises(SystemExit) as exit_:
+            main(["sweep", str(p), "--out-dir", str(tmp_path)])
+        assert exit_.value.code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_plan_that_is_not_an_object(self, tmp_path):
         p = tmp_path / "p.json"
         p.write_text("[]")

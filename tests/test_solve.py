@@ -1,3 +1,5 @@
+import importlib.machinery
+import importlib.util
 import inspect
 import json
 import re
@@ -314,6 +316,44 @@ class TestHighsBindings:
                  for name in ("large_matrix_value", "infinite_bound", "infinite_cost")}
         assert MAX_MAGNITUDE * SAMPLE_STRIDE < limit["large_matrix_value"] \
             <= min(limit["infinite_bound"], limit["infinite_cost"])
+
+    def test_a_bound_highs_rejects_raises(self, desk_system):
+        # HiGHS answers a NaN bound with kError and keeps its old model:
+        # neither the cold load nor the warm push may run that model
+        lp = build_lp(desk_system, PolicyConfig.none())
+        session = Session()
+        session.solve(lp)
+        lp = build_lp(desk_system, PolicyConfig.none())
+        lp.rows.rhs[0] = np.nan
+        with pytest.raises(SolveError, match="HiGHS changeRowBounds returned an error"):
+            session.solve(lp)
+        with pytest.raises(SolveError, match="HiGHS passModel returned an error"):
+            Session().solve(lp)
+
+    @pytest.mark.parametrize("failure", ["no-scipy", "no-core-file", "core-fails"])
+    def test_load_failures(self, monkeypatch, tmp_path, failure):
+        # the extension is found by path, never imported through scipy: each
+        # way that fails is an error of its own, and a module whose body
+        # raised is not left in sys.modules for the next call to reuse
+        core = sys.modules[Session.__module__]._CORE
+        monkeypatch.delitem(sys.modules, core)
+        if failure == "no-scipy":
+            monkeypatch.setattr(importlib.util, "find_spec", lambda name: None)
+            with pytest.raises(SolveError, match="scipy is not installed"):
+                load_highs()
+        elif failure == "no-core-file":
+            monkeypatch.setattr(importlib.util, "find_spec", lambda name: SimpleNamespace(
+                submodule_search_locations=[str(tmp_path)]))
+            with pytest.raises(SolveError, match="no extension module '_core'"):
+                load_highs()
+        else:
+            def exec_module(self, module):
+                raise ImportError("module body raised")
+            monkeypatch.setattr(importlib.machinery.ExtensionFileLoader, "exec_module",
+                                exec_module)
+            with pytest.raises(ImportError, match="module body raised"):
+                load_highs()
+        assert core not in sys.modules
 
     def test_options_are_known(self):
         highs = load_highs()._Highs()

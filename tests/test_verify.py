@@ -437,25 +437,74 @@ class TestEquivalence:
             check_subsidy_tax_lift(desk_system, sol, PolicyConfig.none())
 
 
+def assert_oracle_agrees(system: PowerSystem) -> None:
+    """The oracle's status, objective and unique prices are the solver's."""
+    sol = solve(build_lp(system, PolicyConfig.none()))
+    oracle = brute_force_oracle(system)
+    assert oracle.status == sol.status
+    if sol.status != "optimal":
+        return
+    assert sol.objective == pytest.approx(oracle.objective, rel=1e-9)
+    for t in range(system.snapshots):
+        if oracle.price_unique[t]:
+            assert sol.price("N", t) == pytest.approx(
+                oracle.prices[t], abs=1e-6 * max(1.0, abs(oracle.prices[t])))
+
+
+def one_node(demand, *techs, voll=50.0) -> PowerSystem:
+    """A single-node system of ``techs``, each (marginal cost, availability)."""
+    return PowerSystem(nodes=("N",), snapshots=len(demand), demand={"N": demand},
+                       technologies=tuple(
+                           ("N", TechnologySpec(name=f"t{i}", capex=1.0 + i, lifetime=1.0,
+                                                variable_cost=cost, availability=avail))
+                           for i, (cost, avail) in enumerate(techs)),
+                       voll=voll, discount_rate=0.0)
+
+
 class TestOracle:
     def test_agrees_with_solver_on_tiny_instances(self):
         for seed in range(20):
-            system = tiny_instance(seed)
-            lp = build_lp(system, PolicyConfig.none())
-            sol = solve(lp)
-            oracle = brute_force_oracle(system)
-            assert oracle.status == sol.status
-            if sol.status != "optimal":
-                continue
-            assert sol.objective == pytest.approx(oracle.objective, rel=1e-9)
-            for t in range(system.snapshots):
-                if oracle.price_unique[t]:
-                    assert sol.price("N", t) == pytest.approx(
-                        oracle.prices[t], abs=1e-6 * max(1.0, abs(oracle.prices[t])))
+            assert_oracle_agrees(tiny_instance(seed))
+
+    @pytest.mark.parametrize("system", [
+        # the cheapest unit is dark in hour 0: its merit-order prefix spans no plane there
+        one_node((2.0, 3.0, 1.0), (1.0, (0.0, 1.0, 0.5)), (5.0, None)),
+        # without VOLL every hour must be served by capacity
+        one_node((2.0, 3.0), (1.0, (0.5, 1.0)), (5.0, None), voll=None),
+        # at a demand of 1e9 the covering capacity leaves a rounding residual
+        # of an ulp, which an absolute tolerance read as unserved load
+        one_node((1e9,), (1.0, (0.7,)), voll=None),
+        # demand below 2 eps: no left difference quotient, the right one prices it
+        one_node((1e-6, 2.0), (1.0, None)),
+    ], ids=["dark-merit-order-prefix", "no-voll", "no-voll-large-demand",
+            "tiny-demand-hour"])
+    def test_agrees_with_solver_at_the_edges(self, system):
+        assert_oracle_agrees(system)
+
+    def test_zero_demand_hour_has_no_unique_price(self):
+        # every price from 0 (HiGHS' dual here) to the unit's marginal cost 1 is a dual
+        oracle = brute_force_oracle(one_node((0.0, 2.0), (1.0, None)))
+        assert oracle.prices.tolist() == pytest.approx([1.0, 2.0])
+        assert oracle.price_unique.tolist() == [False, True]
 
     def test_rejects_large_instances(self, desk_system):
         with pytest.raises(OracleError, match="too large"):
             brute_force_oracle(desk_system)
+
+    @pytest.mark.parametrize("system, message", [
+        (flexible_system(4), "oracle needs 1 node, no storage/network"),
+        (PowerSystem(nodes=("N",), snapshots=1, demand={"N": (1.0,)}, technologies=()),
+         "instance too large or without technologies"),
+        # three units, each available at 1e-4 in one hour only: the vertex that
+        # serves all three hours has a determinant of 1e-12 and is dropped as
+        # singular, so the enumeration finds no feasible vertex
+        (one_node((1.0, 1.0, 1.0), *((1.0 + i, tuple(1e-4 * (t == i) for t in range(3)))
+                                     for i in range(3)), voll=None),
+         "no enumerated capacity vertex serves the demand"),
+    ], ids=["storage", "no-technologies", "covering-vertex-dropped"])
+    def test_rejects_what_it_cannot_enumerate(self, system, message):
+        with pytest.raises(OracleError, match=message):
+            brute_force_oracle(system)
 
     def test_infeasible_without_shedding(self):
         dark = TechnologySpec(name="dark", capex=1.0, lifetime=1.0,
