@@ -156,8 +156,9 @@ class LineSpec:
 
     ``capex`` is interpreted as an annuitized EUR/MW/a cost when ``lifetime``
     is None, otherwise as an overnight EUR/MW cost annuitized with the system
-    discount rate.  ``existing_capacity_reverse`` allows asymmetric limits and
-    defaults to the forward capacity.
+    discount rate.  ``existing_capacity_reverse`` allows asymmetric limits on a
+    fixed line and defaults to the forward capacity; an expandable line has one
+    capacity in both directions.
     """
 
     from_node: str
@@ -221,11 +222,9 @@ class PowerSystem:
 
 
 @dataclass(frozen=True)
-class SupportDispatched:
-    """Force technologies in the set to dispatch at least a target energy.
-
-    The target is either an absolute energy in MWh or a share of total demand.
-    """
+class EnergyQuota:
+    """An energy target for a technology set: an absolute energy in MWh or
+    a share of total demand."""
     technologies: tuple
     share: Optional[float] = None     # of total demand
     target: Optional[float] = None    # MWh
@@ -237,16 +236,13 @@ class SupportDispatched:
 
 
 @dataclass(frozen=True)
-class SupportAvailable:
-    """Force the pre-curtailment available energy of the set to a target."""
-    technologies: tuple
-    share: Optional[float] = None
-    target: Optional[float] = None
+class SupportDispatched(EnergyQuota):
+    """Force technologies in the set to dispatch at least a target energy."""
 
-    def energy_target(self, system: PowerSystem) -> float:
-        if self.target is not None:
-            return self.target
-        return self.share * system.total_demand()
+
+@dataclass(frozen=True)
+class SupportAvailable(EnergyQuota):
+    """Force the pre-curtailment available energy of the set to a target."""
 
 
 @dataclass(frozen=True)
@@ -424,6 +420,9 @@ def validate(system: PowerSystem, policy: PolicyConfig) -> list:
                 out.append(Violation(ent, "unresolved-node", f"unknown node {n}"))
         if line.existing_capacity < 0 or line.reverse_capacity() < 0:
             out.append(Violation(ent, "capacity", "existing capacity must be >= 0"))
+        if line.expandable and line.existing_capacity_reverse not in (None, line.existing_capacity):
+            out.append(Violation(ent, "capacity", "an expandable line has one capacity, so "
+                                 "existing_capacity_reverse must equal existing_capacity"))
         if line.lifetime is not None and line.lifetime < 1:
             out.append(Violation(ent, "lifetime", "lifetime must be >= 1"))
         if system.kvl and line.reactance is None:
@@ -444,7 +443,7 @@ def validate(system: PowerSystem, policy: PolicyConfig) -> list:
             if t not in known:
                 out.append(Violation(t, "unresolved policy set member",
                                      f"policy references unknown technology '{t}'"))
-        if isinstance(sup, (SupportDispatched, SupportAvailable)):
+        if isinstance(sup, EnergyQuota):
             if (sup.share is None) == (sup.target is None):
                 out.append(Violation("policy", "target",
                                      "exactly one of share and target must be set"))

@@ -444,7 +444,7 @@ def load_plan(path):
     except ScenarioError as exc:
         raise ScenarioError(f"{where}: {exc}") from None
     try:
-        return SweepPlan(system=system, axis=doc["axis"], base_co2=policy.co2,
+        return SweepPlan(system=system, axis=doc["axis"], base_policy=policy,
                          values=tuple(_float(v) for v in doc["values"]),
                          policy_set=tuple(doc.get("policy_set", ())),
                          suppress_negative_prices=doc.get(

@@ -17,7 +17,7 @@ import hashlib
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from .formulate import build_lp
@@ -37,16 +37,20 @@ from .verify import verify_solution
 __all__ = ["SweepPlan", "SweepPoint", "run_sweep", "all_verified",
            "write_sweep_csv", "sweep_manifest"]
 
-AXES = ("support_share", "available_target", "co2_cap", "co2_intensity", "co2_tax")
+QUOTAS = {"support_share": SupportDispatched, "available_target": SupportAvailable}
+AXES = (*QUOTAS, "co2_cap", "co2_intensity", "co2_tax")
 
 
 @dataclass(frozen=True)
 class SweepPlan:
-    """One axis, many points, over a fixed base system.
+    """One axis, many points, over a fixed base system and policy.
 
+    A point's policy is ``base_policy`` with the axis's instrument replaced:
+    a quota axis replaces the support instrument (none at 0) and keeps the
+    CO2 one, a CO2 axis replaces the CO2 instrument and keeps the support.
     ``co2_cap`` values are absolute tCO2/a; ``co2_intensity`` values are
     tCO2 per MWh of demand and are converted to an absolute cap per point.
-    The ``policy_set`` names the supported technologies for the support axes
+    The ``policy_set`` names the supported technologies for the quota axes
     and defines the penetration reported for every axis.
     """
 
@@ -54,7 +58,7 @@ class SweepPlan:
     axis: str
     values: tuple
     policy_set: tuple = ()
-    base_co2: Optional[object] = None      # Co2Cap/Co2Tax held fixed on support axes
+    base_policy: PolicyConfig = PolicyConfig()
     suppress_negative_prices: bool = False
     name: str = "sweep"
 
@@ -67,7 +71,7 @@ class SweepPlan:
             raise ValueError("sweep axis values must be finite")
         if list(self.values) != sorted(self.values):
             raise ValueError("sweep axis values must be sorted ascending")
-        if self.axis in ("support_share", "available_target"):
+        if self.axis in QUOTAS:
             if not self.policy_set:
                 raise ValueError(f"axis '{self.axis}' needs a non-empty policy_set")
             if self.values[0] < 0.0:
@@ -79,25 +83,20 @@ class SweepPlan:
                                  + "; ".join(map(str, violations)))
 
     def policy_at(self, value: float) -> PolicyConfig:
-        if self.axis == "support_share":
-            support = SupportDispatched(tuple(self.policy_set), share=value) \
+        if self.axis in QUOTAS:
+            support = QUOTAS[self.axis](tuple(self.policy_set), share=value) \
                 if value > 0.0 else None
-            return PolicyConfig(support=support, co2=self.base_co2)
-        if self.axis == "available_target":
-            support = SupportAvailable(tuple(self.policy_set), share=value) \
-                if value > 0.0 else None
-            return PolicyConfig(support=support, co2=self.base_co2)
-        if self.axis == "co2_cap":
-            return PolicyConfig(co2=Co2Cap(value))
+            return replace(self.base_policy, support=support)
         if self.axis == "co2_intensity":
-            return PolicyConfig(co2=Co2Cap(value * self.system.total_demand()))
-        return PolicyConfig(co2=Co2Tax(value))
+            value *= self.system.total_demand()
+        co2 = Co2Tax(value) if self.axis == "co2_tax" else Co2Cap(value)
+        return replace(self.base_policy, co2=co2)
 
     def config_digest(self) -> str:
         payload = json.dumps({
             "axis": self.axis, "values": list(self.values),
             "policy_set": list(self.policy_set),
-            "base_co2": repr(self.base_co2),
+            "base_policy": repr(self.base_policy),
             "suppress_negative_prices": self.suppress_negative_prices,
             "name": self.name,
             "system": repr(self.system),

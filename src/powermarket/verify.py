@@ -353,7 +353,8 @@ _MAX_ORACLE_SNAPSHOTS = 6
 
 def brute_force_oracle(system: PowerSystem) -> OracleResult:
     """Solver-independent optimum for tiny single-node systems without policy:
-    1–3 technologies, at most 6 snapshots, no storage or lines.
+    1–3 technologies without a ``max_potential``, at most 6 snapshots, no
+    storage or lines.
 
     Enumerates every candidate capacity vertex (intersections of zero planes
     and merit-order coverage planes), evaluates the exact merit-order
@@ -369,6 +370,8 @@ def brute_force_oracle(system: PowerSystem) -> OracleResult:
     if not 0 < k <= _MAX_ORACLE_TECHS or T > _MAX_ORACLE_SNAPSHOTS:
         raise OracleError(f"instance too large or without technologies: oracle needs 1–"
                           f"{_MAX_ORACLE_TECHS} technologies, up to {_MAX_ORACLE_SNAPSHOTS} hours")
+    if any(spec.max_potential is not None for _, spec in system.technologies):
+        raise OracleError("oracle enumerates no potential bound: no max_potential allowed")
     node = system.nodes[0]
     d0 = np.array(system.demand[node], dtype=float)
     voll = system.voll
@@ -396,10 +399,10 @@ def brute_force_oracle(system: PowerSystem) -> OracleResult:
                 continue
             planes.append((a, t))
 
-    # vertices: the nonsingular intersections of k planes
+    # vertices: the intersections of k planes of full rank
     combos = np.array(list(itertools.combinations(range(len(planes)), k)))
     mats = np.stack([a for a, _ in planes])[combos]          # (ncomb, k, k)
-    keep = np.abs(np.linalg.det(mats)) >= 1e-10
+    keep = np.linalg.matrix_rank(mats) == k
     inv = np.linalg.inv(mats[keep])
     hours = np.array([hour for _, hour in planes])[combos[keep]]
 
@@ -428,7 +431,7 @@ def brute_force_oracle(system: PowerSystem) -> OracleResult:
 
     base = value(d0)
     if not np.isfinite(base):
-        # feasible after the scan above; a vertex serving it had det < 1e-10
+        # feasible after the scan above; each vertex serving it was rank-deficient
         raise OracleError("no enumerated capacity vertex serves the demand")
 
     eps = 1e-5 * max(1.0, float(np.abs(d0).max()))

@@ -42,9 +42,10 @@ def energy_of(system, sol, name: str) -> float:
 
 
 def gate_document(directory) -> dict:
-    """A scenario with a timeseries file, two nodes, a storage unit, a line
-    under the voltage law, a fixed premium and a CO2 tax; the CSV is
-    written to ``directory``."""
+    """A scenario with a timeseries file, two nodes, a storage unit, an
+    expandable line and a fixed one with a reverse capacity, both under the
+    voltage law, a fixed premium and a CO2 tax; the CSV is written to
+    ``directory``."""
     (directory / "gate.csv").write_text(
         "timestamp,B_load\n" + "".join(f"{t},{5 + t}\n" for t in range(4)))
     return {
@@ -61,8 +62,9 @@ def gate_document(directory) -> dict:
                       "eta_discharge": 0.9, "eta_charge": 0.9, "eta_standing": 0.99,
                       "fixed_energy_power_ratio": 4.0}],
         "lines": [{"from_node": "A", "to_node": "B", "existing_capacity": 5.0,
-                   "existing_capacity_reverse": 4.0, "expandable": True, "capex": 10.0,
-                   "lifetime": 30.0, "reactance": 0.1}],
+                   "expandable": True, "capex": 10.0, "lifetime": 30.0, "reactance": 0.1},
+                  {"from_node": "B", "to_node": "A", "existing_capacity": 3.0,
+                   "existing_capacity_reverse": 4.0, "reactance": 0.2}],
         "policy": {"support": {"type": "fip", "technologies": ["wind"], "premium": 5.0},
                    "co2": {"type": "tax", "rate": 30.0}},
         "options": {"voll": 1000.0, "discount_rate": 0.05, "kvl": True,

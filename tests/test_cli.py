@@ -399,8 +399,9 @@ class TestStartup:
 
 
 def every_number_set():
-    """Two nodes with a fuelled unit, wind, a battery and a line, every
-    number field of each set, and no violation."""
+    """Two nodes with a fuelled unit, wind, a battery, an expandable line
+    and a fixed one with a reverse capacity, every number field set on one
+    of them, and no violation."""
     gas = TechnologySpec(name="gas", capex=500.0, lifetime=20.0, fixed_om=5.0,
                          variable_cost=1.0, fuel_cost=20.0, efficiency=0.5,
                          emission_factor=0.4, max_potential=100.0)
@@ -409,12 +410,13 @@ def every_number_set():
                           capex_energy=2.0, lifetime=15.0, eta_discharge=0.9,
                           eta_charge=0.9, eta_standing=0.99,
                           fixed_energy_power_ratio=4.0)
-    line = LineSpec("A", "B", existing_capacity=10.0, existing_capacity_reverse=5.0,
-                    expandable=True, capex=100.0, lifetime=30.0, reactance=0.1)
+    lines = (LineSpec("A", "B", existing_capacity=10.0, expandable=True, capex=100.0,
+                      lifetime=30.0, reactance=0.1),
+             LineSpec("B", "A", existing_capacity=8.0, existing_capacity_reverse=5.0))
     return PowerSystem(nodes=("A", "B"), snapshots=2,
                        demand={"A": (10.0, 12.0), "B": (5.0, 6.0)},
                        technologies=(("A", gas), ("B", wind)),
-                       storages=(("A", battery),), lines=(line,),
+                       storages=(("A", battery),), lines=lines,
                        voll=1000.0, discount_rate=0.05)
 
 
@@ -444,9 +446,11 @@ def with_non_finite(part: str, name: str, value: float):
         (node, battery), = system.storages
         storages = ((node, dataclasses.replace(battery, **{name: value})),)
         return dataclasses.replace(system, storages=storages), policy, "battery@A"
-    if part == "line":
-        lines = (dataclasses.replace(system.lines[0], **{name: value}),)
-        return dataclasses.replace(system, lines=lines), policy, "A+B"
+    if part == "line":  # on the line that carries the field
+        lines = list(system.lines)
+        li = int(name == "existing_capacity_reverse")
+        lines[li] = dataclasses.replace(lines[li], **{name: value})
+        return dataclasses.replace(system, lines=tuple(lines)), policy, lines[li].name
     if part == "system":
         return dataclasses.replace(system, **{name: value}), policy, "system"
     instrument = {"share": SupportDispatched(("wind",), share=value),
@@ -533,6 +537,16 @@ STRUCTURE_ERRORS = {
                       {"from_node": "N", "to_node": "M", "existing_capacity": 50.0}],
                options={**bundled("wind_gas_168h.json")["options"], "kvl": True}),
         "N+M: reactance (kvl needs a reactance on every line)"),
+    # the LP gives an expandable line one capacity in both directions
+    "expandable-line-with-reverse-capacity": (
+        edited("wind_gas_168h.json", nodes=["N", "M"],
+               demand={**bundled("wind_gas_168h.json")["demand"],
+                       "M": {"kind": "flat-demand", "scale": 10.0}},
+               lines=[{"from_node": "N", "to_node": "M", "existing_capacity": 10.0,
+                       "existing_capacity_reverse": 2.0, "expandable": True,
+                       "capex": 10.0}]),
+        "N+M: capacity (an expandable line has one capacity, so "
+        "existing_capacity_reverse must equal existing_capacity)"),
     "storage-lifetime-below-one": (
         edited("vre_flex_168h.json",
                storages=[{**bundled("vre_flex_168h.json")["storages"][0], "lifetime": 0.5}]),

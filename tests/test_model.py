@@ -4,9 +4,11 @@ from hypothesis import strategies as st
 
 from powermarket.model import (
     Co2Cap,
+    LineSpec,
     PolicyConfig,
     PowerSystem,
     StorageSpec,
+    SupportAvailable,
     SupportDispatched,
     TechnologySpec,
     annuitize,
@@ -107,10 +109,34 @@ class TestValidate:
         assert [(v.entity, v.rule) for v in validate(system, PolicyConfig.none())] == \
             [("gas@M", "unresolved-node"), ("battery@M", "unresolved-node")]
 
+    @pytest.mark.parametrize("reverse, rules", [(2.0, ["capacity"]), (10.0, [])],
+                             ids=["asymmetric", "equal"])
+    def test_an_expandable_line_has_one_capacity(self, reverse, rules):
+        # build_lp bounds an expandable line's flow by one capacity F in both
+        # directions, so a reverse capacity of its own would be ignored
+        line = LineSpec("A", "B", existing_capacity=10.0, existing_capacity_reverse=reverse,
+                        expandable=True, capex=1e6)
+        unit = TechnologySpec(name="cheap", capex=1.0, lifetime=1.0, variable_cost=1.0)
+        system = PowerSystem(nodes=("A", "B"), snapshots=1, demand={"A": (8.0,), "B": (0.0,)},
+                             technologies=(("B", unit),), lines=(line,))
+        assert [v.rule for v in validate(system, PolicyConfig.none())] == rules
+
     def test_never_raises_on_garbage(self):
         system = PowerSystem(nodes=("N", "M"), snapshots=0, demand={},
                              technologies=())
         assert isinstance(validate(system, PolicyConfig(co2=Co2Cap(-1.0))), list)
+
+
+class TestEnergyQuota:
+    def test_the_two_quotas_share_a_definition_not_an_identity(self):
+        system = random_desk_system(0)
+        dispatched = SupportDispatched(("wind",), share=0.4)
+        available = SupportAvailable(("wind",), share=0.4)
+        assert dispatched.energy_target(system) == available.energy_target(system) \
+            == 0.4 * system.total_demand()
+        assert dispatched != available
+        assert repr(available) == \
+            "SupportAvailable(technologies=('wind',), share=0.4, target=None)"
 
 
 class TestSynthProfiles:

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 
@@ -6,6 +7,7 @@ import pytest
 
 import powermarket.sweep
 from powermarket.formulate import FormulationError
+from powermarket.model import Co2Cap, Co2Tax, SupportDispatched
 from powermarket.scenario import load_plan, load_scenario
 from powermarket.solve import NO_OPTIMUM, Session
 from powermarket.sweep import (
@@ -175,6 +177,41 @@ class TestInstrumentAxes:
             assert wind.mv == pytest.approx(wind.lcoe, rel=1e-9)
         # penetration rises with the tax
         assert points[0].penetration < points[1].penetration < points[2].penetration
+
+
+class TestBasePolicy:
+    """A point's policy is its scenario's with the axis's instrument replaced."""
+
+    @staticmethod
+    def plan(tmp_path, scenario: str, axis: str, values: list) -> SweepPlan:
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps({"scenario": scenario_path(scenario), "axis": axis,
+                                    "values": values, "policy_set": ["solar"]}))
+        return load_plan(path)
+
+    @pytest.mark.parametrize("scenario, axis, value, replaced", [
+        ("fig1_support.json", "co2_cap", 1500.0, {"co2": Co2Cap(1500.0)}),
+        ("fig1_support.json", "co2_tax", 10.0, {"co2": Co2Tax(10.0)}),
+        ("fig1_co2_cap.json", "support_share", 0.3,
+         {"support": SupportDispatched(("solar",), share=0.3)}),
+        ("fig1_co2_cap.json", "support_share", 0.0, {"support": None}),
+    ], ids=["cap-keeps-quota", "tax-keeps-quota", "quota-keeps-cap", "no-quota-keeps-cap"])
+    def test_a_point_replaces_one_instrument(self, tmp_path, scenario, axis, value,
+                                             replaced):
+        _, policy, _ = load_scenario(scenario_path(scenario))
+        plan = self.plan(tmp_path, scenario, axis, [value])
+        assert plan.base_policy == policy
+        assert plan.policy_at(value) == dataclasses.replace(policy, **replaced)
+
+    def test_a_co2_sweep_keeps_the_scenario_quota(self, tmp_path):
+        # fig1's solar quota of 0.4 under a cap: the cap binds at 1500 t,
+        # the quota at 2000 t
+        plan = self.plan(tmp_path, "fig1_support.json", "co2_cap", [1500.0, 2000.0])
+        tight, loose = csv.DictReader(io.StringIO(sweep_csv_text(plan, run_sweep(plan))))
+        assert {(row["status"], row["verdict"]) for row in (tight, loose)} == \
+            {("optimal", "pass")}
+        assert float(tight["mu_gamma"]) == 0.0 and float(tight["mu_co2"]) > 0.0
+        assert float(loose["mu_gamma"]) > 0.0 and float(loose["mu_co2"]) == 0.0
 
 
 @pytest.fixture

@@ -451,12 +451,14 @@ def assert_oracle_agrees(system: PowerSystem) -> None:
                 oracle.prices[t], abs=1e-6 * max(1.0, abs(oracle.prices[t])))
 
 
-def one_node(demand, *techs, voll=50.0) -> PowerSystem:
-    """A single-node system of ``techs``, each (marginal cost, availability)."""
+def one_node(demand, *techs, voll=50.0, max_potential=None) -> PowerSystem:
+    """A single-node system of ``techs``, each (marginal cost, availability);
+    ``max_potential`` bounds the first."""
     return PowerSystem(nodes=("N",), snapshots=len(demand), demand={"N": demand},
                        technologies=tuple(
                            ("N", TechnologySpec(name=f"t{i}", capex=1.0 + i, lifetime=1.0,
-                                                variable_cost=cost, availability=avail))
+                                                variable_cost=cost, availability=avail,
+                                                max_potential=None if i else max_potential))
                            for i, (cost, avail) in enumerate(techs)),
                        voll=voll, discount_rate=0.0)
 
@@ -476,8 +478,12 @@ class TestOracle:
         one_node((1e9,), (1.0, (0.7,)), voll=None),
         # demand below 2 eps: no left difference quotient, the right one prices it
         one_node((1e-6, 2.0), (1.0, None)),
+        # three units, each available at 1e-4 in one hour only: the vertex that
+        # serves all three hours has a determinant of 1e-12 but full rank
+        one_node((1.0, 1.0, 1.0), *((1.0 + i, tuple(1e-4 * (t == i) for t in range(3)))
+                                    for i in range(3)), voll=None),
     ], ids=["dark-merit-order-prefix", "no-voll", "no-voll-large-demand",
-            "tiny-demand-hour"])
+            "tiny-demand-hour", "covering-vertex-of-tiny-determinant"])
     def test_agrees_with_solver_at_the_edges(self, system):
         assert_oracle_agrees(system)
 
@@ -495,13 +501,15 @@ class TestOracle:
         (flexible_system(4), "oracle needs 1 node, no storage/network"),
         (PowerSystem(nodes=("N",), snapshots=1, demand={"N": (1.0,)}, technologies=()),
          "instance too large or without technologies"),
-        # three units, each available at 1e-4 in one hour only: the vertex that
-        # serves all three hours has a determinant of 1e-12 and is dropped as
-        # singular, so the enumeration finds no feasible vertex
-        (one_node((1.0, 1.0, 1.0), *((1.0 + i, tuple(1e-4 * (t == i) for t in range(3)))
-                                     for i in range(3)), voll=None),
+        # the potential bound is no plane of the enumeration
+        (one_node((3.0, 2.0), (1.0, None), (5.0, None), max_potential=1.0),
+         "no max_potential allowed"),
+        # hour 0 is served only at an availability of 1e-17, which shares a
+        # matrix with a 1: every vertex serving it has rank 1, and HiGHS, which
+        # drops the entry, reports the LP infeasible
+        (one_node((1.0, 1.0), (1.0, (1e-17, 1.0)), (5.0, (0.0, 1.0)), voll=None),
          "no enumerated capacity vertex serves the demand"),
-    ], ids=["storage", "no-technologies", "covering-vertex-dropped"])
+    ], ids=["storage", "no-technologies", "max-potential", "rank-deficient-covering-vertex"])
     def test_rejects_what_it_cannot_enumerate(self, system, message):
         with pytest.raises(OracleError, match=message):
             brute_force_oracle(system)
