@@ -17,7 +17,6 @@ import sys
 
 from .formulate import build_lp, write_mps
 from .metrics import build_report, report_to_json, write_report_csv
-from .model import Co2Cap, SupportDispatched
 from .scenario import ScenarioError, load_plan, load_scenario
 from .solve import NO_OPTIMUM, solve, solve_external, write_solution_file, SolveError
 from .sweep import all_verified, run_sweep, sweep_manifest, write_sweep_csv
@@ -168,11 +167,9 @@ def cmd_verify(args) -> int:
         sol = solve(lp)
         if sol.status != "optimal":
             return _not_optimal(sol)
-        checks = verify_solution(system, sol, policy)
-        if isinstance(policy.co2, Co2Cap):
-            checks.append(check_cap_tax_equivalence(system, sol, policy))
-        if isinstance(policy.support, SupportDispatched):
-            checks.append(check_subsidy_tax_lift(system, sol, policy))
+        checks = verify_solution(system, sol, policy) \
+            + check_cap_tax_equivalence(system, sol, policy) \
+            + check_subsidy_tax_lift(system, sol, policy)
     except SolveError as exc:
         return _error(exc, EXIT_SOLVER)
     _write(_write_text, verify_report_json(checks),

@@ -406,21 +406,12 @@ _CSV_FIELDS = [
 
 
 def report_csv_rows(report: MetricsReport, scenario: str = "") -> list:
+    """One row per technology, in name order: the fields of ``_CSV_FIELDS``,
+    each read from the technology's metrics or the report of that name."""
     rows = []
-    for name in sorted(report.technologies):
-        tm = report.technologies[name]
-        rows.append({
-            "scenario": scenario, "technology": name,
-            "mv": tm.mv, "lcoe": tm.lcoe, "rmv": tm.rmv,
-            "fip_equivalent": tm.fip_equivalent, "revenue": tm.revenue,
-            "cost": tm.cost, "energy": tm.energy, "capacity": tm.capacity,
-            "curtailment_share": tm.curtailment_share,
-            "mu_gamma": report.mu_gamma, "mu_co2": report.mu_co2,
-            "penetration": report.penetration,
-            "load_weighted_price": report.load_weighted_price,
-            "average_price": report.average_price,
-            "average_system_cost": report.average_system_cost,
-        })
+    for name, tm in sorted(report.technologies.items()):
+        row = {**vars(report), **vars(tm), "scenario": scenario, "technology": name}
+        rows.append({key: row[key] for key in _CSV_FIELDS})
     return rows
 
 

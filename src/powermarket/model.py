@@ -33,17 +33,23 @@ __all__ = [
     "synth_profiles",
     "SHEDDING_NAME",
     "MAX_MAGNITUDE",
+    "MIN_COEFFICIENT",
 ]
 
 # Pseudo-technology automatically added to represent load shedding at VOLL.
 SHEDDING_NAME = "load-shedding"
 
-# No input number, nor the marginal cost, annualized cost or 1/eta_discharge
-# validate derives, may reach this.  HiGHS (1.12.0) rejects matrix values of
-# 1e15 and row bounds of 1e20 or more, and reads costs of 1e20 or more as
-# infinite; a snapshot sample weights costs and scalar rows' entries by up
-# to solve.SAMPLE_STRIDE (11), and a quota row sums demand over the system.
+# No input number, nor the marginal cost or annualized cost validate
+# derives, may reach this.  HiGHS (1.12.0) rejects matrix values of 1e15 and
+# row bounds of 1e20 or more, and reads costs of 1e20 or more as infinite; a
+# snapshot sample weights costs and scalar rows' entries by up to
+# solve.SAMPLE_STRIDE (11), and a quota row sums demand over the system.
 MAX_MAGNITUDE = 1e13
+
+# A field marked _COEFFICIENT becomes an LP matrix entry (eta_discharge as its
+# inverse), so it may not be nonzero at or below this: HiGHS drops such entries.
+MIN_COEFFICIENT = 1e-9
+_COEFFICIENT = {"coefficient": True}
 
 # Identifiers end up embedded in LP row/column names, where '.' separates
 # tag fields and whitespace would break the interchange format.
@@ -94,8 +100,8 @@ class TechnologySpec:
     variable_cost: float = 0.0        # EUR/MWh_el
     fuel_cost: Optional[float] = None  # EUR/MWh_th
     efficiency: Optional[float] = None  # MWh_el / MWh_th
-    emission_factor: float = 0.0      # tCO2/MWh_el
-    availability: Optional[tuple] = None
+    emission_factor: float = field(default=0.0, metadata=_COEFFICIENT)  # tCO2/MWh_el
+    availability: Optional[tuple] = field(default=None, metadata=_COEFFICIENT)
     max_potential: Optional[float] = None  # MW
     marginal_cost: float = field(init=False)
 
@@ -136,10 +142,10 @@ class StorageSpec:
     capex_charge: float = 0.0      # EUR/MW
     capex_energy: float = 0.0      # EUR/MWh
     lifetime: float = 25.0
-    eta_discharge: float = 1.0
-    eta_charge: float = 1.0
-    eta_standing: float = 1.0      # per hour
-    fixed_energy_power_ratio: Optional[float] = None  # hours
+    eta_discharge: float = field(default=1.0, metadata=_COEFFICIENT)
+    eta_charge: float = field(default=1.0, metadata=_COEFFICIENT)
+    eta_standing: float = field(default=1.0, metadata=_COEFFICIENT)  # per hour
+    fixed_energy_power_ratio: Optional[float] = field(default=None, metadata=_COEFFICIENT)  # hours
 
     def annual_costs(self, discount_rate: float) -> dict:
         """Annualized costs per component, EUR/MW/a (dis, sto) and EUR/MWh/a (ene)."""
@@ -168,7 +174,7 @@ class LineSpec:
     expandable: bool = False
     capex: float = 0.0
     lifetime: Optional[float] = None
-    reactance: Optional[float] = None   # per unit, needed only for KVL
+    reactance: Optional[float] = field(default=None, metadata=_COEFFICIENT)  # per unit; KVL only
 
     @property
     def name(self) -> str:
@@ -309,12 +315,18 @@ def _check_profile(out, entity, series, length, rule, lo=0.0, hi=MAX_MAGNITUDE):
 
 def _check_numbers(out, entity, spec):
     """One violation per float field of the dataclass ``spec`` that is NaN,
-    infinite, or of a magnitude at or above ``MAX_MAGNITUDE``."""
+    infinite, or of a magnitude at or above ``MAX_MAGNITUDE``, and per
+    coefficient field holding a nonzero of magnitude at most ``MIN_COEFFICIENT``."""
     for f in fields(spec):
         v = getattr(spec, f.name)
         if f.init and isinstance(v, float) and not abs(v) < MAX_MAGNITUDE:
             rule = f"beyond ±{MAX_MAGNITUDE:g}" if math.isfinite(v) else "non-finite"
             out.append(Violation(entity, rule, f"{f.name} is {v}"))
+        small = [x for x in (v if isinstance(v, tuple) else (v,))
+                 if "coefficient" in f.metadata and x and abs(x) <= MIN_COEFFICIENT]
+        if small:
+            out.append(Violation(entity, f"nonzero within ±{MIN_COEFFICIENT:g}",
+                                 f"{f.name} holds {small[0]}"))
 
 
 def _check_derived(out, entity, rule, what, cost, ok=True):
@@ -407,8 +419,6 @@ def validate(system: PowerSystem, policy: PolicyConfig) -> list:
             out.append(Violation(ent, "energy-power-ratio", "ratio must be > 0"))
         _check_derived(out, ent, "annual-cost", "annualized cost",
                        lambda: sum(sto.annual_costs(r).values()), rate_ok)
-        _check_derived(out, ent, "efficiency", "1/eta_discharge",
-                       lambda: 1.0 / sto.eta_discharge)
 
     for line in system.lines:
         ent = line.name
@@ -484,6 +494,7 @@ def synth_profiles(seed: int, snapshots: int, kind: str) -> tuple:
     if kind == "solar-diurnal":
         hours = np.arange(snapshots) % 24
         bell = np.clip(np.sin((hours - 6.0) * np.pi / 12.0), 0.0, None)
+        bell[hours == 18] = 0.0  # sin(pi) is 1.2e-16 in floating point
         days = np.arange(snapshots) // 24
         amp = 0.85 + 0.15 * rng.random(int(days.max()) + 1)
         return tuple((bell * amp[days]).tolist())

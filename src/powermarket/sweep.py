@@ -15,7 +15,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
-import json
 import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
@@ -48,10 +47,11 @@ class SweepPlan:
     A point's policy is ``base_policy`` with the axis's instrument replaced:
     a quota axis replaces the support instrument (none at 0) and keeps the
     CO2 one, a CO2 axis replaces the CO2 instrument and keeps the support.
-    ``co2_cap`` values are absolute tCO2/a; ``co2_intensity`` values are
-    tCO2 per MWh of demand and are converted to an absolute cap per point.
-    The ``policy_set`` names the supported technologies for the quota axes
-    and defines the penetration reported for every axis.
+    Quota values are shares of total demand, ``co2_cap`` values tCO2/a and
+    ``co2_intensity`` values tCO2 per MWh of demand, made an absolute cap
+    per point.  The ``policy_set``, technologies of the system named once
+    each, names the supported set of a quota axis and defines the
+    penetration reported on every axis.
     """
 
     system: PowerSystem
@@ -76,6 +76,11 @@ class SweepPlan:
                 raise ValueError(f"axis '{self.axis}' needs a non-empty policy_set")
             if self.values[0] < 0.0:
                 raise ValueError(f"axis '{self.axis}' values must be >= 0")
+        for i, name in enumerate(self.policy_set):
+            if name not in self.system.tech_names():
+                raise ValueError(f"policy_set names unknown technology '{name}'")
+            if name in self.policy_set[:i]:
+                raise ValueError(f"policy_set names '{name}' twice")
         for value in self.values:
             violations = validate(self.system, self.policy_at(value))
             if violations:
@@ -93,15 +98,8 @@ class SweepPlan:
         return replace(self.base_policy, co2=co2)
 
     def config_digest(self) -> str:
-        payload = json.dumps({
-            "axis": self.axis, "values": list(self.values),
-            "policy_set": list(self.policy_set),
-            "base_policy": repr(self.base_policy),
-            "suppress_negative_prices": self.suppress_negative_prices,
-            "name": self.name,
-            "system": repr(self.system),
-        }, sort_keys=True)
-        return hashlib.sha256(payload.encode()).hexdigest()
+        """SHA-256 of the plan's repr, which holds every field."""
+        return hashlib.sha256(repr(self).encode()).hexdigest()
 
 
 @dataclass

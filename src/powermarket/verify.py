@@ -252,16 +252,16 @@ def _verdict(system: PowerSystem, sol: Solution, relaxed: Solution, residual: fl
 
 
 def check_cap_tax_equivalence(system: PowerSystem, sol: Solution,
-                              policy: PolicyConfig) -> CheckResult:
+                              policy: PolicyConfig) -> list:
     """Lift the emissions cap of the LP of ``sol`` into the objective at
     its shadow price, re-solve (warm from the cap's basis where ``sol`` has
     a session), and compare the full price vectors.  Prices that differ
     are 'inconclusive' rather than 'fail' when the tax run's duals, with
     the cap's dual put back, are shown to be cap duals too.  By Lagrangian
     duality the tax optimum is the cap objective plus mu times emissions
-    for every optimal mu, so a gap there is a 'fail'."""
+    for every optimal mu, so a gap there is a 'fail'.  No result without a cap."""
     if not isinstance(policy.co2, Co2Cap):
-        raise ValueError("check_cap_tax_equivalence requires a Co2Cap policy")
+        return []
     lp = sol.lp
 
     def tax(mu):
@@ -283,22 +283,23 @@ def check_cap_tax_equivalence(system: PowerSystem, sol: Solution,
         duals = {lp.row("co2-cap"): -mu} if obj_dev <= DEFAULT_TOL else None
         return max(dev, obj_dev), detail, duals, 0.0
 
-    return _equivalence("cap-tax-equivalence", ("cap", "tax"), "mu_co2", system, sol,
-                        policy, tax, compare)
+    return [_equivalence("cap-tax-equivalence", ("cap", "tax"), "mu_co2", system, sol,
+                         policy, tax, compare)]
 
 
 def check_subsidy_tax_lift(system: PowerSystem, sol: Solution,
-                           policy: PolicyConfig) -> CheckResult:
+                           policy: PolicyConfig) -> list:
     """Replace 'force in the supported set' by 'cap everything else' in the
     LP of ``sol`` (a copy relaxed at 0 on the quota row, with a mirror
     row appended over every dispatch block outside the quota row, load
     shedding included) and check that all prices and market values lift by
     exactly the premium.  Prices that differ are 'inconclusive' rather
     than 'fail' when the mirror's duals, lowered by the mirror row's price
-    mu_m with mu_m on the quota row, are shown to be quota duals too."""
+    mu_m with mu_m on the quota row, are shown to be quota duals too.  No
+    result without a :class:`SupportDispatched` quota."""
     support = policy.support
     if not isinstance(support, SupportDispatched):
-        raise ValueError("check_subsidy_tax_lift requires SupportDispatched")
+        return []
     lp = sol.lp
 
     def mirror(_mu):  # the quota row is freed at 0
@@ -328,8 +329,8 @@ def check_subsidy_tax_lift(system: PowerSystem, sol: Solution,
                   "mv_deviation": mv_dev}
         return max(price_dev, mv_dev), detail, {lp.row("vre-dispatched"): mu_m}, mu_m
 
-    return _equivalence("subsidy-tax-lift", ("support", "mirror"), "mu_gamma", system,
-                        sol, policy, mirror, compare)
+    return [_equivalence("subsidy-tax-lift", ("support", "mirror"), "mu_gamma", system,
+                         sol, policy, mirror, compare)]
 
 
 # -- brute-force oracle ------------------------------------------------------------------

@@ -165,7 +165,7 @@ def test_criterion_05_cap_tax_equivalence():
         lp0, sol0 = _solved(system)
         cap = 0.35 * max(_emissions(system, sol0), 1.0)
         policy = PolicyConfig(co2=Co2Cap(cap))
-        result = check_cap_tax_equivalence(system, _solved(system, policy)[1], policy)
+        result, = check_cap_tax_equivalence(system, _solved(system, policy)[1], policy)
         verdicts.append(result.verdict)
         worst = max(worst, result.detail.get("price_deviation", float("nan")))
     ok = all(v == "pass" for v in verdicts)
@@ -180,7 +180,7 @@ def test_criterion_06_subsidy_tax_lift():
         system = random_desk_system(seed)
         policy = PolicyConfig(
             support=SupportDispatched(("wind", "solar"), share=0.8))
-        result = check_subsidy_tax_lift(system, _solved(system, policy)[1], policy)
+        result, = check_subsidy_tax_lift(system, _solved(system, policy)[1], policy)
         verdicts.append(result.verdict)
         worst = max(worst,
                     result.detail.get("price_deviation", float("nan")),

@@ -99,6 +99,30 @@ class TestSolve:
         scen.write_text(json.dumps(doc))
         assert main(["solve", str(scen), "--out-dir", str(tmp_path)]) == 3
 
+    @pytest.mark.parametrize("availability, code, stream, text", [
+        (1e-8, 0, "out", "objective 10.0,"),
+        (1e-10, 1, "err", "error: weak@N: nonzero within ±1e-09 (availability holds 1e-10)"),
+    ], ids=["solved", "rejected"])
+    def test_a_coefficient_highs_would_drop_is_rejected(self, tmp_path, capsys, availability,
+                                                        code, stream, text):
+        # the optimum is 10 at every availability a: 1/a MW of the weak unit
+        # at 10·a each; HiGHS drops a matrix entry of 1e-9 or less and would
+        # serve the demand from gas at 60
+        doc = {
+            "name": "weak", "snapshots": 1, "nodes": ["N"], "demand": {"N": [1.0]},
+            "technologies": [
+                {"node": "N", "name": "weak", "capex": 10.0 * availability,
+                 "lifetime": 1.0, "availability": [availability]},
+                {"node": "N", "name": "gas", "capex": 10.0, "lifetime": 1.0,
+                 "variable_cost": 50.0}],
+            "options": {"voll": 1000.0, "discount_rate": 0.0},
+        }
+        scen = tmp_path / "weak.json"
+        scen.write_text(json.dumps(doc))
+        assert exit_code(["solve", str(scen), "--out-dir", str(tmp_path)]) == code
+        output = getattr(capsys.readouterr(), stream)
+        assert text in output and output.count("\n") == 1
+
     def test_solver_failure_is_not_called_infeasible(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(powermarket.cli, "solve", lambda lp: Solution(
             lp, status="numerical", message="numerical trouble"))
@@ -584,11 +608,13 @@ STRUCTURE_ERRORS = {
             {**bundled("wind_gas_168h.json")["technologies"][1], "emission_factor": 1e14}],
                policy={"co2": {"type": "cap", "cap": 1000.0}}),
         "ocgt@N: beyond ±1e+13 (emission_factor is 100000000000000.0)"),
+    # HiGHS drops matrix entries of magnitude 1e-9 or less; the entry of
+    # eta_discharge is its reciprocal, kept below 1e9 by the same rule
     "discharge-efficiency-beyond-lp-range": (
         edited("vre_flex_168h.json",
                storages=[{**bundled("vre_flex_168h.json")["storages"][0],
                           "eta_discharge": 1e-16}]),
-        "battery@N: efficiency (1/eta_discharge is 1e+16)"),
+        "battery@N: nonzero within ±1e-09 (eta_discharge holds 1e-16)"),
     "name-outside-the-out-dir": (edited("wind_gas_168h.json", name="../escaped"),
                                  "scenario: 'name' must be a plain file name, "
                                  "not \"../escaped\""),
@@ -860,17 +886,25 @@ class TestSweep:
         assert len(manifest["config_sha256"]) == 64
         assert all(p["verdict"] == "pass" for p in manifest["points"])
 
-    @pytest.mark.parametrize("axis, values, message", [
-        ("co2_cap", [-1.0, 855.558], "sweep value -1.0: policy: co2-cap (cap must be >= 0)"),
-        ("support_share", [-0.1, 0.5], "axis 'support_share' values must be >= 0"),
-        ("co2_cap", [], "sweep axis needs at least one value"),
-    ], ids=["negative-cap", "negative-share", "no-values"])
+    @pytest.mark.parametrize("axis, values, message, scenario, policy_set", [
+        ("co2_cap", [-1.0, 855.558], "sweep value -1.0: policy: co2-cap (cap must be >= 0)",
+         "wind_gas_168h.json", ["wind"]),
+        ("support_share", [-0.1, 0.5], "axis 'support_share' values must be >= 0",
+         "wind_gas_168h.json", ["wind"]),
+        ("co2_cap", [], "sweep axis needs at least one value", "wind_gas_168h.json", ["wind"]),
+        # the policy_set defines the penetration of a CO2 axis too
+        ("co2_intensity", [0.1], "policy_set names unknown technology 'wnd'",
+         "vre_flex_168h.json", ["wnd", "solar"]),
+        ("support_share", [0.8], "policy_set names 'wind' twice", "wind_gas_168h.json",
+         ["wind", "wind"]),
+    ], ids=["negative-cap", "negative-share", "no-values", "unknown-policy-set-name",
+            "repeated-policy-set-name"])
     def test_bad_plan_value_is_one_error_line(self, tmp_path, capsys, axis, values,
-                                              message):
+                                              message, scenario, policy_set):
         plan = tmp_path / "plan.json"
-        plan.write_text(json.dumps({"scenario": scenario_path("wind_gas_168h.json"),
+        plan.write_text(json.dumps({"scenario": scenario_path(scenario),
                                     "axis": axis, "values": values,
-                                    "policy_set": ["wind"]}))
+                                    "policy_set": policy_set}))
         assert exit_code(["sweep", str(plan), "--out-dir", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1

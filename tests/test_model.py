@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -120,6 +122,30 @@ class TestValidate:
         system = PowerSystem(nodes=("A", "B"), snapshots=1, demand={"A": (8.0,), "B": (0.0,)},
                              technologies=(("B", unit),), lines=(line,))
         assert [v.rule for v in validate(system, PolicyConfig.none())] == rules
+
+    @pytest.mark.parametrize("entity, name", [
+        ("w@A", "availability"), ("w@A", "emission_factor"), ("battery@A", "eta_discharge"),
+        ("battery@A", "eta_charge"), ("battery@A", "eta_standing"),
+        ("battery@A", "fixed_energy_power_ratio"), ("A+B", "reactance")])
+    @pytest.mark.parametrize("value, rejected", [
+        (1e-9, True), (-1e-12, True), (2e-9, False), (0.0, False)],
+        ids=["at-bound", "negative", "above-bound", "zero"])
+    def test_a_matrix_coefficient_highs_would_drop(self, entity, name, value, rejected):
+        # each field becomes an LP matrix entry (eta_discharge as its
+        # reciprocal), and HiGHS drops entries of magnitude 1e-9 or less;
+        # zero is no entry, and other rules judge the sign
+        specs = {"w@A": TechnologySpec(name="w", capex=1.0, availability=(1.0,)),
+                 "battery@A": StorageSpec(name="battery"),
+                 "A+B": LineSpec("A", "B", existing_capacity=1.0, reactance=0.1)}
+        specs[entity] = dataclasses.replace(
+            specs[entity], **{name: (value,) if name == "availability" else value})
+        tech, storage, line = specs.values()
+        system = PowerSystem(nodes=("A", "B"), snapshots=1, demand={"A": (1.0,), "B": (1.0,)},
+                             technologies=(("A", tech),), storages=(("A", storage),),
+                             lines=(line,))
+        found = [(v.entity, v.message) for v in validate(system, PolicyConfig.none())
+                 if v.rule == "nonzero within ±1e-09"]
+        assert found == ([(entity, f"{name} holds {value}")] if rejected else [])
 
     def test_never_raises_on_garbage(self):
         system = PowerSystem(nodes=("N", "M"), snapshots=0, demand={},

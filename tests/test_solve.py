@@ -158,7 +158,7 @@ class TestSolutionFiles:
         lp = build_lp(desk_system, policy)
         sol = solve(lp)
         prices = (policy_prices(desk_system, sol, policy)["mu_co2"],
-                  check_cap_tax_equivalence(desk_system, sol, policy).detail["mu_co2"])
+                  check_cap_tax_equivalence(desk_system, sol, policy)[0].detail["mu_co2"])
         assert prices == (0.0, 0.0) and not np.signbit(prices).any()
 
     def test_unknown_column_is_rejected(self, tmp_path):

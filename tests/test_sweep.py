@@ -7,7 +7,7 @@ import pytest
 
 import powermarket.sweep
 from powermarket.formulate import FormulationError
-from powermarket.model import Co2Cap, Co2Tax, SupportDispatched
+from powermarket.model import Co2Cap, Co2Tax, PolicyConfig, SupportDispatched
 from powermarket.scenario import load_plan, load_scenario
 from powermarket.solve import NO_OPTIMUM, Session
 from powermarket.sweep import (
@@ -140,6 +140,18 @@ class TestRunSweep:
         assert m1 == m2
         assert len(m1["config_sha256"]) == 64
         json.dumps(m1)  # must be serializable
+
+    def test_every_field_moves_the_digest(self, support_plan):
+        # the digest hashes the plan's repr, which holds every field
+        changed = {"system": two_tech_system(wind_capex=30001.0), "axis": "co2_tax",
+                   "values": (0.2, 0.5), "policy_set": ("wind", "gas"),
+                   "base_policy": PolicyConfig(co2=Co2Tax(1.0)),
+                   "suppress_negative_prices": True, "name": "u"}
+        assert set(changed) == {f.name for f in dataclasses.fields(SweepPlan)}
+        digests = {support_plan.config_digest()} | {
+            dataclasses.replace(support_plan, **{name: value}).config_digest()
+            for name, value in changed.items()}
+        assert len(digests) == 1 + len(changed)
 
 
 class TestInstrumentAxes:
