@@ -4,10 +4,11 @@ Market value, LCOE, relative market value, equivalent feed-in premium,
 policy shadow prices, penetration, curtailment, system-cost breakdown,
 duration curves and the negative-price-suppressed variants.  Each
 technology quantity is read off one account per placement
-(:func:`accounts`), which ``verify``'s zero-profit check reads too.  Every
-metric reads ``(system, sol)``, plus the policy or the technologies it
-reports on; the LP is ``sol.lp``.  All functions are pure over immutable
-solutions.
+(:func:`accounts`), a storage unit's or line's off its books
+(:func:`storage_books`, :func:`line_books`); ``verify``'s zero-profit
+check reads both.  Every metric reads ``(system, sol)``, plus the policy
+or the technologies it reports on; the LP is ``sol.lp``.  All functions
+are pure over immutable solutions.
 """
 
 from __future__ import annotations
@@ -129,51 +130,39 @@ def _per_mwh(system: PowerSystem, sums: Optional[dict], key: str) -> Optional[fl
     return sums[key] / energy if energy > 0.0 else None
 
 
-def storage_arbitrage(system: PowerSystem, sol: Solution) -> dict:
-    """name@node -> market revenue from charging low and discharging high."""
+def storage_books(system: PowerSystem, sol: Solution) -> dict:
+    """name@node -> (arbitrage revenue, annualized cost) of every storage
+    unit: market revenue from charging low and discharging high, and the
+    annualized cost of its built discharge, charge and energy capacity."""
     prices = nodal_prices(system, sol)
     out = {}
     for node, sto in system.storages:
         key = tech_key(sto.name, node)
-        dis, cha = sol.primal("gdis", key), sol.primal("gsto", key)
-        out[key] = float((prices[node] * (dis - cha)).sum())
-    return out
-
-
-def storage_cost(system: PowerSystem, sol: Solution) -> dict:
-    out = {}
-    for node, sto in system.storages:
         costs = sto.annual_costs(system.discount_rate)
-        ratio = sto.fixed_energy_power_ratio
-        key = tech_key(sto.name, node)
-        gdis, gsto = sol.primal("Gdis", key), sol.primal("Gsto", key)
-        total = costs["dis"] * gdis + costs["sto"] * gsto
-        if ratio is None:
-            total += costs["ene"] * sol.primal("Gene", key)
+        gdis = sol.primal("Gdis", key)
+        cost = costs["dis"] * gdis + costs["sto"] * sol.primal("Gsto", key)
+        if sto.fixed_energy_power_ratio is None:
+            cost += costs["ene"] * sol.primal("Gene", key)
         else:
-            total += costs["ene"] * ratio * gdis
-        out[key] = float(total)
+            cost += costs["ene"] * sto.fixed_energy_power_ratio * gdis
+        net = sol.primal("gdis", key) - sol.primal("gsto", key)
+        out[key] = (float((prices[node] * net).sum()), float(cost))
     return out
 
 
-def congestion_revenue(system: PowerSystem, sol: Solution) -> dict:
-    """line name -> flow times nodal price difference, summed over snapshots."""
+def line_books(system: PowerSystem, sol: Solution) -> dict:
+    """L<i> -> (congestion revenue, annualized cost) of every line: flow
+    times the nodal price difference, summed over snapshots, and the
+    annualized cost of its built capacity, 0.0 for a fixed line."""
     prices = nodal_prices(system, sol)
     out = {}
     for li, line in enumerate(system.lines):
-        f = sol.primal("f", f"L{li}")
-        out[f"L{li}"] = float(((prices[line.to_node] - prices[line.from_node]) * f).sum())
-    return out
-
-
-def line_cost(system: PowerSystem, sol: Solution) -> dict:
-    out = {}
-    for li, line in enumerate(system.lines):
+        key = f"L{li}"
+        f = sol.primal("f", key)
+        cost = 0.0
         if line.expandable:
-            F = sol.primal("F", f"L{li}")
-            out[f"L{li}"] = float(line.annual_cost(system.discount_rate) * F)
-        else:
-            out[f"L{li}"] = 0.0
+            cost = float(line.annual_cost(system.discount_rate) * sol.primal("F", key))
+        out[key] = (float(((prices[line.to_node] - prices[line.from_node]) * f).sum()), cost)
     return out
 
 
@@ -336,10 +325,10 @@ def build_report(system: PowerSystem, sol: Solution, policy: PolicyConfig, *,
     pol = policy_prices(system, sol, policy)
     support_set = set(policy.support_set())
     avg = load_weighted_price(system, sol)
-    storage = storage_cost(system, sol)
-    lines = line_cost(system, sol)
+    storage = storage_books(system, sol)
+    lines = line_books(system, sol)
     total_cost = sum(t["cost"] for t in totals.values()) \
-        + sum(storage.values()) + sum(lines.values())
+        + sum(cost for _, cost in storage.values()) + sum(cost for _, cost in lines.values())
 
     techs = {}
     breakdown = {}
@@ -363,9 +352,9 @@ def build_report(system: PowerSystem, sol: Solution, policy: PolicyConfig, *,
             capacity=t["capacity"], curtailment_share=(
                 1.0 - t["energy"] / t["available"] if t["available"] > 0.0 else None),
         )
-    for key, cost in storage.items():
+    for key, (_, cost) in storage.items():
         breakdown[f"storage:{key}"] = cost
-    for key, cost in lines.items():
+    for key, (_, cost) in lines.items():
         breakdown[f"line:{key}"] = cost
 
     curves = duration_curves(system, sol)
@@ -382,8 +371,8 @@ def build_report(system: PowerSystem, sol: Solution, policy: PolicyConfig, *,
         penetration=pen,
         average_system_cost=sum(breakdown.values()) / system.total_demand(),
         cost_breakdown=breakdown,
-        storage_arbitrage=storage_arbitrage(system, sol),
-        congestion_revenue=congestion_revenue(system, sol),
+        storage_arbitrage={key: revenue for key, (revenue, _) in storage.items()},
+        congestion_revenue={key: revenue for key, (revenue, _) in lines.items()},
         price_duration={n: p.tolist() for n, p in curves["price"].items()},
         revenue_duration={k: v.tolist() for k, v in curves["revenue"].items()},
         objective=sol.objective,

@@ -329,14 +329,15 @@ def _check_numbers(out, entity, spec):
                                  f"{f.name} holds {small[0]}"))
 
 
-def _check_derived(out, entity, rule, what, cost, ok=True):
+def _check_derived(out, entity, rule, what, cost, ok=True, lo=-math.inf):
     """A violation ``rule`` when ``cost()``, the ``what`` that the entity's
-    fields give, is not below ``MAX_MAGNITUDE``: inf, say, from fields in
-    range.  It is computed only when ``ok`` and for an entity without other
-    violations, as annuitize raises on the inputs those reject."""
+    fields give, is below ``lo`` (a negative annualized cost pays for each MW
+    built, so the LP is unbounded) or not below ``MAX_MAGNITUDE`` in magnitude
+    (inf, say, from fields in range).  It is computed only when ``ok`` and for
+    an entity without other violations, as annuitize raises on what those reject."""
     if ok and all(v.entity != entity for v in out):
         value = cost()
-        if not abs(value) < MAX_MAGNITUDE:
+        if not (abs(value) < MAX_MAGNITUDE and value >= lo):
             out.append(Violation(entity, rule, f"{what} is {value}"))
 
 
@@ -394,7 +395,7 @@ def validate(system: PowerSystem, policy: PolicyConfig) -> list:
             out.append(Violation(ent, "potential", "max potential must be >= 0"))
         _check_derived(out, ent, "marginal-cost", "marginal cost", lambda: spec.marginal_cost)
         _check_derived(out, ent, "annual-cost", "annualized cost",
-                       lambda: spec.annual_cost(r), rate_ok)
+                       lambda: spec.annual_cost(r), rate_ok, lo=0.0)
 
     names = set()
     for node, sto in system.storages:
@@ -418,7 +419,7 @@ def validate(system: PowerSystem, policy: PolicyConfig) -> list:
         if sto.fixed_energy_power_ratio is not None and sto.fixed_energy_power_ratio <= 0:
             out.append(Violation(ent, "energy-power-ratio", "ratio must be > 0"))
         _check_derived(out, ent, "annual-cost", "annualized cost",
-                       lambda: sum(sto.annual_costs(r).values()), rate_ok)
+                       lambda: sum(sto.annual_costs(r).values()), rate_ok, lo=0.0)
 
     for line in system.lines:
         ent = line.name
@@ -439,7 +440,7 @@ def validate(system: PowerSystem, policy: PolicyConfig) -> list:
             out.append(Violation(ent, "reactance", "kvl needs a reactance on every line"))
         if line.expandable:
             _check_derived(out, ent, "annual-cost", "annualized cost",
-                           lambda: line.annual_cost(r), rate_ok)
+                           lambda: line.annual_cost(r), rate_ok, lo=0.0)
 
     known = {spec.name for _, spec in system.technologies}
     sup = policy.support

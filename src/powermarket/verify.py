@@ -24,13 +24,11 @@ from .formulate import (
 )
 from .metrics import (
     accounts,
-    congestion_revenue,
-    line_cost,
+    line_books,
     market_values,
     nodal_prices,
     policy_prices,
-    storage_arbitrage,
-    storage_cost,
+    storage_books,
 )
 from .model import (
     Co2Cap,
@@ -160,28 +158,22 @@ def check_zero_profit(system: PowerSystem, sol: Solution, policy: PolicyConfig) 
             {"revenue": acct.revenue, "cost": acct.cost, "adjustment": adjust,
              "scarcity_rent": scarcity, "capacity": acct.capacity}))
 
-    if system.storages:
-        arb = storage_arbitrage(system, sol)
-        costs = storage_cost(system, sol)
-        for key in arb:
-            results.append(result(
-                "zero-profit-storage", key, arb[key] - costs[key],
-                {"arbitrage_revenue": arb[key], "cost": costs[key]}))
+    for key, (arbitrage, cost) in storage_books(system, sol).items():
+        results.append(result("zero-profit-storage", key, arbitrage - cost,
+                              {"arbitrage_revenue": arbitrage, "cost": cost}))
 
     if system.lines:
-        cong = congestion_revenue(system, sol)
-        costs = line_cost(system, sol)
         kvl_terms = _kvl_profit_terms(sol)
         z = reduced_costs(sol)
-        for li, line in enumerate(system.lines):
+        for (key, (congestion, cost)), line in zip(line_books(system, sol).items(),
+                                                   system.lines):
             if not line.expandable:
                 continue
-            key = f"L{li}"
             F = sol.primal("F", key)
             rent = float(z[sol.lp.col("F", key)]) * F
             results.append(result(
-                "zero-profit-line", key, cong[key] - costs[key] + kvl_terms[key] + rent,
-                {"congestion_revenue": cong[key], "cost": costs[key],
+                "zero-profit-line", key, congestion - cost + kvl_terms[key] + rent,
+                {"congestion_revenue": congestion, "cost": cost,
                  "kvl_term": kvl_terms[key], "capacity": F, "lower_bound_rent": rent}))
     return results
 

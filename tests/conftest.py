@@ -24,7 +24,7 @@ from powermarket.verify import check_kkt
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 BUNDLED_SCENARIOS = ("fig1_no_policy.json", "fig1_support.json", "fig1_co2_cap.json",
-                     "wind_gas_168h.json", "vre_flex_168h.json")
+                     "wind_gas_168h.json", "vre_flex_168h.json", "mesh_kvl_48h.json")
 
 
 def scenario_path(name: str) -> str:

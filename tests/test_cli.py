@@ -586,6 +586,19 @@ STRUCTURE_ERRORS = {
         edited("wind_gas_168h.json",
                options={**bundled("wind_gas_168h.json")["options"], "discount_rate": 1e308}),
         "wind@N: annual-cost (annualized cost is inf)"),
+    # a negative annualized cost pays for building without bound: unbounded LP
+    "negative-line-annual-cost": (
+        edited("wind_gas_168h.json", nodes=["N", "M"],
+               demand={**bundled("wind_gas_168h.json")["demand"],
+                       "M": {"kind": "flat-demand", "scale": 10.0}},
+               lines=[{"from_node": "N", "to_node": "M", "expandable": True,
+                       "capex": -1.0}]),
+        "N+M: annual-cost (annualized cost is -1.0)"),
+    "negative-technology-annual-cost": (
+        edited("wind_gas_168h.json", technologies=[
+            bundled("wind_gas_168h.json")["technologies"][0],
+            {**bundled("wind_gas_168h.json")["technologies"][1], "fixed_om": -1e6}]),
+        "ocgt@N: annual-cost (annualized cost is -999012.5912499194)"),
     "overflowing-marginal-cost": (
         edited("wind_gas_168h.json", technologies=[
             bundled("wind_gas_168h.json")["technologies"][0],

@@ -111,6 +111,16 @@ class TestValidate:
         assert [(v.entity, v.rule) for v in validate(system, PolicyConfig.none())] == \
             [("gas@M", "unresolved-node"), ("battery@M", "unresolved-node")]
 
+    @pytest.mark.parametrize("fixed_om, rules", [(-1.0, []), (-1e6, ["annual-cost"])],
+                             ids=["outweighed", "negative-annual-cost"])
+    def test_a_negative_annualized_cost(self, fixed_om, rules):
+        # a negative cost per MW built makes the LP unbounded; a negative
+        # fixed O&M that the annuitized capex outweighs does not
+        unit = TechnologySpec(name="gas", capex=1000.0, lifetime=1.0, fixed_om=fixed_om)
+        system = PowerSystem(nodes=("N",), snapshots=1, demand={"N": (1.0,)},
+                             technologies=(("N", unit),))
+        assert [v.rule for v in validate(system, PolicyConfig.none())] == rules
+
     @pytest.mark.parametrize("reverse, rules", [(2.0, ["capacity"]), (10.0, [])],
                              ids=["asymmetric", "equal"])
     def test_an_expandable_line_has_one_capacity(self, reverse, rules):

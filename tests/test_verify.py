@@ -191,11 +191,22 @@ class TestZeroProfit:
         system, policy, _ = load_scenario(scenario_path(name))
         lp = build_lp(system, policy)
         sol = solve(lp)
-        techs = build_report(system, sol, policy).technologies
+        report = build_report(system, sol, policy)
         rows = check_zero_profit(system, sol, policy)
         for tech in system.tech_names():
-            assert techs[tech].cost == sum(r.detail["cost"] for r in rows
-                                           if r.entity.startswith(f"{tech}@"))
+            assert report.technologies[tech].cost == sum(
+                r.detail["cost"] for r in rows if r.entity.startswith(f"{tech}@"))
+        # storage units and expandable lines: the report holds the checked books
+        storage = [r for r in rows if r.check == "zero-profit-storage"]
+        lines = [r for r in rows if r.check == "zero-profit-line"]
+        assert len(storage) == len(system.storages)
+        assert len(lines) == sum(line.expandable for line in system.lines)
+        for r in storage:
+            assert report.storage_arbitrage[r.entity] == r.detail["arbitrage_revenue"]
+            assert report.cost_breakdown[f"storage:{r.entity}"] == r.detail["cost"]
+        for r in lines:
+            assert report.congestion_revenue[r.entity] == r.detail["congestion_revenue"]
+            assert report.cost_breakdown[f"line:{r.entity}"] == r.detail["cost"]
 
 
 def capped_ring():
