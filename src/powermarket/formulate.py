@@ -355,15 +355,13 @@ def build_lp(system: PowerSystem, policy: PolicyConfig) -> LinearProgram:
         o_eff = spec.marginal_cost + spec.emission_factor * tax_rate
         if fip is not None and spec.name in fip.technologies:
             o_eff -= fip.premium
-        G = lp.add_columns(("G", key), objective=spec.annual_cost(r))
+        G = lp.add_columns(("G", key), objective=spec.annual_cost(r),
+                           upper=INF if spec.max_potential is None else spec.max_potential)
         g = lp.add_columns(("g", key), count=T, objective=o_eff)
         lp.add_entries(balance[node], g, 1.0)
         upper = lp.add_rows(("gen-upper", key), count=T, sense="<=")
         lp.add_entries(upper, g, 1.0)
         lp.add_entries(upper, G, -np.asarray(spec.availability or 1.0))
-        if spec.max_potential is not None:
-            lp.add_entries(lp.add_rows(("potential", key), sense="<=",
-                                       rhs=spec.max_potential), G, 1.0)
 
     # load shedding at VOLL: a dispatch-only pseudo-technology per node
     if system.voll is not None:

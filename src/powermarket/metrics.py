@@ -219,9 +219,11 @@ def penetration_of(system: PowerSystem, sol: Solution, techs) -> float:
 
 def policy_prices(system: PowerSystem, sol: Solution, policy: PolicyConfig) -> dict:
     """Shadow prices of the policy rows of ``sol.lp``, reported as
-    non-negative prices."""
+    non-negative prices, and the prices a policy sets without a row: a CO2
+    tax as ``mu_co2`` and a fixed premium as ``premium``.  A price the
+    policy lacks is None."""
     out = {"mu_gamma": None, "mu_theta": None, "mu_theta_equivalent": {},
-           "mu_co2": None}
+           "mu_co2": None, "premium": None}
     if sol.lp.has_row("vre-dispatched"):
         out["mu_gamma"] = sol.dual("vre-dispatched")
     if sol.lp.has_row("vre-available"):
@@ -237,6 +239,8 @@ def policy_prices(system: PowerSystem, sol: Solution, policy: PolicyConfig) -> d
         out["mu_co2"] = 0.0 - sol.dual("co2-cap")  # a zero price reads 0.0, not -0.0
     elif isinstance(policy.co2, Co2Tax):
         out["mu_co2"] = float(policy.co2.rate)
+    if isinstance(policy.support, FixedFip):
+        out["premium"] = float(policy.support.premium)
     return out
 
 
@@ -340,8 +344,8 @@ def build_report(system: PowerSystem, sol: Solution, policy: PolicyConfig, *,
         fip = None
         if name in support_set and mv is not None and lc is not None:
             fip = lc - mv
-        elif isinstance(policy.support, FixedFip) and name in support_set:
-            fip = policy.support.premium
+        elif name in support_set and pol["premium"] is not None:
+            fip = pol["premium"]
         # cost share over energy share: the value factor when no policy binds
         shares = None
         if mv is not None and total_cost > 0.0:
@@ -382,8 +386,10 @@ def build_report(system: PowerSystem, sol: Solution, policy: PolicyConfig, *,
     return report
 
 
-def report_to_json(report: MetricsReport) -> str:
-    return json.dumps(vars(report), default=vars, indent=2, sort_keys=True)
+def report_to_json(report) -> str:
+    """JSON of a report: a :class:`MetricsReport` or a list of verify's
+    check results, each object written as its fields, keys sorted."""
+    return json.dumps(report, default=vars, indent=2, sort_keys=True)
 
 
 _CSV_FIELDS = [

@@ -11,7 +11,6 @@ optima and prices for tiny instances.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -28,16 +27,10 @@ from .metrics import (
     market_values,
     nodal_prices,
     policy_prices,
+    report_to_json,
     storage_books,
 )
-from .model import (
-    Co2Cap,
-    FixedFip,
-    PolicyConfig,
-    PowerSystem,
-    SupportAvailable,
-    SupportDispatched,
-)
+from .model import Co2Cap, PolicyConfig, PowerSystem, SupportDispatched
 from .solve import Solution, solve
 
 __all__ = [
@@ -120,14 +113,23 @@ def check_kkt(sol: Solution) -> list:
 
 def check_zero_profit(system: PowerSystem, sol: Solution, policy: PolicyConfig) -> list:
     """Per-entity profit report: market revenue minus cost, corrected for the
-    policy terms (premium, CO2 charge, scarcity rent) that apply to each
-    entity.  The residual is zero at equilibrium."""
+    policy terms and capacity rents that apply to each entity.  The residual
+    is zero at equilibrium.
+
+    A supported placement is paid (μ_γ + premium)·energy + μ_θ·available and
+    an emitter charged e·μ_CO2·energy, each price read off
+    :func:`metrics.policy_prices`, 0.0 where the policy lacks it.  Every
+    capacity rent is read off the reduced costs z (:func:`reduced_costs`): a
+    generator whose capacity is bounded by its potential earns the scarcity
+    rent −z_G·G, and an expandable line the rent z_F·F on its existing
+    capacity, the lower bound of F."""
     results = []
     pol = policy_prices(system, sol, policy)
-    mu_co2, mu_gamma, mu_theta = (0.0 if pol[k] is None else pol[k]
-                                  for k in ("mu_co2", "mu_gamma", "mu_theta"))
-    support = policy.support
+    mu_co2, mu_gamma, mu_theta, premium = (0.0 if pol[k] is None else pol[k] for k in
+                                           ("mu_co2", "mu_gamma", "mu_theta", "premium"))
     support_set = set(policy.support_set())
+    z = reduced_costs(sol)
+    upper = sol.lp.columns.upper
 
     def result(check, entity, residual, detail):
         # the residual relative to the entity's cost, absolute below a cost of 1
@@ -143,15 +145,9 @@ def check_zero_profit(system: PowerSystem, sol: Solution, policy: PolicyConfig) 
         key = tech_key(acct.name, acct.node)
         adjust = -spec.emission_factor * mu_co2 * acct.energy
         if acct.name in support_set:
-            if isinstance(support, SupportDispatched):
-                adjust += mu_gamma * acct.energy
-            elif isinstance(support, SupportAvailable):
-                adjust += mu_theta * acct.available
-            elif isinstance(support, FixedFip):
-                adjust += support.premium * acct.energy
-        scarcity = 0.0
-        if sol.lp.has_row("potential", key):
-            scarcity = -sol.dual("potential", key) * acct.capacity   # mu_s^max >= 0
+            adjust += (mu_gamma + premium) * acct.energy + mu_theta * acct.available
+        G = sol.lp.col("G", key)
+        scarcity = -float(z[G]) * acct.capacity if upper[G] < np.inf else 0.0
         residual = acct.revenue - acct.cost + adjust - scarcity
         results.append(result(
             "zero-profit", key, residual,
@@ -162,19 +158,16 @@ def check_zero_profit(system: PowerSystem, sol: Solution, policy: PolicyConfig) 
         results.append(result("zero-profit-storage", key, arbitrage - cost,
                               {"arbitrage_revenue": arbitrage, "cost": cost}))
 
-    if system.lines:
-        kvl_terms = _kvl_profit_terms(sol)
-        z = reduced_costs(sol)
-        for (key, (congestion, cost)), line in zip(line_books(system, sol).items(),
-                                                   system.lines):
-            if not line.expandable:
-                continue
-            F = sol.primal("F", key)
-            rent = float(z[sol.lp.col("F", key)]) * F
-            results.append(result(
-                "zero-profit-line", key, congestion - cost + kvl_terms[key] + rent,
-                {"congestion_revenue": congestion, "cost": cost,
-                 "kvl_term": kvl_terms[key], "capacity": F, "lower_bound_rent": rent}))
+    kvl_terms = _kvl_profit_terms(sol)
+    for (key, (congestion, cost)), line in zip(line_books(system, sol).items(), system.lines):
+        if not line.expandable:
+            continue
+        F = sol.primal("F", key)
+        rent = float(z[sol.lp.col("F", key)]) * F
+        results.append(result(
+            "zero-profit-line", key, congestion - cost + kvl_terms[key] + rent,
+            {"congestion_revenue": congestion, "cost": cost,
+             "kvl_term": kvl_terms[key], "capacity": F, "lower_bound_rent": rent}))
     return results
 
 
@@ -458,7 +451,3 @@ def verify_solution(system: PowerSystem, sol: Solution, policy: PolicyConfig) ->
     results = check_kkt(sol)
     results.extend(check_zero_profit(system, sol, policy))
     return results
-
-
-def report_to_json(results: list) -> str:
-    return json.dumps(results, default=vars, indent=2, sort_keys=True)

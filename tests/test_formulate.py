@@ -76,6 +76,15 @@ class TestBuildLp:
         o_tax = lp_tax.columns.objective[lp_tax.col("g", "gas@N")][0]
         assert o_tax - o_none == pytest.approx(0.4 * 50.0)
 
+    def test_potential_bounds_capacity_not_rows(self):
+        system = simple_system()
+        gas = replace(system.technologies[0][1], max_potential=30.0)
+        lp = build_lp(replace(system, technologies=(("N", gas),)), PolicyConfig.none())
+        unbounded = build_lp(system, PolicyConfig.none())
+        assert lp.columns.upper[lp.col("G", "gas@N")] == 30.0
+        assert unbounded.columns.upper[unbounded.col("G", "gas@N")] == np.inf
+        assert lp.row_index == unbounded.row_index
+
     def test_invalid_system_raises_with_diagnostics(self):
         system = PowerSystem(nodes=("N",), snapshots=2, demand={},
                              technologies=())

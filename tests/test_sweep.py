@@ -55,14 +55,27 @@ class TestPlanValidation:
         ("co2_intensity", (-0.1, 0.1), "policy: co2-cap"),
         ("co2_tax", (-1.0, 10.0), "policy: co2-tax"),
         ("support_share", (0.5, 1.5), r"sweep value 1\.5: policy: target \(share must"),
+        # the axis ends stand for every value, so the last one is named
+        ("support_share", (0.5, 1.2, 1.5), r"sweep value 1\.5: policy: target"),
         ("support_share", (-0.1, 0.5), "'support_share' values must be >= 0"),
         ("available_target", (-0.1, 0.5), "'available_target' values must be >= 0"),
     ], ids=["negative-cap", "negative-intensity", "negative-tax", "share-above-one",
-            "negative-share", "negative-available-share"])
+            "shares-above-one", "negative-share", "negative-available-share"])
     def test_a_value_the_model_rejects(self, axis, values, message):
         with pytest.raises(ValueError, match=message):
             SweepPlan(system=two_tech_system(), axis=axis, values=values,
                       policy_set=("wind",))
+
+    def test_the_axis_ends_stand_for_every_value(self, monkeypatch):
+        validated = []
+
+        def counting(system, policy, _validate=powermarket.sweep.validate):
+            validated.append(policy.support.share)
+            return _validate(system, policy)
+        monkeypatch.setattr(powermarket.sweep, "validate", counting)
+        SweepPlan(system=two_tech_system(), axis="support_share",
+                  values=tuple(i / 10 for i in range(1, 10)), policy_set=("wind",))
+        assert validated == [0.1, 0.9]
 
     def test_intensity_converts_to_absolute_cap(self):
         system = two_tech_system()

@@ -9,11 +9,13 @@ from powermarket.formulate import apply_equivalence_substitution, build_lp, cycl
 from powermarket.metrics import accounts, build_report
 from powermarket.model import (
     Co2Cap,
+    Co2Tax,
     FixedFip,
     LineSpec,
     PolicyConfig,
     PowerSystem,
     StorageSpec,
+    SupportAvailable,
     SupportDispatched,
     TechnologySpec,
 )
@@ -90,6 +92,33 @@ class TestKkt:
         assert report["stationarity"].verdict == "pass" and report["primal"].verdict == "fail"
 
 
+def bounded_desk_system() -> PowerSystem:
+    """``random_desk_system(0, 48)`` with wind's potential at 50 MW and
+    CCGT's at 40 MW, both of which bind under each policy of
+    ``BOUNDED_PAYMENTS``."""
+    base = random_desk_system(0, 48)
+    potential = {"wind": 50.0, "ccgt": 40.0}
+    return replace(base, technologies=tuple(
+        (node, replace(spec, max_potential=potential.get(spec.name)))
+        for node, spec in base.technologies))
+
+
+SUPPORTED = ("wind", "solar")
+# (policy, the bounded placement it pays or charges, that payment from the solve)
+BOUNDED_PAYMENTS = [
+    (PolicyConfig(support=SupportDispatched(SUPPORTED, share=0.5)), "wind@N",
+     lambda sol, acct: sol.dual("vre-dispatched") * acct.energy),
+    (PolicyConfig(support=SupportAvailable(SUPPORTED, share=0.6)), "wind@N",
+     lambda sol, acct: sol.dual("vre-available") * acct.available),
+    (PolicyConfig(support=FixedFip(SUPPORTED, 10.0)), "wind@N",
+     lambda sol, acct: 10.0 * acct.energy),
+    (PolicyConfig(co2=Co2Cap(1000.0)), "ccgt@N",
+     lambda sol, acct: sol.dual("co2-cap") * acct.spec.emission_factor * acct.energy),
+    (PolicyConfig(co2=Co2Tax(30.0)), "ccgt@N",
+     lambda sol, acct: -30.0 * acct.spec.emission_factor * acct.energy),
+]
+
+
 class TestZeroProfit:
     def test_no_policy_generators(self, desk_system):
         lp = build_lp(desk_system, PolicyConfig.none())
@@ -124,6 +153,31 @@ class TestZeroProfit:
         assert all(r.verdict == "pass" for r in results)
         entry = next(r for r in results if r.entity == "cheap@N")
         assert entry.detail["scarcity_rent"] > 0.0
+
+    @pytest.mark.parametrize("policy, entity, payment", BOUNDED_PAYMENTS,
+                             ids=["dispatched", "available", "premium", "cap", "tax"])
+    def test_a_binding_potential_under_each_instrument(self, policy, entity, payment):
+        # the potential binds on the placement the instrument pays or charges
+        system = bounded_desk_system()
+        sol = solve(build_lp(system, policy))
+        rows = check_zero_profit(system, sol, policy)
+        row = next(r for r in rows if r.entity == entity)
+        acct = next(a for a in accounts(system, sol) if f"{a.name}@{a.node}" == entity)
+        assert all(r.verdict == "pass" for r in rows)
+        assert row.detail["capacity"] == acct.spec.max_potential
+        assert row.detail["scarcity_rent"] > 0.0 and abs(payment(sol, acct)) > 1.0
+        assert row.detail["adjustment"] == pytest.approx(payment(sol, acct), rel=1e-12)
+
+    @pytest.mark.parametrize("policy, entity, off", [
+        (PolicyConfig(support=FixedFip(SUPPORTED, 10.0)), "wind@N",
+         PolicyConfig(support=FixedFip(SUPPORTED, 10.01))),
+        (PolicyConfig(co2=Co2Tax(30.0)), "ccgt@N", PolicyConfig(co2=Co2Tax(30.03))),
+    ], ids=["premium", "tax"])
+    def test_a_price_a_thousandth_off_fails(self, policy, entity, off):
+        system = bounded_desk_system()
+        sol = solve(build_lp(system, policy))
+        row = next(r for r in check_zero_profit(system, sol, off) if r.entity == entity)
+        assert row.verdict == "fail"
 
     @pytest.mark.parametrize("premium, mv, lcoe", [(5.0, 42.478, 47.478),
                                                    (20.0, 29.442, 49.442)])
