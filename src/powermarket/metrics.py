@@ -4,11 +4,11 @@ Market value, LCOE, relative market value, equivalent feed-in premium,
 policy shadow prices, penetration, curtailment, system-cost breakdown,
 duration curves and the negative-price-suppressed variants.  Each
 technology quantity is read off one account per placement
-(:func:`accounts`), a storage unit's or line's off its books
-(:func:`storage_books`, :func:`line_books`); ``verify``'s zero-profit
-check reads both.  Every metric reads ``(system, sol)``, plus the policy
-or the technologies it reports on; the LP is ``sol.lp``.  All functions
-are pure over immutable solutions.
+(:func:`accounts`); the zero-profit books of every entity come from one
+pass (:func:`books`), which the report reads and ``verify`` judges.
+Every metric reads ``(system, sol)``, plus the policy or the technologies
+it reports on; the LP is ``sol.lp``.  All functions are pure over
+immutable solutions.
 """
 
 from __future__ import annotations
@@ -35,6 +35,9 @@ from .solve import FEAS_TOL, Solution
 __all__ = [
     "Account",
     "accounts",
+    "Books",
+    "books",
+    "reduced_costs",
     "TechMetrics",
     "MetricsReport",
     "market_value",
@@ -130,42 +133,6 @@ def _per_mwh(system: PowerSystem, sums: Optional[dict], key: str) -> Optional[fl
     return sums[key] / energy if energy > 0.0 else None
 
 
-def storage_books(system: PowerSystem, sol: Solution) -> dict:
-    """name@node -> (arbitrage revenue, annualized cost) of every storage
-    unit: market revenue from charging low and discharging high, and the
-    annualized cost of its built discharge, charge and energy capacity."""
-    prices = nodal_prices(system, sol)
-    out = {}
-    for node, sto in system.storages:
-        key = tech_key(sto.name, node)
-        costs = sto.annual_costs(system.discount_rate)
-        gdis = sol.primal("Gdis", key)
-        cost = costs["dis"] * gdis + costs["sto"] * sol.primal("Gsto", key)
-        if sto.fixed_energy_power_ratio is None:
-            cost += costs["ene"] * sol.primal("Gene", key)
-        else:
-            cost += costs["ene"] * sto.fixed_energy_power_ratio * gdis
-        net = sol.primal("gdis", key) - sol.primal("gsto", key)
-        out[key] = (float((prices[node] * net).sum()), float(cost))
-    return out
-
-
-def line_books(system: PowerSystem, sol: Solution) -> dict:
-    """L<i> -> (congestion revenue, annualized cost) of every line: flow
-    times the nodal price difference, summed over snapshots, and the
-    annualized cost of its built capacity, 0.0 for a fixed line."""
-    prices = nodal_prices(system, sol)
-    out = {}
-    for li, line in enumerate(system.lines):
-        key = f"L{li}"
-        f = sol.primal("f", key)
-        cost = 0.0
-        if line.expandable:
-            cost = float(line.annual_cost(system.discount_rate) * sol.primal("F", key))
-        out[key] = (float(((prices[line.to_node] - prices[line.from_node]) * f).sum()), cost)
-    return out
-
-
 # -- headline per-technology metrics ----------------------------------------------
 
 
@@ -241,6 +208,108 @@ def policy_prices(system: PowerSystem, sol: Solution, policy: PolicyConfig) -> d
         out["mu_co2"] = float(policy.co2.rate)
     if isinstance(policy.support, FixedFip):
         out["premium"] = float(policy.support.premium)
+    return out
+
+
+# -- zero-profit books --------------------------------------------------------------
+
+
+def reduced_costs(sol: Solution) -> np.ndarray:
+    """z = c - A^T y, from the LP of ``sol`` and its duals."""
+    cols, e = sol.lp.columns, sol.lp.entries
+    return cols.objective - np.bincount(e.col, weights=e.value * sol.y[e.row],
+                                        minlength=len(cols))
+
+
+def _kvl_terms(sol: Solution) -> dict:
+    """Cycle-dual distortion term per line: sum_t,c y_c C_lc x_l f_lt, summed
+    over the entries of the voltage-law rows of the LP of ``sol``, keyed by
+    the entity of the line's flow block; empty for an LP without such rows."""
+    lp = sol.lp
+    if not any(family == "kvl-cycle" for family, _ in lp.row_index):
+        return {}
+    in_cycle = np.zeros(len(lp.rows), dtype=bool)
+    for (family, _), index in lp.row_index.items():
+        in_cycle[index] = family == "kvl-cycle"
+    e = lp.entries
+    k = in_cycle[e.row]
+    terms = np.bincount(e.col[k], weights=sol.y[e.row[k]] * e.value[k] * sol.x[e.col[k]],
+                        minlength=len(lp.columns))
+    return {entity: float(terms[index].sum())
+            for (family, entity), index in lp.col_index.items() if family == "f"}
+
+
+@dataclass(frozen=True)
+class Books:
+    """One entity's zero-profit books: the terms of its identity and its
+    ``cost`` in ``detail``, what is left of the identity in ``residual``
+    (None for a fixed line, whose capacity no one chose), and the name of
+    the ``check`` that judges entities of its kind."""
+
+    check: str
+    entity: str
+    residual: Optional[float]
+    detail: dict
+
+
+def books(system: PowerSystem, sol: Solution, policy: PolicyConfig) -> list:
+    """The :class:`Books` of every technology placement in placement order
+    (load shedding has none), then of every storage unit and line.  A
+    supported placement is paid (μ_γ + premium)·energy + μ_θ·available and
+    an emitter charged e·μ_CO2·energy, at the prices of :func:`policy_prices`
+    (0.0 where the policy lacks one); a line's congestion revenue is offset
+    by its voltage-law term.  Every capacity rent is read off the reduced
+    costs z: −z_G·G for a generator at its potential, z_F·F for a line."""
+    prices = nodal_prices(system, sol)
+    pol = policy_prices(system, sol, policy)
+    mu_co2, mu_gamma, mu_theta, premium = (0.0 if pol[k] is None else pol[k] for k in
+                                           ("mu_co2", "mu_gamma", "mu_theta", "premium"))
+    support_set = set(policy.support_set())
+    z = reduced_costs(sol)
+    upper = sol.lp.columns.upper
+    out = []
+    for acct in accounts(system, sol):
+        if acct.spec is None:
+            continue
+        key = tech_key(acct.name, acct.node)
+        adjust = -acct.spec.emission_factor * mu_co2 * acct.energy
+        if acct.name in support_set:
+            adjust += (mu_gamma + premium) * acct.energy + mu_theta * acct.available
+        G = sol.lp.col("G", key)
+        scarcity = -float(z[G]) * acct.capacity if upper[G] < np.inf else 0.0
+        out.append(Books("zero-profit", key, acct.revenue - acct.cost + adjust - scarcity,
+                         {"revenue": acct.revenue, "cost": acct.cost, "adjustment": adjust,
+                          "scarcity_rent": scarcity, "capacity": acct.capacity}))
+
+    for node, sto in system.storages:
+        key = tech_key(sto.name, node)
+        costs = sto.annual_costs(system.discount_rate)
+        gdis = sol.primal("Gdis", key)
+        cost = costs["dis"] * gdis + costs["sto"] * sol.primal("Gsto", key)
+        if sto.fixed_energy_power_ratio is None:
+            cost += costs["ene"] * sol.primal("Gene", key)
+        else:
+            cost += costs["ene"] * sto.fixed_energy_power_ratio * gdis
+        net = sol.primal("gdis", key) - sol.primal("gsto", key)
+        arbitrage, cost = float((prices[node] * net).sum()), float(cost)
+        out.append(Books("zero-profit-storage", key, arbitrage - cost,
+                         {"arbitrage_revenue": arbitrage, "cost": cost}))
+
+    kvl = _kvl_terms(sol)
+    for li, line in enumerate(system.lines):
+        key = f"L{li}"
+        f = sol.primal("f", key)
+        congestion = float(((prices[line.to_node] - prices[line.from_node]) * f).sum())
+        detail = {"congestion_revenue": congestion, "cost": 0.0,
+                  "kvl_term": kvl.get(key, 0.0)}
+        residual = None
+        if line.expandable:
+            F = sol.primal("F", key)
+            cost = float(line.annual_cost(system.discount_rate) * F)
+            rent = float(z[sol.lp.col("F", key)]) * F
+            detail.update(cost=cost, capacity=F, lower_bound_rent=rent)
+            residual = congestion - cost + detail["kvl_term"] + rent
+        out.append(Books("zero-profit-line", key, residual, detail))
     return out
 
 
@@ -329,10 +398,11 @@ def build_report(system: PowerSystem, sol: Solution, policy: PolicyConfig, *,
     pol = policy_prices(system, sol, policy)
     support_set = set(policy.support_set())
     avg = load_weighted_price(system, sol)
-    storage = storage_books(system, sol)
-    lines = line_books(system, sol)
+    entity_books = books(system, sol, policy)
+    storage = {b.entity: b.detail for b in entity_books if b.check == "zero-profit-storage"}
+    lines = {b.entity: b.detail for b in entity_books if b.check == "zero-profit-line"}
     total_cost = sum(t["cost"] for t in totals.values()) \
-        + sum(cost for _, cost in storage.values()) + sum(cost for _, cost in lines.values())
+        + sum(d["cost"] for d in storage.values()) + sum(d["cost"] for d in lines.values())
 
     techs = {}
     breakdown = {}
@@ -356,10 +426,10 @@ def build_report(system: PowerSystem, sol: Solution, policy: PolicyConfig, *,
             capacity=t["capacity"], curtailment_share=(
                 1.0 - t["energy"] / t["available"] if t["available"] > 0.0 else None),
         )
-    for key, (_, cost) in storage.items():
-        breakdown[f"storage:{key}"] = cost
-    for key, (_, cost) in lines.items():
-        breakdown[f"line:{key}"] = cost
+    for key, d in storage.items():
+        breakdown[f"storage:{key}"] = d["cost"]
+    for key, d in lines.items():
+        breakdown[f"line:{key}"] = d["cost"]
 
     curves = duration_curves(system, sol)
     pen = None
@@ -375,8 +445,8 @@ def build_report(system: PowerSystem, sol: Solution, policy: PolicyConfig, *,
         penetration=pen,
         average_system_cost=sum(breakdown.values()) / system.total_demand(),
         cost_breakdown=breakdown,
-        storage_arbitrage={key: revenue for key, (revenue, _) in storage.items()},
-        congestion_revenue={key: revenue for key, (revenue, _) in lines.items()},
+        storage_arbitrage={key: d["arbitrage_revenue"] for key, d in storage.items()},
+        congestion_revenue={key: d["congestion_revenue"] for key, d in lines.items()},
         price_duration={n: p.tolist() for n, p in curves["price"].items()},
         revenue_duration={k: v.tolist() for k, v in curves["revenue"].items()},
         objective=sol.objective,

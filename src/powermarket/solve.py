@@ -25,7 +25,7 @@ the row's right-hand side (dObj/dRHS).  Balance rows therefore carry
 non-negative electricity prices whenever the price-setting marginal cost is
 non-negative; shadow prices of ``<=`` rows are <= 0 and of ``>=`` rows >= 0.
 Reduced costs are not carried: they follow from the solution's LP and
-duals (:func:`powermarket.verify.reduced_costs`).
+duals (:func:`powermarket.metrics.reduced_costs`).
 """
 
 from __future__ import annotations

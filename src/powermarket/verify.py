@@ -4,8 +4,10 @@ Each check turns one of the equilibrium results (KKT optimality, per-entity
 zero profit, cap/tax equivalence, the subsidy-to-tax price lift) into a
 pass/fail/inconclusive verdict with a numerical residual.  Every check
 reads ``(system, sol[, policy])`` and judges the LP that was solved,
-``sol.lp``.  A brute-force enumeration oracle provides solver-independent
-optima and prices for tiny instances.
+``sol.lp``.  The zero-profit check computes no term of its own: it judges
+the residuals of :func:`powermarket.metrics.books`.  A brute-force
+enumeration oracle provides solver-independent optima and prices for tiny
+instances.
 """
 
 from __future__ import annotations
@@ -19,16 +21,15 @@ import numpy as np
 from .formulate import (
     apply_equivalence_substitution,
     build_lp,  # not called here, but bench/spans.py wraps verify.build_lp
-    tech_key,
 )
 from .metrics import (
     accounts,
-    line_books,
+    books,
     market_values,
     nodal_prices,
     policy_prices,
+    reduced_costs,
     report_to_json,
-    storage_books,
 )
 from .model import Co2Cap, PolicyConfig, PowerSystem, SupportDispatched
 from .solve import Solution, solve
@@ -60,13 +61,6 @@ class CheckResult:
 
 
 # -- KKT residuals ---------------------------------------------------------------
-
-
-def reduced_costs(sol: Solution) -> np.ndarray:
-    """z = c - A^T y, from the LP of ``sol`` and its duals."""
-    cols, e = sol.lp.columns, sol.lp.entries
-    return cols.objective - np.bincount(e.col, weights=e.value * sol.y[e.row],
-                                        minlength=len(cols))
 
 
 def _pos(v: np.ndarray) -> np.ndarray:
@@ -112,79 +106,14 @@ def check_kkt(sol: Solution) -> list:
 
 
 def check_zero_profit(system: PowerSystem, sol: Solution, policy: PolicyConfig) -> list:
-    """Per-entity profit report: market revenue minus cost, corrected for the
-    policy terms and capacity rents that apply to each entity.  The residual
-    is zero at equilibrium.
-
-    A supported placement is paid (μ_γ + premium)·energy + μ_θ·available and
-    an emitter charged e·μ_CO2·energy, each price read off
-    :func:`metrics.policy_prices`, 0.0 where the policy lacks it.  Every
-    capacity rent is read off the reduced costs z (:func:`reduced_costs`): a
-    generator whose capacity is bounded by its potential earns the scarcity
-    rent −z_G·G, and an expandable line the rent z_F·F on its existing
-    capacity, the lower bound of F."""
-    results = []
-    pol = policy_prices(system, sol, policy)
-    mu_co2, mu_gamma, mu_theta, premium = (0.0 if pol[k] is None else pol[k] for k in
-                                           ("mu_co2", "mu_gamma", "mu_theta", "premium"))
-    support_set = set(policy.support_set())
-    z = reduced_costs(sol)
-    upper = sol.lp.columns.upper
-
-    def result(check, entity, residual, detail):
-        # the residual relative to the entity's cost, absolute below a cost of 1
-        scale = max(1.0, detail["cost"])
-        return CheckResult(check, entity, abs(residual) / scale,
-                           "pass" if abs(residual) <= DEFAULT_TOL * scale else "fail",
-                           detail=detail)
-
-    for acct in accounts(system, sol):
-        spec = acct.spec
-        if spec is None:
-            continue
-        key = tech_key(acct.name, acct.node)
-        adjust = -spec.emission_factor * mu_co2 * acct.energy
-        if acct.name in support_set:
-            adjust += (mu_gamma + premium) * acct.energy + mu_theta * acct.available
-        G = sol.lp.col("G", key)
-        scarcity = -float(z[G]) * acct.capacity if upper[G] < np.inf else 0.0
-        residual = acct.revenue - acct.cost + adjust - scarcity
-        results.append(result(
-            "zero-profit", key, residual,
-            {"revenue": acct.revenue, "cost": acct.cost, "adjustment": adjust,
-             "scarcity_rent": scarcity, "capacity": acct.capacity}))
-
-    for key, (arbitrage, cost) in storage_books(system, sol).items():
-        results.append(result("zero-profit-storage", key, arbitrage - cost,
-                              {"arbitrage_revenue": arbitrage, "cost": cost}))
-
-    kvl_terms = _kvl_profit_terms(sol)
-    for (key, (congestion, cost)), line in zip(line_books(system, sol).items(), system.lines):
-        if not line.expandable:
-            continue
-        F = sol.primal("F", key)
-        rent = float(z[sol.lp.col("F", key)]) * F
-        results.append(result(
-            "zero-profit-line", key, congestion - cost + kvl_terms[key] + rent,
-            {"congestion_revenue": congestion, "cost": cost,
-             "kvl_term": kvl_terms[key], "capacity": F, "lower_bound_rent": rent}))
-    return results
-
-
-def _kvl_profit_terms(sol: Solution) -> dict:
-    """Cycle-dual distortion term per line: sum_t,c y_c C_lc x_l f_lt, summed
-    over the entries of the voltage-law rows of the LP of ``sol``, keyed by
-    the entity of the line's flow block."""
-    lp = sol.lp
-    e = lp.entries
-    in_cycle = np.zeros(len(lp.rows), dtype=bool)
-    for (family, _), index in lp.row_index.items():
-        in_cycle[index] = family == "kvl-cycle"
-    k = in_cycle[e.row]
-    terms = np.bincount(e.col[k], weights=sol.y[e.row[k]] * e.value[k] * sol.x[e.col[k]],
-                        minlength=len(lp.columns))
-    return {entity: float(terms[index].sum())
-            for (family, entity), index in lp.col_index.items() if family == "f"}
+    """One :class:`CheckResult` per entity of :func:`metrics.books` with a
+    residual, which passes at most ``DEFAULT_TOL`` relative to the entity's
+    cost, absolute below a cost of 1.  A fixed line has books but no check."""
+    judged = [b for b in books(system, sol, policy) if b.residual is not None]
+    scales = [max(1.0, b.detail["cost"]) for b in judged]
+    return [CheckResult(b.check, b.entity, abs(b.residual) / scale,
+                        "pass" if abs(b.residual) <= DEFAULT_TOL * scale else "fail", b.detail)
+            for b, scale in zip(judged, scales)]
 
 
 # -- policy-equivalence checks ---------------------------------------------------------

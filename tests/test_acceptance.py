@@ -13,12 +13,12 @@ import numpy as np
 from powermarket.formulate import build_lp, tech_key
 from powermarket.metrics import (
     accounts,
+    books,
     build_report,
     lcoe,
     market_value,
     nodal_prices,
     rmv,
-    storage_books,
     suppress_negative_prices,
 )
 from powermarket.model import (
@@ -191,8 +191,10 @@ def test_criterion_06_subsidy_tax_lift():
 
 def test_criterion_07_storage_arbitrage():
     system = flexible_system()
-    lp, sol = _solved(system, PolicyConfig(co2=Co2Cap(0.0)))
-    built = [(arb, c) for arb, c in storage_books(system, sol).values() if c > 1.0]
+    policy = PolicyConfig(co2=Co2Cap(0.0))
+    lp, sol = _solved(system, policy)
+    storage = [b.detail for b in books(system, sol, policy) if b.check == "zero-profit-storage"]
+    built = [(d["arbitrage_revenue"], d["cost"]) for d in storage if d["cost"] > 1.0]
     assert built, "the tight-cap run must actually build storage"
     worst = max(abs(arb - c) / c for arb, c in built)
     _report(7, worst <= 1e-6,

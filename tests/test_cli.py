@@ -19,6 +19,7 @@ import powermarket.scenario
 import powermarket.verify
 from powermarket.cli import main
 from powermarket.formulate import build_lp, tech_key
+from powermarket.metrics import books, build_report
 from powermarket.model import (
     Co2Cap,
     Co2Tax,
@@ -39,6 +40,7 @@ from powermarket.scenario import (
     serialize_scenario,
 )
 from powermarket.solve import Solution, SolveError, load_highs, solve, status_of
+from powermarket.verify import check_zero_profit
 
 from conftest import BUNDLED_SCENARIOS, assert_highs_reads, gate_document, scenario_path
 
@@ -981,6 +983,43 @@ class TestVerify:
         checks = {d["check"] for d in doc}
         assert "cap-tax-equivalence" in checks
         assert all(d["verdict"] != "fail" for d in doc)
+
+
+class TestGateDocument:
+    def test_the_gate_premium_makes_the_model_unbounded(self, tmp_path, capsys):
+        # a premium of 5 EUR/MWh pays wind more than it costs, and the
+        # battery's losses absorb any output (ROADMAP item 21)
+        path = tmp_path / "gate.json"
+        path.write_text(json.dumps(gate_document(tmp_path)))
+        for command in ("solve", "verify"):
+            assert main([command, str(path), "--out-dir", str(tmp_path / "out")]) == 3
+            assert capsys.readouterr().err.startswith("model is unbounded")
+
+    def test_a_smaller_premium_balances_every_book(self, tmp_path):
+        doc = gate_document(tmp_path)
+        doc["policy"]["support"]["premium"] = 2.0
+        path = tmp_path / "gate.json"
+        path.write_text(json.dumps(doc))
+        for command in ("solve", "verify"):
+            assert main([command, str(path), "--out-dir", str(tmp_path / "out")]) == 0
+        system, policy, _ = load_scenario(path)
+        sol = solve(build_lp(system, policy))
+        booked = {b.entity: b for b in books(system, sol, policy)}
+        checked = {c.entity: c for c in check_zero_profit(system, sol, policy)}
+        assert list(booked) == ["gas@A", "wind@B", "battery@B", "L0", "L1"]
+        assert list(checked) == ["gas@A", "wind@B", "battery@B", "L0"]
+        assert all(c.verdict == "pass" and c.detail == booked[e].detail
+                   for e, c in checked.items())
+        # each judged entity is built; the fixed line has books but no check
+        assert all(c.detail["cost"] > 0.0 for c in checked.values())
+        assert booked["L1"].residual is None and booked["L1"].detail["cost"] == 0.0
+        report = build_report(system, sol, policy)
+        assert report.storage_arbitrage == {
+            "battery@B": booked["battery@B"].detail["arbitrage_revenue"]}
+        assert report.congestion_revenue == {
+            key: booked[key].detail["congestion_revenue"] for key in ("L0", "L1")}
+        for key, kind in (("battery@B", "storage"), ("L0", "line"), ("L1", "line")):
+            assert report.cost_breakdown[f"{kind}:{key}"] == booked[key].detail["cost"]
 
 
 @st.composite
