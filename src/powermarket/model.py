@@ -279,10 +279,6 @@ class PolicyConfig:
     support: Optional[SupportPolicy] = None
     co2: Optional[Co2Policy] = None
 
-    @classmethod
-    def none(cls) -> "PolicyConfig":
-        return cls()
-
     def support_set(self) -> tuple:
         if self.support is None:
             return ()

@@ -87,9 +87,6 @@ class Solution:
     def dual(self, family: str, entity: Optional[str] = None):
         return _read(self.y, self.lp.row(family, entity))
 
-    def price(self, node: str, t: int) -> float:
-        return float(self.dual("balance", node)[t])
-
 
 @dataclass(frozen=True)
 class Run:

@@ -5,7 +5,8 @@ zero profit, cap/tax equivalence, the subsidy-to-tax price lift) into a
 pass/fail/inconclusive verdict with a numerical residual.  Every check
 reads ``(system, sol[, policy])`` and judges the LP that was solved,
 ``sol.lp``.  The zero-profit check computes no term of its own: it judges
-the residuals of :func:`powermarket.metrics.books`.  A brute-force
+the residuals of :func:`powermarket.metrics.books`.  Check results are
+written by :func:`powermarket.metrics.report_to_json`.  A brute-force
 enumeration oracle provides solver-independent optima and prices for tiny
 instances.
 """
@@ -29,14 +30,12 @@ from .metrics import (
     nodal_prices,
     policy_prices,
     reduced_costs,
-    report_to_json,
 )
 from .model import Co2Cap, PolicyConfig, PowerSystem, SupportDispatched
 from .solve import Solution, solve
 
 __all__ = [
     "CheckResult",
-    "reduced_costs",
     "check_kkt",
     "check_zero_profit",
     "check_cap_tax_equivalence",
@@ -45,7 +44,6 @@ __all__ = [
     "OracleResult",
     "brute_force_oracle",
     "verify_solution",
-    "report_to_json",
 ]
 
 DEFAULT_TOL = 1e-6

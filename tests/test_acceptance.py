@@ -53,7 +53,7 @@ def _report(criterion: int, ok: bool, detail: str) -> None:
     assert ok, f"criterion {criterion}: {detail}"
 
 
-def _solved(system, policy=PolicyConfig.none()):
+def _solved(system, policy=PolicyConfig()):
     lp = build_lp(system, policy)
     sol = solve(lp)
     assert sol.status == "optimal"
@@ -220,14 +220,14 @@ def test_criterion_08_congestion_revenue():
 
     # KCL only: price-difference revenue covers the line cost directly
     lp, sol = _solved(system)
-    results = [r for r in check_zero_profit(system, sol, PolicyConfig.none())
+    results = [r for r in check_zero_profit(system, sol, PolicyConfig())
                if r.check == "zero-profit-line"]
     worst_kcl = max(r.residual for r in results)
     cycle_terms_kcl = max(abs(r.detail["kvl_term"]) for r in results)
 
     # with the voltage law the cycle term appears and closes the identity
     lp, sol = _solved(dataclasses.replace(system, kvl=True))
-    results = [r for r in check_zero_profit(system, sol, PolicyConfig.none())
+    results = [r for r in check_zero_profit(system, sol, PolicyConfig())
                if r.check == "zero-profit-line"]
     worst_kvl = max(r.residual for r in results)
     cycle_terms_kvl = max(abs(r.detail["kvl_term"]) for r in results)
@@ -242,7 +242,7 @@ def test_criterion_09_oracle_equivalence():
     n_infeasible = n_unique = 0
     for seed in range(200):
         system = tiny_instance(seed)
-        lp = build_lp(system, PolicyConfig.none())
+        lp = build_lp(system, PolicyConfig())
         sol = solve(lp)
         oracle = brute_force_oracle(system)
         assert sol.status == oracle.status
@@ -256,7 +256,7 @@ def test_criterion_09_oracle_equivalence():
             if oracle.price_unique[t]:
                 n_unique += 1
                 worst_dual = max(worst_dual,
-                                 abs(sol.price("N", t) - oracle.prices[t])
+                                 abs(sol.dual("balance", "N")[t] - oracle.prices[t])
                                  / max(1.0, abs(oracle.prices[t])))
     ok = worst_obj <= 1e-9 and worst_dual <= 1e-6
     _report(9, ok, f"200 instances ({n_infeasible} infeasible), "
@@ -342,7 +342,7 @@ def test_criterion_12_rmv_identity():
     for seed in range(10):
         system = random_desk_system(seed)
         lp, sol = _solved(system)
-        report = build_report(system, sol, PolicyConfig.none())
+        report = build_report(system, sol, PolicyConfig())
         for _, spec in system.technologies:
             r = rmv(system, sol, spec.name)
             d = report.technologies[spec.name].rmv_shares

@@ -13,7 +13,6 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-import powermarket
 import powermarket.cli
 import powermarket.scenario
 import powermarket.verify
@@ -463,7 +462,7 @@ NUMBER_FIELDS = (
 
 def with_non_finite(part: str, name: str, value: float):
     """(system, policy, entity) with ``name`` of ``part`` set to ``value``."""
-    system, policy = every_number_set(), PolicyConfig.none()
+    system, policy = every_number_set(), PolicyConfig()
     if part == "technology":
         (node, gas), wind = system.technologies
         technologies = ((node, dataclasses.replace(gas, **{name: value})), wind)
@@ -490,7 +489,7 @@ def with_non_finite(part: str, name: str, value: float):
 
 class TestNonFinite:
     def test_the_base_system_is_valid(self):
-        assert validate(every_number_set(), PolicyConfig.none()) == []
+        assert validate(every_number_set(), PolicyConfig()) == []
 
     @pytest.mark.parametrize("part, name", NUMBER_FIELDS,
                              ids=[f"{part}-{name}" for part, name in NUMBER_FIELDS])
@@ -1106,7 +1105,7 @@ def test_meshed_kvl_systems_with_a_binding_cap_verify(doc, tightness):
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(doc, fh)
         system, _, _ = load_scenario(path)
-        sol = solve(build_lp(system, PolicyConfig.none()))
+        sol = solve(build_lp(system, PolicyConfig()))
         assert sol.status == "optimal"
         emissions = sum(spec.emission_factor * sol.primal("g", tech_key(spec.name, node)).sum()
                         for node, spec in system.technologies)

@@ -51,7 +51,7 @@ def one_snapshot_storage(eta_standing: float) -> PowerSystem:
 class TestBuildLp:
     def test_row_and_column_counts(self):
         system = simple_system(4)
-        lp = build_lp(system, PolicyConfig.none())
+        lp = build_lp(system, PolicyConfig())
         # columns: 1 capacity + 4 dispatch + 4 shedding
         assert len(lp.columns) == 9
         # rows: 4 balance + 4 dispatch-capacity links
@@ -69,7 +69,7 @@ class TestBuildLp:
 
     def test_tax_shifts_objective_not_rows(self):
         system = simple_system()
-        lp_none = build_lp(system, PolicyConfig.none())
+        lp_none = build_lp(system, PolicyConfig())
         lp_tax = build_lp(system, PolicyConfig(co2=Co2Tax(50.0)))
         assert not lp_tax.has_row("co2-cap")
         o_none = lp_none.columns.objective[lp_none.col("g", "gas@N")][0]
@@ -79,8 +79,8 @@ class TestBuildLp:
     def test_potential_bounds_capacity_not_rows(self):
         system = simple_system()
         gas = replace(system.technologies[0][1], max_potential=30.0)
-        lp = build_lp(replace(system, technologies=(("N", gas),)), PolicyConfig.none())
-        unbounded = build_lp(system, PolicyConfig.none())
+        lp = build_lp(replace(system, technologies=(("N", gas),)), PolicyConfig())
+        unbounded = build_lp(system, PolicyConfig())
         assert lp.columns.upper[lp.col("G", "gas@N")] == 30.0
         assert unbounded.columns.upper[unbounded.col("G", "gas@N")] == np.inf
         assert lp.row_index == unbounded.row_index
@@ -89,7 +89,7 @@ class TestBuildLp:
         system = PowerSystem(nodes=("N",), snapshots=2, demand={},
                              technologies=())
         with pytest.raises(FormulationError, match="demand"):
-            build_lp(system, PolicyConfig.none())
+            build_lp(system, PolicyConfig())
 
     def test_kvl_needs_reactance(self):
         gas = TechnologySpec(name="gas", capex=10.0, lifetime=1.0)
@@ -99,12 +99,12 @@ class TestBuildLp:
         system = PowerSystem(nodes=("A", "B", "C"), snapshots=1,
                              demand={"A": (1.0,), "B": (1.0,), "C": (1.0,)},
                              technologies=(("A", gas),), lines=lines, kvl=True)
-        assert validate(system, PolicyConfig.none()) == [
+        assert validate(system, PolicyConfig()) == [
             Violation("B+C", "reactance", "kvl needs a reactance on every line")]
         with pytest.raises(FormulationError, match="B\\+C: reactance"):
-            build_lp(system, PolicyConfig.none())
+            build_lp(system, PolicyConfig())
         # without the voltage law the reactance is not needed
-        assert validate(replace(system, kvl=False), PolicyConfig.none()) == []
+        assert validate(replace(system, kvl=False), PolicyConfig()) == []
 
     @pytest.mark.parametrize("family, quota, share", [
         ("vre-dispatched", SupportDispatched, 0.9), ("vre-available", SupportAvailable, 1.0)])
@@ -379,7 +379,7 @@ class TestMpsRoundTrip:
     def test_highs_reads_every_block(self, tmp_path, system):
         """Interleaved storage blocks, and the summed 0.0 entry of a
         one-snapshot storage, which HiGHS drops."""
-        lp = build_lp(system, PolicyConfig.none())
+        lp = build_lp(system, PolicyConfig())
         write_mps(lp, tmp_path / "model.mps")
         assert_highs_reads(tmp_path / "model.mps", lp)
 
@@ -392,7 +392,7 @@ class TestMpsRoundTrip:
         is written even when it is 0.0, as CSC keeps it."""
         from scipy import sparse
 
-        lp = build_lp(system, PolicyConfig.none())
+        lp = build_lp(system, PolicyConfig())
         write_mps(lp, tmp_path / "model.mps")
         text = (tmp_path / "model.mps").read_text()
         written = text[text.index("COLUMNS\n") + 8:text.index("RHS\n")].splitlines()
@@ -416,7 +416,7 @@ class TestMpsRoundTrip:
         system = PowerSystem(nodes=("A", "B"), snapshots=2,
                              demand={"A": (1.0, 2.0), "B": (3.0, 4.0)},
                              technologies=(("A", gas),), lines=lines)
-        lp = build_lp(system, PolicyConfig.none())
+        lp = build_lp(system, PolicyConfig())
         f0 = lp.col("f", "L0").start
         assert lp.columns.lower[f0] == float("-inf") and lp.columns.upper[f0] == float("inf")
         assert lp.columns.lower[lp.col("F", "L0")] == 5.0

@@ -38,6 +38,4 @@ def unused_imports(path: Path) -> list:
 
 
 def test_every_import_is_used():
-    # __init__.py only re-exports
-    assert [unused for path in SOURCES if path.name != "__init__.py"
-            for unused in unused_imports(path)] == []
+    assert [unused for path in SOURCES for unused in unused_imports(path)] == []

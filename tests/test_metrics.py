@@ -38,7 +38,7 @@ from conftest import (
 )
 
 
-def solved(system, policy=PolicyConfig.none()):
+def solved(system, policy=PolicyConfig()):
     lp = build_lp(system, policy)
     sol = solve(lp)
     assert sol.status == "optimal"
@@ -95,7 +95,7 @@ class TestHeadlineMetrics:
         assert market_value(system, sol, "wind") is None
         assert lcoe(system, sol, "wind") is None
         assert rmv(system, sol, "wind") is None
-        wind = build_report(system, sol, PolicyConfig.none()).technologies["wind"]
+        wind = build_report(system, sol, PolicyConfig()).technologies["wind"]
         assert wind.energy == dispatch
         assert (wind.mv, wind.lcoe, wind.rmv, wind.rmv_shares) == (None,) * 4
         assert penetration_of(system, sol, ("wind",)) == 0.0
@@ -123,7 +123,7 @@ class TestRmv:
 
     def test_share_decomposition_matches(self, desk_system):
         lp, sol = solved(desk_system)
-        report = build_report(desk_system, sol, PolicyConfig.none())
+        report = build_report(desk_system, sol, PolicyConfig())
         for name in ("wind", "solar", "ccgt", "ocgt"):
             r = rmv(desk_system, sol, name)
             d = report.technologies[name].rmv_shares
@@ -160,7 +160,7 @@ class TestSuppression:
 class TestReport:
     def test_report_fields_and_json(self, desk_system):
         lp, sol = solved(desk_system)
-        report = build_report(desk_system, sol, PolicyConfig.none(),
+        report = build_report(desk_system, sol, PolicyConfig(),
                               suppress_negative=True)
         doc = json.loads(report_to_json(report))
         assert set(doc["technologies"]) >= {"wind", "solar", "ccgt", "ocgt"}
@@ -188,7 +188,7 @@ class TestReport:
 
     def test_csv_output_is_stable(self, tmp_path, desk_system):
         lp, sol = solved(desk_system)
-        report = build_report(desk_system, sol, PolicyConfig.none())
+        report = build_report(desk_system, sol, PolicyConfig())
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         write_report_csv(report, p1, scenario="x")
         write_report_csv(report, p2, scenario="x")

@@ -80,14 +80,14 @@ class TestTechnologySpec:
 
 class TestValidate:
     def test_clean_system_has_no_violations(self):
-        assert validate(random_desk_system(0), PolicyConfig.none()) == []
+        assert validate(random_desk_system(0), PolicyConfig()) == []
 
     def test_profile_out_of_range(self):
         bad = TechnologySpec(name="w", capex=1.0, availability=(0.5, 1.5))
         system = PowerSystem(nodes=("N",), snapshots=2,
                              demand={"N": (1.0, 1.0)},
                              technologies=(("N", bad),))
-        rules = {v.rule for v in validate(system, PolicyConfig.none())}
+        rules = {v.rule for v in validate(system, PolicyConfig())}
         assert any("profile" in r or "availability" in r for r in rules)
 
     def test_unresolved_policy_member(self):
@@ -108,7 +108,7 @@ class TestValidate:
         system = PowerSystem(nodes=("N",), snapshots=1, demand={"N": (1.0,)},
                              technologies=(("N", gas), ("M", gas)),
                              storages=(("M", StorageSpec(name="battery")),))
-        assert [(v.entity, v.rule) for v in validate(system, PolicyConfig.none())] == \
+        assert [(v.entity, v.rule) for v in validate(system, PolicyConfig())] == \
             [("gas@M", "unresolved-node"), ("battery@M", "unresolved-node")]
 
     @pytest.mark.parametrize("fixed_om, rules", [(-1.0, []), (-1e6, ["annual-cost"])],
@@ -119,7 +119,7 @@ class TestValidate:
         unit = TechnologySpec(name="gas", capex=1000.0, lifetime=1.0, fixed_om=fixed_om)
         system = PowerSystem(nodes=("N",), snapshots=1, demand={"N": (1.0,)},
                              technologies=(("N", unit),))
-        assert [v.rule for v in validate(system, PolicyConfig.none())] == rules
+        assert [v.rule for v in validate(system, PolicyConfig())] == rules
 
     @pytest.mark.parametrize("reverse, rules", [(2.0, ["capacity"]), (10.0, [])],
                              ids=["asymmetric", "equal"])
@@ -131,7 +131,7 @@ class TestValidate:
         unit = TechnologySpec(name="cheap", capex=1.0, lifetime=1.0, variable_cost=1.0)
         system = PowerSystem(nodes=("A", "B"), snapshots=1, demand={"A": (8.0,), "B": (0.0,)},
                              technologies=(("B", unit),), lines=(line,))
-        assert [v.rule for v in validate(system, PolicyConfig.none())] == rules
+        assert [v.rule for v in validate(system, PolicyConfig())] == rules
 
     @pytest.mark.parametrize("entity, name", [
         ("w@A", "availability"), ("w@A", "emission_factor"), ("battery@A", "eta_discharge"),
@@ -153,7 +153,7 @@ class TestValidate:
         system = PowerSystem(nodes=("A", "B"), snapshots=1, demand={"A": (1.0,), "B": (1.0,)},
                              technologies=(("A", tech),), storages=(("A", storage),),
                              lines=(line,))
-        found = [(v.entity, v.message) for v in validate(system, PolicyConfig.none())
+        found = [(v.entity, v.message) for v in validate(system, PolicyConfig())
                  if v.rule == "nonzero within ±1e-09"]
         assert found == ([(entity, f"{name} holds {value}")] if rejected else [])
 

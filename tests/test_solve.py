@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from powermarket.formulate import LinearProgram, apply_equivalence_substitution, build_lp
-from powermarket.metrics import policy_prices
+from powermarket.metrics import policy_prices, reduced_costs
 from powermarket.model import (
     MAX_MAGNITUDE,
     Co2Cap,
@@ -39,7 +39,6 @@ from powermarket.verify import (
     check_cap_tax_equivalence,
     check_kkt,
     check_subsidy_tax_lift,
-    reduced_costs,
     verify_solution,
 )
 
@@ -75,15 +74,15 @@ class TestSolve:
         # capacity pinned by the peak hour: the peak price carries the
         # annualized capacity cost, the off-peak price the marginal cost,
         # so the price sum is c + 2 o = 120
-        lp = build_lp(one_tech_two_hours(), PolicyConfig.none())
+        lp = build_lp(one_tech_two_hours(), PolicyConfig())
         sol = solve(lp)
         assert sol.status == "optimal"
         # the sample, the LP at the sample's capacity, the LP itself warm
         assert [(run.warm, run.relaxed, run.fixed) for run in sol.runs] == [
             (False, (), ()), (False, (), (lp.col("G", "gas@N"),)), (True, (), ())]
         assert sol.objective == pytest.approx(11_500.0)
-        assert sol.price("N", 0) == pytest.approx(110.0)
-        assert sol.price("N", 1) == pytest.approx(10.0)
+        assert sol.dual("balance", "N")[0] == pytest.approx(110.0)
+        assert sol.dual("balance", "N")[1] == pytest.approx(10.0)
 
     def test_reduced_cost_of_unbuilt_column(self):
         lp = LinearProgram()
@@ -114,7 +113,7 @@ class TestSolve:
 
 class TestSolutionFiles:
     def test_round_trip(self, tmp_path):
-        lp = build_lp(one_tech_two_hours(), PolicyConfig.none())
+        lp = build_lp(one_tech_two_hours(), PolicyConfig())
         sol = solve(lp)
         path = tmp_path / "model.sol"
         write_solution_file(sol, path)
@@ -126,7 +125,7 @@ class TestSolutionFiles:
         assert back.y.tolist() == sol.y.tolist()
 
     def test_comment_and_blank_lines_are_skipped(self, tmp_path):
-        lp = build_lp(one_tech_two_hours(), PolicyConfig.none())
+        lp = build_lp(one_tech_two_hours(), PolicyConfig())
         sol = solve(lp)
         path = tmp_path / "model.sol"
         write_solution_file(sol, path)
@@ -138,7 +137,7 @@ class TestSolutionFiles:
         assert back.x.tolist() == sol.x.tolist() and back.y.tolist() == sol.y.tolist()
 
     def test_zeros_are_written_as_positive_zero(self, tmp_path, desk_system):
-        lp = build_lp(desk_system, PolicyConfig.none())
+        lp = build_lp(desk_system, PolicyConfig())
         sol = solve(lp)
         zero_x, zero_y = sol.x == 0.0, sol.y == 0.0
         assert zero_x.any() and zero_y.any()
@@ -162,7 +161,7 @@ class TestSolutionFiles:
         assert prices == (0.0, 0.0) and not np.signbit(prices).any()
 
     def test_unknown_column_is_rejected(self, tmp_path):
-        lp = build_lp(one_tech_two_hours(), PolicyConfig.none())
+        lp = build_lp(one_tech_two_hours(), PolicyConfig())
         path = tmp_path / "bad.sol"
         path.write_text("status optimal\ncol g.phantom.t0 1.0\n")
         with pytest.raises(SolveError, match="unmatched tag"):
@@ -170,7 +169,7 @@ class TestSolutionFiles:
 
     @pytest.mark.parametrize("status", STATUSES)
     def test_every_status_is_read(self, tmp_path, status):
-        lp = build_lp(one_tech_two_hours(), PolicyConfig.none())
+        lp = build_lp(one_tech_two_hours(), PolicyConfig())
         path = tmp_path / "model.sol"
         write_solution_file(solve(lp), path)
         path.write_text(path.read_text().replace("status optimal", f"status {status}"))
@@ -179,7 +178,7 @@ class TestSolutionFiles:
         assert sol.message == ("" if status == "optimal" else f"status read from {path}")
 
     def test_unknown_status_is_rejected(self, tmp_path):
-        lp = build_lp(one_tech_two_hours(), PolicyConfig.none())
+        lp = build_lp(one_tech_two_hours(), PolicyConfig())
         path = tmp_path / "model.sol"
         write_solution_file(solve(lp), path)
         path.write_text(path.read_text().replace("status optimal", "status optimall"))
@@ -191,7 +190,7 @@ class TestSolutionFiles:
         ("col", "nan"), ("col", "inf"), ("row", "-inf"), ("objective", "nan"),
         ("objective", "inf")])
     def test_non_finite_number_is_rejected(self, tmp_path, kind, value):
-        lp = build_lp(one_tech_two_hours(), PolicyConfig.none())
+        lp = build_lp(one_tech_two_hours(), PolicyConfig())
         path = tmp_path / "model.sol"
         write_solution_file(solve(lp), path)
         lines = path.read_text().splitlines()
@@ -203,7 +202,7 @@ class TestSolutionFiles:
             solve_external(lp, path)
 
     def test_objective_must_agree_with_the_columns(self, tmp_path):
-        lp = build_lp(one_tech_two_hours(), PolicyConfig.none())
+        lp = build_lp(one_tech_two_hours(), PolicyConfig())
         sol = solve(lp)
         path = tmp_path / "model.sol"
         write_solution_file(sol, path)
@@ -222,7 +221,7 @@ class TestSolutionFiles:
                 read_with(objective)
 
     def test_missing_duals_are_rejected(self, tmp_path):
-        lp = build_lp(one_tech_two_hours(), PolicyConfig.none())
+        lp = build_lp(one_tech_two_hours(), PolicyConfig())
         sol = solve(lp)
         path = tmp_path / "primal_only.sol"
         with open(path, "w") as fh:
@@ -241,17 +240,17 @@ class TestSolutionFiles:
                              demand={"A": (1.0, 2.0, 3.0), "B": (2.0, 1.0, 2.0)},
                              technologies=(("A", gas),), lines=(line,),
                              discount_rate=0.0)
-        lp = build_lp(system, PolicyConfig.none())
+        lp = build_lp(system, PolicyConfig())
         path = tmp_path / "line.sol"
         write_solution_file(solve(lp), path)
         ext = solve_external(lp, path)
-        results = verify_solution(system, ext, PolicyConfig.none())
+        results = verify_solution(system, ext, PolicyConfig())
         assert [(r.check, r.entity) for r in results if r.verdict != "pass"] == []
         rent = next(r for r in results if r.check == "zero-profit-line")
         assert rent.detail["lower_bound_rent"] == pytest.approx(4.0 * 50.0)
 
     def test_external_duals_feed_the_checks(self, tmp_path, desk_system):
-        lp = build_lp(desk_system, PolicyConfig.none())
+        lp = build_lp(desk_system, PolicyConfig())
         sol = solve(lp)
         path = tmp_path / "ext.sol"
         write_solution_file(sol, path)
@@ -320,10 +319,10 @@ class TestHighsBindings:
     def test_a_bound_highs_rejects_raises(self, desk_system):
         # HiGHS answers a NaN bound with kError and keeps its old model:
         # neither the cold load nor the warm push may run that model
-        lp = build_lp(desk_system, PolicyConfig.none())
+        lp = build_lp(desk_system, PolicyConfig())
         session = Session()
         session.solve(lp)
-        lp = build_lp(desk_system, PolicyConfig.none())
+        lp = build_lp(desk_system, PolicyConfig())
         lp.rows.rhs[0] = np.nan
         with pytest.raises(SolveError, match="HiGHS changeRowBounds returned an error"):
             session.solve(lp)
@@ -399,7 +398,7 @@ class TestStatus:
     def test_iteration_limit_is_reported(self, desk_system):
         session = Session()
         session.options.append(("simplex_iteration_limit", 1))
-        sol = session.solve(build_lp(desk_system, PolicyConfig.none()))
+        sol = session.solve(build_lp(desk_system, PolicyConfig()))
         assert sol.status == "iteration-limit" and sol.x is None
 
 
@@ -527,9 +526,9 @@ class TestSession:
         session = Session()
         session.solve(build_lp(desk_system, PolicyConfig(co2=Co2Cap(900.0))))
         # the LP without the cap row has another shape
-        assert not session.solve(build_lp(desk_system, PolicyConfig.none())).warm_start
+        assert not session.solve(build_lp(desk_system, PolicyConfig())).warm_start
         other = random_desk_system(0, snapshots=24)
-        assert not session.solve(build_lp(other, PolicyConfig.none())).warm_start
+        assert not session.solve(build_lp(other, PolicyConfig())).warm_start
         lp = LinearProgram()
         x = lp.add_columns("x", lower=0.0, upper=1.0, objective=1.0)
         need = lp.add_rows("need", sense=">=", rhs=5.0)
@@ -562,7 +561,7 @@ class TestSession:
         assert (cold.relaxed, cold.status) == ((), "infeasible")
 
     def test_cold_lp_runs_at_its_sample_capacities(self, desk_system):
-        lp = build_lp(desk_system, PolicyConfig.none())
+        lp = build_lp(desk_system, PolicyConfig())
         sol = Session().solve(lp)
         sample, held, warm = sol.runs
         assert (sample.warm, sample.relaxed, sample.fixed) == (False, (), ())
@@ -581,14 +580,14 @@ class TestSession:
 
     def test_held_start_matches_a_plain_run(self):
         for seed in range(10):
-            lp = build_lp(random_desk_system(seed), PolicyConfig.none())
+            lp = build_lp(random_desk_system(seed), PolicyConfig())
             sol = Session().solve(lp)
             assert [bool(run.fixed) for run in sol.runs] == [False, True, False], seed
             assert sol.objective == pytest.approx(Session()._run(lp, False).objective,
                                                   rel=1e-9), seed
 
     def test_hand_over_releases_capacities_held_at_their_upper_bound(self, desk_system):
-        lp = build_lp(desk_system, PolicyConfig.none())
+        lp = build_lp(desk_system, PolicyConfig())
         capacities = held_at_sample(lp).columns.lower
         session = Session()
         session._run(lp, False, held={i: capacities[i] for i in scalar_columns(lp)})
@@ -607,7 +606,7 @@ class TestSession:
         assert 5 % SAMPLE_STRIDE
         demand[5] *= 3.0
         system = replace(base, voll=None, demand={"N": tuple(demand)})
-        lp = build_lp(system, PolicyConfig.none())
+        lp = build_lp(system, PolicyConfig())
         sol = Session().solve(lp)
         assert sol.status == "optimal" and not sol.warm_start
         assert [(run.warm, bool(run.fixed), run.status) for run in sol.runs] == [

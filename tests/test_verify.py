@@ -6,7 +6,7 @@ import pytest
 
 import powermarket.verify
 from powermarket.formulate import apply_equivalence_substitution, build_lp, cycle_basis
-from powermarket.metrics import accounts, books, build_report
+from powermarket.metrics import accounts, books, build_report, reduced_costs, report_to_json
 from powermarket.model import (
     Co2Cap,
     Co2Tax,
@@ -28,8 +28,6 @@ from powermarket.verify import (
     check_kkt,
     check_subsidy_tax_lift,
     check_zero_profit,
-    reduced_costs,
-    report_to_json,
     verify_solution,
 )
 
@@ -46,7 +44,7 @@ from conftest import (
 
 class TestKkt:
     def test_optimal_solution_passes(self, desk_system):
-        lp = build_lp(desk_system, PolicyConfig.none())
+        lp = build_lp(desk_system, PolicyConfig())
         sol = solve(lp)
         report = {r.entity: r for r in check_kkt(sol)}
         assert all(r.verdict == "pass" for r in report.values())
@@ -68,20 +66,20 @@ class TestKkt:
         assert np.all(np.abs(reduced_costs(sol) - reference) <= bound)
 
     def test_tampered_primal_fails(self, desk_system):
-        lp = build_lp(desk_system, PolicyConfig.none())
+        lp = build_lp(desk_system, PolicyConfig())
         sol = solve(lp)
         sol.x[0] += 5.0
         assert not kkt_passes(sol)
 
     def test_rounded_duals_fail(self, desk_system):
         # a solution file with duals rounded to integers must be caught
-        lp = build_lp(desk_system, PolicyConfig.none())
+        lp = build_lp(desk_system, PolicyConfig())
         sol = solve(lp)
         sol.y = np.round(sol.y)
         assert not kkt_passes(sol)
 
     def test_nan_residual_fails(self, desk_system):
-        lp = build_lp(desk_system, PolicyConfig.none())
+        lp = build_lp(desk_system, PolicyConfig())
         sol = solve(lp)
         lp.rows.rhs[:] = np.nan
         report = {r.entity: r for r in check_kkt(sol)}
@@ -121,9 +119,9 @@ BOUNDED_PAYMENTS = [
 
 class TestZeroProfit:
     def test_no_policy_generators(self, desk_system):
-        lp = build_lp(desk_system, PolicyConfig.none())
+        lp = build_lp(desk_system, PolicyConfig())
         sol = solve(lp)
-        results = check_zero_profit(desk_system, sol, PolicyConfig.none())
+        results = check_zero_profit(desk_system, sol, PolicyConfig())
         assert results and all(r.verdict == "pass" for r in results)
 
     def test_policy_terms_balance_the_books(self):
@@ -147,9 +145,9 @@ class TestZeroProfit:
                              demand={"N": (10.0, 8.0)},
                              technologies=(("N", cheap), ("N", dear)),
                              voll=100.0, discount_rate=0.0)
-        lp = build_lp(system, PolicyConfig.none())
+        lp = build_lp(system, PolicyConfig())
         sol = solve(lp)
-        results = check_zero_profit(system, sol, PolicyConfig.none())
+        results = check_zero_profit(system, sol, PolicyConfig())
         assert all(r.verdict == "pass" for r in results)
         entry = next(r for r in results if r.entity == "cheap@N")
         assert entry.detail["scarcity_rent"] > 0.0
@@ -208,7 +206,7 @@ class TestZeroProfit:
                          demand={"N": base.demand["N"], "M": (20.0,) * 48},
                          storages=(("N", battery),),
                          lines=(LineSpec("N", "M", existing_capacity=30.0),))
-        policy = PolicyConfig.none()
+        policy = PolicyConfig()
         sol = solve(build_lp(system, policy))
         row = next(r for r in verify_solution(system, sol, policy)
                    if r.check == "zero-profit-storage")
@@ -220,10 +218,10 @@ class TestZeroProfit:
         assert build_report(system, sol, policy).cost_breakdown["line:L0"] == 0.0
 
     def test_report_json_is_valid(self, desk_system):
-        lp = build_lp(desk_system, PolicyConfig.none())
+        lp = build_lp(desk_system, PolicyConfig())
         sol = solve(lp)
         doc = json.loads(report_to_json(
-            verify_solution(desk_system, sol, PolicyConfig.none())))
+            verify_solution(desk_system, sol, PolicyConfig())))
         assert all(d["verdict"] in ("pass", "fail", "inconclusive") for d in doc)
 
     def test_report_sums_the_checked_accounts(self):
@@ -458,7 +456,7 @@ class TestEquivalence:
             system = flexible_system()
         else:
             system, _, _ = load_scenario(scenario_path(f"{name}.json"))
-        free = solve(build_lp(system, PolicyConfig.none()))
+        free = solve(build_lp(system, PolicyConfig()))
         emissions = sum(acct.spec.emission_factor * acct.energy
                         for acct in accounts(system, free) if acct.spec is not None)
         policy = PolicyConfig(co2=Co2Cap(0.5 * emissions))
@@ -496,15 +494,15 @@ class TestEquivalence:
 
     def test_requires_matching_policy_kind(self, desk_system):
         # a policy without the check's instrument gets no result
-        lp = build_lp(desk_system, PolicyConfig.none())
+        lp = build_lp(desk_system, PolicyConfig())
         sol = solve(lp)
-        assert check_cap_tax_equivalence(desk_system, sol, PolicyConfig.none()) == []
-        assert check_subsidy_tax_lift(desk_system, sol, PolicyConfig.none()) == []
+        assert check_cap_tax_equivalence(desk_system, sol, PolicyConfig()) == []
+        assert check_subsidy_tax_lift(desk_system, sol, PolicyConfig()) == []
 
 
 def assert_oracle_agrees(system: PowerSystem) -> None:
     """The oracle's status, objective and unique prices are the solver's."""
-    sol = solve(build_lp(system, PolicyConfig.none()))
+    sol = solve(build_lp(system, PolicyConfig()))
     oracle = brute_force_oracle(system)
     assert oracle.status == sol.status
     if sol.status != "optimal":
@@ -512,7 +510,7 @@ def assert_oracle_agrees(system: PowerSystem) -> None:
     assert sol.objective == pytest.approx(oracle.objective, rel=1e-9)
     for t in range(system.snapshots):
         if oracle.price_unique[t]:
-            assert sol.price("N", t) == pytest.approx(
+            assert sol.dual("balance", "N")[t] == pytest.approx(
                 oracle.prices[t], abs=1e-6 * max(1.0, abs(oracle.prices[t])))
 
 
@@ -587,7 +585,7 @@ class TestOracle:
                              technologies=(("N", dark),), voll=None,
                              discount_rate=0.0)
         assert brute_force_oracle(system).status == "infeasible"
-        assert solve(build_lp(system, PolicyConfig.none())).status == "infeasible"
+        assert solve(build_lp(system, PolicyConfig())).status == "infeasible"
 
     def test_voll_caps_the_price(self):
         gas = TechnologySpec(name="gas", capex=1.0, lifetime=1.0,
