@@ -28,6 +28,8 @@ from .verify import (
     verify_solution,
 )
 
+__all__ = ["main"]
+
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_VERIFY = 2

@@ -40,6 +40,7 @@ __all__ = [
     "LinearProgram",
     "FormulationError",
     "build_lp",
+    "tech_key",
     "cycle_basis",
     "apply_equivalence_substitution",
     "column_major",

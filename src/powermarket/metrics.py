@@ -4,8 +4,11 @@ Market value, LCOE, relative market value, equivalent feed-in premium,
 policy shadow prices, penetration, curtailment, system-cost breakdown,
 duration curves and the negative-price-suppressed variants.  Each
 technology quantity is read off one account per placement
-(:func:`accounts`); the zero-profit books of every entity come from one
-pass (:func:`books`), which the report reads and ``verify`` judges.
+(:func:`accounts`), which carries the placement's hourly revenue; the
+accounts are grouped by name once per reader, and :func:`build_report` is
+the one reader of market value, LCOE and relative market value
+(:class:`TechMetrics`).  The zero-profit books of every entity come from
+one pass (:func:`books`), which the report reads and ``verify`` judges.
 Every metric reads ``(system, sol)``, plus the policy or the technologies
 it reports on; the LP is ``sol.lp``.  All functions are pure over
 immutable solutions.
@@ -38,12 +41,12 @@ __all__ = [
     "Books",
     "books",
     "reduced_costs",
+    "nodal_prices",
     "TechMetrics",
     "MetricsReport",
-    "market_value",
     "market_values",
-    "lcoe",
-    "rmv",
+    "load_weighted_price",
+    "average_price",
     "policy_prices",
     "suppress_negative_prices",
     "duration_curves",
@@ -68,13 +71,14 @@ def nodal_prices(system: PowerSystem, sol: Solution) -> dict:
 class Account:
     """One placement's books at the given prices.  ``cost`` is annualized
     fixed cost plus true marginal cost (no tax or premium shifts) and
-    ``available`` the energy its capacity could have produced.  Load
-    shedding has no spec, capacity or available energy."""
+    ``available`` the energy its capacity could have produced;
+    ``hourly_revenue`` is price times dispatch, and ``revenue`` its sum.
+    Load shedding has no spec, capacity or available energy."""
 
     name: str
     node: str
     spec: Optional[TechnologySpec]
-    dispatch: np.ndarray
+    hourly_revenue: np.ndarray
     energy: float
     revenue: float
     cost: float
@@ -95,19 +99,20 @@ def accounts(system: PowerSystem, sol: Solution) -> list:
         key = tech_key(name, node)
         g = sol.primal("g", key)
         energy = float(g.sum())
-        revenue = float((prices[node] * g).sum())
+        hourly = prices[node] * g
+        revenue = float(hourly.sum())
         if spec is None:
-            out.append(Account(name, node, None, g, energy, revenue,
+            out.append(Account(name, node, None, hourly, energy, revenue,
                                system.voll * energy, 0.0, 0.0))
             continue
         G = sol.primal("G", key)
         cost = spec.annual_cost(system.discount_rate) * G + spec.marginal_cost * energy
-        out.append(Account(name, node, spec, g, energy, revenue, float(cost), G,
+        out.append(Account(name, node, spec, hourly, energy, revenue, float(cost), G,
                            float(G * spec.availability_sum(system.snapshots))))
     return out
 
 
-_SUMMED = ("energy", "revenue", "cost", "capacity", "available")
+_SUMMED = ("hourly_revenue", "energy", "revenue", "cost", "capacity", "available")
 
 
 def _totals(system: PowerSystem, sol: Solution) -> dict:
@@ -144,16 +149,6 @@ def market_values(system: PowerSystem, sol: Solution) -> dict:
     return {name: mv for name, mv in mvs.items() if mv is not None}
 
 
-def market_value(system: PowerSystem, sol: Solution, tech: str) -> Optional[float]:
-    """Generation-weighted average market price, EUR/MWh; None for zero output."""
-    return market_values(system, sol).get(tech)
-
-
-def lcoe(system: PowerSystem, sol: Solution, tech: str) -> Optional[float]:
-    """Annualized total cost over dispatched (post-curtailment) energy."""
-    return _per_mwh(system, _totals(system, sol).get(tech), "cost")
-
-
 def load_weighted_price(system: PowerSystem, sol: Solution) -> float:
     prices = nodal_prices(system, sol)
     num = sum(float((prices[n] * np.array(system.demand[n])).sum()) for n in system.nodes)
@@ -167,12 +162,6 @@ def average_price(system: PowerSystem, sol: Solution) -> float:
 
 def _value_factor(mv: Optional[float], avg: float) -> Optional[float]:
     return None if mv is None or avg <= 0.0 else mv / avg
-
-
-def rmv(system: PowerSystem, sol: Solution, tech: str) -> Optional[float]:
-    """Market value over load-weighted average price (the value factor)."""
-    return _value_factor(market_value(system, sol, tech),
-                         load_weighted_price(system, sol))
 
 
 def penetration_of(system: PowerSystem, sol: Solution, techs) -> float:
@@ -342,12 +331,8 @@ def suppress_negative_prices(system: PowerSystem, sol: Solution) -> dict:
 def duration_curves(system: PowerSystem, sol: Solution) -> dict:
     """Descending-sorted price duration per node and per-capacity revenue
     duration per technology; curves are absent for unbuilt technologies."""
-    prices = nodal_prices(system, sol)
-    revenue = {}
-    for acct in accounts(system, sol):
-        revenue[acct.name] = revenue.get(acct.name, 0.0) + prices[acct.node] * acct.dispatch
-    return {"price": {n: np.sort(p)[::-1] for n, p in prices.items()},
-            "revenue": {name: np.sort(revenue[name] / sums["capacity"])[::-1]
+    return {"price": {n: np.sort(p)[::-1] for n, p in nodal_prices(system, sol).items()},
+            "revenue": {name: np.sort(sums["hourly_revenue"] / sums["capacity"])[::-1]
                         for name, sums in _totals(system, sol).items()
                         if sums["capacity"] > 0.0}}
 

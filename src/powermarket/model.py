@@ -31,6 +31,7 @@ __all__ = [
     "annuitize",
     "validate",
     "synth_profiles",
+    "PROFILE_KINDS",
     "SHEDDING_NAME",
     "MAX_MAGNITUDE",
     "MIN_COEFFICIENT",

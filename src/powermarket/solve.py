@@ -43,8 +43,9 @@ import numpy as np
 
 from .formulate import LinearProgram, column_major, relax
 
-__all__ = ["NO_OPTIMUM", "STATUSES", "Run", "Session", "Solution", "SolveError", "load_highs",
-           "solve", "solve_external", "status_of", "write_solution_file"]
+__all__ = ["FEAS_TOL", "NO_OPTIMUM", "SAMPLE_STRIDE", "STATUSES", "Run", "Session", "Solution",
+           "SolveError", "load_highs", "solve", "solve_external", "status_of",
+           "write_solution_file"]
 
 
 class SolveError(RuntimeError):

@@ -34,7 +34,7 @@ from .solve import NO_OPTIMUM, Session, solve
 from .verify import verify_solution
 
 __all__ = ["SweepPlan", "SweepPoint", "run_sweep", "all_verified",
-           "write_sweep_csv", "sweep_manifest"]
+           "sweep_csv_text", "write_sweep_csv", "sweep_manifest"]
 
 QUOTAS = {"support_share": SupportDispatched, "available_target": SupportAvailable}
 AXES = (*QUOTAS, "co2_cap", "co2_intensity", "co2_tax")

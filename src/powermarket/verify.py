@@ -35,6 +35,7 @@ from .model import Co2Cap, PolicyConfig, PowerSystem, SupportDispatched
 from .solve import Solution, solve
 
 __all__ = [
+    "DEFAULT_TOL",
     "CheckResult",
     "check_kkt",
     "check_zero_profit",
@@ -105,10 +106,12 @@ def check_kkt(sol: Solution) -> list:
 
 def check_zero_profit(system: PowerSystem, sol: Solution, policy: PolicyConfig) -> list:
     """One :class:`CheckResult` per entity of :func:`metrics.books` with a
-    residual, which passes at most ``DEFAULT_TOL`` relative to the entity's
-    cost, absolute below a cost of 1.  A fixed line has books but no check."""
+    residual, which passes at most ``DEFAULT_TOL`` relative to the magnitude
+    of the entity's cost, absolute below a magnitude of 1: a negative
+    marginal cost can make a placement's cost negative.  A fixed line has
+    books but no check."""
     judged = [b for b in books(system, sol, policy) if b.residual is not None]
-    scales = [max(1.0, b.detail["cost"]) for b in judged]
+    scales = [max(1.0, abs(b.detail["cost"])) for b in judged]
     return [CheckResult(b.check, b.entity, abs(b.residual) / scale,
                         "pass" if abs(b.residual) <= DEFAULT_TOL * scale else "fail", b.detail)
             for b, scale in zip(judged, scales)]

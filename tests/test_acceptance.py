@@ -15,10 +15,8 @@ from powermarket.metrics import (
     accounts,
     books,
     build_report,
-    lcoe,
-    market_value,
+    market_values,
     nodal_prices,
-    rmv,
     suppress_negative_prices,
 )
 from powermarket.model import (
@@ -112,7 +110,7 @@ def _support_sweep_solutions():
     for gamma in GAMMAS:
         policy = PolicyConfig(support=SupportDispatched(("wind",), share=gamma))
         lp, sol = _solved(system, policy)
-        out.append((gamma, system, sol))
+        out.append((gamma, system, policy, sol))
     return out
 
 
@@ -120,11 +118,11 @@ def test_criterion_03_support_relation_and_cannibalisation():
     points = _support_sweep_solutions()
     worst = 0.0
     mvs = []
-    for gamma, system, sol in points:
+    for gamma, system, policy, sol in points:
         mu = sol.dual("vre-dispatched")
         assert mu > 1e-9, "support must bind at every grid point"
-        mv = market_value(system, sol, "wind")
-        lc = lcoe(system, sol, "wind")
+        wind = build_report(system, sol, policy).technologies["wind"]
+        mv, lc = wind.mv, wind.lcoe
         worst = max(worst, abs(mv - (lc - mu)) / max(1.0, abs(lc)))
         mvs.append(mv)
     decreasing = all(b <= a + 1e-9 for a, b in zip(mvs, mvs[1:]))
@@ -140,13 +138,14 @@ def test_criterion_04_co2_relation():
     e0 = _emissions(system, sol0)
     worst = worst_clean = 0.0
     for frac in (0.8, 0.6, 0.4, 0.2):
-        lp, sol = _solved(system, PolicyConfig(co2=Co2Cap(frac * e0)))
+        policy = PolicyConfig(co2=Co2Cap(frac * e0))
+        lp, sol = _solved(system, policy)
         mu = -sol.dual("co2-cap")
+        report = build_report(system, sol, policy)
         for _, spec in system.technologies:
             if energy_of(system, sol, spec.name) <= 0.0:
                 continue
-            mv = market_value(system, sol, spec.name)
-            lc = lcoe(system, sol, spec.name)
+            mv, lc = report.technologies[spec.name].mv, report.technologies[spec.name].lcoe
             dev = abs(mv - (lc + spec.emission_factor * mu)) / max(1.0, abs(lc))
             worst = max(worst, dev)
             if spec.emission_factor == 0.0:
@@ -266,8 +265,8 @@ def test_criterion_09_oracle_equivalence():
 
 def test_criterion_10_negative_price_suppression():
     raw, suppressed = [], []
-    for gamma, system, sol in _support_sweep_solutions():
-        raw.append(market_value(system, sol, "wind"))
+    for gamma, system, policy, sol in _support_sweep_solutions():
+        raw.append(market_values(system, sol)["wind"])
         suppressed.append(suppress_negative_prices(system, sol)["market_values"]["wind"])
     dominates = all(s >= r - 1e-9 for s, r in zip(suppressed, raw))
     ok = dominates and min(suppressed) >= 0.0
@@ -288,7 +287,8 @@ def test_criterion_11_two_day_policy_comparison():
     lam_c = nodal_prices(sys_c, sol_c)["DE"]
 
     # (a) no policy: solar earns exactly its cost
-    mv_a, lc_a = market_value(sys_a, sol_a, "solar"), lcoe(sys_a, sol_a, "solar")
+    solar_a = build_report(sys_a, sol_a, pol_a).technologies["solar"]
+    mv_a, lc_a = solar_a.mv, solar_a.lcoe
     a_ok = abs(mv_a - lc_a) <= 1e-6 * max(1.0, abs(lc_a))
 
     # (b) support: negative prices appear and equal -mu in solar hours
@@ -344,7 +344,7 @@ def test_criterion_12_rmv_identity():
         lp, sol = _solved(system)
         report = build_report(system, sol, PolicyConfig())
         for _, spec in system.technologies:
-            r = rmv(system, sol, spec.name)
+            r = report.technologies[spec.name].rmv
             d = report.technologies[spec.name].rmv_shares
             if r is None:
                 continue
@@ -354,7 +354,7 @@ def test_criterion_12_rmv_identity():
                          demand={"N": (5.0, 7.0, 9.0, 4.0, 8.0, 6.0)},
                          technologies=(("N", gas),), discount_rate=0.0)
     lp, sol = _solved(single)
-    single_rmv = rmv(single, sol, "gas")
+    single_rmv = build_report(single, sol, PolicyConfig()).technologies["gas"].rmv
     ok = worst <= 1e-6 and single_rmv == 1.0
     _report(12, ok, f"max |RMV - cost-share/energy-share| = {worst:.2e}, "
                     f"single-tech RMV = {single_rmv!r}")

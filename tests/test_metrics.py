@@ -8,14 +8,11 @@ from powermarket.formulate import build_lp, tech_key
 from powermarket.metrics import (
     average_price,
     build_report,
-    lcoe,
     load_weighted_price,
-    market_value,
     market_values,
     nodal_prices,
     penetration_of,
     report_to_json,
-    rmv,
     suppress_negative_prices,
     write_report_csv,
 )
@@ -48,19 +45,20 @@ def solved(system, policy=PolicyConfig()):
 class TestHeadlineMetrics:
     def test_mv_equals_lcoe_without_policy(self, desk_system):
         lp, sol = solved(desk_system)
+        report = build_report(desk_system, sol, PolicyConfig())
         for name in ("wind", "solar", "ccgt", "ocgt"):
             energy = energy_of(desk_system, sol, name)
             if energy <= 0.0:
                 continue
-            mv = market_value(desk_system, sol, name)
-            lc = lcoe(desk_system, sol, name)
-            assert mv == pytest.approx(lc, rel=1e-6)
+            tech = report.technologies[name]
+            assert tech.mv == pytest.approx(tech.lcoe, rel=1e-6)
 
     def test_mv_none_for_unbuilt_tech(self):
         system = two_tech_system(wind_capex=1e9)
         lp, sol = solved(system)
-        assert market_value(system, sol, "wind") is None
-        assert lcoe(system, sol, "wind") is None
+        wind = build_report(system, sol, PolicyConfig()).technologies["wind"]
+        assert wind.mv is None
+        assert wind.lcoe is None
 
     def test_support_drives_wedge_between_mv_and_lcoe(self):
         system = two_tech_system()
@@ -68,19 +66,20 @@ class TestHeadlineMetrics:
         lp, sol = solved(system, policy)
         mu = sol.dual("vre-dispatched")
         assert mu > 1e-6
-        assert market_value(system, sol, "wind") == pytest.approx(
-            lcoe(system, sol, "wind") - mu, rel=1e-6)
+        wind = build_report(system, sol, policy).technologies["wind"]
+        assert wind.mv == pytest.approx(wind.lcoe - mu, rel=1e-6)
 
     def test_co2_cap_wedge_per_emission_factor(self, desk_system):
-        lp, sol = solved(desk_system, PolicyConfig(co2=Co2Cap(900.0)))
+        policy = PolicyConfig(co2=Co2Cap(900.0))
+        lp, sol = solved(desk_system, policy)
         mu = -sol.dual("co2-cap")
         assert mu > 0.0
+        report = build_report(desk_system, sol, policy)
         for _, spec in desk_system.technologies:
             if energy_of(desk_system, sol, spec.name) <= 0.0:
                 continue
-            mv = market_value(desk_system, sol, spec.name)
-            lc = lcoe(desk_system, sol, spec.name)
-            assert mv == pytest.approx(lc + spec.emission_factor * mu, rel=1e-6)
+            tech = report.technologies[spec.name]
+            assert tech.mv == pytest.approx(tech.lcoe + spec.emission_factor * mu, rel=1e-6)
 
     @pytest.mark.parametrize("dispatch", [1e-13, -1e-13])
     def test_round_off_dispatch_reads_as_none(self, dispatch):
@@ -92,10 +91,11 @@ class TestHeadlineMetrics:
         assert not sol.x[wind].any()
         sol.x[wind.start] = dispatch
         assert energy_of(system, sol, "wind") == dispatch
-        assert market_value(system, sol, "wind") is None
-        assert lcoe(system, sol, "wind") is None
-        assert rmv(system, sol, "wind") is None
+        assert market_values(system, sol).get("wind") is None
         wind = build_report(system, sol, PolicyConfig()).technologies["wind"]
+        assert wind.mv is None
+        assert wind.lcoe is None
+        assert wind.rmv is None
         assert wind.energy == dispatch
         assert (wind.mv, wind.lcoe, wind.rmv, wind.rmv_shares) == (None,) * 4
         assert penetration_of(system, sol, ("wind",)) == 0.0
@@ -119,13 +119,13 @@ class TestRmv:
                              demand={"N": (5.0, 7.0, 9.0, 4.0, 8.0, 6.0)},
                              technologies=(("N", gas),), discount_rate=0.0)
         lp, sol = solved(system)
-        assert rmv(system, sol, "gas") == 1.0
+        assert build_report(system, sol, PolicyConfig()).technologies["gas"].rmv == 1.0
 
     def test_share_decomposition_matches(self, desk_system):
         lp, sol = solved(desk_system)
         report = build_report(desk_system, sol, PolicyConfig())
         for name in ("wind", "solar", "ccgt", "ocgt"):
-            r = rmv(desk_system, sol, name)
+            r = report.technologies[name].rmv
             d = report.technologies[name].rmv_shares
             if r is None:
                 assert d is None
@@ -138,7 +138,7 @@ class TestSuppression:
         system = two_tech_system()
         policy = PolicyConfig(support=SupportDispatched(("wind",), share=0.9))
         lp, sol = solved(system, policy)
-        raw = market_value(system, sol, "wind")
+        raw = build_report(system, sol, policy).technologies["wind"].mv
         sup = suppress_negative_prices(system, sol)
         # the averages are those of the raw prices floored at 0
         floored = np.maximum(nodal_prices(system, sol)["N"], 0.0)

@@ -1,10 +1,12 @@
 """Relabellings that leave the LP's optimum and its policy prices unchanged.
 
 Rotating every series in time (storage levels close cyclically), reversing
-the order of the technology placements and storage units, and, on a
-storage-free system, repeating each hour twice at twice the annual costs and
-caps are the same market written another way.  The objective keeps its
-value (doubles, for the repeated hours) and the policy prices keep theirs.
+the order of the technology placements and storage units, renaming the nodes
+and reversing their order, and, on a storage-free system, repeating each
+hour twice at twice the annual costs and caps are the same market written
+another way.  The objective keeps its value (doubles, for the repeated
+hours) and the policy prices keep theirs.  Doubling every cost is the same
+market in another currency: the objective and the policy prices double.
 Hourly prices, capacities and market values are not compared: a degenerate
 LP may end at another optimal vertex of the relabelled problem.
 """
@@ -16,7 +18,7 @@ import pytest
 
 from powermarket.formulate import build_lp
 from powermarket.metrics import policy_prices
-from powermarket.model import Co2Cap
+from powermarket.model import Co2Cap, Co2Tax, FixedFip, PolicyConfig
 from powermarket.scenario import load_scenario
 from powermarket.solve import solve
 
@@ -44,6 +46,11 @@ def with_series(system, change):
     demand = {node: tuple(change(d)) for node, d in system.demand.items()}
     return replace(system, demand=demand, technologies=technologies,
                    snapshots=len(next(iter(demand.values()))))
+
+
+def twice(spec, *fields):
+    """The named fields of ``spec`` that are set, doubled."""
+    return {f: 2 * getattr(spec, f) for f in fields if getattr(spec, f) is not None}
 
 
 def assert_same_prices(got, want):
@@ -99,3 +106,52 @@ def test_each_hour_twice_doubles_the_objective(bundled, name):
     got_objective, got_prices = outcome(doubled, policy)
     assert abs(got_objective - 2 * objective) <= TOL * abs(2 * objective)
     assert_same_prices(got_prices, prices)
+
+
+@pytest.mark.parametrize("name", BUNDLED_SCENARIOS)
+def test_renaming_and_reordering_the_nodes_keeps_the_optimum(bundled, name):
+    system, policy, (objective, prices) = bundled[name]
+    new = {node: f"renamed-{i}" for i, node in enumerate(system.nodes)}
+    renamed = replace(
+        system, nodes=tuple(new[node] for node in system.nodes[::-1]),
+        demand={new[node]: system.demand[node] for node in system.nodes[::-1]},
+        technologies=tuple((new[node], spec) for node, spec in system.technologies),
+        storages=tuple((new[node], sto) for node, sto in system.storages),
+        lines=tuple(replace(line, from_node=new[line.from_node], to_node=new[line.to_node])
+                    for line in system.lines))
+    got_objective, got_prices = outcome(renamed, policy)
+    assert abs(got_objective - objective) <= TOL * abs(objective)
+    assert_same_prices(got_prices, prices)
+
+
+@pytest.mark.parametrize("name, policy", [
+    *((name, None) for name in BUNDLED_SCENARIOS),
+    ("wind_gas_168h.json", PolicyConfig(support=FixedFip(("wind",), 5.0), co2=Co2Tax(30.0))),
+], ids=[*BUNDLED_SCENARIOS, "wind_gas_168h.json-premium-tax"])
+def test_doubling_every_cost_doubles_the_optimum(bundled, name, policy):
+    system, own_policy, (objective, prices) = bundled[name]
+    if policy is None:
+        policy = own_policy
+    else:
+        objective, prices = outcome(system, policy)
+    doubled = replace(
+        system,
+        technologies=tuple(
+            (node, replace(spec, **twice(spec, "capex", "fixed_om", "variable_cost",
+                                         "fuel_cost")))
+            for node, spec in system.technologies),
+        storages=tuple(
+            (node, replace(sto, **twice(sto, "capex_discharge", "capex_charge",
+                                        "capex_energy")))
+            for node, sto in system.storages),
+        lines=tuple(replace(line, **twice(line, "capex")) for line in system.lines),
+        **twice(system, "voll"))
+    if isinstance(policy.co2, Co2Tax):
+        policy = replace(policy, co2=Co2Tax(2 * policy.co2.rate))
+    if isinstance(policy.support, FixedFip):
+        policy = replace(policy, support=replace(policy.support,
+                                                 premium=2 * policy.support.premium))
+    got_objective, got_prices = outcome(doubled, policy)
+    assert abs(got_objective - 2 * objective) <= TOL * abs(2 * objective)
+    assert_same_prices(got_prices, {key: None if mu is None else 2 * mu
+                                    for key, mu in prices.items()})

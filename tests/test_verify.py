@@ -18,10 +18,12 @@ from powermarket.model import (
     SupportAvailable,
     SupportDispatched,
     TechnologySpec,
+    synth_profiles,
 )
 from powermarket.scenario import load_scenario
 from powermarket.solve import Session, Solution, solve, solve_external, write_solution_file
 from powermarket.verify import (
+    DEFAULT_TOL,
     OracleError,
     brute_force_oracle,
     check_cap_tax_equivalence,
@@ -101,6 +103,26 @@ def bounded_desk_system() -> PowerSystem:
         for node, spec in base.technologies))
 
 
+def negative_cost_system(seed: int):
+    """One node, 168 h, a daily load swing of ±30 % around 1e5 MW and four
+    technologies with variable costs drawn down to -800 EUR/MWh, two of
+    them wind-like and two emitters, under a drawn CO2 tax: placements
+    whose costs are negative and of order 1e10 EUR."""
+    rng = np.random.default_rng(seed)
+    techs = []
+    for i in range(4):
+        capex, cost = float(rng.uniform(1e4, 2e5)), float(rng.uniform(-800.0, 80.0))
+        extra = ({"availability": synth_profiles(10 * seed + i, 168, "wind-autocorrelated")}
+                 if i < 2 else {"emission_factor": float(rng.uniform(0.0, 1.0))})
+        techs.append(("N", TechnologySpec(name=f"t{i}", capex=capex, variable_cost=cost,
+                                          **extra)))
+    tax = Co2Tax(float(rng.uniform(0.0, 100.0)))
+    demand = 1e5 * (1.0 + 0.3 * np.sin(2.0 * np.pi * np.arange(168) / 24.0))
+    system = PowerSystem(nodes=("N",), snapshots=168, demand={"N": tuple(demand)},
+                         technologies=tuple(techs))
+    return system, PolicyConfig(co2=tax)
+
+
 SUPPORTED = ("wind", "solar")
 # (policy, the bounded placement it pays or charges, that payment from the solve)
 BOUNDED_PAYMENTS = [
@@ -176,6 +198,20 @@ class TestZeroProfit:
         sol = solve(build_lp(system, policy))
         row = next(r for r in check_zero_profit(system, sol, off) if r.entity == entity)
         assert row.verdict == "fail"
+
+    @pytest.mark.parametrize("shift, verdict", [(0.0, "pass"), (10.0, "fail")])
+    def test_a_negative_cost_is_judged_relative_to_its_size(self, monkeypatch, shift,
+                                                            verdict):
+        # t0's revenue and cost are both about -8.9e9 EUR, and the round-off
+        # of their difference, 3.8e-6, is far within DEFAULT_TOL of that
+        # size; a residual ten tolerances of it off still fails
+        system, policy = negative_cost_system(3)
+        sol = solve(build_lp(system, policy))
+        shifted = [replace(b, residual=b.residual + shift * DEFAULT_TOL * abs(b.detail["cost"]))
+                   if b.entity == "t0@N" else b for b in books(system, sol, policy)]
+        monkeypatch.setattr(powermarket.verify, "books", lambda *args: shifted)
+        row = next(r for r in check_zero_profit(system, sol, policy) if r.entity == "t0@N")
+        assert row.detail["cost"] < -1e9 and row.verdict == verdict
 
     @pytest.mark.parametrize("premium, mv, lcoe", [(5.0, 42.478, 47.478),
                                                    (20.0, 29.442, 49.442)])
