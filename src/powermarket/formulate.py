@@ -33,6 +33,7 @@ from .model import (
     PowerSystem,
     SupportAvailable,
     SupportDispatched,
+    tech_key,
     validate,
 )
 
@@ -40,7 +41,6 @@ __all__ = [
     "LinearProgram",
     "FormulationError",
     "build_lp",
-    "tech_key",
     "cycle_basis",
     "apply_equivalence_substitution",
     "column_major",
@@ -53,11 +53,6 @@ INF = float("inf")
 
 class FormulationError(ValueError):
     pass
-
-
-def tech_key(tech_name: str, node: str) -> str:
-    """Entity id of a technology or storage unit placed at a node."""
-    return f"{tech_name}@{node}"
 
 
 def _positions(index) -> np.ndarray:

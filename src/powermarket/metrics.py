@@ -5,13 +5,16 @@ policy shadow prices, penetration, curtailment, system-cost breakdown,
 duration curves and the negative-price-suppressed variants.  Each
 technology quantity is read off one account per placement
 (:func:`accounts`), which carries the placement's hourly revenue; the
-accounts are grouped by name once per reader, and :func:`build_report` is
-the one reader of market value, LCOE and relative market value
-(:class:`TechMetrics`).  The zero-profit books of every entity come from
-one pass (:func:`books`), which the report reads and ``verify`` judges.
-Every metric reads ``(system, sol)``, plus the policy or the technologies
-it reports on; the LP is ``sol.lp``.  All functions are pure over
-immutable solutions.
+accounts are grouped by name once per reader.  :func:`build_report` is the
+one reader of the report-level quantities: market value, LCOE and relative
+market value (:class:`TechMetrics`), the load-weighted and average prices,
+the price and revenue duration curves and the values with prices floored at
+zero (:attr:`MetricsReport.suppressed`); :func:`write_report_csv` writes
+its table.  The zero-profit books of every entity come from one pass
+(:func:`books`), which the report reads and ``verify`` judges.  Every
+metric reads ``(system, sol)``, plus the policy or the technologies it
+reports on; the LP is ``sol.lp``.  All functions are pure over immutable
+solutions.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ from typing import Optional
 
 import numpy as np
 
-from .formulate import tech_key
 from .model import (
     SHEDDING_NAME,
     Co2Tax,
@@ -32,6 +34,7 @@ from .model import (
     PowerSystem,
     SupportAvailable,
     TechnologySpec,
+    tech_key,
 )
 from .solve import FEAS_TOL, Solution
 
@@ -45,15 +48,10 @@ __all__ = [
     "TechMetrics",
     "MetricsReport",
     "market_values",
-    "load_weighted_price",
-    "average_price",
     "policy_prices",
-    "suppress_negative_prices",
-    "duration_curves",
     "penetration_of",
     "build_report",
     "report_to_json",
-    "report_csv_rows",
     "csv_cell",
     "write_report_csv",
 ]
@@ -149,19 +147,12 @@ def market_values(system: PowerSystem, sol: Solution) -> dict:
     return {name: mv for name, mv in mvs.items() if mv is not None}
 
 
-def load_weighted_price(system: PowerSystem, sol: Solution) -> float:
-    prices = nodal_prices(system, sol)
+def _averages(system: PowerSystem, prices: dict) -> dict:
+    """The load-weighted and the plain average of the nodal ``prices``, under
+    the report's field names."""
     num = sum(float((prices[n] * np.array(system.demand[n])).sum()) for n in system.nodes)
-    return num / system.total_demand()
-
-
-def average_price(system: PowerSystem, sol: Solution) -> float:
-    prices = nodal_prices(system, sol)
-    return float(np.mean(np.concatenate([prices[n] for n in system.nodes])))
-
-
-def _value_factor(mv: Optional[float], avg: float) -> Optional[float]:
-    return None if mv is None or avg <= 0.0 else mv / avg
+    return {"load_weighted_price": num / system.total_demand(),
+            "average_price": float(np.mean(np.concatenate(list(prices.values()))))}
 
 
 def penetration_of(system: PowerSystem, sol: Solution, techs) -> float:
@@ -302,41 +293,6 @@ def books(system: PowerSystem, sol: Solution, policy: PolicyConfig) -> list:
     return out
 
 
-# -- negative price suppression ----------------------------------------------------
-
-
-def suppress_negative_prices(system: PowerSystem, sol: Solution) -> dict:
-    """Market values and average prices with prices floored at zero: the
-    ``market_values``, ``load_weighted_price`` and ``average_price`` that
-    :attr:`MetricsReport.suppressed` holds.
-
-    They are read off a copy of ``sol`` whose balance duals are floored at
-    zero; that copy is not returned, since its duals are not optimal.  The
-    original solution is untouched; suppressed market values are pointwise
-    >= the raw ones.
-    """
-    y = sol.y.copy()
-    for node in system.nodes:
-        index = sol.lp.row("balance", node)
-        y[index] = np.maximum(y[index], 0.0)
-    floored = replace(sol, y=y)
-    return {"market_values": market_values(system, floored),
-            "load_weighted_price": load_weighted_price(system, floored),
-            "average_price": average_price(system, floored)}
-
-
-# -- duration curves ----------------------------------------------------------------
-
-
-def duration_curves(system: PowerSystem, sol: Solution) -> dict:
-    """Descending-sorted price duration per node and per-capacity revenue
-    duration per technology; curves are absent for unbuilt technologies."""
-    return {"price": {n: np.sort(p)[::-1] for n, p in nodal_prices(system, sol).items()},
-            "revenue": {name: np.sort(sums["hourly_revenue"] / sums["capacity"])[::-1]
-                        for name, sums in _totals(system, sol).items()
-                        if sums["capacity"] > 0.0}}
-
-
 # -- full report ----------------------------------------------------------------------
 
 
@@ -370,19 +326,26 @@ class MetricsReport:
     storage_arbitrage: dict
     congestion_revenue: dict
     price_duration: dict               # node -> descending list
-    revenue_duration: dict             # tech -> descending list
+    revenue_duration: dict             # tech -> descending list, per MW built
     objective: float = float("nan")
+    # market_values, load_weighted_price and average_price at prices floored at 0
     suppressed: Optional[dict] = field(default=None)
 
 
 def build_report(system: PowerSystem, sol: Solution, policy: PolicyConfig, *,
                  suppress_negative: bool = False) -> MetricsReport:
+    """The report of an optimal solution.  With ``suppress_negative`` its
+    ``suppressed`` values are read off a copy of ``sol`` whose balance duals
+    are floored at zero; the copy is not kept, since its duals are not
+    optimal, and suppressed market values are pointwise >= the raw ones."""
     if sol.status != "optimal":
         raise ValueError(f"metrics require an optimal solution, got '{sol.status}'")
     totals = _totals(system, sol)
     pol = policy_prices(system, sol, policy)
     support_set = set(policy.support_set())
-    avg = load_weighted_price(system, sol)
+    prices = nodal_prices(system, sol)
+    averages = _averages(system, prices)
+    avg = averages["load_weighted_price"]
     entity_books = books(system, sol, policy)
     storage = {b.entity: b.detail for b in entity_books if b.check == "zero-profit-storage"}
     lines = {b.entity: b.detail for b in entity_books if b.check == "zero-profit-line"}
@@ -406,9 +369,9 @@ def build_report(system: PowerSystem, sol: Solution, policy: PolicyConfig, *,
         if mv is not None and total_cost > 0.0:
             shares = (t["cost"] / total_cost) / (t["energy"] / system.total_demand())
         techs[name] = TechMetrics(
-            name=name, mv=mv, lcoe=lc, rmv=_value_factor(mv, avg), rmv_shares=shares,
-            fip_equivalent=fip, revenue=t["revenue"], cost=t["cost"], energy=t["energy"],
-            capacity=t["capacity"], curtailment_share=(
+            name=name, mv=mv, lcoe=lc, rmv=None if mv is None or avg <= 0.0 else mv / avg,
+            rmv_shares=shares, fip_equivalent=fip, revenue=t["revenue"], cost=t["cost"],
+            energy=t["energy"], capacity=t["capacity"], curtailment_share=(
                 1.0 - t["energy"] / t["available"] if t["available"] > 0.0 else None),
         )
     for key, d in storage.items():
@@ -416,15 +379,13 @@ def build_report(system: PowerSystem, sol: Solution, policy: PolicyConfig, *,
     for key, d in lines.items():
         breakdown[f"line:{key}"] = d["cost"]
 
-    curves = duration_curves(system, sol)
     pen = None
     if support_set:
         pen = penetration_of(system, sol, sorted(support_set))
 
     report = MetricsReport(
         technologies=techs,
-        load_weighted_price=avg,
-        average_price=average_price(system, sol),
+        **averages,
         mu_gamma=pol["mu_gamma"], mu_theta=pol["mu_theta"],
         mu_theta_equivalent=pol["mu_theta_equivalent"], mu_co2=pol["mu_co2"],
         penetration=pen,
@@ -432,12 +393,19 @@ def build_report(system: PowerSystem, sol: Solution, policy: PolicyConfig, *,
         cost_breakdown=breakdown,
         storage_arbitrage={key: d["arbitrage_revenue"] for key, d in storage.items()},
         congestion_revenue={key: d["congestion_revenue"] for key, d in lines.items()},
-        price_duration={n: p.tolist() for n, p in curves["price"].items()},
-        revenue_duration={k: v.tolist() for k, v in curves["revenue"].items()},
+        price_duration={n: np.sort(p)[::-1].tolist() for n, p in prices.items()},
+        revenue_duration={name: np.sort(t["hourly_revenue"] / t["capacity"])[::-1].tolist()
+                          for name, t in totals.items() if t["capacity"] > 0.0},
         objective=sol.objective,
     )
     if suppress_negative:
-        report.suppressed = suppress_negative_prices(system, sol)
+        y = sol.y.copy()
+        for node in system.nodes:
+            index = sol.lp.row("balance", node)
+            y[index] = np.maximum(y[index], 0.0)
+        floored = replace(sol, y=y)
+        report.suppressed = {"market_values": market_values(system, floored),
+                             **_averages(system, nodal_prices(system, floored))}
     return report
 
 
@@ -455,16 +423,6 @@ _CSV_FIELDS = [
 ]
 
 
-def report_csv_rows(report: MetricsReport, scenario: str = "") -> list:
-    """One row per technology, in name order: the fields of ``_CSV_FIELDS``,
-    each read from the technology's metrics or the report of that name."""
-    rows = []
-    for name, tm in sorted(report.technologies.items()):
-        row = {**vars(report), **vars(tm), "scenario": scenario, "technology": name}
-        rows.append({key: row[key] for key in _CSV_FIELDS})
-    return rows
-
-
 def csv_cell(value):
     """A CSV cell of the metrics and sweep tables: "" for None, ``repr`` for
     a float, so that re-runs write the same bytes, and the value otherwise."""
@@ -472,8 +430,11 @@ def csv_cell(value):
 
 
 def write_report_csv(report: MetricsReport, path, scenario: str = "") -> None:
+    """One row per technology, in name order: the fields of ``_CSV_FIELDS``,
+    each read from the technology's metrics or the report of that name."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=_CSV_FIELDS)
         writer.writeheader()
-        for row in report_csv_rows(report, scenario):
-            writer.writerow({k: csv_cell(v) for k, v in row.items()})
+        for name, tm in sorted(report.technologies.items()):
+            row = {**vars(report), **vars(tm), "scenario": scenario, "technology": name}
+            writer.writerow({key: csv_cell(row[key]) for key in _CSV_FIELDS})

@@ -21,6 +21,7 @@ __all__ = [
     "StorageSpec",
     "LineSpec",
     "PowerSystem",
+    "tech_key",
     "SupportDispatched",
     "SupportAvailable",
     "FixedFip",
@@ -228,6 +229,11 @@ class PowerSystem:
         return list(dict.fromkeys(spec.name for _, spec in self.technologies))
 
 
+def tech_key(tech_name: str, node: str) -> str:
+    """Entity id of a technology or storage unit placed at a node."""
+    return f"{tech_name}@{node}"
+
+
 @dataclass(frozen=True)
 class EnergyQuota:
     """An energy target for a technology set: an absolute energy in MWh or
@@ -366,7 +372,7 @@ def validate(system: PowerSystem, policy: PolicyConfig) -> list:
 
     names = set()
     for node, spec in system.technologies:
-        ent = f"{spec.name}@{node}"
+        ent = tech_key(spec.name, node)
         if node not in system.nodes:
             out.append(Violation(ent, "unresolved-node", f"unknown node {node}"))
         if not _check_ident(spec.name):
@@ -396,7 +402,7 @@ def validate(system: PowerSystem, policy: PolicyConfig) -> list:
 
     names = set()
     for node, sto in system.storages:
-        ent = f"{sto.name}@{node}"
+        ent = tech_key(sto.name, node)
         if node not in system.nodes:
             out.append(Violation(ent, "unresolved-node", f"unknown node {node}"))
         if not _check_ident(sto.name):

@@ -17,7 +17,7 @@ import powermarket.cli
 import powermarket.scenario
 import powermarket.verify
 from powermarket.cli import main
-from powermarket.formulate import build_lp, tech_key
+from powermarket.formulate import build_lp
 from powermarket.metrics import books, build_report
 from powermarket.model import (
     Co2Cap,
@@ -29,6 +29,7 @@ from powermarket.model import (
     StorageSpec,
     SupportDispatched,
     TechnologySpec,
+    tech_key,
     validate,
 )
 from powermarket.scenario import (

@@ -4,16 +4,13 @@ import json
 import numpy as np
 import pytest
 
-from powermarket.formulate import build_lp, tech_key
+from powermarket.formulate import build_lp
 from powermarket.metrics import (
-    average_price,
     build_report,
-    load_weighted_price,
     market_values,
     nodal_prices,
     penetration_of,
     report_to_json,
-    suppress_negative_prices,
     write_report_csv,
 )
 from powermarket.model import (
@@ -23,6 +20,7 @@ from powermarket.model import (
     PowerSystem,
     SupportDispatched,
     TechnologySpec,
+    tech_key,
 )
 from powermarket.scenario import load_scenario
 from powermarket.solve import Session, solve
@@ -138,8 +136,8 @@ class TestSuppression:
         system = two_tech_system()
         policy = PolicyConfig(support=SupportDispatched(("wind",), share=0.9))
         lp, sol = solved(system, policy)
-        raw = build_report(system, sol, policy).technologies["wind"].mv
-        sup = suppress_negative_prices(system, sol)
+        report = build_report(system, sol, policy, suppress_negative=True)
+        raw, sup = report.technologies["wind"].mv, report.suppressed
         # the averages are those of the raw prices floored at 0
         floored = np.maximum(nodal_prices(system, sol)["N"], 0.0)
         assert sup["average_price"] == float(np.mean(floored))
@@ -148,13 +146,13 @@ class TestSuppression:
 
     def test_noop_when_prices_positive(self, desk_system):
         lp, sol = solved(desk_system)
-        sup = suppress_negative_prices(desk_system, sol)
+        report = build_report(desk_system, sol, PolicyConfig(), suppress_negative=True)
+        sup = report.suppressed
         raw = market_values(desk_system, sol)
         assert sup["market_values"].keys() == raw.keys()
         assert np.allclose(
             [*sup["market_values"].values(), sup["load_weighted_price"], sup["average_price"]],
-            [*raw.values(), load_weighted_price(desk_system, sol),
-             average_price(desk_system, sol)])
+            [*raw.values(), report.load_weighted_price, report.average_price])
 
 
 class TestReport:
@@ -201,7 +199,8 @@ class TestReport:
         prices = nodal_prices(desk_system, sol)["N"]
         d = np.array(desk_system.demand["N"])
         expected = float(np.dot(prices, d) / d.sum())
-        assert load_weighted_price(desk_system, sol) == pytest.approx(expected)
+        report = build_report(desk_system, sol, PolicyConfig())
+        assert report.load_weighted_price == pytest.approx(expected)
 
 
 class TestOptimalVertices:

@@ -19,6 +19,7 @@ from powermarket.sweep import (
     sweep_csv_text,
     sweep_manifest,
 )
+from powermarket.verify import DEFAULT_TOL
 
 from conftest import scenario_path, solar_gas_system, two_tech_system
 
@@ -287,3 +288,53 @@ class TestSolvePath:
                     assert cell == cold_cell
                 else:
                     assert float(cell) == pytest.approx(value, rel=1e-9), (row[0], cell)
+
+
+
+@pytest.fixture(scope="module")
+def envelopes():
+    """plan name -> (value, z, slope) of each point of the bundled plans: the
+    optimal cost z is convex in a quota share or a CO2 intensity, and its
+    slope is μ_γ·D in the share and −μ_CO2·D in the intensity, D the total
+    demand."""
+    out = {}
+    for name in ("support_sweep", "co2_sweep_flex"):
+        plan = load_plan(scenario_path(f"{name}.json"))
+        points = run_sweep(plan)
+        assert {p.status for p in points} == {"optimal"}
+        demand = plan.system.total_demand()
+        out[name] = [(p.value, p.report.objective, demand * (
+            p.report.mu_gamma if plan.axis == "support_share" else -p.report.mu_co2))
+            for p in points]
+    return out
+
+
+def envelope_excess(envelope) -> float:
+    """Between consecutive points a < b, Δ = b − a, convexity bounds
+    slope(a)·Δ <= z(b) − z(a) <= slope(b)·Δ.  The largest excess over either
+    bound, in units of ``DEFAULT_TOL``·max(1, |z(b)|); at most 1 is a pass."""
+    return max(max(slope_a * (b - a) - (z_b - z_a), (z_b - z_a) - slope_b * (b - a))
+               / (DEFAULT_TOL * max(1.0, abs(z_b)))
+               for (a, z_a, slope_a), (b, z_b, slope_b) in zip(envelope, envelope[1:]))
+
+
+class TestEnvelope:
+    """The paper's monotonicity: μ_γ cannot fall as the quota rises, nor
+    μ_CO2 rise as the cap loosens, and the objectives between show it."""
+
+    @pytest.mark.parametrize("name", ["support_sweep", "co2_sweep_flex"])
+    def test_the_bundled_plans_keep_the_envelope(self, envelopes, name):
+        assert envelope_excess(envelopes[name]) <= 1.0
+
+    @pytest.mark.parametrize("name, first, second", [
+        ("support_sweep", 0.8, 0.9), ("co2_sweep_flex", 0.05, 0.1)])
+    def test_swapped_objectives_break_it(self, envelopes, name, first, second):
+        envelope = {value: (z, slope) for value, z, slope in envelopes[name]}
+        (z_1, slope_1), (z_2, slope_2) = envelope[first], envelope[second]
+        envelope[first], envelope[second] = (z_2, slope_1), (z_1, slope_2)
+        assert envelope_excess([(value, *rest) for value, rest in envelope.items()]) > 1.0
+
+    def test_a_co2_price_one_percent_high_breaks_it(self, envelopes):
+        envelope = [(value, z, 1.01 * slope if value == 0.1 else slope)
+                    for value, z, slope in envelopes["co2_sweep_flex"]]
+        assert envelope_excess(envelope) > 1.0

@@ -9,6 +9,10 @@ hours) and the policy prices keep theirs.  Doubling every cost is the same
 market in another currency: the objective and the policy prices double.
 Hourly prices, capacities and market values are not compared: a degenerate
 LP may end at another optimal vertex of the relabelled problem.
+
+Besides the bundled scenarios, the rotations and the reversed order run on
+drawn systems (four seeded desk systems and a 48-h one with storage), each
+under a binding CO2 cap and under a binding wind and solar quota.
 """
 
 from dataclasses import replace
@@ -17,15 +21,18 @@ import numpy as np
 import pytest
 
 from powermarket.formulate import build_lp
-from powermarket.metrics import policy_prices
-from powermarket.model import Co2Cap, Co2Tax, FixedFip, PolicyConfig
+from powermarket.metrics import accounts, policy_prices
+from powermarket.model import Co2Cap, Co2Tax, FixedFip, PolicyConfig, SupportDispatched
 from powermarket.scenario import load_scenario
 from powermarket.solve import solve
 
-from conftest import BUNDLED_SCENARIOS, scenario_path
+from conftest import BUNDLED_SCENARIOS, flexible_system, random_desk_system, scenario_path
 
 STORAGE_FREE = ("fig1_no_policy.json", "fig1_support.json", "fig1_co2_cap.json",
                 "wind_gas_168h.json")
+DRAWN_SYSTEMS = {**{f"desk-{seed}": (random_desk_system, seed) for seed in range(1, 5)},
+                 "flexible-48": (flexible_system, 48)}
+DRAWN = tuple(f"{system}-{policy}" for system in DRAWN_SYSTEMS for policy in ("cap", "quota"))
 TOL = 1e-9
 
 
@@ -62,28 +69,43 @@ def assert_same_prices(got, want):
 
 
 @pytest.fixture(scope="module")
-def bundled():
-    """name -> (system, policy, outcome) of every bundled scenario."""
+def cases():
+    """name -> (system, policy, outcome) of every bundled scenario and every
+    drawn system, the latter under a CO2 cap at half its policy-free
+    emissions (``-cap``) and a dispatched quota of 0.9 on wind and solar
+    (``-quota``); the policy price of each drawn case is positive."""
     out = {}
     for name in BUNDLED_SCENARIOS:
         system, policy, _ = load_scenario(scenario_path(name))
         out[name] = (system, policy, outcome(system, policy))
+    for name, (draw, arg) in DRAWN_SYSTEMS.items():
+        system = draw(arg)
+        free = solve(build_lp(system, PolicyConfig()))
+        emissions = sum(a.spec.emission_factor * a.energy
+                        for a in accounts(system, free) if a.spec is not None)
+        for kind, policy, price in (
+                ("cap", PolicyConfig(co2=Co2Cap(emissions / 2)), "mu_co2"),
+                ("quota", PolicyConfig(support=SupportDispatched(("wind", "solar"), share=0.9)),
+                 "mu_gamma")):
+            objective, prices = outcome(system, policy)
+            assert prices[price] > 0.0, (name, kind)
+            out[f"{name}-{kind}"] = (system, policy, (objective, prices))
     return out
 
 
 @pytest.mark.parametrize("hours", [6, 24])
-@pytest.mark.parametrize("name", BUNDLED_SCENARIOS)
-def test_rotating_every_series_keeps_the_optimum(bundled, name, hours):
-    system, policy, (objective, prices) = bundled[name]
+@pytest.mark.parametrize("name", BUNDLED_SCENARIOS + DRAWN)
+def test_rotating_every_series_keeps_the_optimum(cases, name, hours):
+    system, policy, (objective, prices) = cases[name]
     got_objective, got_prices = outcome(
         with_series(system, lambda s: np.roll(s, hours)), policy)
     assert abs(got_objective - objective) <= TOL * abs(objective)
     assert_same_prices(got_prices, prices)
 
 
-@pytest.mark.parametrize("name", BUNDLED_SCENARIOS)
-def test_reversing_the_placements_keeps_the_optimum(bundled, name):
-    system, policy, (objective, prices) = bundled[name]
+@pytest.mark.parametrize("name", BUNDLED_SCENARIOS + DRAWN)
+def test_reversing_the_placements_keeps_the_optimum(cases, name):
+    system, policy, (objective, prices) = cases[name]
     reversed_system = replace(system, technologies=system.technologies[::-1],
                               storages=system.storages[::-1])
     got_objective, got_prices = outcome(reversed_system, policy)
@@ -92,10 +114,10 @@ def test_reversing_the_placements_keeps_the_optimum(bundled, name):
 
 
 @pytest.mark.parametrize("name", STORAGE_FREE)
-def test_each_hour_twice_doubles_the_objective(bundled, name):
+def test_each_hour_twice_doubles_the_objective(cases, name):
     # twice the hours at twice the annual cost is the LP scaled by 2, each
     # policy row included (a quota's share scales with the demand it is of)
-    system, policy, (objective, prices) = bundled[name]
+    system, policy, (objective, prices) = cases[name]
     assert not system.storages and not system.lines
     doubled = with_series(system, lambda s: np.repeat(s, 2))
     doubled = replace(doubled, technologies=tuple(
@@ -109,8 +131,8 @@ def test_each_hour_twice_doubles_the_objective(bundled, name):
 
 
 @pytest.mark.parametrize("name", BUNDLED_SCENARIOS)
-def test_renaming_and_reordering_the_nodes_keeps_the_optimum(bundled, name):
-    system, policy, (objective, prices) = bundled[name]
+def test_renaming_and_reordering_the_nodes_keeps_the_optimum(cases, name):
+    system, policy, (objective, prices) = cases[name]
     new = {node: f"renamed-{i}" for i, node in enumerate(system.nodes)}
     renamed = replace(
         system, nodes=tuple(new[node] for node in system.nodes[::-1]),
@@ -128,8 +150,8 @@ def test_renaming_and_reordering_the_nodes_keeps_the_optimum(bundled, name):
     *((name, None) for name in BUNDLED_SCENARIOS),
     ("wind_gas_168h.json", PolicyConfig(support=FixedFip(("wind",), 5.0), co2=Co2Tax(30.0))),
 ], ids=[*BUNDLED_SCENARIOS, "wind_gas_168h.json-premium-tax"])
-def test_doubling_every_cost_doubles_the_optimum(bundled, name, policy):
-    system, own_policy, (objective, prices) = bundled[name]
+def test_doubling_every_cost_doubles_the_optimum(cases, name, policy):
+    system, own_policy, (objective, prices) = cases[name]
     if policy is None:
         policy = own_policy
     else:

@@ -19,6 +19,7 @@ from powermarket.model import (
     SupportDispatched,
     TechnologySpec,
     synth_profiles,
+    tech_key,
 )
 from powermarket.scenario import load_scenario
 from powermarket.solve import Session, Solution, solve, solve_external, write_solution_file
@@ -182,7 +183,7 @@ class TestZeroProfit:
         sol = solve(build_lp(system, policy))
         rows = check_zero_profit(system, sol, policy)
         row = next(r for r in rows if r.entity == entity)
-        acct = next(a for a in accounts(system, sol) if f"{a.name}@{a.node}" == entity)
+        acct = next(a for a in accounts(system, sol) if tech_key(a.name, a.node) == entity)
         assert all(r.verdict == "pass" for r in rows)
         assert row.detail["capacity"] == acct.spec.max_potential
         assert row.detail["scarcity_rent"] > 0.0 and abs(payment(sol, acct)) > 1.0
