@@ -290,7 +290,6 @@ class TestSolvePath:
                     assert float(cell) == pytest.approx(value, rel=1e-9), (row[0], cell)
 
 
-
 @pytest.fixture(scope="module")
 def envelopes():
     """plan name -> (value, z, slope) of each point of the bundled plans: the
