@@ -16,7 +16,7 @@ import os
 import sys
 
 from .formulate import build_lp, write_mps
-from .metrics import build_report, report_to_json, write_report_csv
+from .metrics import Ledger, build_report, report_to_json, write_report_csv
 # the same encoder bound a second time, so that bench/spans.py times verify's writes apart
 from .metrics import report_to_json as verify_report_json
 from .scenario import ScenarioError, load_plan, load_scenario
@@ -120,13 +120,13 @@ def cmd_solve(args) -> int:
         return _not_optimal(sol)
 
     _write(write_solution_file, sol, os.path.join(out, f"{name}.sol"))
-    report = build_report(system, sol, policy,
-                          suppress_negative=options["suppress_negative_prices"])
+    ledger = Ledger.of(system, sol, policy)
+    report = build_report(ledger, suppress_negative=options["suppress_negative_prices"])
     _write(_write_text, report_to_json(report), os.path.join(out, f"{name}.metrics.json"))
     _write(write_report_csv, report, os.path.join(out, f"{name}.metrics.csv"),
            scenario=name)
 
-    checks = verify_solution(system, sol, policy)
+    checks = verify_solution(ledger)
     _write(_write_text, verify_report_json(checks),
            os.path.join(out, f"{name}.verification.json"))
     failures = [c for c in checks if c.verdict == "fail"]
@@ -170,9 +170,9 @@ def cmd_verify(args) -> int:
         sol = solve(lp)
         if sol.status != "optimal":
             return _not_optimal(sol)
-        checks = verify_solution(system, sol, policy) \
-            + check_cap_tax_equivalence(system, sol, policy) \
-            + check_subsidy_tax_lift(system, sol, policy)
+        ledger = Ledger.of(system, sol, policy)
+        checks = verify_solution(ledger) + check_cap_tax_equivalence(ledger) \
+            + check_subsidy_tax_lift(ledger)
     except SolveError as exc:
         return _error(exc, EXIT_SOLVER)
     _write(_write_text, verify_report_json(checks),

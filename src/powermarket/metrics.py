@@ -2,19 +2,20 @@
 
 Market value, LCOE, relative market value, equivalent feed-in premium,
 policy shadow prices, penetration, curtailment, system-cost breakdown,
-duration curves and the negative-price-suppressed variants.  Each
-technology quantity is read off one account per placement
-(:func:`accounts`), which carries the placement's hourly revenue; the
-accounts are grouped by name once per reader.  :func:`build_report` is the
-one reader of the report-level quantities: market value, LCOE and relative
-market value (:class:`TechMetrics`), the load-weighted and average prices,
-the price and revenue duration curves and the values with prices floored at
-zero (:attr:`MetricsReport.suppressed`); :func:`write_report_csv` writes
-its table.  The zero-profit books of every entity come from one pass
-(:func:`books`), which the report reads and ``verify`` judges.  Every
-metric reads ``(system, sol)``, plus the policy or the technologies it
-reports on; the LP is ``sol.lp``.  All functions are pure over immutable
-solutions.
+duration curves and the negative-price-suppressed variants.  Each solution
+is walked once, into a :class:`Ledger` built from ``(system, sol,
+policy)``: the nodal and policy prices, the reduced costs, one
+:class:`Account` per placement (hourly dispatch and revenue, energy, cost,
+capacity, available energy, emissions) and the accounts' sums per name.
+Every reader takes the ledger.  :func:`build_report` is the one reader of
+the report-level quantities: market value, LCOE and relative market value
+(:class:`TechMetrics`), the load-weighted and average prices, the price and
+revenue duration curves and the values with prices floored at zero
+(:attr:`MetricsReport.suppressed`, read off a second ledger);
+:func:`write_report_csv` writes its table.  The zero-profit books of every
+entity come from one pass over the ledger (:func:`books`), which the report
+reads and ``verify`` judges.  The LP is ``sol.lp``.  All functions are pure
+over immutable solutions.
 """
 
 from __future__ import annotations
@@ -40,15 +41,13 @@ from .solve import FEAS_TOL, Solution
 
 __all__ = [
     "Account",
-    "accounts",
+    "Ledger",
     "Books",
     "books",
     "reduced_costs",
     "nodal_prices",
     "TechMetrics",
     "MetricsReport",
-    "market_values",
-    "policy_prices",
     "penetration_of",
     "build_report",
     "report_to_json",
@@ -57,7 +56,7 @@ __all__ = [
 ]
 
 
-# -- low-level extraction -------------------------------------------------------
+# -- the ledger ---------------------------------------------------------------------
 
 
 def nodal_prices(system: PowerSystem, sol: Solution) -> dict:
@@ -65,62 +64,98 @@ def nodal_prices(system: PowerSystem, sol: Solution) -> dict:
     return {n: sol.dual("balance", n) for n in system.nodes}
 
 
+def reduced_costs(sol: Solution) -> np.ndarray:
+    """z = c - A^T y, from the LP of ``sol`` and its duals."""
+    cols, e = sol.lp.columns, sol.lp.entries
+    return cols.objective - np.bincount(e.col, weights=e.value * sol.y[e.row],
+                                        minlength=len(cols))
+
+
 @dataclass(frozen=True)
 class Account:
-    """One placement's books at the given prices.  ``cost`` is annualized
+    """One placement's books at the ledger's prices.  ``cost`` is annualized
     fixed cost plus true marginal cost (no tax or premium shifts) and
     ``available`` the energy its capacity could have produced;
-    ``hourly_revenue`` is price times dispatch, and ``revenue`` its sum.
-    Load shedding has no spec, capacity or available energy."""
+    ``hourly_revenue`` is price times ``dispatch``, and ``revenue`` its sum.
+    Load shedding has no spec, capacity, available energy or emissions."""
 
     name: str
     node: str
     spec: Optional[TechnologySpec]
+    dispatch: np.ndarray
     hourly_revenue: np.ndarray
     energy: float
     revenue: float
     cost: float
     capacity: float
     available: float
-
-
-def accounts(system: PowerSystem, sol: Solution) -> list:
-    """The :class:`Account` of every placement, in placement order, then
-    load shedding per node where the system has a value of lost load."""
-    prices = nodal_prices(system, sol)
-    placements = list(system.technologies)
-    if system.voll is not None:
-        placements += [(node, None) for node in system.nodes]
-    out = []
-    for node, spec in placements:
-        name = SHEDDING_NAME if spec is None else spec.name
-        key = tech_key(name, node)
-        g = sol.primal("g", key)
-        energy = float(g.sum())
-        hourly = prices[node] * g
-        revenue = float(hourly.sum())
-        if spec is None:
-            out.append(Account(name, node, None, hourly, energy, revenue,
-                               system.voll * energy, 0.0, 0.0))
-            continue
-        G = sol.primal("G", key)
-        cost = spec.annual_cost(system.discount_rate) * G + spec.marginal_cost * energy
-        out.append(Account(name, node, spec, hourly, energy, revenue, float(cost), G,
-                           float(G * spec.availability_sum(system.snapshots))))
-    return out
+    emissions: float
 
 
 _SUMMED = ("hourly_revenue", "energy", "revenue", "cost", "capacity", "available")
 
 
-def _totals(system: PowerSystem, sol: Solution) -> dict:
-    """name -> {field: sum over the accounts of its placements}, names in
-    placement order; the sums add in placement order too."""
-    by_name = {}
-    for acct in accounts(system, sol):
-        by_name.setdefault(acct.name, []).append(acct)
-    return {name: {key: sum(getattr(acct, key) for acct in mine) for key in _SUMMED}
-            for name, mine in by_name.items()}
+@dataclass(frozen=True)
+class Ledger:
+    """The accounting of one optimal solution, built once by :meth:`of`
+    (which raises ValueError for any other) and read by the report, the
+    checks and the sweep: the nodal ``prices``, the ``policy_prices`` and the
+    reduced costs ``z``; the :class:`Account` of every placement in placement
+    order, then load shedding per node where the system has a value of lost
+    load; ``totals``, name -> {field: sum over its placements' accounts} in
+    placement order; and the total ``emissions``."""
+
+    system: PowerSystem
+    sol: Solution
+    policy: PolicyConfig
+    prices: dict
+    policy_prices: dict
+    z: np.ndarray
+    accounts: tuple
+    totals: dict
+    emissions: float
+
+    @classmethod
+    def of(cls, system: PowerSystem, sol: Solution, policy: PolicyConfig) -> "Ledger":
+        if sol.status != "optimal":
+            raise ValueError(f"metrics require an optimal solution, got '{sol.status}'")
+        prices = nodal_prices(system, sol)
+        placements = list(system.technologies)
+        if system.voll is not None:
+            placements += [(node, None) for node in system.nodes]
+        accounts = []
+        for node, spec in placements:
+            name = SHEDDING_NAME if spec is None else spec.name
+            key = tech_key(name, node)
+            g = sol.primal("g", key)
+            energy = float(g.sum())
+            hourly = prices[node] * g
+            revenue = float(hourly.sum())
+            if spec is None:
+                accounts.append(Account(name, node, None, g, hourly, energy, revenue,
+                                        system.voll * energy, 0.0, 0.0, 0.0))
+                continue
+            G = sol.primal("G", key)
+            cost = spec.annual_cost(system.discount_rate) * G + spec.marginal_cost * energy
+            accounts.append(Account(
+                name, node, spec, g, hourly, energy, revenue, float(cost), G,
+                float(G * spec.availability_sum(system.snapshots)),
+                spec.emission_factor * energy))
+        by_name = {}
+        for acct in accounts:
+            by_name.setdefault(acct.name, []).append(acct)
+        totals = {name: {key: sum(getattr(acct, key) for acct in mine) for key in _SUMMED}
+                  for name, mine in by_name.items()}
+        return cls(system, sol, policy, prices, _policy_prices(system, sol, policy, totals),
+                   reduced_costs(sol), tuple(accounts), totals,
+                   sum(acct.emissions for acct in accounts))
+
+    def market_values(self) -> dict:
+        """name -> generation-weighted average market price, EUR/MWh, of every
+        name with output (load shedding included)."""
+        mvs = {name: _per_mwh(self.system, sums, "revenue")
+               for name, sums in self.totals.items()}
+        return {name: mv for name, mv in mvs.items() if mv is not None}
 
 
 def _significant(system: PowerSystem, energy: float) -> float:
@@ -136,17 +171,6 @@ def _per_mwh(system: PowerSystem, sums: Optional[dict], key: str) -> Optional[fl
     return sums[key] / energy if energy > 0.0 else None
 
 
-# -- headline per-technology metrics ----------------------------------------------
-
-
-def market_values(system: PowerSystem, sol: Solution) -> dict:
-    """name -> generation-weighted average market price, EUR/MWh, of every
-    name with output (load shedding included)."""
-    mvs = {name: _per_mwh(system, sums, "revenue")
-           for name, sums in _totals(system, sol).items()}
-    return {name: mv for name, mv in mvs.items() if mv is not None}
-
-
 def _averages(system: PowerSystem, prices: dict) -> dict:
     """The load-weighted and the plain average of the nodal ``prices``, under
     the report's field names."""
@@ -155,16 +179,17 @@ def _averages(system: PowerSystem, prices: dict) -> dict:
             "average_price": float(np.mean(np.concatenate(list(prices.values()))))}
 
 
-def penetration_of(system: PowerSystem, sol: Solution, techs) -> float:
+def penetration_of(ledger: Ledger, techs) -> float:
     """Share of total demand dispatched by the named set; may exceed 1 when
     the set also covers storage losses."""
-    totals = _totals(system, sol)
+    system, totals = ledger.system, ledger.totals
     total = sum(_significant(system, totals[name]["energy"])
                 for name in techs if name in totals)
     return total / system.total_demand()
 
 
-def policy_prices(system: PowerSystem, sol: Solution, policy: PolicyConfig) -> dict:
+def _policy_prices(system: PowerSystem, sol: Solution, policy: PolicyConfig,
+                   totals: dict) -> dict:
     """Shadow prices of the policy rows of ``sol.lp``, reported as
     non-negative prices, and the prices a policy sets without a row: a CO2
     tax as ``mu_co2`` and a fixed premium as ``premium``.  A price the
@@ -177,7 +202,6 @@ def policy_prices(system: PowerSystem, sol: Solution, policy: PolicyConfig) -> d
         mu = sol.dual("vre-available")
         out["mu_theta"] = mu
         if isinstance(policy.support, SupportAvailable):
-            totals = _totals(system, sol)
             for name in policy.support.technologies:
                 t = totals.get(name)
                 if t is not None and _significant(system, t["energy"]) > 0.0:
@@ -192,13 +216,6 @@ def policy_prices(system: PowerSystem, sol: Solution, policy: PolicyConfig) -> d
 
 
 # -- zero-profit books --------------------------------------------------------------
-
-
-def reduced_costs(sol: Solution) -> np.ndarray:
-    """z = c - A^T y, from the LP of ``sol`` and its duals."""
-    cols, e = sol.lp.columns, sol.lp.entries
-    return cols.objective - np.bincount(e.col, weights=e.value * sol.y[e.row],
-                                        minlength=len(cols))
 
 
 def _kvl_terms(sol: Solution) -> dict:
@@ -232,23 +249,23 @@ class Books:
     detail: dict
 
 
-def books(system: PowerSystem, sol: Solution, policy: PolicyConfig) -> list:
+def books(ledger: Ledger) -> list:
     """The :class:`Books` of every technology placement in placement order
     (load shedding has none), then of every storage unit and line.  A
     supported placement is paid (μ_γ + premium)·energy + μ_θ·available and
-    an emitter charged e·μ_CO2·energy, at the prices of :func:`policy_prices`
-    (0.0 where the policy lacks one); a line's congestion revenue is offset
-    by its voltage-law term.  Every capacity rent is read off the reduced
-    costs z: −z_G·G for a generator at its potential, z_F·F for a line."""
-    prices = nodal_prices(system, sol)
-    pol = policy_prices(system, sol, policy)
-    mu_co2, mu_gamma, mu_theta, premium = (0.0 if pol[k] is None else pol[k] for k in
-                                           ("mu_co2", "mu_gamma", "mu_theta", "premium"))
-    support_set = set(policy.support_set())
-    z = reduced_costs(sol)
+    an emitter charged e·μ_CO2·energy, at the ledger's policy prices (0.0
+    where the policy lacks one); a line's congestion revenue is offset by
+    its voltage-law term.  Every capacity rent is read off the ledger's
+    reduced costs z: −z_G·G for a generator at its potential, z_F·F for a
+    line."""
+    system, sol, prices, z = ledger.system, ledger.sol, ledger.prices, ledger.z
+    mu_co2, mu_gamma, mu_theta, premium = (
+        0.0 if ledger.policy_prices[k] is None else ledger.policy_prices[k]
+        for k in ("mu_co2", "mu_gamma", "mu_theta", "premium"))
+    support_set = set(ledger.policy.support_set())
     upper = sol.lp.columns.upper
     out = []
-    for acct in accounts(system, sol):
+    for acct in ledger.accounts:
         if acct.spec is None:
             continue
         key = tech_key(acct.name, acct.node)
@@ -332,21 +349,16 @@ class MetricsReport:
     suppressed: Optional[dict] = field(default=None)
 
 
-def build_report(system: PowerSystem, sol: Solution, policy: PolicyConfig, *,
-                 suppress_negative: bool = False) -> MetricsReport:
-    """The report of an optimal solution.  With ``suppress_negative`` its
-    ``suppressed`` values are read off a copy of ``sol`` whose balance duals
-    are floored at zero; the copy is not kept, since its duals are not
-    optimal, and suppressed market values are pointwise >= the raw ones."""
-    if sol.status != "optimal":
-        raise ValueError(f"metrics require an optimal solution, got '{sol.status}'")
-    totals = _totals(system, sol)
-    pol = policy_prices(system, sol, policy)
-    support_set = set(policy.support_set())
-    prices = nodal_prices(system, sol)
-    averages = _averages(system, prices)
+def build_report(ledger: Ledger, *, suppress_negative: bool = False) -> MetricsReport:
+    """The report of the ledger's solution.  With ``suppress_negative`` its
+    ``suppressed`` values are read off a second ledger whose balance duals
+    are floored at zero; it is not kept, since its duals are not optimal,
+    and suppressed market values are pointwise >= the raw ones."""
+    system, sol, totals, pol = ledger.system, ledger.sol, ledger.totals, ledger.policy_prices
+    support_set = set(ledger.policy.support_set())
+    averages = _averages(system, ledger.prices)
     avg = averages["load_weighted_price"]
-    entity_books = books(system, sol, policy)
+    entity_books = books(ledger)
     storage = {b.entity: b.detail for b in entity_books if b.check == "zero-profit-storage"}
     lines = {b.entity: b.detail for b in entity_books if b.check == "zero-profit-line"}
     total_cost = sum(t["cost"] for t in totals.values()) \
@@ -381,7 +393,7 @@ def build_report(system: PowerSystem, sol: Solution, policy: PolicyConfig, *,
 
     pen = None
     if support_set:
-        pen = penetration_of(system, sol, sorted(support_set))
+        pen = penetration_of(ledger, sorted(support_set))
 
     report = MetricsReport(
         technologies=techs,
@@ -393,7 +405,7 @@ def build_report(system: PowerSystem, sol: Solution, policy: PolicyConfig, *,
         cost_breakdown=breakdown,
         storage_arbitrage={key: d["arbitrage_revenue"] for key, d in storage.items()},
         congestion_revenue={key: d["congestion_revenue"] for key, d in lines.items()},
-        price_duration={n: np.sort(p)[::-1].tolist() for n, p in prices.items()},
+        price_duration={n: np.sort(p)[::-1].tolist() for n, p in ledger.prices.items()},
         revenue_duration={name: np.sort(t["hourly_revenue"] / t["capacity"])[::-1].tolist()
                           for name, t in totals.items() if t["capacity"] > 0.0},
         objective=sol.objective,
@@ -403,9 +415,9 @@ def build_report(system: PowerSystem, sol: Solution, policy: PolicyConfig, *,
         for node in system.nodes:
             index = sol.lp.row("balance", node)
             y[index] = np.maximum(y[index], 0.0)
-        floored = replace(sol, y=y)
-        report.suppressed = {"market_values": market_values(system, floored),
-                             **_averages(system, nodal_prices(system, floored))}
+        floored = Ledger.of(system, replace(sol, y=y), ledger.policy)
+        report.suppressed = {"market_values": floored.market_values(),
+                             **_averages(system, floored.prices)}
     return report
 
 

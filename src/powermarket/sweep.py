@@ -1,13 +1,14 @@
 """Deterministic scenario grids: penetration sweeps, cap tightening, tax grids.
 
-A sweep solves one equilibrium per axis value, in axis order, and verifies
-it.  All points run in one HiGHS session in the calling process, each warm
-from the basis of the point before it where the LPs allow it, so a sweep
-pays for one cold solve.  A warm point costs in proportion to its pivots,
-since warm solves price with Devex (see :class:`~powermarket.solve.Session`).
-A cold point starts from its snapshot sample's capacities.  Infeasible
-tail points (a cap of zero without flexibility, say) are recorded as such
-instead of aborting the grid.
+A sweep solves one equilibrium per axis value, in axis order, and reads the
+point's report, checks and penetration off its one
+:class:`~powermarket.metrics.Ledger`.  All points run in one HiGHS session
+in the calling process, each warm from the basis of the point before it
+where the LPs allow it, so a sweep pays for one cold solve.  A warm point
+costs in proportion to its pivots, since warm solves price with Devex (see
+:class:`~powermarket.solve.Session`).  A cold point starts from its
+snapshot sample's capacities.  Infeasible tail points (a cap of zero
+without flexibility, say) are recorded as such instead of aborting the grid.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from .formulate import build_lp
-from .metrics import MetricsReport, build_report, csv_cell, penetration_of
+from .metrics import Ledger, MetricsReport, build_report, csv_cell, penetration_of
 from .model import (
     Co2Cap,
     Co2Tax,
@@ -123,12 +124,11 @@ def _solve_point(plan: SweepPlan, value: float, session: Session) -> SweepPoint:
         if sol.status != "optimal":
             return SweepPoint(value=value, status=sol.status, verdict="skipped",
                               message=sol.message)
-        report = build_report(plan.system, sol, policy,
-                              suppress_negative=plan.suppress_negative_prices)
-        checks = verify_solution(plan.system, sol, policy)
+        ledger = Ledger.of(plan.system, sol, policy)
+        report = build_report(ledger, suppress_negative=plan.suppress_negative_prices)
+        checks = verify_solution(ledger)
         failures = [f"{c.check}:{c.entity}" for c in checks if c.verdict == "fail"]
-        pen = penetration_of(plan.system, sol, plan.policy_set) \
-            if plan.policy_set else None
+        pen = penetration_of(ledger, plan.policy_set) if plan.policy_set else None
         return SweepPoint(value=value, status="optimal",
                           verdict="pass" if not failures else "fail",
                           report=report, penetration=pen, failures=failures)

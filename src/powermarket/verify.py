@@ -2,10 +2,12 @@
 
 Each check turns one of the equilibrium results (KKT optimality, per-entity
 zero profit, cap/tax equivalence, the subsidy-to-tax price lift) into a
-pass/fail/inconclusive verdict with a numerical residual.  Every check
-reads ``(system, sol[, policy])`` and judges the LP that was solved,
-``sol.lp``.  The zero-profit check computes no term of its own: it judges
-the residuals of :func:`powermarket.metrics.books`.  Check results are
+pass/fail/inconclusive verdict with a numerical residual.  Every check but
+``check_kkt(sol)`` reads the solution's :class:`~powermarket.metrics.Ledger`
+and judges the LP that was solved, ``sol.lp``.  The zero-profit check
+computes no term of its own: it judges the residuals of
+:func:`powermarket.metrics.books`; the cap→tax check reads the ledger's
+emissions and the price lift its market values.  Check results are
 written by :func:`powermarket.metrics.report_to_json`.  A brute-force
 enumeration oracle provides solver-independent optima and prices for tiny
 instances.
@@ -23,15 +25,8 @@ from .formulate import (
     apply_equivalence_substitution,
     build_lp,  # not called here, but bench/spans.py wraps verify.build_lp
 )
-from .metrics import (
-    accounts,
-    books,
-    market_values,
-    nodal_prices,
-    policy_prices,
-    reduced_costs,
-)
-from .model import Co2Cap, PolicyConfig, PowerSystem, SupportDispatched
+from .metrics import Ledger, books, nodal_prices, reduced_costs
+from .model import Co2Cap, PowerSystem, SupportDispatched
 from .solve import Solution, solve
 
 __all__ = [
@@ -104,13 +99,13 @@ def check_kkt(sol: Solution) -> list:
 # -- zero-profit checks -------------------------------------------------------------
 
 
-def check_zero_profit(system: PowerSystem, sol: Solution, policy: PolicyConfig) -> list:
-    """One :class:`CheckResult` per entity of :func:`metrics.books` with a
-    residual, which passes at most ``DEFAULT_TOL`` relative to the magnitude
+def check_zero_profit(ledger: Ledger) -> list:
+    """One :class:`CheckResult` per entity of :func:`metrics.books` of the
+    ledger with a residual, which passes at most ``DEFAULT_TOL`` relative to the magnitude
     of the entity's cost, absolute below a magnitude of 1: a negative
     marginal cost can make a placement's cost negative.  A fixed line has
     books but no check."""
-    judged = [b for b in books(system, sol, policy) if b.residual is not None]
+    judged = [b for b in books(ledger) if b.residual is not None]
     scales = [max(1.0, abs(b.detail["cost"])) for b in judged]
     return [CheckResult(b.check, b.entity, abs(b.residual) / scale,
                         "pass" if abs(b.residual) <= DEFAULT_TOL * scale else "fail", b.detail)
@@ -120,28 +115,27 @@ def check_zero_profit(system: PowerSystem, sol: Solution, policy: PolicyConfig) 
 # -- policy-equivalence checks ---------------------------------------------------------
 
 
-def _balance_dual_vector(system: PowerSystem, sol: Solution) -> np.ndarray:
-    return np.concatenate([nodal_prices(system, sol)[n] for n in system.nodes])
+def _stacked(prices: dict) -> np.ndarray:
+    """The balance duals of every node, in node order, as one vector."""
+    return np.concatenate(list(prices.values()))
 
 
-def _equivalence(check: str, names: tuple, price: str, system: PowerSystem,
-                 sol: Solution, policy: PolicyConfig, relax, compare) -> CheckResult:
+def _equivalence(check: str, what: str, price: str, ledger: Ledger, relax,
+                 compare) -> CheckResult:
     """The path of each policy-equivalence check.  ``relax(mu)`` solves the
-    LP of ``sol`` with a policy row freed, given the policy price ``price``
-    of ``sol`` (:func:`metrics.policy_prices`), and ``compare(mu,
-    relaxed)`` returns the residual, the detail and the duals and shift
-    that :func:`_verdict` maps.  The first of ``sol`` and the relaxed
-    solution that is not optimal, named by ``names``, makes the result
-    'inconclusive' with the reason '<name> solve <status>'."""
-    mu = policy_prices(system, sol, policy)[price] if sol.status == "optimal" else None
-    relaxed = relax(mu) if sol.status == "optimal" else sol
-    for what, solved in zip(names, (sol, relaxed)):
-        if solved.status != "optimal":
-            return CheckResult(check, "system", float("nan"), "inconclusive",
-                               {"reason": f"{what} solve {solved.status}"})
+    ledger's LP with a policy row freed, given the ledger's policy price
+    ``price``, and ``compare(mu, relaxed)`` returns the residual, the detail
+    and the duals and shift that :func:`_verdict` maps.  A relaxed solution
+    that is not optimal makes the result 'inconclusive' with the reason
+    '<what> solve <status>'."""
+    mu = ledger.policy_prices[price]
+    relaxed = relax(mu)
+    if relaxed.status != "optimal":
+        return CheckResult(check, "system", float("nan"), "inconclusive",
+                           {"reason": f"{what} solve {relaxed.status}"})
     residual, detail, duals, shift = compare(mu, relaxed)
-    return CheckResult(check, "system", residual,
-                       _verdict(system, sol, relaxed, residual, duals, shift), detail)
+    return CheckResult(check, "system", residual, _verdict(
+        ledger.system, ledger.sol, relaxed, residual, duals, shift), detail)
 
 
 def _verdict(system: PowerSystem, sol: Solution, relaxed: Solution, residual: float,
@@ -166,17 +160,18 @@ def _verdict(system: PowerSystem, sol: Solution, relaxed: Solution, residual: fl
     return "inconclusive" if all(c.verdict == "pass" for c in kkt) else "fail"
 
 
-def check_cap_tax_equivalence(system: PowerSystem, sol: Solution,
-                              policy: PolicyConfig) -> list:
-    """Lift the emissions cap of the LP of ``sol`` into the objective at
-    its shadow price, re-solve (warm from the cap's basis where ``sol`` has
-    a session), and compare the full price vectors.  Prices that differ
+def check_cap_tax_equivalence(ledger: Ledger) -> list:
+    """Lift the emissions cap of the ledger's LP into the objective at
+    its shadow price, re-solve (warm from the cap's basis where the solution
+    has a session), and compare the full price vectors.  Prices that differ
     are 'inconclusive' rather than 'fail' when the tax run's duals, with
     the cap's dual put back, are shown to be cap duals too.  By Lagrangian
-    duality the tax optimum is the cap objective plus mu times emissions
-    for every optimal mu, so a gap there is a 'fail'.  No result without a cap."""
-    if not isinstance(policy.co2, Co2Cap):
+    duality the tax optimum is the cap objective plus mu times the ledger's
+    emissions for every optimal mu, so a gap there is a 'fail'.  No result
+    without a cap."""
+    if not isinstance(ledger.policy.co2, Co2Cap):
         return []
+    system, sol, emissions = ledger.system, ledger.sol, ledger.emissions
     lp = sol.lp
 
     def tax(mu):
@@ -185,10 +180,7 @@ def check_cap_tax_equivalence(system: PowerSystem, sol: Solution,
                      session=sol.session)
 
     def compare(mu, tax_sol):
-        emissions = sum(acct.spec.emission_factor * acct.energy
-                        for acct in accounts(system, sol) if acct.spec is not None)
-        lam = _balance_dual_vector(system, sol)
-        lam_tax = _balance_dual_vector(system, tax_sol)
+        lam, lam_tax = _stacked(ledger.prices), _stacked(nodal_prices(system, tax_sol))
         dev = float(np.abs(lam - lam_tax).max()) / max(1.0, float(np.abs(lam).max()))
         obj_dev = abs(tax_sol.objective - (sol.objective + mu * emissions)) \
             / max(1.0, abs(sol.objective))
@@ -198,24 +190,23 @@ def check_cap_tax_equivalence(system: PowerSystem, sol: Solution,
         duals = {lp.row("co2-cap"): -mu} if obj_dev <= DEFAULT_TOL else None
         return max(dev, obj_dev), detail, duals, 0.0
 
-    return [_equivalence("cap-tax-equivalence", ("cap", "tax"), "mu_co2", system, sol,
-                         policy, tax, compare)]
+    return [_equivalence("cap-tax-equivalence", "tax", "mu_co2", ledger, tax, compare)]
 
 
-def check_subsidy_tax_lift(system: PowerSystem, sol: Solution,
-                           policy: PolicyConfig) -> list:
+def check_subsidy_tax_lift(ledger: Ledger) -> list:
     """Replace 'force in the supported set' by 'cap everything else' in the
-    LP of ``sol`` (a copy relaxed at 0 on the quota row, with a mirror
+    ledger's LP (a copy relaxed at 0 on the quota row, with a mirror
     row appended over every dispatch block outside the quota row, load
     shedding included) and check that all prices and market values lift by
-    exactly the premium.  Prices that differ are 'inconclusive' rather
-    than 'fail' when the mirror's duals, lowered by the mirror row's price
-    mu_m with mu_m on the quota row, are shown to be quota duals too.  No
-    result without a :class:`SupportDispatched` quota."""
-    support = policy.support
+    exactly the premium; the mirror's prices and market values are read off
+    its own ledger.  Prices that differ are 'inconclusive' rather than 'fail' when
+    the mirror's duals, lowered by the mirror row's price mu_m with mu_m on
+    the quota row, are shown to be quota duals too.  No result without a
+    :class:`SupportDispatched` quota."""
+    system, support = ledger.system, ledger.policy.support
     if not isinstance(support, SupportDispatched):
         return []
-    lp = sol.lp
+    lp = ledger.sol.lp
 
     def mirror(_mu):  # the quota row is freed at 0
         quota = lp.row("vre-dispatched")
@@ -230,12 +221,12 @@ def check_subsidy_tax_lift(system: PowerSystem, sol: Solution,
         return solve(out)
 
     def compare(mu_gamma, mirror_sol):
-        lam = _balance_dual_vector(system, sol)
-        lam_m = _balance_dual_vector(system, mirror_sol)
+        mirror = Ledger.of(system, mirror_sol, ledger.policy)
+        lam, lam_m = _stacked(ledger.prices), _stacked(mirror.prices)
         scale = max(1.0, abs(mu_gamma))
         price_dev = float(np.abs(lam_m - lam - mu_gamma).max()) / scale
         mv_dev = 0.0
-        mvs, mvs_m = market_values(system, sol), market_values(system, mirror_sol)
+        mvs, mvs_m = ledger.market_values(), mirror.market_values()
         for name in system.tech_names():
             if name in mvs and name in mvs_m:
                 mv_dev = max(mv_dev, abs(mvs_m[name] - mvs[name] - mu_gamma) / scale)
@@ -244,8 +235,7 @@ def check_subsidy_tax_lift(system: PowerSystem, sol: Solution,
                   "mv_deviation": mv_dev}
         return max(price_dev, mv_dev), detail, {lp.row("vre-dispatched"): mu_m}, mu_m
 
-    return [_equivalence("subsidy-tax-lift", ("support", "mirror"), "mu_gamma", system,
-                         sol, policy, mirror, compare)]
+    return [_equivalence("subsidy-tax-lift", "mirror", "mu_gamma", ledger, mirror, compare)]
 
 
 # -- brute-force oracle ------------------------------------------------------------------
@@ -376,8 +366,6 @@ def brute_force_oracle(system: PowerSystem) -> OracleResult:
 # -- aggregation -----------------------------------------------------------------------
 
 
-def verify_solution(system: PowerSystem, sol: Solution, policy: PolicyConfig) -> list:
+def verify_solution(ledger: Ledger) -> list:
     """Run the per-solution checks (KKT, zero profit) and return all results."""
-    results = check_kkt(sol)
-    results.extend(check_zero_profit(system, sol, policy))
-    return results
+    return check_kkt(ledger.sol) + check_zero_profit(ledger)

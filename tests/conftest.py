@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from powermarket.formulate import column_major
-from powermarket.metrics import accounts
+from powermarket.metrics import Ledger
 from powermarket.model import (
     PowerSystem,
     StorageSpec,
@@ -36,9 +36,9 @@ def kkt_passes(sol) -> bool:
     return all(c.verdict == "pass" for c in check_kkt(sol))
 
 
-def energy_of(system, sol, name: str) -> float:
-    """Dispatch of every placement of ``name``, summed as the metrics sum it."""
-    return sum(a.energy for a in accounts(system, sol) if a.name == name)
+def energy_of(ledger: Ledger, name: str) -> float:
+    """Dispatch of every placement of ``name``, summed as the ledger sums it."""
+    return ledger.totals[name]["energy"]
 
 
 def gate_document(directory) -> dict:

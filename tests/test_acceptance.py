@@ -11,13 +11,7 @@ import time
 import numpy as np
 
 from powermarket.formulate import build_lp
-from powermarket.metrics import (
-    accounts,
-    books,
-    build_report,
-    market_values,
-    nodal_prices,
-)
+from powermarket.metrics import Ledger, books, build_report, nodal_prices
 from powermarket.model import (
     Co2Cap,
     LineSpec,
@@ -59,8 +53,7 @@ def _solved(system, policy=PolicyConfig()):
 
 
 def _emissions(system, sol) -> float:
-    return sum(a.spec.emission_factor * a.energy
-               for a in accounts(system, sol) if a.spec is not None)
+    return Ledger.of(system, sol, PolicyConfig()).emissions
 
 
 SEEDS = range(50)
@@ -95,7 +88,7 @@ def test_criterion_02_total_cost_identity():
         prices = nodal_prices(system, sol)["N"]
         payments = float(prices @ np.array(system.demand["N"]))
         # every placement's cost, load shedding included
-        total = sum(a.cost for a in accounts(system, sol))
+        total = sum(a.cost for a in Ledger.of(system, sol, PolicyConfig()).accounts)
         worst = max(worst, abs(payments - total) / abs(total))
     _report(2, worst <= 1e-8,
             f"max |payments - total cost| / cost = {worst:.2e}")
@@ -121,7 +114,7 @@ def test_criterion_03_support_relation_and_cannibalisation():
     for gamma, system, policy, sol in points:
         mu = sol.dual("vre-dispatched")
         assert mu > 1e-9, "support must bind at every grid point"
-        wind = build_report(system, sol, policy).technologies["wind"]
+        wind = build_report(Ledger.of(system, sol, policy)).technologies["wind"]
         mv, lc = wind.mv, wind.lcoe
         worst = max(worst, abs(mv - (lc - mu)) / max(1.0, abs(lc)))
         mvs.append(mv)
@@ -141,9 +134,10 @@ def test_criterion_04_co2_relation():
         policy = PolicyConfig(co2=Co2Cap(frac * e0))
         lp, sol = _solved(system, policy)
         mu = -sol.dual("co2-cap")
-        report = build_report(system, sol, policy)
+        ledger = Ledger.of(system, sol, policy)
+        report = build_report(ledger)
         for _, spec in system.technologies:
-            if energy_of(system, sol, spec.name) <= 0.0:
+            if energy_of(ledger, spec.name) <= 0.0:
                 continue
             mv, lc = report.technologies[spec.name].mv, report.technologies[spec.name].lcoe
             dev = abs(mv - (lc + spec.emission_factor * mu)) / max(1.0, abs(lc))
@@ -163,7 +157,8 @@ def test_criterion_05_cap_tax_equivalence():
         lp0, sol0 = _solved(system)
         cap = 0.35 * max(_emissions(system, sol0), 1.0)
         policy = PolicyConfig(co2=Co2Cap(cap))
-        result, = check_cap_tax_equivalence(system, _solved(system, policy)[1], policy)
+        result, = check_cap_tax_equivalence(
+            Ledger.of(system, _solved(system, policy)[1], policy))
         verdicts.append(result.verdict)
         worst = max(worst, result.detail.get("price_deviation", float("nan")))
     ok = all(v == "pass" for v in verdicts)
@@ -178,7 +173,8 @@ def test_criterion_06_subsidy_tax_lift():
         system = random_desk_system(seed)
         policy = PolicyConfig(
             support=SupportDispatched(("wind", "solar"), share=0.8))
-        result, = check_subsidy_tax_lift(system, _solved(system, policy)[1], policy)
+        result, = check_subsidy_tax_lift(
+            Ledger.of(system, _solved(system, policy)[1], policy))
         verdicts.append(result.verdict)
         worst = max(worst,
                     result.detail.get("price_deviation", float("nan")),
@@ -192,7 +188,8 @@ def test_criterion_07_storage_arbitrage():
     system = flexible_system()
     policy = PolicyConfig(co2=Co2Cap(0.0))
     lp, sol = _solved(system, policy)
-    storage = [b.detail for b in books(system, sol, policy) if b.check == "zero-profit-storage"]
+    storage = [b.detail for b in books(Ledger.of(system, sol, policy))
+               if b.check == "zero-profit-storage"]
     built = [(d["arbitrage_revenue"], d["cost"]) for d in storage if d["cost"] > 1.0]
     assert built, "the tight-cap run must actually build storage"
     worst = max(abs(arb - c) / c for arb, c in built)
@@ -219,14 +216,14 @@ def test_criterion_08_congestion_revenue():
 
     # KCL only: price-difference revenue covers the line cost directly
     lp, sol = _solved(system)
-    results = [r for r in check_zero_profit(system, sol, PolicyConfig())
+    results = [r for r in check_zero_profit(Ledger.of(system, sol, PolicyConfig()))
                if r.check == "zero-profit-line"]
     worst_kcl = max(r.residual for r in results)
     cycle_terms_kcl = max(abs(r.detail["kvl_term"]) for r in results)
 
     # with the voltage law the cycle term appears and closes the identity
     lp, sol = _solved(dataclasses.replace(system, kvl=True))
-    results = [r for r in check_zero_profit(system, sol, PolicyConfig())
+    results = [r for r in check_zero_profit(Ledger.of(system, sol, PolicyConfig()))
                if r.check == "zero-profit-line"]
     worst_kvl = max(r.residual for r in results)
     cycle_terms_kvl = max(abs(r.detail["kvl_term"]) for r in results)
@@ -266,8 +263,9 @@ def test_criterion_09_oracle_equivalence():
 def test_criterion_10_negative_price_suppression():
     raw, suppressed = [], []
     for gamma, system, policy, sol in _support_sweep_solutions():
-        raw.append(market_values(system, sol)["wind"])
-        report = build_report(system, sol, policy, suppress_negative=True)
+        ledger = Ledger.of(system, sol, policy)
+        raw.append(ledger.market_values()["wind"])
+        report = build_report(ledger, suppress_negative=True)
         suppressed.append(report.suppressed["market_values"]["wind"])
     dominates = all(s >= r - 1e-9 for s, r in zip(suppressed, raw))
     ok = dominates and min(suppressed) >= 0.0
@@ -288,7 +286,7 @@ def test_criterion_11_two_day_policy_comparison():
     lam_c = nodal_prices(sys_c, sol_c)["DE"]
 
     # (a) no policy: solar earns exactly its cost
-    solar_a = build_report(sys_a, sol_a, pol_a).technologies["solar"]
+    solar_a = build_report(Ledger.of(sys_a, sol_a, pol_a)).technologies["solar"]
     mv_a, lc_a = solar_a.mv, solar_a.lcoe
     a_ok = abs(mv_a - lc_a) <= 1e-6 * max(1.0, abs(lc_a))
 
@@ -303,8 +301,8 @@ def test_criterion_11_two_day_policy_comparison():
 
     # (c) cap at the same solar share: zero (not negative) prices in the
     # solar-curtailment hours, higher prices in some fossil hour
-    share_b = energy_of(sys_b, sol_b, "solar") / sys_b.total_demand()
-    share_c = energy_of(sys_c, sol_c, "solar") / sys_c.total_demand()
+    share_b = energy_of(Ledger.of(sys_b, sol_b, pol_b), "solar") / sys_b.total_demand()
+    share_c = energy_of(Ledger.of(sys_c, sol_c, pol_c), "solar") / sys_c.total_demand()
     zero_hours = np.abs(lam_c) <= 1e-6
     fossil_hours = np.array([sys_a.technologies[0][1].availability_at(t) == 0.0
                              for t in range(48)])
@@ -329,9 +327,10 @@ def test_fig1_cap_is_the_cap_at_the_quota_share():
     lo, hi = 0.0, _emissions(system, _solved(system)[1])
     for _ in range(45):
         mid = 0.5 * (lo + hi)
-        sol = solve(build_lp(system, PolicyConfig(co2=Co2Cap(mid))))
-        if sol.status != "optimal" \
-                or energy_of(system, sol, "solar") / system.total_demand() > target:
+        policy = PolicyConfig(co2=Co2Cap(mid))
+        sol = solve(build_lp(system, policy))
+        if sol.status != "optimal" or energy_of(
+                Ledger.of(system, sol, policy), "solar") / system.total_demand() > target:
             lo = mid
         else:
             hi = mid
@@ -343,7 +342,7 @@ def test_criterion_12_rmv_identity():
     for seed in range(10):
         system = random_desk_system(seed)
         lp, sol = _solved(system)
-        report = build_report(system, sol, PolicyConfig())
+        report = build_report(Ledger.of(system, sol, PolicyConfig()))
         for _, spec in system.technologies:
             r = report.technologies[spec.name].rmv
             d = report.technologies[spec.name].rmv_shares
@@ -355,7 +354,7 @@ def test_criterion_12_rmv_identity():
                          demand={"N": (5.0, 7.0, 9.0, 4.0, 8.0, 6.0)},
                          technologies=(("N", gas),), discount_rate=0.0)
     lp, sol = _solved(single)
-    single_rmv = build_report(single, sol, PolicyConfig()).technologies["gas"].rmv
+    single_rmv = build_report(Ledger.of(single, sol, PolicyConfig())).technologies["gas"].rmv
     ok = worst <= 1e-6 and single_rmv == 1.0
     _report(12, ok, f"max |RMV - cost-share/energy-share| = {worst:.2e}, "
                     f"single-tech RMV = {single_rmv!r}")

@@ -18,7 +18,7 @@ import powermarket.scenario
 import powermarket.verify
 from powermarket.cli import main
 from powermarket.formulate import build_lp
-from powermarket.metrics import books, build_report
+from powermarket.metrics import Ledger, books, build_report
 from powermarket.model import (
     Co2Cap,
     Co2Tax,
@@ -1003,9 +1003,9 @@ class TestGateDocument:
         for command in ("solve", "verify"):
             assert main([command, str(path), "--out-dir", str(tmp_path / "out")]) == 0
         system, policy, _ = load_scenario(path)
-        sol = solve(build_lp(system, policy))
-        booked = {b.entity: b for b in books(system, sol, policy)}
-        checked = {c.entity: c for c in check_zero_profit(system, sol, policy)}
+        ledger = Ledger.of(system, solve(build_lp(system, policy)), policy)
+        booked = {b.entity: b for b in books(ledger)}
+        checked = {c.entity: c for c in check_zero_profit(ledger)}
         assert list(booked) == ["gas@A", "wind@B", "battery@B", "L0", "L1"]
         assert list(checked) == ["gas@A", "wind@B", "battery@B", "L0"]
         assert all(c.verdict == "pass" and c.detail == booked[e].detail
@@ -1013,7 +1013,7 @@ class TestGateDocument:
         # each judged entity is built; the fixed line has books but no check
         assert all(c.detail["cost"] > 0.0 for c in checked.values())
         assert booked["L1"].residual is None and booked["L1"].detail["cost"] == 0.0
-        report = build_report(system, sol, policy)
+        report = build_report(ledger)
         assert report.storage_arbitrage == {
             "battery@B": booked["battery@B"].detail["arbitrage_revenue"]}
         assert report.congestion_revenue == {
@@ -1155,3 +1155,24 @@ def test_bench_inputs_load(tmp_path):
         path = tmp_path / f"{plan['name']}.plan.json"
         path.write_text(json.dumps(plan))
         assert load_plan(str(path)).values == tuple(plan["values"])
+
+
+@pytest.mark.parametrize("command, name, builds", [
+    ("sweep", "support_sweep.json", 18),  # a raw and a floored ledger per point
+    ("sweep", "co2_sweep_flex.json", 6),
+    ("solve", "fig1_co2_cap.json", 1),
+    ("verify", "fig1_co2_cap.json", 1),  # the tax LP's prices need no ledger
+    ("verify", "fig1_support.json", 2),  # the quota LP and its mirror
+])
+def test_each_solution_is_walked_into_one_ledger(monkeypatch, tmp_path, command, name,
+                                                 builds):
+    built = []  # holds every solution, so that no two share an id
+    init = Ledger.__init__
+
+    def counting(self, system, sol, *args):
+        built.append(sol)
+        init(self, system, sol, *args)
+    monkeypatch.setattr(Ledger, "__init__", counting)
+    assert main([command, scenario_path(name), "--out-dir", str(tmp_path)]) == 0
+    assert len(built) == builds
+    assert len({id(sol) for sol in built}) == builds

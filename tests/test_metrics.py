@@ -6,8 +6,8 @@ import pytest
 
 from powermarket.formulate import build_lp
 from powermarket.metrics import (
+    Ledger,
     build_report,
-    market_values,
     nodal_prices,
     penetration_of,
     report_to_json,
@@ -43,9 +43,10 @@ def solved(system, policy=PolicyConfig()):
 class TestHeadlineMetrics:
     def test_mv_equals_lcoe_without_policy(self, desk_system):
         lp, sol = solved(desk_system)
-        report = build_report(desk_system, sol, PolicyConfig())
+        ledger = Ledger.of(desk_system, sol, PolicyConfig())
+        report = build_report(ledger)
         for name in ("wind", "solar", "ccgt", "ocgt"):
-            energy = energy_of(desk_system, sol, name)
+            energy = energy_of(ledger, name)
             if energy <= 0.0:
                 continue
             tech = report.technologies[name]
@@ -54,7 +55,7 @@ class TestHeadlineMetrics:
     def test_mv_none_for_unbuilt_tech(self):
         system = two_tech_system(wind_capex=1e9)
         lp, sol = solved(system)
-        wind = build_report(system, sol, PolicyConfig()).technologies["wind"]
+        wind = build_report(Ledger.of(system, sol, PolicyConfig())).technologies["wind"]
         assert wind.mv is None
         assert wind.lcoe is None
 
@@ -64,7 +65,7 @@ class TestHeadlineMetrics:
         lp, sol = solved(system, policy)
         mu = sol.dual("vre-dispatched")
         assert mu > 1e-6
-        wind = build_report(system, sol, policy).technologies["wind"]
+        wind = build_report(Ledger.of(system, sol, policy)).technologies["wind"]
         assert wind.mv == pytest.approx(wind.lcoe - mu, rel=1e-6)
 
     def test_co2_cap_wedge_per_emission_factor(self, desk_system):
@@ -72,9 +73,10 @@ class TestHeadlineMetrics:
         lp, sol = solved(desk_system, policy)
         mu = -sol.dual("co2-cap")
         assert mu > 0.0
-        report = build_report(desk_system, sol, policy)
+        ledger = Ledger.of(desk_system, sol, policy)
+        report = build_report(ledger)
         for _, spec in desk_system.technologies:
-            if energy_of(desk_system, sol, spec.name) <= 0.0:
+            if energy_of(ledger, spec.name) <= 0.0:
                 continue
             tech = report.technologies[spec.name]
             assert tech.mv == pytest.approx(tech.lcoe + spec.emission_factor * mu, rel=1e-6)
@@ -88,15 +90,16 @@ class TestHeadlineMetrics:
         wind = lp.col("g", tech_key("wind", "N"))
         assert not sol.x[wind].any()
         sol.x[wind.start] = dispatch
-        assert energy_of(system, sol, "wind") == dispatch
-        assert market_values(system, sol).get("wind") is None
-        wind = build_report(system, sol, PolicyConfig()).technologies["wind"]
+        ledger = Ledger.of(system, sol, PolicyConfig())
+        assert energy_of(ledger, "wind") == dispatch
+        assert ledger.market_values().get("wind") is None
+        wind = build_report(ledger).technologies["wind"]
         assert wind.mv is None
         assert wind.lcoe is None
         assert wind.rmv is None
         assert wind.energy == dispatch
         assert (wind.mv, wind.lcoe, wind.rmv, wind.rmv_shares) == (None,) * 4
-        assert penetration_of(system, sol, ("wind",)) == 0.0
+        assert penetration_of(ledger, ("wind",)) == 0.0
 
     def test_unbuilt_premium_tech_reports_the_premium(self):
         # without output there is no LCOE - MV to read: the report names
@@ -104,7 +107,7 @@ class TestHeadlineMetrics:
         system = two_tech_system(wind_capex=1e9)
         policy = PolicyConfig(support=FixedFip(("wind",), 5.0))
         lp, sol = solved(system, policy)
-        wind = build_report(system, sol, policy).technologies["wind"]
+        wind = build_report(Ledger.of(system, sol, policy)).technologies["wind"]
         assert wind.energy == 0.0 and (wind.mv, wind.lcoe) == (None, None)
         assert wind.fip_equivalent == 5.0
 
@@ -117,11 +120,12 @@ class TestRmv:
                              demand={"N": (5.0, 7.0, 9.0, 4.0, 8.0, 6.0)},
                              technologies=(("N", gas),), discount_rate=0.0)
         lp, sol = solved(system)
-        assert build_report(system, sol, PolicyConfig()).technologies["gas"].rmv == 1.0
+        report = build_report(Ledger.of(system, sol, PolicyConfig()))
+        assert report.technologies["gas"].rmv == 1.0
 
     def test_share_decomposition_matches(self, desk_system):
         lp, sol = solved(desk_system)
-        report = build_report(desk_system, sol, PolicyConfig())
+        report = build_report(Ledger.of(desk_system, sol, PolicyConfig()))
         for name in ("wind", "solar", "ccgt", "ocgt"):
             r = report.technologies[name].rmv
             d = report.technologies[name].rmv_shares
@@ -136,7 +140,7 @@ class TestSuppression:
         system = two_tech_system()
         policy = PolicyConfig(support=SupportDispatched(("wind",), share=0.9))
         lp, sol = solved(system, policy)
-        report = build_report(system, sol, policy, suppress_negative=True)
+        report = build_report(Ledger.of(system, sol, policy), suppress_negative=True)
         raw, sup = report.technologies["wind"].mv, report.suppressed
         # the averages are those of the raw prices floored at 0
         floored = np.maximum(nodal_prices(system, sol)["N"], 0.0)
@@ -146,9 +150,10 @@ class TestSuppression:
 
     def test_noop_when_prices_positive(self, desk_system):
         lp, sol = solved(desk_system)
-        report = build_report(desk_system, sol, PolicyConfig(), suppress_negative=True)
+        ledger = Ledger.of(desk_system, sol, PolicyConfig())
+        report = build_report(ledger, suppress_negative=True)
         sup = report.suppressed
-        raw = market_values(desk_system, sol)
+        raw = ledger.market_values()
         assert sup["market_values"].keys() == raw.keys()
         assert np.allclose(
             [*sup["market_values"].values(), sup["load_weighted_price"], sup["average_price"]],
@@ -158,7 +163,7 @@ class TestSuppression:
 class TestReport:
     def test_report_fields_and_json(self, desk_system):
         lp, sol = solved(desk_system)
-        report = build_report(desk_system, sol, PolicyConfig(),
+        report = build_report(Ledger.of(desk_system, sol, PolicyConfig()),
                               suppress_negative=True)
         doc = json.loads(report_to_json(report))
         assert set(doc["technologies"]) >= {"wind", "solar", "ccgt", "ocgt"}
@@ -175,7 +180,7 @@ class TestReport:
         sol = solve(build_lp(system, policy))
         assert sol.status == "infeasible"
         with pytest.raises(ValueError, match="got 'infeasible'"):
-            build_report(system, sol, policy)
+            Ledger.of(system, sol, policy)
 
     def test_total_cost_identity(self, desk_system):
         # payments by consumers equal total system cost without policy
@@ -186,7 +191,7 @@ class TestReport:
 
     def test_csv_output_is_stable(self, tmp_path, desk_system):
         lp, sol = solved(desk_system)
-        report = build_report(desk_system, sol, PolicyConfig())
+        report = build_report(Ledger.of(desk_system, sol, PolicyConfig()))
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         write_report_csv(report, p1, scenario="x")
         write_report_csv(report, p2, scenario="x")
@@ -199,7 +204,7 @@ class TestReport:
         prices = nodal_prices(desk_system, sol)["N"]
         d = np.array(desk_system.demand["N"])
         expected = float(np.dot(prices, d) / d.sum())
-        report = build_report(desk_system, sol, PolicyConfig())
+        report = build_report(Ledger.of(desk_system, sol, PolicyConfig()))
         assert report.load_weighted_price == pytest.approx(expected)
 
 
@@ -213,7 +218,7 @@ class TestOptimalVertices:
         two_runs, one_run = Session().solve(lp), Session()._run(lp, False)
         assert not np.array_equal(nodal_prices(system, two_runs)["DE"],
                                   nodal_prices(system, one_run)["DE"])
-        a, b = (build_report(system, sol, policy) for sol in (two_runs, one_run))
+        a, b = (build_report(Ledger.of(system, sol, policy)) for sol in (two_runs, one_run))
 
         def agree(x, y):
             x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from powermarket.formulate import LinearProgram, apply_equivalence_substitution, build_lp
-from powermarket.metrics import policy_prices, reduced_costs
+from powermarket.metrics import Ledger, reduced_costs
 from powermarket.model import (
     MAX_MAGNITUDE,
     Co2Cap,
@@ -156,8 +156,9 @@ class TestSolutionFiles:
         policy = PolicyConfig(co2=Co2Cap(1e9))
         lp = build_lp(desk_system, policy)
         sol = solve(lp)
-        prices = (policy_prices(desk_system, sol, policy)["mu_co2"],
-                  check_cap_tax_equivalence(desk_system, sol, policy)[0].detail["mu_co2"])
+        ledger = Ledger.of(desk_system, sol, policy)
+        prices = (ledger.policy_prices["mu_co2"],
+                  check_cap_tax_equivalence(ledger)[0].detail["mu_co2"])
         assert prices == (0.0, 0.0) and not np.signbit(prices).any()
 
     def test_unknown_column_is_rejected(self, tmp_path):
@@ -244,7 +245,7 @@ class TestSolutionFiles:
         path = tmp_path / "line.sol"
         write_solution_file(solve(lp), path)
         ext = solve_external(lp, path)
-        results = verify_solution(system, ext, PolicyConfig())
+        results = verify_solution(Ledger.of(system, ext, PolicyConfig()))
         assert [(r.check, r.entity) for r in results if r.verdict != "pass"] == []
         rent = next(r for r in results if r.check == "zero-profit-line")
         assert rent.detail["lower_bound_rent"] == pytest.approx(4.0 * 50.0)
@@ -647,7 +648,7 @@ class TestSession:
         sols = [Session().solve(premium)]
         monkeypatch.setattr(sys.modules[check_kkt.__module__], "solve",
                             lambda mirror: sols.append(solve(mirror)) or sols[-1])
-        check_subsidy_tax_lift(system, sol, policy)  # solves the quota mirror
+        check_subsidy_tax_lift(Ledger.of(system, sol, policy))  # solves the quota mirror
         # each: the sample, then the LP at the sample's capacities, then warm;
         # the premium LP's freed quota row stays free, and the mirror's
         # appended row is left free in its held run

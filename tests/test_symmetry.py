@@ -10,6 +10,12 @@ market in another currency: the objective and the policy prices double.
 Hourly prices, capacities and market values are not compared: a degenerate
 LP may end at another optimal vertex of the relabelled problem.
 
+Second formulations write the same market as another LP: the voltage law
+with voltage angles instead of cycle rows, and a fixed line as an
+expandable one whose capacity is pinned at the existing one.  Their optimum
+and policy prices agree with the bundled LP's, and their solution passes the
+KKT check.
+
 Besides the bundled scenarios, the rotations and the reversed order run on
 drawn systems (four seeded desk systems and a 48-h one with storage), each
 under a binding CO2 cap and under a binding wind and solar quota.
@@ -21,12 +27,18 @@ import numpy as np
 import pytest
 
 from powermarket.formulate import build_lp
-from powermarket.metrics import accounts, policy_prices
+from powermarket.metrics import Ledger
 from powermarket.model import Co2Cap, Co2Tax, FixedFip, PolicyConfig, SupportDispatched
 from powermarket.scenario import load_scenario
 from powermarket.solve import solve
 
-from conftest import BUNDLED_SCENARIOS, flexible_system, random_desk_system, scenario_path
+from conftest import (
+    BUNDLED_SCENARIOS,
+    flexible_system,
+    kkt_passes,
+    random_desk_system,
+    scenario_path,
+)
 
 STORAGE_FREE = ("fig1_no_policy.json", "fig1_support.json", "fig1_co2_cap.json",
                 "wind_gas_168h.json")
@@ -36,11 +48,14 @@ DRAWN = tuple(f"{system}-{policy}" for system in DRAWN_SYSTEMS for policy in ("c
 TOL = 1e-9
 
 
-def outcome(system, policy):
-    """The objective and the policy prices (``mu_co2``, ``mu_gamma``)."""
-    sol = solve(build_lp(system, policy))
+def outcome(system, policy, lp=None):
+    """The objective and the policy prices (``mu_co2``, ``mu_gamma``) of
+    ``lp``, by default the LP of ``system`` under ``policy``; the solution
+    of a given ``lp``, a second formulation, must pass the KKT check."""
+    sol = solve(build_lp(system, policy) if lp is None else lp)
     assert sol.status == "optimal"
-    prices = policy_prices(system, sol, policy)
+    assert lp is None or kkt_passes(sol)
+    prices = Ledger.of(system, sol, policy).policy_prices
     return sol.objective, {key: prices[key] for key in ("mu_co2", "mu_gamma")}
 
 
@@ -81,8 +96,7 @@ def cases():
     for name, (draw, arg) in DRAWN_SYSTEMS.items():
         system = draw(arg)
         free = solve(build_lp(system, PolicyConfig()))
-        emissions = sum(a.spec.emission_factor * a.energy
-                        for a in accounts(system, free) if a.spec is not None)
+        emissions = Ledger.of(system, free, PolicyConfig()).emissions
         for kind, policy, price in (
                 ("cap", PolicyConfig(co2=Co2Cap(emissions / 2)), "mu_co2"),
                 ("quota", PolicyConfig(support=SupportDispatched(("wind", "solar"), share=0.9)),
@@ -177,3 +191,50 @@ def test_doubling_every_cost_doubles_the_optimum(cases, name, policy):
     assert abs(got_objective - 2 * objective) <= TOL * abs(2 * objective)
     assert_same_prices(got_prices, {key: None if mu is None else 2 * mu
                                     for key, mu in prices.items()})
+
+
+def angle_lp(system, policy):
+    """The LP of ``system`` under ``policy`` with the voltage law written with
+    voltage angles: one free angle per node and snapshot, and one row
+    x_l·f_l − θ_from + θ_to = 0 per line and snapshot instead of the
+    ``kvl-cycle`` rows."""
+    lp = build_lp(replace(system, kvl=False), policy)
+    theta = {node: lp.add_columns(("theta", node), count=system.snapshots, lower=-np.inf)
+             for node in system.nodes}
+    for li, line in enumerate(system.lines):
+        row = lp.add_rows(("kvl-angle", f"L{li}"), count=system.snapshots, sense="=")
+        lp.add_entries(row, lp.col("f", f"L{li}"), line.reactance)
+        lp.add_entries(row, theta[line.from_node], -1.0)
+        lp.add_entries(row, theta[line.to_node], 1.0)
+    return lp
+
+
+def test_voltage_angles_keep_the_optimum(cases):
+    # Hourly prices are not asserted: on this LP they are not unique, and the
+    # angle LP ends at other ones.  Nor are the line books: metrics._kvl_terms
+    # reads the voltage-law rent off the kvl-cycle duals only, so on the
+    # angle LP zero-profit-line misses that rent.
+    system, policy, (objective, prices) = cases["mesh_kvl_48h.json"]
+    assert system.kvl
+    got_objective, got_prices = outcome(system, policy, angle_lp(system, policy))
+    assert abs(got_objective - objective) <= TOL * abs(objective)
+    assert_same_prices(got_prices, prices)
+
+
+def test_a_pinned_expandable_line_is_the_fixed_line(cases):
+    # mesh_kvl_48h's fixed line, made expandable at a cost with its capacity
+    # column's upper bound set to its lower one, the existing capacity
+    system, policy, (objective, prices) = cases["mesh_kvl_48h.json"]
+    (li, line), = ((li, line) for li, line in enumerate(system.lines) if not line.expandable)
+    assert line.existing_capacity > 0.0 and line.reverse_capacity() == line.existing_capacity
+    expandable = replace(system, lines=tuple(
+        replace(other, expandable=True, capex=219.18) if i == li else other
+        for i, other in enumerate(system.lines)))
+    lp = build_lp(expandable, policy)
+    F = lp.col("F", f"L{li}")
+    lp.columns.upper[F] = lp.columns.lower[F]
+    got_objective, got_prices = outcome(expandable, policy, lp)
+    cost = expandable.lines[li].annual_cost(system.discount_rate) * line.existing_capacity
+    assert cost > 0.0
+    assert abs(got_objective - cost - objective) <= TOL * abs(objective)
+    assert_same_prices(got_prices, prices)

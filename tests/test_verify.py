@@ -6,7 +6,7 @@ import pytest
 
 import powermarket.verify
 from powermarket.formulate import apply_equivalence_substitution, build_lp, cycle_basis
-from powermarket.metrics import accounts, books, build_report, reduced_costs, report_to_json
+from powermarket.metrics import Ledger, books, build_report, reduced_costs, report_to_json
 from powermarket.model import (
     Co2Cap,
     Co2Tax,
@@ -144,7 +144,7 @@ class TestZeroProfit:
     def test_no_policy_generators(self, desk_system):
         lp = build_lp(desk_system, PolicyConfig())
         sol = solve(lp)
-        results = check_zero_profit(desk_system, sol, PolicyConfig())
+        results = check_zero_profit(Ledger.of(desk_system, sol, PolicyConfig()))
         assert results and all(r.verdict == "pass" for r in results)
 
     def test_policy_terms_balance_the_books(self):
@@ -153,7 +153,7 @@ class TestZeroProfit:
                               co2=None)
         lp = build_lp(system, policy)
         sol = solve(lp)
-        results = check_zero_profit(system, sol, policy)
+        results = check_zero_profit(Ledger.of(system, sol, policy))
         assert all(r.verdict == "pass" for r in results)
         wind = next(r for r in results if r.entity == "wind@N")
         # without the support adjustment the books would not balance
@@ -170,7 +170,7 @@ class TestZeroProfit:
                              voll=100.0, discount_rate=0.0)
         lp = build_lp(system, PolicyConfig())
         sol = solve(lp)
-        results = check_zero_profit(system, sol, PolicyConfig())
+        results = check_zero_profit(Ledger.of(system, sol, PolicyConfig()))
         assert all(r.verdict == "pass" for r in results)
         entry = next(r for r in results if r.entity == "cheap@N")
         assert entry.detail["scarcity_rent"] > 0.0
@@ -181,9 +181,10 @@ class TestZeroProfit:
         # the potential binds on the placement the instrument pays or charges
         system = bounded_desk_system()
         sol = solve(build_lp(system, policy))
-        rows = check_zero_profit(system, sol, policy)
+        ledger = Ledger.of(system, sol, policy)
+        rows = check_zero_profit(ledger)
         row = next(r for r in rows if r.entity == entity)
-        acct = next(a for a in accounts(system, sol) if tech_key(a.name, a.node) == entity)
+        acct = next(a for a in ledger.accounts if tech_key(a.name, a.node) == entity)
         assert all(r.verdict == "pass" for r in rows)
         assert row.detail["capacity"] == acct.spec.max_potential
         assert row.detail["scarcity_rent"] > 0.0 and abs(payment(sol, acct)) > 1.0
@@ -197,7 +198,8 @@ class TestZeroProfit:
     def test_a_price_a_thousandth_off_fails(self, policy, entity, off):
         system = bounded_desk_system()
         sol = solve(build_lp(system, policy))
-        row = next(r for r in check_zero_profit(system, sol, off) if r.entity == entity)
+        row = next(r for r in check_zero_profit(Ledger.of(system, sol, off))
+                   if r.entity == entity)
         assert row.verdict == "fail"
 
     @pytest.mark.parametrize("shift, verdict", [(0.0, "pass"), (10.0, "fail")])
@@ -207,11 +209,11 @@ class TestZeroProfit:
         # of their difference, 3.8e-6, is far within DEFAULT_TOL of that
         # size; a residual ten tolerances of it off still fails
         system, policy = negative_cost_system(3)
-        sol = solve(build_lp(system, policy))
+        ledger = Ledger.of(system, solve(build_lp(system, policy)), policy)
         shifted = [replace(b, residual=b.residual + shift * DEFAULT_TOL * abs(b.detail["cost"]))
-                   if b.entity == "t0@N" else b for b in books(system, sol, policy)]
+                   if b.entity == "t0@N" else b for b in books(ledger)]
         monkeypatch.setattr(powermarket.verify, "books", lambda *args: shifted)
-        row = next(r for r in check_zero_profit(system, sol, policy) if r.entity == "t0@N")
+        row = next(r for r in check_zero_profit(ledger) if r.entity == "t0@N")
         assert row.detail["cost"] < -1e9 and row.verdict == verdict
 
     @pytest.mark.parametrize("premium, mv, lcoe", [(5.0, 42.478, 47.478),
@@ -221,9 +223,9 @@ class TestZeroProfit:
         # it, and its market value falls short of its LCOE by exactly it
         system, _, _ = load_scenario(scenario_path("wind_gas_168h.json"))
         policy = PolicyConfig(support=FixedFip(("wind",), premium))
-        sol = solve(build_lp(system, policy))
-        row = next(r for r in check_zero_profit(system, sol, policy) if r.entity == "wind@N")
-        wind = build_report(system, sol, policy).technologies["wind"]
+        ledger = Ledger.of(system, solve(build_lp(system, policy)), policy)
+        row = next(r for r in check_zero_profit(ledger) if r.entity == "wind@N")
+        wind = build_report(ledger).technologies["wind"]
         assert row.verdict == "pass" and wind.energy > 0.0
         assert row.detail["adjustment"] == pytest.approx(premium * wind.energy, rel=1e-12)
         assert (wind.mv, wind.lcoe) == pytest.approx((mv, lcoe), abs=1e-3)
@@ -245,20 +247,20 @@ class TestZeroProfit:
                          lines=(LineSpec("N", "M", existing_capacity=30.0),))
         policy = PolicyConfig()
         sol = solve(build_lp(system, policy))
-        row = next(r for r in verify_solution(system, sol, policy)
+        row = next(r for r in verify_solution(Ledger.of(system, sol, policy))
                    if r.check == "zero-profit-storage")
         costs = battery.annual_costs(system.discount_rate)
         power = sol.primal("Gdis", "battery@N")
         assert row.verdict == "pass" and power > 0.0
         assert row.detail["cost"] == pytest.approx((costs["dis"] + 4.0 * costs["ene"]) * power,
                                                    rel=1e-12)
-        assert build_report(system, sol, policy).cost_breakdown["line:L0"] == 0.0
+        assert build_report(Ledger.of(system, sol, policy)).cost_breakdown["line:L0"] == 0.0
 
     def test_report_json_is_valid(self, desk_system):
         lp = build_lp(desk_system, PolicyConfig())
         sol = solve(lp)
         doc = json.loads(report_to_json(
-            verify_solution(desk_system, sol, PolicyConfig())))
+            verify_solution(Ledger.of(desk_system, sol, PolicyConfig()))))
         assert all(d["verdict"] in ("pass", "fail", "inconclusive") for d in doc)
 
     def test_report_sums_the_checked_accounts(self):
@@ -266,8 +268,8 @@ class TestZeroProfit:
         # the books the check balances, bit for bit
         system, policy, lp = capped_ring()
         sol = solve(lp)
-        coal = build_report(system, sol, policy).technologies["coal"]
-        rows = [r for r in check_zero_profit(system, sol, policy)
+        coal = build_report(Ledger.of(system, sol, policy)).technologies["coal"]
+        rows = [r for r in check_zero_profit(Ledger.of(system, sol, policy))
                 if r.entity.startswith("coal@")]
         assert [r.entity for r in rows] == ["coal@N0", "coal@N1", "coal@N2"]
         assert coal.energy > 0.0 and coal.cost > 0.0
@@ -280,8 +282,8 @@ class TestZeroProfit:
         system, policy, _ = load_scenario(scenario_path(name))
         lp = build_lp(system, policy)
         sol = solve(lp)
-        report = build_report(system, sol, policy)
-        rows = check_zero_profit(system, sol, policy)
+        report = build_report(Ledger.of(system, sol, policy))
+        rows = check_zero_profit(Ledger.of(system, sol, policy))
         for tech in system.tech_names():
             assert report.technologies[tech].cost == sum(
                 r.detail["cost"] for r in rows if r.entity.startswith(f"{tech}@"))
@@ -358,7 +360,8 @@ class TestKvlTerms:
             LineSpec("N0", "N2", expandable=True, capex=20.0, reactance=0.3),))
         for system, lp in ((system, lp), (chord, build_lp(chord, policy))):
             sol = solve(lp)
-            terms = {b.entity: b.detail["kvl_term"] for b in books(system, sol, policy)
+            terms = {b.entity: b.detail["kvl_term"]
+                     for b in books(Ledger.of(system, sol, policy))
                      if b.check == "zero-profit-line"}
             reference = kvl_terms_by_cycle_basis(system, sol)
             if len(cycle_basis(system.lines)) == 1:
@@ -377,7 +380,7 @@ class TestEquivalence:
         system, policy, lp = capped_ring()
         write_solution_file(Session()._run(lp, False), tmp_path / "ring.sol")
         sol = solve_external(lp, tmp_path / "ring.sol")
-        result, = check_cap_tax_equivalence(system, sol, policy)
+        result, = check_cap_tax_equivalence(Ledger.of(system, sol, policy))
         assert result.detail["price_deviation"] > 1e-3
         assert result.verdict == "inconclusive"
 
@@ -389,7 +392,7 @@ class TestEquivalence:
             return sol
         monkeypatch.setattr(powermarket.verify, "solve", tampered)
         system, policy, lp = capped_ring()
-        result, = check_cap_tax_equivalence(system, solve(lp), policy)
+        result, = check_cap_tax_equivalence(Ledger.of(system, solve(lp), policy))
         assert result.verdict == "fail"
 
     def test_mirror_prices_that_are_not_quota_prices_fail(self, monkeypatch):
@@ -400,7 +403,7 @@ class TestEquivalence:
             return sol
         monkeypatch.setattr(powermarket.verify, "solve", tampered)
         system, policy, lp = quota_ring()
-        result, = check_subsidy_tax_lift(system, solve(lp), policy)
+        result, = check_subsidy_tax_lift(Ledger.of(system, solve(lp), policy))
         assert result.verdict == "fail"
 
     def test_relaxed_lps_keep_the_solved_rows_in_place(self, monkeypatch):
@@ -413,7 +416,7 @@ class TestEquivalence:
         system, policy, lp = quota_ring()
         assert lp.has_row("kvl-cycle", "c0")
         sol = solve(lp)
-        check_subsidy_tax_lift(system, sol, policy)
+        check_subsidy_tax_lift(Ledger.of(system, sol, policy))
         mirror, = solved
         quota = lp.row("vre-dispatched")
         tax = apply_equivalence_substitution(lp, {quota: sol.dual("vre-dispatched")})
@@ -441,7 +444,8 @@ class TestEquivalence:
         lp = build_lp(system, policy)
         # from the basis of a one-run cold cap solve, in its model switched
         # to Devex; a cold solve of the tax LP takes 106
-        result, = check_cap_tax_equivalence(system, Session()._run(lp, False), policy)
+        sol = Session()._run(lp, False)
+        result, = check_cap_tax_equivalence(Ledger.of(system, sol, policy))
         assert result.verdict == "pass"
         assert result.detail["warm_start"] is True
         assert result.detail["tax_iterations"] == 2
@@ -452,7 +456,7 @@ class TestEquivalence:
         monkeypatch.setattr(powermarket.verify, "apply_equivalence_substitution", off)
         system, policy, _ = load_scenario(scenario_path("fig1_co2_cap.json"))
         lp = build_lp(system, policy)
-        result, = check_cap_tax_equivalence(system, solve(lp), policy)
+        result, = check_cap_tax_equivalence(Ledger.of(system, solve(lp), policy))
         assert result.detail["warm_start"] is True
         assert result.verdict != "pass"
 
@@ -474,14 +478,14 @@ class TestEquivalence:
         down = (sol.objective - objective[-1]) / step
         up = (objective[1] - sol.objective) / step
         assert up - down > 1.0
-        result, = check_subsidy_tax_lift(system, sol, policy)
+        result, = check_subsidy_tax_lift(Ledger.of(system, sol, policy))
         assert result.residual > 1e-6
         assert result.verdict == "inconclusive"
 
     def test_cap_tax_on_desk_system(self, desk_system):
         policy = PolicyConfig(co2=Co2Cap(900.0))
         lp = build_lp(desk_system, policy)
-        result, = check_cap_tax_equivalence(desk_system, solve(lp), policy)
+        result, = check_cap_tax_equivalence(Ledger.of(desk_system, solve(lp), policy))
         assert result.verdict == "pass"
         assert result.detail["mu_co2"] > 0.0
 
@@ -494,11 +498,10 @@ class TestEquivalence:
         else:
             system, _, _ = load_scenario(scenario_path(f"{name}.json"))
         free = solve(build_lp(system, PolicyConfig()))
-        emissions = sum(acct.spec.emission_factor * acct.energy
-                        for acct in accounts(system, free) if acct.spec is not None)
+        emissions = Ledger.of(system, free, PolicyConfig()).emissions
         policy = PolicyConfig(co2=Co2Cap(0.5 * emissions))
         lp = build_lp(system, policy)
-        result, = check_cap_tax_equivalence(system, solve(lp), policy)
+        result, = check_cap_tax_equivalence(Ledger.of(system, solve(lp), policy))
         assert result.detail["mu_co2"] > 0.0
         assert result.verdict == "pass"
 
@@ -506,35 +509,35 @@ class TestEquivalence:
         system = two_tech_system()
         policy = PolicyConfig(support=SupportDispatched(("wind",), share=0.85))
         lp = build_lp(system, policy)
-        result, = check_subsidy_tax_lift(system, solve(lp), policy)
+        result, = check_subsidy_tax_lift(Ledger.of(system, solve(lp), policy))
         assert result.verdict == "pass"
         assert result.detail["mu_gamma"] > 0.0
 
-    @pytest.mark.parametrize("check, system_of, names", [
-        (check_cap_tax_equivalence, capped_ring, ("cap", "tax")),
-        (check_subsidy_tax_lift, quota_ring, ("support", "mirror")),
+    @pytest.mark.parametrize("check, system_of, what", [
+        (check_cap_tax_equivalence, capped_ring, "tax"),
+        (check_subsidy_tax_lift, quota_ring, "mirror"),
     ], ids=["cap-tax", "subsidy-lift"])
     def test_a_solve_that_is_not_optimal_is_inconclusive(self, monkeypatch, check,
-                                                         system_of, names):
+                                                         system_of, what):
         system, policy, lp = system_of()
-        # a solution as solve returns it for an LP without an optimum
-        result, = check(system, Solution(lp, status="infeasible"), policy)
-        assert (result.verdict, result.detail) == \
-            ("inconclusive", {"reason": f"{names[0]} solve infeasible"})
+        # a solution as solve returns it for an LP without an optimum has
+        # no ledger, so no check runs on it
+        with pytest.raises(ValueError, match="got 'infeasible'"):
+            Ledger.of(system, Solution(lp, status="infeasible"), policy)
         sol = solve(lp)
         monkeypatch.setattr(powermarket.verify, "solve",
                             lambda relaxed, **kwargs: Solution(relaxed, "iteration-limit"))
-        result, = check(system, sol, policy)
+        result, = check(Ledger.of(system, sol, policy))
         assert (result.verdict, result.detail) == \
-            ("inconclusive", {"reason": f"{names[1]} solve iteration-limit"})
+            ("inconclusive", {"reason": f"{what} solve iteration-limit"})
         assert np.isnan(result.residual)
 
     def test_requires_matching_policy_kind(self, desk_system):
         # a policy without the check's instrument gets no result
         lp = build_lp(desk_system, PolicyConfig())
         sol = solve(lp)
-        assert check_cap_tax_equivalence(desk_system, sol, PolicyConfig()) == []
-        assert check_subsidy_tax_lift(desk_system, sol, PolicyConfig()) == []
+        assert check_cap_tax_equivalence(Ledger.of(desk_system, sol, PolicyConfig())) == []
+        assert check_subsidy_tax_lift(Ledger.of(desk_system, sol, PolicyConfig())) == []
 
 
 def assert_oracle_agrees(system: PowerSystem) -> None:
