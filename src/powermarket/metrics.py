@@ -4,25 +4,25 @@ Market value, LCOE, relative market value, equivalent feed-in premium,
 policy shadow prices, penetration, curtailment, system-cost breakdown,
 duration curves and the negative-price-suppressed variants.  Each solution
 is walked once, into a :class:`Ledger` built from ``(system, sol,
-policy)``: the nodal and policy prices, the reduced costs, one
-:class:`Account` per placement (hourly dispatch and revenue, energy, cost,
-capacity, available energy, emissions) and the accounts' sums per name.
-Every reader takes the ledger.  :func:`build_report` is the one reader of
-the report-level quantities: market value, LCOE and relative market value
-(:class:`TechMetrics`), the load-weighted and average prices, the price and
-revenue duration curves and the values with prices floored at zero
-(:attr:`MetricsReport.suppressed`, read off a second ledger);
-:func:`write_report_csv` writes its table.  The zero-profit books of every
-entity come from one pass over the ledger (:func:`books`), which the report
-reads and ``verify`` judges.  The LP is ``sol.lp``.  All functions are pure
-over immutable solutions.
+policy)``: the nodal and policy prices, one :class:`Account` per placement
+(hourly dispatch and revenue, energy, cost, capacity, available energy,
+emissions), the accounts' sums per name and, on first read, the zero-profit
+:class:`Books` of every entity (:attr:`Ledger.books`), which the report
+reads and ``verify`` judges.  Every reader takes the ledger.
+:func:`build_report` is the one reader of the report-level quantities:
+market value, LCOE and relative market value (:class:`TechMetrics`), the
+load-weighted and average prices, the price and revenue duration curves and
+the values with prices floored at zero (:attr:`MetricsReport.suppressed`,
+read off the ledger's accounts); :func:`write_report_csv` writes its table.
+The LP is ``sol.lp``.  All functions are pure over immutable solutions.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -43,7 +43,6 @@ __all__ = [
     "Account",
     "Ledger",
     "Books",
-    "books",
     "reduced_costs",
     "nodal_prices",
     "TechMetrics",
@@ -99,18 +98,17 @@ _SUMMED = ("hourly_revenue", "energy", "revenue", "cost", "capacity", "available
 class Ledger:
     """The accounting of one optimal solution, built once by :meth:`of`
     (which raises ValueError for any other) and read by the report, the
-    checks and the sweep: the nodal ``prices``, the ``policy_prices`` and the
-    reduced costs ``z``; the :class:`Account` of every placement in placement
-    order, then load shedding per node where the system has a value of lost
-    load; ``totals``, name -> {field: sum over its placements' accounts} in
-    placement order; and the total ``emissions``."""
+    checks and the sweep: the nodal ``prices`` and the ``policy_prices``;
+    the :class:`Account` of every placement in placement order, then load
+    shedding per node where the system has a value of lost load; ``totals``,
+    name -> {field: sum over its placements' accounts} in placement order;
+    the total ``emissions``; and the :attr:`books`, worked out on first read."""
 
     system: PowerSystem
     sol: Solution
     policy: PolicyConfig
     prices: dict
     policy_prices: dict
-    z: np.ndarray
     accounts: tuple
     totals: dict
     emissions: float
@@ -147,15 +145,79 @@ class Ledger:
         totals = {name: {key: sum(getattr(acct, key) for acct in mine) for key in _SUMMED}
                   for name, mine in by_name.items()}
         return cls(system, sol, policy, prices, _policy_prices(system, sol, policy, totals),
-                   reduced_costs(sol), tuple(accounts), totals,
-                   sum(acct.emissions for acct in accounts))
+                   tuple(accounts), totals, sum(acct.emissions for acct in accounts))
 
-    def market_values(self) -> dict:
+    def market_values(self, prices: Optional[dict] = None) -> dict:
         """name -> generation-weighted average market price, EUR/MWh, of every
-        name with output (load shedding included)."""
-        mvs = {name: _per_mwh(self.system, sums, "revenue")
-               for name, sums in self.totals.items()}
-        return {name: mv for name, mv in mvs.items() if mv is not None}
+        name with output (load shedding included), at the ledger's prices or
+        at ``prices``, node -> array."""
+        paid = [(acct.name, acct.revenue if prices is None
+                 else float((prices[acct.node] * acct.dispatch).sum())) for acct in self.accounts]
+        energy = {name: _significant(self.system, sums["energy"])
+                  for name, sums in self.totals.items()}
+        return {name: sum(r for n, r in paid if n == name) / e
+                for name, e in energy.items() if e > 0.0}
+
+    @cached_property
+    def books(self) -> list:
+        """The :class:`Books` of every technology placement in placement order
+        (load shedding has none), then of every storage unit and line.  A
+        supported placement is paid (μ_γ + premium)·energy + μ_θ·available
+        and an emitter charged e·μ_CO2·energy, at the ledger's policy prices
+        (0.0 where the policy lacks one); a line's congestion revenue is
+        offset by its voltage-law term.  Every capacity rent is read off the
+        reduced costs z: −z_G·G for a generator at its potential, z_F·F for
+        a line."""
+        system, sol, prices, z = self.system, self.sol, self.prices, reduced_costs(self.sol)
+        mu_co2, mu_gamma, mu_theta, premium = (
+            0.0 if self.policy_prices[k] is None else self.policy_prices[k]
+            for k in ("mu_co2", "mu_gamma", "mu_theta", "premium"))
+        support_set = set(self.policy.support_set())
+        upper = sol.lp.columns.upper
+        out = []
+        for acct in self.accounts:
+            if acct.spec is None:
+                continue
+            key = tech_key(acct.name, acct.node)
+            adjust = -acct.spec.emission_factor * mu_co2 * acct.energy
+            if acct.name in support_set:
+                adjust += (mu_gamma + premium) * acct.energy + mu_theta * acct.available
+            G = sol.lp.col("G", key)
+            scarcity = -float(z[G]) * acct.capacity if upper[G] < np.inf else 0.0
+            out.append(Books("zero-profit", key, acct.revenue - acct.cost + adjust - scarcity,
+                             {"revenue": acct.revenue, "cost": acct.cost, "adjustment": adjust,
+                              "scarcity_rent": scarcity, "capacity": acct.capacity}))
+
+        for node, sto in system.storages:
+            key = tech_key(sto.name, node)
+            costs = sto.annual_costs(system.discount_rate)
+            gdis = sol.primal("Gdis", key)
+            cost = costs["dis"] * gdis + costs["sto"] * sol.primal("Gsto", key)
+            if sto.fixed_energy_power_ratio is None:
+                cost += costs["ene"] * sol.primal("Gene", key)
+            else:
+                cost += costs["ene"] * sto.fixed_energy_power_ratio * gdis
+            net = sol.primal("gdis", key) - sol.primal("gsto", key)
+            arbitrage, cost = float((prices[node] * net).sum()), float(cost)
+            out.append(Books("zero-profit-storage", key, arbitrage - cost,
+                             {"arbitrage_revenue": arbitrage, "cost": cost}))
+
+        kvl = _kvl_terms(sol)
+        for li, line in enumerate(system.lines):
+            key = f"L{li}"
+            f = sol.primal("f", key)
+            congestion = float(((prices[line.to_node] - prices[line.from_node]) * f).sum())
+            detail = {"congestion_revenue": congestion, "cost": 0.0,
+                      "kvl_term": kvl.get(key, 0.0)}
+            residual = None
+            if line.expandable:
+                F = sol.primal("F", key)
+                cost = float(line.annual_cost(system.discount_rate) * F)
+                rent = float(z[sol.lp.col("F", key)]) * F
+                detail.update(cost=cost, capacity=F, lower_bound_rent=rent)
+                residual = congestion - cost + detail["kvl_term"] + rent
+            out.append(Books("zero-profit-line", key, residual, detail))
+        return out
 
 
 def _significant(system: PowerSystem, energy: float) -> float:
@@ -219,21 +281,24 @@ def _policy_prices(system: PowerSystem, sol: Solution, policy: PolicyConfig,
 
 
 def _kvl_terms(sol: Solution) -> dict:
-    """Cycle-dual distortion term per line: sum_t,c y_c C_lc x_l f_lt, summed
-    over the entries of the voltage-law rows of the LP of ``sol``, keyed by
-    the entity of the line's flow block; empty for an LP without such rows."""
+    """Voltage-law term per line: sum y·a·f over the entries of its flow
+    block in every row of the LP of ``sol`` but its ``balance``,
+    ``line-upper`` and ``line-lower`` rows, however that law is written (by
+    cycle rows or by angles), keyed by the flow block's entity; empty for an
+    LP without flow blocks."""
     lp = sol.lp
-    if not any(family == "kvl-cycle" for family, _ in lp.row_index):
+    flows = {entity: index for (family, entity), index in lp.col_index.items()
+             if family == "f"}
+    if not flows:
         return {}
-    in_cycle = np.zeros(len(lp.rows), dtype=bool)
+    law = np.ones(len(lp.rows), dtype=bool)
     for (family, _), index in lp.row_index.items():
-        in_cycle[index] = family == "kvl-cycle"
+        law[index] = family not in ("balance", "line-upper", "line-lower")
     e = lp.entries
-    k = in_cycle[e.row]
+    k = law[e.row]
     terms = np.bincount(e.col[k], weights=sol.y[e.row[k]] * e.value[k] * sol.x[e.col[k]],
                         minlength=len(lp.columns))
-    return {entity: float(terms[index].sum())
-            for (family, entity), index in lp.col_index.items() if family == "f"}
+    return {entity: float(terms[index].sum()) for entity, index in flows.items()}
 
 
 @dataclass(frozen=True)
@@ -247,67 +312,6 @@ class Books:
     entity: str
     residual: Optional[float]
     detail: dict
-
-
-def books(ledger: Ledger) -> list:
-    """The :class:`Books` of every technology placement in placement order
-    (load shedding has none), then of every storage unit and line.  A
-    supported placement is paid (μ_γ + premium)·energy + μ_θ·available and
-    an emitter charged e·μ_CO2·energy, at the ledger's policy prices (0.0
-    where the policy lacks one); a line's congestion revenue is offset by
-    its voltage-law term.  Every capacity rent is read off the ledger's
-    reduced costs z: −z_G·G for a generator at its potential, z_F·F for a
-    line."""
-    system, sol, prices, z = ledger.system, ledger.sol, ledger.prices, ledger.z
-    mu_co2, mu_gamma, mu_theta, premium = (
-        0.0 if ledger.policy_prices[k] is None else ledger.policy_prices[k]
-        for k in ("mu_co2", "mu_gamma", "mu_theta", "premium"))
-    support_set = set(ledger.policy.support_set())
-    upper = sol.lp.columns.upper
-    out = []
-    for acct in ledger.accounts:
-        if acct.spec is None:
-            continue
-        key = tech_key(acct.name, acct.node)
-        adjust = -acct.spec.emission_factor * mu_co2 * acct.energy
-        if acct.name in support_set:
-            adjust += (mu_gamma + premium) * acct.energy + mu_theta * acct.available
-        G = sol.lp.col("G", key)
-        scarcity = -float(z[G]) * acct.capacity if upper[G] < np.inf else 0.0
-        out.append(Books("zero-profit", key, acct.revenue - acct.cost + adjust - scarcity,
-                         {"revenue": acct.revenue, "cost": acct.cost, "adjustment": adjust,
-                          "scarcity_rent": scarcity, "capacity": acct.capacity}))
-
-    for node, sto in system.storages:
-        key = tech_key(sto.name, node)
-        costs = sto.annual_costs(system.discount_rate)
-        gdis = sol.primal("Gdis", key)
-        cost = costs["dis"] * gdis + costs["sto"] * sol.primal("Gsto", key)
-        if sto.fixed_energy_power_ratio is None:
-            cost += costs["ene"] * sol.primal("Gene", key)
-        else:
-            cost += costs["ene"] * sto.fixed_energy_power_ratio * gdis
-        net = sol.primal("gdis", key) - sol.primal("gsto", key)
-        arbitrage, cost = float((prices[node] * net).sum()), float(cost)
-        out.append(Books("zero-profit-storage", key, arbitrage - cost,
-                         {"arbitrage_revenue": arbitrage, "cost": cost}))
-
-    kvl = _kvl_terms(sol)
-    for li, line in enumerate(system.lines):
-        key = f"L{li}"
-        f = sol.primal("f", key)
-        congestion = float(((prices[line.to_node] - prices[line.from_node]) * f).sum())
-        detail = {"congestion_revenue": congestion, "cost": 0.0,
-                  "kvl_term": kvl.get(key, 0.0)}
-        residual = None
-        if line.expandable:
-            F = sol.primal("F", key)
-            cost = float(line.annual_cost(system.discount_rate) * F)
-            rent = float(z[sol.lp.col("F", key)]) * F
-            detail.update(cost=cost, capacity=F, lower_bound_rent=rent)
-            residual = congestion - cost + detail["kvl_term"] + rent
-        out.append(Books("zero-profit-line", key, residual, detail))
-    return out
 
 
 # -- full report ----------------------------------------------------------------------
@@ -351,16 +355,15 @@ class MetricsReport:
 
 def build_report(ledger: Ledger, *, suppress_negative: bool = False) -> MetricsReport:
     """The report of the ledger's solution.  With ``suppress_negative`` its
-    ``suppressed`` values are read off a second ledger whose balance duals
-    are floored at zero; it is not kept, since its duals are not optimal,
-    and suppressed market values are pointwise >= the raw ones."""
+    ``suppressed`` values are read off the ledger's accounts at its nodal
+    prices floored at zero, so suppressed market values are pointwise >= the
+    raw ones."""
     system, sol, totals, pol = ledger.system, ledger.sol, ledger.totals, ledger.policy_prices
     support_set = set(ledger.policy.support_set())
     averages = _averages(system, ledger.prices)
     avg = averages["load_weighted_price"]
-    entity_books = books(ledger)
-    storage = {b.entity: b.detail for b in entity_books if b.check == "zero-profit-storage"}
-    lines = {b.entity: b.detail for b in entity_books if b.check == "zero-profit-line"}
+    storage = {b.entity: b.detail for b in ledger.books if b.check == "zero-profit-storage"}
+    lines = {b.entity: b.detail for b in ledger.books if b.check == "zero-profit-line"}
     total_cost = sum(t["cost"] for t in totals.values()) \
         + sum(d["cost"] for d in storage.values()) + sum(d["cost"] for d in lines.values())
 
@@ -411,13 +414,9 @@ def build_report(ledger: Ledger, *, suppress_negative: bool = False) -> MetricsR
         objective=sol.objective,
     )
     if suppress_negative:
-        y = sol.y.copy()
-        for node in system.nodes:
-            index = sol.lp.row("balance", node)
-            y[index] = np.maximum(y[index], 0.0)
-        floored = Ledger.of(system, replace(sol, y=y), ledger.policy)
-        report.suppressed = {"market_values": floored.market_values(),
-                             **_averages(system, floored.prices)}
+        floored = {node: np.maximum(p, 0.0) for node, p in ledger.prices.items()}
+        report.suppressed = {"market_values": ledger.market_values(floored),
+                             **_averages(system, floored)}
     return report
 
 

@@ -5,9 +5,9 @@ zero profit, cap/tax equivalence, the subsidy-to-tax price lift) into a
 pass/fail/inconclusive verdict with a numerical residual.  Every check but
 ``check_kkt(sol)`` reads the solution's :class:`~powermarket.metrics.Ledger`
 and judges the LP that was solved, ``sol.lp``.  The zero-profit check
-computes no term of its own: it judges the residuals of
-:func:`powermarket.metrics.books`; the cap→tax check reads the ledger's
-emissions and the price lift its market values.  Check results are
+computes no term of its own: it judges the residuals of the ledger's
+books (:attr:`powermarket.metrics.Ledger.books`); the cap→tax check reads
+the ledger's emissions and the price lift its market values.  Check results are
 written by :func:`powermarket.metrics.report_to_json`.  A brute-force
 enumeration oracle provides solver-independent optima and prices for tiny
 instances.
@@ -25,7 +25,7 @@ from .formulate import (
     apply_equivalence_substitution,
     build_lp,  # not called here, but bench/spans.py wraps verify.build_lp
 )
-from .metrics import Ledger, books, nodal_prices, reduced_costs
+from .metrics import Ledger, nodal_prices, reduced_costs
 from .model import Co2Cap, PowerSystem, SupportDispatched
 from .solve import Solution, solve
 
@@ -100,12 +100,12 @@ def check_kkt(sol: Solution) -> list:
 
 
 def check_zero_profit(ledger: Ledger) -> list:
-    """One :class:`CheckResult` per entity of :func:`metrics.books` of the
-    ledger with a residual, which passes at most ``DEFAULT_TOL`` relative to the magnitude
+    """One :class:`CheckResult` per entity of the ledger's books with a
+    residual, which passes at most ``DEFAULT_TOL`` relative to the magnitude
     of the entity's cost, absolute below a magnitude of 1: a negative
     marginal cost can make a placement's cost negative.  A fixed line has
     books but no check."""
-    judged = [b for b in books(ledger) if b.residual is not None]
+    judged = [b for b in ledger.books if b.residual is not None]
     scales = [max(1.0, abs(b.detail["cost"])) for b in judged]
     return [CheckResult(b.check, b.entity, abs(b.residual) / scale,
                         "pass" if abs(b.residual) <= DEFAULT_TOL * scale else "fail", b.detail)

@@ -11,7 +11,7 @@ import time
 import numpy as np
 
 from powermarket.formulate import build_lp
-from powermarket.metrics import Ledger, books, build_report, nodal_prices
+from powermarket.metrics import Ledger, build_report, nodal_prices
 from powermarket.model import (
     Co2Cap,
     LineSpec,
@@ -188,7 +188,7 @@ def test_criterion_07_storage_arbitrage():
     system = flexible_system()
     policy = PolicyConfig(co2=Co2Cap(0.0))
     lp, sol = _solved(system, policy)
-    storage = [b.detail for b in books(Ledger.of(system, sol, policy))
+    storage = [b.detail for b in Ledger.of(system, sol, policy).books
                if b.check == "zero-profit-storage"]
     built = [(d["arbitrage_revenue"], d["cost"]) for d in storage if d["cost"] > 1.0]
     assert built, "the tight-cap run must actually build storage"

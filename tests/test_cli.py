@@ -6,7 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
-from functools import reduce
+from functools import cached_property, reduce
 from operator import getitem
 
 import pytest
@@ -14,11 +14,12 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import powermarket.cli
+import powermarket.metrics
 import powermarket.scenario
 import powermarket.verify
 from powermarket.cli import main
 from powermarket.formulate import build_lp
-from powermarket.metrics import Ledger, books, build_report
+from powermarket.metrics import Ledger, build_report
 from powermarket.model import (
     Co2Cap,
     Co2Tax,
@@ -1004,7 +1005,7 @@ class TestGateDocument:
             assert main([command, str(path), "--out-dir", str(tmp_path / "out")]) == 0
         system, policy, _ = load_scenario(path)
         ledger = Ledger.of(system, solve(build_lp(system, policy)), policy)
-        booked = {b.entity: b for b in books(ledger)}
+        booked = {b.entity: b for b in ledger.books}
         checked = {c.entity: c for c in check_zero_profit(ledger)}
         assert list(booked) == ["gas@A", "wind@B", "battery@B", "L0", "L1"]
         assert list(checked) == ["gas@A", "wind@B", "battery@B", "L0"]
@@ -1157,22 +1158,70 @@ def test_bench_inputs_load(tmp_path):
         assert load_plan(str(path)).values == tuple(plan["values"])
 
 
-@pytest.mark.parametrize("command, name, builds", [
-    ("sweep", "support_sweep.json", 18),  # a raw and a floored ledger per point
-    ("sweep", "co2_sweep_flex.json", 6),
-    ("solve", "fig1_co2_cap.json", 1),
-    ("verify", "fig1_co2_cap.json", 1),  # the tax LP's prices need no ledger
-    ("verify", "fig1_support.json", 2),  # the quota LP and its mirror
-])
-def test_each_solution_is_walked_into_one_ledger(monkeypatch, tmp_path, command, name,
-                                                 builds):
-    built = []  # holds every solution, so that no two share an id
-    init = Ledger.__init__
+def test_bench_span_bindings_are_called(monkeypatch, tmp_path):
+    # a binding that is bound but never called reads as a zero per-layer
+    # figure: every command of the three workloads, at the warm-up horizon
+    # and as a traced pass runs them, calls every binding but verify.build_lp,
+    # which is kept for the spans alone
+    spans = bench_module("spans")
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the worker puts bench/ first
+    worker = bench_module("worker")
+    calls = dict.fromkeys(((module, attr) for module, attr, _, _ in spans.BINDINGS), 0)
 
-    def counting(self, system, sol, *args):
+    def counting(key, fn):
+        def counted(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return counted
+    for module, attr in calls:
+        bound = getattr(powermarket, module)
+        monkeypatch.setattr(bound, attr, counting((module, attr), getattr(bound, attr)))
+    for workload in worker.WORKLOADS.values():
+        work = workload()
+        work.prepare(tmp_path, 1, worker.WARMUP_HOURS)
+        for argv in work.commands(tmp_path / work.name, traced=True):
+            assert main(argv) == 0, argv
+    assert [key for key, n in calls.items() if n == 0] == [("verify", "build_lp")]
+
+
+# command, scenario, ledger builds, books passes, reduced-cost passes
+PASS_COUNTS = [
+    ("sweep", "support_sweep.json", 9, 9, 18),
+    ("sweep", "co2_sweep_flex.json", 6, 6, 12),
+    ("solve", "fig1_co2_cap.json", 1, 1, 2),
+    ("verify", "fig1_co2_cap.json", 1, 1, 2),  # the tax LP's prices need no ledger
+    ("verify", "fig1_support.json", 2, 1, 3),  # the quota LP and its unbooked mirror
+]
+
+
+@pytest.mark.parametrize("command, name, builds, passes, reduced_passes", PASS_COUNTS,
+                         ids=[f"{command}-{name}-{builds}"
+                              for command, name, builds, _, _ in PASS_COUNTS])
+def test_each_solution_is_walked_into_one_ledger(monkeypatch, tmp_path, command, name,
+                                                 builds, passes, reduced_passes):
+    # ledger builds, books passes and reduced costs z = c - A^T y: one ledger
+    # per solution, its books once, and z once for them and once per KKT check
+    built, booked, reduced = [], [], []  # built holds every solution, so no two share an id
+    init, books = Ledger.__init__, Ledger.books.func
+    reduced_costs = powermarket.metrics.reduced_costs
+
+    def counting_init(self, system, sol, *args):
         built.append(sol)
         init(self, system, sol, *args)
-    monkeypatch.setattr(Ledger, "__init__", counting)
+
+    def counting_books(self):
+        booked.append(self)
+        return books(self)
+
+    def counting_reduced_costs(sol):
+        reduced.append(sol)
+        return reduced_costs(sol)
+    counted_books = cached_property(counting_books)
+    counted_books.__set_name__(Ledger, "books")
+    monkeypatch.setattr(Ledger, "__init__", counting_init)
+    monkeypatch.setattr(Ledger, "books", counted_books)
+    for module in (powermarket.metrics, powermarket.verify):
+        monkeypatch.setattr(module, "reduced_costs", counting_reduced_costs)
     assert main([command, scenario_path(name), "--out-dir", str(tmp_path)]) == 0
-    assert len(built) == builds
-    assert len({id(sol) for sol in built}) == builds
+    assert (len(built), len(booked), len(reduced)) == (builds, passes, reduced_passes)
+    assert len({id(sol) for sol in built}) == len(built)

@@ -14,7 +14,7 @@ Second formulations write the same market as another LP: the voltage law
 with voltage angles instead of cycle rows, and a fixed line as an
 expandable one whose capacity is pinned at the existing one.  Their optimum
 and policy prices agree with the bundled LP's, and their solution passes the
-KKT check.
+KKT check; the angle LP's line books break even too.
 
 Besides the bundled scenarios, the rotations and the reversed order run on
 drawn systems (four seeded desk systems and a 48-h one with storage), each
@@ -31,6 +31,7 @@ from powermarket.metrics import Ledger
 from powermarket.model import Co2Cap, Co2Tax, FixedFip, PolicyConfig, SupportDispatched
 from powermarket.scenario import load_scenario
 from powermarket.solve import solve
+from powermarket.verify import check_zero_profit
 
 from conftest import (
     BUNDLED_SCENARIOS,
@@ -211,14 +212,18 @@ def angle_lp(system, policy):
 
 def test_voltage_angles_keep_the_optimum(cases):
     # Hourly prices are not asserted: on this LP they are not unique, and the
-    # angle LP ends at other ones.  Nor are the line books: metrics._kvl_terms
-    # reads the voltage-law rent off the kvl-cycle duals only, so on the
-    # angle LP zero-profit-line misses that rent.
+    # angle LP ends at other ones.  The line books read the voltage-law rent
+    # off the angle rows' duals, so both expandable lines break even.
     system, policy, (objective, prices) = cases["mesh_kvl_48h.json"]
     assert system.kvl
-    got_objective, got_prices = outcome(system, policy, angle_lp(system, policy))
+    lp = angle_lp(system, policy)
+    got_objective, got_prices = outcome(system, policy, lp)
     assert abs(got_objective - objective) <= TOL * abs(objective)
     assert_same_prices(got_prices, prices)
+    lines = [c for c in check_zero_profit(Ledger.of(system, solve(lp), policy))
+             if c.check == "zero-profit-line"]
+    assert [c.entity for c in lines] == ["L0", "L1"]
+    assert all(c.verdict == "pass" for c in lines), [(c.entity, c.residual) for c in lines]
 
 
 def test_a_pinned_expandable_line_is_the_fixed_line(cases):
